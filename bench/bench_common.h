@@ -84,25 +84,6 @@ inline void ReportDeltaSweep(benchmark::State& state, bool delta,
       mean_seconds > 0 ? off_seconds / mean_seconds : 0);
 }
 
-/// Attaches the vectorize-sweep counters: whether the batch-vectorized
-/// columnar path ran (`vec`), the column batches and input rows its kernel
-/// loops consumed per iteration, and the speedup of this run's mean
-/// iteration over a vectorize-off baseline (hash kernels on in both, so the
-/// comparison isolates batch-over-columns vs tuple-at-a-time) timed inline
-/// just before the loop (>1 means batching pays for itself).
-inline void ReportVectorizeSweep(benchmark::State& state, bool vectorize,
-                                 const incdb::EvalStats& stats,
-                                 double off_seconds, double mean_seconds) {
-  const auto rate = benchmark::Counter::kAvgIterations;
-  state.counters["vec"] = benchmark::Counter(vectorize ? 1 : 0);
-  state.counters["batches"] = benchmark::Counter(
-      static_cast<double>(stats.batches_processed()), rate);
-  state.counters["rows_vec"] = benchmark::Counter(
-      static_cast<double>(stats.rows_vectorized()), rate);
-  state.counters["speedup"] = benchmark::Counter(
-      mean_seconds > 0 ? off_seconds / mean_seconds : 0);
-}
-
 /// Attaches the backend sweep counters: which backend ran (`ctable`), the
 /// condition-normalizer work per iteration (`cond_simplified` rewrites,
 /// `unsat_pruned` conditions collapsed to false), and the speedup of this

@@ -420,100 +420,4 @@ BENCHMARK(BM_SamplingExactCTable)
     ->Arg(20)
     ->Unit(benchmark::kMillisecond);
 
-
-// Vectorize sweep: batch-vectorized columnar execution against the
-// row-oriented hash kernels on one large complete instance — plain naive
-// evaluation (one world) at num_threads = 1, so the row kernels' partitioned
-// parallelism does not mask the batching effect. The columnar snapshots and
-// hash indexes of the scans are warmed before timing, as in steady-state
-// service. args encode (vectorize, R0 rows); "speedup" compares this run's
-// mean iteration against a vectorize-off baseline timed inline just before
-// the loop.
-Database LargeCompleteDb(size_t rows) {
-  Database db;
-  Relation* r0 = db.MutableRelation("R0", 2);
-  for (size_t i = 0; i < rows; ++i) {
-    // b spreads over [0, 1000) in a scrambled order.
-    r0->Add(Tuple{Value::Int(static_cast<int64_t>(i)),
-                  Value::Int(static_cast<int64_t>(i * 2654435761u % 1000))});
-  }
-  Relation* r1 = db.MutableRelation("R1", 2);
-  for (int64_t i = 0; i < 1000; ++i) {
-    r1->Add(Tuple{Value::Int(i), Value::Int(i % 7)});
-  }
-  return db;
-}
-
-// Selection/projection-heavy plan: pi{0}(sigma_{#1 < 100}(R0)), ~10%
-// selectivity over the large scan.
-void BM_NaiveSelectionVectorize(benchmark::State& state) {
-  const bool vec = state.range(0) != 0;
-  Database db = LargeCompleteDb(static_cast<size_t>(state.range(1)));
-  auto q = RAExpr::Project(
-      {0}, RAExpr::Select(Predicate::Cmp(CmpOp::kLt, Term::Column(1),
-                                         Term::Const(Value::Int(100))),
-                          RAExpr::Scan("R0")));
-  EvalOptions off;
-  off.vectorize = false;
-  off.num_threads = 1;
-  EvalOptions options;
-  options.vectorize = vec;
-  options.num_threads = 1;
-  // Warm every lazily-built cache (canonical order, indexes, columnar).
-  benchmark::DoNotOptimize(EvalNaive(q, db, options));
-  benchmark::DoNotOptimize(EvalNaive(q, db, off));
-  const double off_seconds = incdb_bench::SecondsOf(
-      [&] { benchmark::DoNotOptimize(EvalNaive(q, db, off)); });
-  EvalStats stats;
-  options.stats = &stats;
-  double total_seconds = 0;
-  for (auto _ : state) {
-    total_seconds += incdb_bench::SecondsOf(
-        [&] { benchmark::DoNotOptimize(EvalNaive(q, db, options)); });
-  }
-  incdb_bench::ReportVectorizeSweep(
-      state, vec, stats, off_seconds,
-      total_seconds / static_cast<double>(state.iterations()));
-}
-BENCHMARK(BM_NaiveSelectionVectorize)
-    ->Args({0, 20000})
-    ->Args({1, 20000})
-    ->Args({0, 100000})
-    ->Args({1, 100000})
-    ->Unit(benchmark::kMicrosecond);
-
-// Join-heavy plan: the E2 join UCQ over the large instance; every R0 row
-// matches exactly one R1 row through the fused equi-join.
-void BM_NaiveJoinVectorize(benchmark::State& state) {
-  const bool vec = state.range(0) != 0;
-  Database db = LargeCompleteDb(static_cast<size_t>(state.range(1)));
-  auto q = JoinQuery();
-  EvalOptions off;
-  off.vectorize = false;
-  off.num_threads = 1;
-  EvalOptions options;
-  options.vectorize = vec;
-  options.num_threads = 1;
-  benchmark::DoNotOptimize(EvalNaive(q, db, options));
-  benchmark::DoNotOptimize(EvalNaive(q, db, off));
-  const double off_seconds = incdb_bench::SecondsOf(
-      [&] { benchmark::DoNotOptimize(EvalNaive(q, db, off)); });
-  EvalStats stats;
-  options.stats = &stats;
-  double total_seconds = 0;
-  for (auto _ : state) {
-    total_seconds += incdb_bench::SecondsOf(
-        [&] { benchmark::DoNotOptimize(EvalNaive(q, db, options)); });
-  }
-  incdb_bench::ReportVectorizeSweep(
-      state, vec, stats, off_seconds,
-      total_seconds / static_cast<double>(state.iterations()));
-}
-BENCHMARK(BM_NaiveJoinVectorize)
-    ->Args({0, 20000})
-    ->Args({1, 20000})
-    ->Args({0, 100000})
-    ->Args({1, 100000})
-    ->Unit(benchmark::kMicrosecond);
-
 }  // namespace

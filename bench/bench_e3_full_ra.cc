@@ -290,57 +290,4 @@ BENCHMARK(BM_DiffBackendSweep)
     ->Args({1, 8})
     ->Unit(benchmark::kMillisecond);
 
-
-// ---------------------------------------------------------------------------
-// Vectorize sweep: batch-vectorized columnar execution against the
-// row-oriented hash kernels on a large complete difference, serial, naive
-// evaluation of pi{0}(R0 - R1). The set-difference kernel becomes one merge
-// walk over two sorted code columns. args encode (vectorize, R0 rows).
-
-Database LargeDiffDb(size_t rows) {
-  Database db;
-  Relation* r0 = db.MutableRelation("R0", 2);
-  Relation* r1 = db.MutableRelation("R1", 2);
-  for (size_t i = 0; i < rows; ++i) {
-    Tuple t{Value::Int(static_cast<int64_t>(i)),
-            Value::Int(static_cast<int64_t>(i % 17))};
-    r0->Add(t);
-    if (i % 2 == 0) r1->Add(t);  // half of R0 survives the difference
-  }
-  return db;
-}
-
-void BM_DiffVectorize(benchmark::State& state) {
-  const bool vec = state.range(0) != 0;
-  Database db = LargeDiffDb(static_cast<size_t>(state.range(1)));
-  auto q = DiffQuery();
-  EvalOptions off;
-  off.vectorize = false;
-  off.num_threads = 1;
-  EvalOptions options;
-  options.vectorize = vec;
-  options.num_threads = 1;
-  // Warm every lazily-built cache (canonical order, indexes, columnar).
-  benchmark::DoNotOptimize(EvalNaive(q, db, options));
-  benchmark::DoNotOptimize(EvalNaive(q, db, off));
-  const double off_seconds = incdb_bench::SecondsOf(
-      [&] { benchmark::DoNotOptimize(EvalNaive(q, db, off)); });
-  EvalStats stats;
-  options.stats = &stats;
-  double total_seconds = 0;
-  for (auto _ : state) {
-    total_seconds += incdb_bench::SecondsOf(
-        [&] { benchmark::DoNotOptimize(EvalNaive(q, db, options)); });
-  }
-  incdb_bench::ReportVectorizeSweep(
-      state, vec, stats, off_seconds,
-      total_seconds / static_cast<double>(state.iterations()));
-}
-BENCHMARK(BM_DiffVectorize)
-    ->Args({0, 20000})
-    ->Args({1, 20000})
-    ->Args({0, 100000})
-    ->Args({1, 100000})
-    ->Unit(benchmark::kMicrosecond);
-
 }  // namespace

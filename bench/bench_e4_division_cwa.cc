@@ -403,58 +403,4 @@ BENCHMARK(BM_DivisionSamplingSweep)
     ->Args({4'000, 4})
     ->Unit(benchmark::kMillisecond);
 
-
-// ---------------------------------------------------------------------------
-// Vectorize sweep: batch-vectorized division against the row-oriented hash
-// kernel on a large complete instance, serial. The dividend groups into
-// head runs (code rows are sorted), and each run's tails binary-search into
-// the remapped divisor. args encode (vectorize, dividend rows).
-
-Database LargeDivisionDb(size_t rows) {
-  Database db;
-  Relation* assign = db.MutableRelation("Assign", 2);
-  const size_t employees = rows / 10;
-  for (size_t e = 0; e < employees; ++e) {
-    for (int64_t p = 0; p < 10; ++p) {
-      assign->Add(Tuple{Value::Int(static_cast<int64_t>(e)), Value::Int(p)});
-    }
-  }
-  Relation* proj = db.MutableRelation("Proj", 1);
-  for (int64_t p = 0; p < 5; ++p) proj->Add(Tuple{Value::Int(p)});
-  return db;
-}
-
-void BM_DivisionVectorize(benchmark::State& state) {
-  const bool vec = state.range(0) != 0;
-  Database db = LargeDivisionDb(static_cast<size_t>(state.range(1)));
-  auto q = Query();
-  EvalOptions off;
-  off.vectorize = false;
-  off.num_threads = 1;
-  EvalOptions options;
-  options.vectorize = vec;
-  options.num_threads = 1;
-  // Warm every lazily-built cache (canonical order, indexes, columnar).
-  benchmark::DoNotOptimize(EvalNaive(q, db, options));
-  benchmark::DoNotOptimize(EvalNaive(q, db, off));
-  const double off_seconds = incdb_bench::SecondsOf(
-      [&] { benchmark::DoNotOptimize(EvalNaive(q, db, off)); });
-  EvalStats stats;
-  options.stats = &stats;
-  double total_seconds = 0;
-  for (auto _ : state) {
-    total_seconds += incdb_bench::SecondsOf(
-        [&] { benchmark::DoNotOptimize(EvalNaive(q, db, options)); });
-  }
-  incdb_bench::ReportVectorizeSweep(
-      state, vec, stats, off_seconds,
-      total_seconds / static_cast<double>(state.iterations()));
-}
-BENCHMARK(BM_DivisionVectorize)
-    ->Args({0, 20000})
-    ->Args({1, 20000})
-    ->Args({0, 100000})
-    ->Args({1, 100000})
-    ->Unit(benchmark::kMicrosecond);
-
 }  // namespace

@@ -108,7 +108,6 @@ void PrintRelation(const Relation& r) {
 bool g_stats = false;
 int g_threads = 1;  // num_threads for every query; 1 = serial, 0 = auto
 bool g_delta = true;  // differential world enumeration (EvalOptions::delta_eval)
-bool g_vectorize = true;  // batch-vectorized columnar execution
 Backend g_backend = Backend::kEnumeration;  // certain-enum/possible backend
 
 // Runs one notion through the engine and prints the outcome under `label`.
@@ -153,7 +152,6 @@ QueryRequest SqlRequest(const std::string& sql, AnswerNotion notion) {
   req.backend = g_backend;
   req.eval.num_threads = g_threads;
   req.eval.delta_eval = g_delta;
-  req.eval.vectorize = g_vectorize;
   return req;
 }
 
@@ -213,8 +211,6 @@ int main() {
           "  stats on|off          per-operator counters after queries\n"
           "  threads <n>           worker threads (0 = auto, 1 = serial)\n"
           "  delta on|off          differential world enumeration\n"
-          "  vectorize on|off      batch-at-a-time execution over columnar\n"
-          "                        storage (answers are identical)\n"
           "  backend enum|ctable   how certain-enum/possible answers are\n"
           "                        computed: world enumeration, or natively\n"
           "                        on c-tables (bit-identical, no worlds)\n"
@@ -317,11 +313,6 @@ int main() {
       std::printf("  delta %s\n", g_delta ? "on" : "off");
       continue;
     }
-    if (cmd == "vectorize") {
-      g_vectorize = EqualsIgnoreCase(rest, "on");
-      std::printf("  vectorize %s\n", g_vectorize ? "on" : "off");
-      continue;
-    }
     if (cmd == "backend") {
       if (EqualsIgnoreCase(rest, "ctable")) {
         g_backend = Backend::kCTable;
@@ -373,7 +364,6 @@ int main() {
       req.probability = popts;
       req.eval.num_threads = g_threads;
       req.eval.delta_eval = g_delta;
-      req.eval.vectorize = g_vectorize;
       auto resp = engine.Run(req);
       if (!resp.ok()) {
         std::printf("  %s\n", resp.status().ToString().c_str());
@@ -417,7 +407,6 @@ int main() {
       req.backend = g_backend;
       req.eval.num_threads = g_threads;
       req.eval.delta_eval = g_delta;
-      req.eval.vectorize = g_vectorize;
       auto resp = engine.Run(req);
       if (!resp.ok()) {
         std::printf("  %s\n", resp.status().ToString().c_str());
@@ -476,7 +465,6 @@ int main() {
       naive_req.input = QueryInput::RaText(rest);
       naive_req.notion = AnswerNotion::kNaive;
       naive_req.eval.num_threads = g_threads;
-      naive_req.eval.vectorize = g_vectorize;
       auto naive = engine.Run(naive_req);
       if (!naive.ok()) {
         std::printf("  %s\n", naive.status().ToString().c_str());
@@ -495,7 +483,6 @@ int main() {
         req.notion = AnswerNotion::kCertainNaive;
         req.semantics = sem;
         req.eval.num_threads = g_threads;
-        req.eval.vectorize = g_vectorize;
         auto certain = engine.Run(req);
         if (certain.ok()) {
           std::printf("  [certain/%s] ", WorldSemanticsName(sem));

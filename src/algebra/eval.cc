@@ -1,20 +1,15 @@
 #include "algebra/eval.h"
 
-#include <algorithm>
+#include <string>
 #include <vector>
 
-#include "engine/kernels.h"
 #include "engine/vectorized.h"
 
 namespace incdb {
 namespace {
 
-// SplitForEquiJoin (the σ-over-× → hash-join peephole's key extraction)
-// lives in engine/kernels.h, shared with the plan optimizer and the subplan
-// cache's index pre-builder.
-
-// Reference nested-loop division; kept as the semantics the hash kernel is
-// property-tested against and used when hash kernels are disabled.
+// Reference nested-loop division: the semantics the columnar division is
+// property-tested against, also behind the public DivideRelations.
 Result<Relation> DivideNestedLoop(const Relation& r, const Relation& s,
                                   EvalStats* stats) {
   if (s.arity() == 0 || s.arity() >= r.arity()) {
@@ -48,9 +43,11 @@ Result<Relation> DivideNestedLoop(const Relation& r, const Relation& s,
   return out;
 }
 
+// The nested-loop reference evaluator (use_hash_kernels = false): every
+// operator is the textbook loop, sharing no code with the columnar kernels,
+// so the differential oracle compares two independent implementations.
 struct Rec {
   const Database& db;
-  const EvalOptions& options;
   EvalStats* stats;
 
   // Evaluates `e` without copying when it is a base-relation scan: the
@@ -80,15 +77,20 @@ struct Rec {
       }
       case RAExpr::Kind::kConstRel:
         return e->literal();
-      case RAExpr::Kind::kSelect:
-        return RunSelect(*e, /*projection=*/nullptr);
-      case RAExpr::Kind::kProject: {
-        // π over σ(l × r) fuses the projection into the join's emit.
-        if (options.use_hash_kernels &&
-            e->left()->kind() == RAExpr::Kind::kSelect &&
-            e->left()->left()->kind() == RAExpr::Kind::kProduct) {
-          return RunSelect(*e->left(), &e->columns());
+      case RAExpr::Kind::kSelect: {
+        Relation in_storage;
+        INCDB_ASSIGN_OR_RETURN(const Relation* in,
+                               RunRef(e->left(), &in_storage));
+        OpScope scope(stats, EvalOp::kSelect);
+        Relation out(in->arity());
+        for (const Tuple& t : in->tuples()) {
+          if (e->predicate()->EvalNaive(t)) out.Add(t);
         }
+        scope.CountIn(in->tuples().size());
+        scope.CountOut(out.tuples().size());
+        return out;
+      }
+      case RAExpr::Kind::kProject: {
         Relation in_storage;
         INCDB_ASSIGN_OR_RETURN(const Relation* in,
                                RunRef(e->left(), &in_storage));
@@ -103,7 +105,14 @@ struct Rec {
         Relation ls, rs;
         INCDB_ASSIGN_OR_RETURN(const Relation* l, RunRef(e->left(), &ls));
         INCDB_ASSIGN_OR_RETURN(const Relation* r, RunRef(e->right(), &rs));
-        return Product(*l, *r);
+        OpScope scope(stats, EvalOp::kProduct);
+        Relation out(l->arity() + r->arity());
+        for (const Tuple& a : l->tuples()) {
+          for (const Tuple& b : r->tuples()) out.Add(a.Concat(b));
+        }
+        scope.CountIn(l->tuples().size() + r->tuples().size());
+        scope.CountOut(out.tuples().size());
+        return out;
       }
       case RAExpr::Kind::kUnion: {
         INCDB_ASSIGN_OR_RETURN(Relation l, Run(e->left()));
@@ -115,24 +124,29 @@ struct Rec {
         scope.CountOut(l.tuples().size());
         return l;
       }
-      case RAExpr::Kind::kDiff: {
-        Relation ls, rs;
-        INCDB_ASSIGN_OR_RETURN(const Relation* l, RunRef(e->left(), &ls));
-        INCDB_ASSIGN_OR_RETURN(const Relation* r, RunRef(e->right(), &rs));
-        return HashDiff(*l, *r, options);
-      }
+      case RAExpr::Kind::kDiff:
       case RAExpr::Kind::kIntersect: {
         Relation ls, rs;
         INCDB_ASSIGN_OR_RETURN(const Relation* l, RunRef(e->left(), &ls));
         INCDB_ASSIGN_OR_RETURN(const Relation* r, RunRef(e->right(), &rs));
-        return HashIntersect(*l, *r, options);
+        // − keeps the left tuples r lacks, ∩ the ones it has.
+        const bool keep_members = e->kind() == RAExpr::Kind::kIntersect;
+        OpScope scope(stats, keep_members ? EvalOp::kIntersect
+                                          : EvalOp::kDiff);
+        Relation out(l->arity());
+        for (const Tuple& t : l->tuples()) {
+          if (r->Contains(t) == keep_members) out.Add(t);
+        }
+        scope.CountIn(l->tuples().size() + r->tuples().size());
+        scope.CountProbes(l->tuples().size());
+        scope.CountOut(out.tuples().size());
+        return out;
       }
       case RAExpr::Kind::kDivide: {
         Relation ls, rs;
         INCDB_ASSIGN_OR_RETURN(const Relation* l, RunRef(e->left(), &ls));
         INCDB_ASSIGN_OR_RETURN(const Relation* r, RunRef(e->right(), &rs));
-        if (!options.use_hash_kernels) return DivideNestedLoop(*l, *r, stats);
-        return HashDivide(*l, *r, options);
+        return DivideNestedLoop(*l, *r, stats);
       }
       case RAExpr::Kind::kDelta: {
         OpScope scope(stats, EvalOp::kDelta);
@@ -144,72 +158,22 @@ struct Rec {
     }
     return Status::Internal("unknown RA node kind");
   }
-
-  // σ_pred(child), optionally under π_projection (projection == nullptr when
-  // absent). When the child is a product and the predicate carries
-  // cross-boundary equalities, the σ (and π) fuse into a hash join.
-  Result<Relation> RunSelect(const RAExpr& sel,
-                             const std::vector<size_t>* projection) {
-    if (options.use_hash_kernels &&
-        sel.left()->kind() == RAExpr::Kind::kProduct) {
-      Relation ls, rs;
-      INCDB_ASSIGN_OR_RETURN(const Relation* l,
-                             RunRef(sel.left()->left(), &ls));
-      INCDB_ASSIGN_OR_RETURN(const Relation* r,
-                             RunRef(sel.left()->right(), &rs));
-      JoinSplit split = SplitForEquiJoin(sel.predicate(), l->arity());
-      if (!split.keys.empty()) {
-        return HashJoin(*l, *r, split.keys, split.residual.get(), projection,
-                        options);
-      }
-      INCDB_ASSIGN_OR_RETURN(Relation in, Product(*l, *r));
-      return Filter(sel.predicate(), in, projection);
-    }
-    Relation in_storage;
-    INCDB_ASSIGN_OR_RETURN(const Relation* in,
-                           RunRef(sel.left(), &in_storage));
-    return Filter(sel.predicate(), *in, projection);
-  }
-
-  Result<Relation> Product(const Relation& l, const Relation& r) {
-    OpScope scope(stats, EvalOp::kProduct);
-    Relation out(l.arity() + r.arity());
-    for (const Tuple& a : l.tuples()) {
-      for (const Tuple& b : r.tuples()) out.Add(a.Concat(b));
-    }
-    scope.CountIn(l.tuples().size() + r.tuples().size());
-    scope.CountOut(out.tuples().size());
-    return out;
-  }
-
-  Result<Relation> Filter(const PredicatePtr& pred, const Relation& in,
-                          const std::vector<size_t>* projection) {
-    OpScope scope(stats, EvalOp::kSelect);
-    Relation out(projection != nullptr ? projection->size() : in.arity());
-    for (const Tuple& t : in.tuples()) {
-      if (!pred->EvalNaive(t)) continue;
-      out.Add(projection != nullptr ? t.Project(*projection) : t);
-    }
-    scope.CountIn(in.tuples().size());
-    scope.CountOut(out.tuples().size());
-    return out;
-  }
 };
 
 }  // namespace
 
 Result<Relation> DivideRelations(const Relation& r, const Relation& s) {
-  return HashDivide(r, s);
+  return DivideNestedLoop(r, s, /*stats=*/nullptr);
 }
 
 Result<Relation> EvalNaive(const RAExprPtr& e, const Database& db,
                            const EvalOptions& options) {
-  // Batch-at-a-time evaluation over columnar storage; plan shapes and
-  // answers are identical, only the inner loops differ.
-  if (UseVectorizedEval(options)) return EvalVectorized(e, db, options);
+  // Batch-at-a-time evaluation over columnar storage; the nested-loop
+  // reference answers identically, only slower.
+  if (options.use_hash_kernels) return EvalVectorized(e, db, options);
   // Validate typing once at the root.
   INCDB_RETURN_IF_ERROR(e->InferArity(db.schema()).status());
-  Rec rec{db, options, options.stats};
+  Rec rec{db, options.stats};
   return rec.Run(e);
 }
 

@@ -7,13 +7,12 @@
 // the naïve answer — with or without its null-free restriction — is the
 // right certain answer.
 //
-// Operator implementations are hash-indexed (engine/kernels.h): the
-// evaluator fuses σ_{col=col}(l × r) patterns — optionally under a π — into
-// a build/probe equi-join instead of materializing the product, and serves
-// −, ∩ and ÷ with O(1)-probe indexes. Pass EvalOptions{.stats = &s} to
-// collect per-operator counters, or .use_hash_kernels = false to force the
-// straightforward nested-loop implementations (the reference semantics the
-// kernels are tested against).
+// EvalNaive has two routes. By default it runs the batch-vectorized
+// columnar engine (engine/vectorized.h), which fuses σ_{col=col}(l × r) —
+// optionally under a π — into a hash equi-join and serves ∪/∩/− as merge
+// walks. With .use_hash_kernels = false it runs the nested-loop reference
+// instead: the textbook semantics the engine is property-tested against.
+// Pass EvalOptions{.stats = &s} to collect per-operator counters.
 
 #ifndef INCDB_ALGEBRA_EVAL_H_
 #define INCDB_ALGEBRA_EVAL_H_
@@ -36,7 +35,8 @@ Result<Relation> EvalComplete(const RAExprPtr& e, const Database& db,
 Result<Relation> EvalComplete(const RAExprPtr& e, const Database& db);
 
 /// Division primitive: tuples t over the first arity(r)-arity(s) columns of
-/// `r` such that (t, s̄) ∈ r for every s̄ ∈ s. Exposed for tests. Returns
+/// `r` such that (t, s̄) ∈ r for every s̄ ∈ s, computed by the nested-loop
+/// reference. Exposed for tests. Returns
 /// InvalidArgument (instead of aborting) when the arity constraint
 /// 0 < arity(s) < arity(r) is violated — reachable from user-supplied RA
 /// text through the shell.

@@ -1,88 +1,9 @@
 #include "engine/kernels.h"
 
-#include <cstdint>
-#include <unordered_map>
 #include <utility>
-
-#include "util/thread_pool.h"
 
 namespace incdb {
 namespace {
-
-// HashColumns / ColumnsEqual live in core/tuple.h so that the column indexes
-// cached on a Relation (BuildColumnIndex) hash exactly like the kernels'
-// probes.
-
-// Probe-side chunk grain for the parallel plans: small enough to balance,
-// large enough that chunk bookkeeping is noise.
-constexpr size_t kProbeGrain = 1024;
-
-// True when `options` asks for the partitioned parallel plan over
-// `probe_rows` probe-side rows.
-bool UseParallelPlan(const EvalOptions& options, size_t probe_rows) {
-  return probe_rows >= options.parallel_row_threshold &&
-         ResolveNumThreads(options.num_threads) > 1;
-}
-
-// A hash table per build partition; partition of a key hash h is h % size().
-using PartitionedIndex =
-    std::vector<std::unordered_map<size_t, std::vector<const Tuple*>>>;
-
-// Hash-partitions `build` into ResolveNumThreads(options) tables built by
-// parallel workers. `hashes[i]` receives HashColumns(build[i], cols).
-PartitionedIndex BuildPartitioned(const std::vector<Tuple>& build,
-                                  const std::vector<size_t>& cols,
-                                  const EvalOptions& options,
-                                  std::vector<size_t>* hashes) {
-  const size_t parts =
-      static_cast<size_t>(ResolveNumThreads(options.num_threads));
-  hashes->resize(build.size());
-  // Hash every build row in parallel; writes are disjoint per chunk.
-  (void)ParallelFor(options.num_threads, build.size(), kProbeGrain,
-                    [&](size_t begin, size_t end, size_t) -> Status {
-                      for (size_t i = begin; i < end; ++i) {
-                        (*hashes)[i] = HashColumns(build[i], cols);
-                      }
-                      return Status::OK();
-                    });
-  // Serial scatter of row indices, then per-partition parallel build: each
-  // partition's table is touched by exactly one worker.
-  std::vector<std::vector<uint32_t>> rows_of(parts);
-  for (size_t i = 0; i < build.size(); ++i) {
-    rows_of[(*hashes)[i] % parts].push_back(static_cast<uint32_t>(i));
-  }
-  PartitionedIndex tables(parts);
-  (void)ParallelFor(options.num_threads, parts, /*grain=*/1,
-                    [&](size_t begin, size_t end, size_t) -> Status {
-                      for (size_t p = begin; p < end; ++p) {
-                        tables[p].reserve(rows_of[p].size());
-                        for (uint32_t i : rows_of[p]) {
-                          tables[p][(*hashes)[i]].push_back(&build[i]);
-                        }
-                      }
-                      return Status::OK();
-                    });
-  return tables;
-}
-
-// Per-chunk output of a parallel probe: tuples plus the chunk's counters.
-struct ProbeChunk {
-  std::vector<Tuple> out;
-  uint64_t probes = 0;
-  uint64_t emitted = 0;
-};
-
-// Merges per-chunk outputs in chunk order (Relation canonicalizes, so the
-// merged relation is bit-identical to the serial scan's) and accounts the
-// summed counters to `scope`.
-void MergeProbeChunks(std::vector<ProbeChunk>& chunks, Relation* out,
-                      OpScope* scope) {
-  for (ProbeChunk& c : chunks) {
-    for (Tuple& t : c.out) out->Add(std::move(t));
-    scope->CountProbes(c.probes);
-    scope->CountOut(c.emitted);
-  }
-}
 
 // Flattens the top-level AND spine of a predicate into conjuncts.
 void FlattenAnd(const PredicatePtr& p, std::vector<PredicatePtr>* out) {
@@ -115,238 +36,6 @@ JoinSplit SplitForEquiJoin(const PredicatePtr& pred, size_t left_arity) {
     split.residual = split.residual ? Predicate::And(split.residual, c) : c;
   }
   return split;
-}
-
-Relation HashJoin(const Relation& l, const Relation& r,
-                  const std::vector<JoinKey>& keys, const Predicate* residual,
-                  const std::vector<size_t>* projection,
-                  const EvalOptions& options) {
-  EvalStats* stats = options.stats;
-  OpScope scope(stats, EvalOp::kHashJoin);
-  const size_t out_arity =
-      projection != nullptr ? projection->size() : l.arity() + r.arity();
-  Relation out(out_arity);
-
-  std::vector<size_t> l_cols, r_cols;
-  l_cols.reserve(keys.size());
-  r_cols.reserve(keys.size());
-  for (const JoinKey& k : keys) {
-    l_cols.push_back(k.left_col);
-    r_cols.push_back(k.right_col);
-  }
-
-  // Build on the smaller side? The probe loop concatenates a ++ b in l-then-r
-  // order either way; build on r, probe with l (r is indexed once, matching
-  // the canonical "build the inner" plan).
-  const std::vector<Tuple>& build = r.tuples();
-  const std::vector<Tuple>& probe = l.tuples();
-  scope.CountIn(probe.size() + build.size());
-
-  // A column index cached on the build relation (subplan cache: built once
-  // on the driver thread, probed read-only here) replaces the per-call
-  // build phase entirely. Row ids refer to r's canonical tuple vector.
-  const TupleRowIndex* cached = r.FindColumnIndex(r_cols);
-
-  // Tries a ++ b against the residual and emits into `c`.
-  auto try_match = [&](const Tuple& a, const Tuple& b, ProbeChunk& c) {
-    if (!ColumnsEqual(a, l_cols, b, r_cols)) return;  // hash collision
-    Tuple joined = a.Concat(b);
-    if (residual != nullptr && !residual->EvalNaive(joined)) return;
-    ++c.emitted;
-    c.out.push_back(projection != nullptr ? joined.Project(*projection)
-                                          : std::move(joined));
-  };
-
-  if (UseParallelPlan(options, probe.size())) {
-    // Partitioned build (skipped when a cached index exists) + parallel
-    // probe. Both relations are canonical now (tuples() above ran on this
-    // thread), so workers only read.
-    std::vector<size_t> build_hashes;
-    PartitionedIndex tables;
-    if (cached == nullptr) {
-      tables = BuildPartitioned(build, r_cols, options, &build_hashes);
-    }
-    const size_t parts = tables.size();
-    std::vector<ProbeChunk> chunks(
-        ParallelChunkCount(options.num_threads, probe.size(), kProbeGrain));
-    (void)ParallelFor(
-        options.num_threads, probe.size(), kProbeGrain,
-        [&](size_t begin, size_t end, size_t ci) -> Status {
-          ProbeChunk& c = chunks[ci];
-          for (size_t i = begin; i < end; ++i) {
-            const Tuple& a = probe[i];
-            ++c.probes;
-            const size_t h = HashColumns(a, l_cols);
-            if (cached != nullptr) {
-              auto it = cached->find(h);
-              if (it == cached->end()) continue;
-              for (uint32_t bi : it->second) try_match(a, build[bi], c);
-            } else {
-              const auto& table = tables[h % parts];
-              auto it = table.find(h);
-              if (it == table.end()) continue;
-              for (const Tuple* b : it->second) try_match(a, *b, c);
-            }
-          }
-          return Status::OK();
-        });
-    MergeProbeChunks(chunks, &out, &scope);
-    return out;
-  }
-
-  std::unordered_map<size_t, std::vector<const Tuple*>> table;
-  if (cached == nullptr) {
-    table.reserve(build.size());
-    for (const Tuple& b : build) {
-      table[HashColumns(b, r_cols)].push_back(&b);
-    }
-  }
-
-  ProbeChunk serial;
-  for (const Tuple& a : probe) {
-    ++serial.probes;
-    const size_t h = HashColumns(a, l_cols);
-    if (cached != nullptr) {
-      auto it = cached->find(h);
-      if (it == cached->end()) continue;
-      for (uint32_t bi : it->second) try_match(a, build[bi], serial);
-    } else {
-      auto it = table.find(h);
-      if (it == table.end()) continue;
-      for (const Tuple* b : it->second) try_match(a, *b, serial);
-    }
-  }
-  for (Tuple& t : serial.out) out.Add(std::move(t));
-  scope.CountProbes(serial.probes);
-  scope.CountOut(serial.emitted);
-  return out;
-}
-
-namespace {
-
-// Shared implementation of the indexed set ops: keeps l-tuples whose
-// membership in r equals `keep_members`.
-Relation HashSetOp(const Relation& l, const Relation& r, bool keep_members,
-                   EvalOp op, const EvalOptions& options) {
-  OpScope scope(options.stats, op);
-  const auto& index = r.HashIndex();
-  const std::vector<Tuple>& rows = l.tuples();
-  Relation out(l.arity());
-  scope.CountIn(rows.size() + r.tuples().size());
-
-  if (UseParallelPlan(options, rows.size())) {
-    // r's index and l's canonical form were built above on this thread;
-    // workers perform read-only probes and fill disjoint chunks.
-    std::vector<ProbeChunk> chunks(
-        ParallelChunkCount(options.num_threads, rows.size(), kProbeGrain));
-    (void)ParallelFor(options.num_threads, rows.size(), kProbeGrain,
-                      [&](size_t begin, size_t end, size_t ci) -> Status {
-                        ProbeChunk& c = chunks[ci];
-                        for (size_t i = begin; i < end; ++i) {
-                          ++c.probes;
-                          if ((index.count(rows[i]) > 0) == keep_members) {
-                            c.out.push_back(rows[i]);
-                          }
-                        }
-                        return Status::OK();
-                      });
-    for (ProbeChunk& c : chunks) c.emitted = 0;  // CountOut from result size
-    MergeProbeChunks(chunks, &out, &scope);
-    scope.CountOut(out.tuples().size());
-    return out;
-  }
-
-  for (const Tuple& t : rows) {
-    if ((index.count(t) > 0) == keep_members) out.Add(t);
-  }
-  scope.CountProbes(rows.size());
-  scope.CountOut(out.tuples().size());
-  return out;
-}
-
-}  // namespace
-
-Relation HashDiff(const Relation& l, const Relation& r,
-                  const EvalOptions& options) {
-  return HashSetOp(l, r, /*keep_members=*/false, EvalOp::kDiff, options);
-}
-
-Relation HashIntersect(const Relation& l, const Relation& r,
-                       const EvalOptions& options) {
-  return HashSetOp(l, r, /*keep_members=*/true, EvalOp::kIntersect, options);
-}
-
-Result<Relation> HashDivide(const Relation& r, const Relation& s,
-                            const EvalOptions& options) {
-  if (s.arity() == 0 || s.arity() >= r.arity()) {
-    return Status::InvalidArgument(
-        "division requires 0 < arity(divisor) < arity(dividend); got " +
-        std::to_string(s.arity()) + " and " + std::to_string(r.arity()));
-  }
-  OpScope scope(options.stats, EvalOp::kDivide);
-  const size_t m = r.arity() - s.arity();
-  std::vector<size_t> head_cols(m), tail_cols(s.arity()), s_cols(s.arity());
-  for (size_t i = 0; i < m; ++i) head_cols[i] = i;
-  for (size_t i = 0; i < s.arity(); ++i) tail_cols[i] = m + i;
-  for (size_t i = 0; i < s.arity(); ++i) s_cols[i] = i;
-
-  // Counting division, one pass over r. tuples() is canonical — sorted
-  // lexicographically and deduplicated — and the head is a tuple prefix, so
-  // all tuples sharing a head are contiguous and every (head, tail) pair
-  // occurs exactly once. Stream the head runs, probing each tail against a
-  // hash index of the divisor: a head divides s iff its run contains |s|
-  // divisor tails. No head table and no materialized projections on the way.
-  const std::vector<Tuple>& divisor = s.tuples();  // canonical: deduplicated
-  // A cached column index on the divisor (world-invariant subplan cache)
-  // saves rebuilding the per-call index; row ids refer to `divisor`.
-  const TupleRowIndex* cached = s.FindColumnIndex(s_cols);
-  std::unordered_map<size_t, std::vector<const Tuple*>> divisor_index;
-  if (cached == nullptr) {
-    divisor_index.reserve(divisor.size());
-    for (const Tuple& d : divisor) {
-      divisor_index[HashColumns(d, s_cols)].push_back(&d);
-    }
-  }
-  scope.CountIn(r.tuples().size() + divisor.size());
-
-  // True when rows[j]'s tail appears in the divisor.
-  auto tail_in_divisor = [&](const Tuple& row) {
-    const size_t h = HashColumns(row, tail_cols);
-    if (cached != nullptr) {
-      auto it = cached->find(h);
-      if (it == cached->end()) return false;
-      for (uint32_t di : it->second) {
-        if (ColumnsEqual(row, tail_cols, divisor[di], s_cols)) return true;
-      }
-      return false;
-    }
-    auto it = divisor_index.find(h);
-    if (it == divisor_index.end()) return false;
-    for (const Tuple* d : it->second) {
-      if (ColumnsEqual(row, tail_cols, *d, s_cols)) return true;
-    }
-    return false;
-  };
-
-  const std::vector<Tuple>& rows = r.tuples();
-  Relation out(m);
-  uint64_t probes = 0;
-  size_t i = 0;
-  while (i < rows.size()) {
-    size_t matched = 0;
-    size_t j = i;
-    for (; j < rows.size() &&
-           ColumnsEqual(rows[j], head_cols, rows[i], head_cols);
-         ++j) {
-      ++probes;
-      if (tail_in_divisor(rows[j])) ++matched;
-    }
-    if (matched == divisor.size()) out.Add(rows[i].Project(head_cols));
-    i = j;
-  }
-  scope.CountProbes(probes);
-  scope.CountOut(out.tuples().size());
-  return out;
 }
 
 }  // namespace incdb

@@ -1,25 +1,8 @@
-// Hash-indexed evaluation kernels over core relations.
-//
-// These are the sub-quadratic operator implementations behind the naïve RA
-// evaluator (and, via Relation::HashIndex, the SQL layer): a build/probe
-// equi-join that replaces materializing σ_{col=col}(l × r), indexed set
-// difference/intersection, and a group-by-head division kernel. Each kernel
-// reports its probe counts through the optional EvalStats hook so callers
-// can confirm the work done is proportional to input + matches, not to the
-// cross product.
-//
-// Above `EvalOptions::parallel_row_threshold` probe-side rows (and with
-// `num_threads` resolving above 1) the join and set-op kernels switch to a
-// partitioned parallel plan: the build side is hash-partitioned and indexed
-// by parallel workers, the probe side is split into contiguous chunks probed
-// concurrently, and per-chunk outputs are merged in chunk order into the
-// canonical Relation — so results are bit-identical to the serial plan at
-// every thread count.
-//
-// Semantics are naïve throughout: marked nulls are ordinary values and join
-// syntactically (⊥_3 matches ⊥_3 only). Every kernel is property-tested
-// against the straightforward nested-loop reference implementation, and the
-// parallel plans against the serial ones.
+// Equi-join key extraction shared by every evaluator that fuses
+// σ_{col=col}(l × r) into a hash join: the columnar engine
+// (engine/vectorized.h), the delta evaluator, the c-table join kernel, the
+// plan optimizer and the subplan cache's index pre-builder. Keeping one
+// splitter means they all recognize exactly the same join shapes.
 
 #ifndef INCDB_ENGINE_KERNELS_H_
 #define INCDB_ENGINE_KERNELS_H_
@@ -27,9 +10,6 @@
 #include <vector>
 
 #include "algebra/predicate.h"
-#include "core/relation.h"
-#include "engine/stats.h"
-#include "util/status.h"
 
 namespace incdb {
 
@@ -48,48 +28,8 @@ struct JoinSplit {
   PredicatePtr residual;
 };
 
-/// Splits the top-level AND-conjuncts of `pred` for the equi-join kernel.
-/// Shared by the evaluators' σ-over-× peephole, the plan optimizer, and the
-/// subplan cache (which pre-builds the matching column index).
+/// Splits the top-level AND-conjuncts of `pred` for the equi-join kernels.
 JoinSplit SplitForEquiJoin(const PredicatePtr& pred, size_t left_arity);
-
-/// Build/probe hash equi-join: all tuples a ++ b with a ∈ l, b ∈ r,
-/// a[k.left_col] == b[k.right_col] for every key (syntactic equality —
-/// nulls are values), and `residual` (may be null: no further filter)
-/// holding on a ++ b. When `projection` is non-null the output tuple is
-/// (a ++ b).Project(*projection) — the π is fused into the emit and the
-/// concatenation is never materialized for non-matching pairs.
-///
-/// Not thread-safe on shared mutable relations (canonicalizes l and r
-/// lazily); distinct calls on distinct data may run concurrently. Expected
-/// cost O(|r| + |l| + matches), divided by the worker count on the
-/// partitioned parallel plan; probes counted = |l|.
-Relation HashJoin(const Relation& l, const Relation& r,
-                  const std::vector<JoinKey>& keys, const Predicate* residual,
-                  const std::vector<size_t>* projection,
-                  const EvalOptions& options = {});
-
-/// l − r with O(1) membership probes against r's hash index. Thread-safety
-/// and parallel plan as HashJoin; expected cost O(|l| + |r|).
-Relation HashDiff(const Relation& l, const Relation& r,
-                  const EvalOptions& options = {});
-
-/// l ∩ r with O(1) membership probes against r's hash index. Thread-safety
-/// and parallel plan as HashJoin; expected cost O(|l| + |r|).
-Relation HashIntersect(const Relation& l, const Relation& r,
-                       const EvalOptions& options = {});
-
-/// r ÷ s by counting: the canonical (sorted) tuple order keeps each head's
-/// tuples contiguous, so one pass over r probes each tuple's tail against a
-/// hash index of the (deduplicated) divisor and a head divides s iff its
-/// run matched |s| tails. Validates the division arity constraint
-/// 0 < arity(s) < arity(r) instead of aborting. Always serial (the single
-/// pass is already memory-bound); not thread-safe on shared mutable
-/// relations.
-///
-/// Expected cost O(|r| + |s|); probes counted = |r|.
-Result<Relation> HashDivide(const Relation& r, const Relation& s,
-                            const EvalOptions& options = {});
 
 }  // namespace incdb
 

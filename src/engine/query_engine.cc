@@ -14,36 +14,6 @@
 #include "sql/to_algebra.h"
 
 namespace incdb {
-namespace {
-
-// Lifts the deprecated four-field input style into a QueryInput, enforcing
-// the exactly-one rule across both styles.
-Result<QueryInput> ResolveInput(const QueryRequest& request) {
-  const int legacy = (request.ra_text.empty() ? 0 : 1) +
-                     (request.sql_text.empty() ? 0 : 1) +
-                     (request.ra != nullptr ? 1 : 0) +
-                     (request.sql != nullptr ? 1 : 0);
-  if (!request.input.empty()) {
-    if (legacy != 0) {
-      return Status::InvalidArgument(
-          "QueryRequest carries both the typed `input` and a deprecated "
-          "input field; set exactly one");
-    }
-    return request.input;
-  }
-  if (legacy != 1) {
-    return Status::InvalidArgument(
-        "QueryRequest must carry exactly one input (QueryInput, or one of "
-        "the deprecated ra_text/sql_text/ra/sql fields); got " +
-        std::to_string(legacy));
-  }
-  if (!request.ra_text.empty()) return QueryInput::RaText(request.ra_text);
-  if (!request.sql_text.empty()) return QueryInput::SqlText(request.sql_text);
-  if (request.ra != nullptr) return QueryInput::Ra(request.ra);
-  return QueryInput::Sql(request.sql);
-}
-
-}  // namespace
 
 const char* AnswerNotionName(AnswerNotion n) {
   switch (n) {
@@ -78,7 +48,7 @@ const char* BackendName(Backend b) {
 }
 
 Result<QueryResponse> QueryEngine::Run(const QueryRequest& request) const {
-  INCDB_ASSIGN_OR_RETURN(const QueryInput input, ResolveInput(request));
+  const QueryInput& input = request.input;
 
   QueryResponse resp;
   // Collect stats locally so the response always carries them; a caller-
@@ -106,7 +76,7 @@ Result<QueryResponse> QueryEngine::Run(const QueryRequest& request) const {
       break;
     }
     case QueryInput::Kind::kNone:
-      return Status::Internal("ResolveInput admitted an empty input");
+      return Status::InvalidArgument("QueryRequest carries no input");
   }
 
   // Classify via the RA form; for SQL input, through the (partial) RA

@@ -117,7 +117,7 @@ class QueryInput {
 /// One query to answer: a QueryInput plus the notion, semantics, backend,
 /// and evaluation knobs.
 struct QueryRequest {
-  /// The query. Must be set unless one of the deprecated fields below is.
+  /// The query. Must be set; an empty input is InvalidArgument.
   QueryInput input;
   /// Backend for the world-quantified notions (kCertainEnum, kPossible,
   /// kCertainWithProbability); other notions ignore it. The kCTable backend
@@ -125,15 +125,6 @@ struct QueryRequest {
   /// them bit-identically to kEnumeration (sampled probabilities included —
   /// both backends tally the same seeded valuation stream).
   Backend backend = Backend::kEnumeration;
-
-  // Deprecated input fields, kept as a shim for one release: exactly one
-  // of them may be set *instead of* `input` (setting both styles is an
-  // error). Migrate to QueryInput::RaText / SqlText / Ra / Sql — see
-  // docs/TUTORIAL.md §"The query engine".
-  std::string ra_text;   ///< \deprecated use QueryInput::RaText
-  std::string sql_text;  ///< \deprecated use QueryInput::SqlText
-  RAExprPtr ra;          ///< \deprecated use QueryInput::Ra
-  SqlQueryPtr sql;       ///< \deprecated use QueryInput::Sql
 
   AnswerNotion notion = AnswerNotion::kNaive;
   /// World semantics for the certain-answer notions.

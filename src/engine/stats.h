@@ -6,10 +6,10 @@
 // self wall time (the operator's own loop work, excluding its children).
 // Counting is off by default and costs nothing when disabled.
 //
-// The probe counters are the observable evidence that the hash kernels do
-// sub-quadratic work: a hash join reports one probe per build-side lookup
-// instead of |L|·|R| pair inspections, and indexed division reports
-// |heads|·|S| probes instead of |heads|·|S| scans of R.
+// The probe counters are the observable evidence that the columnar kernels
+// do sub-quadratic work: a hash join reports one probe per probe-side row
+// instead of |L|·|R| pair inspections, and counting division one divisor
+// probe per dividend row.
 
 #ifndef INCDB_ENGINE_STATS_H_
 #define INCDB_ENGINE_STATS_H_
@@ -29,9 +29,9 @@ enum class EvalOp {
   kProduct,         ///< × (unfused — no usable equi-join key)
   kHashJoin,        ///< fused σ_{eq}(l × r) build/probe kernel
   kUnion,           ///< ∪
-  kDiff,            ///< − (hash-indexed probe per left tuple)
-  kIntersect,       ///< ∩ (hash-indexed probe per left tuple)
-  kDivide,          ///< ÷ (group-by-head index)
+  kDiff,            ///< − (one membership probe per left tuple)
+  kIntersect,       ///< ∩ (one membership probe per left tuple)
+  kDivide,          ///< ÷ (one divisor probe per dividend tuple)
   kDelta,           ///< Δ
   kSqlBlock,        ///< one SELECT block (FROM loop; probes = index probes)
   kCTableProduct,   ///< c-table ×
@@ -130,8 +130,8 @@ class EvalStats {
   void CountExactCountHits(uint64_t n) { exact_count_hits_ += n; }
 
   /// Vectorized execution (engine/vectorized.h): column batches a kernel
-  /// loop consumed / input rows those batches covered. Zero when the
-  /// vectorize knob is off or every operator fell back to the row path.
+  /// loop consumed / input rows those batches covered. Zero on the
+  /// nested-loop reference (`use_hash_kernels = false`).
   uint64_t batches_processed() const { return batches_processed_; }
   uint64_t rows_vectorized() const { return rows_vectorized_; }
   void CountBatchesProcessed(uint64_t n) { batches_processed_ += n; }
@@ -166,18 +166,20 @@ struct EvalOptions {
   /// this sink before returning, so totals stay correct (wall-time counters
   /// then sum the workers' self times, i.e. report CPU time, not elapsed).
   EvalStats* stats = nullptr;
-  /// When false, evaluators use their straightforward nested-loop
-  /// implementations (the reference semantics the kernels are property-
-  /// tested against).
+  /// When true (the default), naïve RA runs batch-at-a-time over
+  /// dictionary-encoded columns (engine/vectorized.h) and the SQL and
+  /// c-table evaluators use their hash-indexed kernels. When false, every
+  /// evaluator uses its straightforward nested-loop implementation: the
+  /// reference semantics the kernels are property-tested against.
   bool use_hash_kernels = true;
-  /// Worker threads for the parallel paths (world enumeration, partitioned
-  /// kernel probes). 0 = auto (hardware_concurrency); 1 runs everything on
-  /// the calling thread, preserving the pre-parallel behavior exactly.
-  /// Results are bit-identical at every setting.
+  /// Worker threads for the parallel paths (world enumeration, chunked
+  /// columnar filter and probe loops). 0 = auto (hardware_concurrency); 1
+  /// runs everything on the calling thread. Results are bit-identical at
+  /// every setting.
   int num_threads = 0;
-  /// Kernels only parallelize when the probe side has at least this many
-  /// rows; below it, fan-out costs more than the scan. Tests lower it to
-  /// force the parallel code paths onto small inputs.
+  /// Columnar filter and probe loops only parallelize over at least this
+  /// many input rows; below it, fan-out costs more than the scan. Tests
+  /// lower it to force the parallel code paths onto small inputs.
   size_t parallel_row_threshold = 4096;
   /// Run the algebraic plan optimizer (selection/projection pushdown, σσ
   /// collapse, greedy join ordering) before evaluating RA plans. Semantics-
@@ -197,17 +199,6 @@ struct EvalOptions {
   /// bit-identical either way; `stats` reports delta_applied /
   /// delta_fallbacks.
   bool delta_eval = true;
-  /// Evaluate RA plans batch-at-a-time over dictionary-encoded columns
-  /// (core/columnar.h + engine/vectorized.h) instead of tuple-at-a-time:
-  /// selections run as predicate-over-column loops producing selection
-  /// vectors, projections as column slicing, equi-joins as batched hash
-  /// build/probe over key columns, and union/intersect/diff as sorted-run
-  /// merges. Only takes effect together with `use_hash_kernels` (with
-  /// kernels off the evaluator is the nested-loop reference oracle).
-  /// Composes with optimize / cache_subplans / delta_eval; answers are
-  /// bit-identical either way. `stats` reports batches_processed /
-  /// rows_vectorized.
-  bool vectorize = true;
 };
 
 /// RAII scope that attributes wall time and counters to one operator.

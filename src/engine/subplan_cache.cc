@@ -160,10 +160,9 @@ struct Preparer {
   }
 
   // Walks the prepared plan and pre-builds, on the driver thread, the
-  // column indexes the kernels will probe: the equi-join keys of a σ over a
-  // product with a literal build side, and the full-width index of a
-  // literal divisor. Workers then find them via FindColumnIndex and skip
-  // their per-world build phases.
+  // column indexes the columnar hash join will probe: the equi-join keys of
+  // a σ over a product with a literal build side. Workers then find them via
+  // FindColumnIndex and skip their per-world build phases.
   void PrebuildIndexes(const RAExprPtr& e) {
     if (e->kind() == RAExpr::Kind::kSelect &&
         e->left()->kind() == RAExpr::Kind::kProduct &&
@@ -181,14 +180,6 @@ struct Preparer {
           r->literal().BuildColumnIndex(r_cols);
         }
       }
-    }
-    if (e->kind() == RAExpr::Kind::kDivide &&
-        e->right()->kind() == RAExpr::Kind::kConstRel &&
-        options.use_hash_kernels) {
-      const Relation& s = e->right()->literal();
-      std::vector<size_t> s_cols(s.arity());
-      for (size_t i = 0; i < s.arity(); ++i) s_cols[i] = i;
-      s.BuildColumnIndex(s_cols);
     }
     if (e->left() != nullptr) PrebuildIndexes(e->left());
     if (e->right() != nullptr) PrebuildIndexes(e->right());

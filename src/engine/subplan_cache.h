@@ -8,7 +8,7 @@
 // maximal such subtrees, evaluates each once against D, and splices the
 // results back in as literal ConstRel nodes. Relation's copy-on-write
 // storage means every world and every parallel worker then shares one
-// canonical tuple vector, one hash index, and (for join/division shapes
+// canonical tuple vector, one hash index, and (for equi-join shapes
 // detected in the prepared plan) one pre-built column index — built on the
 // driver thread so workers only ever read.
 //

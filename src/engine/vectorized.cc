@@ -174,7 +174,7 @@ CmpOp MirrorOp(CmpOp op) {
 // col OP const as a predicate over dictionary codes: the constant resolves
 // to dictionary ranks once, the loop compares 32-bit codes. Valid because
 // the dictionary is sorted by the total Value order — the same order the
-// naïve row evaluator compares with.
+// nested-loop reference compares with.
 void MaskCmpConst(CmpOp op, const uint32_t* codes, size_t n,
                   const ValueDict& dict, const Value& constant,
                   uint8_t* mask) {
@@ -573,8 +573,7 @@ VecTable HashJoinVec(const VecTable& l, const VecTable& r,
 
 // r ÷ s by counting over sorted code rows: head runs are contiguous in
 // canonical order, each run's (distinct) tails probe the divisor by binary
-// search, and a head divides s iff its run matched |s| tails — the same
-// scheme as the row kernel HashDivide.
+// search, and a head divides s iff its run matched |s| tails.
 Result<VecTable> DivideVec(const VecTable& r, const VecTable& s,
                            const EvalOptions& options, EvalStats* stats) {
   (void)options;

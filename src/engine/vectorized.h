@@ -1,10 +1,9 @@
 // Batch-vectorized plan execution over dictionary-encoded columns.
 //
-// EvalVectorized is a drop-in alternative to the tuple-at-a-time tree
-// walker in algebra/eval.cc: it evaluates the same (optimized) RA plans
-// with the same naïve semantics — marked nulls are ordinary values, all
-// comparisons use the total Value order — but batch-at-a-time over the
-// ColumnarRelation form (core/columnar.h):
+// EvalVectorized is the naïve-RA engine behind EvalNaive: it evaluates
+// (optimized) RA plans with naïve semantics — marked nulls are ordinary
+// values, all comparisons use the total Value order — batch-at-a-time over
+// the ColumnarRelation form (core/columnar.h):
 //
 //   * selection runs as predicate-over-column loops producing selection
 //     vectors (per-batch byte masks folded into kept-row lists); constants
@@ -14,20 +13,22 @@
 //   * σ-over-× with cross-boundary equalities fuses into a batched hash
 //     equi-join: build/probe over key-code columns, candidate verification
 //     and residual predicates evaluated on codes, the π fused into the
-//     emit (mirroring the row kernel's plan shapes exactly);
+//     emit;
 //   * union / intersection / difference run as merge walks over sorted
 //     code runs (rows are kept in canonical lexicographic order end to
 //     end, so every binary operator sees two sorted inputs);
-//   * division reuses the counting scheme of HashDivide over code rows.
+//   * division groups the sorted dividend into head runs and counts each
+//     run's tails found in the divisor (binary search over code rows).
 //
 // Cross-dictionary operators first merge the two sorted dictionaries and
 // remap codes through the order-preserving translations of MergeDicts, so
 // code comparisons stay valid across inputs. Intermediates never decode to
 // Values; the final result is materialized to a canonical Relation, which
-// is why the path is bit-identical to the row evaluator on every plan —
-// the differential oracle and the vectorized property test machine-check
-// that. Selected via EvalOptions::vectorize (plus use_hash_kernels); the
-// nested-loop reference evaluator is untouched and remains the oracle.
+// is why the path is bit-identical to the nested-loop reference on every
+// plan — the differential oracle and the vectorized property test
+// machine-check that. EvalNaive routes here whenever
+// EvalOptions::use_hash_kernels is set; with it off, the nested-loop
+// reference in algebra/eval.cc runs instead and serves as the oracle.
 //
 // Large probe/filter loops chunk through util/thread_pool.h's ParallelFor
 // above EvalOptions::parallel_row_threshold with per-chunk outputs merged
@@ -44,17 +45,10 @@
 
 namespace incdb {
 
-/// True when `options` select the vectorized path: the vectorize knob is
-/// on and hash kernels are enabled (with kernels off the evaluator is the
-/// nested-loop reference oracle and must stay tuple-at-a-time).
-inline bool UseVectorizedEval(const EvalOptions& options) {
-  return options.vectorize && options.use_hash_kernels;
-}
-
 /// Evaluates `e` against `db` batch-at-a-time over columnar storage.
-/// Answers are bit-identical to the row-oriented EvalNaive; EvalOptions
+/// Answers are bit-identical to the nested-loop reference; EvalOptions
 /// stats receive the usual per-operator counters plus batches_processed /
-/// rows_vectorized. Called by EvalNaive when UseVectorizedEval(options).
+/// rows_vectorized. Called by EvalNaive when options.use_hash_kernels.
 Result<Relation> EvalVectorized(const RAExprPtr& e, const Database& db,
                                 const EvalOptions& options);
 

@@ -69,7 +69,7 @@ std::string OptionsIdentity(const QueryRequest& req) {
   char buf[512];
   std::snprintf(
       buf, sizeof buf,
-      "n%d s%d b%d f%d|w%d/%llu|e%d/%d/%zu/%d/%d/%d/%d|p%.17g/%llu/%llu/"
+      "n%d s%d b%d f%d|w%d/%llu|e%d/%d/%zu/%d/%d/%d|p%.17g/%llu/%llu/"
       "%.17g/%d/%d/%llu",
       static_cast<int>(req.notion), static_cast<int>(req.semantics),
       static_cast<int>(req.backend), req.force ? 1 : 0,
@@ -78,7 +78,7 @@ std::string OptionsIdentity(const QueryRequest& req) {
       req.eval.use_hash_kernels ? 1 : 0, req.eval.num_threads,
       req.eval.parallel_row_threshold, req.eval.optimize ? 1 : 0,
       req.eval.cache_subplans ? 1 : 0, req.eval.delta_eval ? 1 : 0,
-      req.eval.vectorize ? 1 : 0, req.probability.threshold,
+      req.probability.threshold,
       static_cast<unsigned long long>(req.probability.sampling.samples),
       static_cast<unsigned long long>(req.probability.sampling.seed),
       req.probability.sampling.z, req.probability.sampling.num_threads,
@@ -104,13 +104,6 @@ struct CachePlan {
 
 Result<CachePlan> AnalyzeRequest(const QueryRequest& req) {
   CachePlan out;
-
-  // Requests using the deprecated input shim pass through uncached; the
-  // engine resolves (or rejects) them.
-  const bool deprecated_used = !req.ra_text.empty() || !req.sql_text.empty() ||
-                               req.ra != nullptr || req.sql != nullptr;
-  if (deprecated_used) return out;
-
   RAExprPtr plan;
   switch (req.input.kind()) {
     case QueryInput::Kind::kRaText: {
@@ -251,7 +244,8 @@ Result<ServiceResponse> IncDbService::Run(const QueryRequest& request) {
     return Status::ResourceExhausted("query exceeded the time budget");
   }
 
-  if (cp.cacheable) {
+  // A zero-capacity cache would drop the entry on insert: skip building it.
+  if (cp.cacheable && cache_.capacity() > 0) {
     auto entry = std::make_shared<PlanCacheEntry>();
     entry->identity = std::move(cp.identity);
     entry->response = resp;

@@ -27,12 +27,12 @@ struct Config {
   bool optimize;
   bool cache;
   bool delta;
-  int threads;       // 0 = use OracleOptions::num_threads
-  bool vec = false;  // batch-vectorized columnar execution
+  int threads;  // 0 = use OracleOptions::num_threads
 };
 
 // The reference (index 0) is the nested-loop serial evaluator with every
-// acceleration layer off; everything else must match it bit for bit.
+// acceleration layer off; everything else runs the columnar engine and must
+// match it bit for bit.
 const std::vector<Config>& ConfigMatrix() {
   static const std::vector<Config> kConfigs = [] {
     std::vector<Config> out;
@@ -41,27 +41,17 @@ const std::vector<Config>& ConfigMatrix() {
     for (int opt = 0; opt <= 1; ++opt) {
       for (int cache = 0; cache <= 1; ++cache) {
         for (int delta = 0; delta <= 1; ++delta) {
-          out.push_back({"hash,opt=" + std::to_string(opt) +
+          out.push_back({"opt=" + std::to_string(opt) +
                              ",cache=" + std::to_string(cache) +
                              ",delta=" + std::to_string(delta) + ",serial",
                          true, opt != 0, cache != 0, delta != 0, 1});
         }
       }
     }
-    out.push_back({"hash,opt=1,cache=1,delta=1,parallel", true, true, true,
-                   true, 0});
-    out.push_back({"hash,opt=0,cache=0,delta=0,parallel", true, false, false,
+    out.push_back({"opt=1,cache=1,delta=1,parallel", true, true, true, true,
+                   0});
+    out.push_back({"opt=0,cache=0,delta=0,parallel", true, false, false,
                    false, 0});
-    // Batch-vectorized columnar execution (engine/vectorized.h): the knob
-    // ladder again with the batch kernels swapped in for the row kernels.
-    out.push_back({"vec,opt=0,cache=0,delta=0,serial", true, false, false,
-                   false, 1, true});
-    out.push_back({"vec,opt=1,cache=0,delta=0,serial", true, true, false,
-                   false, 1, true});
-    out.push_back({"vec,opt=1,cache=1,delta=1,serial", true, true, true, true,
-                   1, true});
-    out.push_back({"vec,opt=1,cache=1,delta=1,parallel", true, true, true,
-                   true, 0, true});
     return out;
   }();
   return kConfigs;
@@ -73,11 +63,8 @@ EvalOptions MakeEvalOptions(const Config& c, int num_threads) {
   o.optimize = c.optimize;
   o.cache_subplans = c.cache;
   o.delta_eval = c.delta;
-  // `vectorize` defaults on; pin it so the row-path configs stay row-path
-  // (and the reference stays the nested-loop oracle).
-  o.vectorize = c.vec;
   o.num_threads = c.threads == 0 ? num_threads : c.threads;
-  // Force the partitioned-kernel code paths onto small inputs.
+  // Force the chunked parallel loops onto small inputs.
   o.parallel_row_threshold = 2;
   return o;
 }
@@ -105,7 +92,6 @@ std::optional<Relation> CrossCheck(const std::string& what, Driver&& driver,
   const auto& matrix = ConfigMatrix();
   for (size_t i = 0; i < matrix.size(); ++i) {
     const Config& c = matrix[i];
-    if (c.vec && !options.check_vectorized) continue;
     Result<Relation> r = driver(MakeEvalOptions(c, options.num_threads));
     ++report->configs_run;
     if (i == 0) {

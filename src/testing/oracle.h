@@ -3,9 +3,10 @@
 // proves between them.
 //
 // Equality checks (bit-identical Relation ==):
-//  * CertainAnswersEnum under CWA across the full knob matrix — hash kernels
-//    on/off × optimizer on/off × subplan cache on/off × delta evaluation
-//    on/off × serial/parallel — against the nested-loop serial reference.
+//  * CertainAnswersEnum under CWA across the knob matrix — the columnar
+//    engine with optimizer on/off × subplan cache on/off × delta evaluation
+//    on/off serially, plus two parallel configurations — against the
+//    nested-loop serial reference (11 configurations in all).
 //  * PossibleAnswersEnum across the same matrix.
 //  * QueryEngine::Run(kCertainEnum) against the direct driver (facade
 //    faithfulness).
@@ -65,10 +66,6 @@ struct OracleOptions {
   bool check_ctable_backend = true;
   /// Run the checks under OWA as well (positive plans only).
   bool check_owa = true;
-  /// Include the batch-vectorized columnar configurations (serial and
-  /// parallel, across the optimize/cache/delta ladder) in the equality
-  /// matrix; they must be bit-identical to the nested-loop reference.
-  bool check_vectorized = true;
   /// Cross-check the probabilistic notion (kCertainWithProbability): exact
   /// probabilities against the certain/possible ground truth, and
   /// forced-sampling tallies for backend/thread-count bit-identity at a

@@ -1,22 +1,19 @@
-// Randomized property tests for the hash-indexed evaluation kernels
-// (engine/kernels.h) and their integration into the evaluators:
+// Randomized property tests for the hash-indexed evaluation paths:
 //
-//  * HashJoin / HashDiff / HashIntersect / HashDivide agree with the
-//    straightforward nested-loop reference on random naïve tables with
-//    marked nulls (nulls are values: ⊥_3 matches ⊥_3 only);
-//  * EvalNaive with use_hash_kernels on and off returns identical relations
-//    over a pool of expressions that exercises fusion (σ_eq over ×, with
-//    and without an enclosing π), set difference/intersection and division;
+//  * EvalNaive on the columnar engine (use_hash_kernels on) and on the
+//    nested-loop reference (off) returns identical relations over a pool of
+//    expressions that exercises fusion (σ_eq over ×, with and without an
+//    enclosing π), set difference/intersection and division;
 //  * the SQL evaluator's index-served pushdown is invisible in the answer
 //    for all three WHERE modes;
 //  * the probe counters witness sub-quadratic work: a fused join reports
-//    one probe per probe-side tuple, not |L|·|R|.
+//    one probe per probe-side tuple, not |L|·|R|;
+//  * division arity violations are InvalidArgument on every route.
 
 #include <gtest/gtest.h>
 
 #include "algebra/eval.h"
 #include "core/relation.h"
-#include "engine/kernels.h"
 #include "sql/eval.h"
 #include "workload/generators.h"
 
@@ -95,86 +92,6 @@ TEST_P(HashKernelSweep, EvalNaiveAgreesWithNestedLoopReference) {
     ASSERT_TRUE(slow.ok()) << slow.status().ToString();
     EXPECT_EQ(*fast, *slow) << q->ToString() << "\n" << db.ToString();
   }
-}
-
-TEST_P(HashKernelSweep, HashJoinAgreesWithProductFilter) {
-  Database db = SmallRandomDb(GetParam());
-  const Relation& l = db.GetRelation("R0");
-  const Relation& r = db.GetRelation("R1");
-  const std::vector<JoinKey> keys = {{1, 0}};  // l[1] == r[0]
-  auto residual =
-      Predicate::Eq(Term::Column(0), Term::Const(Value::Int(1)));
-  const std::vector<size_t> projection = {0, 3};
-
-  // Reference: materialize the product, filter, project.
-  auto reference = [&](const Predicate* res, const std::vector<size_t>* proj) {
-    Relation out(proj != nullptr ? proj->size() : l.arity() + r.arity());
-    for (const Tuple& a : l.tuples()) {
-      for (const Tuple& b : r.tuples()) {
-        if (!(a[1] == b[0])) continue;
-        Tuple joined = a.Concat(b);
-        if (res != nullptr && !res->EvalNaive(joined)) continue;
-        out.Add(proj != nullptr ? joined.Project(*proj) : joined);
-      }
-    }
-    return out;
-  };
-
-  EXPECT_EQ(HashJoin(l, r, keys, nullptr, nullptr),
-            reference(nullptr, nullptr));
-  EXPECT_EQ(HashJoin(l, r, keys, residual.get(), nullptr),
-            reference(residual.get(), nullptr));
-  EXPECT_EQ(HashJoin(l, r, keys, nullptr, &projection),
-            reference(nullptr, &projection));
-  EXPECT_EQ(HashJoin(l, r, keys, residual.get(), &projection),
-            reference(residual.get(), &projection));
-}
-
-TEST_P(HashKernelSweep, HashDiffIntersectAgreeWithScans) {
-  Database db = SmallRandomDb(GetParam());
-  const Relation& l = db.GetRelation("R0");
-  const Relation& r = db.GetRelation("R1");
-
-  Relation diff_ref(l.arity());
-  Relation inter_ref(l.arity());
-  for (const Tuple& t : l.tuples()) {
-    bool in_r = false;
-    for (const Tuple& u : r.tuples()) in_r = in_r || t == u;
-    (in_r ? inter_ref : diff_ref).Add(t);
-  }
-  EXPECT_EQ(HashDiff(l, r), diff_ref);
-  EXPECT_EQ(HashIntersect(l, r), inter_ref);
-}
-
-TEST_P(HashKernelSweep, HashDivideAgreesWithNestedLoops) {
-  Database db = SmallRandomDb(GetParam());
-  const Relation& r = db.GetRelation("R0");
-  Relation s(1);
-  for (const Tuple& t : db.GetRelation("R1").tuples()) {
-    s.Add(t.Project({0}));
-  }
-
-  Relation ref(r.arity() - s.arity());
-  for (const Tuple& t : r.tuples()) {
-    Tuple head = t.Project({0});
-    bool all = true;
-    for (const Tuple& d : s.tuples()) {
-      bool found = false;
-      for (const Tuple& u : r.tuples()) {
-        found = found || u == head.Concat(d);
-      }
-      all = all && found;
-    }
-    if (all) ref.Add(head);
-  }
-  auto got = HashDivide(r, s);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_EQ(*got, ref) << db.ToString();
-
-  // DivideRelations is the same kernel behind the public name.
-  auto via_public = DivideRelations(r, s);
-  ASSERT_TRUE(via_public.ok());
-  EXPECT_EQ(*via_public, ref);
 }
 
 TEST_P(HashKernelSweep, SqlPushdownInvisibleInAnswer) {
@@ -283,17 +200,26 @@ TEST(HashKernelErrors, DivisionArityViolationsAreInvalidArgument) {
   Relation r0(0);
   Relation same(2);
 
-  auto empty_divisor = HashDivide(r2, r0);
+  auto empty_divisor = DivideRelations(r2, r0);
   EXPECT_FALSE(empty_divisor.ok());
   EXPECT_EQ(empty_divisor.status().code(), StatusCode::kInvalidArgument);
 
-  auto too_wide = HashDivide(r2, same);
+  auto too_wide = DivideRelations(r2, same);
   EXPECT_FALSE(too_wide.ok());
   EXPECT_EQ(too_wide.status().code(), StatusCode::kInvalidArgument);
 
-  auto via_public = DivideRelations(r2, same);
-  EXPECT_FALSE(via_public.ok());
-  EXPECT_EQ(via_public.status().code(), StatusCode::kInvalidArgument);
+  // Through the evaluator, on both routes.
+  Database db;
+  *db.MutableRelation("R", 2) = r2;
+  auto q = RAExpr::Divide(RAExpr::Scan("R"), RAExpr::Scan("R"));
+  for (bool hash : {true, false}) {
+    EvalOptions options;
+    options.use_hash_kernels = hash;
+    auto via_eval = EvalNaive(q, db, options);
+    EXPECT_FALSE(via_eval.ok()) << "use_hash_kernels=" << hash;
+    EXPECT_EQ(via_eval.status().code(), StatusCode::kInvalidArgument)
+        << "use_hash_kernels=" << hash;
+  }
 }
 
 TEST(HashIndexProperty, ContainsMatchesLinearScan) {

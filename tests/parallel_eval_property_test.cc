@@ -2,20 +2,21 @@
 // random databases with marked nulls, every answer notion the QueryEngine
 // serves must return a bit-identical relation at num_threads ∈ {1, 2, 7}.
 // `parallel_row_threshold` is dropped to 1 so even the tiny test relations
-// take the partitioned kernel plans, and the enumeration notions
+// take the chunked columnar loops, and the enumeration notions
 // (certain-enum, possible) exercise the parallel world drivers.
 //
-// A second sweep drives the kernels directly on relations large enough to
-// span several probe chunks, so the chunk-merge path itself is covered (the
-// QueryEngine sweep's relations fit in one chunk and run inline).
+// A second test runs EvalNaive on relations large enough to span several
+// chunks, so the chunk-merge path itself is covered (the QueryEngine
+// sweep's relations fit in one chunk and run inline).
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
 #include "algebra/certain.h"
-#include "engine/kernels.h"
+#include "algebra/eval.h"
 #include "engine/query_engine.h"
 #include "workload/generators.h"
 
@@ -80,7 +81,7 @@ TEST_P(ParallelEvalSweep, EveryNotionIsBitIdenticalAcrossThreadCounts) {
       for (int threads : {2, 7}) {
         QueryRequest req = serial;
         req.eval.num_threads = threads;
-        req.eval.parallel_row_threshold = 1;  // force the parallel kernels
+        req.eval.parallel_row_threshold = 1;  // force the chunked loops
         auto got = engine.Run(req);
         if (!base.ok()) {
           // e.g. kCertainNaive refusing the NOT IN query: the parallel run
@@ -142,40 +143,73 @@ TEST_P(ParallelEvalSweep, EnumerationDriversMatchOnRaQueries) {
 INSTANTIATE_TEST_SUITE_P(Sweep, ParallelEvalSweep,
                          ::testing::Range<uint64_t>(0, 12));
 
-// Relations wide enough that the probe side spans several 1024-row chunks,
-// so the partitioned build and the chunk-order merge actually run.
+// Relations wide enough that the columnar loops span several chunks, so the
+// chunk-order merge actually runs.
 TEST(ParallelKernelTest, LargeKernelsMatchSerialAcrossThreadCounts) {
   constexpr int64_t n = 5000;
-  Relation l(2), r(2);
+  Database db;
+  Relation* l = db.MutableRelation("L", 2);
+  Relation* r = db.MutableRelation("R", 2);
   for (int64_t i = 0; i < n; ++i) {
-    l.Add(Tuple{Value::Int(i), Value::Int(i % 97)});
-    r.Add(Tuple{Value::Int(i % 97), Value::Int(i % 13)});
-    if (i % 3 == 0) r.Add(Tuple{Value::Int(i), Value::Int(i % 13)});
+    l->Add(Tuple{Value::Int(i), Value::Int(i % 97)});
+    r->Add(Tuple{Value::Int(i % 97), Value::Int(i % 13)});
+    if (i % 3 == 0) r->Add(Tuple{Value::Int(i), Value::Int(i % 13)});
   }
-  const std::vector<JoinKey> keys = {{1, 0}};
-  const std::vector<size_t> projection = {0, 3};
+  const auto scan_l = RAExpr::Scan("L");
+  const auto scan_r = RAExpr::Scan("R");
+  const RAExprPtr plans[] = {
+      // π_{0,3}(σ_{#1 = #2}(L × R)): the fused hash join.
+      RAExpr::Project(
+          {0, 3},
+          RAExpr::Select(Predicate::Eq(Term::Column(1), Term::Column(2)),
+                         RAExpr::Product(scan_l, scan_r))),
+      RAExpr::Diff(scan_l, scan_r),
+      RAExpr::Intersect(scan_l, scan_r),
+  };
 
-  EvalOptions serial;
-  serial.num_threads = 1;
-  Relation join_base = HashJoin(l, r, keys, nullptr, &projection, serial);
-  Relation diff_base = HashDiff(l, r, serial);
-  Relation inter_base = HashIntersect(l, r, serial);
+  // The nested-loop reference would materialize the ~10⁷-row product for
+  // the join, so the join's reference is written out here: R indexed by its
+  // first column. − and ∩ run through the reference evaluator.
+  std::map<Value, std::vector<Value>> r_tail_by_head;
+  for (const Tuple& t : r->tuples()) r_tail_by_head[t[0]].push_back(t[1]);
+  Relation join_want(2);
+  for (const Tuple& t : l->tuples()) {
+    auto it = r_tail_by_head.find(t[1]);
+    if (it == r_tail_by_head.end()) continue;
+    for (const Value& v : it->second) join_want.Add(Tuple{t[0], v});
+  }
+  EvalOptions reference;
+  reference.use_hash_kernels = false;
+  for (const RAExprPtr& plan : plans) {
+    Result<Relation> want = plan == plans[0] ? Result<Relation>(join_want)
+                                             : EvalNaive(plan, db, reference);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
 
-  for (int threads : {2, 7}) {
-    EvalStats stats;
-    EvalOptions opts;
-    opts.num_threads = threads;
-    opts.parallel_row_threshold = 1;
-    opts.stats = &stats;
-    EXPECT_EQ(HashJoin(l, r, keys, nullptr, &projection, opts), join_base)
-        << threads << " threads";
-    EXPECT_EQ(HashDiff(l, r, opts), diff_base) << threads << " threads";
-    EXPECT_EQ(HashIntersect(l, r, opts), inter_base) << threads << " threads";
-    // Counter totals are deterministic: one probe per probe-side row per
-    // kernel, exactly as the serial plans count.
-    EXPECT_EQ(stats.at(EvalOp::kHashJoin).probes, static_cast<uint64_t>(n));
-    EXPECT_EQ(stats.at(EvalOp::kDiff).probes, static_cast<uint64_t>(n));
-    EXPECT_EQ(stats.at(EvalOp::kIntersect).probes, static_cast<uint64_t>(n));
+    EvalStats serial_stats;
+    EvalOptions serial;
+    serial.num_threads = 1;
+    serial.stats = &serial_stats;
+    auto base = EvalNaive(plan, db, serial);
+    ASSERT_TRUE(base.ok()) << base.status().ToString();
+    EXPECT_EQ(*base, *want) << plan->ToString();
+    EXPECT_GT(serial_stats.batches_processed(), 1u) << plan->ToString();
+
+    for (int threads : {2, 7}) {
+      EvalStats stats;
+      EvalOptions opts;
+      opts.num_threads = threads;
+      opts.parallel_row_threshold = 1;
+      opts.stats = &stats;
+      auto got = EvalNaive(plan, db, opts);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(*got, *base) << plan->ToString() << " @" << threads;
+      // Counter totals are deterministic: batches and rows count per kernel
+      // invocation, however the loop was chunked.
+      EXPECT_EQ(stats.rows_vectorized(), serial_stats.rows_vectorized())
+          << plan->ToString() << " @" << threads;
+      EXPECT_EQ(stats.batches_processed(), serial_stats.batches_processed())
+          << plan->ToString() << " @" << threads;
+    }
   }
 }
 

@@ -187,47 +187,12 @@ TEST_F(QueryEngineTest, StatsAreAlwaysCollected) {
   EXPECT_GT(mine.TotalTuplesIn(), 0u);
 }
 
-TEST_F(QueryEngineTest, RejectsWrongInputCounts) {
+TEST_F(QueryEngineTest, RejectsEmptyInput) {
   QueryEngine engine(db_);
   QueryRequest none;
   auto r0 = engine.Run(none);
   EXPECT_FALSE(r0.ok());
   EXPECT_EQ(r0.status().code(), StatusCode::kInvalidArgument);
-
-  QueryRequest two;
-  two.ra_text = "Ord";
-  two.sql_text = "SELECT * FROM Ord";
-  auto r2 = engine.Run(two);
-  EXPECT_FALSE(r2.ok());
-  EXPECT_EQ(r2.status().code(), StatusCode::kInvalidArgument);
-
-  // Mixing the typed input with a deprecated field is also an error.
-  QueryRequest mixed;
-  mixed.input = QueryInput::RaText("Ord");
-  mixed.sql_text = "SELECT * FROM Ord";
-  auto rm = engine.Run(mixed);
-  EXPECT_FALSE(rm.ok());
-  EXPECT_EQ(rm.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST_F(QueryEngineTest, DeprecatedInputFieldsStillWork) {
-  // The four-field style is shimmed for one release; each single field must
-  // behave exactly like its QueryInput counterpart.
-  QueryEngine engine(db_);
-  QueryRequest legacy;
-  legacy.sql_text = kUnpaid;
-  legacy.notion = AnswerNotion::kNaive;
-  auto old_style = engine.Run(legacy);
-  ASSERT_TRUE(old_style.ok()) << old_style.status().ToString();
-  auto new_style = engine.Run(Sql(kUnpaid, AnswerNotion::kNaive));
-  ASSERT_TRUE(new_style.ok());
-  EXPECT_EQ(old_style->relation, new_style->relation);
-
-  QueryRequest legacy_ra;
-  legacy_ra.ra_text = "Pay";
-  auto ra_resp = engine.Run(legacy_ra);
-  ASSERT_TRUE(ra_resp.ok()) << ra_resp.status().ToString();
-  EXPECT_EQ(ra_resp->relation.size(), 1u);
 }
 
 TEST_F(QueryEngineTest, AllFourTypedInputFormsAnswerIdentically) {

@@ -140,16 +140,6 @@ TEST(SubplanCacheTest, PreparedJoinLiteralCarriesPrebuiltColumnIndex) {
   EXPECT_EQ(lit->literal().FindColumnIndex({1}), nullptr);
 }
 
-TEST(SubplanCacheTest, PreparedDivisorCarriesFullWidthIndex) {
-  Database db = TestDb();
-  auto e = RAExpr::Divide(RAExpr::Scan("R0"),
-                          RAExpr::Project({0}, RAExpr::Scan("T")));
-  auto prep = PrepareWorldInvariantPlan(e, db, EvalOptions{});
-  ASSERT_TRUE(prep.ok());
-  ASSERT_EQ(prep->plan->right()->kind(), RAExpr::Kind::kConstRel);
-  EXPECT_NE(prep->plan->right()->literal().FindColumnIndex({0}), nullptr);
-}
-
 TEST(SubplanCacheTest, DriversCountOneHitPerSplicePerWorld) {
   Database db = TestDb();
   auto e = RAExpr::Project(

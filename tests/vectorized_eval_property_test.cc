@@ -1,11 +1,9 @@
 // Randomized property tests for the batch-vectorized evaluator: for seeded
 // random databases with marked nulls and random RA plans over every fragment
 // (positive, RA_cwa with guarded division, full RA with −, ÷, order
-// predicates, NOT and IS NULL), EvalNaive with the vectorize knob on must
-// return a relation bit-identical to the row-oriented path — and to the
-// nested-loop reference with hash kernels off — serially and with the
-// parallel chunked loops forced onto the tiny inputs. A QueryEngine sweep
-// then proves the knob inert across every answer notion end to end.
+// predicates, NOT and IS NULL), EvalNaive on the columnar engine must return
+// a relation bit-identical to the nested-loop reference, serially and with
+// the parallel chunked loops forced onto the tiny inputs.
 
 #include <gtest/gtest.h>
 
@@ -13,8 +11,6 @@
 #include <vector>
 
 #include "algebra/eval.h"
-#include "engine/query_engine.h"
-#include "engine/vectorized.h"
 #include "testing/fuzz_gen.h"
 #include "util/random.h"
 #include "workload/generators.h"
@@ -29,7 +25,7 @@ struct VecCase {
 
 class VectorizedPlanSweep : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(VectorizedPlanSweep, MatchesRowPathAndReferenceOnRandomPlans) {
+TEST_P(VectorizedPlanSweep, MatchesReferenceOnRandomPlans) {
   const uint64_t seed = GetParam();
   Rng rng(seed * 7919 + 1);
   const VecCase cases[] = {
@@ -64,16 +60,9 @@ TEST_P(VectorizedPlanSweep, MatchesRowPathAndReferenceOnRandomPlans) {
       auto want = EvalNaive(gen.plan, db, reference);
 
       for (bool optimize : {false, true}) {
-        EvalOptions row;
-        row.vectorize = false;
-        row.optimize = optimize;
-        row.num_threads = 1;
-        auto row_got = EvalNaive(gen.plan, db, row);
-
         for (int threads : {1, 7}) {
           EvalStats stats;
           EvalOptions vec;
-          vec.vectorize = true;
           vec.optimize = optimize;
           vec.num_threads = threads;
           vec.parallel_row_threshold = 2;  // force the chunked loops
@@ -86,12 +75,9 @@ TEST_P(VectorizedPlanSweep, MatchesRowPathAndReferenceOnRandomPlans) {
             EXPECT_EQ(vec_got.status().code(), want.status().code()) << combo;
             continue;
           }
-          ASSERT_TRUE(row_got.ok()) << combo << ": "
-                                    << row_got.status().ToString();
           ASSERT_TRUE(vec_got.ok()) << combo << ": "
                                     << vec_got.status().ToString();
           EXPECT_EQ(*vec_got, *want) << combo << "\n" << db.ToString();
-          EXPECT_EQ(*vec_got, *row_got) << combo << "\n" << db.ToString();
         }
       }
     }
@@ -120,94 +106,32 @@ Database NamedRandomDb(uint64_t seed) {
   return db;
 }
 
-constexpr AnswerNotion kAllNotions[] = {
-    AnswerNotion::kNaive,       AnswerNotion::k3VL,
-    AnswerNotion::kMaybe,       AnswerNotion::kCertainNaive,
-    AnswerNotion::kCertainEnum, AnswerNotion::kCertainObject,
-    AnswerNotion::kPossible,
-};
-
-class VectorizedEngineSweep : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(VectorizedEngineSweep, EveryNotionIsBitIdenticalWithTheKnobOnAndOff) {
-  Database db = NamedRandomDb(GetParam());
-  QueryEngine engine(db);
-  const std::vector<std::string> queries = {
-      "SELECT a, d FROM R0, R1 WHERE b = c",
-      "SELECT a FROM R0 WHERE a NOT IN (SELECT c FROM R1)",
-      "SELECT a FROM R0 WHERE b = 1",
-      "SELECT * FROM R1",
-  };
-  for (const std::string& sql : queries) {
-    for (AnswerNotion notion : kAllNotions) {
-      QueryRequest off;
-      off.input = QueryInput::SqlText(sql);
-      off.notion = notion;
-      off.world_options.fresh_constants = 1;
-      off.eval.num_threads = 1;
-      off.eval.vectorize = false;
-      auto base = engine.Run(off);
-
-      for (int threads : {1, 7}) {
-        QueryRequest req = off;
-        req.eval.vectorize = true;
-        req.eval.num_threads = threads;
-        req.eval.parallel_row_threshold = 2;
-        const std::string combo = std::string(AnswerNotionName(notion)) +
-                                  " @" + std::to_string(threads) + ": " + sql;
-        auto got = engine.Run(req);
-        if (!base.ok()) {
-          ASSERT_FALSE(got.ok()) << combo;
-          EXPECT_EQ(got.status().code(), base.status().code()) << combo;
-          continue;
-        }
-        ASSERT_TRUE(got.ok()) << combo << ": " << got.status().ToString();
-        EXPECT_EQ(got->relation, base->relation) << combo << "\n"
-                                                 << db.ToString();
-        EXPECT_EQ(got->naive_guarantee, base->naive_guarantee) << combo;
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, VectorizedEngineSweep,
-                         ::testing::Range<uint64_t>(0, 12));
-
-TEST(VectorizedStatsTest, CountsBatchesAndRowsOnlyWhenTheKnobIsOn) {
+TEST(VectorizedStatsTest, CountsBatchesAndRowsOnTheColumnarEngineOnly) {
   Database db = NamedRandomDb(3);
   auto q = RAExpr::Project(
       {0, 3}, RAExpr::Select(Predicate::Eq(Term::Column(1), Term::Column(2)),
                              RAExpr::Product(RAExpr::Scan("R0"),
                                              RAExpr::Scan("R1"))));
-  EvalStats on_stats;
-  EvalOptions on;
-  on.stats = &on_stats;
-  on.num_threads = 1;
-  ASSERT_TRUE(EvalNaive(q, db, on).ok());
-  EXPECT_GT(on_stats.batches_processed(), 0u);
-  EXPECT_GT(on_stats.rows_vectorized(), 0u);
+  EvalStats vec_stats;
+  EvalOptions vec;
+  vec.stats = &vec_stats;
+  vec.num_threads = 1;
+  ASSERT_TRUE(EvalNaive(q, db, vec).ok());
+  EXPECT_GT(vec_stats.batches_processed(), 0u);
+  EXPECT_GT(vec_stats.rows_vectorized(), 0u);
   // The counters reach the printed table.
-  EXPECT_NE(on_stats.ToString().find("vectorized"), std::string::npos);
+  EXPECT_NE(vec_stats.ToString().find("vectorized"), std::string::npos);
 
-  EvalStats off_stats;
-  EvalOptions off;
-  off.stats = &off_stats;
-  off.vectorize = false;
-  off.num_threads = 1;
-  ASSERT_TRUE(EvalNaive(q, db, off).ok());
-  EXPECT_EQ(off_stats.batches_processed(), 0u);
-  EXPECT_EQ(off_stats.rows_vectorized(), 0u);
-
-  // With hash kernels off the evaluator is the reference oracle: the
-  // vectorize knob must not engage.
+  // With hash kernels off the evaluator is the nested-loop reference and
+  // stays tuple-at-a-time.
   EvalStats ref_stats;
   EvalOptions ref;
   ref.stats = &ref_stats;
   ref.use_hash_kernels = false;
   ref.num_threads = 1;
-  EXPECT_FALSE(UseVectorizedEval(ref));
   ASSERT_TRUE(EvalNaive(q, db, ref).ok());
   EXPECT_EQ(ref_stats.batches_processed(), 0u);
+  EXPECT_EQ(ref_stats.rows_vectorized(), 0u);
 }
 
 TEST(VectorizedStatsTest, BatchCountsAreThreadCountInvariant) {

@@ -42,8 +42,6 @@ void Usage() {
                "  --no_ctables        skip the c-table grounding check\n"
                "  --no_ctable_backend skip the c-table-native certain/"
                "possible backend cross-check\n"
-               "  --no_vectorize      skip the batch-vectorized columnar "
-               "configurations\n"
                "  --no_service        skip the IncDbService session "
                "cross-check\n"
                "  --no_check_sampling skip the probabilistic-notion "
@@ -130,8 +128,6 @@ int main(int argc, char** argv) {
       config.oracle.check_ctables = false;
     } else if (arg == "--no_ctable_backend") {
       config.oracle.check_ctable_backend = false;
-    } else if (arg == "--no_vectorize") {
-      config.oracle.check_vectorized = false;
     } else if (arg == "--no_service") {
       config.oracle.check_service = false;
     } else if (arg == "--no_check_sampling") {
