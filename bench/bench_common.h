@@ -50,27 +50,11 @@ inline void ReportThreadScaling(benchmark::State& state, int threads,
       mean_parallel_seconds > 0 ? serial_seconds / mean_parallel_seconds : 0);
 }
 
-/// Attaches the optimizer/subplan-cache sweep counters: which knobs were on
-/// (`opt`, `cache`), the subplan-cache hits per iteration, and the speedup of
-/// this run's mean iteration over a both-knobs-off baseline timed inline just
-/// before the loop (>1 means the knobs pay for themselves).
-inline void ReportOptCacheSweep(benchmark::State& state, bool optimize,
-                                bool cache, const incdb::EvalStats& stats,
-                                double off_seconds, double mean_seconds) {
-  state.counters["opt"] = benchmark::Counter(optimize ? 1 : 0);
-  state.counters["cache"] = benchmark::Counter(cache ? 1 : 0);
-  state.counters["cache_hits"] =
-      benchmark::Counter(static_cast<double>(stats.cache_hits()),
-                         benchmark::Counter::kAvgIterations);
-  state.counters["speedup"] = benchmark::Counter(
-      mean_seconds > 0 ? off_seconds / mean_seconds : 0);
-}
-
 /// Attaches the delta-eval sweep counters: whether the knob was on
 /// (`delta`), the worlds answered differentially and the fallbacks per
 /// iteration, and the speedup of this run's mean iteration over a delta-off
-/// baseline (optimizer + cache still on) timed inline just before the loop
-/// (>1 means differential re-evaluation pays for itself).
+/// baseline (optimizer still on) timed inline just before the loop (>1
+/// means differential re-evaluation pays for itself).
 inline void ReportDeltaSweep(benchmark::State& state, bool delta,
                              const incdb::EvalStats& stats, double off_seconds,
                              double mean_seconds) {

@@ -162,83 +162,13 @@ BENCHMARK(BM_WorldEnumerationThreads)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-// Optimizer/subplan-cache sweep: a 5-row null-carrying probe side (R0, two
-// marked nulls) equi-joined on both columns against a 1024-row complete
-// build side (R1, the full 32×32 grid — so each probe matches exactly one
-// row and the join output stays tiny). Per world the uncached plan rebuilds
-// R1's join hash table (~|R1| inserts); with the cache the complete scan is
-// spliced once as a literal carrying a prebuilt column index, leaving only
-// the |R0|-row probe. The complete row (1, 2) of R0 always matches, so the
-// running intersection never empties and every world is actually evaluated.
-Database AsymmetricJoinDb() {
-  Database db;
-  Relation* r0 = db.MutableRelation("R0", 2);
-  r0->Add(Tuple{Value::Int(1), Value::Int(2)});
-  r0->Add(Tuple{Value::Int(3), Value::Int(4)});
-  r0->Add(Tuple{Value::Int(5), Value::Int(31)});
-  r0->Add(Tuple{Value::Null(0), Value::Int(7)});
-  r0->Add(Tuple{Value::Int(6), Value::Null(1)});
-  Relation* r1 = db.MutableRelation("R1", 2);
-  for (int64_t a = 0; a < 32; ++a) {
-    for (int64_t b = 0; b < 32; ++b) {
-      r1->Add(Tuple{Value::Int(a), Value::Int(b)});
-    }
-  }
-  return db;
-}
-
-// args encode (optimize, cache_subplans); the "speedup" counter compares
-// this run's mean iteration against a both-knobs-off baseline.
-void BM_WorldEnumerationOptCache(benchmark::State& state) {
-  const bool optimize = state.range(0) != 0;
-  const bool cache = state.range(1) != 0;
-  Database db = AsymmetricJoinDb();
-  auto q = RAExpr::Project(
-      {0, 1},
-      RAExpr::Select(
-          Predicate::And(Predicate::Eq(Term::Column(0), Term::Column(2)),
-                         Predicate::Eq(Term::Column(1), Term::Column(3))),
-          RAExpr::Product(RAExpr::Scan("R0"), RAExpr::Scan("R1"))));
-  EvalOptions off;
-  off.optimize = false;
-  off.cache_subplans = false;
-  off.num_threads = 1;
-  auto run_off = [&] {
-    benchmark::DoNotOptimize(
-        CertainAnswersEnum(q, db, WorldSemantics::kClosedWorld, {}, off));
-  };
-  run_off();  // warm the lazy canonicalization before timing the baseline
-  const double off_seconds = incdb_bench::SecondsOf(run_off);
-  EvalStats stats;
-  EvalOptions options;
-  options.stats = &stats;
-  options.optimize = optimize;
-  options.cache_subplans = cache;
-  options.num_threads = 1;
-  double total_seconds = 0;
-  for (auto _ : state) {
-    total_seconds += incdb_bench::SecondsOf([&] {
-      benchmark::DoNotOptimize(
-          CertainAnswersEnum(q, db, WorldSemantics::kClosedWorld, {},
-                             options));
-    });
-  }
-  incdb_bench::ReportOptCacheSweep(
-      state, optimize, cache, stats, off_seconds,
-      total_seconds / static_cast<double>(state.iterations()));
-}
-BENCHMARK(BM_WorldEnumerationOptCache)
-    ->Args({0, 0})
-    ->Args({1, 0})
-    ->Args({0, 1})
-    ->Args({1, 1})
-    ->Unit(benchmark::kMillisecond);
-
-// Delta-eval sweep: the same asymmetric equi-join shape, but with a 200-row
-// null-carrying probe side. Even with the optimizer and subplan cache on,
-// the classic driver re-probes all ~200 R0 rows in every world; the
-// differential path re-derives only the single tuple whose null changed.
-// Two marked nulls over the 32-value domain give 34² worlds per iteration.
+// Delta-eval sweep: a 200-row null-carrying probe side (R0, two marked
+// nulls) equi-joined on both columns against a 1024-row complete build side
+// (R1, the full 32×32 grid — so each probe matches exactly one row and the
+// join output stays tiny). Even with the optimizer on, the per-world driver
+// re-probes all ~200 R0 rows in every world; the differential path
+// re-derives only the single tuple whose null changed. Two marked nulls
+// over the 32-value domain give 34² worlds per iteration.
 Database DeltaJoinDb() {
   Database db;
   Relation* r0 = db.MutableRelation("R0", 2);
@@ -258,8 +188,8 @@ Database DeltaJoinDb() {
 }
 
 // arg encodes delta_eval on/off; the "speedup" counter compares this run's
-// mean iteration against a delta-off baseline (optimizer + cache still on)
-// timed inline just before the loop.
+// mean iteration against a delta-off baseline (optimizer still on) timed
+// inline just before the loop.
 void BM_WorldEnumerationDelta(benchmark::State& state) {
   const bool delta = state.range(0) != 0;
   Database db = DeltaJoinDb();

@@ -110,83 +110,14 @@ BENCHMARK(BM_DiffCertainEnumerationThreads)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-// Optimizer/subplan-cache sweep for a difference query whose right side is
-// an expensive world-invariant subtree: π_{0}(R0 − σ_{#0≠#1}(R1)) with a
-// 5-row null-carrying R0 and a 1024-row complete R1. Per world the uncached
-// plan re-runs the selection (~|R1| predicate evaluations plus rebuilding
-// the result) and rebuilds its diff hash index; the cache splices σ(R1)
-// once as a literal with its index forced, leaving only |R0| probes. Row
-// (7, 7) of R0 never appears in σ_{#0≠#1}(R1), so the certain answer stays
-// non-empty and no world is skipped by the early-exit.
-Database AsymmetricDiffDb() {
-  Database db;
-  Relation* r0 = db.MutableRelation("R0", 2);
-  r0->Add(Tuple{Value::Int(7), Value::Int(7)});
-  r0->Add(Tuple{Value::Int(1), Value::Int(4)});
-  r0->Add(Tuple{Value::Int(2), Value::Int(9)});
-  r0->Add(Tuple{Value::Null(0), Value::Int(3)});
-  r0->Add(Tuple{Value::Int(5), Value::Null(1)});
-  Relation* r1 = db.MutableRelation("R1", 2);
-  for (int64_t a = 0; a < 32; ++a) {
-    for (int64_t b = 0; b < 32; ++b) {
-      r1->Add(Tuple{Value::Int(a), Value::Int(b)});
-    }
-  }
-  return db;
-}
-
-// args encode (optimize, cache_subplans); see BM_WorldEnumerationOptCache
-// (bench_e2) for how "speedup" is computed.
-void BM_DiffOptCache(benchmark::State& state) {
-  const bool optimize = state.range(0) != 0;
-  const bool cache = state.range(1) != 0;
-  Database db = AsymmetricDiffDb();
-  auto q = RAExpr::Project(
-      {0},
-      RAExpr::Diff(
-          RAExpr::Scan("R0"),
-          RAExpr::Select(Predicate::Ne(Term::Column(0), Term::Column(1)),
-                         RAExpr::Scan("R1"))));
-  EvalOptions off;
-  off.optimize = false;
-  off.cache_subplans = false;
-  off.num_threads = 1;
-  auto run_off = [&] {
-    benchmark::DoNotOptimize(
-        CertainAnswersEnum(q, db, WorldSemantics::kClosedWorld, {}, off));
-  };
-  run_off();  // warm the lazy canonicalization before timing the baseline
-  const double off_seconds = incdb_bench::SecondsOf(run_off);
-  EvalStats stats;
-  EvalOptions options;
-  options.stats = &stats;
-  options.optimize = optimize;
-  options.cache_subplans = cache;
-  options.num_threads = 1;
-  double total_seconds = 0;
-  for (auto _ : state) {
-    total_seconds += incdb_bench::SecondsOf([&] {
-      benchmark::DoNotOptimize(
-          CertainAnswersEnum(q, db, WorldSemantics::kClosedWorld, {},
-                             options));
-    });
-  }
-  incdb_bench::ReportOptCacheSweep(
-      state, optimize, cache, stats, off_seconds,
-      total_seconds / static_cast<double>(state.iterations()));
-}
-BENCHMARK(BM_DiffOptCache)
-    ->Args({0, 0})
-    ->Args({1, 0})
-    ->Args({0, 1})
-    ->Args({1, 1})
-    ->Unit(benchmark::kMillisecond);
-
-// Delta-eval sweep: the asymmetric difference shape with a 200-row
-// null-carrying left side. The subplan cache already splices the complete
-// σ(R1) subtree, but the classic driver still re-runs the ~200-row diff in
-// every world; the differential path adjusts only the tuple whose null
-// changed. Two marked nulls over the 32-value domain give 34² worlds.
+// Delta-eval sweep for a difference query whose right side is a complete
+// subtree: π_{0}(R0 − σ_{#0≠#1}(R1)) with a 200-row null-carrying R0 and
+// the 1024-row complete 32×32 grid R1. The per-world driver re-runs the
+// whole diff in every world; the differential path evaluates σ(R1) once and
+// adjusts only the tuple whose null changed. Row (7, 7) of R0 never appears
+// in σ_{#0≠#1}(R1), so the certain answer stays non-empty and no world is
+// skipped by the early exit. Two marked nulls over the 32-value domain give
+// 34² worlds.
 Database DeltaDiffDb() {
   Database db;
   Relation* r0 = db.MutableRelation("R0", 2);

@@ -179,83 +179,6 @@ BENCHMARK(BM_DivisionEnumerationThreads)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-// Optimizer/subplan-cache sweep for division with a computed world-invariant
-// divisor: Assign ÷ π_{0}(σ_{#1=7}(ProjInfo)) — "employees assigned to every
-// department-7 project". ProjInfo is 1500 complete (project, dept) rows;
-// Assign is ~90 rows with one marked null. Per world the uncached plan
-// re-runs the selection over all of ProjInfo and rebuilds the divisor's
-// hash index; the cache evaluates the divisor subtree once and splices it
-// with a prebuilt full-width index, leaving only the small dividend pass.
-// Employee 100 covers all dept-7 projects with complete tuples, so the
-// certain answer is non-empty and every world is evaluated.
-Database DivisionDeptDb() {
-  Database db;
-  Relation* info = db.MutableRelation("ProjInfo", 2);
-  for (int64_t p = 0; p < 1500; ++p) {
-    info->Add(Tuple{Value::Int(p), Value::Int(p % 40)});
-  }
-  Relation* assign = db.MutableRelation("Assign", 2);
-  for (int64_t p = 7; p < 1500; p += 40) {  // full dept-7 coverage
-    assign->Add(Tuple{Value::Int(100), Value::Int(p)});
-  }
-  for (int64_t p = 7; p < 600; p += 40) {  // partial coverage
-    assign->Add(Tuple{Value::Int(101), Value::Int(p)});
-  }
-  for (int64_t p = 0; p < 40; ++p) {  // one project per department
-    assign->Add(Tuple{Value::Int(102), Value::Int(p)});
-  }
-  assign->Add(Tuple{Value::Int(103), Value::Null(0)});
-  return db;
-}
-
-// args encode (optimize, cache_subplans); see BM_WorldEnumerationOptCache
-// (bench_e2) for how "speedup" is computed.
-void BM_DivisionOptCache(benchmark::State& state) {
-  const bool optimize = state.range(0) != 0;
-  const bool cache = state.range(1) != 0;
-  Database db = DivisionDeptDb();
-  auto q = RAExpr::Divide(
-      RAExpr::Scan("Assign"),
-      RAExpr::Project(
-          {0},
-          RAExpr::Select(
-              Predicate::Eq(Term::Column(1), Term::Const(Value::Int(7))),
-              RAExpr::Scan("ProjInfo"))));
-  EvalOptions off;
-  off.optimize = false;
-  off.cache_subplans = false;
-  off.num_threads = 1;
-  auto run_off = [&] {
-    benchmark::DoNotOptimize(
-        CertainAnswersEnum(q, db, WorldSemantics::kClosedWorld, {}, off));
-  };
-  run_off();  // warm the lazy canonicalization before timing the baseline
-  const double off_seconds = incdb_bench::SecondsOf(run_off);
-  EvalStats stats;
-  EvalOptions options;
-  options.stats = &stats;
-  options.optimize = optimize;
-  options.cache_subplans = cache;
-  options.num_threads = 1;
-  double total_seconds = 0;
-  for (auto _ : state) {
-    total_seconds += incdb_bench::SecondsOf([&] {
-      benchmark::DoNotOptimize(
-          CertainAnswersEnum(q, db, WorldSemantics::kClosedWorld, {},
-                             options));
-    });
-  }
-  incdb_bench::ReportOptCacheSweep(
-      state, optimize, cache, stats, off_seconds,
-      total_seconds / static_cast<double>(state.iterations()));
-}
-BENCHMARK(BM_DivisionOptCache)
-    ->Args({0, 0})
-    ->Args({1, 0})
-    ->Args({0, 1})
-    ->Args({1, 1})
-    ->Unit(benchmark::kMillisecond);
-
 // Delta-eval sweep for division. Values are kept inside a single 16-value
 // domain (employee ids double as project ids) so two marked nulls give a
 // tractable 18² worlds while the dividend stays ~150 rows: the classic

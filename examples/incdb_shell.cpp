@@ -14,8 +14,8 @@
 //                                          (exact world counting, Monte-Carlo
 //                                          fallback); threshold defaults to 1.0
 //   explain [naive|enum|prob] <query>      pre/post-optimization plan, answer,
-//                                          per-operator + subplan-cache +
-//                                          delta-eval (or counting) stats
+//                                          per-operator + delta-eval (or
+//                                          counting) stats
 //   stats   on|off                         per-operator counters after queries
 //   threads <n>                            worker threads (0 = auto, 1 = serial)
 //   delta   on|off                         differential world enumeration
@@ -137,12 +137,12 @@ void PrintProbabilities(const QueryResponse& resp) {
   std::printf(
       "  counting:      %llu world%s counted, %llu sample%s drawn, "
       "%llu exact hit%s\n",
-      static_cast<unsigned long long>(resp.worlds_counted),
-      resp.worlds_counted == 1 ? "" : "s",
-      static_cast<unsigned long long>(resp.samples_drawn),
-      resp.samples_drawn == 1 ? "" : "s",
-      static_cast<unsigned long long>(resp.exact_count_hits),
-      resp.exact_count_hits == 1 ? "" : "s");
+      static_cast<unsigned long long>(resp.stats.worlds_counted()),
+      resp.stats.worlds_counted() == 1 ? "" : "s",
+      static_cast<unsigned long long>(resp.stats.samples_drawn()),
+      resp.stats.samples_drawn() == 1 ? "" : "s",
+      static_cast<unsigned long long>(resp.stats.exact_count_hits()),
+      resp.stats.exact_count_hits() == 1 ? "" : "s");
 }
 
 QueryRequest SqlRequest(const std::string& sql, AnswerNotion notion) {
@@ -204,7 +204,7 @@ int main() {
           "                        probability >= p (default 1.0 = certain)\n"
           "  explain [naive|enum|prob] <query>   plans before/after\n"
           "                        optimization, answer, operator and\n"
-          "                        subplan-cache stats (enum = certain\n"
+          "                        delta-eval stats (enum = certain\n"
           "                        answers by enumeration, prob = answer\n"
           "                        probabilities); query is SQL when it\n"
           "                        starts with SELECT, algebra otherwise\n"
@@ -435,15 +435,10 @@ int main() {
         std::printf(
             "  backend:       ctable (%llu condition%s simplified, %llu "
             "pruned unsat)\n",
-            static_cast<unsigned long long>(resp->cond_simplified),
-            resp->cond_simplified == 1 ? "" : "s",
-            static_cast<unsigned long long>(resp->unsat_pruned));
+            static_cast<unsigned long long>(resp->stats.cond_simplified()),
+            resp->stats.cond_simplified() == 1 ? "" : "s",
+            static_cast<unsigned long long>(resp->stats.unsat_pruned()));
       } else if (notion == AnswerNotion::kCertainEnum) {
-        std::printf("  subplan cache: %llu hit%s / %llu miss%s\n",
-                    static_cast<unsigned long long>(resp->stats.cache_hits()),
-                    resp->stats.cache_hits() == 1 ? "" : "s",
-                    static_cast<unsigned long long>(resp->stats.cache_misses()),
-                    resp->stats.cache_misses() == 1 ? "" : "es");
         std::printf(
             "  delta eval:    %llu world%s applied / %llu fallback%s\n",
             static_cast<unsigned long long>(resp->stats.delta_applied()),

@@ -1,5 +1,6 @@
 #include "algebra/certain.h"
 
+#include <algorithm>
 #include <memory>
 #include <unordered_set>
 #include <utility>
@@ -8,50 +9,36 @@
 #include "algebra/eval.h"
 #include "algebra/optimize.h"
 #include "engine/delta_eval.h"
-#include "engine/subplan_cache.h"
 #include "util/thread_pool.h"
 
 namespace incdb {
 namespace {
 
-// Per-worker accumulator for the parallel enumeration drivers. Each worker
-// owns one slot (the parallel callbacks guarantee per-worker sequencing), so
-// no slot ever needs a lock; only the final merge reads across slots.
-struct WorkerAcc {
-  Relation acc;
-  bool first = true;
-  EvalStats stats;
-  Status error = Status::OK();
-};
+// Forces a relation's lazily built shared state on the calling thread so
+// parallel workers only read it.
+void ForceRelation(const Relation& r) {
+  r.tuples();
+  r.HashIndex();
+  r.IsComplete();
+  r.Columnar();
+}
 
-// Merges per-worker stats into the caller's sink in worker order and returns
-// the lowest-worker evaluation error, if any.
-Status MergeWorkerStats(std::vector<WorkerAcc>& workers,
-                        const EvalOptions& options) {
-  Status error = Status::OK();
-  for (WorkerAcc& w : workers) {
-    if (options.stats != nullptr) options.stats->Merge(w.stats);
-    if (error.ok() && !w.error.ok()) error = w.error;
-  }
-  return error;
+// Forces every ConstRel literal in `e`, user-written ones included.
+void ForcePlanLiterals(const RAExprPtr& e) {
+  if (e == nullptr) return;
+  if (e->kind() == RAExpr::Kind::kConstRel) ForceRelation(e->literal());
+  ForcePlanLiterals(e->left());
+  ForcePlanLiterals(e->right());
 }
 
 // Per-driver plan preparation: algebraic optimization (once, not per world)
-// and world-invariant subplan caching. Guards and fragment checks run on the
-// caller's original expression; both rewrites preserve answers exactly.
-// `cached_subplans` receives the number of spliced subplan results — the
-// drivers count that many cache hits for every world they evaluate.
-Result<RAExprPtr> PrepareEnumPlan(const RAExprPtr& e, const Database& db,
-                                  const EvalOptions& options,
-                                  size_t* cached_subplans) {
-  RAExprPtr plan = e;
-  if (options.optimize) plan = Optimize(plan, db);
-  if (options.cache_subplans && !db.Nulls().empty()) {
-    INCDB_ASSIGN_OR_RETURN(PreparedPlan prep,
-                           PrepareWorldInvariantPlan(plan, db, options));
-    plan = prep.plan;
-    *cached_subplans = prep.cached_subplans;
-  }
+// and literal forcing (so the workers fanned out below only read literals).
+// Guards and fragment checks run on the caller's original expression; the
+// optimizer preserves answers exactly.
+RAExprPtr PrepareEnumPlan(const RAExprPtr& e, const Database& db,
+                          const EvalOptions& options) {
+  RAExprPtr plan = options.optimize ? Optimize(e, db) : e;
+  ForcePlanLiterals(plan);
   return plan;
 }
 
@@ -68,27 +55,76 @@ bool DeltaEligible(const RAExprPtr& plan, const Database& db,
   return probe.Build(plan, db, probe_options).ok();
 }
 
-// Per-worker state for the parallel delta drivers: each worker owns one
-// DeltaEvaluator (built lazily on the worker's first callback, i.e. at its
-// chain start) plus its partial answer.
-struct DeltaWorker {
+// Per-worker state of the enumeration drivers. The parallel world drivers
+// call each worker index from one thread at a time, so no slot ever needs a
+// lock; only the final merge reads across slots.
+struct Worker {
+  // Delta path: the worker's evaluator, built at the start of its Gray chain.
   std::unique_ptr<DeltaEvaluator> de;
-  // Certain driver: the candidate tuples still present in every world the
-  // worker has seen. Possible driver: unused (acc holds the union).
+  // Certain answers on the delta path: the candidates present in every
+  // world of the worker's chain so far.
   std::unordered_set<Tuple, TupleHash> alive;
+  // The intersection (certain) or union (possible) of the answers in the
+  // worlds the worker saw.
   Relation acc;
+  // Certain answers: the worker saw at least one world, so `acc` (or
+  // `alive`) is a real intersection rather than the empty start value.
   bool started = false;
   EvalStats stats;
   Status error = Status::OK();
 };
 
-// Folds each worker's evaluator counters into its stats slot, merges the
-// slots into the caller's sink in worker order, and returns the
-// lowest-worker error, if any.
-Status MergeDeltaWorkerStats(std::vector<DeltaWorker>& workers,
-                             const EvalOptions& options) {
+// One slot per chunk of the parallel world drivers, and at least one: at
+// one thread they hand off to the serial enumerators as worker 0, and a
+// database without nulls is its own single world, also worker 0.
+std::vector<Worker> MakeWorkers(const Database& db,
+                                const WorldEnumOptions& opts, int num_threads,
+                                size_t arity) {
+  size_t n = 1;
+  if (ResolveNumThreads(num_threads) > 1) {
+    n = std::max<size_t>(1, ParallelChunkCount(num_threads,
+                                               WorldDomain(db, opts).size(),
+                                               /*grain=*/1));
+  }
+  std::vector<Worker> workers(n);
+  for (Worker& w : workers) w.acc = Relation(arity);
+  return workers;
+}
+
+// Builds the worker's delta evaluator at the first world of its Gray chain
+// (has_delta == false), or advances it by one single-null step.
+Status StepDelta(Worker& w, const RAExprPtr& plan, const Database& db,
+                 const EvalOptions& options, const Valuation& v,
+                 const ValuationDelta& d) {
+  if (d.has_delta) return w.de->ApplyDelta(d);
+  w.de = std::make_unique<DeltaEvaluator>();
+  EvalOptions worker_options = options;
+  worker_options.stats = &w.stats;
+  INCDB_RETURN_IF_ERROR(w.de->Build(plan, db, worker_options));
+  return w.de->Initialize(v);
+}
+
+// Evaluates the plan in one world into the worker's stats slot. Delta
+// evaluation requested for a plan it rejects (one containing Δ) counts one
+// fallback per world.
+Result<Relation> EvalWorld(Worker& w, const RAExprPtr& plan,
+                           const Database& world, const EvalOptions& options,
+                           bool delta_fallback) {
+  EvalOptions worker_options = options;
+  worker_options.stats = &w.stats;
+  INCDB_ASSIGN_OR_RETURN(Relation ans,
+                         EvalComplete(plan, world, worker_options));
+  if (delta_fallback) w.stats.CountDeltaFallbacks(1);
+  return ans;
+}
+
+// Folds each worker's evaluator counters into its stats slot and merges the
+// slots into the caller's sink in worker order. Returns the lowest-worker
+// evaluation error if any, else the enumeration status `st`.
+Status MergeWorkers(std::vector<Worker>& workers, const EvalOptions& options,
+                    const Status& st) {
   Status error = Status::OK();
-  for (DeltaWorker& w : workers) {
+  for (Worker& w : workers) {
     if (w.de != nullptr) {
       w.stats.CountDeltaApplied(w.de->deltas_applied());
       w.stats.CountDeltaFallbacks(w.de->node_fallbacks());
@@ -96,7 +132,38 @@ Status MergeDeltaWorkerStats(std::vector<DeltaWorker>& workers,
     if (options.stats != nullptr) options.stats->Merge(w.stats);
     if (error.ok() && !w.error.ok()) error = w.error;
   }
-  return error;
+  INCDB_RETURN_IF_ERROR(error);
+  return st;
+}
+
+// Intersects the per-worker intersections. ∩ is associative and commutative
+// and Relation is canonical, so the result is bit-identical to one
+// intersection over every world. Workers that saw no world are skipped.
+Relation IntersectWorkers(std::vector<Worker>& workers, size_t arity) {
+  bool any = false;
+  Relation acc(arity);
+  for (Worker& w : workers) {
+    if (!w.started) continue;
+    if (!any) {
+      acc = std::move(w.acc);
+      any = true;
+      continue;
+    }
+    Relation next(arity);
+    for (const Tuple& t : acc.tuples()) {
+      if (w.acc.Contains(t)) next.Add(t);
+    }
+    acc = std::move(next);
+  }
+  return acc;
+}
+
+// Unions the per-worker unions (bit-identical to one union over every world,
+// for the same reasons as IntersectWorkers).
+Relation UnionWorkers(const std::vector<Worker>& workers, size_t arity) {
+  Relation acc(arity);
+  for (const Worker& w : workers) acc.AddAll(w.acc);
+  return acc;
 }
 
 }  // namespace
@@ -145,345 +212,112 @@ Result<Relation> CertainAnswersEnum(const RAExprPtr& e, const Database& db,
     }
   }
 
-  size_t cached_subplans = 0;
-  INCDB_ASSIGN_OR_RETURN(RAExprPtr plan,
-                         PrepareEnumPlan(e, db, options, &cached_subplans));
+  const RAExprPtr plan = PrepareEnumPlan(e, db, options);
   const bool delta = DeltaEligible(plan, db, options);
-  // Delta was requested but the plan is not differentiable (contains Δ):
-  // count one fallback per world evaluated the classic way.
-  const bool delta_fallback =
-      options.delta_eval && !db.Nulls().empty() && !delta;
-
-  if (ResolveNumThreads(options.num_threads) > 1 && !db.Nulls().empty()) {
-    ForcePlanLiterals(plan);  // workers must only read literal lazy state
-    const size_t chunks = ParallelChunkCount(
-        options.num_threads, WorldDomain(db, opts).size(), /*grain=*/1);
-    if (delta) {
-      // Parallel delta driver: one Gray chain per worker. The worker seeds
-      // its candidate set from its chain's first world and thereafter only
-      // kills candidates reported removed by ApplyDelta — an incremental
-      // intersection (a tuple absent from any earlier world of the chain
-      // can never re-enter). Early exit matches the classic driver: an
-      // empty worker set stops every worker.
-      std::vector<DeltaWorker> workers(chunks);
-      Status st = ForEachValuationGrayParallel(
-          db, opts, options.num_threads,
-          [&](const Valuation& v, const ValuationDelta& d, size_t wi) {
-            DeltaWorker& w = workers[wi];
-            Status s;
-            if (!d.has_delta) {
-              w.de = std::make_unique<DeltaEvaluator>();
-              EvalOptions worker_options = options;
-              worker_options.stats = &w.stats;
-              s = w.de->Build(plan, db, worker_options);
-              if (s.ok()) s = w.de->Initialize(v);
-              if (!s.ok()) {
-                w.error = s;
-                return false;
-              }
-              const Relation out = w.de->Output();
-              for (const Tuple& t : out.tuples()) w.alive.insert(t);
-              w.started = true;
-            } else {
-              s = w.de->ApplyDelta(d);
-              if (!s.ok()) {
-                w.error = s;
-                return false;
-              }
-              for (const Tuple& t : w.de->removed()) w.alive.erase(t);
-            }
-            w.stats.CountCacheHits(cached_subplans);
-            return !w.alive.empty();
-          });
-      INCDB_RETURN_IF_ERROR(MergeDeltaWorkerStats(workers, options));
-      INCDB_RETURN_IF_ERROR(st);
-      bool any = false;
-      Relation acc(arity);
-      for (DeltaWorker& w : workers) {
-        if (!w.started) continue;  // worker saw no world
-        if (!any) {
-          for (const Tuple& t : w.alive) acc.Add(t);
-          any = true;
-          continue;
-        }
-        Relation next(arity);
-        for (const Tuple& t : acc.tuples()) {
-          if (w.alive.count(t) > 0) next.Add(t);
-        }
-        acc = std::move(next);
-      }
-      return acc;
-    }
-    // Parallel driver: each worker intersects the answers of its own
-    // sub-space; the final answer is the intersection of the per-worker
-    // intersections, which equals the serial intersection over all worlds
-    // (∩ is associative-commutative, and Relation is canonical, so the
-    // result is bit-identical). Early exit: any empty worker intersection
-    // forces the global answer empty, so it stops every worker.
-    std::vector<WorkerAcc> workers(chunks);
-    Status st = ForEachWorldCwaParallel(
-        db, opts, options.num_threads,
-        [&](const Database& world, size_t wi) {
-          WorkerAcc& w = workers[wi];
-          EvalOptions worker_options = options;
-          worker_options.stats = &w.stats;
-          auto ans = EvalComplete(plan, world, worker_options);
-          if (!ans.ok()) {
-            w.error = ans.status();
-            return false;
-          }
-          w.stats.CountCacheHits(cached_subplans);
-          if (delta_fallback) w.stats.CountDeltaFallbacks(1);
-          if (w.first) {
-            w.acc = *ans;
-            w.first = false;
-          } else {
-            Relation next(arity);
-            for (const Tuple& t : w.acc.tuples()) {
-              if (ans->Contains(t)) next.Add(t);
-            }
-            w.acc = std::move(next);
-          }
-          return !w.acc.empty() || w.first;
-        });
-    INCDB_RETURN_IF_ERROR(MergeWorkerStats(workers, options));
-    INCDB_RETURN_IF_ERROR(st);
-    bool any = false;
-    Relation acc(arity);
-    for (WorkerAcc& w : workers) {
-      if (w.first) continue;  // worker saw no world (stopped early / empty)
-      if (!any) {
-        acc = std::move(w.acc);
-        any = true;
-        continue;
-      }
-      Relation next(arity);
-      for (const Tuple& t : acc.tuples()) {
-        if (w.acc.Contains(t)) next.Add(t);
-      }
-      acc = std::move(next);
-    }
-    return acc;
-  }
-
+  std::vector<Worker> workers =
+      MakeWorkers(db, opts, options.num_threads, arity);
   if (delta) {
-    // Serial delta driver: seed the candidate set from the chain's first
-    // world, then kill candidates as ApplyDelta reports them removed.
-    DeltaEvaluator de;
-    INCDB_RETURN_IF_ERROR(de.Build(plan, db, options));
-    std::unordered_set<Tuple, TupleHash> alive;
-    bool started = false;
-    Status eval_error = Status::OK();
-    Status st = ForEachValuationGray(
-        db, opts, [&](const Valuation& v, const ValuationDelta& d) {
-          Status s;
-          if (!d.has_delta) {
-            s = de.Initialize(v);
-            if (!s.ok()) {
-              eval_error = s;
-              return false;
-            }
-            if (!started) {
-              const Relation out = de.Output();
-              for (const Tuple& t : out.tuples()) alive.insert(t);
-              started = true;
-            } else {
-              for (auto it = alive.begin(); it != alive.end();) {
-                it = de.Contains(*it) ? std::next(it) : alive.erase(it);
-              }
-            }
+    // Delta driver: one Gray chain per worker. The worker seeds its
+    // candidate set from its chain's first world and thereafter only kills
+    // candidates reported removed by ApplyDelta — an incremental
+    // intersection (a tuple absent from any earlier world of the chain can
+    // never re-enter). Early exit: an empty candidate set forces the answer
+    // empty, so it stops every worker.
+    Status st = ForEachValuationGrayParallel(
+        db, opts, options.num_threads,
+        [&](const Valuation& v, const ValuationDelta& d, size_t wi) {
+          Worker& w = workers[wi];
+          w.error = StepDelta(w, plan, db, options, v, d);
+          if (!w.error.ok()) return false;
+          if (d.has_delta) {
+            for (const Tuple& t : w.de->removed()) w.alive.erase(t);
           } else {
-            s = de.ApplyDelta(d);
-            if (!s.ok()) {
-              eval_error = s;
-              return false;
-            }
-            for (const Tuple& t : de.removed()) alive.erase(t);
+            const Relation out = w.de->Output();
+            for (const Tuple& t : out.tuples()) w.alive.insert(t);
+            w.started = true;
           }
-          if (options.stats != nullptr) {
-            options.stats->CountCacheHits(cached_subplans);
-          }
-          // Early exit: an empty intersection can only stay empty.
-          return !alive.empty();
+          return !w.alive.empty();
         });
-    if (options.stats != nullptr) {
-      options.stats->CountDeltaApplied(de.deltas_applied());
-      options.stats->CountDeltaFallbacks(de.node_fallbacks());
+    INCDB_RETURN_IF_ERROR(MergeWorkers(workers, options, st));
+    for (Worker& w : workers) {
+      w.acc = Relation(arity,
+                       std::vector<Tuple>(w.alive.begin(), w.alive.end()));
     }
-    INCDB_RETURN_IF_ERROR(eval_error);
-    INCDB_RETURN_IF_ERROR(st);
-    Relation acc(arity);
-    for (const Tuple& t : alive) acc.Add(t);
-    return acc;
+    return IntersectWorkers(workers, arity);
   }
-
-  bool first = true;
-  Relation acc(arity);
-  Status eval_error = Status::OK();
-  Status st = ForEachWorldCwa(db, opts, [&](const Database& world) {
-    auto ans = EvalComplete(plan, world, options);
-    if (!ans.ok()) {
-      eval_error = ans.status();
-      return false;
-    }
-    if (options.stats != nullptr) {
-      options.stats->CountCacheHits(cached_subplans);
-      if (delta_fallback) options.stats->CountDeltaFallbacks(1);
-    }
-    if (first) {
-      acc = *ans;
-      first = false;
-    } else {
-      Relation next(arity);
-      for (const Tuple& t : acc.tuples()) {
-        if (ans->Contains(t)) next.Add(t);
-      }
-      acc = std::move(next);
-    }
-    // Early exit: an empty intersection can only stay empty.
-    return !acc.empty() || first;
-  });
-  INCDB_RETURN_IF_ERROR(eval_error);
-  INCDB_RETURN_IF_ERROR(st);
-  return acc;
+  // Per-world driver: each worker intersects the answers of its own
+  // sub-space. Early exit: an empty worker intersection forces the answer
+  // empty, so it stops every worker.
+  const bool delta_fallback = options.delta_eval && !db.Nulls().empty();
+  Status st = ForEachWorldCwaParallel(
+      db, opts, options.num_threads, [&](const Database& world, size_t wi) {
+        Worker& w = workers[wi];
+        Result<Relation> ans = EvalWorld(w, plan, world, options,
+                                         delta_fallback);
+        if (!ans.ok()) {
+          w.error = ans.status();
+          return false;
+        }
+        if (!w.started) {
+          w.acc = std::move(ans).value();
+          w.started = true;
+        } else {
+          Relation next(arity);
+          for (const Tuple& t : w.acc.tuples()) {
+            if (ans->Contains(t)) next.Add(t);
+          }
+          w.acc = std::move(next);
+        }
+        return !w.acc.empty();
+      });
+  INCDB_RETURN_IF_ERROR(MergeWorkers(workers, options, st));
+  return IntersectWorkers(workers, arity);
 }
 
 Result<Relation> PossibleAnswersEnum(const RAExprPtr& e, const Database& db,
                                      const WorldEnumOptions& opts,
                                      const EvalOptions& options) {
   INCDB_ASSIGN_OR_RETURN(size_t arity, e->InferArity(db.schema()));
-  size_t cached_subplans = 0;
-  INCDB_ASSIGN_OR_RETURN(RAExprPtr plan,
-                         PrepareEnumPlan(e, db, options, &cached_subplans));
+  const RAExprPtr plan = PrepareEnumPlan(e, db, options);
   const bool delta = DeltaEligible(plan, db, options);
-  const bool delta_fallback =
-      options.delta_eval && !db.Nulls().empty() && !delta;
-  if (ResolveNumThreads(options.num_threads) > 1 && !db.Nulls().empty()) {
-    ForcePlanLiterals(plan);  // workers must only read literal lazy state
-    const size_t chunks = ParallelChunkCount(
-        options.num_threads, WorldDomain(db, opts).size(), /*grain=*/1);
-    if (delta) {
-      // Parallel delta driver: the union only grows, so each worker adds
-      // its chain's first output once and thereafter only the tuples
-      // ApplyDelta reports inserted.
-      std::vector<DeltaWorker> workers(chunks);
-      for (DeltaWorker& w : workers) w.acc = Relation(arity);
-      Status st = ForEachValuationGrayParallel(
-          db, opts, options.num_threads,
-          [&](const Valuation& v, const ValuationDelta& d, size_t wi) {
-            DeltaWorker& w = workers[wi];
-            Status s;
-            if (!d.has_delta) {
-              w.de = std::make_unique<DeltaEvaluator>();
-              EvalOptions worker_options = options;
-              worker_options.stats = &w.stats;
-              s = w.de->Build(plan, db, worker_options);
-              if (s.ok()) s = w.de->Initialize(v);
-              if (!s.ok()) {
-                w.error = s;
-                return false;
-              }
-              w.acc.AddAll(w.de->Output());
-            } else {
-              s = w.de->ApplyDelta(d);
-              if (!s.ok()) {
-                w.error = s;
-                return false;
-              }
-              for (const Tuple& t : w.de->added()) w.acc.Add(t);
-            }
-            w.stats.CountCacheHits(cached_subplans);
-            return true;
-          });
-      INCDB_RETURN_IF_ERROR(MergeDeltaWorkerStats(workers, options));
-      INCDB_RETURN_IF_ERROR(st);
-      Relation acc(arity);
-      for (DeltaWorker& w : workers) acc.AddAll(w.acc);
-      return acc;
-    }
-    // Parallel driver: per-worker unions merged at the end. Union is
-    // associative-commutative and Relation canonicalizes, so the merged
-    // result is bit-identical to the serial union.
-    std::vector<WorkerAcc> workers(chunks);
-    for (WorkerAcc& w : workers) w.acc = Relation(arity);
-    Status st = ForEachWorldCwaParallel(
-        db, opts, options.num_threads,
-        [&](const Database& world, size_t wi) {
-          WorkerAcc& w = workers[wi];
-          EvalOptions worker_options = options;
-          worker_options.stats = &w.stats;
-          auto ans = EvalComplete(plan, world, worker_options);
-          if (!ans.ok()) {
-            w.error = ans.status();
-            return false;
-          }
-          w.stats.CountCacheHits(cached_subplans);
-          if (delta_fallback) w.stats.CountDeltaFallbacks(1);
-          w.acc.AddAll(*ans);
-          return true;
-        });
-    INCDB_RETURN_IF_ERROR(MergeWorkerStats(workers, options));
-    INCDB_RETURN_IF_ERROR(st);
-    Relation acc(arity);
-    for (WorkerAcc& w : workers) acc.AddAll(w.acc);
-    return acc;
-  }
+  std::vector<Worker> workers =
+      MakeWorkers(db, opts, options.num_threads, arity);
   if (delta) {
-    // Serial delta driver: add the chain's first output, then only the
-    // per-step insertions.
-    DeltaEvaluator de;
-    INCDB_RETURN_IF_ERROR(de.Build(plan, db, options));
-    Relation acc(arity);
-    Status eval_error = Status::OK();
-    Status st = ForEachValuationGray(
-        db, opts, [&](const Valuation& v, const ValuationDelta& d) {
-          Status s;
-          if (!d.has_delta) {
-            s = de.Initialize(v);
-            if (!s.ok()) {
-              eval_error = s;
-              return false;
-            }
-            acc.AddAll(de.Output());
+    // Delta driver: the union only grows, so each worker adds its chain's
+    // first output once and thereafter only the tuples ApplyDelta reports
+    // inserted.
+    Status st = ForEachValuationGrayParallel(
+        db, opts, options.num_threads,
+        [&](const Valuation& v, const ValuationDelta& d, size_t wi) {
+          Worker& w = workers[wi];
+          w.error = StepDelta(w, plan, db, options, v, d);
+          if (!w.error.ok()) return false;
+          if (d.has_delta) {
+            for (const Tuple& t : w.de->added()) w.acc.Add(t);
           } else {
-            s = de.ApplyDelta(d);
-            if (!s.ok()) {
-              eval_error = s;
-              return false;
-            }
-            for (const Tuple& t : de.added()) acc.Add(t);
-          }
-          if (options.stats != nullptr) {
-            options.stats->CountCacheHits(cached_subplans);
+            w.acc.AddAll(w.de->Output());
           }
           return true;
         });
-    if (options.stats != nullptr) {
-      options.stats->CountDeltaApplied(de.deltas_applied());
-      options.stats->CountDeltaFallbacks(de.node_fallbacks());
-    }
-    INCDB_RETURN_IF_ERROR(eval_error);
-    INCDB_RETURN_IF_ERROR(st);
-    return acc;
+    INCDB_RETURN_IF_ERROR(MergeWorkers(workers, options, st));
+    return UnionWorkers(workers, arity);
   }
-  Relation acc(arity);
-  Status eval_error = Status::OK();
-  Status st = ForEachWorldCwa(db, opts, [&](const Database& world) {
-    auto ans = EvalComplete(plan, world, options);
-    if (!ans.ok()) {
-      eval_error = ans.status();
-      return false;
-    }
-    if (options.stats != nullptr) {
-      options.stats->CountCacheHits(cached_subplans);
-      if (delta_fallback) options.stats->CountDeltaFallbacks(1);
-    }
-    acc.AddAll(*ans);
-    return true;
-  });
-  INCDB_RETURN_IF_ERROR(eval_error);
-  INCDB_RETURN_IF_ERROR(st);
-  return acc;
+  // Per-world driver: per-worker unions merged at the end.
+  const bool delta_fallback = options.delta_eval && !db.Nulls().empty();
+  Status st = ForEachWorldCwaParallel(
+      db, opts, options.num_threads, [&](const Database& world, size_t wi) {
+        Worker& w = workers[wi];
+        Result<Relation> ans = EvalWorld(w, plan, world, options,
+                                         delta_fallback);
+        if (!ans.ok()) {
+          w.error = ans.status();
+          return false;
+        }
+        w.acc.AddAll(*ans);
+        return true;
+      });
+  INCDB_RETURN_IF_ERROR(MergeWorkers(workers, options, st));
+  return UnionWorkers(workers, arity);
 }
 
 }  // namespace incdb

@@ -60,8 +60,7 @@ struct Rec {
       scope.CountOut(r.size());
       return &r;
     }
-    // Literals (including cached subplan results substituted by the subplan
-    // cache) are used in place, so their hash and column indexes survive.
+    // Literals are used in place, so their hash index survives.
     if (e->kind() == RAExpr::Kind::kConstRel) return &e->literal();
     INCDB_ASSIGN_OR_RETURN(*storage, Run(e));
     return storage;

@@ -63,8 +63,8 @@ RAExprPtr Optimize(const RAExprPtr& e, const Database& db,
                    OptimizerReport* report = nullptr);
 
 /// Structural fingerprint: equal trees hash equal; used for rewrite
-/// fixpoint detection and as the subplan-cache key (collisions are guarded
-/// by a structural comparison there).
+/// fixpoint detection and as the service plan-cache key (collisions are
+/// guarded by a full identity comparison there).
 uint64_t RAFingerprint(const RAExprPtr& e);
 
 /// Cheap cardinality estimate used by the join-ordering heuristic: base

@@ -29,8 +29,6 @@ std::shared_ptr<const ValueDict> ValueDict::Build(std::vector<Value> cells) {
   std::sort(cells.begin(), cells.end());
   cells.erase(std::unique(cells.begin(), cells.end()), cells.end());
   dict->values = std::move(cells);
-  dict->hashes.reserve(dict->values.size());
-  for (const Value& v : dict->values) dict->hashes.push_back(v.Hash());
   // Nulls sort first; the first constant ends the null prefix.
   uint32_t null_end = 0;
   while (null_end < dict->values.size() &&
@@ -53,7 +51,6 @@ DictMerge MergeDicts(const std::shared_ptr<const ValueDict>& a,
   }
   auto merged = std::make_shared<ValueDict>();
   merged->values.reserve(a->size() + b->size());
-  merged->hashes.reserve(a->size() + b->size());
   out.from_a.resize(a->size());
   out.from_b.resize(b->size());
   size_t i = 0;
@@ -72,13 +69,11 @@ DictMerge MergeDicts(const std::shared_ptr<const ValueDict>& a,
     }
     if (take_a) {
       merged->values.push_back(a->values[i]);
-      merged->hashes.push_back(a->hashes[i]);
       out.from_a[i++] = code;
     }
     if (take_b) {
       if (!take_a) {
         merged->values.push_back(b->values[j]);
-        merged->hashes.push_back(b->hashes[j]);
       }
       out.from_b[j++] = code;
     }

@@ -40,12 +40,10 @@ class Relation;
 
 /// Sorted dictionary of the distinct values of one relation (or of one
 /// intermediate batch result). `values` is strictly ascending in the total
-/// Value order (nulls < ints < strings); `hashes[i] == values[i].Hash()` is
-/// precomputed so value-hash probes never re-hash strings; `null_end` is the
-/// number of leading entries that are marked nulls.
+/// Value order (nulls < ints < strings); `null_end` is the number of leading
+/// entries that are marked nulls.
 struct ValueDict {
   std::vector<Value> values;
-  std::vector<size_t> hashes;
   uint32_t null_end = 0;
 
   static constexpr uint32_t kNotFound = std::numeric_limits<uint32_t>::max();
@@ -60,7 +58,7 @@ struct ValueDict {
   uint32_t UpperBound(const Value& v) const;
 
   /// Builds the sorted dictionary of `cells` (consumed; need not be sorted
-  /// or unique) with hashes and null_end filled in.
+  /// or unique) with null_end filled in.
   static std::shared_ptr<const ValueDict> Build(std::vector<Value> cells);
 };
 

@@ -1,6 +1,7 @@
 #include "core/relation.h"
 
 #include <algorithm>
+#include <map>
 #include <utility>
 
 #include "core/columnar.h"
@@ -23,11 +24,9 @@ Relation::Relation(const Relation& o) : arity_(o.arity_) {
   o.EnsureCanonical();
   tuples_ = o.tuples_;
   index_ = o.index_;
-  col_indexes_ = o.col_indexes_;
   columnar_ = o.columnar_;
   complete_.store(o.complete_.load(std::memory_order_relaxed),
                   std::memory_order_relaxed);
-  version_ = o.version_;
 }
 
 Relation& Relation::operator=(const Relation& o) {
@@ -37,11 +36,9 @@ Relation& Relation::operator=(const Relation& o) {
   tuples_ = o.tuples_;
   dirty_ = false;
   index_ = o.index_;
-  col_indexes_ = o.col_indexes_;
   columnar_ = o.columnar_;
   complete_.store(o.complete_.load(std::memory_order_relaxed),
                   std::memory_order_relaxed);
-  version_ = o.version_;
   return *this;
 }
 
@@ -50,9 +47,7 @@ Relation::Relation(Relation&& o) noexcept
       tuples_(std::move(o.tuples_)),
       dirty_(o.dirty_),
       index_(std::move(o.index_)),
-      col_indexes_(std::move(o.col_indexes_)),
-      columnar_(std::move(o.columnar_)),
-      version_(o.version_) {
+      columnar_(std::move(o.columnar_)) {
   complete_.store(o.complete_.load(std::memory_order_relaxed),
                   std::memory_order_relaxed);
   o.dirty_ = false;
@@ -65,11 +60,9 @@ Relation& Relation::operator=(Relation&& o) noexcept {
   tuples_ = std::move(o.tuples_);
   dirty_ = o.dirty_;
   index_ = std::move(o.index_);
-  col_indexes_ = std::move(o.col_indexes_);
   columnar_ = std::move(o.columnar_);
   complete_.store(o.complete_.load(std::memory_order_relaxed),
                   std::memory_order_relaxed);
-  version_ = o.version_;
   o.dirty_ = false;
   o.complete_.store(-1, std::memory_order_relaxed);
   return *this;
@@ -110,9 +103,7 @@ void Relation::Add(Tuple t) {
   tuples_->push_back(std::move(t));
   dirty_ = true;
   index_.reset();
-  col_indexes_.reset();
   columnar_.reset();
-  ++version_;
 }
 
 void Relation::AddAll(const Relation& other) {
@@ -126,9 +117,7 @@ void Relation::AddAll(const Relation& other) {
   for (const Tuple& t : src) tuples_->push_back(t);
   dirty_ = true;
   index_.reset();
-  col_indexes_.reset();
   columnar_.reset();
-  ++version_;
 }
 
 const std::unordered_set<Tuple, TupleHash>& Relation::HashIndex() const {
@@ -145,37 +134,11 @@ const std::unordered_set<Tuple, TupleHash>& Relation::HashIndex() const {
   return *index_;
 }
 
-const TupleRowIndex& Relation::BuildColumnIndex(
-    const std::vector<size_t>& cols) const {
-  // Row ids refer to the canonical order, so probes and tuples() agree.
-  const std::vector<Tuple>& rows = tuples();
-  if (col_indexes_ == nullptr) {
-    col_indexes_ =
-        std::make_shared<std::map<std::vector<size_t>, TupleRowIndex>>();
-  }
-  auto [it, inserted] = col_indexes_->try_emplace(cols);
-  if (inserted) {
-    it->second.reserve(rows.size());
-    for (size_t i = 0; i < rows.size(); ++i) {
-      it->second[HashColumns(rows[i], cols)].push_back(
-          static_cast<uint32_t>(i));
-    }
-  }
-  return it->second;
-}
-
 std::shared_ptr<const ColumnarRelation> Relation::Columnar() const {
   if (columnar_ == nullptr) {
     columnar_ = ColumnarRelation::FromRelation(*this);
   }
   return columnar_;
-}
-
-const TupleRowIndex* Relation::FindColumnIndex(
-    const std::vector<size_t>& cols) const {
-  if (col_indexes_ == nullptr) return nullptr;
-  auto it = col_indexes_->find(cols);
-  return it == col_indexes_->end() ? nullptr : &it->second;
 }
 
 bool Relation::Contains(const Tuple& t) const {

@@ -14,20 +14,17 @@
 // Membership is served by a lazily built hash-set index (expected O(1) per
 // probe). The index is an immutable snapshot shared across copies and
 // invalidated by mutation, so copying a relation never copies the index and
-// repeated probes against a stable relation build it exactly once. Column
-// indexes (for equi-join and division probes against a pinned relation) are
-// built explicitly via BuildColumnIndex and shared the same way.
+// repeated probes against a stable relation build it exactly once. The
+// columnar form (Columnar()) is cached and shared the same way.
 
 #ifndef INCDB_CORE_RELATION_H_
 #define INCDB_CORE_RELATION_H_
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -36,11 +33,6 @@
 namespace incdb {
 
 class ColumnarRelation;
-
-/// Hash index keyed by the values at a fixed column list: HashColumns(t,
-/// cols) → row indices into tuples() whose columns hash there (collisions
-/// included; confirm with ColumnsEqual).
-using TupleRowIndex = std::unordered_map<size_t, std::vector<uint32_t>>;
 
 /// A set of same-arity tuples; the unit of incomplete data (a naïve table).
 class Relation {
@@ -78,15 +70,6 @@ class Relation {
   /// next mutation; the returned reference is invalidated by mutation.
   const std::unordered_set<Tuple, TupleHash>& HashIndex() const;
 
-  /// Builds (or returns the cached) hash index keyed by the values at
-  /// `cols`, with row ids into tuples(). Not thread-safe — call it on the
-  /// owning thread before sharing the relation; afterwards FindColumnIndex
-  /// is a read-only lookup safe under concurrent readers.
-  const TupleRowIndex& BuildColumnIndex(const std::vector<size_t>& cols) const;
-
-  /// The column index previously built for `cols`, or nullptr. Never builds.
-  const TupleRowIndex* FindColumnIndex(const std::vector<size_t>& cols) const;
-
   /// The columnar (dictionary-encoded) form of this relation
   /// (core/columnar.h). Built on first use and cached exactly like
   /// HashIndex(): the snapshot is shared by copies and invalidated by
@@ -114,10 +97,6 @@ class Relation {
 
   /// The subset of tuples without nulls (D_cmpl in the paper).
   Relation CompletePart() const;
-
-  /// Bumped on every mutation; used (with IsComplete) to stamp cached
-  /// evaluation results that depend on this relation's content.
-  uint64_t version() const { return version_; }
 
   /// True when both relations share the same underlying tuple storage
   /// (copy-on-write aliasing; empty relations never share).
@@ -147,10 +126,6 @@ class Relation {
   mutable bool dirty_ = false;
   // Immutable membership snapshot; shared by copies, reset on mutation.
   mutable std::shared_ptr<const std::unordered_set<Tuple, TupleHash>> index_;
-  // Explicitly built column indexes (BuildColumnIndex); shared by copies,
-  // reset on mutation. Row ids refer to the canonical tuple order.
-  mutable std::shared_ptr<std::map<std::vector<size_t>, TupleRowIndex>>
-      col_indexes_;
   // Cached columnar snapshot (Columnar()); shared by copies, reset on
   // mutation.
   mutable std::shared_ptr<const ColumnarRelation> columnar_;
@@ -158,7 +133,6 @@ class Relation {
   // concurrent readers of a shared relation may race to fill it benignly
   // (both compute the same value).
   mutable std::atomic<int8_t> complete_{-1};
-  uint64_t version_ = 0;
 };
 
 }  // namespace incdb

@@ -256,9 +256,8 @@ Result<DeltaEvaluator::Node*> DeltaEvaluator::Compile(const RAExprPtr& e) {
       break;
     }
     case K::kConstRel: {
-      // Valuations never apply to literals (the subplan cache splices
-      // world-invariant results here), so nulls stays empty and the node
-      // never steps — matching the full evaluators, which use literals
+      // Valuations never apply to literals, so nulls stays empty and the
+      // node never steps — matching the full evaluators, which use literals
       // as-is in every world.
       n->kind = Node::Kind::kConst;
       n->base = &e->literal();
@@ -633,10 +632,6 @@ Relation DeltaEvaluator::Output() const {
   out.reserve(root->counts.size());
   for (const auto& kv : root->counts) out.push_back(kv.first);
   return Relation(root->arity, std::move(out));
-}
-
-bool DeltaEvaluator::Contains(const Tuple& t) const {
-  return !postorder_.empty() && postorder_.back()->In(t);
 }
 
 }  // namespace incdb

@@ -30,10 +30,10 @@
 // active domain, which a single-null step cannot patch) are rejected at
 // Build time; the drivers then evaluate those plans per world as before.
 //
-// World-invariant subtrees spliced by the subplan cache arrive as ConstRel
-// literals; valuations never apply to literals, so those nodes never produce
-// deltas and the differential work is confined to the world-varying
-// remainder of the plan — the two layers compose.
+// Null-free subtrees — complete scans and ConstRel literals (valuations
+// never apply to literals) — are evaluated once at Initialize and never
+// step, so the differential work is confined to the world-varying
+// remainder of the plan.
 //
 // Thread-compatibility: one DeltaEvaluator is single-threaded state. The
 // parallel drivers build one per worker; Build/Initialize only read the
@@ -87,9 +87,6 @@ class DeltaEvaluator {
   /// Relation (materialized on call — use added()/removed() on the hot
   /// path).
   Relation Output() const;
-
-  /// Membership in the current root output (expected O(1)).
-  bool Contains(const Tuple& t) const;
 
   /// Root-level transitions of the last ApplyDelta (empty after
   /// Initialize).

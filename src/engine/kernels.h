@@ -1,8 +1,8 @@
 // Equi-join key extraction shared by every evaluator that fuses
 // σ_{col=col}(l × r) into a hash join: the columnar engine
-// (engine/vectorized.h), the delta evaluator, the c-table join kernel, the
-// plan optimizer and the subplan cache's index pre-builder. Keeping one
-// splitter means they all recognize exactly the same join shapes.
+// (engine/vectorized.h), the delta evaluator, the c-table join kernel and
+// the plan optimizer. Keeping one splitter means they all recognize exactly
+// the same join shapes.
 
 #ifndef INCDB_ENGINE_KERNELS_H_
 #define INCDB_ENGINE_KERNELS_H_

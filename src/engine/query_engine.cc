@@ -100,11 +100,6 @@ Result<QueryResponse> QueryEngine::Run(const QueryRequest& request) const {
 
   auto finish = [&](Result<Relation> r) -> Result<QueryResponse> {
     INCDB_ASSIGN_OR_RETURN(resp.relation, std::move(r));
-    resp.cond_simplified = resp.stats.cond_simplified();
-    resp.unsat_pruned = resp.stats.unsat_pruned();
-    resp.worlds_counted = resp.stats.worlds_counted();
-    resp.samples_drawn = resp.stats.samples_drawn();
-    resp.exact_count_hits = resp.stats.exact_count_hits();
     if (request.eval.stats != nullptr) request.eval.stats->Merge(resp.stats);
     return resp;
   };

@@ -51,7 +51,7 @@ const char* AnswerNotionName(AnswerNotion n);
 /// Both backends return bit-identical answers; they differ in cost shape.
 enum class Backend {
   /// Enumerate the finite world space and intersect/union per-world
-  /// answers (with the subplan-cache / delta-eval accelerations).
+  /// answers (with the delta-eval acceleration).
   /// Exponential in the number of nulls.
   kEnumeration = 0,
   /// Evaluate once on the c-table representation and extract the answer
@@ -139,7 +139,7 @@ struct QueryRequest {
   /// Stats hook and kernel toggles, threaded through every evaluator. For
   /// kCertainEnum / kPossible this includes `eval.delta_eval` (differential
   /// world enumeration; the response's stats then report delta_applied /
-  /// delta_fallbacks alongside the subplan-cache counters).
+  /// delta_fallbacks).
   EvalOptions eval;
   /// Knobs for kCertainWithProbability: the answer threshold, the sampling
   /// seed/sample-count/z/threads, the exact-path gate. Other notions ignore
@@ -210,28 +210,19 @@ struct QueryResponse {
   /// when the query ran through the SQL evaluator or `eval.optimize` was
   /// off). Equal answers are guaranteed; `explain` prints both.
   RAExprPtr optimized_plan;
-  /// Per-operator counters for this run (always collected).
+  /// Per-operator counters for this run (always collected), including the
+  /// condition-normalizer work of the kCTable backend and the counting
+  /// layer's work for kCertainWithProbability.
   EvalStats stats;
   /// Backend that produced the relation (echoes the request for the
   /// world-quantified notions; kEnumeration for everything else).
   Backend backend = Backend::kEnumeration;
-  /// Condition-normalizer work on the kCTable backend (0 on kEnumeration):
-  /// conditions simplified and conjunctions pruned as unsatisfiable.
-  /// Mirrors stats.cond_simplified() / stats.unsat_pruned().
-  uint64_t cond_simplified = 0;
-  uint64_t unsat_pruned = 0;
   /// kCertainWithProbability only: the full probability table — every tuple
   /// with non-zero observed probability, in canonical tuple order, with its
   /// probability, Wilson CI bounds, and whether the value is an exact count
   /// or a Monte-Carlo estimate. `relation` is this table filtered by the
   /// requested threshold.
   std::vector<TupleProbability> probabilities;
-  /// Probabilistic-layer work (0 for other notions): valuations counted
-  /// exactly, Monte-Carlo samples drawn, tuples answered by exact counts.
-  /// Mirror stats.worlds_counted() / samples_drawn() / exact_count_hits().
-  uint64_t worlds_counted = 0;
-  uint64_t samples_drawn = 0;
-  uint64_t exact_count_hits = 0;
 };
 
 /// Facade over the evaluators. Holds a reference to the database; the

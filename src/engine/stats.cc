@@ -94,13 +94,6 @@ std::string EvalStats::ToString() const {
                   static_cast<double>(c.nanos) / 1e3);
     out += line;
   }
-  if (cache_hits_ != 0 || cache_misses_ != 0) {
-    std::snprintf(line, sizeof(line),
-                  "  subplan-cache  hits %llu  misses %llu\n",
-                  static_cast<unsigned long long>(cache_hits_),
-                  static_cast<unsigned long long>(cache_misses_));
-    out += line;
-  }
   if (delta_applied_ != 0 || delta_fallbacks_ != 0) {
     std::snprintf(line, sizeof(line),
                   "  delta-eval     applied %llu  fallbacks %llu\n",

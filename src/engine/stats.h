@@ -73,8 +73,6 @@ class EvalStats {
 
   void Merge(const EvalStats& o) {
     for (size_t i = 0; i < kNumEvalOps; ++i) ops_[i].Merge(o.ops_[i]);
-    cache_hits_ += o.cache_hits_;
-    cache_misses_ += o.cache_misses_;
     delta_applied_ += o.delta_applied_;
     delta_fallbacks_ += o.delta_fallbacks_;
     cond_simplified_ += o.cond_simplified_;
@@ -92,13 +90,12 @@ class EvalStats {
   uint64_t TotalTuplesOut() const;
   uint64_t TotalNanos() const;
 
-  /// World-invariant subplan cache: results reused instead of re-evaluated
-  /// (one hit per cached subplan per additional world) / distinct subplans
-  /// evaluated and stored.
-  uint64_t cache_hits() const { return cache_hits_; }
-  uint64_t cache_misses() const { return cache_misses_; }
-  void CountCacheHits(uint64_t n) { cache_hits_ += n; }
-  void CountCacheMisses(uint64_t n) { cache_misses_ += n; }
+  /// Always 0: the world-invariant subplan cache these counted is gone.
+  /// bench/e2e/layers.cc still reads both for its
+  /// `engine.subplan_cache_hit_ratio` metric; the next change to that
+  /// benchmark drops the metric and these two getters with it.
+  uint64_t cache_hits() const { return 0; }
+  uint64_t cache_misses() const { return 0; }
 
   /// Differential enumeration: worlds answered by applying one single-null
   /// delta instead of re-evaluating the plan / full re-evaluations the delta
@@ -142,8 +139,6 @@ class EvalStats {
 
  private:
   std::array<OpCounters, kNumEvalOps> ops_{};
-  uint64_t cache_hits_ = 0;
-  uint64_t cache_misses_ = 0;
   uint64_t delta_applied_ = 0;
   uint64_t delta_fallbacks_ = 0;
   uint64_t cond_simplified_ = 0;
@@ -185,12 +180,6 @@ struct EvalOptions {
   /// collapse, greedy join ordering) before evaluating RA plans. Semantics-
   /// and fragment-preserving: answers are bit-identical either way.
   bool optimize = true;
-  /// In the enumeration drivers (CertainAnswersEnum / PossibleAnswersEnum),
-  /// evaluate world-invariant subplans — subtrees whose scans are all
-  /// null-free relations — once, and share the results (with their hash
-  /// indexes) across all worlds and workers. Answers are bit-identical
-  /// either way; `stats` reports hits/misses.
-  bool cache_subplans = true;
   /// In the enumeration drivers, walk the world space in Gray-code order
   /// and re-evaluate plans differentially — each single-null step patches
   /// every operator's materialized output instead of recomputing it

@@ -20,8 +20,8 @@ constexpr size_t kVecBatchRows = 2048;
 // One in-flight columnar intermediate. Rows are always canonical: sorted
 // lexicographically by code (== by value, the dictionary being sorted) and
 // deduplicated. Either borrows the cached ColumnarRelation of a base/literal
-// relation (`pin` keeps it alive, `source` exposes its cached column
-// indexes) or owns its column vectors.
+// relation (`pin` keeps it alive, `source` is the relation itself, which
+// Materialize returns without a round trip) or owns its column vectors.
 struct VecTable {
   size_t arity = 0;
   size_t rows = 0;
@@ -456,22 +456,8 @@ uint64_t MixCodes(const CodeView& v, size_t row,
   return h ^ cols.size();
 }
 
-// HashColumns-compatible value hash of a key from dictionary hashes, so
-// probes can reuse a cached TupleRowIndex built by BuildColumnIndex.
-uint64_t HashKeyValues(const VecTable& t, size_t row,
-                       const std::vector<size_t>& cols) {
-  uint64_t h = 0x345678;
-  for (size_t c : cols) {
-    h = h * 1000003 ^ t.dict->hashes[t.col(c)[row]];
-  }
-  return h ^ cols.size();
-}
-
 // Fused equi-join: batched hash build over the right key columns, chunked
-// probe over the left rows, residual and projection applied on codes. When
-// the right side is a pinned relation with a matching cached column index
-// (pre-built by the subplan cache), the build phase is skipped and probes
-// go through the shared index by value hash.
+// probe over the left rows, residual and projection applied on codes.
 VecTable HashJoinVec(const VecTable& l, const VecTable& r,
                      const std::vector<JoinKey>& keys,
                      const Predicate* residual,
@@ -491,13 +477,11 @@ VecTable HashJoinVec(const VecTable& l, const VecTable& r,
     rcols.push_back(k.right_col);
   }
 
-  const TupleRowIndex* cached =
-      r.source != nullptr ? r.source->FindColumnIndex(rcols) : nullptr;
-  std::unordered_map<uint64_t, std::vector<uint32_t>> local;
-  if (cached == nullptr && l.rows > 0) {
-    local.reserve(r.rows);
+  std::unordered_map<uint64_t, std::vector<uint32_t>> build;
+  if (l.rows > 0) {
+    build.reserve(r.rows);
     for (size_t i = 0; i < r.rows; ++i) {
-      local[MixCodes(rv, i, rcols)].push_back(static_cast<uint32_t>(i));
+      build[MixCodes(rv, i, rcols)].push_back(static_cast<uint32_t>(i));
     }
   }
 
@@ -511,16 +495,9 @@ VecTable HashJoinVec(const VecTable& l, const VecTable& r,
   auto probe_chunk = [&](size_t begin, size_t end,
                          std::vector<std::pair<uint32_t, uint32_t>>* out) {
     for (size_t i = begin; i < end; ++i) {
-      const std::vector<uint32_t>* bucket = nullptr;
-      if (cached != nullptr) {
-        auto it = cached->find(HashKeyValues(l, i, lcols));
-        if (it != cached->end()) bucket = &it->second;
-      } else {
-        auto it = local.find(MixCodes(lv, i, lcols));
-        if (it != local.end()) bucket = &it->second;
-      }
-      if (bucket == nullptr) continue;
-      for (uint32_t ri : *bucket) {
+      auto it = build.find(MixCodes(lv, i, lcols));
+      if (it == build.end()) continue;
+      for (uint32_t ri : it->second) {
         if (keys_match(i, ri)) out->emplace_back(static_cast<uint32_t>(i), ri);
       }
     }

@@ -66,7 +66,6 @@
 #include "engine/kernels.h"
 #include "engine/query_engine.h"
 #include "engine/stats.h"
-#include "engine/subplan_cache.h"
 #include "exchange/chase.h"
 #include "exchange/general_chase.h"
 #include "exchange/mapping.h"

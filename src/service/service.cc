@@ -69,7 +69,7 @@ std::string OptionsIdentity(const QueryRequest& req) {
   char buf[512];
   std::snprintf(
       buf, sizeof buf,
-      "n%d s%d b%d f%d|w%d/%llu|e%d/%d/%zu/%d/%d/%d|p%.17g/%llu/%llu/"
+      "n%d s%d b%d f%d|w%d/%llu|e%d/%d/%zu/%d/%d|p%.17g/%llu/%llu/"
       "%.17g/%d/%d/%llu",
       static_cast<int>(req.notion), static_cast<int>(req.semantics),
       static_cast<int>(req.backend), req.force ? 1 : 0,
@@ -77,8 +77,7 @@ std::string OptionsIdentity(const QueryRequest& req) {
       static_cast<unsigned long long>(req.world_options.max_worlds),
       req.eval.use_hash_kernels ? 1 : 0, req.eval.num_threads,
       req.eval.parallel_row_threshold, req.eval.optimize ? 1 : 0,
-      req.eval.cache_subplans ? 1 : 0, req.eval.delta_eval ? 1 : 0,
-      req.probability.threshold,
+      req.eval.delta_eval ? 1 : 0, req.probability.threshold,
       static_cast<unsigned long long>(req.probability.sampling.samples),
       static_cast<unsigned long long>(req.probability.sampling.seed),
       req.probability.sampling.z, req.probability.sampling.num_threads,

@@ -11,9 +11,7 @@
 // every relation's lazy state on the publishing thread — after Make
 // returns, every accessor a query evaluator touches is a read-only lookup,
 // so any number of sessions can evaluate against the snapshot without
-// synchronization. (Per-column join indexes are deliberately not forced:
-// BuildColumnIndex fills a map shared by copies, so the subplan-cache layer
-// builds those on private per-query literals instead.)
+// synchronization.
 //
 // A snapshot also carries the invalidation metadata the plan cache needs:
 // its version (monotonically increasing across publishes), the version at

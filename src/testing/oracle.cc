@@ -25,7 +25,6 @@ struct Config {
   std::string label;
   bool hash;
   bool optimize;
-  bool cache;
   bool delta;
   int threads;  // 0 = use OracleOptions::num_threads
 };
@@ -36,22 +35,16 @@ struct Config {
 const std::vector<Config>& ConfigMatrix() {
   static const std::vector<Config> kConfigs = [] {
     std::vector<Config> out;
-    out.push_back(
-        {"reference(nested-loop,serial)", false, false, false, false, 1});
+    out.push_back({"reference(nested-loop,serial)", false, false, false, 1});
     for (int opt = 0; opt <= 1; ++opt) {
-      for (int cache = 0; cache <= 1; ++cache) {
-        for (int delta = 0; delta <= 1; ++delta) {
-          out.push_back({"opt=" + std::to_string(opt) +
-                             ",cache=" + std::to_string(cache) +
-                             ",delta=" + std::to_string(delta) + ",serial",
-                         true, opt != 0, cache != 0, delta != 0, 1});
-        }
+      for (int delta = 0; delta <= 1; ++delta) {
+        out.push_back({"opt=" + std::to_string(opt) +
+                           ",delta=" + std::to_string(delta) + ",serial",
+                       true, opt != 0, delta != 0, 1});
       }
     }
-    out.push_back({"opt=1,cache=1,delta=1,parallel", true, true, true, true,
-                   0});
-    out.push_back({"opt=0,cache=0,delta=0,parallel", true, false, false,
-                   false, 0});
+    out.push_back({"opt=1,delta=1,parallel", true, true, true, 0});
+    out.push_back({"opt=0,delta=0,parallel", true, false, false, 0});
     return out;
   }();
   return kConfigs;
@@ -61,7 +54,6 @@ EvalOptions MakeEvalOptions(const Config& c, int num_threads) {
   EvalOptions o;
   o.use_hash_kernels = c.hash;
   o.optimize = c.optimize;
-  o.cache_subplans = c.cache;
   o.delta_eval = c.delta;
   o.num_threads = c.threads == 0 ? num_threads : c.threads;
   // Force the chunked parallel loops onto small inputs.

@@ -4,9 +4,9 @@
 //
 // Equality checks (bit-identical Relation ==):
 //  * CertainAnswersEnum under CWA across the knob matrix — the columnar
-//    engine with optimizer on/off × subplan cache on/off × delta evaluation
-//    on/off serially, plus two parallel configurations — against the
-//    nested-loop serial reference (11 configurations in all).
+//    engine with optimizer on/off × delta evaluation on/off serially, plus
+//    two parallel configurations — against the nested-loop serial reference
+//    (7 configurations in all).
 //  * PossibleAnswersEnum across the same matrix.
 //  * QueryEngine::Run(kCertainEnum) against the direct driver (facade
 //    faithfulness).

@@ -113,6 +113,76 @@ TEST(CertainTest, PossibleAnswersUnionWorlds) {
   EXPECT_EQ(poss->size(), 2u);
 }
 
+TEST(CertainTest, EnumDriversAnswerQOfDWithoutNulls) {
+  // A null-free database is its own single world, and an empty one also has
+  // an empty world domain. Both drivers must return Q(D) at any thread
+  // count, on the delta and the per-world path.
+  Database complete;
+  complete.AddTuple("R", Tuple{Value::Int(1), Value::Int(2)});
+  complete.AddTuple("R", Tuple{Value::Int(2), Value::Int(3)});
+  Database empty;
+  empty.MutableRelation("R", 2);
+  ASSERT_TRUE(WorldDomain(empty, {}).empty());
+  // π_0(R) − π_1(R): {1} on `complete`, ∅ on `empty`.
+  auto q = RAExpr::Diff(RAExpr::Project({0}, RAExpr::Scan("R")),
+                        RAExpr::Project({1}, RAExpr::Scan("R")));
+  for (const Database* db : {&complete, &empty}) {
+    auto want = EvalNaive(q, *db);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    for (int threads : {1, 4}) {
+      for (bool delta : {false, true}) {
+        EvalOptions options;
+        options.num_threads = threads;
+        options.delta_eval = delta;
+        auto certain = CertainAnswersEnum(q, *db, WorldSemantics::kClosedWorld,
+                                          {}, options);
+        auto possible = PossibleAnswersEnum(q, *db, {}, options);
+        ASSERT_TRUE(certain.ok()) << certain.status().ToString();
+        ASSERT_TRUE(possible.ok()) << possible.status().ToString();
+        EXPECT_EQ(*certain, *want) << threads << " threads, delta " << delta;
+        EXPECT_EQ(*possible, *want) << threads << " threads, delta " << delta;
+      }
+    }
+  }
+}
+
+// Two nulls over a four-value domain ({1, 2} plus two fresh constants).
+Database TwoNullDb() {
+  Database db;
+  db.AddTuple("R", Tuple{Value::Int(1), Value::Null(0)});
+  db.AddTuple("R", Tuple{Value::Null(1), Value::Int(2)});
+  return db;
+}
+
+TEST(CertainTest, SerialDeltaDriverAppliesOneDeltaPerWorldAfterTheFirst) {
+  // One Gray chain: the first world initializes the evaluator and every
+  // later world is one ApplyDelta.
+  const Database db = TwoNullDb();
+  auto q = RAExpr::Project({0}, RAExpr::Scan("R"));
+  EvalStats stats;
+  EvalOptions options;
+  options.num_threads = 1;
+  options.stats = &stats;
+  ASSERT_TRUE(PossibleAnswersEnum(q, db, {}, options).ok());
+  EXPECT_EQ(stats.delta_applied(), CountWorldsCwa(db, {}) - 1);
+}
+
+TEST(CertainTest, SerialDriverCountsOneFallbackPerWorldForDeltaPlans) {
+  // The delta evaluator rejects Δ, so every world is evaluated in full and
+  // counted as one fallback.
+  const Database db = TwoNullDb();
+  auto q = RAExpr::Select(
+      Predicate::Eq(Term::Column(0), Term::Column(2)),
+      RAExpr::Product(RAExpr::Delta(), RAExpr::Project({0}, RAExpr::Scan("R"))));
+  EvalStats stats;
+  EvalOptions options;
+  options.num_threads = 1;
+  options.stats = &stats;
+  ASSERT_TRUE(PossibleAnswersEnum(q, db, {}, options).ok());
+  EXPECT_EQ(stats.delta_fallbacks(), CountWorldsCwa(db, {}));
+  EXPECT_EQ(stats.delta_applied(), 0u);
+}
+
 TEST(CertainTest, DropNullTuples) {
   Relation r(2);
   r.Add(Tuple{Value::Int(1), Value::Int(2)});

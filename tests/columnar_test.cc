@@ -30,7 +30,6 @@ TEST(ValueDictTest, BuildSortsDeduplicatesAndCountsNulls) {
   EXPECT_EQ(dict->values[4], Value::Str("x"));
   EXPECT_EQ(dict->null_end, 2u);
   for (size_t i = 0; i < dict->size(); ++i) {
-    EXPECT_EQ(dict->hashes[i], dict->values[i].Hash()) << i;
     EXPECT_EQ(dict->Find(dict->values[i]), static_cast<uint32_t>(i)) << i;
   }
 }

@@ -279,9 +279,9 @@ TEST(ProbabilisticAnswers, ExactProbabilitiesOnBothBackends) {
     }
     // 2/3 ≥ 0.5: both tuples pass the threshold...
     EXPECT_EQ(resp->relation.size(), 2u);
-    EXPECT_GT(resp->worlds_counted, 0u);
-    EXPECT_EQ(resp->samples_drawn, 0u);
-    EXPECT_GT(resp->exact_count_hits, 0u);
+    EXPECT_GT(resp->stats.worlds_counted(), 0u);
+    EXPECT_EQ(resp->stats.samples_drawn(), 0u);
+    EXPECT_GT(resp->stats.exact_count_hits(), 0u);
 
     // ...but not the default certain threshold of 1.0.
     const QueryRequest strict =

@@ -1,11 +1,10 @@
 // Randomized property tests for the delta-evaluation layer: for seeded
 // random databases with marked nulls, every answer notion the QueryEngine
 // serves must return a bit-identical relation across delta_eval on/off ×
-// cache_subplans on/off × serial/parallel. The enumeration notions
-// (certain-enum, possible) are the ones whose execution actually changes —
-// delta on walks the world space in Gray order and re-evaluates plans
-// differentially — but the whole sweep runs to prove the knob is inert
-// everywhere else.
+// serial/parallel. The enumeration notions (certain-enum, possible) are the
+// ones whose execution actually changes — delta on walks the world space in
+// Gray order and re-evaluates plans differentially — but the whole sweep
+// runs to prove the knob is inert everywhere else.
 //
 // A second sweep drives CertainAnswersEnum / PossibleAnswersEnum directly on
 // RA plans the SQL surface does not produce: division (whose delta rule
@@ -72,7 +71,7 @@ TEST_P(DeltaEvalSweep, EveryNotionIsBitIdenticalAcrossAllKnobCombinations) {
   QueryEngine engine(db);
   for (const std::string& sql : SweepQueries()) {
     for (AnswerNotion notion : kAllNotions) {
-      // Baseline: the pre-delta configuration (delta off, cache on, serial).
+      // Baseline: the pre-delta configuration (delta off, serial).
       QueryRequest baseline;
       baseline.input = QueryInput::SqlText(sql);
       baseline.notion = notion;
@@ -82,29 +81,25 @@ TEST_P(DeltaEvalSweep, EveryNotionIsBitIdenticalAcrossAllKnobCombinations) {
       auto base = engine.Run(baseline);
 
       for (bool delta : {false, true}) {
-        for (bool cache : {false, true}) {
-          for (int threads : {1, 7}) {
-            QueryRequest req = baseline;
-            req.eval.delta_eval = delta;
-            req.eval.cache_subplans = cache;
-            req.eval.num_threads = threads;
-            const std::string combo =
-                std::string(AnswerNotionName(notion)) +
-                (delta ? " delta" : " nodelta") + (cache ? "+cache" : "") +
-                " @" + std::to_string(threads) + ": " + sql;
-            auto got = engine.Run(req);
-            if (!base.ok()) {
-              // e.g. kCertainNaive refusing the NOT IN query: every combo
-              // must refuse identically.
-              ASSERT_FALSE(got.ok()) << combo;
-              EXPECT_EQ(got.status().code(), base.status().code()) << combo;
-              continue;
-            }
-            ASSERT_TRUE(got.ok()) << combo << ": " << got.status().ToString();
-            EXPECT_EQ(got->relation, base->relation)
-                << combo << "\n" << db.ToString();
-            EXPECT_EQ(got->naive_guarantee, base->naive_guarantee) << combo;
+        for (int threads : {1, 7}) {
+          QueryRequest req = baseline;
+          req.eval.delta_eval = delta;
+          req.eval.num_threads = threads;
+          const std::string combo = std::string(AnswerNotionName(notion)) +
+                                    (delta ? " delta" : " nodelta") + " @" +
+                                    std::to_string(threads) + ": " + sql;
+          auto got = engine.Run(req);
+          if (!base.ok()) {
+            // e.g. kCertainNaive refusing the NOT IN query: every combo
+            // must refuse identically.
+            ASSERT_FALSE(got.ok()) << combo;
+            EXPECT_EQ(got.status().code(), base.status().code()) << combo;
+            continue;
           }
+          ASSERT_TRUE(got.ok()) << combo << ": " << got.status().ToString();
+          EXPECT_EQ(got->relation, base->relation)
+              << combo << "\n" << db.ToString();
+          EXPECT_EQ(got->naive_guarantee, base->naive_guarantee) << combo;
         }
       }
     }

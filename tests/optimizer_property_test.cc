@@ -1,9 +1,8 @@
-// Randomized property tests for the plan optimizer and the world-invariant
-// subplan cache: over seeded random databases with marked nulls, every
-// answer notion the QueryEngine serves must return a bit-identical relation
-// with the optimizer and subplan cache on vs off, serial and parallel — and
-// Optimize() itself must preserve answers and fragment for RA plans built
-// from every operator.
+// Randomized property tests for the plan optimizer: over seeded random
+// databases with marked nulls, every answer notion the QueryEngine serves
+// must return a bit-identical relation with the optimizer on vs off, serial
+// and parallel — and Optimize() itself must preserve answers and fragment
+// for RA plans built from every operator.
 
 #include <gtest/gtest.h>
 
@@ -88,11 +87,10 @@ TEST_P(OptimizerSweep, OptimizedPlansAnswerIdenticallyUnderEveryEvaluator) {
     ASSERT_EQ(tvl_base.ok(), tvl_opt.ok()) << e->ToString();
     if (tvl_base.ok()) EXPECT_EQ(*tvl_opt, *tvl_base) << e->ToString();
 
-    // Enumeration drivers with everything off vs the original plan, so the
+    // Enumeration drivers with the optimizer off on both plans, so the
     // comparison isolates Optimize() itself.
     EvalOptions plain;
     plain.optimize = false;
-    plain.cache_subplans = false;
     plain.num_threads = 1;
     auto enum_base = CertainAnswersEnum(e, db, WorldSemantics::kClosedWorld,
                                         world_opts, plain);
@@ -126,20 +124,12 @@ TEST_P(OptimizerSweep, EveryNotionMatchesWithKnobsOnAndOff) {
       off.world_options.fresh_constants = 1;
       off.eval.num_threads = 1;
       off.eval.optimize = false;
-      off.eval.cache_subplans = false;
       auto base = engine.Run(off);
 
-      // (optimize, cache) ∈ {(1,0), (0,1), (1,1)} and a parallel (1,1).
-      struct Knobs {
-        bool optimize, cache;
-        int threads;
-      };
-      for (const Knobs k : {Knobs{true, false, 1}, Knobs{false, true, 1},
-                            Knobs{true, true, 1}, Knobs{true, true, 7}}) {
+      for (int threads : {1, 7}) {
         QueryRequest req = off;
-        req.eval.optimize = k.optimize;
-        req.eval.cache_subplans = k.cache;
-        req.eval.num_threads = k.threads;
+        req.eval.optimize = true;
+        req.eval.num_threads = threads;
         auto got = engine.Run(req);
         if (!base.ok()) {
           ASSERT_FALSE(got.ok()) << AnswerNotionName(notion) << ": " << sql;
@@ -150,9 +140,8 @@ TEST_P(OptimizerSweep, EveryNotionMatchesWithKnobsOnAndOff) {
             << AnswerNotionName(notion) << ": " << sql << ": "
             << got.status().ToString();
         EXPECT_EQ(got->relation, base->relation)
-            << AnswerNotionName(notion) << " opt=" << k.optimize
-            << " cache=" << k.cache << " threads=" << k.threads << ": " << sql
-            << "\n" << db.ToString();
+            << AnswerNotionName(notion) << " threads=" << threads << ": "
+            << sql << "\n" << db.ToString();
         EXPECT_EQ(got->naive_guarantee, base->naive_guarantee);
         EXPECT_EQ(got->fragment, base->fragment);
       }

@@ -8,9 +8,14 @@
 // A second test runs EvalNaive on relations large enough to span several
 // chunks, so the chunk-merge path itself is covered (the QueryEngine
 // sweep's relations fit in one chunk and run inline).
+//
+// The EnumerationDriverTest cases run fixed plan shapes — operators beside
+// a complete relation, and user-written literals — through both enumeration
+// drivers at every thread count against the nested-loop reference.
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -142,6 +147,142 @@ TEST_P(ParallelEvalSweep, EnumerationDriversMatchOnRaQueries) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ParallelEvalSweep,
                          ::testing::Range<uint64_t>(0, 12));
+
+// R0 carries two nulls (its tuples differ across worlds); S is complete.
+Database MixedDb() {
+  Schema schema;
+  EXPECT_TRUE(schema.AddRelation("R0", {"a", "b"}).ok());
+  EXPECT_TRUE(schema.AddRelation("S", {"c", "d"}).ok());
+  Database db(schema);
+  db.AddTuple("R0", Tuple{Value::Int(1), Value::Int(2)});
+  db.AddTuple("R0", Tuple{Value::Null(7), Value::Int(3)});
+  db.AddTuple("R0", Tuple{Value::Int(4), Value::Null(8)});
+  for (int64_t i = 0; i < 6; ++i) {
+    db.AddTuple("S", Tuple{Value::Int(i), Value::Int(i + 10)});
+  }
+  return db;
+}
+
+// Only R0, with two nulls beside 54 complete rows. Worlds share no relation
+// storage: copying a shared complete relation into every world would
+// synchronize the workers through its reference count and hide from TSan a
+// literal that two workers race on. The complete rows make each world long
+// enough that the workers overlap in time.
+Database LiteralDb() {
+  Schema schema;
+  EXPECT_TRUE(schema.AddRelation("R0", {"a", "b"}).ok());
+  Database db(schema);
+  for (int64_t i = 0; i < 8; ++i) {
+    for (int64_t j = 0; j < 8; ++j) {
+      if ((i * 8 + j) % 7 != 0) {
+        db.AddTuple("R0", Tuple{Value::Int(i), Value::Int(j)});
+      }
+    }
+  }
+  db.AddTuple("R0", Tuple{Value::Null(7), Value::Int(3)});
+  db.AddTuple("R0", Tuple{Value::Int(4), Value::Null(8)});
+  return db;
+}
+
+// Runs both enumeration drivers at 1, 2 and 7 threads with delta
+// evaluation on and off; every answer must equal the nested-loop serial
+// reference. `make_plan` builds a fresh plan for every run, so no run sees
+// literal state forced by an earlier one.
+void ExpectDriversMatchReference(const std::function<RAExprPtr()>& make_plan,
+                                 const Database& db) {
+  WorldEnumOptions world_opts;
+  world_opts.fresh_constants = 1;
+  EvalOptions reference;
+  reference.use_hash_kernels = false;
+  reference.optimize = false;
+  reference.delta_eval = false;
+  reference.num_threads = 1;
+  const std::string name = make_plan()->ToString();
+  auto want_certain = CertainAnswersEnum(
+      make_plan(), db, WorldSemantics::kClosedWorld, world_opts, reference);
+  auto want_possible =
+      PossibleAnswersEnum(make_plan(), db, world_opts, reference);
+  ASSERT_TRUE(want_certain.ok()) << name << ": "
+                                 << want_certain.status().ToString();
+  ASSERT_TRUE(want_possible.ok()) << name << ": "
+                                  << want_possible.status().ToString();
+
+  for (bool delta : {false, true}) {
+    for (int threads : {1, 2, 7}) {
+      EvalOptions options;
+      options.delta_eval = delta;
+      options.num_threads = threads;
+      const std::string combo = name + (delta ? " delta" : " nodelta") +
+                                " @" + std::to_string(threads);
+      auto certain = CertainAnswersEnum(
+          make_plan(), db, WorldSemantics::kClosedWorld, world_opts, options);
+      auto possible =
+          PossibleAnswersEnum(make_plan(), db, world_opts, options);
+      ASSERT_TRUE(certain.ok()) << combo << ": "
+                                << certain.status().ToString();
+      ASSERT_TRUE(possible.ok()) << combo << ": "
+                                 << possible.status().ToString();
+      EXPECT_EQ(*certain, *want_certain) << combo;
+      EXPECT_EQ(*possible, *want_possible) << combo;
+    }
+  }
+}
+
+TEST(EnumerationDriverTest, ShapesBesideACompleteRelationMatchReference) {
+  const Database db = MixedDb();
+  const std::vector<std::function<RAExprPtr()>> plans = {
+      // A join against the complete S.
+      [] {
+        return RAExpr::Project(
+            {0, 3},
+            RAExpr::Select(Predicate::Eq(Term::Column(1), Term::Column(2)),
+                           RAExpr::Product(RAExpr::Scan("R0"),
+                                           RAExpr::Scan("S"))));
+      },
+      [] {
+        return RAExpr::Diff(RAExpr::Project({0}, RAExpr::Scan("R0")),
+                            RAExpr::Project({0}, RAExpr::Scan("S")));
+      },
+      [] { return RAExpr::Union(RAExpr::Scan("R0"), RAExpr::Scan("S")); },
+  };
+  for (const auto& make_plan : plans) {
+    ExpectDriversMatchReference(make_plan, db);
+  }
+}
+
+TEST(EnumerationDriverTest, PlanLiteralsMatchReference) {
+  // User-written literals. The drivers force their lazy state before the
+  // workers fan out; under TSan an unforced literal read by two workers is
+  // a reported race.
+  const Database db = LiteralDb();
+  auto literal = [](std::vector<Tuple> tuples) {
+    return RAExpr::ConstRel(Relation(2, std::move(tuples)));
+  };
+  const std::vector<std::function<RAExprPtr()>> plans = {
+      [&] {
+        return RAExpr::Union(RAExpr::Scan("R0"),
+                             literal({Tuple{Value::Int(1), Value::Int(2)}}));
+      },
+      [&] {
+        return RAExpr::Project(
+            {0, 3},
+            RAExpr::Select(
+                Predicate::Eq(Term::Column(1), Term::Column(2)),
+                RAExpr::Product(
+                    RAExpr::Scan("R0"),
+                    literal({Tuple{Value::Int(2), Value::Int(20)},
+                             Tuple{Value::Int(3), Value::Int(30)}}))));
+      },
+      [&] {
+        return RAExpr::Diff(RAExpr::Scan("R0"),
+                            literal({Tuple{Value::Int(1), Value::Int(2)},
+                                     Tuple{Value::Int(3), Value::Int(3)}}));
+      },
+  };
+  for (const auto& make_plan : plans) {
+    ExpectDriversMatchReference(make_plan, db);
+  }
+}
 
 // Relations wide enough that the columnar loops span several chunks, so the
 // chunk-order merge actually runs.

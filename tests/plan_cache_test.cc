@@ -28,8 +28,6 @@ void ExpectStatsEqualModuloTime(const EvalStats& a, const EvalStats& b) {
     EXPECT_EQ(a.at(op).tuples_out, b.at(op).tuples_out) << EvalOpName(op);
     EXPECT_EQ(a.at(op).probes, b.at(op).probes) << EvalOpName(op);
   }
-  EXPECT_EQ(a.cache_hits(), b.cache_hits());
-  EXPECT_EQ(a.cache_misses(), b.cache_misses());
   EXPECT_EQ(a.delta_applied(), b.delta_applied());
   EXPECT_EQ(a.delta_fallbacks(), b.delta_fallbacks());
   EXPECT_EQ(a.cond_simplified(), b.cond_simplified());
@@ -146,8 +144,10 @@ TEST(PlanCacheTest, ProbabilisticHitKeepsTheFullProbabilityTable) {
   EXPECT_EQ(hit->response.relation, cold->response.relation);
   ExpectProbabilitiesEqual(hit->response.probabilities,
                            cold->response.probabilities);
-  EXPECT_EQ(hit->response.worlds_counted, cold->response.worlds_counted);
-  EXPECT_EQ(hit->response.exact_count_hits, cold->response.exact_count_hits);
+  EXPECT_EQ(hit->response.stats.worlds_counted(),
+            cold->response.stats.worlds_counted());
+  EXPECT_EQ(hit->response.stats.exact_count_hits(),
+            cold->response.stats.exact_count_hits());
 }
 
 // Ingestion into R must invalidate entries scanning R and nothing else.

@@ -270,9 +270,6 @@ TEST_F(QueryEngineTest, BuilderComposesAllKnobs) {
                      .Build());
   ASSERT_TRUE(resp.ok()) << resp.status().ToString();
   EXPECT_EQ(resp->backend, Backend::kCTable);
-  // The normalizer counters surface on the response (mirroring stats).
-  EXPECT_EQ(resp->cond_simplified, resp->stats.cond_simplified());
-  EXPECT_EQ(resp->unsat_pruned, resp->stats.unsat_pruned());
 }
 
 TEST_F(QueryEngineTest, ParseErrorsSurfaceFromBothParsers) {

@@ -146,53 +146,11 @@ TEST(RelationTest, CopySharesStorageUntilMutation) {
   EXPECT_FALSE(a.Contains(T2(5, 6)));
 }
 
-TEST(RelationTest, VersionAdvancesOnMutationOnly) {
-  Relation r(2);
-  const uint64_t v0 = r.version();
-  r.Add(T2(1, 2));
-  EXPECT_GT(r.version(), v0);
-  const uint64_t v1 = r.version();
-  r.tuples();  // reads don't bump the version
-  (void)r.IsComplete();
-  EXPECT_EQ(r.version(), v1);
-  Relation copy = r;
-  EXPECT_EQ(copy.version(), v1);
-}
-
-TEST(RelationTest, ColumnIndexIsBuiltFoundAndInvalidated) {
-  Relation r(2);
-  r.Add(T2(1, 10));
-  r.Add(T2(2, 10));
-  r.Add(T2(3, 20));
-
-  EXPECT_EQ(r.FindColumnIndex({1}), nullptr);  // not built yet
-  const TupleRowIndex& idx = r.BuildColumnIndex({1});
-  ASSERT_EQ(r.FindColumnIndex({1}), &idx);
-  EXPECT_EQ(r.FindColumnIndex({0}), nullptr);  // other columns unaffected
-
-  // Row ids in each bucket point into the canonical tuple vector.
-  size_t indexed_rows = 0;
-  for (const auto& [hash, rows] : idx) {
-    for (uint32_t row : rows) {
-      ASSERT_LT(row, r.tuples().size());
-      ++indexed_rows;
-    }
-  }
-  EXPECT_EQ(indexed_rows, r.tuples().size());
-
-  // A copy shares the index; mutation drops it on the mutated side only.
-  Relation copy = r;
-  EXPECT_EQ(copy.FindColumnIndex({1}), &idx);
-  copy.Add(T2(4, 30));
-  EXPECT_EQ(copy.FindColumnIndex({1}), nullptr);
-  EXPECT_NE(r.FindColumnIndex({1}), nullptr);
-}
-
 TEST(RelationTest, PostBuildMutationInvalidatesMemoAndIndexesTogether) {
   // Regression for the delta-eval provenance index: the scan compiler reads
-  // tuples(), IsComplete(), and prebuilt column indexes after arbitrary
-  // earlier mutations. A stale memo or index surviving a post-build
-  // mutation would silently corrupt the provenance it derives.
+  // tuples() and IsComplete(), and the columnar engine reads Columnar(),
+  // after arbitrary earlier mutations. A stale memo or index surviving a
+  // post-build mutation would silently corrupt what they derive.
   Relation r(2);
   r.Add(T2(1, 10));
   r.Add(T2(2, 20));
@@ -200,68 +158,58 @@ TEST(RelationTest, PostBuildMutationInvalidatesMemoAndIndexesTogether) {
   // Force every piece of derived state.
   EXPECT_TRUE(r.IsComplete());
   EXPECT_TRUE(r.Contains(T2(1, 10)));  // builds the hash-set index
-  const TupleRowIndex& idx = r.BuildColumnIndex({0});
-  ASSERT_EQ(r.FindColumnIndex({0}), &idx);
-  const uint64_t before = r.version();
+  auto columnar = r.Columnar();
 
   // Mutate through Add: all derived state must drop or update at once.
   r.Add(Tuple{Value::Int(3), Value::Null(7)});
-  EXPECT_GT(r.version(), before);
   EXPECT_FALSE(r.IsComplete());
-  EXPECT_EQ(r.FindColumnIndex({0}), nullptr);
+  EXPECT_NE(r.Columnar(), columnar);
+  EXPECT_EQ(r.Columnar()->ToRelation(), r);
   EXPECT_TRUE(r.Contains(Tuple{Value::Int(3), Value::Null(7)}));
   EXPECT_EQ(r.HashIndex().size(), r.size());
   EXPECT_EQ(r.Nulls(), (std::set<NullId>{7}));
 
-  // Rebuild the index on the new content and mutate through AddAll.
-  const TupleRowIndex& idx2 = r.BuildColumnIndex({0});
-  size_t indexed_rows = 0;
-  for (const auto& [hash, rows] : idx2) indexed_rows += rows.size();
-  EXPECT_EQ(indexed_rows, r.tuples().size());
+  // Mutate through AddAll.
+  columnar = r.Columnar();
   Relation more(2);
   more.Add(T2(4, 40));
-  const uint64_t v2 = r.version();
   r.AddAll(more);
-  EXPECT_GT(r.version(), v2);
-  EXPECT_EQ(r.FindColumnIndex({0}), nullptr);
+  EXPECT_NE(r.Columnar(), columnar);
+  EXPECT_EQ(r.Columnar()->ToRelation(), r);
   EXPECT_FALSE(r.IsComplete());  // null tuple still present
   EXPECT_EQ(r.HashIndex().size(), r.size());
 
   // A copy taken before a mutation keeps the old derived state; only the
   // mutated side invalidates.
-  const TupleRowIndex& idx3 = r.BuildColumnIndex({1});
+  columnar = r.Columnar();
   (void)r.IsComplete();
   Relation snapshot = r;
   r.Add(T2(5, 50));
-  EXPECT_EQ(snapshot.FindColumnIndex({1}), &idx3);
-  EXPECT_EQ(r.FindColumnIndex({1}), nullptr);
+  EXPECT_EQ(snapshot.Columnar(), columnar);
+  EXPECT_NE(r.Columnar(), columnar);
   EXPECT_FALSE(snapshot.Contains(T2(5, 50)));
   EXPECT_TRUE(r.Contains(T2(5, 50)));
 }
 
 TEST(RelationTest, CopyAssignmentSharesDerivedStateUnderCoW) {
-  // The vectorized path reads FindColumnIndex and Columnar() off relations
-  // that were copy-assigned around by drivers; the assignment must carry the
-  // cached state over without aliasing future mutations.
+  // The vectorized path reads Columnar() off relations that were
+  // copy-assigned around by drivers; the assignment must carry the cached
+  // state over without aliasing future mutations.
   Relation r(2);
   r.Add(T2(1, 10));
   r.Add(T2(2, 20));
-  const TupleRowIndex& idx = r.BuildColumnIndex({0});
   auto columnar = r.Columnar();
 
   Relation assigned(2);
   assigned.Add(T2(9, 9));  // pre-existing state is fully replaced
   assigned = r;
   EXPECT_EQ(assigned, r);
-  EXPECT_EQ(assigned.FindColumnIndex({0}), &idx);
   EXPECT_EQ(assigned.Columnar(), columnar);
 
   // Mutating the assignee drops only its own caches.
   assigned.Add(T2(3, 30));
-  EXPECT_EQ(assigned.FindColumnIndex({0}), nullptr);
   EXPECT_NE(assigned.Columnar(), columnar);
   EXPECT_EQ(assigned.Columnar()->ToRelation(), assigned);
-  EXPECT_EQ(r.FindColumnIndex({0}), &idx);
   EXPECT_EQ(r.Columnar(), columnar);
 }
 
@@ -269,7 +217,6 @@ TEST(RelationTest, MoveAssignmentStealsDerivedState) {
   Relation r(2);
   r.Add(T2(1, 10));
   r.Add(T2(2, 20));
-  const TupleRowIndex& idx = r.BuildColumnIndex({1});
   auto columnar = r.Columnar();
   const Relation expected = r;
 
@@ -277,13 +224,11 @@ TEST(RelationTest, MoveAssignmentStealsDerivedState) {
   target.Add(T2(7, 7));
   target = std::move(r);
   EXPECT_EQ(target, expected);
-  // The caches moved with the content — no rebuild.
-  EXPECT_EQ(target.FindColumnIndex({1}), &idx);
+  // The cache moved with the content — no rebuild.
   EXPECT_EQ(target.Columnar(), columnar);
 
-  // And stay on the usual invalidation lifecycle afterwards.
+  // And stays on the usual invalidation lifecycle afterwards.
   target.Add(T2(8, 80));
-  EXPECT_EQ(target.FindColumnIndex({1}), nullptr);
   EXPECT_NE(target.Columnar(), columnar);
   EXPECT_EQ(target.Columnar()->ToRelation(), target);
 }

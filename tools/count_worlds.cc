@@ -179,8 +179,8 @@ int main(int argc, char** argv) {
               resp->relation.size());
   std::printf(
       "worlds_counted: %llu   samples_drawn: %llu   exact_count_hits: %llu\n",
-      static_cast<unsigned long long>(resp->worlds_counted),
-      static_cast<unsigned long long>(resp->samples_drawn),
-      static_cast<unsigned long long>(resp->exact_count_hits));
+      static_cast<unsigned long long>(resp->stats.worlds_counted()),
+      static_cast<unsigned long long>(resp->stats.samples_drawn()),
+      static_cast<unsigned long long>(resp->stats.exact_count_hits()));
   return 0;
 }
