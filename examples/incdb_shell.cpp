@@ -54,16 +54,16 @@ Result<Value> ParseValueToken(const std::string& tok) {
   if (tok.empty()) return Status::ParseError("empty value");
   if (EqualsIgnoreCase(tok, "null")) return Value::Null(g_next_null++);
   if (tok[0] == '_') {
-    return Value::Null(static_cast<NullId>(std::stoul(tok.substr(1))));
+    const std::optional<NullId> id =
+        ParseDecimal<NullId>(std::string_view(tok).substr(1));
+    if (id) return Value::Null(*id);
+    return Status::ParseError("cannot parse value: " + tok);
   }
   if (tok.front() == '\'' && tok.back() == '\'' && tok.size() >= 2) {
     return Value::Str(tok.substr(1, tok.size() - 2));
   }
-  try {
-    size_t used = 0;
-    const int64_t v = std::stoll(tok, &used);
-    if (used == tok.size()) return Value::Int(v);
-  } catch (...) {
+  if (const std::optional<int64_t> v = ParseDecimal<int64_t>(tok)) {
+    return Value::Int(*v);
   }
   return Status::ParseError("cannot parse value: " + tok);
 }

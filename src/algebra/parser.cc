@@ -1,6 +1,7 @@
 #include "algebra/parser.h"
 
 #include <cctype>
+#include <limits>
 
 #include "util/strings.h"
 
@@ -158,6 +159,9 @@ class RAParser {
       ++pos_;
       INCDB_ASSIGN_OR_RETURN(int64_t n, Integer());
       if (n < 0) return Err("negative null id");
+      if (n > std::numeric_limits<NullId>::max()) {
+        return Err("null id out of range");
+      }
       return Value::Null(static_cast<NullId>(n));
     }
     if (pos_ < text_.size() && text_[pos_] == '\'') {
@@ -339,7 +343,13 @@ class RAParser {
     if (pos_ == start || (pos_ == start + 1 && text_[start] == '-')) {
       return Err("expected integer");
     }
-    return std::stoll(text_.substr(start, pos_ - start));
+    const std::optional<int64_t> v = ParseDecimal<int64_t>(
+        std::string_view(text_).substr(start, pos_ - start));
+    if (!v) {
+      pos_ = start;
+      return Err("integer out of range");
+    }
+    return *v;
   }
   Status Err(const std::string& msg) const {
     return Status::ParseError(msg + " at offset " + std::to_string(pos_) +

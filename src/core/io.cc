@@ -60,13 +60,14 @@ Result<Value> ParseValue(const std::string& tok, size_t lineno) {
     return Status::ParseError("empty value on line " + std::to_string(lineno));
   }
   if (tok[0] == '_') {
-    const std::string digits = tok.substr(1);
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos) {
+    // Digits only, and within NullId's range.
+    const std::optional<NullId> id =
+        ParseDecimal<NullId>(std::string_view(tok).substr(1));
+    if (!id) {
       return Status::ParseError("bad null id '" + tok + "' on line " +
                                 std::to_string(lineno));
     }
-    return Value::Null(static_cast<NullId>(std::stoul(digits)));
+    return Value::Null(*id);
   }
   if (tok.front() == '\'') {
     if (tok.size() < 2 || tok.back() != '\'') {
@@ -88,14 +89,13 @@ Result<Value> ParseValue(const std::string& tok, size_t lineno) {
     }
     return Value::Str(std::move(s));
   }
-  // Integer.
-  size_t start = tok[0] == '-' ? 1 : 0;
-  if (start == tok.size() ||
-      tok.find_first_not_of("0123456789", start) != std::string::npos) {
+  // Integer: an optional '-' and digits, within int64.
+  const std::optional<int64_t> v = ParseDecimal<int64_t>(tok);
+  if (!v) {
     return Status::ParseError("bad value '" + tok + "' on line " +
                               std::to_string(lineno));
   }
-  return Value::Int(std::stoll(tok));
+  return Value::Int(*v);
 }
 
 }  // namespace

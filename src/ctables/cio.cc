@@ -33,12 +33,11 @@ Result<Value> ParseValueToken(const std::string& tok, size_t lineno) {
   const std::string where = " on line " + std::to_string(lineno);
   if (tok.empty()) return Status::ParseError("empty value" + where);
   if (tok[0] == '_') {
-    const std::string digits = tok.substr(1);
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos) {
-      return Status::ParseError("bad null id '" + tok + "'" + where);
-    }
-    return Value::Null(static_cast<NullId>(std::stoul(digits)));
+    // Digits only, and within NullId's range.
+    const std::optional<NullId> id =
+        ParseDecimal<NullId>(std::string_view(tok).substr(1));
+    if (!id) return Status::ParseError("bad null id '" + tok + "'" + where);
+    return Value::Null(*id);
   }
   if (tok.front() == '\'') {
     if (tok.size() < 2 || tok.back() != '\'') {
@@ -58,12 +57,10 @@ Result<Value> ParseValueToken(const std::string& tok, size_t lineno) {
     }
     return Value::Str(std::move(s));
   }
-  const size_t start = tok[0] == '-' ? 1 : 0;
-  if (start == tok.size() ||
-      tok.find_first_not_of("0123456789", start) != std::string::npos) {
-    return Status::ParseError("bad value '" + tok + "'" + where);
-  }
-  return Value::Int(std::stoll(tok));
+  // Integer: an optional '-' and digits, within int64.
+  const std::optional<int64_t> v = ParseDecimal<int64_t>(tok);
+  if (!v) return Status::ParseError("bad value '" + tok + "'" + where);
+  return Value::Int(*v);
 }
 
 // ---- Condition parsing (the Condition::ToString() grammar) ----

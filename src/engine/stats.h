@@ -162,8 +162,9 @@ struct EvalOptions {
   /// then sum the workers' self times, i.e. report CPU time, not elapsed).
   EvalStats* stats = nullptr;
   /// When true (the default), naïve RA runs batch-at-a-time over
-  /// dictionary-encoded columns (engine/vectorized.h) and the SQL and
-  /// c-table evaluators use their hash-indexed kernels. When false, every
+  /// dictionary-encoded columns (engine/vectorized.h), the SQL and c-table
+  /// evaluators use their hash-indexed kernels, and SQL decides [NOT] IN by
+  /// binary search. When false, every
   /// evaluator uses its straightforward nested-loop implementation: the
   /// reference semantics the kernels are property-tested against.
   bool use_hash_kernels = true;

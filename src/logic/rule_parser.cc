@@ -97,6 +97,7 @@ class RuleParser {
       return FoTerm::Const(Value::Str(std::move(s)));
     }
     if (std::isdigit(static_cast<unsigned char>(c)) || c == '-') {
+      const size_t start = cur_.pos();
       std::string num;
       if (c == '-') {
         num += '-';
@@ -108,10 +109,13 @@ class RuleParser {
         num += cur_.text()[cur_.pos()];
         cur_.Advance();
       }
-      if (num.empty() || num == "-") {
-        return Status::ParseError("bad number in rule");
+      // A lone '-' or a value outside int64.
+      const std::optional<int64_t> v = ParseDecimal<int64_t>(num);
+      if (!v) {
+        return Status::ParseError("bad number at offset " +
+                                  std::to_string(start) + " in rule");
       }
-      return FoTerm::Const(Value::Int(std::stoll(num)));
+      return FoTerm::Const(Value::Int(*v));
     }
     INCDB_ASSIGN_OR_RETURN(std::string name, cur_.Identifier());
     return FoTerm::Var(VarOf(name));

@@ -20,6 +20,13 @@ std::shared_ptr<const PlanCacheEntry> PlanCache::Lookup(
     ++misses_;
     return nullptr;
   }
+  // An entry computed at a newer version than the reader's snapshot may
+  // reflect publishes the reader must not see. It misses for this reader
+  // and stays for newer ones.
+  if (it->second.entry->snapshot_version > snap.version()) {
+    ++misses_;
+    return nullptr;
+  }
   if (!it->second.entry->ValidFor(snap)) {
     lru_.erase(it->second.lru_it);
     slots_.erase(it);

@@ -11,8 +11,9 @@
 // with a digest of the request options); fingerprint collisions are guarded
 // by an exact identity string stored in the entry. Invalidation is
 // dependency-based and checked at lookup time against the *reader's*
-// snapshot: an entry computed at version E is valid for a snapshot S iff no
-// relation the plan scans changed after E (per S's last-changed map).
+// snapshot: an entry computed at version E serves a snapshot S iff E is not
+// newer than S and no relation the plan scans changed after E (per S's
+// last-changed map).
 // Plans containing Δ, the world-quantified notions (certain-enum, possible,
 // probabilistic — their world domain and null set depend on the whole
 // instance), and SQL with no RA translation depend on every relation and
@@ -63,8 +64,9 @@ class PlanCache {
  public:
   explicit PlanCache(size_t capacity) : capacity_(capacity) {}
 
-  /// The entry for `key` when present, identity-matching, and valid for
-  /// `snap`; null otherwise. Invalid entries are dropped on sight.
+  /// The entry for `key` when present, identity-matching, computed at a
+  /// version no newer than `snap`'s, and valid for `snap`; null otherwise.
+  /// Invalid entries are dropped on sight; newer ones stay.
   std::shared_ptr<const PlanCacheEntry> Lookup(uint64_t key,
                                                const std::string& identity,
                                                const DatabaseSnapshot& snap);

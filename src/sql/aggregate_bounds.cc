@@ -13,6 +13,44 @@ std::string AggInterval::ToString() const {
   return s;
 }
 
+namespace {
+
+Status Overflow() {
+  return Status::InvalidArgument("aggregate bound overflows int64");
+}
+
+// The SUM interval: the constants' sum plus every null at the domain's low
+// (high) end; an unconstrained end stays open. A bound outside int64 is an
+// error, never a wrapped value.
+Result<AggInterval> SumInterval(const std::vector<int64_t>& consts,
+                                int64_t null_count, const NullDomain& domain) {
+  int64_t base = 0;
+  for (int64_t c : consts) {
+    if (__builtin_add_overflow(base, c, &base)) return Overflow();
+  }
+  AggInterval out;
+  if (null_count == 0) {
+    out.lo = out.hi = base;
+    return out;
+  }
+  auto at_end = [&](int64_t end, std::optional<int64_t>* bound) {
+    int64_t v = 0;
+    if (__builtin_mul_overflow(null_count, end, &v) ||
+        __builtin_add_overflow(base, v, &v)) {
+      return false;
+    }
+    *bound = v;
+    return true;
+  };
+  if ((domain.value_lo && !at_end(*domain.value_lo, &out.lo)) ||
+      (domain.value_hi && !at_end(*domain.value_hi, &out.hi))) {
+    return Overflow();
+  }
+  return out;
+}
+
+}  // namespace
+
 Result<AggInterval> CertainAggregateInterval(const std::vector<Value>& column,
                                              AggFunc func,
                                              const NullDomain& domain) {
@@ -46,16 +84,7 @@ Result<AggInterval> CertainAggregateInterval(const std::vector<Value>& column,
         return Status::InvalidArgument(
             "SUM over an empty column is NULL in SQL; no integer interval");
       }
-      int64_t base = 0;
-      for (int64_t c : consts) base += c;
-      AggInterval out;
-      if (null_count == 0) {
-        out.lo = out.hi = base;
-        return out;
-      }
-      if (domain.value_lo) out.lo = base + null_count * *domain.value_lo;
-      if (domain.value_hi) out.hi = base + null_count * *domain.value_hi;
-      return out;
+      return SumInterval(consts, null_count, domain);
     }
     case AggFunc::kMin:
     case AggFunc::kMax: {
@@ -107,15 +136,10 @@ Result<AggInterval> CertainAggregateInterval(const std::vector<Value>& column,
         return Status::InvalidArgument(
             "AVG over an empty column is NULL in SQL; no interval");
       }
-      int64_t base = 0;
-      for (int64_t c : consts) base += c;
-      AggInterval out;
-      if (null_count == 0) {
-        out.lo = out.hi = base / n;
-        return out;
-      }
-      if (domain.value_lo) out.lo = (base + null_count * *domain.value_lo) / n;
-      if (domain.value_hi) out.hi = (base + null_count * *domain.value_hi) / n;
+      INCDB_ASSIGN_OR_RETURN(AggInterval out,
+                             SumInterval(consts, null_count, domain));
+      if (out.lo) *out.lo /= n;
+      if (out.hi) *out.hi /= n;
       return out;
     }
     case AggFunc::kNone:

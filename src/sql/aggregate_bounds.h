@@ -47,7 +47,8 @@ struct NullDomain {
 /// column. Integer columns only for kSum/kAvg/kMin/kMax (strings rejected);
 /// any column for the COUNT variants. kAvg bounds are the floor-truncated
 /// possible averages' range. Empty column: COUNT = [0,0], others are an
-/// error (SQL's NULL has no integer interval).
+/// error (SQL's NULL has no integer interval). A SUM/AVG bound outside
+/// int64 is InvalidArgument.
 Result<AggInterval> CertainAggregateInterval(
     const std::vector<Value>& column, AggFunc func,
     const NullDomain& domain = {});

@@ -12,9 +12,10 @@
 namespace incdb {
 namespace {
 
-// A row in scope: alias + relation decl + tuple.
+// A row in scope: FROM alias (owned by the query AST) + relation decl +
+// tuple.
 struct ScopeEntry {
-  std::string alias;
+  const std::string* alias;
   const RelationDecl* decl;
   const Tuple* tuple;
 };
@@ -79,6 +80,14 @@ struct FromPlan {
   std::vector<EquiProbe> equi;                 // by FROM depth
 };
 
+// A block's FROM clause resolved against the schema, and its pushdown plan
+// (no checks and no probes on the nested-loop reference path).
+struct BlockPlan {
+  std::vector<const RelationDecl*> decls;
+  std::vector<const Relation*> rels;
+  FromPlan from;
+};
+
 void FlattenSqlAnd(const SqlCondition& c,
                    std::vector<const SqlCondition*>* out) {
   if (c.kind == SqlCondition::Kind::kAnd) {
@@ -89,11 +98,12 @@ void FlattenSqlAnd(const SqlCondition& c,
   out->push_back(&c);
 }
 
-// Mirror of Operand's runtime resolution against the final scope layout.
-// Returns false when the operand is not statically resolvable (including the
-// qualified-alias-without-column case, which errors at runtime) — such
-// comparisons are left to the leaf WHERE evaluation.
-bool ResolveStatic(const SqlOperand& o, const Scope& scope, size_t base,
+// Mirror of Operand's runtime resolution against the final scope layout
+// (`outer`, then one entry per FROM table). Returns false when the operand is
+// not statically resolvable (including the qualified-alias-without-column
+// case, which errors at runtime) — such comparisons are left to the leaf
+// WHERE evaluation.
+bool ResolveStatic(const SqlOperand& o, const Scope& outer,
                    const SqlSelect& sel,
                    const std::vector<const RelationDecl*>& decls,
                    StaticOperand* out) {
@@ -103,6 +113,7 @@ bool ResolveStatic(const SqlOperand& o, const Scope& scope, size_t base,
     return true;
   }
   if (o.kind != SqlOperand::Kind::kColumn) return false;
+  const size_t base = outer.size();
   for (size_t i = sel.from.size(); i-- > 0;) {
     if (!o.table.empty() &&
         !EqualsIgnoreCaseAlias(sel.from[i].alias, o.table)) {
@@ -120,10 +131,10 @@ bool ResolveStatic(const SqlOperand& o, const Scope& scope, size_t base,
     if (!o.table.empty()) return false;
   }
   for (size_t i = base; i-- > 0;) {
-    if (!o.table.empty() && !EqualsIgnoreCaseAlias(scope[i].alias, o.table)) {
+    if (!o.table.empty() && !EqualsIgnoreCaseAlias(*outer[i].alias, o.table)) {
       continue;
     }
-    const auto& attrs = scope[i].decl->attributes;
+    const auto& attrs = outer[i].decl->attributes;
     for (size_t c = 0; c < attrs.size(); ++c) {
       if (EqualsIgnoreCaseAlias(attrs[c], o.column)) {
         out->is_literal = false;
@@ -137,11 +148,15 @@ bool ResolveStatic(const SqlOperand& o, const Scope& scope, size_t base,
   return false;
 }
 
-FromPlan PlanFrom(const SqlSelect& sel, const Scope& scope, size_t base,
+// Plans `sel`'s FROM loop under `outer`. Reads only the aliases and decls of
+// the outer entries, never their tuples, so a plan holds for every outer row
+// with the same layout.
+FromPlan PlanFrom(const SqlSelect& sel, const Scope& outer,
                   const std::vector<const RelationDecl*>& decls,
                   bool allow_equi) {
   FromPlan plan;
   const size_t n = sel.from.size();
+  const size_t base = outer.size();
   plan.checks.resize(n);
   plan.equi.resize(n);
   if (n == 0 || sel.where == nullptr) return plan;
@@ -151,8 +166,8 @@ FromPlan PlanFrom(const SqlSelect& sel, const Scope& scope, size_t base,
   for (const SqlCondition* c : conjuncts) {
     if (c->kind != SqlCondition::Kind::kCmp) continue;
     StaticOperand lhs, rhs;
-    if (!ResolveStatic(c->lhs, scope, base, sel, decls, &lhs)) continue;
-    if (!ResolveStatic(c->rhs, scope, base, sel, decls, &rhs)) continue;
+    if (!ResolveStatic(c->lhs, outer, sel, decls, &lhs)) continue;
+    if (!ResolveStatic(c->rhs, outer, sel, decls, &rhs)) continue;
     auto depth_of = [&](const StaticOperand& so) -> size_t {
       if (so.is_literal || so.scope_index < base) return 0;
       return so.scope_index - base;
@@ -214,25 +229,18 @@ class Evaluator {
     if (sel.HasAggregates() || !sel.group_by.empty()) {
       return SelectAggregate(sel, outer);
     }
-    // Resolve FROM tables.
-    std::vector<const RelationDecl*> decls;
-    std::vector<const Relation*> rels;
-    for (const SqlTableRef& ref : sel.from) {
-      INCDB_ASSIGN_OR_RETURN(const RelationDecl* decl,
-                             db_.schema().Decl(ref.table));
-      if (decl->attributes.empty() && decl->arity > 0) {
-        return Status::InvalidArgument(
-            "relation " + ref.table +
-            " has no attribute names; SQL access requires named attributes");
-      }
-      decls.push_back(decl);
-      rels.push_back(&db_.GetRelation(ref.table));
-    }
+    // kSqlMaybe keeps rows whose top-level condition is UNKNOWN; the other
+    // modes (and all subqueries) keep TRUE rows. A maybe-query without a
+    // WHERE clause keeps nothing (no row is in doubt).
+    const bool maybe_here =
+        mode_ == SqlEvalMode::kSqlMaybe && !in_subquery_;
+    INCDB_ASSIGN_OR_RETURN(const BlockPlan* plan,
+                           PlanBlock(sel, outer, maybe_here));
 
     // Output arity.
     size_t arity = 0;
     if (sel.select_star) {
-      for (const RelationDecl* d : decls) arity += d->arity;
+      for (const RelationDecl* d : plan->decls) arity += d->arity;
     } else {
       arity = sel.items.size();
     }
@@ -240,18 +248,13 @@ class Evaluator {
 
     OpScope block(stats_, EvalOp::kSqlBlock);
     uint64_t in = 0;
-    for (const Relation* r : rels) in += r->size();
+    for (const Relation* r : plan->rels) in += r->size();
     block.CountIn(in);
 
     Scope scope = outer;
     const size_t base = scope.size();
     scope.resize(base + sel.from.size());
 
-    // kSqlMaybe keeps rows whose top-level condition is UNKNOWN; the other
-    // modes (and all subqueries) keep TRUE rows. A maybe-query without a
-    // WHERE clause keeps nothing (no row is in doubt).
-    const bool maybe_here =
-        mode_ == SqlEvalMode::kSqlMaybe && !in_subquery_;
     const TruthValue wanted =
         maybe_here ? TruthValue::kUnknown : TruthValue::kTrue;
     auto leaf = [&]() -> Status {
@@ -278,39 +281,68 @@ class Evaluator {
       return Status::OK();
     };
     INCDB_RETURN_IF_ERROR(
-        EnumerateFrom(sel, decls, rels, &scope, base, maybe_here, &block,
-                      leaf));
+        EnumerateFrom(sel, *plan, &scope, base, maybe_here, &block, leaf));
     block.CountOut(out.size());
     return out;
+  }
+
+  // The BlockPlan of `sel` under `outer`, built on the block's first entry
+  // at this outer depth and reused by every later one (a correlated
+  // subquery re-enters its blocks once per outer row). Keying on
+  // (&sel, outer.size()) is sound because, within one Evaluator, a block
+  // reached at a given depth always sees
+  //  * the same outer layout: its outer scope is the FROM entries of its
+  //    enclosing blocks, cut off where Subquery's correlation probe
+  //    restarts with Scope{}; the enclosing chain is fixed by the AST, so
+  //    every cut is a suffix of one entry list and its length picks it;
+  //  * the same `maybe_here`: a block is either top-level or inside a
+  //    subquery, never both, and aggregate blocks always plan with false.
+  // The plan reads only the outer layout's aliases and decls, and the
+  // evaluator's fixed mode and options.
+  Result<const BlockPlan*> PlanBlock(const SqlSelect& sel, const Scope& outer,
+                                     bool maybe_here) {
+    const auto key = std::make_pair(&sel, outer.size());
+    auto it = block_plans_.find(key);
+    if (it != block_plans_.end()) return &it->second;
+    BlockPlan plan;
+    for (const SqlTableRef& ref : sel.from) {
+      INCDB_ASSIGN_OR_RETURN(const RelationDecl* decl,
+                             db_.schema().Decl(ref.table));
+      if (decl->attributes.empty() && decl->arity > 0) {
+        return Status::InvalidArgument(
+            "relation " + ref.table +
+            " has no attribute names; SQL access requires named attributes");
+      }
+      plan.decls.push_back(decl);
+      plan.rels.push_back(&db_.GetRelation(ref.table));
+    }
+    if (options_.use_hash_kernels) {
+      plan.from = PlanFrom(sel, outer, plan.decls, /*allow_equi=*/!maybe_here);
+    } else {
+      plan.from.checks.resize(sel.from.size());
+      plan.from.equi.resize(sel.from.size());
+    }
+    return &block_plans_.emplace(key, std::move(plan)).first->second;
   }
 
   // Runs the FROM nested loop with pushdown pruning (see the planning block
   // above), invoking `leaf` with all rows bound. `maybe_here` selects
   // FALSE-only pruning.
-  Status EnumerateFrom(const SqlSelect& sel,
-                       const std::vector<const RelationDecl*>& decls,
-                       const std::vector<const Relation*>& rels, Scope* scope,
-                       size_t base, bool maybe_here,
+  Status EnumerateFrom(const SqlSelect& sel, const BlockPlan& plan,
+                       Scope* scope, size_t base, bool maybe_here,
                        OpScope* block,
                        const std::function<Status()>& leaf) {
     const size_t n = sel.from.size();
-    FromPlan plan;
-    if (options_.use_hash_kernels) {
-      plan = PlanFrom(sel, *scope, base, decls, /*allow_equi=*/!maybe_here);
-    } else {
-      plan.checks.resize(n);
-      plan.equi.resize(n);
-    }
     uint64_t probes = 0;
     std::function<Status(size_t)> rec = [&](size_t idx) -> Status {
       if (idx == n) return leaf();
       auto descend = [&](const Tuple& t) -> Status {
-        (*scope)[base + idx] = ScopeEntry{sel.from[idx].alias, decls[idx], &t};
-        for (const PushedCmp& pc : plan.checks[idx]) {
+        (*scope)[base + idx] =
+            ScopeEntry{&sel.from[idx].alias, plan.decls[idx], &t};
+        for (const PushedCmp& pc : plan.from.checks[idx]) {
           // Statically resolved operands cannot fail to evaluate.
-          INCDB_ASSIGN_OR_RETURN(
-              TruthValue tv, Compare(pc.op, StaticValue(pc.lhs, *scope),
-                                     StaticValue(pc.rhs, *scope)));
+          const TruthValue tv = Compare(pc.op, StaticValue(pc.lhs, *scope),
+                                        StaticValue(pc.rhs, *scope));
           if (maybe_here ? tv == TruthValue::kFalse
                          : tv != TruthValue::kTrue) {
             return Status::OK();
@@ -318,21 +350,21 @@ class Evaluator {
         }
         return rec(idx + 1);
       };
-      if (plan.equi[idx].active) {
-        const EquiProbe& ep = plan.equi[idx];
+      if (plan.from.equi[idx].active) {
+        const EquiProbe& ep = plan.from.equi[idx];
         const Value probe = StaticValue(ep.other, *scope);
         ++probes;
         // In 3VL a NULL probe never compares TRUE: no candidates at all.
         if (mode_ != SqlEvalMode::kNaive && probe.is_null()) {
           return Status::OK();
         }
-        const ColumnIndex& index = ColumnIndexFor(rels[idx], ep.col);
+        const ColumnIndex& index = ColumnIndexFor(plan.rels[idx], ep.col);
         auto it = index.find(probe);
         if (it == index.end()) return Status::OK();
         for (const Tuple* t : it->second) INCDB_RETURN_IF_ERROR(descend(*t));
         return Status::OK();
       }
-      for (const Tuple& t : rels[idx]->tuples()) {
+      for (const Tuple& t : plan.rels[idx]->tuples()) {
         INCDB_RETURN_IF_ERROR(descend(t));
       }
       return Status::OK();
@@ -464,7 +496,10 @@ class Evaluator {
                 std::string(AggFuncName(item.agg)) +
                 " requires integer inputs");
           }
-          sum += v.as_int();
+          if (__builtin_add_overflow(sum, v.as_int(), &sum)) {
+            return Status::InvalidArgument(
+                std::string(AggFuncName(item.agg)) + " overflows int64");
+          }
         }
         if (item.agg == AggFunc::kSum) return Value::Int(sum);
         return Value::Int(sum / static_cast<int64_t>(inputs.size()));
@@ -486,21 +521,15 @@ class Evaluator {
   // Runs the FROM×WHERE loop collecting group keys and item inputs.
   template <typename RowVec>
   Status CollectRows(const SqlSelect& sel, const Scope& outer, RowVec* rows) {
-    std::vector<const RelationDecl*> decls;
-    std::vector<const Relation*> rels;
-    for (const SqlTableRef& ref : sel.from) {
-      INCDB_ASSIGN_OR_RETURN(const RelationDecl* decl,
-                             db_.schema().Decl(ref.table));
-      decls.push_back(decl);
-      rels.push_back(&db_.GetRelation(ref.table));
-    }
+    INCDB_ASSIGN_OR_RETURN(const BlockPlan* plan,
+                           PlanBlock(sel, outer, /*maybe_here=*/false));
     Scope scope = outer;
     const size_t base = scope.size();
     scope.resize(base + sel.from.size());
 
     OpScope block(stats_, EvalOp::kSqlBlock);
     uint64_t in = 0;
-    for (const Relation* r : rels) in += r->size();
+    for (const Relation* r : plan->rels) in += r->size();
     block.CountIn(in);
 
     auto leaf = [&]() -> Status {
@@ -524,7 +553,7 @@ class Evaluator {
       rows->push_back(std::move(row));
       return Status::OK();
     };
-    INCDB_RETURN_IF_ERROR(EnumerateFrom(sel, decls, rels, &scope, base,
+    INCDB_RETURN_IF_ERROR(EnumerateFrom(sel, *plan, &scope, base,
                                         /*maybe_here=*/false, &block, leaf));
     block.CountOut(rows->size());
     return Status::OK();
@@ -534,7 +563,7 @@ class Evaluator {
     if (o.kind == SqlOperand::Kind::kLiteral) return o.literal;
     // Resolve column: inner-most scope entry first; alias qualifier wins.
     for (auto it = scope.rbegin(); it != scope.rend(); ++it) {
-      if (!o.table.empty() && !EqualsIgnoreCaseAlias(it->alias, o.table)) {
+      if (!o.table.empty() && !EqualsIgnoreCaseAlias(*it->alias, o.table)) {
         continue;
       }
       const auto& attrs = it->decl->attributes;
@@ -551,7 +580,7 @@ class Evaluator {
     return Status::NotFound("unresolved column " + o.ToString());
   }
 
-  Result<TruthValue> Compare(SqlCmpOp op, const Value& a, const Value& b) {
+  TruthValue Compare(SqlCmpOp op, const Value& a, const Value& b) {
     if (mode_ != SqlEvalMode::kNaive && (a.is_null() || b.is_null())) {
       return TruthValue::kUnknown;
     }
@@ -606,24 +635,23 @@ class Evaluator {
       }
       case SqlCondition::Kind::kIn: {
         INCDB_ASSIGN_OR_RETURN(Value x, Operand(c.lhs, scope));
-        INCDB_ASSIGN_OR_RETURN(Relation sub, Subquery(*c.subquery, scope));
-        if (sub.arity() != 1) {
+        Relation storage;
+        INCDB_ASSIGN_OR_RETURN(const Relation* sub,
+                               Subquery(*c.subquery, scope, &storage));
+        if (sub->arity() != 1) {
           return Status::InvalidArgument(
               "IN subquery must return one column");
         }
-        // x IN S: TRUE if some s compares TRUE; else UNKNOWN if some
-        // comparison is UNKNOWN; else FALSE. NOT IN is the 3VL negation.
-        TruthValue acc = TruthValue::kFalse;
-        for (const Tuple& s : sub.tuples()) {
-          INCDB_ASSIGN_OR_RETURN(TruthValue eq, Compare(SqlCmpOp::kEq, x, s[0]));
-          acc = Or3(acc, eq);
-          if (acc == TruthValue::kTrue) break;
-        }
-        return c.negated ? Not3(acc) : acc;
+        const TruthValue in = options_.use_hash_kernels
+                                  ? InByLookup(x, *sub)
+                                  : InByFold(x, *sub);
+        return c.negated ? Not3(in) : in;
       }
       case SqlCondition::Kind::kExists: {
-        INCDB_ASSIGN_OR_RETURN(Relation sub, Subquery(*c.subquery, scope));
-        return sub.empty() ? TruthValue::kFalse : TruthValue::kTrue;
+        Relation storage;
+        INCDB_ASSIGN_OR_RETURN(const Relation* sub,
+                               Subquery(*c.subquery, scope, &storage));
+        return sub->empty() ? TruthValue::kFalse : TruthValue::kTrue;
       }
       case SqlCondition::Kind::kIsNull: {
         INCDB_ASSIGN_OR_RETURN(Value x, Operand(c.lhs, scope));
@@ -634,29 +662,66 @@ class Evaluator {
     return Status::Internal("unknown SQL condition kind");
   }
 
+  // x IN S, the standard's quantified comparison: TRUE if some s compares
+  // TRUE; else UNKNOWN if some comparison is UNKNOWN; else FALSE. NOT IN is
+  // its 3VL negation. This is the reference: one Compare per tuple of S.
+  TruthValue InByFold(const Value& x, const Relation& sub) {
+    TruthValue acc = TruthValue::kFalse;
+    for (const Tuple& s : sub.tuples()) {
+      acc = Or3(acc, Compare(SqlCmpOp::kEq, x, s[0]));
+      if (acc == TruthValue::kTrue) break;
+    }
+    return acc;
+  }
+
+  // The same truth value from one binary search. S's tuples are canonical
+  // (sorted, deduplicated, nulls first), so in 3VL and MAYBE: an empty S
+  // gives FALSE; otherwise a null x compares UNKNOWN with every s; a
+  // constant x hits only an equal constant; and a miss is UNKNOWN exactly
+  // when S's first tuple holds a null. In naïve mode comparison is
+  // syntactic, so the result is membership (marked nulls by identity).
+  TruthValue InByLookup(const Value& x, const Relation& sub) {
+    const std::vector<Tuple>& s = sub.tuples();
+    const bool three_valued = mode_ != SqlEvalMode::kNaive;
+    if (s.empty()) return TruthValue::kFalse;
+    if (three_valued && x.is_null()) return TruthValue::kUnknown;
+    auto it = std::lower_bound(
+        s.begin(), s.end(), x,
+        [](const Tuple& t, const Value& v) { return t[0] < v; });
+    if (it != s.end() && (*it)[0] == x) return TruthValue::kTrue;
+    return three_valued && s.front()[0].is_null() ? TruthValue::kUnknown
+                                                  : TruthValue::kFalse;
+  }
+
   // Subquery evaluation with memoization of uncorrelated subqueries: a
   // subquery that evaluates successfully against the empty scope cannot
   // depend on outer rows, so its result is computed once per top-level
-  // query instead of once per candidate row.
-  Result<Relation> Subquery(const SqlQuery& q, const Scope& scope) {
+  // query instead of once per candidate row, and returned by pointer. A
+  // correlated subquery is evaluated into `*storage`.
+  Result<const Relation*> Subquery(const SqlQuery& q, const Scope& scope,
+                                   Relation* storage) {
+    auto it = uncorrelated_cache_.find(&q);
+    if (it != uncorrelated_cache_.end()) return &it->second;
     // Subqueries always use the TRUE filter, even in MAYBE mode.
     const bool saved = in_subquery_;
     in_subquery_ = true;
-    auto restore = [&](Result<Relation> r) {
+    auto restore = [&](Result<const Relation*> r) {
       in_subquery_ = saved;
       return r;
     };
-    auto it = uncorrelated_cache_.find(&q);
-    if (it != uncorrelated_cache_.end()) return restore(it->second);
     if (correlated_.count(&q) == 0) {
       auto without_outer = Query(q, Scope{});
       if (without_outer.ok()) {
-        uncorrelated_cache_.emplace(&q, *without_outer);
-        return restore(*std::move(without_outer));
+        return restore(
+            &uncorrelated_cache_.emplace(&q, *std::move(without_outer))
+                 .first->second);
       }
       correlated_.insert(&q);
     }
-    return restore(Query(q, scope));
+    auto with_outer = Query(q, scope);
+    if (!with_outer.ok()) return restore(with_outer.status());
+    *storage = *std::move(with_outer);
+    return restore(storage);
   }
 
   // A per-column hash index over a relation's canonical tuples, built once
@@ -682,6 +747,7 @@ class Evaluator {
   std::map<const SqlQuery*, Relation> uncorrelated_cache_;
   std::set<const SqlQuery*> correlated_;
   std::map<std::pair<const Relation*, size_t>, ColumnIndex> column_indexes_;
+  std::map<std::pair<const SqlSelect*, size_t>, BlockPlan> block_plans_;
 };
 
 }  // namespace

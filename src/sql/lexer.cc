@@ -44,8 +44,14 @@ Result<std::vector<Token>> Tokenize(const std::string& sql) {
          std::isdigit(static_cast<unsigned char>(sql[i + 1])))) {
       size_t j = i + 1;
       while (j < n && std::isdigit(static_cast<unsigned char>(sql[j]))) ++j;
+      const std::optional<int64_t> v =
+          ParseDecimal<int64_t>(std::string_view(sql).substr(i, j - i));
+      if (!v) {
+        return Status::ParseError("integer literal out of range at offset " +
+                                  std::to_string(start));
+      }
       Token tok = make(TokenType::kInteger, start);
-      tok.int_value = std::stoll(sql.substr(i, j - i));
+      tok.int_value = *v;
       out.push_back(std::move(tok));
       i = j;
       continue;

@@ -3,7 +3,11 @@
 #ifndef INCDB_UTIL_STRINGS_H_
 #define INCDB_UTIL_STRINGS_H_
 
+#include <charconv>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 namespace incdb {
@@ -23,6 +27,19 @@ std::vector<std::string> Split(const std::string& s, char sep);
 
 /// Strips leading/trailing ASCII whitespace.
 std::string Trim(const std::string& s);
+
+/// Parses all of `s` as a base-10 integer of type `Int` (a leading '-' only
+/// for signed types; no '+', no whitespace). Returns nullopt for any other
+/// text and for a value `Int` cannot hold. Never throws, unlike std::stoll,
+/// so each parser reports its own positioned ParseError instead.
+template <typename Int>
+std::optional<Int> ParseDecimal(std::string_view s) {
+  Int v{};
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return v;
+}
 
 }  // namespace incdb
 

@@ -147,5 +147,43 @@ TEST(AggregateBoundsProperty, IntervalContainsEveryWorld) {
   }
 }
 
+TEST(AggregateBoundsProperty, SumAndAvgBoundsOutsideInt64AreErrors) {
+  const Value big = Value::Int(INT64_MAX);
+  auto expect_overflow = [](const Result<AggInterval>& r, const char* what) {
+    ASSERT_FALSE(r.ok()) << what << " gave " << r->ToString();
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << what;
+  };
+  for (AggFunc f : {AggFunc::kSum, AggFunc::kAvg}) {
+    // The constants alone leave int64.
+    expect_overflow(CertainAggregateInterval({big, Value::Int(1)}, f),
+                    "constants");
+    // A null at the top of its domain pushes the upper bound out.
+    NullDomain high;
+    high.value_lo = 0;
+    high.value_hi = INT64_MAX;
+    expect_overflow(
+        CertainAggregateInterval({Value::Int(1), Value::Null(0)}, f, high),
+        "upper bound");
+    // Three nulls at the bottom of their domain: the scaling overflows.
+    NullDomain low;
+    low.value_lo = INT64_MIN / 2;
+    low.value_hi = 0;
+    expect_overflow(
+        CertainAggregateInterval(
+            {Value::Null(0), Value::Null(1), Value::Null(2)}, f, low),
+        "scaled lower bound");
+  }
+
+  // Bounds that reach the edge of int64 without leaving it.
+  NullDomain below;
+  below.value_lo = -5;
+  below.value_hi = 0;
+  auto edge = CertainAggregateInterval({big, Value::Null(0)}, AggFunc::kSum,
+                                       below);
+  ASSERT_TRUE(edge.ok()) << edge.status().ToString();
+  EXPECT_EQ(*edge->lo, INT64_MAX - 5);
+  EXPECT_EQ(*edge->hi, INT64_MAX);
+}
+
 }  // namespace
 }  // namespace incdb

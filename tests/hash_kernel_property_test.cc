@@ -4,8 +4,8 @@
 //    nested-loop reference (off) returns identical relations over a pool of
 //    expressions that exercises fusion (σ_eq over ×, with and without an
 //    enclosing π), set difference/intersection and division;
-//  * the SQL evaluator's index-served pushdown is invisible in the answer
-//    for all three WHERE modes;
+//  * the SQL evaluator's index-served pushdown and its binary-search
+//    [NOT] IN are invisible in the answer for all three WHERE modes;
 //  * the probe counters witness sub-quadratic work: a fused join reports
 //    one probe per probe-side tuple, not |L|·|R|;
 //  * division arity violations are InvalidArgument on every route.
@@ -20,13 +20,14 @@
 namespace incdb {
 namespace {
 
-Database SmallRandomDb(uint64_t seed) {
+Database SmallRandomDb(uint64_t seed, double string_density = 0.0) {
   RandomDbConfig cfg;
   cfg.arities = {2, 2};
   cfg.rows_per_relation = 6;
   cfg.domain_size = 3;
   cfg.null_density = 0.3;
   cfg.null_reuse = 0.4;
+  cfg.string_density = string_density;
   cfg.seed = seed;
   return MakeRandomDatabase(cfg);
 }
@@ -95,15 +96,6 @@ TEST_P(HashKernelSweep, EvalNaiveAgreesWithNestedLoopReference) {
 }
 
 TEST_P(HashKernelSweep, SqlPushdownInvisibleInAnswer) {
-  // Rebuild the random tables under a named schema so SQL can see them.
-  Database rnd = SmallRandomDb(GetParam());
-  Schema schema;
-  ASSERT_TRUE(schema.AddRelation("R0", {"a", "b"}).ok());
-  ASSERT_TRUE(schema.AddRelation("R1", {"c", "d"}).ok());
-  Database db(schema);
-  for (const Tuple& t : rnd.GetRelation("R0").tuples()) db.AddTuple("R0", t);
-  for (const Tuple& t : rnd.GetRelation("R1").tuples()) db.AddTuple("R1", t);
-
   const std::vector<std::string> queries = {
       "SELECT a, d FROM R0, R1 WHERE b = c",
       "SELECT * FROM R0, R1 WHERE b = c AND a = 1",
@@ -111,20 +103,43 @@ TEST_P(HashKernelSweep, SqlPushdownInvisibleInAnswer) {
       "SELECT * FROM R0, R1 WHERE a = d AND b = c",
       "SELECT a FROM R0 WHERE a IN (SELECT c FROM R1)",
       "SELECT a FROM R0 WHERE EXISTS (SELECT * FROM R1 WHERE c = b)",
+      // [NOT] IN: the lookup against the reference fold, uncorrelated (the
+      // second S is empty on some seeds), correlated, two levels deep, and
+      // over a correlated aggregate.
+      "SELECT a, b FROM R0 WHERE a NOT IN (SELECT c FROM R1)",
+      "SELECT a, b FROM R0 WHERE b NOT IN (SELECT d FROM R1 WHERE c = 1)",
+      "SELECT a, b FROM R0 WHERE a IN (SELECT d FROM R1 WHERE c = b)",
+      "SELECT a, b FROM R0 WHERE a NOT IN (SELECT d FROM R1 WHERE c = b)",
+      "SELECT a, b FROM R0 WHERE EXISTS (SELECT c FROM R1 WHERE c = b AND "
+      "d IN (SELECT a FROM R0 WHERE R0.b = R1.d))",
+      "SELECT a, b FROM R0 WHERE a IN (SELECT COUNT(d) FROM R1 WHERE c = b)",
   };
   EvalOptions hash;
   hash.use_hash_kernels = true;
   EvalOptions loops;
   loops.use_hash_kernels = false;
-  for (const std::string& sql : queries) {
-    for (auto mode : {SqlEvalMode::kSql3VL, SqlEvalMode::kNaive,
-                      SqlEvalMode::kSqlMaybe}) {
-      auto fast = EvalSql(sql, db, mode, hash);
-      auto slow = EvalSql(sql, db, mode, loops);
-      ASSERT_TRUE(fast.ok()) << sql << ": " << fast.status().ToString();
-      ASSERT_TRUE(slow.ok()) << sql << ": " << slow.status().ToString();
-      EXPECT_EQ(*fast, *slow) << sql << " (mode " << static_cast<int>(mode)
-                              << ")\n" << db.ToString();
+  // The second instance mixes strings into the int columns, so ints and
+  // strings meet in one IN list.
+  for (double string_density : {0.0, 0.3}) {
+    // Rebuild the random tables under a named schema so SQL can see them.
+    Database rnd = SmallRandomDb(GetParam(), string_density);
+    Schema schema;
+    ASSERT_TRUE(schema.AddRelation("R0", {"a", "b"}).ok());
+    ASSERT_TRUE(schema.AddRelation("R1", {"c", "d"}).ok());
+    Database db(schema);
+    for (const Tuple& t : rnd.GetRelation("R0").tuples()) db.AddTuple("R0", t);
+    for (const Tuple& t : rnd.GetRelation("R1").tuples()) db.AddTuple("R1", t);
+
+    for (const std::string& sql : queries) {
+      for (auto mode : {SqlEvalMode::kSql3VL, SqlEvalMode::kNaive,
+                        SqlEvalMode::kSqlMaybe}) {
+        auto fast = EvalSql(sql, db, mode, hash);
+        auto slow = EvalSql(sql, db, mode, loops);
+        ASSERT_TRUE(fast.ok()) << sql << ": " << fast.status().ToString();
+        ASSERT_TRUE(slow.ok()) << sql << ": " << slow.status().ToString();
+        EXPECT_EQ(*fast, *slow) << sql << " (mode " << static_cast<int>(mode)
+                                << ")\n" << db.ToString();
+      }
     }
   }
 }

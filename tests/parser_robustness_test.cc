@@ -6,6 +6,7 @@
 
 #include "algebra/eval.h"
 #include "algebra/parser.h"
+#include "core/io.h"
 #include "ctables/cio.h"
 #include "logic/rule_parser.h"
 #include "sql/parser.h"
@@ -20,23 +21,29 @@ const char* kSqlSeeds[] = {
     "SELECT dept, COUNT(*), SUM(salary) FROM Emp GROUP BY dept",
     "SELECT a FROM t WHERE EXISTS (SELECT b FROM s) UNION SELECT c FROM u",
     "SELECT * FROM t WHERE a IS NOT NULL OR b <= -5",
+    // int64's extremes: one mutated digit takes them out of range.
+    "SELECT a FROM t WHERE a = 9223372036854775807 OR b > "
+    "-9223372036854775808",
 };
 
 const char* kRuleSeeds[] = {
     "ans(x, p) :- Order(x, p), Pay(y, x, z)",
     ":- R(x, y), R(y, 'abc'), S(-42)",
     "Order(i, p) -> Cust(x), Pref(x, p)",
+    "ans(x) :- R(x, 9223372036854775807), S(-9223372036854775808)",
 };
 
 const char* kRaSeeds[] = {
     "proj{0}(sel[#0 = 5 AND #1 IS NULL](R x S)) U (T - T)",
     "(Assign / Proj) & proj{0, 1}(DELTA)",
+    "sel[#0 = 9223372036854775807](R) U sel[#1 = -9223372036854775808](R)",
 };
 
 const char* kCondSeeds[] = {
     "((_0 = 1 & _1 = 'a b') | ~(_2 = _0))",
     "(true & (_0 = -3 | false))",
     "~((_0 = _1 & _1 = 'it''s') | _2 = 0)",
+    "(_0 = 9223372036854775807 | _1 = -9223372036854775808)",
 };
 
 std::string Mutate(const std::string& seed, Rng* rng) {
@@ -172,6 +179,61 @@ TEST(ParserRobustnessEdge, ConditionErrorsPointAtTheOffendingToken) {
       << loaded.status().ToString();
   EXPECT_NE(loaded.status().message().find("column 15"), std::string::npos)
       << loaded.status().ToString();
+}
+
+TEST(ParserRobustnessEdge, IntegersOutsideTheirTypeAreParseErrors) {
+  auto expect_parse_error = [](const Status& st, const std::string& where) {
+    EXPECT_EQ(st.code(), StatusCode::kParseError) << st.ToString();
+    EXPECT_NE(st.message().find(where), std::string::npos) << st.ToString();
+  };
+  // One past INT64_MAX is an error naming the literal's offset.
+  auto sql = ParseSql("SELECT a FROM t WHERE a = 9223372036854775808");
+  ASSERT_FALSE(sql.ok());
+  expect_parse_error(sql.status(), "offset 26");
+  auto ra = ParseRA("sel[#0 = 9223372036854775808](R)");
+  ASSERT_FALSE(ra.ok());
+  expect_parse_error(ra.status(), "offset 9");
+  auto rule = ParseCQ("ans(x) :- R(x, 9223372036854775808)");
+  ASSERT_FALSE(rule.ok());
+  expect_parse_error(rule.status(), "offset 15");
+  auto cond = ParseCondition("(_0 = 9223372036854775808)");
+  ASSERT_FALSE(cond.ok());
+  expect_parse_error(cond.status(), "column 7");
+
+  // INT64_MIN and INT64_MAX themselves parse, and keep their values.
+  auto extremes = ParseSql(
+      "SELECT a FROM t WHERE a = 9223372036854775807 OR a = "
+      "-9223372036854775808");
+  ASSERT_TRUE(extremes.ok()) << extremes.status().ToString();
+  EXPECT_NE(extremes->ToString().find("9223372036854775807"),
+            std::string::npos);
+  EXPECT_NE(extremes->ToString().find("-9223372036854775808"),
+            std::string::npos);
+  auto ra_extremes = ParseRA(
+      "sel[#0 = 9223372036854775807 AND #1 = -9223372036854775808](R)");
+  ASSERT_TRUE(ra_extremes.ok()) << ra_extremes.status().ToString();
+  EXPECT_NE((*ra_extremes)->ToString().find("-9223372036854775808"),
+            std::string::npos);
+
+  // A null id past NullId's maximum is an error, not a wrapped _0: in an
+  // RA relation literal, and in a dump, where so is an integer past int64.
+  auto ra_null = ParseRA("{(_4294967296)}");
+  ASSERT_FALSE(ra_null.ok());
+  expect_parse_error(ra_null.status(), "null id out of range");
+  ASSERT_TRUE(ParseRA("{(_4294967295)}").ok());
+  for (const char* bad : {"_4294967296", "9223372036854775808"}) {
+    const std::string row = bad;
+    auto dump = LoadDatabase("table R(a)\n" + row + "\n");
+    ASSERT_FALSE(dump.ok()) << bad;
+    expect_parse_error(dump.status(), "line 2");
+    auto cdump = LoadCDatabase("ctable R(a)\n" + row + "\n");
+    ASSERT_FALSE(cdump.ok()) << bad;
+    expect_parse_error(cdump.status(), "line 2");
+  }
+  auto max_null = LoadDatabase("table R(a)\n_4294967295\n");
+  ASSERT_TRUE(max_null.ok()) << max_null.status().ToString();
+  EXPECT_TRUE(max_null->GetRelation("R").Contains(
+      Tuple{Value::Null(4294967295u)}));
 }
 
 TEST(ParserRobustnessEdge, ParsedDivisionWithBadArityEvaluatesToError) {

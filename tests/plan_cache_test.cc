@@ -181,6 +181,26 @@ TEST(PlanCacheTest, IngestionInvalidatesExactlyTheAffectedFingerprints) {
   EXPECT_EQ(service.Stats().invalidated_entries, 1u);
 }
 
+// A reader pinned to an older snapshot must not be served an entry that a
+// faster reader computed at a newer one: it may carry later publishes.
+TEST(PlanCacheTest, EntryFromANewerSnapshotMissesForAnOlderReader) {
+  auto v1 = DatabaseSnapshot::Make(TwoRelationDb(), 1, nullptr);
+  Database next = v1->db();
+  next.AddTuple("R", Tuple{Value::Int(9), Value::Int(9)});
+  auto v2 = DatabaseSnapshot::Make(std::move(next), 2, v1);
+
+  PlanCache cache(4);
+  auto entry = std::make_shared<PlanCacheEntry>();
+  entry->identity = "ra:R";
+  entry->scans = {"R"};
+  entry->snapshot_version = 2;
+  cache.Insert(1, entry);
+
+  EXPECT_EQ(cache.Lookup(1, "ra:R", *v1), nullptr);
+  EXPECT_EQ(cache.Lookup(1, "ra:R", *v2), entry);  // kept for newer readers
+  EXPECT_EQ(cache.invalidated(), 0u);
+}
+
 // World-quantified notions range over valuations of the whole instance, so
 // their entries invalidate on any change — even to an unscanned relation.
 TEST(PlanCacheTest, WorldQuantifiedEntriesDependOnTheWholeDatabase) {

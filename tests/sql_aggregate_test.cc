@@ -131,6 +131,33 @@ TEST(SqlAggregateTest, AggregatesAreNotPositive) {
   EXPECT_FALSE(IsPositiveSqlQuery(*parsed));
 }
 
+TEST(SqlAggregateTest, SumAndAvgOverflowIsAnError) {
+  // Two INT64_MAX amounts: their sum leaves int64, so SUM and AVG refuse
+  // instead of answering a wrapped value.
+  Schema schema;
+  ASSERT_TRUE(schema.AddRelation("Pay", {"p_id", "amount"}).ok());
+  Database db(schema);
+  db.AddTuple("Pay", Tuple{Value::Int(1), Value::Int(INT64_MAX)});
+  db.AddTuple("Pay", Tuple{Value::Int(2), Value::Int(INT64_MAX)});
+  for (const char* sql :
+       {"SELECT SUM(amount) FROM Pay", "SELECT AVG(amount) FROM Pay"}) {
+    for (auto mode : {SqlEvalMode::kSql3VL, SqlEvalMode::kNaive}) {
+      auto r = EvalSql(sql, db, mode);
+      ASSERT_FALSE(r.ok()) << sql << " answered " << r->ToString();
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << sql;
+    }
+  }
+
+  // At the edge without overflow: INT64_MAX + INT64_MIN = -1.
+  Database edge(schema);
+  edge.AddTuple("Pay", Tuple{Value::Int(1), Value::Int(INT64_MAX)});
+  edge.AddTuple("Pay", Tuple{Value::Int(2), Value::Int(INT64_MIN)});
+  auto sum = EvalSql("SELECT SUM(amount) FROM Pay", edge,
+                     SqlEvalMode::kSql3VL);
+  ASSERT_TRUE(sum.ok()) << sum.status().ToString();
+  EXPECT_TRUE(sum->Contains(Tuple{Value::Int(-1)})) << sum->ToString();
+}
+
 TEST(AggIntervalTest, CountIsExact) {
   std::vector<Value> col = {Value::Int(1), Value::Null(0), Value::Null(1)};
   auto c = CertainAggregateInterval(col, AggFunc::kCount);

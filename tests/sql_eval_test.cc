@@ -151,5 +151,123 @@ TEST(SqlEvalTest, UnionArityMismatchRejected) {
           .ok());
 }
 
+// --- x [NOT] IN (S) edge cases --------------------------------------------
+//
+// T(x) and S(y); each case asserts `SELECT x FROM T WHERE x [NOT] IN
+// (SELECT y FROM S)` in all three modes, on the binary-search lookup and on
+// the reference fold (use_hash_kernels off).
+
+Database InDb(const std::vector<Value>& t, const std::vector<Value>& s) {
+  Schema schema;
+  EXPECT_TRUE(schema.AddRelation("T", {"x"}).ok());
+  EXPECT_TRUE(schema.AddRelation("S", {"y"}).ok());
+  Database db(schema);
+  for (const Value& v : t) db.AddTuple("T", Tuple{v});
+  for (const Value& v : s) db.AddTuple("S", Tuple{v});
+  return db;
+}
+
+Relation Column(const std::vector<Value>& xs) {
+  Relation r(1);
+  for (const Value& v : xs) r.Add(Tuple{v});
+  return r;
+}
+
+struct InExpectation {
+  SqlEvalMode mode;
+  std::vector<Value> in;
+  std::vector<Value> not_in;
+};
+
+void ExpectInAnswers(const Database& db,
+                     const std::vector<InExpectation>& cases) {
+  for (bool lookup : {true, false}) {
+    EvalOptions options;
+    options.use_hash_kernels = lookup;
+    for (const InExpectation& c : cases) {
+      for (bool negated : {false, true}) {
+        const std::string sql =
+            std::string("SELECT x FROM T WHERE x ") +
+            (negated ? "NOT IN" : "IN") + " (SELECT y FROM S)";
+        auto r = EvalSql(sql, db, c.mode, options);
+        ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+        EXPECT_EQ(*r, Column(negated ? c.not_in : c.in))
+            << sql << " (mode " << static_cast<int>(c.mode)
+            << ", lookup " << lookup << ")\n" << db.ToString();
+      }
+    }
+  }
+}
+
+TEST(SqlInSemanticsTest, EmptySubqueryKeepsEvenNullXUnderNotIn) {
+  // x IN {} is FALSE for every x, a null one included.
+  const Value n0 = Value::Null(0);
+  Database db = InDb({Value::Int(1), n0}, {});
+  ExpectInAnswers(db, {
+                          {SqlEvalMode::kSql3VL, {}, {Value::Int(1), n0}},
+                          {SqlEvalMode::kSqlMaybe, {}, {}},
+                          {SqlEvalMode::kNaive, {}, {Value::Int(1), n0}},
+                      });
+}
+
+TEST(SqlInSemanticsTest, NullXAgainstNonEmptySubqueryIsUnknown) {
+  // 3VL drops the null row under both IN and NOT IN; MAYBE keeps it.
+  const Value n0 = Value::Null(0);
+  Database db = InDb({Value::Int(2), Value::Int(3), n0},
+                     {Value::Int(1), Value::Int(2)});
+  ExpectInAnswers(db, {
+                          {SqlEvalMode::kSql3VL, {Value::Int(2)},
+                           {Value::Int(3)}},
+                          {SqlEvalMode::kSqlMaybe, {n0}, {n0}},
+                          {SqlEvalMode::kNaive, {Value::Int(2)},
+                           {Value::Int(3), n0}},
+                      });
+}
+
+TEST(SqlInSemanticsTest, SubqueryOfOnlyNulls) {
+  // Every comparison is UNKNOWN in 3VL; naïve mode matches ⊥1 by identity.
+  const Value n1 = Value::Null(1);
+  const Value n2 = Value::Null(2);
+  Database db = InDb({Value::Int(1), n1}, {n1, n2});
+  ExpectInAnswers(db, {
+                          {SqlEvalMode::kSql3VL, {}, {}},
+                          {SqlEvalMode::kSqlMaybe, {Value::Int(1), n1},
+                           {Value::Int(1), n1}},
+                          {SqlEvalMode::kNaive, {n1}, {Value::Int(1)}},
+                      });
+}
+
+TEST(SqlInSemanticsTest, NaiveModeMatchesSharedMarkedNull) {
+  // ⊥5 occurs in T and in S: the same unknown value, so ⊥5 IN S is TRUE
+  // naïvely, and UNKNOWN in 3VL.
+  const Value n5 = Value::Null(5);
+  Database db = InDb({n5, Value::Int(7)}, {n5, Value::Int(8)});
+  ExpectInAnswers(db, {
+                          {SqlEvalMode::kSql3VL, {}, {}},
+                          {SqlEvalMode::kSqlMaybe, {n5, Value::Int(7)},
+                           {n5, Value::Int(7)}},
+                          {SqlEvalMode::kNaive, {n5}, {Value::Int(7)}},
+                      });
+}
+
+TEST(SqlEvalTest, UnnamedRelationRejectedByEveryBlockKind) {
+  // Plain and aggregate blocks resolve FROM the same way, so both refuse a
+  // relation declared without attribute names.
+  Schema schema;
+  ASSERT_TRUE(schema.AddRelation("R", 1).ok());
+  Database db(schema);
+  db.AddTuple("R", Tuple{Value::Int(1)});
+  for (const char* sql : {"SELECT * FROM R", "SELECT COUNT(*) FROM R",
+                          "SELECT a FROM R GROUP BY a"}) {
+    auto r = EvalSql(sql, db, SqlEvalMode::kSql3VL);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << sql;
+    EXPECT_EQ(r.status().message(),
+              "relation R has no attribute names; SQL access requires "
+              "named attributes")
+        << sql;
+  }
+}
+
 }  // namespace
 }  // namespace incdb
