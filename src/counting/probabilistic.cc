@@ -184,9 +184,10 @@ Result<Relation> CertainAnswersWithProbabilityCTable(
   // membership conditions (normalization is single-threaded; the sampling
   // pass below only calls the thread-safe EvalUnder on the shared nodes).
   std::vector<std::pair<Tuple, ConditionPtr>> sampled;
+  const RowIndex index(result);
   for (const Tuple& cand : candidates.tuples()) {
     const ConditionPtr membership = norm.Normalize(Condition::And(
-        global, TupleMembershipCondition(result, cand)));
+        global, TupleMembershipCondition(result, index, cand)));
     if (exact_global) {
       Result<WorldCount> wc = CountSatisfyingValuations(
           membership, nulls, domain, &norm, budget, options.stats);

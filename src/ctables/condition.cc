@@ -101,14 +101,15 @@ std::string Condition::ToString() const {
   return "?";
 }
 
+// Owner-less pointers to immortal nodes: see ConditionPtr in condition.h.
 ConditionPtr Condition::True() {
-  static const ConditionPtr kTrue(new Condition(Kind::kTrue));
-  return kTrue;
+  static const Condition* const kTrue = new Condition(Kind::kTrue);
+  return ConditionPtr(ConditionPtr(), kTrue);
 }
 
 ConditionPtr Condition::False() {
-  static const ConditionPtr kFalse(new Condition(Kind::kFalse));
-  return kFalse;
+  static const Condition* const kFalse = new Condition(Kind::kFalse);
+  return ConditionPtr(ConditionPtr(), kFalse);
 }
 
 ConditionPtr Condition::Eq(Value a, Value b) {

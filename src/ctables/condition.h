@@ -19,6 +19,17 @@
 namespace incdb {
 
 class Condition;
+/// Shared, immutable condition node.
+///
+/// `Condition::True()` and `Condition::False()` have no owner: each is an
+/// aliasing pointer with an empty control block to one immortal node. Nearly
+/// every lifted row carries `true`, so with an owner every copy and release
+/// in every query would be an atomic read-modify-write on one cache line
+/// shared by all cores; owner-less, they cost a plain pointer copy. Hence:
+/// compare conditions by `get()` (or `IsTrue()` / `IsFalse()`), never by
+/// ownership; `use_count()` is 0 for the constants; and never hold a
+/// condition through a `std::weak_ptr`, which would see a constant as
+/// expired.
 using ConditionPtr = std::shared_ptr<const Condition>;
 
 /// Immutable condition AST node.
@@ -48,7 +59,8 @@ class Condition {
 
   std::string ToString() const;
 
-  // Factories (with folding).
+  // Factories (with folding). True() and False() return owner-less
+  // pointers to immortal nodes (see ConditionPtr).
   static ConditionPtr True();
   static ConditionPtr False();
   static ConditionPtr Eq(Value a, Value b);

@@ -1,5 +1,7 @@
 #include "ctables/ctable.h"
 
+#include <mutex>
+
 namespace incdb {
 
 void CTable::AddRow(Tuple t, ConditionPtr c) {
@@ -90,9 +92,15 @@ CTable* CDatabase::MutableTable(const std::string& name, size_t arity_hint) {
 const CTable& CDatabase::GetTable(const std::string& name) const {
   auto it = tables_.find(name);
   if (it != tables_.end()) return it->second;
+  // Shared immutable empties, one per arity ever requested. Mutex-guarded:
+  // concurrent readers (service sessions) may race to create an arity's
+  // entry. Map node stability keeps returned references valid across later
+  // insertions.
+  static std::mutex* mu = new std::mutex;
   static std::map<size_t, CTable>* empties = new std::map<size_t, CTable>;
   size_t arity = 0;
   if (schema_.HasRelation(name)) arity = *schema_.Arity(name);
+  std::lock_guard<std::mutex> lock(*mu);
   auto eit = empties->find(arity);
   if (eit == empties->end()) {
     eit = empties->emplace(arity, CTable(arity)).first;

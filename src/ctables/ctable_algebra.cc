@@ -1,53 +1,29 @@
 #include "ctables/ctable_algebra.h"
 
 #include <algorithm>
-#include <iterator>
-#include <unordered_map>
+#include <unordered_set>
 
 #include "algebra/classify.h"
 #include "algebra/optimize.h"
 #include "ctables/ctable_kernels.h"
 
 namespace incdb {
-namespace {
-
-// Right-side rows of a diff/intersect, bucketed so a complete (null-free)
-// left tuple only visits the rows that can contribute a non-identity
-// condition: the bucket holding its exact tuple, plus every null-carrying
-// row. Candidates are replayed in original row order so the built condition
-// chains are structurally identical to the full nested loop.
-class RowIndex {
- public:
-  explicit RowIndex(const CTable& r) {
-    const auto& rows = r.rows();
-    for (size_t i = 0; i < rows.size(); ++i) {
-      if (rows[i].tuple.HasNull()) {
-        null_rows_.push_back(i);
-      } else {
-        complete_[rows[i].tuple].push_back(i);
-      }
+RowIndex::RowIndex(const CTable& t) : num_rows_(t.rows().size()) {
+  const auto& rows = t.rows();
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (rows[i].tuple.HasNull()) {
+      null_rows_.push_back(i);
+    } else {
+      complete_[rows[i].tuple].push_back(i);
     }
   }
+}
 
-  // Row indices relevant for left tuple `t`, in increasing order.
-  std::vector<size_t> CandidatesFor(const Tuple& t) const {
-    static const std::vector<size_t> kNone;
-    const std::vector<size_t>* exact = &kNone;
-    auto it = complete_.find(t);
-    if (it != complete_.end()) exact = &it->second;
-    std::vector<size_t> out;
-    out.reserve(exact->size() + null_rows_.size());
-    std::merge(exact->begin(), exact->end(), null_rows_.begin(),
-               null_rows_.end(), std::back_inserter(out));
-    return out;
-  }
-
- private:
-  std::unordered_map<Tuple, std::vector<size_t>, TupleHash> complete_;
-  std::vector<size_t> null_rows_;
-};
-
-}  // namespace
+const std::vector<size_t>& RowIndex::ExactRows(const Tuple& t) const {
+  static const std::vector<size_t> kNone;
+  const auto it = complete_.find(t);
+  return it == complete_.end() ? kNone : it->second;
+}
 
 ConditionPtr TuplesEqualCondition(const Tuple& t, const Tuple& s) {
   INCDB_CHECK(t.arity() == s.arity());
@@ -197,24 +173,15 @@ Result<CTable> DiffCT(const CTable& l, const CTable& r, EvalStats* stats,
   uint64_t probes = 0;
   for (const CTableRow& a : l.rows()) {
     ConditionPtr c = a.condition;
-    auto fold = [&](const CTableRow& b) {
+    index.ForEachCandidate(a.tuple, [&](size_t i) {
+      ++probes;
+      const CTableRow& b = r.rows()[i];
       // a survives only if b is absent or differs from a.
       c = Condition::And(
           c, Condition::Not(Condition::And(
                  b.condition, TuplesEqualCondition(a.tuple, b.tuple))));
       return !c->IsFalse();
-    };
-    if (a.tuple.HasNull()) {
-      for (const CTableRow& b : r.rows()) {
-        ++probes;
-        if (!fold(b)) break;
-      }
-    } else {
-      for (size_t i : index.CandidatesFor(a.tuple)) {
-        ++probes;
-        if (!fold(r.rows()[i])) break;
-      }
-    }
+    });
     if (norm != nullptr) c = norm->Normalize(c);
     if (!c->IsFalse()) out.AddRow(a.tuple, std::move(c));
   }
@@ -239,23 +206,14 @@ Result<CTable> IntersectCT(const CTable& l, const CTable& r, EvalStats* stats,
   uint64_t probes = 0;
   for (const CTableRow& a : l.rows()) {
     ConditionPtr any = Condition::False();
-    auto fold = [&](const CTableRow& b) {
+    index.ForEachCandidate(a.tuple, [&](size_t i) {
+      ++probes;
+      const CTableRow& b = r.rows()[i];
       any = Condition::Or(
           any, Condition::And(b.condition,
                               TuplesEqualCondition(a.tuple, b.tuple)));
       return !any->IsTrue();
-    };
-    if (a.tuple.HasNull()) {
-      for (const CTableRow& b : r.rows()) {
-        ++probes;
-        if (!fold(b)) break;
-      }
-    } else {
-      for (size_t i : index.CandidatesFor(a.tuple)) {
-        ++probes;
-        if (!fold(r.rows()[i])) break;
-      }
-    }
+    });
     ConditionPtr c = Condition::And(a.condition, std::move(any));
     if (norm != nullptr) c = norm->Normalize(c);
     if (!c->IsFalse()) out.AddRow(a.tuple, std::move(c));
@@ -361,13 +319,16 @@ Result<CTable> EvalOnCTables(const RAExprPtr& e, const CDatabase& db,
   return EvalCT(e, db, options, norm);
 }
 
-ConditionPtr TupleMembershipCondition(const CTable& t, const Tuple& cand) {
+ConditionPtr TupleMembershipCondition(const CTable& t, const RowIndex& index,
+                                      const Tuple& cand) {
   ConditionPtr dt = Condition::False();
-  for (const CTableRow& row : t.rows()) {
+  index.ForEachCandidate(cand, [&](size_t i) {
+    const CTableRow& row = t.rows()[i];
     dt = Condition::Or(
         std::move(dt),
         Condition::And(row.condition, TuplesEqualCondition(row.tuple, cand)));
-  }
+    return true;
+  });
   return dt;
 }
 
@@ -404,19 +365,10 @@ Result<Relation> CertainAnswersFromCTable(const CTable& t,
   const Relation world0 = t.ApplyValuation(v0, &global_ok);
   INCDB_CHECK(global_ok);
 
-  // Bucket rows by ground tuple so each candidate's disjunction D_t only
-  // collects its exact-match rows plus the null-carrying rows.
-  std::unordered_map<Tuple, std::vector<size_t>, TupleHash> ground;
-  std::vector<size_t> null_rows;
+  // Each candidate's disjunction D_t only collects its exact-match rows
+  // plus the null-carrying rows.
+  const RowIndex index(t);
   const auto& rows = t.rows();
-  for (size_t i = 0; i < rows.size(); ++i) {
-    if (rows[i].tuple.HasNull()) {
-      null_rows.push_back(i);
-    } else {
-      ground[rows[i].tuple].push_back(i);
-    }
-  }
-
   uint64_t sat_checks = 0;
   Relation out(t.arity());
   for (const Tuple& cand : world0.tuples()) {
@@ -424,23 +376,20 @@ Result<Relation> CertainAnswersFromCTable(const CTable& t,
     // global ∧ ¬D_t has no satisfying valuation over the domain.
     ConditionPtr dt = Condition::False();
     bool fast_true = false;
-    const auto it = ground.find(cand);
-    if (it != ground.end()) {
-      for (size_t i : it->second) {
-        ConditionPtr c = norm->Normalize(rows[i].condition);
-        if (c->IsTrue()) {
-          // An unconditional row carrying cand: present in every world.
-          fast_true = true;
-          break;
-        }
-        dt = Condition::Or(std::move(dt), std::move(c));
+    for (size_t i : index.ExactRows(cand)) {
+      ConditionPtr c = norm->Normalize(rows[i].condition);
+      if (c->IsTrue()) {
+        // An unconditional row carrying cand: present in every world.
+        fast_true = true;
+        break;
       }
+      dt = Condition::Or(std::move(dt), std::move(c));
     }
     if (fast_true) {
       out.Add(cand);
       continue;
     }
-    for (size_t i : null_rows) {
+    for (size_t i : index.NullRows()) {
       dt = Condition::Or(
           std::move(dt),
           Condition::And(rows[i].condition,
@@ -466,10 +415,13 @@ Result<Relation> PossibleAnswersFromCTable(const CTable& t,
   OpScope scope(stats, EvalOp::kCTableExtract);
   scope.CountIn(t.rows().size());
   const ConditionPtr global = norm->Normalize(t.global_condition());
-  Relation out(t.arity());
+  std::unordered_set<Tuple, TupleHash> possible;
   uint64_t sat_checks = 0;
 
   for (const CTableRow& row : t.rows()) {
+    // A ground row can only add its own tuple; once that tuple is known to
+    // be possible, the row's check cannot change the answer.
+    if (!row.tuple.HasNull() && possible.count(row.tuple) > 0) continue;
     ConditionPtr base = norm->Normalize(
         Condition::And(global, row.condition));
     if (base->IsFalse()) continue;
@@ -498,7 +450,7 @@ Result<Relation> PossibleAnswersFromCTable(const CTable& t,
         ++sat_checks;
         INCDB_ASSIGN_OR_RETURN(
             bool sat, SatisfiableOverDomain(cond, domain, norm, budget));
-        if (sat) out.Add(binding.Apply(row.tuple));
+        if (sat) possible.insert(binding.Apply(row.tuple));
         return true;
       }
       const NullId id = tuple_nulls[depth];
@@ -513,6 +465,8 @@ Result<Relation> PossibleAnswersFromCTable(const CTable& t,
     };
     INCDB_RETURN_IF_ERROR(dfs(0, base).status());
   }
+  Relation out(t.arity(),
+               std::vector<Tuple>(possible.begin(), possible.end()));
   scope.CountProbes(sat_checks);
   scope.CountOut(out.size());
   return out;

@@ -14,6 +14,9 @@
 #ifndef INCDB_CTABLES_CTABLE_ALGEBRA_H_
 #define INCDB_CTABLES_CTABLE_ALGEBRA_H_
 
+#include <unordered_map>
+#include <vector>
+
 #include "algebra/ast.h"
 #include "core/possible_worlds.h"
 #include "ctables/condition_norm.h"
@@ -45,11 +48,56 @@ Result<CTable> EvalOnCTables(const RAExprPtr& e, const CDatabase& db,
 Result<ConditionPtr> PredicateToCondition(const PredicatePtr& pred,
                                           const Tuple& t);
 
-// Individual operators, exposed for tests. Difference and intersection hash
-// the right side's null-free rows by tuple so a complete left row only pairs
-// with its exact match plus the null-carrying rows; because the Condition
-// factories constant-fold, the skipped pairs would have contributed identity
-// conditions and the result is structurally unchanged. When `norm` is
+/// The rows of a c-table that can match a given tuple, found by lookup.
+///
+/// Null-free rows are bucketed by tuple. A complete tuple `t` can only match
+/// the rows in its own bucket plus the null-carrying rows: for any other
+/// null-free row, "tuple_r = t" compares two distinct constants somewhere,
+/// which the Condition factories fold to `false`, and a `false` conjunct or
+/// disjunct folds away. So a fold over the candidate rows builds the very
+/// node a fold over every row builds, as long as the candidates are visited
+/// in row order. A tuple with a null can match any row and visits them all.
+/// The index holds row positions, not rows: use it only with the table it
+/// was built from, unchanged since.
+class RowIndex {
+ public:
+  explicit RowIndex(const CTable& t);
+
+  /// Positions of the null-free rows whose tuple equals `t`, increasing.
+  const std::vector<size_t>& ExactRows(const Tuple& t) const;
+  /// Positions of the rows whose tuple carries a null, increasing.
+  const std::vector<size_t>& NullRows() const { return null_rows_; }
+
+  /// Calls `fn(i)` for every row position `i` that can match `t`, in
+  /// increasing order, until `fn` returns false.
+  template <typename Fn>
+  void ForEachCandidate(const Tuple& t, Fn&& fn) const {
+    if (t.HasNull()) {
+      for (size_t i = 0; i < num_rows_; ++i) {
+        if (!fn(i)) return;
+      }
+      return;
+    }
+    const std::vector<size_t>& exact = ExactRows(t);
+    size_t e = 0;
+    size_t n = 0;
+    while (e < exact.size() || n < null_rows_.size()) {
+      const bool take_exact =
+          n == null_rows_.size() ||
+          (e < exact.size() && exact[e] < null_rows_[n]);
+      if (!fn(take_exact ? exact[e++] : null_rows_[n++])) return;
+    }
+  }
+
+ private:
+  size_t num_rows_;
+  std::unordered_map<Tuple, std::vector<size_t>, TupleHash> complete_;
+  std::vector<size_t> null_rows_;
+};
+
+// Individual operators, exposed for tests. Difference and intersection pair
+// each left row only with the right rows a RowIndex finds for its tuple; the
+// result is structurally the one the full nested loop builds. When `norm` is
 // non-null, result row conditions are normalized and rows proven `false`
 // are dropped (semantics unchanged — those rows exist in no world).
 Result<CTable> SelectCT(const PredicatePtr& pred, const CTable& in,
@@ -70,13 +118,14 @@ Result<CTable> IntersectCT(const CTable& l, const CTable& r,
 ConditionPtr TuplesEqualCondition(const Tuple& t, const Tuple& s);
 
 /// D_t of the extraction equations: the condition under which the complete
-/// tuple `cand` is a member of the world `t` represents under a valuation —
-/// ⋁_rows (cond_r ∧ "tuple_r = cand"). The factories' constant folding drops
-/// ground rows that cannot match, so the disjunction only carries the
-/// candidate's exact-match rows plus the null-carrying rows. The counting
-/// layer (counting/probabilistic.h) counts/samples satisfying valuations of
-/// global ∧ D_t to turn membership into a probability.
-ConditionPtr TupleMembershipCondition(const CTable& t, const Tuple& cand);
+/// tuple `cand` is a member of the world the table `t` represents under a
+/// valuation — ⋁_rows (cond_r ∧ "tuple_r = cand"). `index` is a RowIndex of
+/// `t`; it limits the fold to the candidate's exact-match rows plus the
+/// null-carrying rows, so building D_t costs those rows, not all of `t`. The
+/// counting layer (counting/probabilistic.h) counts/samples satisfying
+/// valuations of global ∧ D_t to turn membership into a probability.
+ConditionPtr TupleMembershipCondition(const CTable& t, const RowIndex& index,
+                                      const Tuple& cand);
 
 // ---------------------------------------------------------------------------
 // Direct certain/possible-answer extraction (the c-table-native pipeline).
@@ -111,7 +160,10 @@ Result<Relation> CertainAnswersFromCTable(const CTable& t,
 /// Possible answers of `t` over `domain`: every grounding of every row's
 /// tuple whose combined condition (global ∧ row ∧ bindings) is satisfiable.
 /// Branches over tuple-null bindings are pruned as soon as the substituted
-/// condition normalizes to `false`.
+/// condition normalizes to `false`. A ground row whose tuple is already
+/// known to be possible is skipped before its satisfiability check (a
+/// kCTableExtract probe): many rows carrying one tuple cost one check once
+/// one of them is found satisfiable.
 Result<Relation> PossibleAnswersFromCTable(const CTable& t,
                                            const std::vector<Value>& domain,
                                            ConditionNormalizer* norm,
