@@ -75,11 +75,21 @@ const std::vector<Tuple>& Relation::EmptyTuples() {
 
 void Relation::EnsureCanonical() const {
   if (!dirty_) return;
-  // dirty_ implies uniquely owned storage (mutators clone before writing),
-  // so sorting in place cannot be observed through another relation.
-  std::sort(tuples_->begin(), tuples_->end());
-  tuples_->erase(std::unique(tuples_->begin(), tuples_->end()),
-                 tuples_->end());
+  // Many producers (the columnar engine, SQL blocks, the dump loader) emit
+  // rows already in canonical order; one pass recognises them.
+  const bool canonical =
+      std::adjacent_find(tuples_->begin(), tuples_->end(),
+                         [](const Tuple& a, const Tuple& b) {
+                           return !(a < b);
+                         }) == tuples_->end();
+  if (!canonical) {
+    // dirty_ implies uniquely owned storage (mutators clone before
+    // writing), so sorting in place cannot be observed through another
+    // relation.
+    std::sort(tuples_->begin(), tuples_->end());
+    tuples_->erase(std::unique(tuples_->begin(), tuples_->end()),
+                   tuples_->end());
+  }
   dirty_ = false;
 }
 

@@ -1,9 +1,10 @@
 #include "engine/vectorized.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -109,25 +110,44 @@ bool RowEq(const CodeView& a, size_t ai, const CodeView& b, size_t bi,
 }
 
 // Sorts `cols` rows lexicographically and drops duplicates, restoring the
-// canonical-row invariant after projection and join emits.
-void CompactRows(size_t arity, std::vector<std::vector<uint32_t>>* cols,
-                 size_t* rows) {
+// canonical-row invariant after projection and join emits. Every code is
+// below `dict_size`, so the row permutation is ordered by an LSD radix sort:
+// columns last to first, one stable counting pass per byte of the
+// ceil(log2 dict_size) code bits. A pass whose byte is the same in every
+// row keeps the order as it is and is skipped.
+void CompactRows(size_t arity, size_t dict_size,
+                 std::vector<std::vector<uint32_t>>* cols, size_t* rows) {
   const size_t n = *rows;
   if (n <= 1) return;
   if (arity == 0) {  // all empty rows are equal
     *rows = 1;
     return;
   }
+  const int bits = static_cast<int>(std::bit_width(dict_size - 1));
   std::vector<uint32_t> perm(n);
   for (size_t i = 0; i < n; ++i) perm[i] = static_cast<uint32_t>(i);
-  std::sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t b) {
-    for (size_t c = 0; c < arity; ++c) {
-      const uint32_t x = (*cols)[c][a];
-      const uint32_t y = (*cols)[c][b];
-      if (x != y) return x < y;
+  // key[i] is the code of row perm[i] in the column being sorted; both move
+  // together, so the byte passes read memory in order.
+  std::vector<uint32_t> key(n);
+  std::vector<uint32_t> perm_next(n);
+  std::vector<uint32_t> key_next(n);
+  for (size_t c = arity; c-- > 0;) {
+    const std::vector<uint32_t>& col = (*cols)[c];
+    for (size_t i = 0; i < n; ++i) key[i] = col[perm[i]];
+    for (int shift = 0; shift < bits; shift += 8) {
+      std::array<size_t, 257> start{};
+      for (size_t i = 0; i < n; ++i) ++start[((key[i] >> shift) & 0xff) + 1];
+      if (start[((key[0] >> shift) & 0xff) + 1] == n) continue;
+      for (size_t b = 1; b < start.size(); ++b) start[b] += start[b - 1];
+      for (size_t i = 0; i < n; ++i) {
+        const size_t dst = start[(key[i] >> shift) & 0xff]++;
+        perm_next[dst] = perm[i];
+        key_next[dst] = key[i];
+      }
+      perm.swap(perm_next);
+      key.swap(key_next);
     }
-    return false;
-  });
+  }
   std::vector<uint32_t> kept;
   kept.reserve(n);
   for (size_t i = 0; i < n; ++i) {
@@ -371,7 +391,7 @@ VecTable ProjectCols(const VecTable& t, const std::vector<size_t>& cols) {
   std::vector<std::vector<uint32_t>> out(cols.size());
   for (size_t c = 0; c < cols.size(); ++c) out[c] = t.col(cols[c]);
   size_t rows = t.rows;
-  CompactRows(cols.size(), &out, &rows);
+  CompactRows(cols.size(), t.dict->size(), &out, &rows);
   return VecTable::Own(cols.size(), rows, t.dict, std::move(out));
 }
 
@@ -456,7 +476,7 @@ uint64_t MixCodes(const CodeView& v, size_t row,
   return h ^ cols.size();
 }
 
-// Fused equi-join: batched hash build over the right key columns, chunked
+// Fused equi-join: a flat hash build over the right key columns, a chunked
 // probe over the left rows, residual and projection applied on codes.
 VecTable HashJoinVec(const VecTable& l, const VecTable& r,
                      const std::vector<JoinKey>& keys,
@@ -477,11 +497,34 @@ VecTable HashJoinVec(const VecTable& l, const VecTable& r,
     rcols.push_back(k.right_col);
   }
 
-  std::unordered_map<uint64_t, std::vector<uint32_t>> build;
+  // The build side is two flat arrays. Bucket b holds ids[start[b]] up to
+  // ids[start[b + 1]]: the right rows whose key hashes there, ascending, so
+  // a probe row meets its matches in right-row order. The bucket count is
+  // the power of two >= |r|, and a row's bucket is the top bits of its
+  // mixed key codes times the 64-bit golden ratio.
+  const int bucket_bits =
+      r.rows <= 1 ? 0 : static_cast<int>(std::bit_width(r.rows - 1));
+  auto bucket_of = [bucket_bits](uint64_t h) -> size_t {
+    if (bucket_bits == 0) return 0;
+    return (h * 0x9e3779b97f4a7c15ULL) >> (64 - bucket_bits);
+  };
+  std::vector<uint32_t> start;
+  std::vector<uint32_t> ids;
   if (l.rows > 0) {
-    build.reserve(r.rows);
+    const size_t buckets = size_t{1} << bucket_bits;
+    std::vector<uint32_t> row_bucket(r.rows);
+    start.assign(buckets + 1, 0);
     for (size_t i = 0; i < r.rows; ++i) {
-      build[MixCodes(rv, i, rcols)].push_back(static_cast<uint32_t>(i));
+      row_bucket[i] = static_cast<uint32_t>(bucket_of(MixCodes(rv, i, rcols)));
+      ++start[row_bucket[i]];
+    }
+    // Running sums make start[b] the end of bucket b; filling each bucket
+    // back to front then leaves it at the bucket's beginning.
+    for (size_t b = 1; b < buckets; ++b) start[b] += start[b - 1];
+    start[buckets] = static_cast<uint32_t>(r.rows);
+    ids.resize(r.rows);
+    for (size_t i = r.rows; i-- > 0;) {
+      ids[--start[row_bucket[i]]] = static_cast<uint32_t>(i);
     }
   }
 
@@ -495,9 +538,9 @@ VecTable HashJoinVec(const VecTable& l, const VecTable& r,
   auto probe_chunk = [&](size_t begin, size_t end,
                          std::vector<std::pair<uint32_t, uint32_t>>* out) {
     for (size_t i = begin; i < end; ++i) {
-      auto it = build.find(MixCodes(lv, i, lcols));
-      if (it == build.end()) continue;
-      for (uint32_t ri : it->second) {
+      const size_t b = bucket_of(MixCodes(lv, i, lcols));
+      for (uint32_t k = start[b]; k < start[b + 1]; ++k) {
+        const uint32_t ri = ids[k];
         if (keys_match(i, ri)) out->emplace_back(static_cast<uint32_t>(i), ri);
       }
     }
@@ -544,7 +587,8 @@ VecTable HashJoinVec(const VecTable& l, const VecTable& r,
     joined = GatherRows(joined, keep);
   }
   if (projection != nullptr) return ProjectCols(joined, *projection);
-  CompactRows(joined.arity, &joined.owned, &joined.rows);
+  CompactRows(joined.arity, joined.dict->size(), &joined.owned,
+              &joined.rows);
   return joined;
 }
 

@@ -7,7 +7,8 @@
 //
 // A second test runs EvalNaive on relations large enough to span several
 // chunks, so the chunk-merge path itself is covered (the QueryEngine
-// sweep's relations fit in one chunk and run inline).
+// sweep's relations fit in one chunk and run inline), and on an instance
+// whose dictionary codes need more than 16 bits.
 //
 // The EnumerationDriverTest cases run fixed plan shapes — operators beside
 // a complete relation, and user-written literals — through both enumeration
@@ -18,6 +19,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algebra/certain.h"
@@ -284,72 +286,128 @@ TEST(EnumerationDriverTest, PlanLiteralsMatchReference) {
   }
 }
 
+// σ_{#key = #2}(l × r) for a binary l, written out by hand: r indexed by
+// its first column. The nested-loop reference would materialize the whole
+// product.
+Relation HandJoin(const Relation& l, const Relation& r, size_t key) {
+  std::map<Value, std::vector<Tuple>> r_by_head;
+  for (const Tuple& t : r.tuples()) r_by_head[t[0]].push_back(t);
+  Relation out(l.arity() + r.arity());
+  for (const Tuple& t : l.tuples()) {
+    auto it = r_by_head.find(t[key]);
+    if (it == r_by_head.end()) continue;
+    for (const Tuple& u : it->second) out.Add(t.Concat(u));
+  }
+  return out;
+}
+
+Relation HandProject(const Relation& r, const std::vector<size_t>& cols) {
+  Relation out(cols.size());
+  for (const Tuple& t : r.tuples()) out.Add(t.Project(cols));
+  return out;
+}
+
+// Evaluates `plan` serially and at 2 and 7 threads with the chunked loops
+// forced on; every answer must equal `want`, and the counter totals must not
+// depend on the thread count.
+void ExpectKernelsMatch(const RAExprPtr& plan, const Database& db,
+                        const Relation& want) {
+  EvalStats serial_stats;
+  EvalOptions serial;
+  serial.num_threads = 1;
+  serial.stats = &serial_stats;
+  auto base = EvalNaive(plan, db, serial);
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  EXPECT_EQ(*base, want) << plan->ToString();
+  EXPECT_GT(serial_stats.batches_processed(), 1u) << plan->ToString();
+
+  for (int threads : {2, 7}) {
+    EvalStats stats;
+    EvalOptions opts;
+    opts.num_threads = threads;
+    opts.parallel_row_threshold = 1;
+    opts.stats = &stats;
+    auto got = EvalNaive(plan, db, opts);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, *base) << plan->ToString() << " @" << threads;
+    // Counter totals are deterministic: batches and rows count per kernel
+    // invocation, however the loop was chunked.
+    EXPECT_EQ(stats.rows_vectorized(), serial_stats.rows_vectorized())
+        << plan->ToString() << " @" << threads;
+    EXPECT_EQ(stats.batches_processed(), serial_stats.batches_processed())
+        << plan->ToString() << " @" << threads;
+  }
+}
+
+RAExprPtr EquiJoin(size_t key, const RAExprPtr& l, const RAExprPtr& r) {
+  return RAExpr::Select(Predicate::Eq(Term::Column(key), Term::Column(2)),
+                        RAExpr::Product(l, r));
+}
+
 // Relations wide enough that the columnar loops span several chunks, so the
 // chunk-order merge actually runs.
 TEST(ParallelKernelTest, LargeKernelsMatchSerialAcrossThreadCounts) {
-  constexpr int64_t n = 5000;
-  Database db;
-  Relation* l = db.MutableRelation("L", 2);
-  Relation* r = db.MutableRelation("R", 2);
-  for (int64_t i = 0; i < n; ++i) {
-    l->Add(Tuple{Value::Int(i), Value::Int(i % 97)});
-    r->Add(Tuple{Value::Int(i % 97), Value::Int(i % 13)});
-    if (i % 3 == 0) r->Add(Tuple{Value::Int(i), Value::Int(i % 13)});
-  }
-  const auto scan_l = RAExpr::Scan("L");
-  const auto scan_r = RAExpr::Scan("R");
-  const RAExprPtr plans[] = {
-      // π_{0,3}(σ_{#1 = #2}(L × R)): the fused hash join.
-      RAExpr::Project(
-          {0, 3},
-          RAExpr::Select(Predicate::Eq(Term::Column(1), Term::Column(2)),
-                         RAExpr::Product(scan_l, scan_r))),
-      RAExpr::Diff(scan_l, scan_r),
-      RAExpr::Intersect(scan_l, scan_r),
-  };
-
-  // The nested-loop reference would materialize the ~10⁷-row product for
-  // the join, so the join's reference is written out here: R indexed by its
-  // first column. − and ∩ run through the reference evaluator.
-  std::map<Value, std::vector<Value>> r_tail_by_head;
-  for (const Tuple& t : r->tuples()) r_tail_by_head[t[0]].push_back(t[1]);
-  Relation join_want(2);
-  for (const Tuple& t : l->tuples()) {
-    auto it = r_tail_by_head.find(t[1]);
-    if (it == r_tail_by_head.end()) continue;
-    for (const Value& v : it->second) join_want.Add(Tuple{t[0], v});
-  }
   EvalOptions reference;
   reference.use_hash_kernels = false;
-  for (const RAExprPtr& plan : plans) {
-    Result<Relation> want = plan == plans[0] ? Result<Relation>(join_want)
-                                             : EvalNaive(plan, db, reference);
-    ASSERT_TRUE(want.ok()) << want.status().ToString();
+  {
+    constexpr int64_t n = 5000;
+    Database db;
+    Relation* l = db.MutableRelation("L", 2);
+    Relation* r = db.MutableRelation("R", 2);
+    for (int64_t i = 0; i < n; ++i) {
+      l->Add(Tuple{Value::Int(i), Value::Int(i % 97)});
+      r->Add(Tuple{Value::Int(i % 97), Value::Int(i % 13)});
+      if (i % 3 == 0) r->Add(Tuple{Value::Int(i), Value::Int(i % 13)});
+    }
+    const auto scan_l = RAExpr::Scan("L");
+    const auto scan_r = RAExpr::Scan("R");
+    // π_{0,3}(σ_{#1 = #2}(L × R)): the fused hash join.
+    ExpectKernelsMatch(RAExpr::Project({0, 3}, EquiJoin(1, scan_l, scan_r)),
+                       db, HandProject(HandJoin(*l, *r, 1), {0, 3}));
+    for (const RAExprPtr& plan : {RAExpr::Diff(scan_l, scan_r),
+                                  RAExpr::Intersect(scan_l, scan_r)}) {
+      auto want = EvalNaive(plan, db, reference);
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      ExpectKernelsMatch(plan, db, *want);
+    }
+  }
+  {
+    // Wide codes: L's dictionary alone holds 70 000 values, so every
+    // compacted column takes three byte passes of the row sort. Every third
+    // L row joins one R row on a.
+    constexpr int64_t n = 70000;
+    Database db;
+    Relation* l = db.MutableRelation("L", 2);
+    Relation* r = db.MutableRelation("R", 2);
+    for (int64_t i = 0; i < n; ++i) {
+      l->Add(Tuple{Value::Int(i), Value::Int(i % 1000)});
+      if (i % 3 == 0) r->Add(Tuple{Value::Int(i), Value::Int(100000 + i % 7)});
+    }
+    const auto join = EquiJoin(0, RAExpr::Scan("L"), RAExpr::Scan("R"));
+    const Relation join_want = HandJoin(*l, *r, 0);
+    const Relation ba_want = HandProject(join_want, {1, 0});
+    const Relation da_want = HandProject(join_want, {3, 0});
+    ExpectKernelsMatch(join, db, join_want);  // compacts all four columns
+    ExpectKernelsMatch(RAExpr::Project({1, 0}, join), db, ba_want);
+    ExpectKernelsMatch(RAExpr::Project({3, 0}, join), db, da_want);
 
-    EvalStats serial_stats;
-    EvalOptions serial;
-    serial.num_threads = 1;
-    serial.stats = &serial_stats;
-    auto base = EvalNaive(plan, db, serial);
-    ASSERT_TRUE(base.ok()) << base.status().ToString();
-    EXPECT_EQ(*base, *want) << plan->ToString();
-    EXPECT_GT(serial_stats.batches_processed(), 1u) << plan->ToString();
-
-    for (int threads : {2, 7}) {
-      EvalStats stats;
-      EvalOptions opts;
-      opts.num_threads = threads;
-      opts.parallel_row_threshold = 1;
-      opts.stats = &stats;
-      auto got = EvalNaive(plan, db, opts);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      EXPECT_EQ(*got, *base) << plan->ToString() << " @" << threads;
-      // Counter totals are deterministic: batches and rows count per kernel
-      // invocation, however the loop was chunked.
-      EXPECT_EQ(stats.rows_vectorized(), serial_stats.rows_vectorized())
-          << plan->ToString() << " @" << threads;
-      EXPECT_EQ(stats.batches_processed(), serial_stats.batches_processed())
-          << plan->ToString() << " @" << threads;
+    // −, ∩ and ∪ merge-walk projected, hence compacted, operands whose rows
+    // interleave: rows a compaction left out of order would go missing in
+    // the walk. Their expected answers come from the reference, with the
+    // join's side a literal.
+    const auto l_ba = RAExpr::Project({1, 0}, RAExpr::Scan("L"));
+    const std::pair<RAExprPtr, RAExprPtr> set_ops[] = {
+        {RAExpr::Diff(l_ba, RAExpr::Project({1, 0}, join)),
+         RAExpr::Diff(l_ba, RAExpr::ConstRel(ba_want))},
+        {RAExpr::Intersect(l_ba, RAExpr::Project({1, 0}, join)),
+         RAExpr::Intersect(l_ba, RAExpr::ConstRel(ba_want))},
+        {RAExpr::Union(l_ba, RAExpr::Project({3, 0}, join)),
+         RAExpr::Union(l_ba, RAExpr::ConstRel(da_want))},
+    };
+    for (const auto& [plan, reference_plan] : set_ops) {
+      auto want = EvalNaive(reference_plan, db, reference);
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      ExpectKernelsMatch(plan, db, *want);
     }
   }
 }

@@ -4,6 +4,7 @@
 
 #include <set>
 #include <utility>
+#include <vector>
 
 #include "core/columnar.h"
 
@@ -40,15 +41,18 @@ TEST(RelationTest, SetSemanticsDeduplicates) {
 }
 
 TEST(RelationTest, TuplesAreSortedCanonically) {
-  Relation r(2);
-  r.Add(T2(5, 1));
-  r.Add(T2(1, 9));
-  r.Add(T2(1, 2));
-  const auto& ts = r.tuples();
-  ASSERT_EQ(ts.size(), 3u);
-  EXPECT_EQ(ts[0], T2(1, 2));
-  EXPECT_EQ(ts[1], T2(1, 9));
-  EXPECT_EQ(ts[2], T2(5, 1));
+  const std::vector<Tuple> want = {T2(1, 2), T2(1, 9), T2(5, 1)};
+  const std::vector<Tuple> inputs[] = {
+      {T2(5, 1), T2(1, 9), T2(1, 2)},
+      want,                            // already strictly ascending
+      {T2(1, 2), T2(5, 1), T2(1, 9)},  // one inversion, at the end
+  };
+  for (const std::vector<Tuple>& in : inputs) {
+    Relation r(2);
+    for (const Tuple& t : in) r.Add(t);
+    EXPECT_EQ(r.tuples(), want);
+    EXPECT_EQ(Relation(2, in).tuples(), want);
+  }
 }
 
 TEST(RelationTest, EqualityIgnoresInsertionOrder) {

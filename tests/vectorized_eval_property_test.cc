@@ -3,11 +3,14 @@
 // (positive, RA_cwa with guarded division, full RA with −, ÷, order
 // predicates, NOT and IS NULL), EvalNaive on the columnar engine must return
 // a relation bit-identical to the nested-loop reference, serially and with
-// the parallel chunked loops forced onto the tiny inputs.
+// the parallel chunked loops forced onto the tiny inputs. Fixed instances
+// add the hash join's build-side edge cases, and VectorizedStatsTest pins
+// the kernels' exact work counters.
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algebra/eval.h"
@@ -22,6 +25,40 @@ struct VecCase {
   QueryClass fragment;
   double string_density;
 };
+
+// EvalNaive on the columnar engine, with and without the optimizer,
+// serially and with the chunked loops forced, must equal the nested-loop
+// reference or fail with the same status code.
+void ExpectMatchesReference(const RAExprPtr& plan, const Database& db) {
+  const std::string label = plan->ToString();
+  EvalOptions reference;  // nested-loop oracle
+  reference.use_hash_kernels = false;
+  reference.optimize = false;
+  reference.num_threads = 1;
+  auto want = EvalNaive(plan, db, reference);
+
+  for (bool optimize : {false, true}) {
+    for (int threads : {1, 7}) {
+      EvalStats stats;
+      EvalOptions vec;
+      vec.optimize = optimize;
+      vec.num_threads = threads;
+      vec.parallel_row_threshold = 2;  // force the chunked loops
+      vec.stats = &stats;
+      const std::string combo =
+          label + (optimize ? " +opt" : "") + " @" + std::to_string(threads);
+      auto vec_got = EvalNaive(plan, db, vec);
+      if (!want.ok()) {
+        ASSERT_FALSE(vec_got.ok()) << combo;
+        EXPECT_EQ(vec_got.status().code(), want.status().code()) << combo;
+        continue;
+      }
+      ASSERT_TRUE(vec_got.ok()) << combo << ": "
+                                << vec_got.status().ToString();
+      EXPECT_EQ(*vec_got, *want) << combo << "\n" << db.ToString();
+    }
+  }
+}
 
 class VectorizedPlanSweep : public ::testing::TestWithParam<uint64_t> {};
 
@@ -50,36 +87,7 @@ TEST_P(VectorizedPlanSweep, MatchesReferenceOnRandomPlans) {
     plan_cfg.domain_size = 5;
 
     for (int round = 0; round < 8; ++round) {
-      GeneratedPlan gen = RandomPlan(rng, db, plan_cfg);
-      const std::string label = gen.plan->ToString();
-
-      EvalOptions reference;  // nested-loop oracle
-      reference.use_hash_kernels = false;
-      reference.optimize = false;
-      reference.num_threads = 1;
-      auto want = EvalNaive(gen.plan, db, reference);
-
-      for (bool optimize : {false, true}) {
-        for (int threads : {1, 7}) {
-          EvalStats stats;
-          EvalOptions vec;
-          vec.optimize = optimize;
-          vec.num_threads = threads;
-          vec.parallel_row_threshold = 2;  // force the chunked loops
-          vec.stats = &stats;
-          const std::string combo = label + (optimize ? " +opt" : "") + " @" +
-                                    std::to_string(threads);
-          auto vec_got = EvalNaive(gen.plan, db, vec);
-          if (!want.ok()) {
-            ASSERT_FALSE(vec_got.ok()) << combo;
-            EXPECT_EQ(vec_got.status().code(), want.status().code()) << combo;
-            continue;
-          }
-          ASSERT_TRUE(vec_got.ok()) << combo << ": "
-                                    << vec_got.status().ToString();
-          EXPECT_EQ(*vec_got, *want) << combo << "\n" << db.ToString();
-        }
-      }
+      ExpectMatchesReference(RandomPlan(rng, db, plan_cfg).plan, db);
     }
   }
 }
@@ -87,38 +95,127 @@ TEST_P(VectorizedPlanSweep, MatchesReferenceOnRandomPlans) {
 INSTANTIATE_TEST_SUITE_P(Sweep, VectorizedPlanSweep,
                          ::testing::Range<uint64_t>(0, 10));
 
-Database NamedRandomDb(uint64_t seed) {
-  RandomDbConfig cfg;
-  cfg.arities = {2, 2};
-  cfg.rows_per_relation = 5;
-  cfg.domain_size = 3;
-  cfg.null_density = 0.15;
-  cfg.null_reuse = 0.5;
-  cfg.seed = seed;
-  Database rnd = MakeRandomDatabase(cfg);
+Tuple Row(Value a, Value b) { return Tuple{std::move(a), std::move(b)}; }
 
+// L(a, b) ⋈ R(c, d) with the given rows; R is the join's build side.
+Database JoinDb(const std::vector<Tuple>& l, const std::vector<Tuple>& r) {
+  Schema schema;
+  EXPECT_TRUE(schema.AddRelation("L", {"a", "b"}).ok());
+  EXPECT_TRUE(schema.AddRelation("R", {"c", "d"}).ok());
+  Database db(schema);
+  for (const Tuple& t : l) db.AddTuple("L", t);
+  for (const Tuple& t : r) db.AddTuple("R", t);
+  return db;
+}
+
+TEST(VectorizedJoinTest, BuildSideEdgeCasesMatchReference) {
+  std::vector<Tuple> probe;
+  for (int64_t i = 0; i < 12; ++i) {
+    probe.push_back(Row(Value::Int(i), Value::Int(i % 3)));
+  }
+  probe.push_back(Row(Value::Null(1), Value::Int(1)));
+  probe.push_back(Row(Value::Int(4), Value::Null(2)));
+  std::vector<Tuple> one_key;  // every build row on key 1
+  for (int64_t i = 0; i < 20; ++i) {
+    one_key.push_back(Row(Value::Int(1), Value::Int(i)));
+  }
+  std::vector<Tuple> two_col;  // matches L on (a, b) for some rows
+  for (int64_t i = 0; i < 16; ++i) {
+    two_col.push_back(Row(Value::Int(i % 8), Value::Int(i % 3)));
+  }
+  two_col.push_back(Row(Value::Null(1), Value::Int(1)));
+
+  const Database dbs[] = {
+      JoinDb(probe, {Row(Value::Int(1), Value::Int(7))}),  // one bucket
+      JoinDb(probe, one_key),
+      JoinDb({}, one_key),                                 // empty probe side
+      JoinDb(probe, {}),                                   // empty build side
+      JoinDb(probe, two_col),
+  };
+  auto product = [] {
+    return RAExpr::Product(RAExpr::Scan("L"), RAExpr::Scan("R"));
+  };
+  auto eq = [](size_t a, size_t b) {
+    return Predicate::Eq(Term::Column(a), Term::Column(b));
+  };
+  for (const Database& db : dbs) {
+    const RAExprPtr plans[] = {
+        RAExpr::Select(eq(1, 2), product()),
+        RAExpr::Project({3, 0}, RAExpr::Select(eq(1, 2), product())),
+        // A two-column key.
+        RAExpr::Select(Predicate::And(eq(0, 2), eq(1, 3)), product()),
+        RAExpr::Project({1},
+                        RAExpr::Select(Predicate::And(eq(0, 2), eq(1, 3)),
+                                       product())),
+    };
+    for (const RAExprPtr& plan : plans) ExpectMatchesReference(plan, db);
+  }
+}
+
+// R0 holds 3 000 null-free rows plus two with nulls, so its kernels span
+// two batches; R1 is small and shares 0..6 with R0's second column.
+Database CounterDb() {
   Schema schema;
   EXPECT_TRUE(schema.AddRelation("R0", {"a", "b"}).ok());
   EXPECT_TRUE(schema.AddRelation("R1", {"c", "d"}).ok());
   Database db(schema);
-  for (const Tuple& t : rnd.GetRelation("R0").tuples()) db.AddTuple("R0", t);
-  for (const Tuple& t : rnd.GetRelation("R1").tuples()) db.AddTuple("R1", t);
+  for (int64_t i = 0; i < 3000; ++i) {
+    db.AddTuple("R0", Tuple{Value::Int(i % 1000), Value::Int(i % 7)});
+  }
+  db.AddTuple("R0", Tuple{Value::Null(1), Value::Int(3)});
+  db.AddTuple("R0", Tuple{Value::Int(5), Value::Null(2)});
+  for (int64_t i = 0; i < 40; ++i) {
+    db.AddTuple("R1", Tuple{Value::Int(i % 7), Value::Int(i % 3)});
+  }
+  db.AddTuple("R1", Tuple{Value::Null(1), Value::Int(0)});
   return db;
 }
 
 TEST(VectorizedStatsTest, CountsBatchesAndRowsOnTheColumnarEngineOnly) {
-  Database db = NamedRandomDb(3);
-  auto q = RAExpr::Project(
-      {0, 3}, RAExpr::Select(Predicate::Eq(Term::Column(1), Term::Column(2)),
-                             RAExpr::Product(RAExpr::Scan("R0"),
-                                             RAExpr::Scan("R1"))));
+  // Exact work counters of the columnar kernels on a fixed instance: how
+  // the kernels order, hash or deduplicate rows must not change them.
+  const Database db = CounterDb();
+  auto join = [] {
+    return RAExpr::Select(Predicate::Eq(Term::Column(1), Term::Column(2)),
+                          RAExpr::Product(RAExpr::Scan("R0"),
+                                          RAExpr::Scan("R1")));
+  };
+  struct Expected {
+    RAExprPtr plan;
+    uint64_t probes, tuples_in, tuples_out, rows_vectorized, batches;
+  };
+  // Scans count rows out only; the join counts one probe per R0 row; every
+  // kernel counts its input rows once, in ceil(rows / 2048) batches.
+  const Expected cases[] = {
+      {RAExpr::Project({0, 3}, join()), 3002, 3024, 6027, 3024, 2},
+      {join(), 3002, 3024, 12027, 3024, 2},
+      {RAExpr::Project({1, 0}, RAExpr::Scan("R0")), 0, 3002, 6004, 3002, 2},
+      {RAExpr::Diff(RAExpr::Scan("R0"), RAExpr::Scan("R1")), 0, 3024, 6017,
+       3024, 2},
+      {RAExpr::Intersect(RAExpr::Scan("R0"), RAExpr::Scan("R1")), 0, 3024,
+       3033, 3024, 2},
+  };
+  for (const Expected& c : cases) {
+    EvalStats stats;
+    EvalOptions vec;
+    vec.stats = &stats;
+    vec.num_threads = 1;
+    vec.optimize = false;
+    ASSERT_TRUE(EvalNaive(c.plan, db, vec).ok());
+    const std::string label = c.plan->ToString();
+    EXPECT_EQ(stats.TotalProbes(), c.probes) << label;
+    EXPECT_EQ(stats.TotalTuplesIn(), c.tuples_in) << label;
+    EXPECT_EQ(stats.TotalTuplesOut(), c.tuples_out) << label;
+    EXPECT_EQ(stats.rows_vectorized(), c.rows_vectorized) << label;
+    EXPECT_EQ(stats.batches_processed(), c.batches) << label;
+  }
+
+  auto q = RAExpr::Project({0, 3}, join());
   EvalStats vec_stats;
   EvalOptions vec;
   vec.stats = &vec_stats;
   vec.num_threads = 1;
   ASSERT_TRUE(EvalNaive(q, db, vec).ok());
-  EXPECT_GT(vec_stats.batches_processed(), 0u);
-  EXPECT_GT(vec_stats.rows_vectorized(), 0u);
   // The counters reach the printed table.
   EXPECT_NE(vec_stats.ToString().find("vectorized"), std::string::npos);
 

@@ -183,10 +183,14 @@ std::string RunQuery(incdb::Session* session, const ConnState& state,
   req.probability.threshold = state.threshold;
   auto resp = session->Run(req);
   if (!resp.ok()) return ErrorLine(resp.status());
-  std::ostringstream out;
+  std::string reply;
   for (const incdb::Tuple& t : resp->response.relation.tuples()) {
-    out << "| " << t.ToString() << "\n";
+    reply += "| ";
+    reply += t.ToString();
+    reply += '\n';
   }
+  // The stream formats the probabilities' doubles.
+  std::ostringstream out;
   for (const incdb::TupleProbability& p : resp->response.probabilities) {
     out << "p " << p.tuple.ToString() << " " << p.probability << " "
         << p.ci_low << " " << p.ci_high << " " << (p.exact ? 1 : 0) << "\n";
@@ -195,7 +199,8 @@ std::string RunQuery(incdb::Session* session, const ConnState& state,
       << " version=" << resp->snapshot_version
       << " cache=" << (resp->cache_hit ? "hit" : "miss")
       << " notion=" << incdb::AnswerNotionName(state.notion) << "\n";
-  return out.str();
+  reply += out.str();
+  return reply;
 }
 
 void ServeConnection(int fd, incdb::IncDbService* service) {
