@@ -50,24 +50,6 @@ inline void ReportThreadScaling(benchmark::State& state, int threads,
       mean_parallel_seconds > 0 ? serial_seconds / mean_parallel_seconds : 0);
 }
 
-/// Attaches the delta-eval sweep counters: whether the knob was on
-/// (`delta`), the worlds answered differentially and the fallbacks per
-/// iteration, and the speedup of this run's mean iteration over a delta-off
-/// baseline (optimizer still on) timed inline just before the loop (>1
-/// means differential re-evaluation pays for itself).
-inline void ReportDeltaSweep(benchmark::State& state, bool delta,
-                             const incdb::EvalStats& stats, double off_seconds,
-                             double mean_seconds) {
-  const auto rate = benchmark::Counter::kAvgIterations;
-  state.counters["delta"] = benchmark::Counter(delta ? 1 : 0);
-  state.counters["delta_applied"] =
-      benchmark::Counter(static_cast<double>(stats.delta_applied()), rate);
-  state.counters["delta_fallbacks"] =
-      benchmark::Counter(static_cast<double>(stats.delta_fallbacks()), rate);
-  state.counters["speedup"] = benchmark::Counter(
-      mean_seconds > 0 ? off_seconds / mean_seconds : 0);
-}
-
 /// Attaches the backend sweep counters: which backend ran (`ctable`), the
 /// condition-normalizer work per iteration (`cond_simplified` rewrites,
 /// `unsat_pruned` conditions collapsed to false), and the speedup of this

@@ -162,73 +162,6 @@ BENCHMARK(BM_WorldEnumerationThreads)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-// Delta-eval sweep: a 200-row null-carrying probe side (R0, two marked
-// nulls) equi-joined on both columns against a 1024-row complete build side
-// (R1, the full 32×32 grid — so each probe matches exactly one row and the
-// join output stays tiny). Even with the optimizer on, the per-world driver
-// re-probes all ~200 R0 rows in every world; the differential path
-// re-derives only the single tuple whose null changed. Two marked nulls
-// over the 32-value domain give 34² worlds per iteration.
-Database DeltaJoinDb() {
-  Database db;
-  Relation* r0 = db.MutableRelation("R0", 2);
-  for (int64_t i = 0; i < 200; ++i) {
-    // (i mod 32, 5·(i div 32) mod 32): 200 distinct grid points.
-    r0->Add(Tuple{Value::Int(i % 32), Value::Int((i / 32) * 5 % 32)});
-  }
-  r0->Add(Tuple{Value::Null(0), Value::Int(3)});
-  r0->Add(Tuple{Value::Int(6), Value::Null(1)});
-  Relation* r1 = db.MutableRelation("R1", 2);
-  for (int64_t a = 0; a < 32; ++a) {
-    for (int64_t b = 0; b < 32; ++b) {
-      r1->Add(Tuple{Value::Int(a), Value::Int(b)});
-    }
-  }
-  return db;
-}
-
-// arg encodes delta_eval on/off; the "speedup" counter compares this run's
-// mean iteration against a delta-off baseline (optimizer still on) timed
-// inline just before the loop.
-void BM_WorldEnumerationDelta(benchmark::State& state) {
-  const bool delta = state.range(0) != 0;
-  Database db = DeltaJoinDb();
-  auto q = RAExpr::Project(
-      {0, 1},
-      RAExpr::Select(
-          Predicate::And(Predicate::Eq(Term::Column(0), Term::Column(2)),
-                         Predicate::Eq(Term::Column(1), Term::Column(3))),
-          RAExpr::Product(RAExpr::Scan("R0"), RAExpr::Scan("R1"))));
-  EvalOptions off;
-  off.delta_eval = false;
-  off.num_threads = 1;
-  auto run_off = [&] {
-    benchmark::DoNotOptimize(
-        CertainAnswersEnum(q, db, WorldSemantics::kClosedWorld, {}, off));
-  };
-  run_off();  // warm the lazy canonicalization before timing the baseline
-  const double off_seconds = incdb_bench::SecondsOf(run_off);
-  EvalStats stats;
-  EvalOptions options;
-  options.stats = &stats;
-  options.delta_eval = delta;
-  options.num_threads = 1;
-  double total_seconds = 0;
-  for (auto _ : state) {
-    total_seconds += incdb_bench::SecondsOf([&] {
-      benchmark::DoNotOptimize(
-          CertainAnswersEnum(q, db, WorldSemantics::kClosedWorld, {},
-                             options));
-    });
-  }
-  state.SetLabel("nulls=" + std::to_string(db.Nulls().size()));
-  incdb_bench::ReportDeltaSweep(
-      state, delta, stats, off_seconds,
-      total_seconds / static_cast<double>(state.iterations()));
-}
-BENCHMARK(BM_WorldEnumerationDelta)->Arg(0)->Arg(1)->Unit(
-    benchmark::kMillisecond);
-
 // Backend sweep through the QueryEngine facade: the same certain-answer
 // request on Backend::kEnumeration vs Backend::kCTable at increasing null
 // counts. args encode (ctable, #nulls); the "speedup" counter compares this

@@ -110,72 +110,6 @@ BENCHMARK(BM_DiffCertainEnumerationThreads)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-// Delta-eval sweep for a difference query whose right side is a complete
-// subtree: π_{0}(R0 − σ_{#0≠#1}(R1)) with a 200-row null-carrying R0 and
-// the 1024-row complete 32×32 grid R1. The per-world driver re-runs the
-// whole diff in every world; the differential path evaluates σ(R1) once and
-// adjusts only the tuple whose null changed. Row (7, 7) of R0 never appears
-// in σ_{#0≠#1}(R1), so the certain answer stays non-empty and no world is
-// skipped by the early exit. Two marked nulls over the 32-value domain give
-// 34² worlds.
-Database DeltaDiffDb() {
-  Database db;
-  Relation* r0 = db.MutableRelation("R0", 2);
-  r0->Add(Tuple{Value::Int(7), Value::Int(7)});  // diagonal: always certain
-  for (int64_t i = 0; i < 200; ++i) {
-    r0->Add(Tuple{Value::Int(i % 32), Value::Int((i / 32) * 5 % 32)});
-  }
-  r0->Add(Tuple{Value::Null(0), Value::Int(3)});
-  r0->Add(Tuple{Value::Int(5), Value::Null(1)});
-  Relation* r1 = db.MutableRelation("R1", 2);
-  for (int64_t a = 0; a < 32; ++a) {
-    for (int64_t b = 0; b < 32; ++b) {
-      r1->Add(Tuple{Value::Int(a), Value::Int(b)});
-    }
-  }
-  return db;
-}
-
-// arg encodes delta_eval on/off; see BM_WorldEnumerationDelta (bench_e2)
-// for how "speedup" is computed.
-void BM_DiffDelta(benchmark::State& state) {
-  const bool delta = state.range(0) != 0;
-  Database db = DeltaDiffDb();
-  auto q = RAExpr::Project(
-      {0},
-      RAExpr::Diff(
-          RAExpr::Scan("R0"),
-          RAExpr::Select(Predicate::Ne(Term::Column(0), Term::Column(1)),
-                         RAExpr::Scan("R1"))));
-  EvalOptions off;
-  off.delta_eval = false;
-  off.num_threads = 1;
-  auto run_off = [&] {
-    benchmark::DoNotOptimize(
-        CertainAnswersEnum(q, db, WorldSemantics::kClosedWorld, {}, off));
-  };
-  run_off();  // warm the lazy canonicalization before timing the baseline
-  const double off_seconds = incdb_bench::SecondsOf(run_off);
-  EvalStats stats;
-  EvalOptions options;
-  options.stats = &stats;
-  options.delta_eval = delta;
-  options.num_threads = 1;
-  double total_seconds = 0;
-  for (auto _ : state) {
-    total_seconds += incdb_bench::SecondsOf([&] {
-      benchmark::DoNotOptimize(
-          CertainAnswersEnum(q, db, WorldSemantics::kClosedWorld, {},
-                             options));
-    });
-  }
-  state.SetLabel("nulls=" + std::to_string(db.Nulls().size()));
-  incdb_bench::ReportDeltaSweep(
-      state, delta, stats, off_seconds,
-      total_seconds / static_cast<double>(state.iterations()));
-}
-BENCHMARK(BM_DiffDelta)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
 // Backend sweep on the difference query, where certain answers are
 // coNP-hard and enumeration is the only other exact method. args encode
 // (ctable, rows per relation); more rows mean more instance nulls at fixed

@@ -179,65 +179,6 @@ BENCHMARK(BM_DivisionEnumerationThreads)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-// Delta-eval sweep for division. Values are kept inside a single 16-value
-// domain (employee ids double as project ids) so two marked nulls give a
-// tractable 18² worlds while the dividend stays ~150 rows: the classic
-// driver re-runs the whole division per world, the differential path
-// adjusts the per-head derivation/match counters of one tuple. Employee 0
-// covers every project with complete tuples, so the certain answer stays
-// non-empty and no world is skipped by the early-exit.
-Database DeltaDivisionDb() {
-  Database db;
-  Relation* proj = db.MutableRelation("Proj", 1);
-  for (int64_t p = 0; p < 12; ++p) proj->Add(Tuple{Value::Int(p)});
-  Relation* assign = db.MutableRelation("Assign", 2);
-  for (int64_t e = 0; e < 16; ++e) {
-    for (int64_t p = 0; p < 12; ++p) {
-      if (e == 0 || (e + p) % 5 != 0) {
-        assign->Add(Tuple{Value::Int(e), Value::Int(p)});
-      }
-    }
-  }
-  assign->Add(Tuple{Value::Int(3), Value::Null(0)});
-  assign->Add(Tuple{Value::Int(7), Value::Null(1)});
-  return db;
-}
-
-// arg encodes delta_eval on/off; see BM_WorldEnumerationDelta (bench_e2)
-// for how "speedup" is computed.
-void BM_DivisionDelta(benchmark::State& state) {
-  const bool delta = state.range(0) != 0;
-  Database db = DeltaDivisionDb();
-  auto q = Query();
-  EvalOptions off;
-  off.delta_eval = false;
-  off.num_threads = 1;
-  auto run_off = [&] {
-    benchmark::DoNotOptimize(
-        CertainAnswersEnum(q, db, WorldSemantics::kClosedWorld, {}, off));
-  };
-  run_off();  // warm the lazy canonicalization before timing the baseline
-  const double off_seconds = incdb_bench::SecondsOf(run_off);
-  EvalStats stats;
-  EvalOptions options;
-  options.stats = &stats;
-  options.delta_eval = delta;
-  options.num_threads = 1;
-  double total_seconds = 0;
-  for (auto _ : state) {
-    total_seconds += incdb_bench::SecondsOf([&] {
-      benchmark::DoNotOptimize(
-          CertainAnswersEnum(q, db, WorldSemantics::kClosedWorld, {},
-                             options));
-    });
-  }
-  state.SetLabel("nulls=" + std::to_string(db.Nulls().size()));
-  incdb_bench::ReportDeltaSweep(
-      state, delta, stats, off_seconds,
-      total_seconds / static_cast<double>(state.iterations()));
-}
-BENCHMARK(BM_DivisionDelta)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
 // Backend sweep on division (expanded to the double-difference form before
 // the conditional-algebra pipeline runs). args encode (ctable, #injected
 // nulls); the enumeration baseline pays |domain|^#nulls per evaluation

@@ -106,7 +106,7 @@ void BM_GlbOrderingCheck(benchmark::State& state) {
 }
 BENCHMARK(BM_GlbOrderingCheck)->Arg(2)->Arg(8);
 
-// Thread sweep: the answer worlds feeding the glb come from the parallel
+// Thread sweep: the answer worlds feeding the glb come from the Gray
 // world-enumeration driver (64 worlds: three nulls over a domain of four).
 // The per-worker world lists are concatenated and sorted so the 4-world
 // sample handed to CertainObjectOwa is identical at every thread count —
@@ -124,11 +124,12 @@ void BM_GlbFromEnumeratedWorlds(benchmark::State& state) {
 
   auto enumerate = [&](int n_threads) {
     std::vector<std::vector<Database>> per_worker(16);
-    (void)ForEachWorldCwaParallel(db, opts, n_threads,
-                                  [&](const Database& w, size_t wi) {
-                                    per_worker[wi].push_back(w);
-                                    return true;
-                                  });
+    (void)ForEachValuationGrayParallel(
+        db, opts, n_threads,
+        [&](const Valuation& v, const ValuationDelta&, size_t wi) {
+          per_worker[wi].push_back(v.Apply(db));
+          return true;
+        });
     std::vector<Database> worlds;
     for (auto& ws : per_worker) {
       for (auto& w : ws) worlds.push_back(std::move(w));

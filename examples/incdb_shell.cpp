@@ -18,7 +18,6 @@
 //                                          counting) stats
 //   stats   on|off                         per-operator counters after queries
 //   threads <n>                            worker threads (0 = auto, 1 = serial)
-//   delta   on|off                         differential world enumeration
 //   backend enum|ctable                    world enumeration vs c-table-native
 //                                          certain/possible answers
 //   help / quit
@@ -107,7 +106,6 @@ void PrintRelation(const Relation& r) {
 
 bool g_stats = false;
 int g_threads = 1;  // num_threads for every query; 1 = serial, 0 = auto
-bool g_delta = true;  // differential world enumeration (EvalOptions::delta_eval)
 Backend g_backend = Backend::kEnumeration;  // certain-enum/possible backend
 
 // Runs one notion through the engine and prints the outcome under `label`.
@@ -151,7 +149,6 @@ QueryRequest SqlRequest(const std::string& sql, AnswerNotion notion) {
   req.notion = notion;
   req.backend = g_backend;
   req.eval.num_threads = g_threads;
-  req.eval.delta_eval = g_delta;
   return req;
 }
 
@@ -210,7 +207,6 @@ int main() {
           "                        starts with SELECT, algebra otherwise\n"
           "  stats on|off          per-operator counters after queries\n"
           "  threads <n>           worker threads (0 = auto, 1 = serial)\n"
-          "  delta on|off          differential world enumeration\n"
           "  backend enum|ctable   how certain-enum/possible answers are\n"
           "                        computed: world enumeration, or natively\n"
           "                        on c-tables (bit-identical, no worlds)\n"
@@ -308,11 +304,6 @@ int main() {
       std::printf("  stats %s\n", g_stats ? "on" : "off");
       continue;
     }
-    if (cmd == "delta") {
-      g_delta = EqualsIgnoreCase(rest, "on");
-      std::printf("  delta %s\n", g_delta ? "on" : "off");
-      continue;
-    }
     if (cmd == "backend") {
       if (EqualsIgnoreCase(rest, "ctable")) {
         g_backend = Backend::kCTable;
@@ -363,7 +354,6 @@ int main() {
       req.backend = g_backend;
       req.probability = popts;
       req.eval.num_threads = g_threads;
-      req.eval.delta_eval = g_delta;
       auto resp = engine.Run(req);
       if (!resp.ok()) {
         std::printf("  %s\n", resp.status().ToString().c_str());
@@ -406,7 +396,6 @@ int main() {
       req.notion = notion;
       req.backend = g_backend;
       req.eval.num_threads = g_threads;
-      req.eval.delta_eval = g_delta;
       auto resp = engine.Run(req);
       if (!resp.ok()) {
         std::printf("  %s\n", resp.status().ToString().c_str());

@@ -42,50 +42,32 @@ RAExprPtr PrepareEnumPlan(const RAExprPtr& e, const Database& db,
   return plan;
 }
 
-// True when the delta-evaluation path should drive enumeration for this
-// plan: the knob is on, there is more than one world, and the plan compiles
-// differentially (no Δ). The probe Build also forces the scanned relations'
-// lazy state on the calling thread, which the parallel paths rely on.
-bool DeltaEligible(const RAExprPtr& plan, const Database& db,
-                   const EvalOptions& options) {
-  if (!options.delta_eval || db.Nulls().empty()) return false;
-  EvalOptions probe_options = options;
-  probe_options.stats = nullptr;
-  DeltaEvaluator probe;
-  return probe.Build(plan, db, probe_options).ok();
-}
-
-// Per-worker state of the enumeration drivers. The parallel world drivers
-// call each worker index from one thread at a time, so no slot ever needs a
-// lock; only the final merge reads across slots.
+// Per-worker state of the enumeration drivers. The Gray driver calls each
+// worker index from one thread at a time, so no slot ever needs a lock;
+// only the final merge reads across slots.
 struct Worker {
-  // Delta path: the worker's evaluator, built at the start of its Gray chain.
+  // The worker's evaluator, built at the start of its Gray chain.
   std::unique_ptr<DeltaEvaluator> de;
-  // Certain answers on the delta path: the candidates present in every
-  // world of the worker's chain so far.
+  // Certain answers: the candidates present in every world of the worker's
+  // chain so far.
   std::unordered_set<Tuple, TupleHash> alive;
   // The intersection (certain) or union (possible) of the answers in the
   // worlds the worker saw.
   Relation acc;
-  // Certain answers: the worker saw at least one world, so `acc` (or
-  // `alive`) is a real intersection rather than the empty start value.
+  // Certain answers: the worker saw at least one world, so `acc` is a real
+  // intersection rather than the empty start value.
   bool started = false;
   EvalStats stats;
   Status error = Status::OK();
 };
 
-// One slot per chunk of the parallel world drivers, and at least one: at
-// one thread they hand off to the serial enumerators as worker 0, and a
-// database without nulls is its own single world, also worker 0.
+// One slot per chunk of the Gray driver, and at least one.
 std::vector<Worker> MakeWorkers(const Database& db,
                                 const WorldEnumOptions& opts, int num_threads,
                                 size_t arity) {
-  size_t n = 1;
-  if (ResolveNumThreads(num_threads) > 1) {
-    n = std::max<size_t>(1, ParallelChunkCount(num_threads,
-                                               WorldDomain(db, opts).size(),
-                                               /*grain=*/1));
-  }
+  const size_t n = std::max<size_t>(
+      1, ParallelChunkCount(num_threads, WorldDomain(db, opts).size(),
+                            /*grain=*/1));
   std::vector<Worker> workers(n);
   for (Worker& w : workers) w.acc = Relation(arity);
   return workers;
@@ -102,20 +84,6 @@ Status StepDelta(Worker& w, const RAExprPtr& plan, const Database& db,
   worker_options.stats = &w.stats;
   INCDB_RETURN_IF_ERROR(w.de->Build(plan, db, worker_options));
   return w.de->Initialize(v);
-}
-
-// Evaluates the plan in one world into the worker's stats slot. Delta
-// evaluation requested for a plan it rejects (one containing Δ) counts one
-// fallback per world.
-Result<Relation> EvalWorld(Worker& w, const RAExprPtr& plan,
-                           const Database& world, const EvalOptions& options,
-                           bool delta_fallback) {
-  EvalOptions worker_options = options;
-  worker_options.stats = &w.stats;
-  INCDB_ASSIGN_OR_RETURN(Relation ans,
-                         EvalComplete(plan, world, worker_options));
-  if (delta_fallback) w.stats.CountDeltaFallbacks(1);
-  return ans;
 }
 
 // Folds each worker's evaluator counters into its stats slot and merges the
@@ -213,64 +181,35 @@ Result<Relation> CertainAnswersEnum(const RAExprPtr& e, const Database& db,
   }
 
   const RAExprPtr plan = PrepareEnumPlan(e, db, options);
-  const bool delta = DeltaEligible(plan, db, options);
+  // A database without nulls is its own single world.
+  if (db.Nulls().empty()) return EvalNaive(plan, db, options);
   std::vector<Worker> workers =
       MakeWorkers(db, opts, options.num_threads, arity);
-  if (delta) {
-    // Delta driver: one Gray chain per worker. The worker seeds its
-    // candidate set from its chain's first world and thereafter only kills
-    // candidates reported removed by ApplyDelta — an incremental
-    // intersection (a tuple absent from any earlier world of the chain can
-    // never re-enter). Early exit: an empty candidate set forces the answer
-    // empty, so it stops every worker.
-    Status st = ForEachValuationGrayParallel(
-        db, opts, options.num_threads,
-        [&](const Valuation& v, const ValuationDelta& d, size_t wi) {
-          Worker& w = workers[wi];
-          w.error = StepDelta(w, plan, db, options, v, d);
-          if (!w.error.ok()) return false;
-          if (d.has_delta) {
-            for (const Tuple& t : w.de->removed()) w.alive.erase(t);
-          } else {
-            const Relation out = w.de->Output();
-            for (const Tuple& t : out.tuples()) w.alive.insert(t);
-            w.started = true;
-          }
-          return !w.alive.empty();
-        });
-    INCDB_RETURN_IF_ERROR(MergeWorkers(workers, options, st));
-    for (Worker& w : workers) {
-      w.acc = Relation(arity,
-                       std::vector<Tuple>(w.alive.begin(), w.alive.end()));
-    }
-    return IntersectWorkers(workers, arity);
-  }
-  // Per-world driver: each worker intersects the answers of its own
-  // sub-space. Early exit: an empty worker intersection forces the answer
-  // empty, so it stops every worker.
-  const bool delta_fallback = options.delta_eval && !db.Nulls().empty();
-  Status st = ForEachWorldCwaParallel(
-      db, opts, options.num_threads, [&](const Database& world, size_t wi) {
+  // One Gray chain per worker. The worker seeds its candidate set from its
+  // chain's first world and thereafter only kills candidates reported
+  // removed by ApplyDelta — an incremental intersection (a tuple absent from
+  // any earlier world of the chain can never re-enter). Early exit: an empty
+  // candidate set forces the answer empty, so it stops every worker.
+  Status st = ForEachValuationGrayParallel(
+      db, opts, options.num_threads,
+      [&](const Valuation& v, const ValuationDelta& d, size_t wi) {
         Worker& w = workers[wi];
-        Result<Relation> ans = EvalWorld(w, plan, world, options,
-                                         delta_fallback);
-        if (!ans.ok()) {
-          w.error = ans.status();
-          return false;
-        }
-        if (!w.started) {
-          w.acc = std::move(ans).value();
-          w.started = true;
+        w.error = StepDelta(w, plan, db, options, v, d);
+        if (!w.error.ok()) return false;
+        if (d.has_delta) {
+          for (const Tuple& t : w.de->removed()) w.alive.erase(t);
         } else {
-          Relation next(arity);
-          for (const Tuple& t : w.acc.tuples()) {
-            if (ans->Contains(t)) next.Add(t);
-          }
-          w.acc = std::move(next);
+          const Relation out = w.de->Output();
+          for (const Tuple& t : out.tuples()) w.alive.insert(t);
+          w.started = true;
         }
-        return !w.acc.empty();
+        return !w.alive.empty();
       });
   INCDB_RETURN_IF_ERROR(MergeWorkers(workers, options, st));
+  for (Worker& w : workers) {
+    w.acc =
+        Relation(arity, std::vector<Tuple>(w.alive.begin(), w.alive.end()));
+  }
   return IntersectWorkers(workers, arity);
 }
 
@@ -279,41 +218,23 @@ Result<Relation> PossibleAnswersEnum(const RAExprPtr& e, const Database& db,
                                      const EvalOptions& options) {
   INCDB_ASSIGN_OR_RETURN(size_t arity, e->InferArity(db.schema()));
   const RAExprPtr plan = PrepareEnumPlan(e, db, options);
-  const bool delta = DeltaEligible(plan, db, options);
+  if (db.Nulls().empty()) return EvalNaive(plan, db, options);
   std::vector<Worker> workers =
       MakeWorkers(db, opts, options.num_threads, arity);
-  if (delta) {
-    // Delta driver: the union only grows, so each worker adds its chain's
-    // first output once and thereafter only the tuples ApplyDelta reports
-    // inserted.
-    Status st = ForEachValuationGrayParallel(
-        db, opts, options.num_threads,
-        [&](const Valuation& v, const ValuationDelta& d, size_t wi) {
-          Worker& w = workers[wi];
-          w.error = StepDelta(w, plan, db, options, v, d);
-          if (!w.error.ok()) return false;
-          if (d.has_delta) {
-            for (const Tuple& t : w.de->added()) w.acc.Add(t);
-          } else {
-            w.acc.AddAll(w.de->Output());
-          }
-          return true;
-        });
-    INCDB_RETURN_IF_ERROR(MergeWorkers(workers, options, st));
-    return UnionWorkers(workers, arity);
-  }
-  // Per-world driver: per-worker unions merged at the end.
-  const bool delta_fallback = options.delta_eval && !db.Nulls().empty();
-  Status st = ForEachWorldCwaParallel(
-      db, opts, options.num_threads, [&](const Database& world, size_t wi) {
+  // One Gray chain per worker: the union only grows, so each worker adds
+  // its chain's first output once and thereafter only the tuples ApplyDelta
+  // reports inserted.
+  Status st = ForEachValuationGrayParallel(
+      db, opts, options.num_threads,
+      [&](const Valuation& v, const ValuationDelta& d, size_t wi) {
         Worker& w = workers[wi];
-        Result<Relation> ans = EvalWorld(w, plan, world, options,
-                                         delta_fallback);
-        if (!ans.ok()) {
-          w.error = ans.status();
-          return false;
+        w.error = StepDelta(w, plan, db, options, v, d);
+        if (!w.error.ok()) return false;
+        if (d.has_delta) {
+          for (const Tuple& t : w.de->added()) w.acc.Add(t);
+        } else {
+          w.acc.AddAll(w.de->Output());
         }
-        w.acc.AddAll(*ans);
         return true;
       });
   INCDB_RETURN_IF_ERROR(MergeWorkers(workers, options, st));

@@ -17,12 +17,19 @@ std::vector<Value> WorldDomain(const Database& d,
   }
   int fresh = opts.fresh_constants;
   if (fresh < 0) fresh = static_cast<int>(d.Nulls().size());
-  // Fresh integers strictly above every integer constant in the domain.
+  // Fresh integers strictly above every integer constant in the domain;
+  // where those would overflow, the largest integers absent from it.
   int64_t base = 0;
   for (const Value& v : domain) {
     if (v.is_int()) base = std::max(base, v.as_int());
   }
-  for (int i = 1; i <= fresh; ++i) domain.insert(Value::Int(base + i));
+  if (base <= INT64_MAX - fresh) {
+    for (int i = 1; i <= fresh; ++i) domain.insert(Value::Int(base + i));
+  } else {
+    for (int64_t c = INT64_MAX; fresh > 0; --c) {
+      if (domain.insert(Value::Int(c)).second) --fresh;
+    }
+  }
   return std::vector<Value>(domain.begin(), domain.end());
 }
 
@@ -37,66 +44,6 @@ uint64_t CountWorldsCwa(const Database& d, const WorldEnumOptions& opts) {
     count *= domain_size;
   }
   return count;
-}
-
-Status ForEachValuation(const Database& d, const WorldEnumOptions& opts,
-                        const std::function<bool(const Valuation&)>& fn) {
-  const std::vector<Value> domain = WorldDomain(d, opts);
-  const std::set<NullId> null_set = d.Nulls();
-  const std::vector<NullId> nulls(null_set.begin(), null_set.end());
-  if (nulls.empty()) {
-    fn(Valuation());
-    return Status::OK();
-  }
-  if (domain.empty()) {
-    return Status::InvalidArgument("empty world domain with nulls present");
-  }
-  uint64_t emitted = 0;
-  Valuation v;
-  // Iterative odometer over domain^nulls.
-  std::vector<size_t> idx(nulls.size(), 0);
-  for (;;) {
-    for (size_t i = 0; i < nulls.size(); ++i) v.Bind(nulls[i], domain[idx[i]]);
-    if (++emitted > opts.max_worlds) {
-      return Status::ResourceExhausted(
-          "world enumeration exceeded max_worlds=" +
-          std::to_string(opts.max_worlds));
-    }
-    if (!fn(v)) return Status::OK();
-    // Advance odometer.
-    size_t pos = 0;
-    while (pos < idx.size() && ++idx[pos] == domain.size()) {
-      idx[pos] = 0;
-      ++pos;
-    }
-    if (pos == idx.size()) break;
-  }
-  return Status::OK();
-}
-
-Status ForEachWorldCwa(const Database& d, const WorldEnumOptions& opts,
-                       const std::function<bool(const Database&)>& fn) {
-  return ForEachValuation(d, opts, [&](const Valuation& v) {
-    return fn(v.Apply(d));
-  });
-}
-
-Status ForEachWorldCwaScratch(const Database& d, const WorldEnumOptions& opts,
-                              const std::function<bool(const Database&)>& fn) {
-  // Complete relations never change under a valuation: the scratch world
-  // shares their storage copy-on-write once, and only the null-carrying
-  // relations are rebuilt per valuation.
-  Database scratch = d;
-  std::vector<std::pair<std::string, const Relation*>> incomplete;
-  for (const auto& kv : d.relations()) {
-    if (!kv.second.IsComplete()) incomplete.emplace_back(kv.first, &kv.second);
-  }
-  return ForEachValuation(d, opts, [&](const Valuation& v) {
-    for (const auto& [name, base] : incomplete) {
-      *scratch.MutableRelation(name, base->arity()) = v.Apply(*base);
-    }
-    return fn(scratch);
-  });
 }
 
 namespace {
@@ -147,63 +94,30 @@ void RunGrayChain(
 
 }  // namespace
 
-Status ForEachValuationGray(
-    const Database& d, const WorldEnumOptions& opts,
-    const std::function<bool(const Valuation&, const ValuationDelta&)>& fn) {
-  const std::vector<Value> domain = WorldDomain(d, opts);
-  const std::set<NullId> null_set = d.Nulls();
-  const std::vector<NullId> nulls(null_set.begin(), null_set.end());
-  if (nulls.empty()) {
-    fn(Valuation(), ValuationDelta{});
-    return Status::OK();
-  }
-  if (domain.empty()) {
-    return Status::InvalidArgument("empty world domain with nulls present");
-  }
-  std::vector<GrayDigit> digits;
-  digits.reserve(nulls.size());
-  for (NullId n : nulls) digits.push_back(GrayDigit{n, 0, domain.size()});
-  uint64_t emitted = 0;
-  bool exhausted = false;
-  RunGrayChain(digits, domain,
-               [&](const Valuation& v, const ValuationDelta& delta) {
-                 if (++emitted > opts.max_worlds) {
-                   exhausted = true;
-                   return false;
-                 }
-                 return fn(v, delta);
-               });
-  if (exhausted) {
-    return Status::ResourceExhausted(
-        "world enumeration exceeded max_worlds=" +
-        std::to_string(opts.max_worlds));
-  }
-  return Status::OK();
-}
-
 Status ForEachValuationGrayParallel(
     const Database& d, const WorldEnumOptions& opts, int num_threads,
     const std::function<bool(const Valuation&, const ValuationDelta&,
                              size_t worker)>& fn) {
   const std::set<NullId> null_set = d.Nulls();
-  if (ResolveNumThreads(num_threads) <= 1 || null_set.empty()) {
-    return ForEachValuationGray(
-        d, opts, [&](const Valuation& v, const ValuationDelta& delta) {
-          return fn(v, delta, /*worker=*/0);
-        });
+  if (null_set.empty()) {
+    fn(Valuation(), ValuationDelta{}, /*worker=*/0);
+    return Status::OK();
   }
   const std::vector<Value> domain = WorldDomain(d, opts);
   const std::vector<NullId> nulls(null_set.begin(), null_set.end());
   if (domain.empty()) {
     return Status::InvalidArgument("empty world domain with nulls present");
   }
-  // Same pre-forcing as ForEachValuationParallel: workers (and caller
-  // closures) only read immutable shared state.
+  // Force the lazy canonical forms and completeness memos of the shared
+  // instance on this thread: workers and caller closures read `d`, which
+  // must then hold only immutable state.
   for (const auto& kv : d.relations()) {
     kv.second.tuples();
     kv.second.IsComplete();
   }
 
+  // One budget across all chains, so every thread count aborts after the
+  // same number of callback invocations.
   std::atomic<uint64_t> emitted{0};
   std::atomic<bool> stop{false};
   std::atomic<bool> exhausted{false};
@@ -246,83 +160,18 @@ Status ForEachValuationGrayParallel(
   return Status::OK();
 }
 
-Status ForEachValuationParallel(
-    const Database& d, const WorldEnumOptions& opts, int num_threads,
-    const std::function<bool(const Valuation&, size_t worker)>& fn) {
-  const std::set<NullId> null_set = d.Nulls();
-  if (ResolveNumThreads(num_threads) <= 1 || null_set.empty()) {
-    return ForEachValuation(
-        d, opts, [&](const Valuation& v) { return fn(v, /*worker=*/0); });
-  }
-  const std::vector<Value> domain = WorldDomain(d, opts);
-  const std::vector<NullId> nulls(null_set.begin(), null_set.end());
-  if (domain.empty()) {
-    return Status::InvalidArgument("empty world domain with nulls present");
-  }
-  // Force the lazy canonical forms and completeness memos of the shared
-  // instance on this thread: workers call v.Apply(d) (and callers' closures
-  // typically read d too), which must see only immutable state. With the
-  // memo warm, Apply's copy-on-write fast path for complete relations is a
-  // pure read.
-  for (const auto& kv : d.relations()) {
-    kv.second.tuples();
-    kv.second.IsComplete();
-  }
-
-  // One budget across all sub-spaces (the per-enumeration counter of the
-  // serial driver would let k sub-spaces emit k·max_worlds worlds).
-  std::atomic<uint64_t> emitted{0};
-  std::atomic<bool> stop{false};
-  std::atomic<bool> exhausted{false};
-  Status st = ParallelFor(
-      num_threads, domain.size(), /*grain=*/1,
-      [&](size_t begin, size_t end, size_t chunk) -> Status {
-        Valuation v;
-        std::vector<size_t> idx(nulls.size(), 0);
-        // Sub-space s: nulls[0] pinned to domain[s], odometer over the rest.
-        for (size_t s = begin; s < end; ++s) {
-          v.Bind(nulls[0], domain[s]);
-          std::fill(idx.begin(), idx.end(), 0);
-          for (;;) {
-            if (stop.load(std::memory_order_relaxed)) return Status::OK();
-            for (size_t i = 1; i < nulls.size(); ++i) {
-              v.Bind(nulls[i], domain[idx[i]]);
-            }
-            if (emitted.fetch_add(1, std::memory_order_relaxed) >=
-                opts.max_worlds) {
-              exhausted.store(true, std::memory_order_relaxed);
-              stop.store(true, std::memory_order_relaxed);
-              return Status::OK();
-            }
-            if (!fn(v, chunk)) {
-              stop.store(true, std::memory_order_relaxed);
-              return Status::OK();
-            }
-            size_t pos = 1;
-            while (pos < idx.size() && ++idx[pos] == domain.size()) {
-              idx[pos] = 0;
-              ++pos;
-            }
-            if (pos == idx.size()) break;
-          }
-        }
-        return Status::OK();
-      });
-  INCDB_RETURN_IF_ERROR(st);
-  if (exhausted.load()) {
-    return Status::ResourceExhausted(
-        "world enumeration exceeded max_worlds=" +
-        std::to_string(opts.max_worlds));
-  }
-  return Status::OK();
+Status ForEachValuation(const Database& d, const WorldEnumOptions& opts,
+                        const std::function<bool(const Valuation&)>& fn) {
+  return ForEachValuationGrayParallel(
+      d, opts, /*num_threads=*/1,
+      [&](const Valuation& v, const ValuationDelta&, size_t) { return fn(v); });
 }
 
-Status ForEachWorldCwaParallel(
-    const Database& d, const WorldEnumOptions& opts, int num_threads,
-    const std::function<bool(const Database&, size_t worker)>& fn) {
-  return ForEachValuationParallel(
-      d, opts, num_threads,
-      [&](const Valuation& v, size_t worker) { return fn(v.Apply(d), worker); });
+Status ForEachWorldCwa(const Database& d, const WorldEnumOptions& opts,
+                       const std::function<bool(const Database&)>& fn) {
+  return ForEachValuation(d, opts, [&](const Valuation& v) {
+    return fn(v.Apply(d));
+  });
 }
 
 Valuation SampleValuationAt(const std::vector<NullId>& nulls,
@@ -352,8 +201,7 @@ Status ForEachWorldOwaBounded(
     return Status::ResourceExhausted("too many candidate tuples (max 24)");
   }
   const uint64_t subsets = 1ull << candidate_tuples.size();
-  bool stop = false;
-  Status st = ForEachValuation(d, opts, [&](const Valuation& v) {
+  return ForEachValuation(d, opts, [&](const Valuation& v) {
     Database base = v.Apply(d);
     for (uint64_t mask = 0; mask < subsets; ++mask) {
       Database world = base;
@@ -362,15 +210,10 @@ Status ForEachWorldOwaBounded(
           world.AddTuple(candidate_tuples[i].first, candidate_tuples[i].second);
         }
       }
-      if (!fn(world)) {
-        stop = true;
-        return false;
-      }
+      if (!fn(world)) return false;
     }
     return true;
   });
-  (void)stop;
-  return st;
 }
 
 }  // namespace incdb

@@ -12,18 +12,16 @@
 // pool (validation only — exact OWA certain answers for (U)CQs are computed
 // via the tableau duality in logic/containment.h).
 //
-// The *Parallel drivers split the valuation space by the first null's
-// assignment and enumerate the sub-spaces on the global thread pool
-// (util/thread_pool.h). They visit exactly the same set of valuations as the
-// serial functions, share one atomic max_worlds budget across all
-// sub-spaces, and propagate an early exit (a callback returning false) to
-// every worker.
-//
-// The *Gray drivers visit the same valuation set in mixed-radix reflected
-// Gray-code order, so consecutive worlds differ in exactly one null's
-// binding. The single-null step is reported as a ValuationDelta, which is
-// what lets the delta-evaluation layer (engine/delta_eval.h) re-evaluate a
-// plan incrementally instead of from scratch per world.
+// Every CWA walk is one driver, `ForEachValuationGrayParallel`. It visits
+// the valuations in mixed-radix reflected Gray-code order, so consecutive
+// worlds differ in exactly one null's binding; the single-null step is
+// reported as a ValuationDelta, which is what lets the delta-evaluation
+// layer (engine/delta_eval.h) re-evaluate a plan incrementally instead of
+// from scratch per world. It splits the space by the first null's
+// assignment into one chain per worker on the global thread pool
+// (util/thread_pool.h); at one thread it runs a single chain on the calling
+// thread. `ForEachValuation` and `ForEachWorldCwa` are serial wrappers over
+// it for callers that test a predicate over the whole world set.
 
 #ifndef INCDB_CORE_POSSIBLE_WORLDS_H_
 #define INCDB_CORE_POSSIBLE_WORLDS_H_
@@ -47,44 +45,22 @@ struct WorldEnumOptions {
   /// Extra constants that must be in the domain (e.g. constants mentioned by
   /// the query but absent from the instance).
   std::vector<Value> required_constants;
-  /// Safety valve: abort enumeration after this many worlds. The parallel
-  /// drivers charge all sub-spaces against one shared atomic budget, so the
-  /// serial and parallel paths abort after the same number of callback
-  /// invocations.
+  /// Safety valve: abort enumeration after this many worlds. All Gray
+  /// chains charge one shared atomic budget, so every thread count aborts
+  /// after the same number of callback invocations.
   uint64_t max_worlds = 50'000'000;
 };
 
 /// The finite constant domain used to instantiate nulls: Const(D) ∪ required
-/// ∪ {k fresh integer constants}. Thread-compatible (pure function of its
-/// arguments); O(|D| log |D|).
+/// ∪ {k fresh integer constants}. The fresh constants are max+1 … max+k
+/// above the largest integer constant (or 0); where that would overflow,
+/// they are the k largest integers absent from the domain. Thread-compatible
+/// (pure function of its arguments); O(|D| log |D|).
 std::vector<Value> WorldDomain(const Database& d, const WorldEnumOptions& opts);
 
 /// Number of CWA worlds |domain|^#nulls (saturating at UINT64_MAX).
 /// Thread-compatible; O(|D| log |D| + #nulls).
 uint64_t CountWorldsCwa(const Database& d, const WorldEnumOptions& opts);
-
-/// Invokes `fn` on every valuation of Null(D) over the domain, on the
-/// calling thread. Stops early if `fn` returns false. Returns
-/// ResourceExhausted if max_worlds is hit. The Valuation passed to `fn` is
-/// reused between invocations — copy it to keep it.
-/// O(|domain|^#nulls · cost(fn)).
-Status ForEachValuation(const Database& d, const WorldEnumOptions& opts,
-                        const std::function<bool(const Valuation&)>& fn);
-
-/// Invokes `fn` on every CWA world v(D), on the calling thread. Stops early
-/// if `fn` returns false. O(|domain|^#nulls · (|D| + cost(fn))).
-Status ForEachWorldCwa(const Database& d, const WorldEnumOptions& opts,
-                       const std::function<bool(const Database&)>& fn);
-
-/// ForEachWorldCwa variant that applies each valuation in place over one
-/// reusable world buffer instead of materializing a fresh Database per
-/// world: complete relations are shared copy-on-write once, and only the
-/// null-carrying relations are rebuilt per world. Budget accounting and
-/// early-exit behavior are bit-identical to the copying overload; the
-/// Database reference passed to `fn` is reused between invocations — copy
-/// what you need to keep.
-Status ForEachWorldCwaScratch(const Database& d, const WorldEnumOptions& opts,
-                              const std::function<bool(const Database&)>& fn);
 
 /// The single-null difference between a Gray-chain world and its
 /// predecessor: the valuation handed to the callback alongside this delta
@@ -98,52 +74,42 @@ struct ValuationDelta {
   Value new_value;
 };
 
-/// ForEachValuation in mixed-radix reflected Gray-code order: visits exactly
-/// the same set of valuations as ForEachValuation (each one once), but
-/// consecutive valuations differ in a single null's binding, reported to
-/// `fn` as a ValuationDelta (has_delta == false only on the very first
-/// world). Budget and early-exit semantics are identical to
-/// ForEachValuation: at most opts.max_worlds callback invocations, then
-/// ResourceExhausted; `fn` returning false stops with OK.
-Status ForEachValuationGray(
-    const Database& d, const WorldEnumOptions& opts,
-    const std::function<bool(const Valuation&, const ValuationDelta&)>& fn);
-
-/// Parallel Gray driver. Like ForEachValuationParallel the space is split by
-/// the first null's assignment into contiguous domain ranges, but each
-/// worker runs ONE continuous Gray chain covering its whole range (the first
-/// null is just another Gray digit, restricted to the range), so a worker
-/// sees exactly one has_delta == false callback and per-chain state needs
-/// rebuilding once per worker, not once per sub-space. Worker-index,
-/// shared-budget, and early-exit semantics match ForEachValuationParallel.
+/// Invokes `fn(v, delta, worker)` on every valuation of Null(D) over the
+/// domain, each exactly once, in Gray-code chains. The space is split by the
+/// first null's assignment into contiguous domain ranges, one per worker
+/// (`num_threads`: 0 = hardware_concurrency; 1 = one chain on the calling
+/// thread). Each worker runs ONE continuous chain over its range (the first
+/// null is just another Gray digit, restricted to the range), so it sees
+/// exactly one has_delta == false callback and every later callback is one
+/// single-null step from its predecessor.
+///
+/// `worker` is a dense index < ParallelChunkCount(...): invocations sharing
+/// a worker index are sequential, distinct indices run concurrently, so
+/// `fn` may accumulate into per-worker state without locks but must not
+/// touch shared mutable state. Returning false stops every worker; the call
+/// still returns OK. All chains share one budget: after opts.max_worlds
+/// callback invocations, at any thread count, it returns ResourceExhausted.
+/// A database without nulls is one world: one call with an empty valuation,
+/// worker 0. The Valuation passed to `fn` is reused between invocations —
+/// copy it to keep it. O(|domain|^#nulls · cost(fn)).
 Status ForEachValuationGrayParallel(
     const Database& d, const WorldEnumOptions& opts, int num_threads,
     const std::function<bool(const Valuation&, const ValuationDelta&,
                              size_t worker)>& fn);
 
-/// Parallel ForEachValuation: the valuation space is split by the first
-/// null's assignment into |domain| sub-spaces, enumerated on up to
-/// `num_threads` workers (0 = hardware_concurrency; 1 falls back to the
-/// serial driver on the calling thread).
-///
-/// `fn(v, worker)` receives a dense worker index < ParallelChunkCount(...):
-/// invocations sharing a worker index are sequential, distinct indices run
-/// concurrently, so `fn` may accumulate into per-worker state without locks
-/// but must not touch shared mutable state. Returning false stops all
-/// workers (early exit); enumeration still returns OK in that case. The set
-/// of valuations visited (absent early exit) is exactly the serial one;
-/// only the visiting order differs. Returns ResourceExhausted when the
-/// shared budget hits opts.max_worlds — after exactly as many callback
-/// invocations as the serial driver would have made.
-Status ForEachValuationParallel(
-    const Database& d, const WorldEnumOptions& opts, int num_threads,
-    const std::function<bool(const Valuation&, size_t worker)>& fn);
+/// Invokes `fn` on every valuation of Null(D) over the domain: one Gray
+/// chain on the calling thread. Stops early if `fn` returns false. Returns
+/// ResourceExhausted if max_worlds is hit. The Valuation passed to `fn` is
+/// reused between invocations — copy it to keep it.
+/// O(|domain|^#nulls · cost(fn)).
+Status ForEachValuation(const Database& d, const WorldEnumOptions& opts,
+                        const std::function<bool(const Valuation&)>& fn);
 
-/// Parallel ForEachWorldCwa; same contract as ForEachValuationParallel with
-/// `fn` receiving the materialized world v(D) (worker-local, safe to move).
-Status ForEachWorldCwaParallel(
-    const Database& d, const WorldEnumOptions& opts, int num_threads,
-    const std::function<bool(const Database&, size_t worker)>& fn);
+/// Invokes `fn` on every CWA world v(D), on the calling thread, in
+/// ForEachValuation's order. Stops early if `fn` returns false.
+/// O(|domain|^#nulls · (|D| + cost(fn))).
+Status ForEachWorldCwa(const Database& d, const WorldEnumOptions& opts,
+                       const std::function<bool(const Database&)>& fn);
 
 /// The valuation drawn for sample `index` of the seeded stream (seed,
 /// index): each null of `nulls` independently takes a uniform value of

@@ -2,12 +2,14 @@
 
 #include <map>
 #include <set>
+#include <unordered_map>
 #include <utility>
 
 #include "algebra/eval.h"
 #include "algebra/optimize.h"
 #include "counting/world_count.h"
 #include "ctables/ctable_algebra.h"
+#include "engine/delta_eval.h"
 
 namespace incdb {
 namespace {
@@ -69,24 +71,46 @@ Result<Relation> CertainAnswersWithProbabilityEnum(
                      total <= popts.max_exact_worlds &&
                      total <= wopts.max_worlds;
   if (exact) {
-    EvalOptions serial_body = body;
-    serial_body.stats = options.stats;  // exact path runs on this thread
+    // One serial Gray chain through the delta evaluator. A tuple's count is
+    // the length of every run of consecutive worlds that contain it: a run
+    // opens where the tuple enters and closes where it leaves, or at the
+    // world count when it is still open after the last world.
+    EvalOptions chain_options = body;
+    chain_options.stats = options.stats;
+    DeltaEvaluator de;
     std::map<Tuple, uint64_t> hits;
+    std::unordered_map<Tuple, uint64_t, TupleHash> entered;
+    uint64_t world = 0;
     Status eval_status = Status::OK();
-    INCDB_RETURN_IF_ERROR(
-        ForEachWorldCwaScratch(db, wopts, [&](const Database& world) {
-          Result<Relation> r = EvalNaive(plan, world, serial_body);
-          if (!r.ok()) {
-            eval_status = r.status();
-            return false;
+    INCDB_RETURN_IF_ERROR(ForEachValuationGrayParallel(
+        db, wopts, /*num_threads=*/1,
+        [&](const Valuation& v, const ValuationDelta& d, size_t) {
+          if (d.has_delta) {
+            ++world;
+            eval_status = de.ApplyDelta(d);
+            if (!eval_status.ok()) return false;
+            for (const Tuple& t : de.removed()) {
+              auto it = entered.find(t);
+              hits[t] += world - it->second;
+              entered.erase(it);
+            }
+            for (const Tuple& t : de.added()) entered.emplace(t, world);
+            return true;
           }
-          for (const Tuple& t : r->tuples()) ++hits[t];
+          eval_status = de.Build(plan, db, chain_options);
+          if (eval_status.ok()) eval_status = de.Initialize(v);
+          if (!eval_status.ok()) return false;
+          const Relation out = de.Output();
+          for (const Tuple& t : out.tuples()) entered.emplace(t, 0);
           return true;
         }));
     INCDB_RETURN_IF_ERROR(eval_status);
+    for (const auto& [tuple, start] : entered) hits[tuple] += total - start;
     if (options.stats != nullptr) {
       options.stats->CountWorldsCounted(total);
       options.stats->CountExactCountHits(hits.size());
+      options.stats->CountDeltaApplied(de.deltas_applied());
+      options.stats->CountDeltaFallbacks(de.node_fallbacks());
     }
     for (const auto& [tuple, count] : hits) {
       const double p =

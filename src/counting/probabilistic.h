@@ -13,10 +13,12 @@
 // Two drivers mirror the Backend knob:
 //
 //  * CertainAnswersWithProbabilityEnum — when the world count fits the
-//    exact gate, enumerate every world and count membership (exact
-//    fractions, degenerate CI [p, p]); otherwise draw seeded valuation
-//    samples, materialize each sampled world, evaluate the plan on it,
-//    and tally (Wilson CIs).
+//    exact gate, walk every world along one Gray chain through the delta
+//    evaluator (engine/delta_eval.h) and count, per tuple, the worlds
+//    between its entries into and exits from the answer (exact fractions,
+//    degenerate CI [p, p]); otherwise draw seeded valuation samples,
+//    materialize each sampled world, evaluate the plan on it, and tally
+//    (Wilson CIs).
 //  * CertainAnswersWithProbabilityCTable — evaluate the plan ONCE on the
 //    c-table representation; each candidate tuple's membership event
 //    becomes a condition global ∧ D_t whose satisfying valuations are
@@ -83,7 +85,8 @@ struct TupleProbability {
 /// tuple order. Returns the thresholded relation; the full table lands in
 /// `probabilities` when non-null. CWA only (the valuation measure is a CWA
 /// object): kUnsupported under OWA/WCWA. `options.stats` receives
-/// worlds_counted / samples_drawn / exact_count_hits.
+/// worlds_counted / samples_drawn / exact_count_hits, and on the exact path
+/// delta_applied / delta_fallbacks.
 Result<Relation> CertainAnswersWithProbabilityEnum(
     const RAExprPtr& e, const Database& db, WorldSemantics semantics,
     const ProbabilisticOptions& popts, const WorldEnumOptions& wopts = {},

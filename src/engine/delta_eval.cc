@@ -63,6 +63,7 @@ struct DeltaEvaluator::Node {
     kDiff,
     kIntersect,
     kDivide,
+    kDiagonal,  // Δ over the world's active domain
   };
 
   Kind kind;
@@ -124,6 +125,8 @@ struct DeltaEvaluator::Node {
         return EvalOp::kIntersect;
       case Kind::kDivide:
         return EvalOp::kDivide;
+      case Kind::kDiagonal:
+        return EvalOp::kDelta;
     }
     return EvalOp::kScan;
   }
@@ -187,11 +190,6 @@ Status DeltaEvaluator::Build(const RAExprPtr& plan, const Database& db,
 
 Result<DeltaEvaluator::Node*> DeltaEvaluator::Compile(const RAExprPtr& e) {
   using K = RAExpr::Kind;
-  if (e->kind() == K::kDelta) {
-    return Status::Unsupported(
-        "delta evaluation: plan contains Δ, whose value is the world's "
-        "active domain — a single-null step cannot patch it");
-  }
   INCDB_ASSIGN_OR_RETURN(const size_t arity, e->InferArity(db_->schema()));
 
   // Detect the fusable join shapes π(σ(×)), σ(×), π(×), and bare ×.
@@ -296,8 +294,14 @@ Result<DeltaEvaluator::Node*> DeltaEvaluator::Compile(const RAExprPtr& e) {
       }
       break;
     }
+    case K::kDelta: {
+      // Δ ranges over the whole world's active domain, so every null of the
+      // database can move it.
+      n->kind = Node::Kind::kDiagonal;
+      n->nulls = db_->Nulls();
+      break;
+    }
     case K::kProduct:
-    case K::kDelta:
       return Status::Internal("delta evaluation: unreachable plan kind");
   }
   postorder_.push_back(std::move(node));
@@ -398,6 +402,16 @@ Status DeltaEvaluator::Init(Node& n) {
         auto it = n.match_count.find(kv.first);
         const int64_t m = it == n.match_count.end() ? 0 : it->second;
         if (static_cast<uint64_t>(m) == s_size) n.counts.emplace(kv.first, 1);
+      }
+      break;
+    }
+    case Node::Kind::kDiagonal: {
+      // (c, c) is derived once if c is a constant of D, and once more per
+      // null currently bound to c.
+      for (const Value& c : db_->Constants()) n.counts[Tuple{c, c}] += 1;
+      for (NullId id : n.nulls) {
+        const Value& c = cur_.Lookup(id);
+        n.counts[Tuple{c, c}] += 1;
       }
       break;
     }
@@ -582,6 +596,11 @@ Status DeltaEvaluator::Step(Node& n, const ValuationDelta& delta) {
         const bool now = h_new > 0 && static_cast<uint64_t>(m_new) == s_size;
         if (was != now) adj[head] += now ? 1 : -1;
       }
+      break;
+    }
+    case Node::Kind::kDiagonal: {
+      adj[Tuple{delta.old_value, delta.old_value}] -= 1;
+      adj[Tuple{delta.new_value, delta.new_value}] += 1;
       break;
     }
   }

@@ -1,16 +1,17 @@
 // Differential cross-world evaluation (the delta-eval layer).
 //
-// The enumeration drivers visit |domain|^#nulls worlds; with the Gray-code
-// drivers (core/possible_worlds.h) consecutive worlds differ in exactly one
-// null's binding. DeltaEvaluator exploits that: every plan node materializes
-// its output once — as a map from output tuple to its *derivation count*
-// (how many ways the node's inputs produce it), so the output set is exactly
-// the keys — and each scan keeps a provenance index from NullId to the base
-// rows containing that null. When a null flips, only the affected base rows
-// are retracted/re-inserted, and the resulting set-level transitions (tuples
-// whose count crosses zero) are propagated up through σ / π / × / ∪ / ∩ /
-// − / ÷ by per-operator delta rules that probe the same hash structures the
-// full kernels use:
+// The enumeration drivers visit |domain|^#nulls worlds along the Gray-code
+// chains of core/possible_worlds.h, where consecutive worlds differ in
+// exactly one null's binding. DeltaEvaluator exploits that, and it is the
+// only way the enumeration backend evaluates a plan: every plan node
+// materializes its output once — as a map from output tuple to its
+// *derivation count* (how many ways the node's inputs produce it), so the
+// output set is exactly the keys — and each scan keeps a provenance index
+// from NullId to the base rows containing that null. When a null flips,
+// only the affected base rows are retracted/re-inserted, and the resulting
+// set-level transitions (tuples whose count crosses zero) are propagated up
+// through σ / π / × / ∪ / ∩ / − / ÷ / Δ by per-operator delta rules that
+// probe the same hash structures the full kernels use:
 //
 //   scan   retract v_old(t) / insert v_new(t) for the provenance rows only
 //   σ, π   filter / project the child's transitions
@@ -22,13 +23,14 @@
 //          membership is derived by un-flipping the child transitions)
 //   ÷      per-head derivation and divisor-match counters; a changing
 //          divisor falls back to recomputing the node
+//   Δ      (c, c) counts once if c is a constant of D and once per null
+//          bound to c; a step moves one count from (old, old) to
+//          (new, new)
 //
 // When a step's delta would cost more than recomputing a node from its
 // children (or a rule does not apply, e.g. ÷ with a changed divisor), the
 // node is recomputed in full and the old/new outputs are diffed — counted in
-// `node_fallbacks()`. Plans containing Δ (the diagonal over the world's
-// active domain, which a single-null step cannot patch) are rejected at
-// Build time; the drivers then evaluate those plans per world as before.
+// `node_fallbacks()`. Every plan compiles; no plan is evaluated per world.
 //
 // Null-free subtrees — complete scans and ConstRel literals (valuations
 // never apply to literals) — are evaluated once at Initialize and never
@@ -36,7 +38,7 @@
 // remainder of the plan.
 //
 // Thread-compatibility: one DeltaEvaluator is single-threaded state. The
-// parallel drivers build one per worker; Build/Initialize only read the
+// drivers build one per Gray chain; Build/Initialize only read the
 // (pre-forced) database relations and plan literals.
 
 #ifndef INCDB_ENGINE_DELTA_EVAL_H_
@@ -65,8 +67,9 @@ class DeltaEvaluator {
   DeltaEvaluator& operator=(const DeltaEvaluator&) = delete;
 
   /// Compiles `plan` against `db` into a tree of differential operator
-  /// states (no evaluation yet). Returns Unsupported for plans containing Δ.
-  /// `db` and the plan's literals must outlive the evaluator.
+  /// states (no evaluation yet). Fails only where the plan's arity does not
+  /// check against `db`'s schema. `db` and the plan's literals must outlive
+  /// the evaluator.
   /// `options.stats`, when set, receives per-operator counters for the
   /// initialization and for every applied delta.
   Status Build(const RAExprPtr& plan, const Database& db,

@@ -50,8 +50,8 @@ const char* AnswerNotionName(AnswerNotion n);
 /// How the world-quantified notions (kCertainEnum, kPossible) are computed.
 /// Both backends return bit-identical answers; they differ in cost shape.
 enum class Backend {
-  /// Enumerate the finite world space and intersect/union per-world
-  /// answers (with the delta-eval acceleration).
+  /// Enumerate the finite world space along Gray chains through the delta
+  /// evaluator and intersect/union the worlds' answers.
   /// Exponential in the number of nulls.
   kEnumeration = 0,
   /// Evaluate once on the c-table representation and extract the answer
@@ -136,10 +136,10 @@ struct QueryRequest {
   /// reuses `world_options.max_worlds` as its satisfiability branch budget
   /// and the same world domain, which is what keeps answers bit-identical.
   WorldEnumOptions world_options;
-  /// Stats hook and kernel toggles, threaded through every evaluator. For
-  /// kCertainEnum / kPossible this includes `eval.delta_eval` (differential
-  /// world enumeration; the response's stats then report delta_applied /
-  /// delta_fallbacks).
+  /// Stats hook and kernel toggles, threaded through every evaluator. On
+  /// the enumeration backend the response's stats for kCertainEnum,
+  /// kPossible and exact kCertainWithProbability report delta_applied /
+  /// delta_fallbacks.
   EvalOptions eval;
   /// Knobs for kCertainWithProbability: the answer threshold, the sampling
   /// seed/sample-count/z/threads, the exact-path gate. Other notions ignore

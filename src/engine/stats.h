@@ -98,11 +98,10 @@ class EvalStats {
   uint64_t cache_misses() const { return 0; }
 
   /// Differential enumeration: worlds answered by applying one single-null
-  /// delta instead of re-evaluating the plan / full re-evaluations the delta
-  /// path fell back to (node-level recomputes, plus one per world for plans
-  /// the delta evaluator rejects, e.g. those containing Δ). The split
-  /// between the two depends on how the Gray chains were partitioned, so
-  /// totals can differ across `num_threads` settings — answers never do.
+  /// delta instead of re-evaluating the plan / node-level recomputes the
+  /// delta evaluator fell back to. Both depend on how the Gray chains were
+  /// partitioned, so totals can differ across `num_threads` settings —
+  /// answers never do.
   uint64_t delta_applied() const { return delta_applied_; }
   uint64_t delta_fallbacks() const { return delta_fallbacks_; }
   void CountDeltaApplied(uint64_t n) { delta_applied_ += n; }
@@ -181,14 +180,6 @@ struct EvalOptions {
   /// collapse, greedy join ordering) before evaluating RA plans. Semantics-
   /// and fragment-preserving: answers are bit-identical either way.
   bool optimize = true;
-  /// In the enumeration drivers, walk the world space in Gray-code order
-  /// and re-evaluate plans differentially — each single-null step patches
-  /// every operator's materialized output instead of recomputing it
-  /// (engine/delta_eval.h). Plans the delta evaluator rejects (those
-  /// containing Δ) fall back to per-world evaluation. Answers are
-  /// bit-identical either way; `stats` reports delta_applied /
-  /// delta_fallbacks.
-  bool delta_eval = true;
 };
 
 /// RAII scope that attributes wall time and counters to one operator.

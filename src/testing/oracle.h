@@ -4,10 +4,10 @@
 //
 // Equality checks (bit-identical Relation ==):
 //  * CertainAnswersEnum under CWA across the knob matrix — the columnar
-//    engine with optimizer on/off × delta evaluation on/off serially, plus
-//    two parallel configurations — against the nested-loop serial reference
-//    (7 configurations in all).
-//  * PossibleAnswersEnum across the same matrix.
+//    engine with the optimizer on/off × serial/parallel — against
+//    ReferenceCertainAnswers, eq. (1) evaluated as written (5 runs in all).
+//  * PossibleAnswersEnum across the same matrix, against
+//    ReferencePossibleAnswers.
 //  * QueryEngine::Run(kCertainEnum) against the direct driver (facade
 //    faithfulness).
 //  * service path: the same request through a shared IncDbService session
@@ -48,6 +48,7 @@
 
 #include "algebra/ast.h"
 #include "core/database.h"
+#include "core/possible_worlds.h"
 #include "core/valuation.h"
 
 namespace incdb {
@@ -91,6 +92,22 @@ struct OracleReport {
 
   bool ok() const { return violations.empty(); }
 };
+
+/// certain(Q, D) under CWA as eq. (1) writes it: the intersection of
+/// Q(v(D)) over every world v(D), walked one world at a time by the serial
+/// ForEachWorldCwa and evaluated by the nested-loop EvalNaive
+/// (`use_hash_kernels = false`, `optimize = false`). Stops early once the
+/// intersection is empty. The reference the enumeration backend is checked
+/// against; exponential in the number of nulls.
+Result<Relation> ReferenceCertainAnswers(const RAExprPtr& plan,
+                                         const Database& db,
+                                         const WorldEnumOptions& opts = {});
+
+/// The possible answers ⋃ Q(v(D)) over every CWA world, computed the same
+/// way as ReferenceCertainAnswers.
+Result<Relation> ReferencePossibleAnswers(const RAExprPtr& plan,
+                                          const Database& db,
+                                          const WorldEnumOptions& opts = {});
 
 /// Cross-checks all evaluator configurations on (plan, db).
 OracleReport CheckCase(const RAExprPtr& plan, const Database& db,

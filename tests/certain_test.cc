@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "algebra/certain.h"
 #include "algebra/eval.h"
+#include "ctables/ctable_algebra.h"
 
 namespace incdb {
 namespace {
@@ -116,7 +120,7 @@ TEST(CertainTest, PossibleAnswersUnionWorlds) {
 TEST(CertainTest, EnumDriversAnswerQOfDWithoutNulls) {
   // A null-free database is its own single world, and an empty one also has
   // an empty world domain. Both drivers must return Q(D) at any thread
-  // count, on the delta and the per-world path.
+  // count.
   Database complete;
   complete.AddTuple("R", Tuple{Value::Int(1), Value::Int(2)});
   complete.AddTuple("R", Tuple{Value::Int(2), Value::Int(3)});
@@ -130,18 +134,15 @@ TEST(CertainTest, EnumDriversAnswerQOfDWithoutNulls) {
     auto want = EvalNaive(q, *db);
     ASSERT_TRUE(want.ok()) << want.status().ToString();
     for (int threads : {1, 4}) {
-      for (bool delta : {false, true}) {
-        EvalOptions options;
-        options.num_threads = threads;
-        options.delta_eval = delta;
-        auto certain = CertainAnswersEnum(q, *db, WorldSemantics::kClosedWorld,
-                                          {}, options);
-        auto possible = PossibleAnswersEnum(q, *db, {}, options);
-        ASSERT_TRUE(certain.ok()) << certain.status().ToString();
-        ASSERT_TRUE(possible.ok()) << possible.status().ToString();
-        EXPECT_EQ(*certain, *want) << threads << " threads, delta " << delta;
-        EXPECT_EQ(*possible, *want) << threads << " threads, delta " << delta;
-      }
+      EvalOptions options;
+      options.num_threads = threads;
+      auto certain = CertainAnswersEnum(q, *db, WorldSemantics::kClosedWorld,
+                                        {}, options);
+      auto possible = PossibleAnswersEnum(q, *db, {}, options);
+      ASSERT_TRUE(certain.ok()) << certain.status().ToString();
+      ASSERT_TRUE(possible.ok()) << possible.status().ToString();
+      EXPECT_EQ(*certain, *want) << threads << " threads";
+      EXPECT_EQ(*possible, *want) << threads << " threads";
     }
   }
 }
@@ -167,9 +168,9 @@ TEST(CertainTest, SerialDeltaDriverAppliesOneDeltaPerWorldAfterTheFirst) {
   EXPECT_EQ(stats.delta_applied(), CountWorldsCwa(db, {}) - 1);
 }
 
-TEST(CertainTest, SerialDriverCountsOneFallbackPerWorldForDeltaPlans) {
-  // The delta evaluator rejects Δ, so every world is evaluated in full and
-  // counted as one fallback.
+TEST(CertainTest, SerialDriverAnswersDeltaPlansDifferentially) {
+  // Δ compiles into the delta evaluator like every other operator: after
+  // the first world, every world is one ApplyDelta, and no node falls back.
   const Database db = TwoNullDb();
   auto q = RAExpr::Select(
       Predicate::Eq(Term::Column(0), Term::Column(2)),
@@ -179,8 +180,42 @@ TEST(CertainTest, SerialDriverCountsOneFallbackPerWorldForDeltaPlans) {
   options.num_threads = 1;
   options.stats = &stats;
   ASSERT_TRUE(PossibleAnswersEnum(q, db, {}, options).ok());
-  EXPECT_EQ(stats.delta_fallbacks(), CountWorldsCwa(db, {}));
-  EXPECT_EQ(stats.delta_applied(), 0u);
+  EXPECT_EQ(stats.delta_applied(), CountWorldsCwa(db, {}) - 1);
+  EXPECT_EQ(stats.delta_fallbacks(), 0u);
+}
+
+TEST(CertainTest, FreshConstantsNearInt64MaxKeepNullsApart) {
+  // R = {(MAX), (MIN)}, S = {(⊥0, ⊥1)}. The world that binds ⊥0 and ⊥1 to
+  // two distinct constants other than MAX and MIN empties both branches of
+  // the union, so no tuple is certain. It exists only if the world domain
+  // holds two fresh constants, which max + 1 and max + 2 cannot provide
+  // without overflowing.
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  Database db;
+  db.AddTuple("R", Tuple{Value::Int(kMax)});
+  db.AddTuple("R", Tuple{Value::Int(kMin)});
+  db.AddTuple("S", Tuple{Value::Null(0), Value::Null(1)});
+  auto is_extreme = [&](size_t col) {
+    return Predicate::Or(
+        Predicate::Eq(Term::Column(col), Term::Const(Value::Int(kMax))),
+        Predicate::Eq(Term::Column(col), Term::Const(Value::Int(kMin))));
+  };
+  auto q = RAExpr::Project(
+      {2},
+      RAExpr::Product(
+          RAExpr::Union(
+              RAExpr::Select(Predicate::Eq(Term::Column(0), Term::Column(1)),
+                             RAExpr::Scan("S")),
+              RAExpr::Select(Predicate::Or(is_extreme(0), is_extreme(1)),
+                             RAExpr::Scan("S"))),
+          RAExpr::Scan("R")));
+  auto by_enum = CertainAnswersEnum(q, db, WorldSemantics::kClosedWorld);
+  ASSERT_TRUE(by_enum.ok()) << by_enum.status().ToString();
+  EXPECT_TRUE(by_enum->empty()) << by_enum->ToString();
+  auto by_ctable = CertainAnswersCTable(q, db, WorldSemantics::kClosedWorld);
+  ASSERT_TRUE(by_ctable.ok()) << by_ctable.status().ToString();
+  EXPECT_TRUE(by_ctable->empty()) << by_ctable->ToString();
 }
 
 TEST(CertainTest, DropNullTuples) {

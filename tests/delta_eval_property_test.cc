@@ -1,31 +1,39 @@
-// Randomized property tests for the delta-evaluation layer: for seeded
-// random databases with marked nulls, every answer notion the QueryEngine
-// serves must return a bit-identical relation across delta_eval on/off ×
-// serial/parallel. The enumeration notions (certain-enum, possible) are the
-// ones whose execution actually changes — delta on walks the world space in
-// Gray order and re-evaluates plans differentially — but the whole sweep
-// runs to prove the knob is inert everywhere else.
+// Property tests for the delta-evaluation layer. Every plan, Δ included,
+// runs through the delta evaluator along the Gray chains of the enumeration
+// backend, and its certain and possible answers must equal the oracle's
+// reference (testing/oracle.h: eq. (1) evaluated world by world with nested
+// loops) at every thread count.
 //
-// A second sweep drives CertainAnswersEnum / PossibleAnswersEnum directly on
-// RA plans the SQL surface does not produce: division (whose delta rule
-// keeps per-head counters) and Δ (which the delta evaluator rejects, taking
-// the counted per-world fallback path).
+//  * The SQL sweep drives the shapes the SQL surface produces (join,
+//    negation, selection, scan) through the QueryEngine.
+//  * The RA sweeps drive what it does not: division (whose delta rule keeps
+//    per-head counters), ∪ / ∩ / −, and Δ, whose node moves one count per
+//    step between (old, old) and (new, new).
+//  * The exact probability table of the enumeration backend, counted along
+//    one Gray chain, must equal a per-world count over the reference.
+// The non-enumeration notions are covered across thread counts by
+// ParallelEvalSweep (parallel_eval_property_test.cc).
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "algebra/certain.h"
+#include "algebra/eval.h"
+#include "counting/probabilistic.h"
 #include "engine/query_engine.h"
+#include "testing/oracle.h"
 #include "workload/generators.h"
 
 namespace incdb {
 namespace {
 
-// Random tables under a named schema so SQL queries (and hence kMaybe) can
-// run. Small domain + low null density keeps the world count tractable:
-// fresh_constants is pinned to 1 below, so worlds ≤ (3 + 1)^#nulls.
+// Random tables under a named schema so SQL queries can run. Small domain +
+// low null density keeps the world count tractable: fresh_constants is
+// pinned to 1 below, so worlds ≤ (3 + 1)^#nulls.
 Database NamedRandomDb(uint64_t seed) {
   RandomDbConfig cfg;
   cfg.arities = {2, 2};
@@ -45,8 +53,131 @@ Database NamedRandomDb(uint64_t seed) {
   return db;
 }
 
-// SQL queries covering join, negation, selection, and a plain scan — the
-// operator shapes whose delta rules differ.
+WorldEnumOptions OneFreshConstant() {
+  WorldEnumOptions opts;
+  opts.fresh_constants = 1;
+  return opts;
+}
+
+// CertainAnswersEnum and PossibleAnswersEnum at 1, 2 and 7 threads against
+// the reference; when the reference refuses, every run must refuse with the
+// same code.
+void ExpectEnumMatchesReference(const RAExprPtr& q, const Database& db,
+                                const WorldEnumOptions& world_opts) {
+  const auto want_certain = ReferenceCertainAnswers(q, db, world_opts);
+  const auto want_possible = ReferencePossibleAnswers(q, db, world_opts);
+  for (int threads : {1, 2, 7}) {
+    EvalOptions options;
+    options.num_threads = threads;
+    const std::string combo =
+        q->ToString() + " @" + std::to_string(threads) + "\n" + db.ToString();
+    const auto certain = CertainAnswersEnum(
+        q, db, WorldSemantics::kClosedWorld, world_opts, options);
+    const auto possible = PossibleAnswersEnum(q, db, world_opts, options);
+    ASSERT_EQ(certain.ok(), want_certain.ok()) << combo;
+    ASSERT_EQ(possible.ok(), want_possible.ok()) << combo;
+    if (!want_certain.ok()) {
+      EXPECT_EQ(certain.status().code(), want_certain.status().code())
+          << combo;
+    } else {
+      EXPECT_EQ(*certain, *want_certain) << combo;
+    }
+    if (!want_possible.ok()) {
+      EXPECT_EQ(possible.status().code(), want_possible.status().code())
+          << combo;
+    } else {
+      EXPECT_EQ(*possible, *want_possible) << combo;
+    }
+  }
+}
+
+// The exact probability table of the enumeration backend against a count
+// over the reference's worlds: the same tuples, each with probability
+// hits / worlds to the last bit.
+void ExpectExactProbabilitiesMatchReference(
+    const RAExprPtr& q, const Database& db,
+    const WorldEnumOptions& world_opts) {
+  std::map<Tuple, uint64_t> hits;
+  uint64_t worlds = 0;
+  EvalOptions nested;
+  nested.use_hash_kernels = false;
+  nested.optimize = false;
+  ASSERT_TRUE(ForEachWorldCwa(db, world_opts, [&](const Database& world) {
+                ++worlds;
+                Result<Relation> ans = EvalNaive(q, world, nested);
+                EXPECT_TRUE(ans.ok()) << ans.status().ToString();
+                if (!ans.ok()) return false;
+                for (const Tuple& t : ans->tuples()) ++hits[t];
+                return true;
+              }).ok());
+
+  std::vector<TupleProbability> table;
+  const auto certain = CertainAnswersWithProbabilityEnum(
+      q, db, WorldSemantics::kClosedWorld, ProbabilisticOptions{}, world_opts,
+      {}, &table);
+  ASSERT_TRUE(certain.ok()) << certain.status().ToString();
+  ASSERT_EQ(table.size(), hits.size()) << q->ToString() << "\n"
+                                       << db.ToString();
+  size_t i = 0;
+  for (const auto& [tuple, count] : hits) {
+    EXPECT_EQ(table[i].tuple, tuple) << q->ToString();
+    EXPECT_TRUE(table[i].exact);
+    EXPECT_EQ(table[i].probability,
+              static_cast<double>(count) / static_cast<double>(worlds))
+        << tuple.ToString() << " in " << q->ToString();
+    ++i;
+  }
+  const auto want_certain = ReferenceCertainAnswers(q, db, world_opts);
+  ASSERT_TRUE(want_certain.ok()) << want_certain.status().ToString();
+  EXPECT_EQ(*certain, *want_certain) << q->ToString();
+}
+
+// The Δ shapes, over the binary relation R0.
+std::vector<RAExprPtr> DeltaPlans() {
+  // σ_{#1 = #3}(Δ × R0): the R0 rows whose second value is in adom.
+  auto delta_join = [] {
+    return RAExpr::Select(Predicate::Eq(Term::Column(1), Term::Column(3)),
+                          RAExpr::Product(RAExpr::Delta(), RAExpr::Scan("R0")));
+  };
+  return {
+      RAExpr::Delta(),
+      delta_join(),
+      RAExpr::Diff(RAExpr::Project({0}, RAExpr::Scan("R0")),
+                   RAExpr::Project({2}, delta_join())),
+      RAExpr::Intersect(RAExpr::Project({0}, RAExpr::Delta()),
+                        RAExpr::Project({0}, RAExpr::Scan("R0"))),
+      // A divisor that holds Δ: {c : (c, c) ∈ Δ, c ∈ π1(R0)}.
+      RAExpr::Divide(
+          RAExpr::Scan("R0"),
+          RAExpr::Project(
+              {0}, RAExpr::Select(
+                       Predicate::Eq(Term::Column(1), Term::Column(2)),
+                       RAExpr::Product(RAExpr::Delta(),
+                                       RAExpr::Project({1},
+                                                       RAExpr::Scan("R0")))))),
+  };
+}
+
+// ⊥0 ranges over {1, 2, 3, fresh}: it lands on each constant of R0 in turn,
+// and (c, c) must stay in Δ when it moves off c, because c still occurs.
+Database NullLandsOnConstantsDb() {
+  Database db;
+  db.AddTuple("R0", Tuple{Value::Int(1), Value::Int(2)});
+  db.AddTuple("R0", Tuple{Value::Null(0), Value::Int(3)});
+  db.AddTuple("R0", Tuple{Value::Int(3), Value::Int(1)});
+  return db;
+}
+
+// ⊥0 and ⊥1 collide whenever they are bound to the same value: (c, c) then
+// carries two null derivations, and one null moving away must not drop it.
+Database CollidingNullsDb() {
+  Database db;
+  db.AddTuple("R0", Tuple{Value::Null(0), Value::Int(5)});
+  db.AddTuple("R0", Tuple{Value::Null(1), Value::Null(0)});
+  db.AddTuple("R0", Tuple{Value::Int(5), Value::Null(1)});
+  return db;
+}
+
 const std::vector<std::string>& SweepQueries() {
   static const std::vector<std::string> queries = {
       "SELECT a, d FROM R0, R1 WHERE b = c",
@@ -57,135 +188,60 @@ const std::vector<std::string>& SweepQueries() {
   return queries;
 }
 
-constexpr AnswerNotion kAllNotions[] = {
-    AnswerNotion::kNaive,       AnswerNotion::k3VL,
-    AnswerNotion::kMaybe,       AnswerNotion::kCertainNaive,
-    AnswerNotion::kCertainEnum, AnswerNotion::kCertainObject,
-    AnswerNotion::kPossible,
-};
-
 class DeltaEvalSweep : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(DeltaEvalSweep, EveryNotionIsBitIdenticalAcrossAllKnobCombinations) {
+TEST_P(DeltaEvalSweep, SqlEnumerationNotionsMatchTheReference) {
   Database db = NamedRandomDb(GetParam());
   QueryEngine engine(db);
   for (const std::string& sql : SweepQueries()) {
-    for (AnswerNotion notion : kAllNotions) {
-      // Baseline: the pre-delta configuration (delta off, serial).
-      QueryRequest baseline;
-      baseline.input = QueryInput::SqlText(sql);
-      baseline.notion = notion;
-      baseline.world_options.fresh_constants = 1;
-      baseline.eval.num_threads = 1;
-      baseline.eval.delta_eval = false;
-      auto base = engine.Run(baseline);
-
-      for (bool delta : {false, true}) {
-        for (int threads : {1, 7}) {
-          QueryRequest req = baseline;
-          req.eval.delta_eval = delta;
-          req.eval.num_threads = threads;
-          const std::string combo = std::string(AnswerNotionName(notion)) +
-                                    (delta ? " delta" : " nodelta") + " @" +
-                                    std::to_string(threads) + ": " + sql;
-          auto got = engine.Run(req);
-          if (!base.ok()) {
-            // e.g. kCertainNaive refusing the NOT IN query: every combo
-            // must refuse identically.
-            ASSERT_FALSE(got.ok()) << combo;
-            EXPECT_EQ(got.status().code(), base.status().code()) << combo;
-            continue;
-          }
-          ASSERT_TRUE(got.ok()) << combo << ": " << got.status().ToString();
-          EXPECT_EQ(got->relation, base->relation)
-              << combo << "\n" << db.ToString();
-          EXPECT_EQ(got->naive_guarantee, base->naive_guarantee) << combo;
-        }
+    for (AnswerNotion notion :
+         {AnswerNotion::kCertainEnum, AnswerNotion::kPossible}) {
+      QueryRequest req;
+      req.input = QueryInput::SqlText(sql);
+      req.notion = notion;
+      req.world_options = OneFreshConstant();
+      for (int threads : {1, 7}) {
+        req.eval.num_threads = threads;
+        const std::string combo = std::string(AnswerNotionName(notion)) +
+                                  " @" + std::to_string(threads) + ": " + sql;
+        auto got = engine.Run(req);
+        ASSERT_TRUE(got.ok()) << combo << ": " << got.status().ToString();
+        ASSERT_NE(got->plan, nullptr) << combo;
+        auto want = notion == AnswerNotion::kCertainEnum
+                        ? ReferenceCertainAnswers(got->plan, db,
+                                                  req.world_options)
+                        : ReferencePossibleAnswers(got->plan, db,
+                                                   req.world_options);
+        ASSERT_TRUE(want.ok()) << combo << ": " << want.status().ToString();
+        EXPECT_EQ(got->relation, *want) << combo << "\n" << db.ToString();
       }
     }
   }
 }
 
-TEST_P(DeltaEvalSweep, DivisionPlansMatchWithDeltaOnAndOff) {
+TEST_P(DeltaEvalSweep, DivisionPlansMatchTheReference) {
   Database db = NamedRandomDb(GetParam());
   // R0 ÷ π{1}(R1): division is outside the SQL surface, and its delta rule
   // (per-head derivation/match counters) only runs here.
   auto q = RAExpr::Divide(RAExpr::Scan("R0"),
                           RAExpr::Project({1}, RAExpr::Scan("R1")));
-  WorldEnumOptions world_opts;
-  world_opts.fresh_constants = 1;
+  ExpectEnumMatchesReference(q, db, OneFreshConstant());
 
-  EvalOptions off;
-  off.num_threads = 1;
-  off.delta_eval = false;
-
-  for (int threads : {1, 7}) {
-    EvalStats stats;
-    EvalOptions on;
-    on.num_threads = threads;
-    on.delta_eval = true;
-    on.stats = &stats;
-
-    auto certain_off =
-        CertainAnswersEnum(q, db, WorldSemantics::kClosedWorld, world_opts, off);
-    auto certain_on =
-        CertainAnswersEnum(q, db, WorldSemantics::kClosedWorld, world_opts, on);
-    ASSERT_TRUE(certain_off.ok()) << certain_off.status().ToString();
-    ASSERT_TRUE(certain_on.ok()) << certain_on.status().ToString();
-    EXPECT_EQ(*certain_on, *certain_off) << threads << " threads\n"
-                                         << db.ToString();
-
-    auto possible_off = PossibleAnswersEnum(q, db, world_opts, off);
-    auto possible_on = PossibleAnswersEnum(q, db, world_opts, on);
-    ASSERT_TRUE(possible_off.ok()) << possible_off.status().ToString();
-    ASSERT_TRUE(possible_on.ok()) << possible_on.status().ToString();
-    EXPECT_EQ(*possible_on, *possible_off) << threads << " threads\n"
-                                           << db.ToString();
-
-    if (db.Nulls().size() >= 2) {
-      // More worlds than Gray chains at either thread count: some world
-      // must have been answered differentially.
+  if (db.Nulls().size() >= 2) {
+    // More worlds than Gray chains at either thread count: some world must
+    // have been answered differentially.
+    for (int threads : {1, 7}) {
+      EvalStats stats;
+      EvalOptions options;
+      options.num_threads = threads;
+      options.stats = &stats;
+      ASSERT_TRUE(PossibleAnswersEnum(q, db, OneFreshConstant(), options).ok());
       EXPECT_GT(stats.delta_applied(), 0u) << threads << " threads";
     }
   }
 }
 
-TEST_P(DeltaEvalSweep, DeltaOperatorFallsBackPerWorldAndStaysBitIdentical) {
-  Database db = NamedRandomDb(GetParam());
-  if (db.Nulls().empty()) return;
-  // σ_{#0=#1}(Δ × π{0}(R0)) — the plan contains Δ, which the delta
-  // evaluator rejects at Build time; the driver must take the classic
-  // per-world path and count one fallback per world.
-  auto q = RAExpr::Select(
-      Predicate::Eq(Term::Column(0), Term::Column(2)),
-      RAExpr::Product(RAExpr::Delta(), RAExpr::Project({0}, RAExpr::Scan("R0"))));
-  WorldEnumOptions world_opts;
-  world_opts.fresh_constants = 1;
-
-  EvalOptions off;
-  off.num_threads = 1;
-  off.delta_eval = false;
-
-  for (int threads : {1, 7}) {
-    EvalStats stats;
-    EvalOptions on;
-    on.num_threads = threads;
-    on.delta_eval = true;
-    on.stats = &stats;
-
-    auto base =
-        CertainAnswersEnum(q, db, WorldSemantics::kClosedWorld, world_opts, off);
-    auto got =
-        CertainAnswersEnum(q, db, WorldSemantics::kClosedWorld, world_opts, on);
-    ASSERT_TRUE(base.ok()) << base.status().ToString();
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    EXPECT_EQ(*got, *base) << threads << " threads\n" << db.ToString();
-    EXPECT_EQ(stats.delta_applied(), 0u) << threads << " threads";
-    EXPECT_GT(stats.delta_fallbacks(), 0u) << threads << " threads";
-  }
-}
-
-TEST_P(DeltaEvalSweep, UnionAndIntersectionPlansMatchWithDeltaOnAndOff) {
+TEST_P(DeltaEvalSweep, UnionAndIntersectionPlansMatchTheReference) {
   Database db = NamedRandomDb(GetParam());
   // ∪ / ∩ / − compose set memberships; drive them directly since the SQL
   // sweep only reaches − (through NOT IN).
@@ -195,40 +251,71 @@ TEST_P(DeltaEvalSweep, UnionAndIntersectionPlansMatchWithDeltaOnAndOff) {
       RAExpr::Diff(RAExpr::Project({0}, RAExpr::Scan("R0")),
                    RAExpr::Project({1}, RAExpr::Scan("R1"))),
   };
-  WorldEnumOptions world_opts;
-  world_opts.fresh_constants = 1;
-
-  EvalOptions off;
-  off.num_threads = 1;
-  off.delta_eval = false;
-
   for (const RAExprPtr& q : plans) {
-    for (int threads : {1, 7}) {
-      EvalOptions on;
-      on.num_threads = threads;
-      on.delta_eval = true;
+    ExpectEnumMatchesReference(q, db, OneFreshConstant());
+  }
+}
 
-      auto certain_off = CertainAnswersEnum(q, db, WorldSemantics::kClosedWorld,
-                                            world_opts, off);
-      auto certain_on = CertainAnswersEnum(q, db, WorldSemantics::kClosedWorld,
-                                           world_opts, on);
-      ASSERT_TRUE(certain_off.ok()) << certain_off.status().ToString();
-      ASSERT_TRUE(certain_on.ok()) << certain_on.status().ToString();
-      EXPECT_EQ(*certain_on, *certain_off)
-          << q->ToString() << " @" << threads << "\n" << db.ToString();
-
-      auto possible_off = PossibleAnswersEnum(q, db, world_opts, off);
-      auto possible_on = PossibleAnswersEnum(q, db, world_opts, on);
-      ASSERT_TRUE(possible_off.ok()) << possible_off.status().ToString();
-      ASSERT_TRUE(possible_on.ok()) << possible_on.status().ToString();
-      EXPECT_EQ(*possible_on, *possible_off)
-          << q->ToString() << " @" << threads << "\n" << db.ToString();
-    }
+TEST_P(DeltaEvalSweep, DeltaPlansMatchTheReference) {
+  Database db = NamedRandomDb(GetParam());
+  for (const RAExprPtr& q : DeltaPlans()) {
+    ExpectEnumMatchesReference(q, db, OneFreshConstant());
+    ExpectExactProbabilitiesMatchReference(q, db, OneFreshConstant());
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, DeltaEvalSweep,
                          ::testing::Range<uint64_t>(0, 12));
+
+TEST(DeltaOperatorTest, NullLandingOnAConstantKeepsItsDiagonalPair) {
+  const Database db = NullLandsOnConstantsDb();
+  for (const RAExprPtr& q : DeltaPlans()) {
+    ExpectEnumMatchesReference(q, db, {});
+    ExpectExactProbabilitiesMatchReference(q, db, {});
+  }
+}
+
+TEST(DeltaOperatorTest, CollidingNullsKeepTheirDiagonalPair) {
+  const Database db = CollidingNullsDb();
+  for (const RAExprPtr& q : DeltaPlans()) {
+    ExpectEnumMatchesReference(q, db, {});
+    ExpectExactProbabilitiesMatchReference(q, db, {});
+  }
+}
+
+TEST(DeltaOperatorTest, OneChainAppliesADeltaPerWorldWithoutFallbacks) {
+  // σ_{#1 = #3}(Δ × R0) at one thread: one Gray chain, the first world
+  // initializes the evaluator and every later world is one ApplyDelta. The
+  // complete rows keep each step's transitions below the join's inputs, so
+  // no node recomputes either.
+  Database db;
+  for (int64_t i = 1; i <= 4; ++i) {
+    db.AddTuple("R0", Tuple{Value::Int(i), Value::Int(i % 4 + 1)});
+  }
+  db.AddTuple("R0", Tuple{Value::Int(1), Value::Null(0)});
+  db.AddTuple("R0", Tuple{Value::Null(1), Value::Int(2)});
+  const RAExprPtr q = DeltaPlans()[1];
+  const uint64_t worlds = CountWorldsCwa(db, {});
+  EvalOptions options;
+  options.num_threads = 1;
+
+  EvalStats possible_stats;
+  options.stats = &possible_stats;
+  ASSERT_TRUE(PossibleAnswersEnum(q, db, {}, options).ok());
+  EXPECT_EQ(possible_stats.delta_applied(), worlds - 1);
+  EXPECT_EQ(possible_stats.delta_fallbacks(), 0u);
+
+  // The exact probability path walks the same single chain.
+  EvalStats prob_stats;
+  options.stats = &prob_stats;
+  ASSERT_TRUE(CertainAnswersWithProbabilityEnum(
+                  q, db, WorldSemantics::kClosedWorld, ProbabilisticOptions{},
+                  {}, options)
+                  .ok());
+  EXPECT_EQ(prob_stats.worlds_counted(), worlds);
+  EXPECT_EQ(prob_stats.delta_applied(), worlds - 1);
+  EXPECT_EQ(prob_stats.delta_fallbacks(), 0u);
+}
 
 }  // namespace
 }  // namespace incdb

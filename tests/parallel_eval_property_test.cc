@@ -3,7 +3,7 @@
 // serves must return a bit-identical relation at num_threads ∈ {1, 2, 7}.
 // `parallel_row_threshold` is dropped to 1 so even the tiny test relations
 // take the chunked columnar loops, and the enumeration notions
-// (certain-enum, possible) exercise the parallel world drivers.
+// (certain-enum, possible) exercise the parallel Gray chains.
 //
 // A second test runs EvalNaive on relations large enough to span several
 // chunks, so the chunk-merge path itself is covered (the QueryEngine
@@ -12,7 +12,8 @@
 //
 // The EnumerationDriverTest cases run fixed plan shapes — operators beside
 // a complete relation, and user-written literals — through both enumeration
-// drivers at every thread count against the nested-loop reference.
+// drivers at every thread count against the oracle's reference
+// (testing/oracle.h).
 
 #include <gtest/gtest.h>
 
@@ -25,6 +26,7 @@
 #include "algebra/certain.h"
 #include "algebra/eval.h"
 #include "engine/query_engine.h"
+#include "testing/oracle.h"
 #include "workload/generators.h"
 
 namespace incdb {
@@ -186,47 +188,34 @@ Database LiteralDb() {
   return db;
 }
 
-// Runs both enumeration drivers at 1, 2 and 7 threads with delta
-// evaluation on and off; every answer must equal the nested-loop serial
-// reference. `make_plan` builds a fresh plan for every run, so no run sees
-// literal state forced by an earlier one.
+// Runs both enumeration drivers at 1, 2 and 7 threads; every answer must
+// equal the reference, eq. (1) evaluated world by world with nested loops.
+// `make_plan` builds a fresh plan for every run, so no run sees literal
+// state forced by an earlier one.
 void ExpectDriversMatchReference(const std::function<RAExprPtr()>& make_plan,
                                  const Database& db) {
   WorldEnumOptions world_opts;
   world_opts.fresh_constants = 1;
-  EvalOptions reference;
-  reference.use_hash_kernels = false;
-  reference.optimize = false;
-  reference.delta_eval = false;
-  reference.num_threads = 1;
   const std::string name = make_plan()->ToString();
-  auto want_certain = CertainAnswersEnum(
-      make_plan(), db, WorldSemantics::kClosedWorld, world_opts, reference);
-  auto want_possible =
-      PossibleAnswersEnum(make_plan(), db, world_opts, reference);
+  auto want_certain = ReferenceCertainAnswers(make_plan(), db, world_opts);
+  auto want_possible = ReferencePossibleAnswers(make_plan(), db, world_opts);
   ASSERT_TRUE(want_certain.ok()) << name << ": "
                                  << want_certain.status().ToString();
   ASSERT_TRUE(want_possible.ok()) << name << ": "
                                   << want_possible.status().ToString();
 
-  for (bool delta : {false, true}) {
-    for (int threads : {1, 2, 7}) {
-      EvalOptions options;
-      options.delta_eval = delta;
-      options.num_threads = threads;
-      const std::string combo = name + (delta ? " delta" : " nodelta") +
-                                " @" + std::to_string(threads);
-      auto certain = CertainAnswersEnum(
-          make_plan(), db, WorldSemantics::kClosedWorld, world_opts, options);
-      auto possible =
-          PossibleAnswersEnum(make_plan(), db, world_opts, options);
-      ASSERT_TRUE(certain.ok()) << combo << ": "
-                                << certain.status().ToString();
-      ASSERT_TRUE(possible.ok()) << combo << ": "
-                                 << possible.status().ToString();
-      EXPECT_EQ(*certain, *want_certain) << combo;
-      EXPECT_EQ(*possible, *want_possible) << combo;
-    }
+  for (int threads : {1, 2, 7}) {
+    EvalOptions options;
+    options.num_threads = threads;
+    const std::string combo = name + " @" + std::to_string(threads);
+    auto certain = CertainAnswersEnum(
+        make_plan(), db, WorldSemantics::kClosedWorld, world_opts, options);
+    auto possible = PossibleAnswersEnum(make_plan(), db, world_opts, options);
+    ASSERT_TRUE(certain.ok()) << combo << ": " << certain.status().ToString();
+    ASSERT_TRUE(possible.ok()) << combo << ": "
+                               << possible.status().ToString();
+    EXPECT_EQ(*certain, *want_certain) << combo;
+    EXPECT_EQ(*possible, *want_possible) << combo;
   }
 }
 

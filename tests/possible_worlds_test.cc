@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <limits>
 #include <mutex>
 #include <set>
 #include <string>
 #include <vector>
+
+#include "util/thread_pool.h"
 
 namespace incdb {
 namespace {
@@ -31,6 +36,25 @@ TEST(WorldDomainTest, RequiredConstantsIncluded) {
   auto domain = WorldDomain(d, opts);
   ASSERT_EQ(domain.size(), 1u);
   EXPECT_EQ(domain[0], Value::Int(42));
+}
+
+TEST(WorldDomainTest, FreshConstantsNeverOverflowPastInt64Max) {
+  // max + 1 would wrap onto INT64_MIN, which is already in the domain; the
+  // two nulls still need two fresh constants, distinct from each other and
+  // from every constant of D.
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  Database d;
+  d.AddTuple("R", Tuple{Value::Int(kMax)});
+  d.AddTuple("R", Tuple{Value::Int(kMin)});
+  d.AddTuple("S", Tuple{Value::Null(0), Value::Null(1)});
+  WorldEnumOptions opts;
+  const std::vector<Value> domain = WorldDomain(d, opts);
+  ASSERT_EQ(domain.size(), 4u);
+  EXPECT_EQ(std::set<Value>(domain.begin(), domain.end()).size(), 4u);
+  EXPECT_EQ(std::count(domain.begin(), domain.end(), Value::Int(kMax)), 1);
+  EXPECT_EQ(std::count(domain.begin(), domain.end(), Value::Int(kMin)), 1);
+  EXPECT_EQ(CountWorldsCwa(d, opts), 16u);  // 4^2
 }
 
 TEST(ForEachWorldTest, EnumeratesAllValuations) {
@@ -110,208 +134,14 @@ TEST(ForEachWorldOwaBoundedTest, AddsCandidateSubsets) {
   EXPECT_EQ(with_s, 2u);
 }
 
-// A small instance with three nulls across two relations so the parallel
-// drivers have a non-trivial valuation space (domain 5, 125 worlds).
+// A small instance with three nulls across two relations so the Gray
+// chains have a non-trivial valuation space (domain 5, 125 worlds).
 Database ThreeNullDb() {
   Database d;
   d.AddTuple("R", Tuple{Value::Int(1), Value::Null(0)});
   d.AddTuple("R", Tuple{Value::Null(1), Value::Int(2)});
   d.AddTuple("S", Tuple{Value::Null(2)});
   return d;
-}
-
-TEST(ParallelWorldEnumTest, VisitsExactlyTheSerialValuationSet) {
-  Database d = ThreeNullDb();
-  WorldEnumOptions opts;
-  std::set<std::string> serial;
-  ASSERT_TRUE(ForEachValuation(d, opts, [&](const Valuation& v) {
-                serial.insert(v.ToString());
-                return true;
-              }).ok());
-  ASSERT_EQ(serial.size(), CountWorldsCwa(d, opts));
-
-  for (int threads : {2, 4, 7}) {
-    std::mutex mu;
-    std::set<std::string> parallel;
-    size_t duplicates = 0;
-    Status st = ForEachValuationParallel(
-        d, opts, threads, [&](const Valuation& v, size_t) {
-          std::lock_guard<std::mutex> lock(mu);
-          if (!parallel.insert(v.ToString()).second) ++duplicates;
-          return true;
-        });
-    ASSERT_TRUE(st.ok()) << st.ToString();
-    EXPECT_EQ(duplicates, 0u) << threads << " threads";
-    EXPECT_EQ(parallel, serial) << threads << " threads";
-  }
-}
-
-TEST(ParallelWorldEnumTest, ParallelWorldsMatchSerialWorlds) {
-  Database d = ThreeNullDb();
-  WorldEnumOptions opts;
-  std::set<std::string> serial;
-  ASSERT_TRUE(ForEachWorldCwa(d, opts, [&](const Database& w) {
-                serial.insert(w.ToString());
-                return true;
-              }).ok());
-
-  std::mutex mu;
-  std::set<std::string> parallel;
-  Status st = ForEachWorldCwaParallel(
-      d, opts, 4, [&](const Database& w, size_t) {
-        EXPECT_TRUE(w.IsComplete());
-        std::lock_guard<std::mutex> lock(mu);
-        parallel.insert(w.ToString());
-        return true;
-      });
-  ASSERT_TRUE(st.ok()) << st.ToString();
-  EXPECT_EQ(parallel, serial);
-}
-
-TEST(ParallelWorldEnumTest, WorkerIndicesAreDenseAndSequencedPerWorker) {
-  Database d = ThreeNullDb();
-  WorldEnumOptions opts;
-  // Per-worker counters, written without locks: the contract says
-  // invocations sharing a worker index never overlap.
-  std::vector<size_t> per_worker(64, 0);
-  std::atomic<size_t> total{0};
-  Status st = ForEachValuationParallel(
-      d, opts, 4, [&](const Valuation&, size_t worker) {
-        EXPECT_LT(worker, per_worker.size());
-        ++per_worker[worker];
-        total.fetch_add(1);
-        return true;
-      });
-  ASSERT_TRUE(st.ok()) << st.ToString();
-  EXPECT_EQ(total.load(), CountWorldsCwa(d, opts));
-  size_t summed = 0;
-  for (size_t c : per_worker) summed += c;
-  EXPECT_EQ(summed, total.load());
-}
-
-TEST(ParallelWorldEnumTest, SerialAndParallelShareOneWorldBudget) {
-  Database d = ThreeNullDb();  // 125 worlds
-  WorldEnumOptions opts;
-  opts.max_worlds = 10;
-
-  uint64_t serial_calls = 0;
-  Status serial = ForEachValuation(d, opts, [&](const Valuation&) {
-    ++serial_calls;
-    return true;
-  });
-  EXPECT_EQ(serial.code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(serial_calls, opts.max_worlds);
-
-  for (int threads : {2, 4, 7}) {
-    std::atomic<uint64_t> parallel_calls{0};
-    Status parallel = ForEachValuationParallel(
-        d, opts, threads, [&](const Valuation&, size_t) {
-          parallel_calls.fetch_add(1);
-          return true;
-        });
-    // One shared atomic budget across all sub-spaces: the parallel driver
-    // makes exactly as many callback invocations as the serial one before
-    // reporting exhaustion, at every thread count.
-    EXPECT_EQ(parallel.code(), StatusCode::kResourceExhausted)
-        << threads << " threads: " << parallel.ToString();
-    EXPECT_EQ(parallel_calls.load(), opts.max_worlds) << threads << " threads";
-  }
-}
-
-TEST(ParallelWorldEnumTest, EarlyExitStopsAllWorkersAndReturnsOk) {
-  Database d = ThreeNullDb();
-  WorldEnumOptions opts;
-  std::atomic<uint64_t> calls{0};
-  Status st = ForEachValuationParallel(
-      d, opts, 4, [&](const Valuation&, size_t) {
-        calls.fetch_add(1);
-        return false;  // stop everything after the first world each
-      });
-  ASSERT_TRUE(st.ok()) << st.ToString();
-  // Each worker stops after at most one world once the stop flag is up.
-  EXPECT_LT(calls.load(), CountWorldsCwa(d, opts));
-}
-
-TEST(ParallelWorldEnumTest, SingleThreadAndNoNullsFallBackToSerial) {
-  // num_threads = 1 must behave exactly like the serial driver.
-  Database d = ThreeNullDb();
-  WorldEnumOptions opts;
-  size_t count = 0;  // no lock needed: serial fallback
-  ASSERT_TRUE(ForEachValuationParallel(d, opts, 1,
-                                       [&](const Valuation&, size_t worker) {
-                                         EXPECT_EQ(worker, 0u);
-                                         ++count;
-                                         return true;
-                                       })
-                  .ok());
-  EXPECT_EQ(count, CountWorldsCwa(d, opts));
-
-  // A complete database has one world regardless of the thread count.
-  Database complete;
-  complete.AddTuple("R", Tuple{Value::Int(1)});
-  size_t worlds = 0;
-  ASSERT_TRUE(ForEachWorldCwaParallel(complete, {}, 8,
-                                      [&](const Database& w, size_t) {
-                                        EXPECT_EQ(w, complete);
-                                        ++worlds;
-                                        return true;
-                                      })
-                  .ok());
-  EXPECT_EQ(worlds, 1u);
-}
-
-TEST(ScratchWorldEnumTest, VisitsTheSameWorldSequenceAsTheCopyingDriver) {
-  Database d = ThreeNullDb();
-  WorldEnumOptions opts;
-  std::vector<std::string> copying;
-  ASSERT_TRUE(ForEachWorldCwa(d, opts, [&](const Database& w) {
-                copying.push_back(w.ToString());
-                return true;
-              }).ok());
-  std::vector<std::string> scratch;
-  ASSERT_TRUE(ForEachWorldCwaScratch(d, opts, [&](const Database& w) {
-                EXPECT_TRUE(w.IsComplete());
-                scratch.push_back(w.ToString());
-                return true;
-              }).ok());
-  EXPECT_EQ(scratch, copying);
-}
-
-TEST(ScratchWorldEnumTest, BudgetAndEarlyExitAreBitIdenticalToCopying) {
-  Database d = ThreeNullDb();  // 125 worlds
-
-  // Budget: both overloads abort with ResourceExhausted after exactly
-  // max_worlds callback invocations.
-  WorldEnumOptions budget_opts;
-  budget_opts.max_worlds = 10;
-  uint64_t copying_calls = 0;
-  Status copying = ForEachWorldCwa(d, budget_opts, [&](const Database&) {
-    ++copying_calls;
-    return true;
-  });
-  uint64_t scratch_calls = 0;
-  Status scratch = ForEachWorldCwaScratch(d, budget_opts, [&](const Database&) {
-    ++scratch_calls;
-    return true;
-  });
-  EXPECT_EQ(scratch.code(), copying.code());
-  EXPECT_EQ(copying.code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(scratch_calls, copying_calls);
-  EXPECT_EQ(scratch_calls, budget_opts.max_worlds);
-
-  // Early exit: a false return stops with OK after the same number of
-  // callbacks, and the worlds seen so far are the same.
-  WorldEnumOptions opts;
-  std::vector<std::string> copying_seen, scratch_seen;
-  ASSERT_TRUE(ForEachWorldCwa(d, opts, [&](const Database& w) {
-                copying_seen.push_back(w.ToString());
-                return copying_seen.size() < 7;
-              }).ok());
-  ASSERT_TRUE(ForEachWorldCwaScratch(d, opts, [&](const Database& w) {
-                scratch_seen.push_back(w.ToString());
-                return scratch_seen.size() < 7;
-              }).ok());
-  EXPECT_EQ(scratch_seen, copying_seen);
 }
 
 // Applies `delta` to a copy of `v` and checks it yields `next`; the Gray
@@ -329,18 +159,26 @@ void ExpectDeltaConnects(const Valuation& prev, const ValuationDelta& delta,
 TEST(GrayWorldEnumTest, VisitsTheSerialValuationMultisetOneStepApart) {
   Database d = ThreeNullDb();
   WorldEnumOptions opts;
-  std::multiset<std::string> plain;
+  // ForEachValuation is the serial Gray chain, so its valuations must be
+  // all CountWorldsCwa of them, each once.
+  std::set<std::string> plain;
+  size_t plain_calls = 0;
   ASSERT_TRUE(ForEachValuation(d, opts, [&](const Valuation& v) {
                 plain.insert(v.ToString());
+                ++plain_calls;
                 return true;
               }).ok());
+  EXPECT_EQ(plain_calls, CountWorldsCwa(d, opts));
+  EXPECT_EQ(plain.size(), plain_calls);
 
-  std::multiset<std::string> gray;
+  std::vector<std::string> gray;
   Valuation prev;
   size_t chain_starts = 0;
-  Status st = ForEachValuationGray(
-      d, opts, [&](const Valuation& v, const ValuationDelta& delta) {
-        gray.insert(v.ToString());
+  Status st = ForEachValuationGrayParallel(
+      d, opts, /*num_threads=*/1,
+      [&](const Valuation& v, const ValuationDelta& delta, size_t worker) {
+        EXPECT_EQ(worker, 0u);
+        gray.push_back(v.ToString());
         if (delta.has_delta) {
           ExpectDeltaConnects(prev, delta, v);
         } else {
@@ -350,9 +188,10 @@ TEST(GrayWorldEnumTest, VisitsTheSerialValuationMultisetOneStepApart) {
         return true;
       });
   ASSERT_TRUE(st.ok()) << st.ToString();
-  // Exactly the same valuation *multiset* (each visited once), one serial
-  // chain, and every step a single-null delta.
-  EXPECT_EQ(gray, plain);
+  // Exactly the same valuation set, each visited once, one chain, and every
+  // step a single-null delta.
+  EXPECT_EQ(gray.size(), plain_calls);
+  EXPECT_EQ(std::set<std::string>(gray.begin(), gray.end()), plain);
   EXPECT_EQ(chain_starts, 1u);
 }
 
@@ -393,17 +232,50 @@ TEST(GrayWorldEnumTest, ParallelChainsCoverTheSerialSetOneStartPerWorker) {
   }
 }
 
+TEST(GrayWorldEnumTest, WorkerIndicesAreDenseAndSequencedPerWorker) {
+  Database d = ThreeNullDb();
+  WorldEnumOptions opts;
+  for (int threads : {2, 4, 7}) {
+    const size_t chunks = ParallelChunkCount(
+        threads, WorldDomain(d, opts).size(), /*grain=*/1);
+    // Per-worker counters, written without locks: the contract says
+    // invocations sharing a worker index never overlap.
+    std::vector<size_t> per_worker(chunks, 0);
+    std::atomic<size_t> total{0};
+    std::atomic<bool> out_of_range{false};
+    Status st = ForEachValuationGrayParallel(
+        d, opts, threads,
+        [&](const Valuation&, const ValuationDelta&, size_t worker) {
+          if (worker >= per_worker.size()) {
+            out_of_range.store(true);
+            return false;
+          }
+          ++per_worker[worker];
+          total.fetch_add(1);
+          return true;
+        });
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    ASSERT_FALSE(out_of_range.load()) << threads << " threads";
+    EXPECT_EQ(total.load(), CountWorldsCwa(d, opts)) << threads << " threads";
+    size_t summed = 0;
+    for (size_t c : per_worker) {
+      EXPECT_GT(c, 0u) << threads << " threads";  // dense: every index ran
+      summed += c;
+    }
+    EXPECT_EQ(summed, total.load()) << threads << " threads";
+  }
+}
+
 TEST(GrayWorldEnumTest, SharesTheWorldBudgetAndPropagatesEarlyExit) {
   Database d = ThreeNullDb();  // 125 worlds
   WorldEnumOptions opts;
   opts.max_worlds = 10;
 
   uint64_t serial_calls = 0;
-  Status serial = ForEachValuationGray(
-      d, opts, [&](const Valuation&, const ValuationDelta&) {
-        ++serial_calls;
-        return true;
-      });
+  Status serial = ForEachValuation(d, opts, [&](const Valuation&) {
+    ++serial_calls;
+    return true;
+  });
   EXPECT_EQ(serial.code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(serial_calls, opts.max_worlds);
 
@@ -414,6 +286,8 @@ TEST(GrayWorldEnumTest, SharesTheWorldBudgetAndPropagatesEarlyExit) {
           parallel_calls.fetch_add(1);
           return true;
         });
+    // One shared atomic budget across all chains: exactly as many callback
+    // invocations as the serial chain before reporting exhaustion.
     EXPECT_EQ(parallel.code(), StatusCode::kResourceExhausted)
         << threads << " threads: " << parallel.ToString();
     EXPECT_EQ(parallel_calls.load(), opts.max_worlds) << threads << " threads";
@@ -432,19 +306,24 @@ TEST(GrayWorldEnumTest, SharesTheWorldBudgetAndPropagatesEarlyExit) {
 }
 
 TEST(GrayWorldEnumTest, NoNullsYieldOneDeltalessWorld) {
+  // A complete database has one world regardless of the thread count.
   Database complete;
   complete.AddTuple("R", Tuple{Value::Int(1)});
-  size_t count = 0;
-  ASSERT_TRUE(ForEachValuationGray(complete, {},
-                                   [&](const Valuation& v,
-                                       const ValuationDelta& delta) {
-                                     EXPECT_EQ(v.size(), 0u);
-                                     EXPECT_FALSE(delta.has_delta);
-                                     ++count;
-                                     return true;
-                                   })
-                  .ok());
-  EXPECT_EQ(count, 1u);
+  for (int threads : {1, 8}) {
+    size_t count = 0;
+    ASSERT_TRUE(ForEachValuationGrayParallel(
+                    complete, {}, threads,
+                    [&](const Valuation& v, const ValuationDelta& delta,
+                        size_t worker) {
+                      EXPECT_EQ(v.size(), 0u);
+                      EXPECT_FALSE(delta.has_delta);
+                      EXPECT_EQ(worker, 0u);
+                      ++count;
+                      return true;
+                    })
+                    .ok());
+    EXPECT_EQ(count, 1u) << threads << " threads";
+  }
 }
 
 TEST(ForEachWorldOwaBoundedTest, RejectsNullCandidates) {
