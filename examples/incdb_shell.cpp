@@ -2,7 +2,8 @@
 //
 // Commands (one per line; also scriptable via stdin):
 //   create <table>(<col>, <col>, ...)      declare a relation
-//   insert <table> (v1, v2, ...)           values: 42, 'str', null, _3
+//   insert <table> (v1, v2, ...)           values: 42, 'it''s', _3, or null
+//                                          for a fresh marked null
 //   show                                   print the database
 //   sql     <SELECT ...>                   evaluate with SQL 3VL semantics
 //   naive   <SELECT ...>                   evaluate with marked-null naïve
@@ -34,12 +35,17 @@
 //   insert S (null)
 //   modes SELECT a FROM R WHERE a NOT IN (SELECT a FROM S)
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "incdb.h"
 
@@ -47,56 +53,59 @@ using namespace incdb;
 
 namespace {
 
-NullId g_next_null = 0;
-
-Result<Value> ParseValueToken(const std::string& tok) {
-  if (tok.empty()) return Status::ParseError("empty value");
-  if (EqualsIgnoreCase(tok, "null")) return Value::Null(g_next_null++);
-  if (tok[0] == '_') {
-    const std::optional<NullId> id =
-        ParseDecimal<NullId>(std::string_view(tok).substr(1));
-    if (id) return Value::Null(*id);
-    return Status::ParseError("cannot parse value: " + tok);
-  }
-  if (tok.front() == '\'' && tok.back() == '\'' && tok.size() >= 2) {
-    return Value::Str(tok.substr(1, tok.size() - 2));
-  }
-  if (const std::optional<int64_t> v = ParseDecimal<int64_t>(tok)) {
-    return Value::Int(*v);
-  }
-  return Status::ParseError("cannot parse value: " + tok);
-}
-
-// Splits "(a, b, 'c d')" into value tokens, respecting quotes.
-Result<std::vector<std::string>> SplitTuple(const std::string& s) {
-  std::vector<std::string> out;
-  std::string cur;
-  bool in_quote = false;
-  int depth = 0;
-  for (char c : s) {
-    if (c == '\'') in_quote = !in_quote;
-    if (!in_quote) {
-      if (c == '(') {
-        ++depth;
-        if (depth == 1) continue;
-      }
-      if (c == ')') {
-        --depth;
-        if (depth == 0) continue;
-      }
-      if (c == ',' && depth == 1) {
-        out.push_back(Trim(cur));
-        cur.clear();
+// Reads "(v, ...)" to the end of the line: values in the core/io.h syntax,
+// or `null` for a fresh marked null, numbered above every null in `db` and
+// in the tuple.
+Result<std::vector<Value>> ReadTuple(Scanner& s, const Database& db) {
+  INCDB_RETURN_IF_ERROR(s.Expect('('));
+  std::vector<std::optional<Value>> read;  // nullopt: a fresh null
+  if (!s.Accept(')')) {
+    do {
+      if (s.AcceptWord("null", /*ignore_case=*/true)) {
+        read.emplace_back();
         continue;
       }
+      INCDB_ASSIGN_OR_RETURN(Value v, ReadValue(s));
+      read.emplace_back(std::move(v));
+    } while (s.Accept(','));
+    INCDB_RETURN_IF_ERROR(s.Expect(')'));
+  }
+  if (!s.AtEnd()) return s.Error("trailing input");
+  const std::set<NullId> used = db.Nulls();
+  uint64_t next = used.empty() ? 0 : uint64_t{*used.rbegin()} + 1;
+  for (const std::optional<Value>& v : read) {
+    if (v && v->is_null()) next = std::max(next, v->null_id() + uint64_t{1});
+  }
+  std::vector<Value> vals;
+  for (std::optional<Value>& v : read) {
+    if (v) {
+      vals.push_back(std::move(*v));
+    } else if (next > std::numeric_limits<NullId>::max()) {
+      return Status::ResourceExhausted("no fresh null id left");
+    } else {
+      vals.push_back(Value::Null(static_cast<NullId>(next++)));
     }
-    if (depth >= 1) cur += c;
   }
-  if (in_quote || depth != 0) {
-    return Status::ParseError("unbalanced tuple literal");
+  return vals;
+}
+
+// Reads "name(col, ...)" to the end of the line.
+Result<std::pair<std::string, std::vector<std::string>>> ReadDeclaration(
+    Scanner& s) {
+  std::string name(s.ReadWord());
+  if (name.empty()) return s.Error("expected a table name");
+  INCDB_RETURN_IF_ERROR(s.Expect('('));
+  std::vector<std::string> cols;
+  if (!s.Accept(')')) {
+    do {
+      std::string col(s.ReadWord());
+      if (col.empty()) return s.Error("expected a column name");
+      cols.push_back(std::move(col));
+    } while (s.Accept(','));
+    INCDB_RETURN_IF_ERROR(s.Expect(')'));
   }
-  if (!Trim(cur).empty()) out.push_back(Trim(cur));
-  return out;
+  if (!s.AtEnd()) return s.Error("trailing input");
+  return std::make_pair(std::move(name), std::move(cols));
 }
 
 void PrintRelation(const Relation& r) {
@@ -190,7 +199,9 @@ int main() {
     if (cmd == "help") {
       std::printf(
           "  create <t>(<c>,...)   declare relation\n"
-          "  insert <t> (v, ...)   add tuple; null = fresh marked null\n"
+          "  insert <t> (v, ...)   add tuple; values 42, 'it''s', _3, or\n"
+          "                        null = a marked null numbered above\n"
+          "                        every null in the database\n"
           "  show                  print database\n"
           "  save <file> / load <file>   dump-format persistence\n"
           "  sql|maybe|naive|certain <SELECT ...>\n"
@@ -247,50 +258,35 @@ int main() {
       continue;
     }
     if (cmd == "create") {
-      const size_t paren = rest.find('(');
-      if (paren == std::string::npos) {
-        std::printf("  usage: create name(col, ...)\n");
+      Scanner s(rest, "create");
+      auto decl = ReadDeclaration(s);
+      if (!decl.ok()) {
+        std::printf("  %s\n", decl.status().ToString().c_str());
         continue;
       }
-      const std::string name = Trim(rest.substr(0, paren));
-      auto cols = SplitTuple(rest.substr(paren));
-      if (!cols.ok()) {
-        std::printf("  %s\n", cols.status().ToString().c_str());
-        continue;
-      }
-      Status st = db.mutable_schema()->AddRelation(name, *cols);
+      Status st = db.mutable_schema()->AddRelation(decl->first, decl->second);
       std::printf("  %s\n", st.ok() ? "ok" : st.ToString().c_str());
       continue;
     }
     if (cmd == "insert") {
-      std::istringstream rs(rest);
-      std::string table;
-      rs >> table;
-      std::string tup;
-      std::getline(rs, tup);
-      auto toks = SplitTuple(Trim(tup));
-      if (!toks.ok()) {
-        std::printf("  %s\n", toks.status().ToString().c_str());
+      Scanner s(rest, "insert");
+      const std::string table(s.ReadWord());
+      if (table.empty()) {
+        const Status st = s.Error("expected a table name");
+        std::printf("  %s\n", st.ToString().c_str());
         continue;
       }
-      std::vector<Value> vals;
-      bool ok = true;
-      for (const std::string& tok : *toks) {
-        auto v = ParseValueToken(tok);
-        if (!v.ok()) {
-          std::printf("  %s\n", v.status().ToString().c_str());
-          ok = false;
-          break;
-        }
-        vals.push_back(*v);
+      auto vals = ReadTuple(s, db);
+      if (!vals.ok()) {
+        std::printf("  %s\n", vals.status().ToString().c_str());
+        continue;
       }
-      if (!ok) continue;
       if (db.schema().HasRelation(table) &&
-          *db.schema().Arity(table) != vals.size()) {
+          *db.schema().Arity(table) != vals->size()) {
         std::printf("  arity mismatch for %s\n", table.c_str());
         continue;
       }
-      db.AddTuple(table, Tuple(std::move(vals)));
+      db.AddTuple(table, Tuple(std::move(vals).value()));
       std::printf("  ok\n");
       continue;
     }

@@ -1,104 +1,108 @@
 #include "core/io.h"
 
 #include <cctype>
+#include <limits>
 
 #include "util/strings.h"
 
 namespace incdb {
-namespace {
 
-void AppendValue(const Value& v, std::string* out) {
-  switch (v.kind()) {
-    case Value::Kind::kNull:
-      *out += "_" + std::to_string(v.null_id());
-      return;
-    case Value::Kind::kInt:
-      *out += std::to_string(v.as_int());
-      return;
-    case Value::Kind::kString: {
-      *out += '\'';
-      for (char c : v.as_str()) {
-        *out += c;
-        if (c == '\'') *out += '\'';  // '' escape
-      }
-      *out += '\'';
-      return;
-    }
+Result<Value> ReadValue(Scanner& s) {
+  const char c = s.Peek();
+  const size_t start = s.pos();
+  if (c == '\'') {
+    INCDB_ASSIGN_OR_RETURN(std::string str, s.ReadQuoted());
+    return Value::Str(std::move(str));
   }
+  if (c == '_') {
+    s.Accept('_');
+    // The digits follow the '_' directly.
+    const std::string_view rest = s.rest();
+    if (rest.empty() || !std::isdigit(static_cast<unsigned char>(rest[0]))) {
+      return s.ErrorAt(start, "bad null id");
+    }
+    const Result<int64_t> id = s.ReadInt();
+    if (!id.ok() || *id > std::numeric_limits<NullId>::max()) {
+      return s.ErrorAt(start, "null id out of range");
+    }
+    return Value::Null(static_cast<NullId>(*id));
+  }
+  if (c == '-' || std::isdigit(static_cast<unsigned char>(c))) {
+    INCDB_ASSIGN_OR_RETURN(int64_t v, s.ReadInt());
+    return Value::Int(v);
+  }
+  return s.Error("bad value");
 }
 
-// Splits a data line into value tokens, honouring quotes.
-Result<std::vector<std::string>> SplitValues(const std::string& line,
-                                             size_t lineno) {
-  std::vector<std::string> out;
-  std::string cur;
-  bool in_quote = false;
-  for (size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    if (c == '\'') {
-      in_quote = !in_quote;
-      cur += c;
-      continue;
-    }
-    if (c == ',' && !in_quote) {
-      out.push_back(Trim(cur));
-      cur.clear();
-      continue;
-    }
-    cur += c;
+Result<std::optional<TableHeader>> ReadTableHeader(Scanner& s,
+                                                   std::string_view keyword,
+                                                   const Schema& schema) {
+  s.SkipSpace();
+  const size_t start = s.pos();
+  const std::string_view line = s.rest();
+  if (line.size() <= keyword.size() ||
+      line.substr(0, keyword.size()) != keyword ||
+      line[keyword.size()] != ' ') {
+    return std::optional<TableHeader>();
   }
-  if (in_quote) {
-    return Status::ParseError("unterminated string on line " +
-                              std::to_string(lineno));
+  // The name runs to the first '(' and the attributes to the last ')';
+  // text after that is ignored.
+  const size_t open = line.find('(');
+  const size_t close = line.rfind(')');
+  if (open == std::string_view::npos || close == std::string_view::npos ||
+      close < open) {
+    return s.ErrorAt(start, "bad " + std::string(keyword) + " header");
   }
-  out.push_back(Trim(cur));
-  return out;
+  TableHeader h;
+  h.name =
+      Trim(std::string(line.substr(keyword.size(), open - keyword.size())));
+  if (h.name.empty()) {
+    return s.ErrorAt(start + open, "missing " + std::string(keyword) + " name");
+  }
+  if (schema.HasRelation(h.name)) {
+    return s.ErrorAt(start + keyword.size() + 1,
+                     "duplicate " + std::string(keyword) + " '" + h.name + "'");
+  }
+  for (const std::string& a :
+       Split(std::string(line.substr(open + 1, close - open - 1)), ',')) {
+    std::string t = Trim(a);
+    if (!t.empty()) h.attributes.push_back(std::move(t));
+  }
+  return std::optional<TableHeader>(std::move(h));
 }
 
-Result<Value> ParseValue(const std::string& tok, size_t lineno) {
-  if (tok.empty()) {
-    return Status::ParseError("empty value on line " + std::to_string(lineno));
+Result<std::vector<Value>> ReadRow(Scanner& s, size_t arity) {
+  std::vector<Value> vals;
+  vals.reserve(arity);
+  size_t extra = 0;  // offset of the first value past `arity`
+  do {
+    s.SkipSpace();
+    if (vals.size() == arity) extra = s.pos();
+    INCDB_ASSIGN_OR_RETURN(Value v, ReadValue(s));
+    vals.push_back(std::move(v));
+  } while (s.Accept(','));
+  if (vals.size() != arity) {
+    const std::string msg = "expected " + std::to_string(arity) +
+                            " values, got " + std::to_string(vals.size());
+    return vals.size() > arity ? s.ErrorAt(extra, msg) : s.Error(msg);
   }
-  if (tok[0] == '_') {
-    // Digits only, and within NullId's range.
-    const std::optional<NullId> id =
-        ParseDecimal<NullId>(std::string_view(tok).substr(1));
-    if (!id) {
-      return Status::ParseError("bad null id '" + tok + "' on line " +
-                                std::to_string(lineno));
-    }
-    return Value::Null(*id);
-  }
-  if (tok.front() == '\'') {
-    if (tok.size() < 2 || tok.back() != '\'') {
-      return Status::ParseError("bad string literal on line " +
-                                std::to_string(lineno));
-    }
-    std::string s;
-    for (size_t i = 1; i + 1 < tok.size(); ++i) {
-      if (tok[i] == '\'') {
-        if (i + 2 >= tok.size() || tok[i + 1] != '\'') {
-          return Status::ParseError("bad quote escape on line " +
-                                    std::to_string(lineno));
-        }
-        s += '\'';
-        ++i;
-        continue;
-      }
-      s += tok[i];
-    }
-    return Value::Str(std::move(s));
-  }
-  // Integer: an optional '-' and digits, within int64.
-  const std::optional<int64_t> v = ParseDecimal<int64_t>(tok);
-  if (!v) {
-    return Status::ParseError("bad value '" + tok + "' on line " +
-                              std::to_string(lineno));
-  }
-  return Value::Int(*v);
+  return vals;
 }
 
-}  // namespace
+Status ForEachDumpLine(std::string_view text,
+                       const std::function<Status(Scanner&)>& fn) {
+  size_t lineno = 0;
+  while (!text.empty()) {
+    ++lineno;
+    const size_t nl = text.find('\n');
+    Scanner s(text.substr(0, nl), "line", lineno);
+    text = nl == std::string_view::npos ? std::string_view()
+                                        : text.substr(nl + 1);
+    if (s.AtEnd() || s.Peek() == '#') continue;
+    INCDB_RETURN_IF_ERROR(fn(s));
+  }
+  return Status::OK();
+}
 
 std::string DumpDatabase(const Database& db) {
   std::string out = "# incdb dump\n";
@@ -116,12 +120,11 @@ std::string DumpDatabase(const Database& db) {
     }
     out += ")\n";
     for (const Tuple& t : rel.tuples()) {
-      std::string row;
       for (size_t i = 0; i < t.arity(); ++i) {
-        if (i > 0) row += ", ";
-        AppendValue(t[i], &row);
+        if (i > 0) out += ", ";
+        out += t[i].ToString();
       }
-      out += row + "\n";
+      out += "\n";
     }
     out += "\n";
   }
@@ -132,59 +135,23 @@ Result<Database> LoadDatabase(const std::string& text) {
   Database db;
   std::string current_table;
   size_t current_arity = 0;
-  size_t lineno = 0;
-  for (const std::string& raw : Split(text, '\n')) {
-    ++lineno;
-    const std::string line = Trim(raw);
-    if (line.empty() || line[0] == '#') continue;
-    if (line.rfind("table ", 0) == 0) {
-      const size_t paren = line.find('(');
-      const size_t close = line.rfind(')');
-      if (paren == std::string::npos || close == std::string::npos ||
-          close < paren) {
-        return Status::ParseError("bad table header on line " +
-                                  std::to_string(lineno));
-      }
-      current_table = Trim(line.substr(6, paren - 6));
-      if (current_table.empty()) {
-        return Status::ParseError("missing table name on line " +
-                                  std::to_string(lineno));
-      }
-      std::vector<std::string> attrs;
-      for (const std::string& a :
-           Split(line.substr(paren + 1, close - paren - 1), ',')) {
-        const std::string t = Trim(a);
-        if (!t.empty()) attrs.push_back(t);
-      }
-      current_arity = attrs.size();
-      if (db.schema().HasRelation(current_table)) {
-        return Status::ParseError("duplicate table '" + current_table +
-                                  "' on line " + std::to_string(lineno));
-      }
+  INCDB_RETURN_IF_ERROR(ForEachDumpLine(text, [&](Scanner& s) -> Status {
+    INCDB_ASSIGN_OR_RETURN(std::optional<TableHeader> header,
+                           ReadTableHeader(s, "table", db.schema()));
+    if (header) {
+      current_table = header->name;
+      current_arity = header->attributes.size();
       INCDB_RETURN_IF_ERROR(
-          db.mutable_schema()->AddRelation(current_table, attrs));
+          db.mutable_schema()->AddRelation(current_table, header->attributes));
       db.MutableRelation(current_table, current_arity);
-      continue;
+      return Status::OK();
     }
-    if (current_table.empty()) {
-      return Status::ParseError("data before any table header on line " +
-                                std::to_string(lineno));
-    }
-    INCDB_ASSIGN_OR_RETURN(std::vector<std::string> toks,
-                           SplitValues(line, lineno));
-    if (toks.size() != current_arity) {
-      return Status::ParseError(
-          "expected " + std::to_string(current_arity) + " values on line " +
-          std::to_string(lineno) + ", got " + std::to_string(toks.size()));
-    }
-    std::vector<Value> vals;
-    vals.reserve(toks.size());
-    for (const std::string& tok : toks) {
-      INCDB_ASSIGN_OR_RETURN(Value v, ParseValue(tok, lineno));
-      vals.push_back(std::move(v));
-    }
+    if (current_table.empty()) return s.Error("data before any table header");
+    INCDB_ASSIGN_OR_RETURN(std::vector<Value> vals, ReadRow(s, current_arity));
+    if (!s.AtEnd()) return s.Error("expected ','");
     db.AddTuple(current_table, Tuple(std::move(vals)));
-  }
+    return Status::OK();
+  }));
   return db;
 }
 

@@ -23,8 +23,14 @@ std::string Value::ToString() const {
       return "_" + std::to_string(null_id());
     case Kind::kInt:
       return std::to_string(as_int());
-    case Kind::kString:
-      return "'" + as_str() + "'";
+    case Kind::kString: {
+      std::string out = "'";
+      for (const char c : as_str()) {
+        out += c;
+        if (c == '\'') out += '\'';  // '' escapes a quote
+      }
+      return out + "'";
+    }
   }
   return "?";
 }

@@ -54,7 +54,9 @@ class Value {
   bool operator==(const Value& o) const = default;
   std::strong_ordering operator<=>(const Value& o) const;
 
-  /// Rendering: ints as-is, strings single-quoted, nulls as "_3" (⊥_3).
+  /// Rendering in the value syntax of core/io.h, which ReadValue reads
+  /// back: ints as-is, strings single-quoted with '' for a quote, nulls as
+  /// "_3" (⊥_3).
   std::string ToString() const;
 
   /// Hash suitable for unordered containers.

@@ -93,6 +93,7 @@
 #include "testing/shrink.h"
 #include "views/views.h"
 #include "util/random.h"
+#include "util/scanner.h"
 #include "util/status.h"
 #include "util/strings.h"
 #include "util/thread_pool.h"

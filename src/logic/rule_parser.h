@@ -6,9 +6,12 @@
 //   UCQ  :   cq1 ; cq2 ; ...
 //   TGD  :   Order(i, p) -> Cust(x), Pref(x, p)
 //
-// Terms: bare identifiers are variables; integers and 'quoted' strings are
-// constants. Relation names are the identifiers in atom position. Variable
-// identifiers are scoped per rule.
+// Terms: bare identifiers are variables (so `_x` is a variable: rules hold
+// no nulls); integers and 'quoted' strings ('' for a quote, as in
+// core/io.h) are constants. Relation names are the identifiers in atom
+// position. Variable identifiers are scoped per rule. A UCQ splits at each
+// `;` outside quotes. Parse errors name the line, column and token within
+// the whole input (util/scanner.h).
 
 #ifndef INCDB_LOGIC_RULE_PARSER_H_
 #define INCDB_LOGIC_RULE_PARSER_H_

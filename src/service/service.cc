@@ -10,6 +10,7 @@
 
 #include "algebra/optimize.h"
 #include "algebra/parser.h"
+#include "core/io.h"
 #include "sql/parser.h"
 #include "sql/to_algebra.h"
 
@@ -143,6 +144,23 @@ Result<CachePlan> AnalyzeRequest(const QueryRequest& req) {
 }
 
 }  // namespace
+
+Result<IngestRow> ParseIngestRow(std::string_view line) {
+  Scanner s(line, "ingest row");
+  IngestRow row;
+  row.relation = std::string(s.ReadWord());
+  if (row.relation.empty()) return s.Error("expected a relation name");
+  std::vector<Value> values;
+  for (;;) {
+    const size_t after_previous = s.pos();
+    if (s.AtEnd()) break;
+    if (s.pos() == after_previous) return s.Error("expected a space");
+    INCDB_ASSIGN_OR_RETURN(Value v, ReadValue(s));
+    values.push_back(std::move(v));
+  }
+  row.tuple = Tuple(std::move(values));
+  return row;
+}
 
 Result<ServiceResponse> Session::Run(const QueryRequest& request) {
   return service_->Run(request);

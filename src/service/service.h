@@ -31,6 +31,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/database.h"
@@ -92,6 +93,11 @@ struct IngestRow {
   std::string relation;
   Tuple tuple;
 };
+
+/// Parses one wire `ingest` row, `<relation> <value> ...`: a relation name
+/// of [A-Za-z0-9_], then space-separated values in the core/io.h syntax
+/// (a quoted string may hold spaces). Errors name the column and token.
+Result<IngestRow> ParseIngestRow(std::string_view line);
 
 class IncDbService;
 

@@ -7,13 +7,15 @@
 #include <vector>
 
 #include "sql/token.h"
+#include "util/scanner.h"
 #include "util/status.h"
 
 namespace incdb {
 
 /// Tokenizes a SQL string. Keywords are case-insensitive and surfaced
-/// upper-cased; identifiers keep their original spelling. String literals
-/// use single quotes with '' as the escape for a quote.
+/// upper-cased; identifiers keep their original spelling. Integers and
+/// string literals are read by util/scanner.h ('' escapes a quote), and
+/// errors carry its line, column and token.
 Result<std::vector<Token>> Tokenize(const std::string& sql);
 
 }  // namespace incdb

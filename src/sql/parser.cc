@@ -9,7 +9,8 @@ namespace {
 
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  Parser(const std::string& sql, std::vector<Token> tokens)
+      : errors_(sql, "SQL query"), tokens_(std::move(tokens)) {}
 
   Result<SqlQuery> ParseQuery() {
     INCDB_ASSIGN_OR_RETURN(SqlQuery q, ParseQueryInner());
@@ -285,11 +286,10 @@ class Parser {
     return Error("expected " + what);
   }
   Status Error(const std::string& msg) const {
-    return Status::ParseError(msg + " at offset " +
-                              std::to_string(Peek().position) + " (near " +
-                              Peek().ToString() + ")");
+    return errors_.ErrorAt(Peek().position, msg);
   }
 
+  Scanner errors_;  // positions errors in the query text
   std::vector<Token> tokens_;
   size_t pos_ = 0;
 };
@@ -298,7 +298,7 @@ class Parser {
 
 Result<SqlQuery> ParseSql(const std::string& sql) {
   INCDB_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(sql));
-  Parser parser(std::move(tokens));
+  Parser parser(sql, std::move(tokens));
   return parser.ParseQuery();
 }
 

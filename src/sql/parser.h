@@ -10,8 +10,8 @@
 
 namespace incdb {
 
-/// Parses a SQL query string. Errors carry the byte offset of the offending
-/// token.
+/// Parses a SQL query string. Errors carry the line, column and token of
+/// the offending token (util/scanner.h).
 Result<SqlQuery> ParseSql(const std::string& sql);
 
 }  // namespace incdb

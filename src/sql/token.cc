@@ -4,44 +4,6 @@
 
 namespace incdb {
 
-std::string Token::ToString() const {
-  switch (type) {
-    case TokenType::kEof:
-      return "<eof>";
-    case TokenType::kIdentifier:
-      return "ident:" + text;
-    case TokenType::kKeyword:
-      return "kw:" + text;
-    case TokenType::kInteger:
-      return "int:" + std::to_string(int_value);
-    case TokenType::kString:
-      return "str:'" + text + "'";
-    case TokenType::kComma:
-      return ",";
-    case TokenType::kDot:
-      return ".";
-    case TokenType::kLParen:
-      return "(";
-    case TokenType::kRParen:
-      return ")";
-    case TokenType::kStar:
-      return "*";
-    case TokenType::kEq:
-      return "=";
-    case TokenType::kNe:
-      return "<>";
-    case TokenType::kLt:
-      return "<";
-    case TokenType::kLe:
-      return "<=";
-    case TokenType::kGt:
-      return ">";
-    case TokenType::kGe:
-      return ">=";
-  }
-  return "?";
-}
-
 bool IsSqlKeyword(const std::string& upper) {
   static const std::set<std::string> kKeywords = {
       "SELECT", "DISTINCT", "FROM", "WHERE", "AND",   "OR",  "NOT",

@@ -32,8 +32,6 @@ struct Token {
   std::string text;     ///< identifier/keyword/string payload
   int64_t int_value = 0;
   size_t position = 0;  ///< byte offset in the input, for error messages
-
-  std::string ToString() const;
 };
 
 /// True if `word` (upper-case) is a reserved keyword.

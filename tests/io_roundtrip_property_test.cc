@@ -6,12 +6,18 @@
 //   ctables/cio  the same for c-databases, including per-row conditions and
 //                global conditions.
 //
-// Databases are drawn from the workload generators over many seeds.
+// Databases are drawn from the workload generators over many seeds. One
+// more case draws strings from the characters that every text surface
+// treats specially — quotes, separators, brackets, operators — and checks
+// that each surface reads back what Value::ToString wrote.
 
 #include <gtest/gtest.h>
 
+#include "algebra/parser.h"
 #include "core/io.h"
 #include "ctables/cio.h"
+#include "logic/rule_parser.h"
+#include "sql/parser.h"
 #include "util/random.h"
 #include "workload/generators.h"
 
@@ -97,6 +103,120 @@ TEST(IoRoundtripProperty, CDatabaseHandwrittenForms) {
   Result<CDatabase> again = LoadCDatabase(dump);
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_EQ(DumpCDatabase(*again), dump);
+}
+
+// Characters the dump, condition, RA, SQL and rule syntaxes give meaning.
+constexpr char kSpecialAlphabet[] = "ab' ,:;()=~&|#";
+
+std::string SpecialString(Rng& rng) {
+  std::string s;
+  const size_t len = rng.Uniform(7);
+  for (size_t i = 0; i < len; ++i) {
+    s += kSpecialAlphabet[rng.Uniform(sizeof kSpecialAlphabet - 1)];
+  }
+  return s;
+}
+
+Value SpecialValue(Rng& rng) {
+  switch (rng.Uniform(4)) {
+    case 0:
+      return Value::Int(static_cast<int64_t>(rng.Uniform(7)) - 3);
+    case 1:
+      return Value::Null(static_cast<NullId>(rng.Uniform(3)));
+    default:
+      return Value::Str(SpecialString(rng));
+  }
+}
+
+ConditionPtr SpecialCondition(Rng& rng, int depth) {
+  if (depth == 0 || rng.Bernoulli(0.3)) {
+    return Condition::Eq(Value::Null(static_cast<NullId>(rng.Uniform(3))),
+                         SpecialValue(rng));
+  }
+  switch (rng.Uniform(3)) {
+    case 0:
+      return Condition::Not(SpecialCondition(rng, depth - 1));
+    case 1:
+      return Condition::And(SpecialCondition(rng, depth - 1),
+                            SpecialCondition(rng, depth - 1));
+    default:
+      return Condition::Or(SpecialCondition(rng, depth - 1),
+                           SpecialCondition(rng, depth - 1));
+  }
+}
+
+TEST(IoRoundtripProperty, QuoteBearingStringsRoundTripOnEverySurface) {
+  Rng rng(77004);
+  for (int trial = 0; trial < 200; ++trial) {
+    const size_t arity = 1 + rng.Uniform(3);
+    Database db;
+    ASSERT_TRUE(db.mutable_schema()->AddRelation("R", arity).ok());
+    db.MutableRelation("R", arity);
+    CDatabase cdb;
+    ASSERT_TRUE(cdb.mutable_schema()->AddRelation("R", arity).ok());
+    CTable* table = cdb.MutableTable("R", arity);
+    table->SetGlobalCondition(SpecialCondition(rng, 2));
+    const size_t rows = 1 + rng.Uniform(4);
+    for (size_t r = 0; r < rows; ++r) {
+      std::vector<Value> vals;
+      for (size_t i = 0; i < arity; ++i) vals.push_back(SpecialValue(rng));
+      db.AddTuple("R", Tuple(vals));
+      table->AddRow(Tuple(std::move(vals)), SpecialCondition(rng, 2));
+    }
+
+    // Dump → load → dump, naïve and conditioned.
+    const std::string dump = DumpDatabase(db);
+    Result<Database> loaded = LoadDatabase(dump);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString() << "\n" << dump;
+    EXPECT_TRUE(*loaded == db) << dump;
+    EXPECT_EQ(DumpDatabase(*loaded), dump);
+    const std::string cdump = DumpCDatabase(cdb);
+    Result<CDatabase> cloaded = LoadCDatabase(cdump);
+    ASSERT_TRUE(cloaded.ok()) << cloaded.status().ToString() << "\n"
+                              << cdump;
+    EXPECT_EQ(DumpCDatabase(*cloaded), cdump);
+
+    // A condition on those strings.
+    const ConditionPtr cond = SpecialCondition(rng, 3);
+    Result<ConditionPtr> cparsed = ParseCondition(cond->ToString());
+    ASSERT_TRUE(cparsed.ok()) << cparsed.status().ToString() << "\n"
+                              << cond->ToString();
+    EXPECT_EQ((*cparsed)->ToString(), cond->ToString());
+
+    // The relation as an RA literal.
+    const Relation& rel = db.GetRelation("R");
+    Result<RAExprPtr> lit = ParseRA(rel.ToString());
+    ASSERT_TRUE(lit.ok()) << lit.status().ToString() << "\n"
+                          << rel.ToString();
+    EXPECT_TRUE((*lit)->literal() == rel) << rel.ToString();
+
+    // Queries that compare against one such string.
+    const Value str = Value::Str(SpecialString(rng));
+    Result<RAExprPtr> sel =
+        ParseRA("sel[#0 = " + str.ToString() + " OR #0 = 1](R)");
+    ASSERT_TRUE(sel.ok()) << sel.status().ToString() << "\n" << str.ToString();
+    Result<RAExprPtr> sel_again = ParseRA((*sel)->ToString());
+    ASSERT_TRUE(sel_again.ok()) << sel_again.status().ToString();
+    EXPECT_EQ((*sel_again)->ToString(), (*sel)->ToString());
+    EXPECT_NE((*sel)->ToString().find(str.ToString()), std::string::npos);
+
+    Result<SqlQuery> sql =
+        ParseSql("SELECT a FROM t WHERE a = " + str.ToString());
+    ASSERT_TRUE(sql.ok()) << sql.status().ToString() << "\n" << str.ToString();
+    ASSERT_NE(sql->selects[0].where, nullptr);
+    EXPECT_EQ(sql->selects[0].where->rhs.literal, str);
+    Result<SqlQuery> sql_again = ParseSql(sql->ToString());
+    ASSERT_TRUE(sql_again.ok()) << sql_again.status().ToString();
+    EXPECT_EQ(sql_again->ToString(), sql->ToString());
+
+    Result<ConjunctiveQuery> cq =
+        ParseCQ("ans(x) :- R(x, " + str.ToString() + ")");
+    ASSERT_TRUE(cq.ok()) << cq.status().ToString() << "\n" << str.ToString();
+    EXPECT_EQ(cq->body[0].terms[1].constant, str);
+    Result<ConjunctiveQuery> cq_again = ParseCQ(cq->ToString());
+    ASSERT_TRUE(cq_again.ok()) << cq_again.status().ToString();
+    EXPECT_EQ(cq_again->ToString(), cq->ToString());
+  }
 }
 
 TEST(IoRoundtripProperty, CDatabaseErrorsCarryLineNumbers) {

@@ -1,14 +1,19 @@
-// Robustness sweeps for the three text front ends (SQL, rule text, RA):
-// mutated and truncated inputs must produce clean parse errors or valid
-// ASTs — never crashes, hangs, or CHECK failures.
+// Robustness sweeps for the text front ends (SQL, rule text, RA,
+// conditions): mutated and truncated inputs must produce clean parse errors
+// or valid ASTs — never crashes, hangs, or CHECK failures. Edge cases pin
+// the one error form every text surface shares (util/scanner.h).
 
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <string>
 
 #include "algebra/eval.h"
 #include "algebra/parser.h"
 #include "core/io.h"
 #include "ctables/cio.h"
 #include "logic/rule_parser.h"
+#include "service/service.h"
 #include "sql/parser.h"
 #include "util/random.h"
 
@@ -24,6 +29,7 @@ const char* kSqlSeeds[] = {
     // int64's extremes: one mutated digit takes them out of range.
     "SELECT a FROM t WHERE a = 9223372036854775807 OR b > "
     "-9223372036854775808",
+    "SELECT a FROM t WHERE b = 'it''s' OR c <> '''' OR d = 'x, y'",
 };
 
 const char* kRuleSeeds[] = {
@@ -31,12 +37,14 @@ const char* kRuleSeeds[] = {
     ":- R(x, y), R(y, 'abc'), S(-42)",
     "Order(i, p) -> Cust(x), Pref(x, p)",
     "ans(x) :- R(x, 9223372036854775807), S(-9223372036854775808)",
+    "ans(x) :- R(x, 'it''s'), S(x, 'a;b') ; ans(y) :- T(y, '')",
 };
 
 const char* kRaSeeds[] = {
     "proj{0}(sel[#0 = 5 AND #1 IS NULL](R x S)) U (T - T)",
     "(Assign / Proj) & proj{0, 1}(DELTA)",
     "sel[#0 = 9223372036854775807](R) U sel[#1 = -9223372036854775808](R)",
+    "sel[#0 = 'it''s' OR #1 <> ''''](R) U {(1, 'a b'), (_0, 'x''y')}",
 };
 
 const char* kCondSeeds[] = {
@@ -186,16 +194,16 @@ TEST(ParserRobustnessEdge, IntegersOutsideTheirTypeAreParseErrors) {
     EXPECT_EQ(st.code(), StatusCode::kParseError) << st.ToString();
     EXPECT_NE(st.message().find(where), std::string::npos) << st.ToString();
   };
-  // One past INT64_MAX is an error naming the literal's offset.
+  // One past INT64_MAX is an error naming the literal's line and column.
   auto sql = ParseSql("SELECT a FROM t WHERE a = 9223372036854775808");
   ASSERT_FALSE(sql.ok());
-  expect_parse_error(sql.status(), "offset 26");
+  expect_parse_error(sql.status(), "line 1, column 27");
   auto ra = ParseRA("sel[#0 = 9223372036854775808](R)");
   ASSERT_FALSE(ra.ok());
-  expect_parse_error(ra.status(), "offset 9");
+  expect_parse_error(ra.status(), "line 1, column 10");
   auto rule = ParseCQ("ans(x) :- R(x, 9223372036854775808)");
   ASSERT_FALSE(rule.ok());
-  expect_parse_error(rule.status(), "offset 15");
+  expect_parse_error(rule.status(), "line 1, column 16");
   auto cond = ParseCondition("(_0 = 9223372036854775808)");
   ASSERT_FALSE(cond.ok());
   expect_parse_error(cond.status(), "column 7");
@@ -234,6 +242,77 @@ TEST(ParserRobustnessEdge, IntegersOutsideTheirTypeAreParseErrors) {
   ASSERT_TRUE(max_null.ok()) << max_null.status().ToString();
   EXPECT_TRUE(max_null->GetRelation("R").Contains(
       Tuple{Value::Null(4294967295u)}));
+}
+
+TEST(ParserRobustnessEdge, IngestRowsUseTheDumpValueSyntax) {
+  auto wrapped = ParseIngestRow("R 2 _4294967296");
+  ASSERT_FALSE(wrapped.ok());
+  EXPECT_EQ(wrapped.status().code(), StatusCode::kParseError);
+  EXPECT_NE(wrapped.status().message().find(
+                "line 1, column 5 (at '_4294967296')"),
+            std::string::npos)
+      << wrapped.status().ToString();
+  EXPECT_FALSE(ParseIngestRow("R 99999999999999999999 _7").ok());
+  // Bare words are not values, as in dumps.
+  EXPECT_FALSE(ParseIngestRow("R abc").ok());
+
+  auto quote = ParseIngestRow("R 'it''s' _8");
+  ASSERT_TRUE(quote.ok()) << quote.status().ToString();
+  EXPECT_EQ(quote->relation, "R");
+  EXPECT_EQ(quote->tuple, (Tuple{Value::Str("it's"), Value::Null(8)}));
+  auto space = ParseIngestRow("R 'a b' 5");
+  ASSERT_TRUE(space.ok()) << space.status().ToString();
+  EXPECT_EQ(space->tuple, (Tuple{Value::Str("a b"), Value::Int(5)}));
+}
+
+// One malformed input per text surface: each error names its line, its
+// column and its token (or the end of the input), and a multi-line input
+// reports the line the error sits on.
+TEST(ParserRobustnessEdge, EverySurfaceNamesLineColumnAndToken) {
+  struct Case {
+    const char* surface;
+    std::string input;
+    std::function<Status(const std::string&)> parse;
+    std::string where;
+  };
+  const Case cases[] = {
+      {"RA", "proj{0}(R\n  x S))",
+       [](const std::string& t) { return ParseRA(t).status(); },
+       "on line 2, column 7 (at ')')"},
+      {"SQL", "SELECT a\nFROM t\nWHERE a = 'x' AND @",
+       [](const std::string& t) { return ParseSql(t).status(); },
+       "on line 3, column 19 (at '@')"},
+      {"CQ", "ans(x) :-\n  R(x, 'it''s') S(x)",
+       [](const std::string& t) { return ParseCQ(t).status(); },
+       "on line 2, column 17 (at 'S')"},
+      {"UCQ", "ans(x) :- R(x) ;\nans(y) :- S(y, 'a;b') ;\nans(z) :- T(z",
+       [](const std::string& t) { return ParseUCQ(t).status(); },
+       "on line 3, column 14 (at end of rule)"},
+      {"tgd", "R(x, y)\n  -> S(x) T",
+       [](const std::string& t) { return ParseTgd(t).status(); },
+       "on line 2, column 11 (at 'T')"},
+      {"mapping", "R(x) -> S(x)\nR(x) -> S(x",
+       [](const std::string& t) { return ParseMapping(t).status(); },
+       "on line 2, column 12 (at end of rule)"},
+      {"dump", "table R(a, b)\n1, 'x'\n2, bogus\n",
+       [](const std::string& t) { return LoadDatabase(t).status(); },
+       "on line 3, column 4 (at 'bogus')"},
+      {"c-table dump", "ctable R(a)\n1 :: (_0 = 1 & !!)\n",
+       [](const std::string& t) { return LoadCDatabase(t).status(); },
+       "on line 2, column 16 (at '!!')"},
+      {"condition", "(_0 = 'a b' |\n ~(_1 = 2)",
+       [](const std::string& t) { return ParseCondition(t).status(); },
+       "on line 2, column 11 (at end of condition)"},
+      {"ingest row", "R 1 'unterminated",
+       [](const std::string& t) { return ParseIngestRow(t).status(); },
+       "on line 1, column 5 (at ''unterminated')"},
+  };
+  for (const Case& c : cases) {
+    const Status st = c.parse(c.input);
+    EXPECT_EQ(st.code(), StatusCode::kParseError) << c.surface;
+    EXPECT_NE(st.message().find(c.where), std::string::npos)
+        << c.surface << ": " << st.ToString();
+  }
 }
 
 TEST(ParserRobustnessEdge, ParsedDivisionWithBadArityEvaluatesToError) {

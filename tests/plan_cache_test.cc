@@ -128,6 +128,41 @@ TEST(PlanCacheTest, HitIsBitIdenticalToColdRunAcrossRandomCases) {
   }
 }
 
+// Two plans whose string constants hold quotes: unescaped, both would
+// render as sel[(#0 = 'p' AND #1 = 'q' AND #1 = 'r')](R) and share one
+// fingerprint and one cache identity.
+TEST(PlanCacheTest, PlansThatRenderAlikeOnlyUnescapedGetDistinctEntries) {
+  Schema schema;
+  ASSERT_TRUE(schema.AddRelation("R", {"a", "b"}).ok());
+  Database db(schema);
+  db.AddTuple("R", Tuple{Value::Str("p"), Value::Str("q' AND #1 = 'r")});
+  auto eq = [](size_t col, const std::string& s) {
+    return Predicate::Cmp(CmpOp::kEq, Term::Column(col),
+                          Term::Const(Value::Str(s)));
+  };
+  const RAExprPtr first = RAExpr::Select(
+      Predicate::And(eq(0, "p"), eq(1, "q' AND #1 = 'r")), RAExpr::Scan("R"));
+  const RAExprPtr second = RAExpr::Select(
+      Predicate::And(eq(0, "p' AND #1 = 'q"), eq(1, "r")), RAExpr::Scan("R"));
+  EXPECT_NE(first->ToString(), second->ToString());
+
+  IncDbService service(db);
+  Session session = service.OpenSession();
+  auto run = [&](const RAExprPtr& plan) {
+    QueryRequest req = QueryRequestBuilder(QueryInput::Ra(plan)).Build();
+    req.eval.num_threads = 1;
+    return session.Run(req);
+  };
+  auto one = run(first);
+  ASSERT_TRUE(one.ok()) << one.status().ToString();
+  EXPECT_FALSE(one->cache_hit);
+  EXPECT_EQ(one->response.relation.size(), 1u);
+  auto two = run(second);
+  ASSERT_TRUE(two.ok()) << two.status().ToString();
+  EXPECT_FALSE(two->cache_hit);
+  EXPECT_EQ(two->response.relation.size(), 0u);
+}
+
 TEST(PlanCacheTest, ProbabilisticHitKeepsTheFullProbabilityTable) {
   IncDbService service(TwoRelationDb());
   Session session = service.OpenSession();

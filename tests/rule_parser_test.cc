@@ -86,6 +86,32 @@ TEST(RuleParserTest, Errors) {
   EXPECT_FALSE(ParseTgd("-> S(x)").ok());         // empty body
 }
 
+TEST(RuleParserTest, StringConstantsHoldSeparatorsAndQuotes) {
+  // A ';' inside quotes does not split the UCQ.
+  auto u = ParseUCQ("q(x) :- R(x, 'a;b')");
+  ASSERT_TRUE(u.ok()) << u.status().ToString();
+  ASSERT_EQ(u->disjuncts.size(), 1u);
+  EXPECT_EQ(u->disjuncts[0].body[0].terms[1].constant, Value::Str("a;b"));
+  // '' is one quote, as in every other text surface.
+  auto q = ParseCQ("q(x) :- R(x, 'it''s')");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  EXPECT_EQ(q->body[0].terms[1].constant, Value::Str("it's"));
+}
+
+TEST(RuleParserTest, ErrorsNameALineAndAColumn) {
+  auto q = ParseCQ("q(x) R(x)");
+  ASSERT_FALSE(q.ok());
+  EXPECT_NE(q.status().message().find("expected ':-' on line 1, column 6"),
+            std::string::npos)
+      << q.status().ToString();
+  // Positions in a UCQ refer to the whole input, not to one disjunct.
+  auto u = ParseUCQ("q(x) :- R(x);\nq(y) :- S(y) junk");
+  ASSERT_FALSE(u.ok());
+  EXPECT_NE(u.status().message().find("line 2, column 14 (at 'junk')"),
+            std::string::npos)
+      << u.status().ToString();
+}
+
 TEST(RuleParserTest, ParsedQueriesWorkWithContainment) {
   auto chain3 = ParseCQ(":- R(a, b), R(b, c), R(c, d)");
   auto chain2 = ParseCQ(":- R(x, y), R(y, z)");

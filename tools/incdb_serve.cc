@@ -18,12 +18,15 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -33,6 +36,10 @@
 #include "incdb.h"
 
 namespace {
+
+// Largest `ingest` batch and `threads` value a client may ask for.
+constexpr int64_t kMaxIngestRows = 100000;
+constexpr int64_t kMaxThreads = 256;
 
 std::atomic<bool> g_stop{false};
 
@@ -109,26 +116,28 @@ std::string OneLine(std::string s) {
   return s;
 }
 
-// Parses one ingest value token: _k marked null, integer, or (optionally
-// quoted) string.
-incdb::Value ParseValueToken(const std::string& raw) {
-  const std::string t = incdb::Trim(raw);
-  if (t.size() >= 2 && t[0] == '_') {
-    char* end = nullptr;
-    const unsigned long long k = std::strtoull(t.c_str() + 1, &end, 10);
-    if (end != t.c_str() + 1 && *end == '\0') {
-      return incdb::Value::Null(static_cast<incdb::NullId>(k));
-    }
+// Reads all of `text`, a command's argument, as one integer in [lo, hi].
+incdb::Result<int64_t> ParseIntArg(const std::string& text, int64_t lo,
+                                   int64_t hi) {
+  incdb::Scanner s(text, "argument");
+  INCDB_ASSIGN_OR_RETURN(int64_t n, s.ReadInt());
+  if (!s.AtEnd()) return s.Error("expected one integer");
+  if (n < lo || n > hi) {
+    return s.ErrorAt(0, "expected an integer in [" + std::to_string(lo) +
+                            ", " + std::to_string(hi) + "]");
   }
-  char* end = nullptr;
-  const long long v = std::strtoll(t.c_str(), &end, 10);
-  if (!t.empty() && end != t.c_str() && *end == '\0') {
-    return incdb::Value::Int(v);
+  return n;
+}
+
+// Reads all of `text` as one finite number.
+incdb::Result<double> ParseNumberArg(const std::string& text) {
+  double v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (text.empty() || ec != std::errc() || ptr != end || !std::isfinite(v)) {
+    return incdb::Scanner(text, "argument").Error("expected a number");
   }
-  if (t.size() >= 2 && t.front() == '\'' && t.back() == '\'') {
-    return incdb::Value::Str(t.substr(1, t.size() - 2));
-  }
-  return incdb::Value::Str(t);
+  return v;
 }
 
 // Per-connection protocol state: the notion/backend/knob settings that
@@ -252,43 +261,50 @@ void ServeConnection(int fd, incdb::IncDbService* service) {
         reply = "error INVALID_ARGUMENT unknown semantics " + rest + "\n";
       }
     } else if (cmd == "threads") {
-      state.threads = std::atoi(rest.c_str());
-      reply = "ok\n";
+      const auto n = ParseIntArg(rest, 0, kMaxThreads);
+      if (n.ok()) state.threads = static_cast<int>(*n);
+      reply = n.ok() ? "ok\n" : ErrorLine(n.status());
     } else if (cmd == "max_worlds") {
-      state.max_worlds = std::strtoull(rest.c_str(), nullptr, 10);
-      reply = "ok\n";
+      const auto n =
+          ParseIntArg(rest, 0, std::numeric_limits<int64_t>::max());
+      if (n.ok()) state.max_worlds = static_cast<uint64_t>(*n);
+      reply = n.ok() ? "ok\n" : ErrorLine(n.status());
     } else if (cmd == "threshold") {
-      state.threshold = std::atof(rest.c_str());
-      reply = "ok\n";
+      const auto x = ParseNumberArg(rest);
+      if (x.ok()) state.threshold = *x;
+      reply = x.ok() ? "ok\n" : ErrorLine(x.status());
     } else if (cmd == "query") {
       reply = RunQuery(&session, state, incdb::QueryInput::RaText(rest));
     } else if (cmd == "sql") {
       reply = RunQuery(&session, state, incdb::QueryInput::SqlText(rest));
     } else if (cmd == "ingest") {
-      // "ingest <n>" followed by n lines "<relation> <v1> <v2> ...".
-      char* end = nullptr;
-      const unsigned long long n = std::strtoull(rest.c_str(), &end, 10);
-      if (rest.empty() || end == rest.c_str() || *end != '\0' || n > 100000) {
-        reply = "error INVALID_ARGUMENT ingest needs a row count\n";
+      // "ingest <n>" followed by n lines "<relation> <v1> <v2> ...". All n
+      // lines are read before the reply, even after a bad one, so the
+      // connection stays in step; a bad batch applies nothing.
+      const auto n = ParseIntArg(rest, 0, kMaxIngestRows);
+      if (!n.ok()) {
+        reply = ErrorLine(n.status());
       } else {
         std::vector<incdb::IngestRow> batch;
+        incdb::Status bad;
         bool read_ok = true;
-        for (unsigned long long i = 0; i < n && read_ok; ++i) {
+        for (int64_t i = 0; i < *n && read_ok; ++i) {
           std::string row_line;
           read_ok = reader.ReadLine(&row_line);
-          if (!read_ok) break;
-          std::istringstream row(row_line);
-          incdb::IngestRow ingest_row;
-          row >> ingest_row.relation;
-          std::vector<incdb::Value> values;
-          std::string token;
-          while (row >> token) values.push_back(ParseValueToken(token));
-          ingest_row.tuple = incdb::Tuple(std::move(values));
-          batch.push_back(std::move(ingest_row));
+          if (!read_ok || !bad.ok()) continue;
+          auto row = incdb::ParseIngestRow(row_line);
+          if (row.ok()) {
+            batch.push_back(std::move(row).value());
+          } else {
+            bad = incdb::Status(row.status().code(),
+                                "ingest row " + std::to_string(i + 1) + ": " +
+                                    row.status().message());
+          }
         }
         if (!read_ok) break;  // connection died mid-batch: nothing applied
-        auto version = session.Ingest(batch);
-        if (version.ok()) {
+        if (!bad.ok()) {
+          reply = ErrorLine(bad);
+        } else if (auto version = session.Ingest(batch); version.ok()) {
           reply = "ok version=" + std::to_string(*version) +
                   " rows=" + std::to_string(batch.size()) + "\n";
         } else {
