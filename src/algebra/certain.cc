@@ -136,14 +136,6 @@ Relation UnionWorkers(const std::vector<Worker>& workers, size_t arity) {
 
 }  // namespace
 
-Relation DropNullTuples(const Relation& r) {
-  Relation out(r.arity());
-  for (const Tuple& t : r.tuples()) {
-    if (!t.HasNull()) out.Add(t);
-  }
-  return out;
-}
-
 Result<Relation> CertainAnswersNaive(const RAExprPtr& e, const Database& db,
                                      WorldSemantics semantics, bool force,
                                      const EvalOptions& options) {
@@ -154,7 +146,7 @@ Result<Relation> CertainAnswersNaive(const RAExprPtr& e, const Database& db,
         WorldSemanticsName(semantics));
   }
   INCDB_ASSIGN_OR_RETURN(Relation naive, EvalNaive(e, db, options));
-  return DropNullTuples(naive);
+  return naive.CompletePart();
 }
 
 Result<Relation> CertainObjectNaive(const RAExprPtr& e, const Database& db,

@@ -26,9 +26,6 @@
 
 namespace incdb {
 
-/// Drops tuples containing nulls (the ·_cmpl operation).
-Relation DropNullTuples(const Relation& r);
-
 /// Q(D)_cmpl, guarded by the fragment check (kUnsupported outside it unless
 /// force=true — useful for measuring how wrong the shortcut is).
 Result<Relation> CertainAnswersNaive(const RAExprPtr& e, const Database& db,

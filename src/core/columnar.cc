@@ -44,9 +44,6 @@ DictMerge MergeDicts(const std::shared_ptr<const ValueDict>& a,
   DictMerge out;
   if (a == b) {
     out.dict = a;
-    out.from_a.resize(a->size());
-    for (uint32_t i = 0; i < a->size(); ++i) out.from_a[i] = i;
-    out.from_b = out.from_a;
     return out;
   }
   auto merged = std::make_shared<ValueDict>();
@@ -96,31 +93,8 @@ ColumnarRelation::ColumnarRelation(size_t arity, size_t rows,
       dict_(std::move(dict)),
       cols_(std::move(cols)) {
   INCDB_CHECK_MSG(cols_.size() == arity_, "column count != arity");
-  null_bits_.resize(arity_);
-  null_ids_.resize(arity_);
-  const uint32_t null_end = dict_->null_end;
-  const size_t words = (rows_ + 63) / 64;
-  for (size_t c = 0; c < arity_; ++c) {
-    INCDB_CHECK_MSG(cols_[c].size() == rows_, "ragged column");
-    null_bits_[c].assign(words, 0);
-    bool any = false;
-    if (null_end > 0) {
-      for (size_t row = 0; row < rows_; ++row) {
-        if (cols_[c][row] < null_end) {
-          null_bits_[c][row / 64] |= uint64_t{1} << (row % 64);
-          any = true;
-        }
-      }
-    }
-    if (any) {
-      null_ids_[c].resize(rows_, 0);
-      for (size_t row = 0; row < rows_; ++row) {
-        const uint32_t code = cols_[c][row];
-        if (code < null_end) {
-          null_ids_[c][row] = dict_->values[code].null_id();
-        }
-      }
-    }
+  for (const std::vector<uint32_t>& col : cols_) {
+    INCDB_CHECK_MSG(col.size() == rows_, "ragged column");
   }
 }
 
@@ -143,7 +117,18 @@ std::shared_ptr<const ColumnarRelation> ColumnarRelation::FromRelation(
       arity, rows.size(), std::move(dict), std::move(cols));
 }
 
-Relation ColumnarRelation::ToRelation() const {
+bool ColumnarRelation::HasNull() const {
+  const uint32_t null_end = dict_->null_end;
+  if (null_end == 0) return false;
+  for (const std::vector<uint32_t>& col : cols_) {
+    for (const uint32_t code : col) {
+      if (code < null_end) return true;
+    }
+  }
+  return false;
+}
+
+std::vector<Tuple> ColumnarRelation::DecodeRows() const {
   std::vector<Tuple> out;
   out.reserve(rows_);
   for (size_t row = 0; row < rows_; ++row) {
@@ -154,16 +139,7 @@ Relation ColumnarRelation::ToRelation() const {
     }
     out.emplace_back(std::move(vals));
   }
-  return Relation(arity_, std::move(out));
-}
-
-bool ColumnarRelation::RowHasNull(size_t row) const {
-  const size_t word = row / 64;
-  const uint64_t bit = uint64_t{1} << (row % 64);
-  for (size_t c = 0; c < arity_; ++c) {
-    if (null_bits_[c][word] & bit) return true;
-  }
-  return false;
+  return out;
 }
 
 }  // namespace incdb

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <limits>
 
+#include "core/columnar.h"
 #include "util/strings.h"
 
 namespace incdb {
@@ -122,13 +123,36 @@ std::string DumpDatabase(const Database& db) {
     for (const Tuple& t : rel.tuples()) {
       for (size_t i = 0; i < t.arity(); ++i) {
         if (i > 0) out += ", ";
-        out += t[i].ToString();
+        t[i].AppendTo(&out);
       }
       out += "\n";
     }
     out += "\n";
   }
   return out;
+}
+
+void AppendRows(const Relation& r, std::string* out) {
+  const ColumnarRelation* cols = r.ColumnarIfBuilt();
+  if (cols == nullptr) {
+    for (const Tuple& t : r.tuples()) {
+      out->append("| ");
+      t.AppendTo(out);
+      out->push_back('\n');
+    }
+    return;
+  }
+  const std::vector<Value>& values = cols->dict().values;
+  const size_t arity = cols->arity();
+  out->reserve(out->size() + cols->rows() * (5 + 8 * arity));
+  for (size_t row = 0; row < cols->rows(); ++row) {
+    out->append("| (", 3);
+    for (size_t c = 0; c < arity; ++c) {
+      if (c > 0) out->append(", ", 2);
+      values[cols->col(c)[row]].AppendTo(out);
+    }
+    out->append(")\n", 2);
+  }
 }
 
 Result<Database> LoadDatabase(const std::string& text) {

@@ -16,8 +16,9 @@
 // This value syntax is the syntax of every text surface: RA relation
 // literals and predicate constants, SQL and rule string literals, c-table
 // dumps and conditions, the server's `ingest` rows and the shell's values.
-// ReadValue is its one reader and Value::ToString its one writer. Parse
-// errors carry a line, a column and the token (util/scanner.h).
+// ReadValue is its one reader and Value::AppendTo (which Value::ToString
+// calls) its one writer. Parse errors carry a line, a column and the token
+// (util/scanner.h).
 
 #ifndef INCDB_CORE_IO_H_
 #define INCDB_CORE_IO_H_
@@ -39,6 +40,12 @@ std::string DumpDatabase(const Database& db);
 
 /// Parses a dump back into a database.
 Result<Database> LoadDatabase(const std::string& text);
+
+/// Appends one "| (v, ...)\n" line per row of `r`, in canonical order: the
+/// result rows of incdb_serve's protocol (docs/SERVICE.md). Reads whichever
+/// body `r` holds, its columns when it has them, and builds neither form;
+/// the bytes equal "| " + t.ToString() + "\n" for each of r.tuples().
+void AppendRows(const Relation& r, std::string* out);
 
 /// Reads one value: an integer within int64, a 'string', or _k with k
 /// within NullId.

@@ -18,6 +18,9 @@ Relation::Relation(size_t arity, std::vector<Tuple> tuples)
   }
 }
 
+Relation::Relation(std::shared_ptr<const ColumnarRelation> columns)
+    : arity_(columns->arity()), columnar_(std::move(columns)) {}
+
 Relation::Relation(const Relation& o) : arity_(o.arity_) {
   // Shared storage must be canonical so either side can read it lazily
   // without writing; canonicalize while `o` still owns it uniquely.
@@ -95,13 +98,35 @@ void Relation::EnsureCanonical() const {
 
 void Relation::EnsureUniqueStorage() {
   if (tuples_ == nullptr) {
-    tuples_ = std::make_shared<std::vector<Tuple>>();
+    tuples_ = std::make_shared<std::vector<Tuple>>(
+        columnar_ != nullptr ? columnar_->DecodeRows() : std::vector<Tuple>());
   } else if (tuples_.use_count() > 1) {
     tuples_ = std::make_shared<std::vector<Tuple>>(*tuples_);
   }
 }
 
-size_t Relation::size() const { return tuples().size(); }
+const Value& Relation::Cell(size_t row, size_t c) const {
+  return HoldsColumns() ? columnar_->ValueAt(row, c) : (*tuples_)[row][c];
+}
+
+template <class Fn>
+void Relation::ForEachCell(Fn fn) const {
+  if (HoldsColumns()) {
+    const std::vector<Value>& values = columnar_->dict().values;
+    for (size_t c = 0; c < arity_; ++c) {
+      for (const uint32_t code : columnar_->col(c)) fn(values[code]);
+    }
+    return;
+  }
+  for (const Tuple& t : tuples()) {
+    for (const Value& v : t.values()) fn(v);
+  }
+}
+
+size_t Relation::size() const {
+  if (HoldsColumns()) return columnar_->rows();
+  return tuples().size();
+}
 
 void Relation::Add(Tuple t) {
   INCDB_CHECK_MSG(t.arity() == arity_, "tuple arity mismatch");
@@ -132,6 +157,7 @@ void Relation::AddAll(const Relation& other) {
 
 const std::unordered_set<Tuple, TupleHash>& Relation::HashIndex() const {
   if (index_ == nullptr) {
+    if (HoldsColumns()) tuples();
     // Built from the raw vector: duplicates collapse in the set, so the
     // index does not require (or trigger) canonicalization.
     auto idx = std::make_shared<std::unordered_set<Tuple, TupleHash>>();
@@ -151,11 +177,24 @@ std::shared_ptr<const ColumnarRelation> Relation::Columnar() const {
   return columnar_;
 }
 
+void Relation::AdoptColumnar(std::shared_ptr<const ColumnarRelation> form) {
+  INCDB_CHECK_MSG(form->arity() == arity_ && form->rows() == size(),
+                  "adopted columnar form does not match the relation");
+  columnar_ = std::move(form);
+}
+
 bool Relation::Contains(const Tuple& t) const {
   return HashIndex().count(t) > 0;
 }
 
 const std::vector<Tuple>& Relation::tuples() const {
+  if (HoldsColumns()) {
+    // An empty body decodes to nothing: no write, so a shared empty
+    // relation (Database's per-arity empties) stays read-only.
+    if (columnar_->rows() == 0) return EmptyTuples();
+    tuples_ = std::make_shared<std::vector<Tuple>>(columnar_->DecodeRows());
+    return *tuples_;
+  }
   if (tuples_ == nullptr) return EmptyTuples();
   EnsureCanonical();
   return *tuples_;
@@ -166,7 +205,9 @@ bool Relation::IsComplete() const {
   if (memo < 0) {
     // Computed over the raw vector — duplicates and order are irrelevant.
     memo = 1;
-    if (tuples_ != nullptr) {
+    if (HoldsColumns()) {
+      memo = columnar_->HasNull() ? 0 : 1;
+    } else if (tuples_ != nullptr) {
       for (const Tuple& t : *tuples_) {
         if (t.HasNull()) {
           memo = 0;
@@ -181,36 +222,53 @@ bool Relation::IsComplete() const {
 
 bool Relation::IsCoddTable() const {
   std::map<NullId, int> counts;
-  for (const Tuple& t : tuples()) {
-    for (const Value& v : t.values()) {
-      if (v.is_null() && ++counts[v.null_id()] > 1) return false;
-    }
-  }
-  return true;
+  bool codd = true;
+  ForEachCell([&](const Value& v) {
+    if (v.is_null() && ++counts[v.null_id()] > 1) codd = false;
+  });
+  return codd;
 }
 
 std::set<NullId> Relation::Nulls() const {
   std::set<NullId> out;
-  for (const Tuple& t : tuples()) {
-    for (const Value& v : t.values()) {
-      if (v.is_null()) out.insert(v.null_id());
-    }
-  }
+  ForEachCell([&](const Value& v) {
+    if (v.is_null()) out.insert(v.null_id());
+  });
   return out;
 }
 
 std::set<Value> Relation::Constants() const {
   std::set<Value> out;
-  for (const Tuple& t : tuples()) {
-    for (const Value& v : t.values()) {
-      if (v.is_const()) out.insert(v);
-    }
-  }
+  ForEachCell([&](const Value& v) {
+    if (v.is_const()) out.insert(v);
+  });
   return out;
 }
 
 Relation Relation::CompletePart() const {
   if (IsComplete()) return *this;  // share storage
+  if (HoldsColumns()) {
+    // Keep the rows without a null code; they stay canonical, and the
+    // dictionary may keep the nulls no row uses any more.
+    const ColumnarRelation& in = *columnar_;
+    const uint32_t null_end = in.dict().null_end;
+    std::vector<uint8_t> keep(in.rows(), 1);
+    for (size_t c = 0; c < arity_; ++c) {
+      const std::vector<uint32_t>& col = in.col(c);
+      for (size_t row = 0; row < in.rows(); ++row) {
+        if (col[row] < null_end) keep[row] = 0;
+      }
+    }
+    std::vector<std::vector<uint32_t>> cols(arity_);
+    size_t rows = 0;
+    for (size_t row = 0; row < in.rows(); ++row) {
+      if (!keep[row]) continue;
+      for (size_t c = 0; c < arity_; ++c) cols[c].push_back(in.col(c)[row]);
+      ++rows;
+    }
+    return Relation(std::make_shared<const ColumnarRelation>(
+        arity_, rows, in.dict_ptr(), std::move(cols)));
+  }
   Relation out(arity_);
   for (const Tuple& t : tuples()) {
     if (!t.HasNull()) out.Add(t);
@@ -220,23 +278,56 @@ Relation Relation::CompletePart() const {
 
 bool Relation::operator==(const Relation& o) const {
   if (arity_ != o.arity_) return false;
-  return tuples() == o.tuples();
+  if (!HoldsColumns() && !o.HoldsColumns()) return tuples() == o.tuples();
+  const size_t rows = size();  // canonicalizes a tuple body
+  if (rows != o.size()) return false;
+  if (HoldsColumns() && o.HoldsColumns() &&
+      columnar_->dict_ptr() == o.columnar_->dict_ptr()) {
+    for (size_t c = 0; c < arity_; ++c) {
+      if (columnar_->col(c) != o.columnar_->col(c)) return false;
+    }
+    return true;
+  }
+  for (size_t row = 0; row < rows; ++row) {
+    for (size_t c = 0; c < arity_; ++c) {
+      if (!(Cell(row, c) == o.Cell(row, c))) return false;
+    }
+  }
+  return true;
 }
 
 bool Relation::IsSubsetOf(const Relation& o) const {
   if (arity_ != o.arity_) return false;
-  const auto& a = tuples();
-  const auto& b = o.tuples();
-  return std::includes(b.begin(), b.end(), a.begin(), a.end());
+  const size_t n = size();  // canonicalizes a tuple body
+  const size_t m = o.size();
+  auto compare = [&](size_t i, size_t j) {
+    for (size_t c = 0; c < arity_; ++c) {
+      const auto cmp = Cell(i, c) <=> o.Cell(j, c);
+      if (cmp != 0) return cmp;
+    }
+    return std::strong_ordering::equal;
+  };
+  // Both row lists are sorted: one merge walk.
+  size_t j = 0;
+  for (size_t i = 0; i < n; ++i) {
+    while (j < m && compare(i, j) > 0) ++j;
+    if (j == m || compare(i, j) != 0) return false;
+    ++j;
+  }
+  return true;
 }
 
 std::string Relation::ToString() const {
   std::string s = "{";
-  bool first = true;
-  for (const Tuple& t : tuples()) {
-    if (!first) s += ", ";
-    first = false;
-    s += t.ToString();
+  const size_t rows = size();  // canonicalizes a tuple body
+  for (size_t row = 0; row < rows; ++row) {
+    if (row > 0) s += ", ";
+    s += '(';
+    for (size_t c = 0; c < arity_; ++c) {
+      if (c > 0) s += ", ";
+      Cell(row, c).AppendTo(&s);
+    }
+    s += ')';
   }
   s += "}";
   return s;

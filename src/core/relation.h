@@ -1,21 +1,37 @@
 // Relation: a finite set of tuples over Const ∪ Null (a naïve table).
 //
-// Storage is a vector kept canonical (sorted, deduplicated) lazily: mutators
-// mark the relation dirty and const accessors canonicalize on demand. This
-// makes set-equality, subset tests and iteration deterministic while keeping
-// bulk loads O(n log n).
+// A relation holds one of two bodies:
+//   * a tuple body: a vector kept canonical (sorted, deduplicated) lazily.
+//     Mutators mark the relation dirty and const accessors canonicalize on
+//     demand, which keeps bulk loads O(n log n) and makes set-equality,
+//     subset tests and iteration deterministic;
+//   * a columnar body: an immutable ColumnarRelation (core/columnar.h)
+//     whose rows are canonical by construction. The columnar engine answers
+//     with one. size(), empty(), IsComplete(), Columnar(), ==, ToString()
+//     and the other readers answer from the columns; tuples are built from
+//     them only by tuples(), HashIndex()/Contains() or a mutator.
 //
-// Tuple storage is copy-on-write: copying a relation canonicalizes it once
-// and then shares the underlying vector, so the per-world database copies of
-// the enumeration drivers are O(1) for every relation no valuation changes.
-// Storage reachable from more than one relation is always canonical; mutators
-// clone before writing, so copies never observe each other's changes.
+// Storage is copy-on-write: copying a relation canonicalizes it once and
+// then shares the underlying vector (or columns), so the per-world database
+// copies of the enumeration drivers are O(1) for every relation no
+// valuation changes. Storage reachable from more than one relation is
+// always canonical; mutators clone before writing, so copies never observe
+// each other's changes.
 //
 // Membership is served by a lazily built hash-set index (expected O(1) per
 // probe). The index is an immutable snapshot shared across copies and
 // invalidated by mutation, so copying a relation never copies the index and
 // repeated probes against a stable relation build it exactly once. The
-// columnar form (Columnar()) is cached and shared the same way.
+// columnar form of a tuple body (Columnar()) is cached and shared the same
+// way.
+//
+// Every lazy build (canonical order, tuples from columns, the index, the
+// columnar form) writes the relation it is called on, so it is not
+// thread-safe: the single owner builds, and whoever shares a relation
+// between threads forces what the readers read first (DatabaseSnapshot and
+// PlanCache do). Copying a relation reads it without writing once it is
+// canonical, so concurrent readers may each copy a shared relation and
+// build on their copy.
 
 #ifndef INCDB_CORE_RELATION_H_
 #define INCDB_CORE_RELATION_H_
@@ -42,6 +58,10 @@ class Relation {
 
   /// Builds a relation from tuples; all must have arity `arity`.
   Relation(size_t arity, std::vector<Tuple> tuples);
+
+  /// A relation whose body is `columns`; tuples are built from it only on
+  /// demand.
+  explicit Relation(std::shared_ptr<const ColumnarRelation> columns);
 
   // Copies share the (canonicalized) tuple storage and every cached index;
   // moves steal them. Mutating either side afterwards is safe (copy-on-
@@ -71,12 +91,24 @@ class Relation {
   const std::unordered_set<Tuple, TupleHash>& HashIndex() const;
 
   /// The columnar (dictionary-encoded) form of this relation
-  /// (core/columnar.h). Built on first use and cached exactly like
-  /// HashIndex(): the snapshot is shared by copies and invalidated by
-  /// mutation. Not thread-safe to build — force it on the owning thread
-  /// before sharing the relation; the returned object is immutable and safe
-  /// under concurrent readers.
+  /// (core/columnar.h): the body itself when the relation holds columns,
+  /// otherwise built on first use and cached exactly like HashIndex() (the
+  /// snapshot is shared by copies and invalidated by mutation). Not
+  /// thread-safe to build — force it on the owning thread before sharing
+  /// the relation; the returned object is immutable and safe under
+  /// concurrent readers.
   std::shared_ptr<const ColumnarRelation> Columnar() const;
+
+  /// The columnar form if the relation holds one (its body, or a cached or
+  /// adopted form), without building it; null otherwise.
+  const ColumnarRelation* ColumnarIfBuilt() const { return columnar_.get(); }
+
+  /// Installs `form` as the columnar form. `form` must encode exactly this
+  /// relation's rows, against any dictionary that holds their values;
+  /// DatabaseSnapshot encodes every relation against one dictionary this
+  /// way. A tuple body is left as it is, so SharesStorageWith still holds
+  /// across the call.
+  void AdoptColumnar(std::shared_ptr<const ColumnarRelation> form);
 
   /// Canonical (sorted, deduplicated) tuple list.
   const std::vector<Tuple>& tuples() const;
@@ -98,10 +130,14 @@ class Relation {
   /// The subset of tuples without nulls (D_cmpl in the paper).
   Relation CompletePart() const;
 
-  /// True when both relations share the same underlying tuple storage
-  /// (copy-on-write aliasing; empty relations never share).
+  /// True when both relations share the same underlying storage
+  /// (copy-on-write aliasing): the same tuple vector, or, when neither holds
+  /// tuples, the same columnar body. Empty tuple bodies never share.
   bool SharesStorageWith(const Relation& o) const {
-    return tuples_ != nullptr && tuples_ == o.tuples_;
+    if (tuples_ != nullptr || o.tuples_ != nullptr) {
+      return tuples_ == o.tuples_;
+    }
+    return columnar_ != nullptr && columnar_ == o.columnar_;
   }
 
   bool operator==(const Relation& o) const;
@@ -114,20 +150,30 @@ class Relation {
   std::string ToString() const;
 
  private:
+  // True when columnar_ is the body (no tuples were given or built).
+  bool HoldsColumns() const {
+    return tuples_ == nullptr && columnar_ != nullptr;
+  }
   void EnsureCanonical() const;
-  // Clones shared storage (and allocates empty storage) before a mutation.
+  // Clones shared storage, or decodes a columnar body, before a mutation.
   void EnsureUniqueStorage();
+  // Cell `c` of canonical row `row`, read from whichever body is held.
+  const Value& Cell(size_t row, size_t c) const;
+  // Calls `fn` with every cell of the canonical rows.
+  template <class Fn>
+  void ForEachCell(Fn fn) const;
   static const std::vector<Tuple>& EmptyTuples();
 
   size_t arity_;
-  // Shared copy-on-write tuple storage; null means "no tuples". Invariant:
-  // storage reachable from more than one Relation is canonical.
+  // Shared copy-on-write tuple storage. Null means "no tuples" unless
+  // columnar_ is set, which is then the body. Invariant: storage reachable
+  // from more than one Relation is canonical.
   mutable std::shared_ptr<std::vector<Tuple>> tuples_;
   mutable bool dirty_ = false;
   // Immutable membership snapshot; shared by copies, reset on mutation.
   mutable std::shared_ptr<const std::unordered_set<Tuple, TupleHash>> index_;
-  // Cached columnar snapshot (Columnar()); shared by copies, reset on
-  // mutation.
+  // The columnar body, or the cached columnar form of the tuple body
+  // (Columnar()); shared by copies, reset on mutation.
   mutable std::shared_ptr<const ColumnarRelation> columnar_;
   // Memoized IsComplete: -1 unknown, 0 has nulls, 1 complete. Atomic so
   // concurrent readers of a shared relation may race to fill it benignly

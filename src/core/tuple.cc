@@ -28,13 +28,18 @@ Tuple Tuple::Concat(const Tuple& other) const {
 }
 
 std::string Tuple::ToString() const {
-  std::string s = "(";
-  for (size_t i = 0; i < values_.size(); ++i) {
-    if (i > 0) s += ", ";
-    s += values_[i].ToString();
-  }
-  s += ")";
+  std::string s;
+  AppendTo(&s);
   return s;
+}
+
+void Tuple::AppendTo(std::string* out) const {
+  out->push_back('(');
+  for (size_t i = 0; i < values_.size(); ++i) {
+    if (i > 0) out->append(", ");
+    values_[i].AppendTo(out);
+  }
+  out->push_back(')');
 }
 
 size_t Tuple::Hash() const {

@@ -44,6 +44,8 @@ class Tuple {
 
   /// "(1, 'a', _2)"
   std::string ToString() const;
+  /// Appends ToString()'s text.
+  void AppendTo(std::string* out) const;
 
   size_t Hash() const;
 

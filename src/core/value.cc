@@ -1,5 +1,7 @@
 #include "core/value.h"
 
+#include <charconv>
+
 namespace incdb {
 
 std::strong_ordering Value::operator<=>(const Value& o) const {
@@ -17,22 +19,35 @@ std::strong_ordering Value::operator<=>(const Value& o) const {
   return std::strong_ordering::equal;
 }
 
-std::string Value::ToString() const {
+void Value::AppendTo(std::string* out) const {
+  char buf[24];  // "_" + UINT32_MAX, or INT64_MIN, with room to spare
   switch (kind()) {
-    case Kind::kNull:
-      return "_" + std::to_string(null_id());
-    case Kind::kInt:
-      return std::to_string(as_int());
-    case Kind::kString: {
-      std::string out = "'";
-      for (const char c : as_str()) {
-        out += c;
-        if (c == '\'') out += '\'';  // '' escapes a quote
-      }
-      return out + "'";
+    case Kind::kNull: {
+      buf[0] = '_';
+      const auto res = std::to_chars(buf + 1, buf + sizeof buf, null_id());
+      out->append(buf, res.ptr);
+      return;
     }
+    case Kind::kInt: {
+      const auto res = std::to_chars(buf, buf + sizeof buf, as_int());
+      out->append(buf, res.ptr);
+      return;
+    }
+    case Kind::kString:
+      out->push_back('\'');
+      for (const char c : as_str()) {
+        out->push_back(c);
+        if (c == '\'') out->push_back('\'');  // '' escapes a quote
+      }
+      out->push_back('\'');
+      return;
   }
-  return "?";
+}
+
+std::string Value::ToString() const {
+  std::string out;
+  AppendTo(&out);
+  return out;
 }
 
 size_t Value::Hash() const {

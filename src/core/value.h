@@ -54,9 +54,12 @@ class Value {
   bool operator==(const Value& o) const = default;
   std::strong_ordering operator<=>(const Value& o) const;
 
-  /// Rendering in the value syntax of core/io.h, which ReadValue reads
+  /// Appends the value in the syntax of core/io.h, which ReadValue reads
   /// back: ints as-is, strings single-quoted with '' for a quote, nulls as
-  /// "_3" (⊥_3).
+  /// "_3" (⊥_3). The one value writer; every rendering goes through it.
+  void AppendTo(std::string* out) const;
+
+  /// AppendTo into a fresh string.
   std::string ToString() const;
 
   /// Hash suitable for unordered containers.

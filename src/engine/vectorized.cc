@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -18,17 +19,26 @@ namespace {
 // Rows a kernel loop consumes per batch (mask evaluation, probe chunking).
 constexpr size_t kVecBatchRows = 2048;
 
+// Most rows an intermediate may hold: row ids are uint32_t (selection
+// vectors, join match pairs, the compaction permutation).
+constexpr size_t kMaxRows = std::numeric_limits<uint32_t>::max();
+
+Status TooManyRows(const char* what, size_t l_rows, size_t r_rows) {
+  return Status::ResourceExhausted(
+      std::string(what) + " of " + std::to_string(l_rows) + " and " +
+      std::to_string(r_rows) + " rows exceeds " + std::to_string(kMaxRows) +
+      " rows");
+}
+
 // One in-flight columnar intermediate. Rows are always canonical: sorted
 // lexicographically by code (== by value, the dictionary being sorted) and
-// deduplicated. Either borrows the cached ColumnarRelation of a base/literal
-// relation (`pin` keeps it alive, `source` is the relation itself, which
-// Materialize returns without a round trip) or owns its column vectors.
+// deduplicated. Either borrows the columnar form of a base/literal relation
+// (`pin` keeps it alive) or owns its column vectors.
 struct VecTable {
   size_t arity = 0;
   size_t rows = 0;
   std::shared_ptr<const ValueDict> dict;
   std::shared_ptr<const ColumnarRelation> pin;  // non-null when borrowed
-  const Relation* source = nullptr;             // borrowed: the relation
   std::vector<std::vector<uint32_t>> owned;     // used when pin == nullptr
 
   const std::vector<uint32_t>& col(size_t c) const {
@@ -38,7 +48,6 @@ struct VecTable {
   static VecTable Borrow(const Relation& r) {
     VecTable t;
     t.pin = r.Columnar();
-    t.source = &r;
     t.arity = t.pin->arity();
     t.rows = t.pin->rows();
     t.dict = t.pin->dict_ptr();
@@ -109,10 +118,45 @@ bool RowEq(const CodeView& a, size_t ai, const CodeView& b, size_t bi,
   return true;
 }
 
+// Drops the rows equal to their predecessor from rows that already ascend.
+void DedupSortedRows(size_t arity, std::vector<std::vector<uint32_t>>* cols,
+                     size_t* rows) {
+  size_t kept = 1;
+  for (size_t i = 1; i < *rows; ++i) {
+    bool eq = true;
+    for (size_t c = 0; c < arity && eq; ++c) {
+      eq = (*cols)[c][i] == (*cols)[c][kept - 1];
+    }
+    if (eq) continue;
+    if (kept != i) {
+      for (size_t c = 0; c < arity; ++c) (*cols)[c][kept] = (*cols)[c][i];
+    }
+    ++kept;
+  }
+  for (size_t c = 0; c < arity; ++c) (*cols)[c].resize(kept);
+  *rows = kept;
+}
+
+// True when every row is >= its predecessor (lexicographically by code).
+bool RowsAscend(size_t arity, const std::vector<std::vector<uint32_t>>& cols,
+                size_t rows) {
+  for (size_t i = 1; i < rows; ++i) {
+    for (size_t c = 0; c < arity; ++c) {
+      const uint32_t prev = cols[c][i - 1];
+      const uint32_t cur = cols[c][i];
+      if (prev < cur) break;
+      if (prev > cur) return false;
+    }
+  }
+  return true;
+}
+
 // Sorts `cols` rows lexicographically and drops duplicates, restoring the
-// canonical-row invariant after projection and join emits. Every code is
-// below `dict_size`, so the row permutation is ordered by an LSD radix sort:
-// columns last to first, one stable counting pass per byte of the
+// canonical-row invariant after projection and join emits. Rows that
+// already ascend, as after a prefix projection of a canonical table, are
+// recognised in one pass and only deduplicated. Otherwise every code is
+// below `dict_size`, so the row permutation is ordered by an LSD radix
+// sort: columns last to first, one stable counting pass per byte of the
 // ceil(log2 dict_size) code bits. A pass whose byte is the same in every
 // row keeps the order as it is and is skipped.
 void CompactRows(size_t arity, size_t dict_size,
@@ -121,6 +165,10 @@ void CompactRows(size_t arity, size_t dict_size,
   if (n <= 1) return;
   if (arity == 0) {  // all empty rows are equal
     *rows = 1;
+    return;
+  }
+  if (RowsAscend(arity, *cols, n)) {
+    DedupSortedRows(arity, cols, rows);
     return;
   }
   const int bits = static_cast<int>(std::bit_width(dict_size - 1));
@@ -440,7 +488,11 @@ VecTable SetOpVec(SetKind kind, const VecTable& l, const VecTable& r,
 
 // Unfused cross product; pairs come out in lexicographic order (left-major
 // over two sorted inputs), so no compact is needed.
-VecTable ProductVec(const VecTable& l, const VecTable& r, EvalStats* stats) {
+Result<VecTable> ProductVec(const VecTable& l, const VecTable& r,
+                            EvalStats* stats) {
+  if (r.rows != 0 && l.rows > kMaxRows / r.rows) {
+    return TooManyRows("product", l.rows, r.rows);
+  }
   CountVectorized(stats, l.rows + r.rows);
   DictMerge m = MergeDicts(l.dict, r.dict);
   const CodeView lv = RemapInto(l, m, m.from_a);
@@ -476,14 +528,39 @@ uint64_t MixCodes(const CodeView& v, size_t row,
   return h ^ cols.size();
 }
 
+// Sets used[c] for every column `p` reads.
+void MarkColumns(const Predicate& p, std::vector<uint8_t>* used) {
+  switch (p.kind()) {
+    case Predicate::Kind::kTrue:
+    case Predicate::Kind::kFalse:
+      return;
+    case Predicate::Kind::kAnd:
+    case Predicate::Kind::kOr:
+      MarkColumns(*p.left(), used);
+      MarkColumns(*p.right(), used);
+      return;
+    case Predicate::Kind::kNot:
+      MarkColumns(*p.left(), used);
+      return;
+    case Predicate::Kind::kIsNull:
+    case Predicate::Kind::kCmp:
+      if (p.lhs().kind == Term::Kind::kColumn) (*used)[p.lhs().column] = 1;
+      if (p.kind() == Predicate::Kind::kCmp &&
+          p.rhs().kind == Term::Kind::kColumn) {
+        (*used)[p.rhs().column] = 1;
+      }
+      return;
+  }
+}
+
 // Fused equi-join: a flat hash build over the right key columns, a chunked
 // probe over the left rows, residual and projection applied on codes.
-VecTable HashJoinVec(const VecTable& l, const VecTable& r,
-                     const std::vector<JoinKey>& keys,
-                     const Predicate* residual,
-                     const std::vector<size_t>* projection,
-                     const EvalOptions& options, EvalStats* stats,
-                     OpScope* scope) {
+Result<VecTable> HashJoinVec(const VecTable& l, const VecTable& r,
+                             const std::vector<JoinKey>& keys,
+                             const Predicate* residual,
+                             const std::vector<size_t>* projection,
+                             const EvalOptions& options, EvalStats* stats,
+                             OpScope* scope) {
   CountVectorized(stats, l.rows + r.rows);
   DictMerge m = MergeDicts(l.dict, r.dict);
   const CodeView lv = RemapInto(l, m, m.from_a);
@@ -535,9 +612,11 @@ VecTable HashJoinVec(const VecTable& l, const VecTable& r,
     }
     return true;
   };
+  // A chunk stops collecting once it holds more than kMaxRows pairs; the
+  // join then fails instead of emitting a table its row ids cannot index.
   auto probe_chunk = [&](size_t begin, size_t end,
                          std::vector<std::pair<uint32_t, uint32_t>>* out) {
-    for (size_t i = begin; i < end; ++i) {
+    for (size_t i = begin; i < end && out->size() <= kMaxRows; ++i) {
       const size_t b = bucket_of(MixCodes(lv, i, lcols));
       for (uint32_t k = start[b]; k < start[b + 1]; ++k) {
         const uint32_t ri = ids[k];
@@ -559,32 +638,51 @@ VecTable HashJoinVec(const VecTable& l, const VecTable& r,
                         probe_chunk(begin, end, &chunks[chunk]);
                         return Status::OK();
                       });
+    size_t total = 0;
+    for (const auto& c : chunks) total += c.size();
+    if (total > kMaxRows) return TooManyRows("join", l.rows, r.rows);
+    matches.reserve(total);
     for (const auto& c : chunks) {
       matches.insert(matches.end(), c.begin(), c.end());
     }
   }
+  if (matches.size() > kMaxRows) return TooManyRows("join", l.rows, r.rows);
   if (scope != nullptr) scope->CountProbes(l.rows);
 
-  // Emit the matched concatenations column by column.
+  // Emit the matched concatenations column by column: under a projection
+  // only the columns it keeps and the residual reads, otherwise all.
   const size_t arity = l.arity + r.arity;
-  std::vector<std::vector<uint32_t>> out(arity);
-  for (size_t c = 0; c < l.arity; ++c) {
-    const std::vector<uint32_t>& in = lv.col(c);
-    out[c].reserve(matches.size());
-    for (const auto& [li, ri] : matches) out[c].push_back(in[li]);
+  std::vector<uint8_t> emit(arity, projection == nullptr ? 1 : 0);
+  if (projection != nullptr) {
+    for (size_t c : *projection) emit[c] = 1;
+    if (residual != nullptr) MarkColumns(*residual, &emit);
   }
-  for (size_t c = 0; c < r.arity; ++c) {
-    const std::vector<uint32_t>& in = rv.col(c);
-    out[l.arity + c].reserve(matches.size());
-    for (const auto& [li, ri] : matches) out[l.arity + c].push_back(in[ri]);
+  std::vector<std::vector<uint32_t>> out(arity);
+  for (size_t c = 0; c < arity; ++c) {
+    if (!emit[c]) continue;
+    out[c].reserve(matches.size());
+    if (c < l.arity) {
+      const std::vector<uint32_t>& in = lv.col(c);
+      for (const auto& [li, ri] : matches) out[c].push_back(in[li]);
+    } else {
+      const std::vector<uint32_t>& in = rv.col(c - l.arity);
+      for (const auto& [li, ri] : matches) out[c].push_back(in[ri]);
+    }
   }
   VecTable joined =
       VecTable::Own(arity, matches.size(), m.dict, std::move(out));
 
   if (residual != nullptr) {
+    // Keep the rows the residual passes, in place (ids ascend).
     const std::vector<uint32_t> keep =
         FilterRows(*residual, joined, options, stats);
-    joined = GatherRows(joined, keep);
+    for (size_t c = 0; c < arity; ++c) {
+      if (!emit[c]) continue;
+      std::vector<uint32_t>& col = joined.owned[c];
+      for (size_t i = 0; i < keep.size(); ++i) col[i] = col[keep[i]];
+      col.resize(keep.size());
+    }
+    joined.rows = keep.size();
   }
   if (projection != nullptr) return ProjectCols(joined, *projection);
   CompactRows(joined.arity, joined.dict->size(), &joined.owned,
@@ -676,23 +774,58 @@ VecTable DeltaVec(const Database& db) {
   return VecTable::Own(2, n, std::move(dict), std::move(cols));
 }
 
-Relation MaterializeVec(const VecTable& t) {
-  // A borrowed table is exactly its source relation; the copy shares the
-  // canonical storage and every cached index.
-  if (t.source != nullptr) return *t.source;
-  if (t.pin != nullptr) return t.pin->ToRelation();
-  std::vector<Tuple> rows;
-  rows.reserve(t.rows);
-  const std::vector<Value>& values = t.dict->values;
-  for (size_t i = 0; i < t.rows; ++i) {
-    std::vector<Value> vals;
-    vals.reserve(t.arity);
-    for (size_t c = 0; c < t.arity; ++c) {
-      vals.push_back(values[t.owned[c][i]]);
+// The answer as a Relation whose body is its columns. The dictionary is
+// compacted to the codes the answer uses (order-preserving, so rows stay
+// canonical): an answer held by a cache or a session never keeps a
+// snapshot's dictionary, or a merged one, alive. The used codes are found
+// by marking the dictionary, or, when the answer has far fewer cells than
+// the dictionary has values (a point lookup in a large snapshot), by
+// sorting the cells, so the work follows the smaller of the two.
+Relation MaterializeVec(VecTable t) {
+  std::vector<std::vector<uint32_t>> cols(t.arity);
+  for (size_t c = 0; c < t.arity; ++c) {
+    if (t.pin == nullptr) {
+      cols[c] = std::move(t.owned[c]);
+    } else {
+      cols[c] = t.pin->col(c);
     }
-    rows.emplace_back(std::move(vals));
   }
-  return Relation(t.arity, std::move(rows));
+  const std::vector<Value>& values = t.dict->values;
+  std::vector<uint32_t> used;  // the codes the answer uses, ascending
+  if (t.rows * t.arity < values.size() / 8) {
+    for (const std::vector<uint32_t>& col : cols) {
+      used.insert(used.end(), col.begin(), col.end());
+    }
+    std::sort(used.begin(), used.end());
+    used.erase(std::unique(used.begin(), used.end()), used.end());
+    for (std::vector<uint32_t>& col : cols) {
+      for (uint32_t& code : col) {
+        code = static_cast<uint32_t>(
+            std::lower_bound(used.begin(), used.end(), code) - used.begin());
+      }
+    }
+  } else {
+    std::vector<uint32_t> rank(values.size(), 0);
+    for (const std::vector<uint32_t>& col : cols) {
+      for (const uint32_t code : col) rank[code] = 1;
+    }
+    for (uint32_t code = 0; code < rank.size(); ++code) {
+      if (rank[code] == 0) continue;
+      rank[code] = static_cast<uint32_t>(used.size());
+      used.push_back(code);
+    }
+    for (std::vector<uint32_t>& col : cols) {
+      for (uint32_t& code : col) code = rank[code];
+    }
+  }
+  auto dict = std::make_shared<ValueDict>();
+  dict->values.reserve(used.size());
+  for (const uint32_t code : used) dict->values.push_back(values[code]);
+  dict->null_end = static_cast<uint32_t>(
+      std::lower_bound(used.begin(), used.end(), t.dict->null_end) -
+      used.begin());
+  return Relation(std::make_shared<const ColumnarRelation>(
+      t.arity, t.rows, std::move(dict), std::move(cols)));
 }
 
 // The batch evaluator; mirrors algebra/eval.cc's Rec node by node,
@@ -734,7 +867,7 @@ struct VRec {
         INCDB_ASSIGN_OR_RETURN(VecTable r, Run(e->right()));
         OpScope scope(stats, EvalOp::kProduct);
         scope.CountIn(l.rows + r.rows);
-        VecTable out = ProductVec(l, r, stats);
+        INCDB_ASSIGN_OR_RETURN(VecTable out, ProductVec(l, r, stats));
         scope.CountOut(out.rows);
         return out;
       }
@@ -786,14 +919,15 @@ struct VRec {
       if (!split.keys.empty()) {
         OpScope scope(stats, EvalOp::kHashJoin);
         scope.CountIn(l.rows + r.rows);
-        VecTable out = HashJoinVec(l, r, split.keys, split.residual.get(),
-                                   projection, options, stats, &scope);
+        INCDB_ASSIGN_OR_RETURN(
+            VecTable out, HashJoinVec(l, r, split.keys, split.residual.get(),
+                                      projection, options, stats, &scope));
         scope.CountOut(out.rows);
         return out;
       }
       OpScope pscope(stats, EvalOp::kProduct);
       pscope.CountIn(l.rows + r.rows);
-      VecTable in = ProductVec(l, r, stats);
+      INCDB_ASSIGN_OR_RETURN(VecTable in, ProductVec(l, r, stats));
       pscope.CountOut(in.rows);
       return Filter(sel.predicate(), std::move(in), projection);
     }
@@ -821,7 +955,7 @@ Result<Relation> EvalVectorized(const RAExprPtr& e, const Database& db,
   INCDB_RETURN_IF_ERROR(e->InferArity(db.schema()).status());
   VRec rec{db, options, options.stats};
   INCDB_ASSIGN_OR_RETURN(VecTable t, rec.Run(e));
-  return MaterializeVec(t);
+  return MaterializeVec(std::move(t));
 }
 
 }  // namespace incdb

@@ -20,13 +20,17 @@
 //   * division groups the sorted dividend into head runs and counts each
 //     run's tails found in the divisor (binary search over code rows).
 //
-// Cross-dictionary operators first merge the two sorted dictionaries and
-// remap codes through the order-preserving translations of MergeDicts, so
-// code comparisons stay valid across inputs. Intermediates never decode to
-// Values; the final result is materialized to a canonical Relation, which
-// is why the path is bit-identical to the nested-loop reference on every
-// plan — the differential oracle and the vectorized property test
-// machine-check that. EvalNaive routes here whenever
+// The relations of one DatabaseSnapshot share a dictionary, so operators
+// over them compare codes directly. Cross-dictionary operators (literals,
+// Δ, relations outside a snapshot) first merge the two sorted dictionaries
+// and remap codes through the order-preserving translations of MergeDicts,
+// so code comparisons stay valid across inputs. Intermediates never decode
+// to Values; the answer is a Relation whose body is its canonical code
+// columns over a dictionary compacted to the values it uses, which is why
+// the path is bit-identical to the nested-loop reference on every plan —
+// the differential oracle and the vectorized property test machine-check
+// that. Product and join intermediates past UINT32_MAX rows (the kernels'
+// row-id range) fail with kResourceExhausted. EvalNaive routes here whenever
 // EvalOptions::use_hash_kernels is set; with it off, the nested-loop
 // reference in algebra/eval.cc runs instead and serves as the oracle.
 //
@@ -45,8 +49,9 @@
 
 namespace incdb {
 
-/// Evaluates `e` against `db` batch-at-a-time over columnar storage.
-/// Answers are bit-identical to the nested-loop reference; EvalOptions
+/// Evaluates `e` against `db` batch-at-a-time over columnar storage. The
+/// answer holds a columnar body (tuples are built on demand) and is
+/// bit-identical to the nested-loop reference; EvalOptions
 /// stats receive the usual per-operator counters plus batches_processed /
 /// rows_vectorized. Called by EvalNaive when options.use_hash_kernels.
 Result<Relation> EvalVectorized(const RAExprPtr& e, const Database& db,

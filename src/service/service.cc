@@ -269,10 +269,15 @@ Result<ServiceResponse> IncDbService::Run(const QueryRequest& request) {
     entry->scans = std::move(cp.scans);
     entry->depends_on_all = cp.depends_on_all;
     entry->snapshot_version = snap->version();
-    // Force the stored relation's caches so hit-path copies are read-only.
-    entry->response.relation.tuples();
-    entry->response.relation.HashIndex();
-    entry->response.relation.IsComplete();
+    // Force what hit-path copies read, so they never write the entry: a
+    // tuple body's canonical order and index. A columnar body is immutable
+    // already; a session that wants its tuples builds them on its copy.
+    const Relation& stored = entry->response.relation;
+    if (stored.ColumnarIfBuilt() == nullptr) {
+      stored.tuples();
+      stored.HashIndex();
+    }
+    stored.IsComplete();
     cache_.Insert(cp.key, std::move(entry));
   }
 

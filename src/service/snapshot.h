@@ -13,6 +13,18 @@
 // so any number of sessions can evaluate against the snapshot without
 // synchronization.
 //
+// Every relation of a snapshot is encoded against one sorted dictionary
+// (core/columnar.h), so the columnar engine joins and intersects two base
+// relations without merging or remapping dictionaries. A publication
+// encodes each changed relation against the previous snapshot's
+// dictionary, reusing the codes of the rows the relation kept. Only when
+// the changed relations bring values that dictionary lacks is it extended
+// (one merge with the sorted new values), and the unchanged relations'
+// codes are translated into it: integer work, with no re-sort of the
+// domain. The seed snapshot is built the same way from an empty
+// dictionary. The dictionary only grows; every value it holds was in some
+// relation of some version.
+//
 // A snapshot also carries the invalidation metadata the plan cache needs:
 // its version (monotonically increasing across publishes), the version at
 // which each relation last changed, and the version of the last publish
@@ -29,6 +41,7 @@
 #include <memory>
 #include <string>
 
+#include "core/columnar.h"
 #include "core/database.h"
 
 namespace incdb {
@@ -47,6 +60,9 @@ class DatabaseSnapshot {
   const Database& db() const { return db_; }
   uint64_t version() const { return version_; }
 
+  /// The dictionary every relation's Columnar() form is encoded against.
+  const std::shared_ptr<const ValueDict>& dict() const { return dict_; }
+
   /// Version at which relation `name` last changed. 0 for relations that
   /// have been in place (or empty) since the seed snapshot.
   uint64_t LastChanged(const std::string& name) const;
@@ -62,6 +78,7 @@ class DatabaseSnapshot {
 
   Database db_;
   uint64_t version_;
+  std::shared_ptr<const ValueDict> dict_;
   uint64_t any_changed_ = 0;
   std::map<std::string, uint64_t> last_changed_;
 };

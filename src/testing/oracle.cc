@@ -562,7 +562,7 @@ OracleReport CheckCase(const RAExprPtr& plan, const Database& db,
   if (certain_cwa && cls == QueryClass::kPositive) {
     Result<Relation> sql3vl = Eval3VL(plan, db);
     if (sql3vl.ok()) {
-      const Relation grounded = DropNullTuples(*sql3vl);
+      const Relation grounded = sql3vl->CompletePart();
       if (!grounded.IsSubsetOf(*certain_cwa)) {
         report.violations.push_back("3VL null-free answers ⊄ certain/cwa: " +
                                     DescribeSides(*certain_cwa, grounded));

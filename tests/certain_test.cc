@@ -218,13 +218,5 @@ TEST(CertainTest, FreshConstantsNearInt64MaxKeepNullsApart) {
   EXPECT_TRUE(by_ctable->empty()) << by_ctable->ToString();
 }
 
-TEST(CertainTest, DropNullTuples) {
-  Relation r(2);
-  r.Add(Tuple{Value::Int(1), Value::Int(2)});
-  r.Add(Tuple{Value::Int(1), Value::Null(0)});
-  Relation d = DropNullTuples(r);
-  EXPECT_EQ(d.size(), 1u);
-}
-
 }  // namespace
 }  // namespace incdb

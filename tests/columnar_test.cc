@@ -1,8 +1,8 @@
 // Unit tests for the columnar (dictionary-encoded) relation form: dictionary
-// sortedness and rank queries, cross-dictionary merges, null bitmaps and
-// null-id columns, the Relation ↔ ColumnarRelation round-trip, and the
-// Relation::Columnar() caching contract (shared by copies, stolen by moves,
-// invalidated by mutation — the same lifecycle as HashIndex()).
+// sortedness and rank queries, cross-dictionary merges, the Relation ↔
+// ColumnarRelation round-trip, and the Relation::Columnar() caching contract
+// (shared by copies, stolen by moves, invalidated by mutation — the same
+// lifecycle as HashIndex()).
 
 #include "core/columnar.h"
 
@@ -16,6 +16,13 @@
 
 namespace incdb {
 namespace {
+
+// The relation whose body is `col`, with its tuples decoded from it.
+Relation Decode(std::shared_ptr<const ColumnarRelation> col) {
+  Relation r(std::move(col));
+  r.tuples();
+  return r;
+}
 
 TEST(ValueDictTest, BuildSortsDeduplicatesAndCountsNulls) {
   auto dict = ValueDict::Build({Value::Int(7), Value::Null(3), Value::Int(1),
@@ -63,13 +70,12 @@ TEST(ValueDictTest, MergeDictsTranslationsPreserveOrder) {
     EXPECT_LT(m.from_a[i - 1], m.from_a[i]);
   }
 
-  // Same object on both sides: identity translations over the same dict.
+  // Same object on both sides: the codes already agree, so the merge is
+  // the dictionary itself and builds no translations.
   DictMerge same = MergeDicts(a, a);
   EXPECT_EQ(same.dict, a);
-  for (size_t i = 0; i < a->size(); ++i) {
-    EXPECT_EQ(same.from_a[i], static_cast<uint32_t>(i));
-    EXPECT_EQ(same.from_b[i], static_cast<uint32_t>(i));
-  }
+  EXPECT_TRUE(same.from_a.empty());
+  EXPECT_TRUE(same.from_b.empty());
 }
 
 Relation SampleRelation() {
@@ -106,50 +112,21 @@ TEST(ColumnarRelationTest, EncodesCanonicalRowsColumnMajor) {
   }
 }
 
-TEST(ColumnarRelationTest, NullBitmapAndNullIdColumnsMatchCells) {
-  Relation r = SampleRelation();
-  auto col = r.Columnar();
-  for (size_t c = 0; c < col->arity(); ++c) {
-    bool any = false;
-    for (size_t i = 0; i < col->rows(); ++i) {
-      const Value& v = col->ValueAt(i, c);
-      const bool bit =
-          (col->null_bitmap(c)[i / 64] >> (i % 64) & uint64_t{1}) != 0;
-      EXPECT_EQ(bit, v.is_null()) << i << "," << c;
-      any |= v.is_null();
-      if (col->ColumnHasNulls(c)) {
-        EXPECT_EQ(col->null_ids(c)[i], v.is_null() ? v.null_id() : NullId{0})
-            << i << "," << c;
-      }
-    }
-    EXPECT_EQ(col->ColumnHasNulls(c), any) << c;
-    if (!any) {
-      EXPECT_TRUE(col->null_ids(c).empty()) << c;
-    }
-  }
-  // Row-level null test agrees with the cells.
-  for (size_t i = 0; i < col->rows(); ++i) {
-    bool any = false;
-    for (size_t c = 0; c < col->arity(); ++c) any |= col->ValueAt(i, c).is_null();
-    EXPECT_EQ(col->RowHasNull(i), any) << i;
-  }
-}
-
 TEST(ColumnarRelationTest, RoundTripsBitIdentically) {
   Relation r = SampleRelation();
-  EXPECT_EQ(r.Columnar()->ToRelation(), r);
+  EXPECT_EQ(Decode(r.Columnar()), r);
 
   Relation empty(2);
-  EXPECT_EQ(empty.Columnar()->ToRelation(), empty);
+  EXPECT_EQ(Decode(empty.Columnar()), empty);
 
   // 0-ary relations: {} and {()} must keep their row counts.
   Relation zero_empty(0);
   EXPECT_EQ(zero_empty.Columnar()->rows(), 0u);
-  EXPECT_EQ(zero_empty.Columnar()->ToRelation(), zero_empty);
+  EXPECT_EQ(Decode(zero_empty.Columnar()), zero_empty);
   Relation zero_unit(0);
   zero_unit.Add(Tuple{});
   EXPECT_EQ(zero_unit.Columnar()->rows(), 1u);
-  EXPECT_EQ(zero_unit.Columnar()->ToRelation(), zero_unit);
+  EXPECT_EQ(Decode(zero_unit.Columnar()), zero_unit);
 }
 
 TEST(ColumnarRelationTest, RandomRelationsRoundTrip) {
@@ -165,7 +142,7 @@ TEST(ColumnarRelationTest, RandomRelationsRoundTrip) {
     Database db = MakeRandomDatabase(cfg);
     for (const auto& name : db.schema().RelationNames()) {
       const Relation& r = db.GetRelation(name);
-      EXPECT_EQ(r.Columnar()->ToRelation(), r) << name << " seed " << seed;
+      EXPECT_EQ(Decode(r.Columnar()), r) << name << " seed " << seed;
     }
   }
 }
@@ -189,7 +166,7 @@ TEST(ColumnarCachingTest, MutationInvalidatesTheSnapshot) {
   auto after = r.Columnar();
   EXPECT_NE(after, before);
   EXPECT_EQ(after->rows(), r.size());
-  EXPECT_EQ(after->ToRelation(), r);
+  EXPECT_EQ(Decode(after), r);
 
   // AddAll invalidates too; the donor keeps its own snapshot.
   Relation extra(3);
@@ -197,7 +174,7 @@ TEST(ColumnarCachingTest, MutationInvalidatesTheSnapshot) {
   auto donor = extra.Columnar();
   r.AddAll(extra);
   EXPECT_EQ(extra.Columnar(), donor);
-  EXPECT_EQ(r.Columnar()->ToRelation(), r);
+  EXPECT_EQ(Decode(r.Columnar()), r);
 }
 
 TEST(ColumnarCachingTest, MutatingACopyLeavesTheOriginalSnapshotIntact) {
@@ -208,7 +185,7 @@ TEST(ColumnarCachingTest, MutatingACopyLeavesTheOriginalSnapshotIntact) {
   // The copy dropped the shared snapshot; the original still serves it.
   EXPECT_EQ(r.Columnar(), snapshot);
   EXPECT_NE(copy.Columnar(), snapshot);
-  EXPECT_EQ(copy.Columnar()->ToRelation(), copy);
+  EXPECT_EQ(Decode(copy.Columnar()), copy);
 }
 
 }  // namespace

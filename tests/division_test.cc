@@ -99,7 +99,7 @@ TEST(DivisionTest, ThreeVLDivisionIsSoundUnderCwa) {
     auto truth = CertainAnswersEnum(q, db, WorldSemantics::kClosedWorld);
     ASSERT_TRUE(sql.ok());
     ASSERT_TRUE(truth.ok());
-    EXPECT_TRUE(DropNullTuples(*sql).IsSubsetOf(*truth))
+    EXPECT_TRUE(sql->CompletePart().IsSubsetOf(*truth))
         << "seed " << seed << "\n"
         << db.ToString();
   }

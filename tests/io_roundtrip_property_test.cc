@@ -9,11 +9,17 @@
 // Databases are drawn from the workload generators over many seeds. One
 // more case draws strings from the characters that every text surface
 // treats specially — quotes, separators, brackets, operators — and checks
-// that each surface reads back what Value::ToString wrote.
+// that each surface reads back what Value::ToString wrote. The row writer
+// (AppendRows) must write, from either body of a relation, exactly the
+// bytes of "| " + t.ToString() + "\n" per tuple.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "algebra/parser.h"
+#include "core/columnar.h"
 #include "core/io.h"
 #include "ctables/cio.h"
 #include "logic/rule_parser.h"
@@ -227,6 +233,50 @@ TEST(IoRoundtripProperty, CDatabaseErrorsCarryLineNumbers) {
   ASSERT_FALSE(bad.ok());
   EXPECT_NE(bad.status().message().find("line 2"), std::string::npos)
       << bad.status().ToString();
+}
+
+// A value of the writer's edge cases: quote-bearing strings, the int64
+// extremes, and null ids up to the top of NullId.
+Value EdgeValue(Rng& rng) {
+  switch (rng.Uniform(6)) {
+    case 0:
+      return Value::Int(std::numeric_limits<int64_t>::min());
+    case 1:
+      return Value::Int(std::numeric_limits<int64_t>::max());
+    case 2:
+      return Value::Null(rng.Bernoulli(0.5)
+                             ? std::numeric_limits<NullId>::max()
+                             : static_cast<NullId>(rng.Next()));
+    default:
+      return SpecialValue(rng);
+  }
+}
+
+TEST(IoRoundtripProperty, RowWriterMatchesTupleTextOnBothBodies) {
+  Rng rng(77005);
+  for (int trial = 0; trial < 300; ++trial) {
+    const size_t arity = rng.Uniform(4);  // 0-ary {} and {()} included
+    Relation tuples(arity);
+    const size_t rows = rng.Uniform(6);
+    for (size_t r = 0; r < rows; ++r) {
+      std::vector<Value> vals;
+      for (size_t i = 0; i < arity; ++i) vals.push_back(EdgeValue(rng));
+      tuples.Add(Tuple(std::move(vals)));
+    }
+    std::string expected;
+    for (const Tuple& t : tuples.tuples()) {
+      expected += "| " + t.ToString() + "\n";
+    }
+    const Relation columns(ColumnarRelation::FromRelation(tuples));
+    ASSERT_NE(columns.ColumnarIfBuilt(), nullptr);
+    std::string from_tuples = "prefix";
+    AppendRows(tuples, &from_tuples);
+    std::string from_columns = "prefix";
+    AppendRows(columns, &from_columns);
+    EXPECT_EQ(from_tuples, "prefix" + expected) << "trial " << trial;
+    EXPECT_EQ(from_columns, "prefix" + expected) << "trial " << trial;
+    EXPECT_EQ(columns.ToString(), tuples.ToString()) << "trial " << trial;
+  }
 }
 
 }  // namespace

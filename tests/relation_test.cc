@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -12,6 +14,13 @@ namespace incdb {
 namespace {
 
 Tuple T2(int64_t a, int64_t b) { return Tuple{Value::Int(a), Value::Int(b)}; }
+
+// The relation whose body is `col`, with its tuples decoded from it.
+Relation Decode(std::shared_ptr<const ColumnarRelation> col) {
+  Relation r(std::move(col));
+  r.tuples();
+  return r;
+}
 
 TEST(TupleTest, ProjectAndConcat) {
   Tuple t{Value::Int(1), Value::Str("a"), Value::Null(0)};
@@ -168,7 +177,7 @@ TEST(RelationTest, PostBuildMutationInvalidatesMemoAndIndexesTogether) {
   r.Add(Tuple{Value::Int(3), Value::Null(7)});
   EXPECT_FALSE(r.IsComplete());
   EXPECT_NE(r.Columnar(), columnar);
-  EXPECT_EQ(r.Columnar()->ToRelation(), r);
+  EXPECT_EQ(Decode(r.Columnar()), r);
   EXPECT_TRUE(r.Contains(Tuple{Value::Int(3), Value::Null(7)}));
   EXPECT_EQ(r.HashIndex().size(), r.size());
   EXPECT_EQ(r.Nulls(), (std::set<NullId>{7}));
@@ -179,7 +188,7 @@ TEST(RelationTest, PostBuildMutationInvalidatesMemoAndIndexesTogether) {
   more.Add(T2(4, 40));
   r.AddAll(more);
   EXPECT_NE(r.Columnar(), columnar);
-  EXPECT_EQ(r.Columnar()->ToRelation(), r);
+  EXPECT_EQ(Decode(r.Columnar()), r);
   EXPECT_FALSE(r.IsComplete());  // null tuple still present
   EXPECT_EQ(r.HashIndex().size(), r.size());
 
@@ -213,7 +222,7 @@ TEST(RelationTest, CopyAssignmentSharesDerivedStateUnderCoW) {
   // Mutating the assignee drops only its own caches.
   assigned.Add(T2(3, 30));
   EXPECT_NE(assigned.Columnar(), columnar);
-  EXPECT_EQ(assigned.Columnar()->ToRelation(), assigned);
+  EXPECT_EQ(Decode(assigned.Columnar()), assigned);
   EXPECT_EQ(r.Columnar(), columnar);
 }
 
@@ -234,7 +243,110 @@ TEST(RelationTest, MoveAssignmentStealsDerivedState) {
   // And stays on the usual invalidation lifecycle afterwards.
   target.Add(T2(8, 80));
   EXPECT_NE(target.Columnar(), columnar);
-  EXPECT_EQ(target.Columnar()->ToRelation(), target);
+  EXPECT_EQ(Decode(target.Columnar()), target);
+}
+
+// A relation whose body is columns answers every reader like the relation
+// built from the same tuples, and builds tuples only when asked.
+std::vector<Relation> BodyCases() {
+  std::vector<Relation> cases;
+  Relation mixed(3);
+  mixed.Add(Tuple{Value::Int(1), Value::Null(4), Value::Str("it's")});
+  mixed.Add(Tuple{Value::Int(-7), Value::Int(5), Value::Str("b")});
+  mixed.Add(Tuple{Value::Null(4), Value::Int(5), Value::Str("")});
+  mixed.Add(Tuple{Value::Int(1), Value::Null(9), Value::Str("a")});
+  cases.push_back(mixed);
+  Relation complete(2);
+  complete.Add(T2(3, 4));
+  complete.Add(T2(1, 2));
+  cases.push_back(complete);
+  cases.push_back(Relation(2));  // no rows
+  cases.push_back(Relation(0));  // {}
+  Relation unit(0);
+  unit.Add(Tuple{});
+  cases.push_back(unit);  // {()}
+  return cases;
+}
+
+TEST(RelationTest, ColumnarBodyAgreesWithTupleBody) {
+  for (const Relation& tuples : BodyCases()) {
+    const std::string name = tuples.ToString();
+    const Relation columns(ColumnarRelation::FromRelation(tuples));
+    EXPECT_EQ(columns.arity(), tuples.arity()) << name;
+    EXPECT_EQ(columns.size(), tuples.size()) << name;
+    EXPECT_EQ(columns.empty(), tuples.empty()) << name;
+    EXPECT_EQ(columns.IsComplete(), tuples.IsComplete()) << name;
+    EXPECT_EQ(columns.ToString(), name);
+    EXPECT_EQ(columns.Nulls(), tuples.Nulls()) << name;
+    EXPECT_EQ(columns.Constants(), tuples.Constants()) << name;
+    EXPECT_EQ(columns.IsCoddTable(), tuples.IsCoddTable()) << name;
+    EXPECT_TRUE(columns == tuples) << name;
+    EXPECT_TRUE(tuples == columns) << name;
+    EXPECT_TRUE(columns.IsSubsetOf(tuples) && tuples.IsSubsetOf(columns))
+        << name;
+    EXPECT_EQ(columns.CompletePart(), tuples.CompletePart()) << name;
+    EXPECT_EQ(columns.CompletePart().ToString(),
+              tuples.CompletePart().ToString())
+        << name;
+    // None of the readers above built tuples.
+    EXPECT_NE(columns.ColumnarIfBuilt(), nullptr) << name;
+
+    // Copies and moves keep the body; the copy shares it.
+    Relation copy = columns;
+    EXPECT_TRUE(copy.SharesStorageWith(columns) || columns.empty()) << name;
+    EXPECT_EQ(copy, tuples) << name;
+    Relation moved = std::move(copy);
+    EXPECT_EQ(moved, tuples) << name;
+    Relation assigned(7);
+    assigned = moved;
+    EXPECT_EQ(assigned, tuples) << name;
+
+    // tuples() and membership decode the rows.
+    EXPECT_EQ(columns.tuples(), tuples.tuples()) << name;
+    for (const Tuple& t : tuples.tuples()) {
+      EXPECT_TRUE(moved.Contains(t)) << name << " " << t.ToString();
+    }
+    if (tuples.arity() == 2) {
+      EXPECT_FALSE(moved.Contains(T2(99, 99))) << name;
+    }
+
+    // Add afterwards decodes, then mutates only this relation.
+    Relation grown = columns;
+    Relation expected = tuples;
+    Tuple extra(std::vector<Value>(tuples.arity(), Value::Int(42)));
+    grown.Add(extra);
+    expected.Add(extra);
+    EXPECT_EQ(grown, expected) << name;
+    EXPECT_EQ(grown.tuples(), expected.tuples()) << name;
+    EXPECT_EQ(grown.size(), expected.size()) << name;
+    EXPECT_EQ(columns, tuples) << name;  // the source is unchanged
+  }
+}
+
+TEST(RelationTest, ColumnarBodiesOverDifferentDictionariesCompareByValue) {
+  const Relation base = BodyCases()[0];
+  // The same rows encoded against a wider dictionary compare equal.
+  std::vector<Value> cells;
+  for (const Tuple& t : base.tuples()) {
+    for (const Value& v : t.values()) cells.push_back(v);
+  }
+  cells.push_back(Value::Int(0));
+  cells.push_back(Value::Null(0));
+  auto dict = ValueDict::Build(cells);
+  std::vector<std::vector<uint32_t>> cols(base.arity());
+  for (const Tuple& t : base.tuples()) {
+    for (size_t c = 0; c < base.arity(); ++c) {
+      cols[c].push_back(dict->Find(t[c]));
+    }
+  }
+  const Relation wide(std::make_shared<const ColumnarRelation>(
+      base.arity(), base.size(), dict, std::move(cols)));
+  const Relation narrow(ColumnarRelation::FromRelation(base));
+  EXPECT_EQ(wide, narrow);
+  EXPECT_EQ(wide.Nulls(), base.Nulls());
+  EXPECT_EQ(wide.IsComplete(), base.IsComplete());
+  EXPECT_EQ(wide.CompletePart(), base.CompletePart());
+  EXPECT_EQ(wide.ToString(), base.ToString());
 }
 
 }  // namespace

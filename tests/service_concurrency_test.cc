@@ -5,7 +5,10 @@
 // answer) triple is re-evaluated on a serially reconstructed database at
 // that version, and the answers must be bit-identical. A torn read (a query
 // observing half a batch) has no reconstructible version and fails the
-// replay. Also covers the deterministic admission-control paths.
+// replay. Every snapshot encodes its relations against one dictionary,
+// extended only by values it lacks, and answers never share it. Sessions
+// may read and write the rows of one cached columnar answer concurrently.
+// Also covers the deterministic admission-control paths.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +20,8 @@
 #include <thread>
 #include <vector>
 
+#include "core/columnar.h"
+#include "core/io.h"
 #include "engine/query_engine.h"
 #include "service/service.h"
 
@@ -65,6 +70,48 @@ std::vector<QueryRequest> AllNotionRequests() {
   };
 }
 
+// Every relation of `snap` is encoded against the snapshot's dictionary.
+void ExpectOneDictionary(const DatabaseSnapshot& snap) {
+  ASSERT_NE(snap.dict(), nullptr);
+  for (const auto& [name, rel] : snap.db().relations()) {
+    const ColumnarRelation* cols = rel.ColumnarIfBuilt();
+    ASSERT_NE(cols, nullptr) << name;
+    EXPECT_EQ(cols->dict_ptr(), snap.dict()) << name << " @" << snap.version();
+  }
+}
+
+// `db`'s rows in a Database that never went through a snapshot.
+Database FreshCopy(const Database& db) {
+  Database out(db.schema());
+  for (const auto& [name, rel] : db.relations()) {
+    for (const Tuple& t : rel.tuples()) out.AddTuple(name, t);
+  }
+  return out;
+}
+
+// Answers `requests` on the service's current snapshot and on a fresh
+// Database with its rows; they must agree, and no answer may hold the
+// snapshot's dictionary.
+void ExpectAnswersMatchAFreshDatabase(
+    IncDbService& service, const std::vector<QueryRequest>& requests) {
+  const auto snap = service.CurrentSnapshot();
+  const Database fresh = FreshCopy(snap->db());
+  const QueryEngine engine(fresh);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    auto served = service.Run(requests[i]);
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    ASSERT_EQ(served->snapshot_version, snap->version());
+    auto expected = engine.Run(requests[i]);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    const Relation& answer = served->response.relation;
+    EXPECT_EQ(answer, expected->relation) << "request " << i;
+    const ColumnarRelation* cols = answer.ColumnarIfBuilt();
+    if (cols != nullptr) {
+      EXPECT_NE(cols->dict_ptr(), snap->dict()) << "request " << i;
+    }
+  }
+}
+
 struct Observation {
   size_t request_index = 0;
   uint64_t version = 0;
@@ -85,6 +132,7 @@ TEST(ServiceConcurrencyTest, ReadersSeeConsistentSnapshotsUnderIngestion) {
 
   IncDbService service(SeedDb());
   const std::vector<QueryRequest> requests = AllNotionRequests();
+  ExpectOneDictionary(*service.CurrentSnapshot());
 
   std::mutex log_mu;
   std::vector<IngestRecord> ingest_log;
@@ -187,6 +235,82 @@ TEST(ServiceConcurrencyTest, ReadersSeeConsistentSnapshotsUnderIngestion) {
       }
     }
   }
+
+  // The snapshot dictionary after the concurrent ingests, after a batch of
+  // values it already holds (not extended), and after a fresh null
+  // (extended, and every relation translated into it).
+  ExpectOneDictionary(*service.CurrentSnapshot());
+  ExpectAnswersMatchAFreshDatabase(service, requests);
+  const auto before = service.CurrentSnapshot();
+  ASSERT_TRUE(service
+                  .Ingest({{"R", Tuple{Value::Int(1), Value::Int(3)}},
+                           {"S", Tuple{Value::Int(2), Value::Null(0)}}})
+                  .ok());
+  const auto known = service.CurrentSnapshot();
+  EXPECT_EQ(known->dict(), before->dict());
+  ExpectOneDictionary(*known);
+  ExpectAnswersMatchAFreshDatabase(service, requests);
+  const NullId fresh_null = known->db().FreshNullId();
+  ASSERT_TRUE(
+      service.Ingest({{"S", Tuple{Value::Int(4), Value::Null(fresh_null)}}})
+          .ok());
+  const auto extended = service.CurrentSnapshot();
+  EXPECT_NE(extended->dict(), known->dict());
+  EXPECT_EQ(extended->dict()->size(), known->dict()->size() + 2);  // ⊥, 4
+  ExpectOneDictionary(*extended);
+  ExpectAnswersMatchAFreshDatabase(service, requests);
+}
+
+// Sessions hitting one cached columnar answer each copy it and then read
+// and write its rows at once: the copies build their tuples on their own
+// storage and never write the cache entry (TSan checks this in CI).
+TEST(ServiceConcurrencyTest, SessionsReadOneCachedColumnarAnswerConcurrently) {
+  constexpr int kReaders = 4;
+  constexpr int kReadsPerReader = 20;
+  ServiceLimits limits;
+  limits.plan_cache_capacity = 8;
+  IncDbService service(SeedDb(), limits);
+  QueryRequest req =
+      QueryRequestBuilder(QueryInput::RaText("R U S")).Build();
+  req.eval.num_threads = 1;
+  auto first = service.Run(req);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_FALSE(first->cache_hit);
+  ASSERT_NE(first->response.relation.ColumnarIfBuilt(), nullptr);
+  const Relation expected = FreshCopy(service.CurrentSnapshot()->db())
+                                .GetRelation("R");
+  std::string expected_rows;
+  for (const Tuple& t : first->response.relation.tuples()) {
+    expected_rows += "| " + t.ToString() + "\n";
+  }
+
+  std::atomic<int> hits{0};
+  std::vector<std::thread> threads;
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&] {
+      Session session = service.OpenSession();
+      for (int i = 0; i < kReadsPerReader; ++i) {
+        auto resp = session.Run(req);
+        if (!resp.ok()) {
+          ADD_FAILURE() << resp.status().ToString();
+          return;
+        }
+        if (resp->cache_hit) ++hits;
+        const Relation& answer = resp->response.relation;
+        std::string rows;
+        AppendRows(answer, &rows);
+        EXPECT_EQ(rows, expected_rows);
+        EXPECT_EQ(answer.size(), first->response.relation.size());
+        EXPECT_EQ(answer.ToString(), first->response.relation.ToString());
+        for (const Tuple& t : expected.tuples()) {
+          EXPECT_TRUE(answer.Contains(t)) << t.ToString();
+        }
+        EXPECT_EQ(answer.tuples(), first->response.relation.tuples());
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(hits.load(), kReaders * kReadsPerReader);
 }
 
 // Hammering a max_in_flight=1 service from many threads must only ever

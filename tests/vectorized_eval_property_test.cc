@@ -3,9 +3,13 @@
 // (positive, RA_cwa with guarded division, full RA with −, ÷, order
 // predicates, NOT and IS NULL), EvalNaive on the columnar engine must return
 // a relation bit-identical to the nested-loop reference, serially and with
-// the parallel chunked loops forced onto the tiny inputs. Fixed instances
-// add the hash join's build-side edge cases, and VectorizedStatsTest pins
-// the kernels' exact work counters.
+// the parallel chunked loops forced onto the tiny inputs. The sweep runs
+// each database twice: as built, every relation with a dictionary of its
+// own, and as a published DatabaseSnapshot, whose relations share one
+// dictionary, so base relations meet without a merge while random literals
+// still take the merge path. Fixed instances add the hash join's
+// build-side edge cases, and VectorizedStatsTest pins the kernels' exact
+// work counters.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +18,8 @@
 #include <vector>
 
 #include "algebra/eval.h"
+#include "core/columnar.h"
+#include "service/snapshot.h"
 #include "testing/fuzz_gen.h"
 #include "util/random.h"
 #include "workload/generators.h"
@@ -86,8 +92,31 @@ TEST_P(VectorizedPlanSweep, MatchesReferenceOnRandomPlans) {
     plan_cfg.max_depth = 4;
     plan_cfg.domain_size = 5;
 
+    const auto snapshot = DatabaseSnapshot::Make(db, 1, nullptr);
+    const Database& shared = snapshot->db();
     for (int round = 0; round < 8; ++round) {
-      ExpectMatchesReference(RandomPlan(rng, db, plan_cfg).plan, db);
+      const RAExprPtr plan = RandomPlan(rng, db, plan_cfg).plan;
+      ExpectMatchesReference(plan, db);
+      ExpectMatchesReference(plan, shared);
+    }
+    // A base relation of the snapshot beside a literal of its own
+    // dictionary: union, difference and join merge the two.
+    for (const std::string& name : db.schema().RelationNames()) {
+      const Relation& base = shared.GetRelation(name);
+      ASSERT_EQ(base.Columnar()->dict_ptr(), snapshot->dict()) << name;
+      Relation lit(base.arity());
+      lit.Add(Tuple(std::vector<Value>(base.arity(), Value::Str("lit"))));
+      if (!base.empty()) lit.Add(base.tuples().front());
+      const RAExprPtr scan = RAExpr::Scan(name);
+      const RAExprPtr literal = RAExpr::ConstRel(lit);
+      ExpectMatchesReference(RAExpr::Union(scan, literal), shared);
+      ExpectMatchesReference(RAExpr::Diff(scan, literal), shared);
+      ExpectMatchesReference(RAExpr::Intersect(literal, scan), shared);
+      ExpectMatchesReference(
+          RAExpr::Select(Predicate::Cmp(CmpOp::kEq, Term::Column(0),
+                                        Term::Column(base.arity())),
+                         RAExpr::Product(scan, literal)),
+          shared);
     }
   }
 }

@@ -1,24 +1,31 @@
 #!/usr/bin/env python3
 """Feeds incdb_serve malformed and hostile wire input.
 
-Usage: wire_input_test.py <path to incdb_serve>
+Usage: wire_input_test.py <path to incdb_serve> [<INCDB_SANITIZE value>]
 
 Starts the server on an ephemeral port over a small dump and sends each
 input below. It checks that every non-blank line of a bad input gets
 exactly one reply, an `error ...` line; that parse errors name a line and a
 column; that `ping` answers `ok pong` after each input; and that the server
-exits 0 when its --runtime_s runs out. Exits 0 on success, 1 on failure.
+exits 0 when its --runtime_s runs out. A second server, limited to 4 GB of
+address space, holds a 70 000-row table and is asked for its cross product,
+whose 4.9e9 rows the engine cannot index: it must answer with one
+RESOURCE_EXHAUSTED line and keep serving. Exits 0 on success, 1 on failure.
 """
 
 import os
 import random
 import re
+import resource
 import socket
 import subprocess
 import sys
 import tempfile
 
 RUNTIME_S = 15
+PRODUCT_RUNTIME_S = 10
+PRODUCT_ROWS = 70000
+ADDRESS_LIMIT = 4000000 * 1024  # `ulimit -v 4000000`
 POSITION = re.compile(r"on line \d+, column \d+")
 # C's isspace, which the server trims lines with.
 SPACE = b" \t\n\r\x0b\x0c"
@@ -109,25 +116,84 @@ def replies_for(data):
     return count
 
 
+def start_server(server, db, runtime_s, **popen_args):
+    """Starts the server; returns (process, port or None)."""
+    proc = subprocess.Popen(
+        [server, f"--db={db}", "--port=0", f"--runtime_s={runtime_s}"],
+        stdout=subprocess.PIPE, text=True, **popen_args)
+    banner = proc.stdout.readline()
+    match = re.search(r":(\d+)", banner)
+    if match is None:
+        print("FAIL: no port in", repr(banner))
+        return proc, None
+    return proc, int(match.group(1))
+
+
+def run_product(server, sanitizer, tmp):
+    """A cross product past UINT32_MAX rows costs one error line."""
+    db = os.path.join(tmp, "t.txt")
+    with open(db, "w") as f:
+        f.write("table T(a)\n")
+        f.write("".join(f"{i}\n" for i in range(PRODUCT_ROWS)))
+    env = dict(os.environ)
+    limit = None
+    # CMake's false constants: INCDB_SANITIZE holding one is a plain build.
+    plain = (sanitizer.upper() in ("", "0", "OFF", "NO", "FALSE", "N",
+                                   "IGNORE", "NOTFOUND") or
+             sanitizer.upper().endswith("-NOTFOUND"))
+    if plain:
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS,
+                               (ADDRESS_LIMIT, ADDRESS_LIMIT))
+    else:
+        # The sanitizers reserve more address space than the limit allows;
+        # cap their allocators instead.
+        for var in ("ASAN_OPTIONS", "TSAN_OPTIONS"):
+            env[var] = (env.get(var, "") + ":max_allocation_size_mb=4000")
+    proc, port = start_server(server, db, PRODUCT_RUNTIME_S, env=env,
+                              preexec_fn=limit)
+    try:
+        if port is None:
+            failures.append("cross product server did not start")
+            return
+        conn = Connection(port)
+        conn.send(b"query T x T\n")
+        try:
+            data, term = conn.response()
+            check(data == [] and
+                  term.startswith("error RESOURCE_EXHAUSTED "),
+                  f"cross product: {len(data)} rows, then {term[:200]!r}")
+            expect_pong(conn, "after a cross product")
+        except (AssertionError, OSError) as e:
+            check(False, f"cross product: {e}")
+        conn.close()
+    finally:
+        try:
+            proc.communicate(timeout=PRODUCT_RUNTIME_S + 60)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.communicate()
+            failures.append("cross product server did not exit")
+    check(proc.returncode == 0,
+          f"cross product server exit status {proc.returncode}")
+
+
 def main():
-    if len(sys.argv) != 2:
+    if len(sys.argv) not in (2, 3):
         print(__doc__)
         return 2
     server = sys.argv[1]
+    sanitizer = sys.argv[2] if len(sys.argv) == 3 else "OFF"
     with tempfile.TemporaryDirectory() as tmp:
         db = os.path.join(tmp, "db.txt")
         with open(db, "w") as f:
             f.write("table R(a, b)\n1, 2\n")
-        proc = subprocess.Popen(
-            [server, f"--db={db}", "--port=0", f"--runtime_s={RUNTIME_S}"],
-            stdout=subprocess.PIPE, text=True)
+        proc, port = start_server(server, db, RUNTIME_S)
         try:
-            banner = proc.stdout.readline()
-            match = re.search(r":(\d+)", banner)
-            if match is None:
-                print("FAIL: no port in", repr(banner))
+            if port is None:
                 return 1
-            run(int(match.group(1)))
+            run(port)
+            run_product(server, sanitizer, tmp)
         finally:
             try:
                 out, _ = proc.communicate(timeout=RUNTIME_S + 60)

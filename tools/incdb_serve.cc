@@ -28,6 +28,7 @@
 #include <fstream>
 #include <limits>
 #include <mutex>
+#include <new>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -193,11 +194,7 @@ std::string RunQuery(incdb::Session* session, const ConnState& state,
   auto resp = session->Run(req);
   if (!resp.ok()) return ErrorLine(resp.status());
   std::string reply;
-  for (const incdb::Tuple& t : resp->response.relation.tuples()) {
-    reply += "| ";
-    reply += t.ToString();
-    reply += '\n';
-  }
+  incdb::AppendRows(resp->response.relation, &reply);
   // The stream formats the probabilities' doubles.
   std::ostringstream out;
   for (const incdb::TupleProbability& p : resp->response.probabilities) {
@@ -212,122 +209,148 @@ std::string RunQuery(incdb::Session* session, const ConnState& state,
   return reply;
 }
 
+// One connection's session and input.
+struct Connection {
+  incdb::IncDbService* service;
+  incdb::Session session;
+  LineReader reader;
+};
+
+// Answers one request line into *result (nothing for a blank line). False
+// ends the connection: `quit`, or the client left inside an ingest batch.
+bool HandleLine(const std::string& line, Connection& conn, ConnState& state,
+                std::string* result) {
+  const std::string trimmed = incdb::Trim(line);
+  if (trimmed.empty()) return true;
+  const size_t sp = trimmed.find(' ');
+  const std::string cmd = incdb::ToLower(trimmed.substr(0, sp));
+  const std::string rest =
+      sp == std::string::npos ? "" : incdb::Trim(trimmed.substr(sp + 1));
+  std::string& reply = *result;
+
+  if (cmd == "ping") {
+    reply = "ok pong\n";
+  } else if (cmd == "quit") {
+    reply = "ok bye\n";
+    return false;
+  } else if (cmd == "notion") {
+    reply = ParseNotion(rest, &state.notion)
+                ? "ok\n"
+                : "error INVALID_ARGUMENT unknown notion " + rest + "\n";
+  } else if (cmd == "backend") {
+    if (incdb::EqualsIgnoreCase(rest, "enumeration")) {
+      state.backend = incdb::Backend::kEnumeration;
+      reply = "ok\n";
+    } else if (incdb::EqualsIgnoreCase(rest, "ctable")) {
+      state.backend = incdb::Backend::kCTable;
+      reply = "ok\n";
+    } else {
+      reply = "error INVALID_ARGUMENT unknown backend " + rest + "\n";
+    }
+  } else if (cmd == "semantics") {
+    if (incdb::EqualsIgnoreCase(rest, "cwa")) {
+      state.semantics = incdb::WorldSemantics::kClosedWorld;
+      reply = "ok\n";
+    } else if (incdb::EqualsIgnoreCase(rest, "owa")) {
+      state.semantics = incdb::WorldSemantics::kOpenWorld;
+      reply = "ok\n";
+    } else if (incdb::EqualsIgnoreCase(rest, "wcwa")) {
+      state.semantics = incdb::WorldSemantics::kWeakClosedWorld;
+      reply = "ok\n";
+    } else {
+      reply = "error INVALID_ARGUMENT unknown semantics " + rest + "\n";
+    }
+  } else if (cmd == "threads") {
+    const auto n = ParseIntArg(rest, 0, kMaxThreads);
+    if (n.ok()) state.threads = static_cast<int>(*n);
+    reply = n.ok() ? "ok\n" : ErrorLine(n.status());
+  } else if (cmd == "max_worlds") {
+    const auto n =
+        ParseIntArg(rest, 0, std::numeric_limits<int64_t>::max());
+    if (n.ok()) state.max_worlds = static_cast<uint64_t>(*n);
+    reply = n.ok() ? "ok\n" : ErrorLine(n.status());
+  } else if (cmd == "threshold") {
+    const auto x = ParseNumberArg(rest);
+    if (x.ok()) state.threshold = *x;
+    reply = x.ok() ? "ok\n" : ErrorLine(x.status());
+  } else if (cmd == "query") {
+    reply = RunQuery(&conn.session, state, incdb::QueryInput::RaText(rest));
+  } else if (cmd == "sql") {
+    reply = RunQuery(&conn.session, state, incdb::QueryInput::SqlText(rest));
+  } else if (cmd == "ingest") {
+    // "ingest <n>" followed by n lines "<relation> <v1> <v2> ...". All n
+    // lines are read before the reply, even after a bad one, so the
+    // connection stays in step; a bad batch applies nothing.
+    const auto n = ParseIntArg(rest, 0, kMaxIngestRows);
+    if (!n.ok()) {
+      reply = ErrorLine(n.status());
+    } else {
+      std::vector<incdb::IngestRow> batch;
+      incdb::Status bad;
+      bool read_ok = true;
+      for (int64_t i = 0; i < *n && read_ok; ++i) {
+        std::string row_line;
+        read_ok = conn.reader.ReadLine(&row_line);
+        if (!read_ok || !bad.ok()) continue;
+        auto row = incdb::ParseIngestRow(row_line);
+        if (row.ok()) {
+          batch.push_back(std::move(row).value());
+        } else {
+          bad = incdb::Status(row.status().code(),
+                              "ingest row " + std::to_string(i + 1) + ": " +
+                                  row.status().message());
+        }
+      }
+      // The connection died mid-batch: nothing is applied.
+      if (!read_ok) return false;
+      if (!bad.ok()) {
+        reply = ErrorLine(bad);
+      } else if (auto version = conn.session.Ingest(batch); version.ok()) {
+        reply = "ok version=" + std::to_string(*version) +
+                " rows=" + std::to_string(batch.size()) + "\n";
+      } else {
+        reply = ErrorLine(version.status());
+      }
+    }
+  } else if (cmd == "version") {
+    reply = "ok version=" +
+            std::to_string(conn.session.SnapshotVersion()) + "\n";
+  } else if (cmd == "stats") {
+    const incdb::ServiceStats s = conn.service->Stats();
+    std::ostringstream out;
+    out << "ok queries=" << s.queries << " cache_hits=" << s.cache_hits
+        << " cache_misses=" << s.cache_misses
+        << " cache_entries=" << s.cache_entries
+        << " invalidated=" << s.invalidated_entries
+        << " rejected_overload=" << s.rejected_overload
+        << " rejected_budget=" << s.rejected_budget
+        << " snapshots=" << s.snapshots_published << "\n";
+    reply = out.str();
+  } else {
+    reply = "error INVALID_ARGUMENT unknown command " + cmd + "\n";
+  }
+  return true;
+}
+
 void ServeConnection(int fd, incdb::IncDbService* service) {
   timeval timeout{0, 200 * 1000};
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
-  incdb::Session session = service->OpenSession();
+  Connection conn{service, service->OpenSession(), LineReader(fd)};
   ConnState state;
-  LineReader reader(fd);
   std::string line;
-  while (!g_stop && reader.ReadLine(&line)) {
-    const std::string trimmed = incdb::Trim(line);
-    if (trimmed.empty()) continue;
-    const size_t sp = trimmed.find(' ');
-    const std::string cmd = incdb::ToLower(trimmed.substr(0, sp));
-    const std::string rest =
-        sp == std::string::npos ? "" : incdb::Trim(trimmed.substr(sp + 1));
+  while (!g_stop && conn.reader.ReadLine(&line)) {
     std::string reply;
-
-    if (cmd == "ping") {
-      reply = "ok pong\n";
-    } else if (cmd == "quit") {
-      WriteAll(fd, "ok bye\n");
-      break;
-    } else if (cmd == "notion") {
-      reply = ParseNotion(rest, &state.notion)
-                  ? "ok\n"
-                  : "error INVALID_ARGUMENT unknown notion " + rest + "\n";
-    } else if (cmd == "backend") {
-      if (incdb::EqualsIgnoreCase(rest, "enumeration")) {
-        state.backend = incdb::Backend::kEnumeration;
-        reply = "ok\n";
-      } else if (incdb::EqualsIgnoreCase(rest, "ctable")) {
-        state.backend = incdb::Backend::kCTable;
-        reply = "ok\n";
-      } else {
-        reply = "error INVALID_ARGUMENT unknown backend " + rest + "\n";
-      }
-    } else if (cmd == "semantics") {
-      if (incdb::EqualsIgnoreCase(rest, "cwa")) {
-        state.semantics = incdb::WorldSemantics::kClosedWorld;
-        reply = "ok\n";
-      } else if (incdb::EqualsIgnoreCase(rest, "owa")) {
-        state.semantics = incdb::WorldSemantics::kOpenWorld;
-        reply = "ok\n";
-      } else if (incdb::EqualsIgnoreCase(rest, "wcwa")) {
-        state.semantics = incdb::WorldSemantics::kWeakClosedWorld;
-        reply = "ok\n";
-      } else {
-        reply = "error INVALID_ARGUMENT unknown semantics " + rest + "\n";
-      }
-    } else if (cmd == "threads") {
-      const auto n = ParseIntArg(rest, 0, kMaxThreads);
-      if (n.ok()) state.threads = static_cast<int>(*n);
-      reply = n.ok() ? "ok\n" : ErrorLine(n.status());
-    } else if (cmd == "max_worlds") {
-      const auto n =
-          ParseIntArg(rest, 0, std::numeric_limits<int64_t>::max());
-      if (n.ok()) state.max_worlds = static_cast<uint64_t>(*n);
-      reply = n.ok() ? "ok\n" : ErrorLine(n.status());
-    } else if (cmd == "threshold") {
-      const auto x = ParseNumberArg(rest);
-      if (x.ok()) state.threshold = *x;
-      reply = x.ok() ? "ok\n" : ErrorLine(x.status());
-    } else if (cmd == "query") {
-      reply = RunQuery(&session, state, incdb::QueryInput::RaText(rest));
-    } else if (cmd == "sql") {
-      reply = RunQuery(&session, state, incdb::QueryInput::SqlText(rest));
-    } else if (cmd == "ingest") {
-      // "ingest <n>" followed by n lines "<relation> <v1> <v2> ...". All n
-      // lines are read before the reply, even after a bad one, so the
-      // connection stays in step; a bad batch applies nothing.
-      const auto n = ParseIntArg(rest, 0, kMaxIngestRows);
-      if (!n.ok()) {
-        reply = ErrorLine(n.status());
-      } else {
-        std::vector<incdb::IngestRow> batch;
-        incdb::Status bad;
-        bool read_ok = true;
-        for (int64_t i = 0; i < *n && read_ok; ++i) {
-          std::string row_line;
-          read_ok = reader.ReadLine(&row_line);
-          if (!read_ok || !bad.ok()) continue;
-          auto row = incdb::ParseIngestRow(row_line);
-          if (row.ok()) {
-            batch.push_back(std::move(row).value());
-          } else {
-            bad = incdb::Status(row.status().code(),
-                                "ingest row " + std::to_string(i + 1) + ": " +
-                                    row.status().message());
-          }
-        }
-        if (!read_ok) break;  // connection died mid-batch: nothing applied
-        if (!bad.ok()) {
-          reply = ErrorLine(bad);
-        } else if (auto version = session.Ingest(batch); version.ok()) {
-          reply = "ok version=" + std::to_string(*version) +
-                  " rows=" + std::to_string(batch.size()) + "\n";
-        } else {
-          reply = ErrorLine(version.status());
-        }
-      }
-    } else if (cmd == "version") {
-      reply = "ok version=" + std::to_string(session.SnapshotVersion()) + "\n";
-    } else if (cmd == "stats") {
-      const incdb::ServiceStats s = service->Stats();
-      std::ostringstream out;
-      out << "ok queries=" << s.queries << " cache_hits=" << s.cache_hits
-          << " cache_misses=" << s.cache_misses
-          << " cache_entries=" << s.cache_entries
-          << " invalidated=" << s.invalidated_entries
-          << " rejected_overload=" << s.rejected_overload
-          << " rejected_budget=" << s.rejected_budget
-          << " snapshots=" << s.snapshots_published << "\n";
-      reply = out.str();
-    } else {
-      reply = "error INVALID_ARGUMENT unknown command " + cmd + "\n";
+    bool keep_serving = true;
+    // A thread entry function must not let an exception out: that would
+    // end the whole server. One failed request costs one error line.
+    try {
+      keep_serving = HandleLine(line, conn, state, &reply);
+    } catch (const std::bad_alloc&) {
+      reply = ErrorLine(incdb::Status::ResourceExhausted("out of memory"));
+    } catch (const std::exception& e) {
+      reply = ErrorLine(incdb::Status::Internal(e.what()));
     }
-    if (!WriteAll(fd, reply)) break;
+    if (!WriteAll(fd, reply) || !keep_serving) break;
   }
   ::close(fd);
 }
