@@ -101,4 +101,20 @@ void BM_NotInNaive(benchmark::State& state) {
 BENCHMARK(BM_NotInNaive)->Arg(100)->Arg(1000)->Arg(2000)->Unit(
     benchmark::kMillisecond);
 
+// The same answers from the columnar RA engine: EvalNaive over kQuery's
+// SqlToAlgebra translation, on the same database. CI fails when
+// BM_NotInNaive/2000 takes 4x or more this row's CPU time at n = 2000, which
+// guards the SQL evaluator against a return to row-at-a-time work.
+void BM_NotInNaiveRA(benchmark::State& state) {
+  auto w = MakeWorkload(static_cast<size_t>(state.range(0)), 0.10, 42);
+  auto q = ParseSql(kQuery);
+  auto plan = SqlToAlgebra(*q, w.db.schema());
+  for (auto _ : state) {
+    auto r = EvalNaive(*plan, w.db);
+    benchmark::DoNotOptimize(r);
+  }
+}
+BENCHMARK(BM_NotInNaiveRA)->Arg(100)->Arg(1000)->Arg(2000)->Unit(
+    benchmark::kMillisecond);
+
 }  // namespace

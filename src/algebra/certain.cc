@@ -18,7 +18,6 @@ namespace {
 // parallel workers only read it.
 void ForceRelation(const Relation& r) {
   r.tuples();
-  r.HashIndex();
   r.IsComplete();
   r.Columnar();
 }

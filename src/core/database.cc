@@ -20,7 +20,6 @@ const Relation& EmptyRelation(size_t arity) {
   if (it == empties->end()) {
     it = empties->emplace(arity, Relation(arity)).first;
     it->second.tuples();
-    it->second.HashIndex();
     it->second.Columnar();
     it->second.IsComplete();
   }

@@ -26,7 +26,6 @@ Relation::Relation(const Relation& o) : arity_(o.arity_) {
   // without writing; canonicalize while `o` still owns it uniquely.
   o.EnsureCanonical();
   tuples_ = o.tuples_;
-  index_ = o.index_;
   columnar_ = o.columnar_;
   complete_.store(o.complete_.load(std::memory_order_relaxed),
                   std::memory_order_relaxed);
@@ -38,7 +37,6 @@ Relation& Relation::operator=(const Relation& o) {
   arity_ = o.arity_;
   tuples_ = o.tuples_;
   dirty_ = false;
-  index_ = o.index_;
   columnar_ = o.columnar_;
   complete_.store(o.complete_.load(std::memory_order_relaxed),
                   std::memory_order_relaxed);
@@ -49,7 +47,6 @@ Relation::Relation(Relation&& o) noexcept
     : arity_(o.arity_),
       tuples_(std::move(o.tuples_)),
       dirty_(o.dirty_),
-      index_(std::move(o.index_)),
       columnar_(std::move(o.columnar_)) {
   complete_.store(o.complete_.load(std::memory_order_relaxed),
                   std::memory_order_relaxed);
@@ -62,7 +59,6 @@ Relation& Relation::operator=(Relation&& o) noexcept {
   arity_ = o.arity_;
   tuples_ = std::move(o.tuples_);
   dirty_ = o.dirty_;
-  index_ = std::move(o.index_);
   columnar_ = std::move(o.columnar_);
   complete_.store(o.complete_.load(std::memory_order_relaxed),
                   std::memory_order_relaxed);
@@ -137,7 +133,6 @@ void Relation::Add(Tuple t) {
   // A null-free tuple cannot invalidate a positive memo; leave it.
   tuples_->push_back(std::move(t));
   dirty_ = true;
-  index_.reset();
   columnar_.reset();
 }
 
@@ -151,23 +146,7 @@ void Relation::AddAll(const Relation& other) {
   tuples_->reserve(tuples_->size() + src.size());
   for (const Tuple& t : src) tuples_->push_back(t);
   dirty_ = true;
-  index_.reset();
   columnar_.reset();
-}
-
-const std::unordered_set<Tuple, TupleHash>& Relation::HashIndex() const {
-  if (index_ == nullptr) {
-    if (HoldsColumns()) tuples();
-    // Built from the raw vector: duplicates collapse in the set, so the
-    // index does not require (or trigger) canonicalization.
-    auto idx = std::make_shared<std::unordered_set<Tuple, TupleHash>>();
-    if (tuples_ != nullptr) {
-      idx->reserve(tuples_->size());
-      for (const Tuple& t : *tuples_) idx->insert(t);
-    }
-    index_ = std::move(idx);
-  }
-  return *index_;
 }
 
 std::shared_ptr<const ColumnarRelation> Relation::Columnar() const {
@@ -183,8 +162,29 @@ void Relation::AdoptColumnar(std::shared_ptr<const ColumnarRelation> form) {
   columnar_ = std::move(form);
 }
 
+std::strong_ordering Relation::CompareRow(size_t row, const Tuple& t) const {
+  for (size_t c = 0; c < arity_; ++c) {
+    const auto cmp = Cell(row, c) <=> t[c];
+    if (cmp != 0) return cmp;
+  }
+  return std::strong_ordering::equal;
+}
+
 bool Relation::Contains(const Tuple& t) const {
-  return HashIndex().count(t) > 0;
+  if (t.arity() != arity_) return false;
+  size_t lo = 0;
+  size_t hi = size();  // canonicalizes a tuple body
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    const auto cmp = CompareRow(mid, t);
+    if (cmp == 0) return true;
+    if (cmp < 0) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return false;
 }
 
 const std::vector<Tuple>& Relation::tuples() const {

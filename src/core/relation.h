@@ -7,9 +7,9 @@
 //     subset tests and iteration deterministic;
 //   * a columnar body: an immutable ColumnarRelation (core/columnar.h)
 //     whose rows are canonical by construction. The columnar engine answers
-//     with one. size(), empty(), IsComplete(), Columnar(), ==, ToString()
-//     and the other readers answer from the columns; tuples are built from
-//     them only by tuples(), HashIndex()/Contains() or a mutator.
+//     with one. size(), empty(), IsComplete(), Columnar(), Contains(), ==,
+//     ToString() and the other readers answer from the columns; tuples are
+//     built from them only by tuples() or a mutator.
 //
 // Storage is copy-on-write: copying a relation canonicalizes it once and
 // then shares the underlying vector (or columns), so the per-world database
@@ -18,15 +18,13 @@
 // always canonical; mutators clone before writing, so copies never observe
 // each other's changes.
 //
-// Membership is served by a lazily built hash-set index (expected O(1) per
-// probe). The index is an immutable snapshot shared across copies and
-// invalidated by mutation, so copying a relation never copies the index and
-// repeated probes against a stable relation build it exactly once. The
-// columnar form of a tuple body (Columnar()) is cached and shared the same
-// way.
+// Membership is a binary search over the canonical rows of either body
+// (O(log n) per probe), so it builds nothing on a canonical relation. The
+// columnar form of a tuple body (Columnar()) is built lazily, shared by
+// copies and invalidated by mutation.
 //
-// Every lazy build (canonical order, tuples from columns, the index, the
-// columnar form) writes the relation it is called on, so it is not
+// Every lazy build (canonical order, tuples from columns, the columnar
+// form) writes the relation it is called on, so it is not
 // thread-safe: the single owner builds, and whoever shares a relation
 // between threads forces what the readers read first (DatabaseSnapshot and
 // PlanCache do). Copying a relation reads it without writing once it is
@@ -41,7 +39,6 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "core/tuple.h"
@@ -83,17 +80,15 @@ class Relation {
   /// Adds all tuples of `other` (arities must match).
   void AddAll(const Relation& other);
 
-  /// Membership test (expected O(1) via the hash index).
+  /// Membership test: a binary search over the canonical rows, reading the
+  /// cells of a columnar body without decoding it (canonicalizes a dirty
+  /// tuple body first).
   bool Contains(const Tuple& t) const;
-
-  /// The hash-set view of the tuples. Built on first use, cached until the
-  /// next mutation; the returned reference is invalidated by mutation.
-  const std::unordered_set<Tuple, TupleHash>& HashIndex() const;
 
   /// The columnar (dictionary-encoded) form of this relation
   /// (core/columnar.h): the body itself when the relation holds columns,
-  /// otherwise built on first use and cached exactly like HashIndex() (the
-  /// snapshot is shared by copies and invalidated by mutation). Not
+  /// otherwise built on first use and cached (the form is shared by copies
+  /// and invalidated by mutation). Not
   /// thread-safe to build — force it on the owning thread before sharing
   /// the relation; the returned object is immutable and safe under
   /// concurrent readers.
@@ -159,6 +154,8 @@ class Relation {
   void EnsureUniqueStorage();
   // Cell `c` of canonical row `row`, read from whichever body is held.
   const Value& Cell(size_t row, size_t c) const;
+  // Canonical row `row` against `t`, lexicographically.
+  std::strong_ordering CompareRow(size_t row, const Tuple& t) const;
   // Calls `fn` with every cell of the canonical rows.
   template <class Fn>
   void ForEachCell(Fn fn) const;
@@ -170,8 +167,6 @@ class Relation {
   // from more than one Relation is canonical.
   mutable std::shared_ptr<std::vector<Tuple>> tuples_;
   mutable bool dirty_ = false;
-  // Immutable membership snapshot; shared by copies, reset on mutation.
-  mutable std::shared_ptr<const std::unordered_set<Tuple, TupleHash>> index_;
   // The columnar body, or the cached columnar form of the tuple body
   // (Columnar()); shared by copies, reset on mutation.
   mutable std::shared_ptr<const ColumnarRelation> columnar_;

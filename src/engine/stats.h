@@ -183,11 +183,14 @@ struct EvalOptions {
 };
 
 /// RAII scope that attributes wall time and counters to one operator.
-/// All methods are no-ops when constructed with a null EvalStats.
+/// All methods are no-ops when constructed with a null EvalStats. An
+/// untimed scope counts without reading the clock: it suits a call nested
+/// in a timed scope of the same operator, whose time already includes it.
 class OpScope {
  public:
-  OpScope(EvalStats* stats, EvalOp op) : stats_(stats), op_(op) {
-    if (stats_ != nullptr) start_ = std::chrono::steady_clock::now();
+  OpScope(EvalStats* stats, EvalOp op, bool timed = true)
+      : stats_(stats), op_(op), timed_(timed) {
+    if (stats_ != nullptr && timed_) start_ = std::chrono::steady_clock::now();
   }
   ~OpScope() {
     if (stats_ == nullptr) return;
@@ -196,6 +199,7 @@ class OpScope {
     c.tuples_in += in_;
     c.tuples_out += out_;
     c.probes += probes_;
+    if (!timed_) return;
     c.nanos += static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - start_)
@@ -211,6 +215,7 @@ class OpScope {
  private:
   EvalStats* stats_;
   EvalOp op_;
+  bool timed_;
   std::chrono::steady_clock::time_point start_;
   uint64_t in_ = 0;
   uint64_t out_ = 0;

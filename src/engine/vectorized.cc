@@ -1,8 +1,6 @@
 #include "engine/vectorized.h"
 
 #include <algorithm>
-#include <array>
-#include <bit>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -116,105 +114,6 @@ bool RowEq(const CodeView& a, size_t ai, const CodeView& b, size_t bi,
     if (a.col(c)[ai] != b.col(c)[bi]) return false;
   }
   return true;
-}
-
-// Drops the rows equal to their predecessor from rows that already ascend.
-void DedupSortedRows(size_t arity, std::vector<std::vector<uint32_t>>* cols,
-                     size_t* rows) {
-  size_t kept = 1;
-  for (size_t i = 1; i < *rows; ++i) {
-    bool eq = true;
-    for (size_t c = 0; c < arity && eq; ++c) {
-      eq = (*cols)[c][i] == (*cols)[c][kept - 1];
-    }
-    if (eq) continue;
-    if (kept != i) {
-      for (size_t c = 0; c < arity; ++c) (*cols)[c][kept] = (*cols)[c][i];
-    }
-    ++kept;
-  }
-  for (size_t c = 0; c < arity; ++c) (*cols)[c].resize(kept);
-  *rows = kept;
-}
-
-// True when every row is >= its predecessor (lexicographically by code).
-bool RowsAscend(size_t arity, const std::vector<std::vector<uint32_t>>& cols,
-                size_t rows) {
-  for (size_t i = 1; i < rows; ++i) {
-    for (size_t c = 0; c < arity; ++c) {
-      const uint32_t prev = cols[c][i - 1];
-      const uint32_t cur = cols[c][i];
-      if (prev < cur) break;
-      if (prev > cur) return false;
-    }
-  }
-  return true;
-}
-
-// Sorts `cols` rows lexicographically and drops duplicates, restoring the
-// canonical-row invariant after projection and join emits. Rows that
-// already ascend, as after a prefix projection of a canonical table, are
-// recognised in one pass and only deduplicated. Otherwise every code is
-// below `dict_size`, so the row permutation is ordered by an LSD radix
-// sort: columns last to first, one stable counting pass per byte of the
-// ceil(log2 dict_size) code bits. A pass whose byte is the same in every
-// row keeps the order as it is and is skipped.
-void CompactRows(size_t arity, size_t dict_size,
-                 std::vector<std::vector<uint32_t>>* cols, size_t* rows) {
-  const size_t n = *rows;
-  if (n <= 1) return;
-  if (arity == 0) {  // all empty rows are equal
-    *rows = 1;
-    return;
-  }
-  if (RowsAscend(arity, *cols, n)) {
-    DedupSortedRows(arity, cols, rows);
-    return;
-  }
-  const int bits = static_cast<int>(std::bit_width(dict_size - 1));
-  std::vector<uint32_t> perm(n);
-  for (size_t i = 0; i < n; ++i) perm[i] = static_cast<uint32_t>(i);
-  // key[i] is the code of row perm[i] in the column being sorted; both move
-  // together, so the byte passes read memory in order.
-  std::vector<uint32_t> key(n);
-  std::vector<uint32_t> perm_next(n);
-  std::vector<uint32_t> key_next(n);
-  for (size_t c = arity; c-- > 0;) {
-    const std::vector<uint32_t>& col = (*cols)[c];
-    for (size_t i = 0; i < n; ++i) key[i] = col[perm[i]];
-    for (int shift = 0; shift < bits; shift += 8) {
-      std::array<size_t, 257> start{};
-      for (size_t i = 0; i < n; ++i) ++start[((key[i] >> shift) & 0xff) + 1];
-      if (start[((key[0] >> shift) & 0xff) + 1] == n) continue;
-      for (size_t b = 1; b < start.size(); ++b) start[b] += start[b - 1];
-      for (size_t i = 0; i < n; ++i) {
-        const size_t dst = start[(key[i] >> shift) & 0xff]++;
-        perm_next[dst] = perm[i];
-        key_next[dst] = key[i];
-      }
-      perm.swap(perm_next);
-      key.swap(key_next);
-    }
-  }
-  std::vector<uint32_t> kept;
-  kept.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (!kept.empty()) {
-      bool eq = true;
-      for (size_t c = 0; c < arity && eq; ++c) {
-        eq = (*cols)[c][perm[i]] == (*cols)[c][kept.back()];
-      }
-      if (eq) continue;
-    }
-    kept.push_back(perm[i]);
-  }
-  std::vector<std::vector<uint32_t>> out(arity);
-  for (size_t c = 0; c < arity; ++c) {
-    out[c].reserve(kept.size());
-    for (uint32_t id : kept) out[c].push_back((*cols)[c][id]);
-  }
-  *cols = std::move(out);
-  *rows = kept.size();
 }
 
 bool CmpBool(CmpOp op, std::strong_ordering cmp) {
@@ -574,36 +473,12 @@ Result<VecTable> HashJoinVec(const VecTable& l, const VecTable& r,
     rcols.push_back(k.right_col);
   }
 
-  // The build side is two flat arrays. Bucket b holds ids[start[b]] up to
-  // ids[start[b + 1]]: the right rows whose key hashes there, ascending, so
-  // a probe row meets its matches in right-row order. The bucket count is
-  // the power of two >= |r|, and a row's bucket is the top bits of its
-  // mixed key codes times the 64-bit golden ratio.
-  const int bucket_bits =
-      r.rows <= 1 ? 0 : static_cast<int>(std::bit_width(r.rows - 1));
-  auto bucket_of = [bucket_bits](uint64_t h) -> size_t {
-    if (bucket_bits == 0) return 0;
-    return (h * 0x9e3779b97f4a7c15ULL) >> (64 - bucket_bits);
-  };
-  std::vector<uint32_t> start;
-  std::vector<uint32_t> ids;
-  if (l.rows > 0) {
-    const size_t buckets = size_t{1} << bucket_bits;
-    std::vector<uint32_t> row_bucket(r.rows);
-    start.assign(buckets + 1, 0);
-    for (size_t i = 0; i < r.rows; ++i) {
-      row_bucket[i] = static_cast<uint32_t>(bucket_of(MixCodes(rv, i, rcols)));
-      ++start[row_bucket[i]];
-    }
-    // Running sums make start[b] the end of bucket b; filling each bucket
-    // back to front then leaves it at the bucket's beginning.
-    for (size_t b = 1; b < buckets; ++b) start[b] += start[b - 1];
-    start[buckets] = static_cast<uint32_t>(r.rows);
-    ids.resize(r.rows);
-    for (size_t i = r.rows; i-- > 0;) {
-      ids[--start[row_bucket[i]]] = static_cast<uint32_t>(i);
-    }
-  }
+  // The build side is a RowHashIndex over the right rows' mixed key codes,
+  // so a probe row meets its matches in right-row order; it is built only
+  // when some left row will probe it.
+  const RowHashIndex index(l.rows > 0 ? r.rows : 0, [&](size_t i) {
+    return MixCodes(rv, i, rcols);
+  });
 
   // Verified key match via merged codes (collision- and cross-dict-safe).
   auto keys_match = [&](size_t li, size_t ri) {
@@ -617,11 +492,9 @@ Result<VecTable> HashJoinVec(const VecTable& l, const VecTable& r,
   auto probe_chunk = [&](size_t begin, size_t end,
                          std::vector<std::pair<uint32_t, uint32_t>>* out) {
     for (size_t i = begin; i < end && out->size() <= kMaxRows; ++i) {
-      const size_t b = bucket_of(MixCodes(lv, i, lcols));
-      for (uint32_t k = start[b]; k < start[b + 1]; ++k) {
-        const uint32_t ri = ids[k];
+      index.ForEachCandidate(MixCodes(lv, i, lcols), [&](uint32_t ri) {
         if (keys_match(i, ri)) out->emplace_back(static_cast<uint32_t>(i), ri);
-      }
+      });
     }
   };
 
@@ -777,10 +650,7 @@ VecTable DeltaVec(const Database& db) {
 // The answer as a Relation whose body is its columns. The dictionary is
 // compacted to the codes the answer uses (order-preserving, so rows stay
 // canonical): an answer held by a cache or a session never keeps a
-// snapshot's dictionary, or a merged one, alive. The used codes are found
-// by marking the dictionary, or, when the answer has far fewer cells than
-// the dictionary has values (a point lookup in a large snapshot), by
-// sorting the cells, so the work follows the smaller of the two.
+// snapshot's dictionary, or a merged one, alive.
 Relation MaterializeVec(VecTable t) {
   std::vector<std::vector<uint32_t>> cols(t.arity);
   for (size_t c = 0; c < t.arity; ++c) {
@@ -790,40 +660,7 @@ Relation MaterializeVec(VecTable t) {
       cols[c] = t.pin->col(c);
     }
   }
-  const std::vector<Value>& values = t.dict->values;
-  std::vector<uint32_t> used;  // the codes the answer uses, ascending
-  if (t.rows * t.arity < values.size() / 8) {
-    for (const std::vector<uint32_t>& col : cols) {
-      used.insert(used.end(), col.begin(), col.end());
-    }
-    std::sort(used.begin(), used.end());
-    used.erase(std::unique(used.begin(), used.end()), used.end());
-    for (std::vector<uint32_t>& col : cols) {
-      for (uint32_t& code : col) {
-        code = static_cast<uint32_t>(
-            std::lower_bound(used.begin(), used.end(), code) - used.begin());
-      }
-    }
-  } else {
-    std::vector<uint32_t> rank(values.size(), 0);
-    for (const std::vector<uint32_t>& col : cols) {
-      for (const uint32_t code : col) rank[code] = 1;
-    }
-    for (uint32_t code = 0; code < rank.size(); ++code) {
-      if (rank[code] == 0) continue;
-      rank[code] = static_cast<uint32_t>(used.size());
-      used.push_back(code);
-    }
-    for (std::vector<uint32_t>& col : cols) {
-      for (uint32_t& code : col) code = rank[code];
-    }
-  }
-  auto dict = std::make_shared<ValueDict>();
-  dict->values.reserve(used.size());
-  for (const uint32_t code : used) dict->values.push_back(values[code]);
-  dict->null_end = static_cast<uint32_t>(
-      std::lower_bound(used.begin(), used.end(), t.dict->null_end) -
-      used.begin());
+  std::shared_ptr<const ValueDict> dict = CompactDict(*t.dict, {}, &cols);
   return Relation(std::make_shared<const ColumnarRelation>(
       t.arity, t.rows, std::move(dict), std::move(cols)));
 }

@@ -270,13 +270,10 @@ Result<ServiceResponse> IncDbService::Run(const QueryRequest& request) {
     entry->depends_on_all = cp.depends_on_all;
     entry->snapshot_version = snap->version();
     // Force what hit-path copies read, so they never write the entry: a
-    // tuple body's canonical order and index. A columnar body is immutable
-    // already; a session that wants its tuples builds them on its copy.
+    // tuple body's canonical order. A columnar body is immutable already; a
+    // session that wants its tuples builds them on its copy.
     const Relation& stored = entry->response.relation;
-    if (stored.ColumnarIfBuilt() == nullptr) {
-      stored.tuples();
-      stored.HashIndex();
-    }
+    if (stored.ColumnarIfBuilt() == nullptr) stored.tuples();
     stored.IsComplete();
     cache_.Insert(cp.key, std::move(entry));
   }

@@ -7,14 +7,13 @@ namespace incdb {
 namespace {
 
 // Forces the lazy per-relation caches that query evaluation touches, so
-// every later accessor call from a reader session is a pure lookup.
-// Untouched relations share already-built caches with the previous
-// snapshot, so forcing them is a no-op (EnsureCanonical sees a clean copy,
-// HashIndex sees a non-null shared snapshot). Columnar() returns the form
-// EncodeRelations adopted.
+// every later accessor call from a reader session is a pure lookup:
+// canonical tuples (which Contains() binary-searches) and the completeness
+// memo. Untouched relations share already-built caches with the previous
+// snapshot, so forcing them is a no-op (EnsureCanonical sees a clean
+// copy). Columnar() returns the form EncodeRelations adopted.
 void ForceRelation(const Relation& rel) {
   rel.tuples();
-  rel.HashIndex();
   rel.Columnar();
   rel.IsComplete();
 }
@@ -102,23 +101,10 @@ std::shared_ptr<const ValueDict> EncodeRelations(
     sources.push_back(added);
   }
 
-  // Merge the sources one by one; into[i] translates sources[i]'s codes
-  // into the merge so far (empty: the identity, for `base` while nothing
-  // was merged).
-  std::shared_ptr<const ValueDict> dict = base;
-  std::vector<std::vector<uint32_t>> into(sources.size());
-  for (size_t i = 1; i < sources.size(); ++i) {
-    DictMerge m = MergeDicts(dict, sources[i]);
-    for (size_t k = 0; k < i; ++k) {
-      if (into[k].empty()) {
-        into[k] = m.from_a;
-      } else {
-        for (uint32_t& code : into[k]) code = m.from_a[code];
-      }
-    }
-    into[i] = std::move(m.from_b);
-    dict = std::move(m.dict);
-  }
+  // into[i] translates sources[i]'s codes into the merge (empty: the
+  // identity, for `base` when nothing was merged).
+  std::vector<std::vector<uint32_t>> into;
+  std::shared_ptr<const ValueDict> dict = MergeDictList(sources, &into);
 
   for (Encoding& e : encodings) {
     const std::vector<uint32_t>& translate = into[e.source];

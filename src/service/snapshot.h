@@ -3,7 +3,7 @@
 // sessions.
 //
 // The core Relation is already copy-on-write: copies share one canonical
-// tuple vector, hash index, columnar form and completeness memo, and
+// tuple vector, columnar form and completeness memo, and
 // mutators clone storage before writing. What a single-threaded caller gets
 // for free, concurrent sessions do not: the shared caches are built lazily
 // by const accessors, so two readers racing on a cold relation would both
@@ -15,7 +15,8 @@
 //
 // Every relation of a snapshot is encoded against one sorted dictionary
 // (core/columnar.h), so the columnar engine joins and intersects two base
-// relations without merging or remapping dictionaries. A publication
+// relations, and the SQL evaluator compares their columns, without merging
+// or remapping dictionaries. A publication
 // encodes each changed relation against the previous snapshot's
 // dictionary, reusing the codes of the rows the relation kept. Only when
 // the changed relations bring values that dictionary lacks is it extended

@@ -1,4 +1,4 @@
-// SQL evaluation over naïve databases, in two modes:
+// SQL evaluation over naïve databases, in three modes:
 //
 //  * kSql3VL — the SQL standard's three-valued logic: comparisons with NULL
 //    are UNKNOWN; WHERE keeps TRUE rows only; x [NOT] IN (S) follows the
@@ -8,19 +8,36 @@
 //  * kNaive — marked nulls are ordinary values; comparisons are syntactic.
 //    This is the paper's naïve evaluation, the building block of correct
 //    certain answers for positive queries.
+//  * kSqlMaybe — WHERE keeps the UNKNOWN rows (Codd's MAYBE).
 //
 // Set semantics throughout (every SELECT is DISTINCT). Correlated subqueries
 // are supported: inner queries see the outer row's columns.
 //
-// Subqueries cost a lookup per outer row, not a rescan. An uncorrelated
-// subquery is evaluated once per evaluation and shared by pointer.
-// x [NOT] IN (S) is one binary search over S's canonical tuples (sorted,
-// nulls first), plus a look at S's first tuple for a null. A block's FROM
-// resolution and pushdown plan are built once per evaluation for each
-// outer-scope depth it is reached at, so a correlated subquery re-enters a
-// planned block for every outer row. With EvalOptions::use_hash_kernels =
-// false the evaluator keeps its reference paths: the plain nested loop,
-// and x [NOT] IN (S) as a fold of the 3VL OR over every tuple of S.
+// Every evaluation first plans the whole query once, before any row is
+// read: each block's FROM entries, every column operand resolved to a
+// (scope slot, column) pair, every subquery marked correlated when an
+// operand below it resolves outside it. So an error that depends only on
+// the query and the schema (unknown table or column, unnamed attributes,
+// IN or UNION widths, bad aggregate blocks) fails the same way on any data.
+//
+// The served path (EvalOptions::use_hash_kernels, the default) runs on
+// dictionary codes. Every relation is read through its Columnar() form; in
+// a DatabaseSnapshot they share one dictionary, elsewhere their
+// dictionaries are merged once per evaluation. Literals resolve to
+// dictionary ranks, so comparisons, [NOT] IN, EXISTS, IS [NOT] NULL and
+// grouping are decided on 32-bit codes (code order is value order; outside
+// naïve mode a null code makes a comparison UNKNOWN). Pushed WHERE
+// conjuncts prune the FROM loop as soon as their columns are bound, and an
+// equality with an earlier operand probes a per-evaluation code index. An
+// uncorrelated subquery is evaluated once; x [NOT] IN (S) is one hash
+// lookup in S's codes. A plain block's answer is a Relation with a
+// columnar body over a dictionary compacted to the values it uses; an
+// aggregate's answer holds new values and is a tuple body.
+//
+// With use_hash_kernels = false the reference runs: nested loops over
+// Value tuples, the full WHERE at every row, and x [NOT] IN (S) as a fold
+// of the 3VL OR over S. Both paths give the same answers and fail on the
+// same queries with the same status.
 
 #ifndef INCDB_SQL_EVAL_H_
 #define INCDB_SQL_EVAL_H_
@@ -40,13 +57,11 @@ enum class SqlEvalMode {
 };
 
 /// Evaluates a query; output columns follow the SELECT list (or the
-/// concatenation of FROM-table columns for SELECT *). The evaluator pushes
-/// statically-resolvable WHERE conjuncts into the FROM nested loop and
-/// serves pushed equalities from per-column hash indexes, and decides
-/// [NOT] IN by binary search (disable both with
-/// EvalOptions::use_hash_kernels = false); surviving rows still evaluate the
-/// full WHERE clause, so the answer is identical either way. SUM and AVG
-/// whose sum leaves int64 are InvalidArgument.
+/// concatenation of FROM-table columns for SELECT *). Runs on dictionary
+/// codes, or on the tuple reference with EvalOptions::use_hash_kernels =
+/// false; the answer is identical either way. SUM and AVG whose running
+/// sum leaves int64 are InvalidArgument, and a block that would emit more
+/// than UINT32_MAX rows is ResourceExhausted.
 Result<Relation> EvalSql(const SqlQuery& q, const Database& db,
                          SqlEvalMode mode, const EvalOptions& options);
 Result<Relation> EvalSql(const SqlQuery& q, const Database& db,

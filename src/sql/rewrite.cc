@@ -89,11 +89,9 @@ Result<Relation> EvalSqlCertain(const SqlQuery& q, const Database& db,
   }
   INCDB_ASSIGN_OR_RETURN(Relation naive,
                          EvalSql(q, db, SqlEvalMode::kNaive, options));
-  Relation out(naive.arity());
-  for (const Tuple& t : naive.tuples()) {
-    if (!t.HasNull()) out.Add(t);
-  }
-  return out;
+  // The null-free rows, kept in the answer's own form (columns stay
+  // columns).
+  return naive.CompletePart();
 }
 
 Result<Relation> EvalSqlCertain(const std::string& sql, const Database& db,

@@ -1,14 +1,17 @@
 // Unit tests for the columnar (dictionary-encoded) relation form: dictionary
 // sortedness and rank queries, cross-dictionary merges, the Relation ↔
 // ColumnarRelation round-trip, and the Relation::Columnar() caching contract
-// (shared by copies, stolen by moves, invalidated by mutation — the same
-// lifecycle as HashIndex()).
+// (shared by copies, stolen by moves, invalidated by mutation), and the
+// encoder against ValueDict::Build + Find on random relations.
 
 #include "core/columnar.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <random>
+#include <string>
 #include <vector>
 
 #include "core/relation.h"
@@ -143,6 +146,53 @@ TEST(ColumnarRelationTest, RandomRelationsRoundTrip) {
     for (const auto& name : db.schema().RelationNames()) {
       const Relation& r = db.GetRelation(name);
       EXPECT_EQ(Decode(r.Columnar()), r) << name << " seed " << seed;
+    }
+  }
+}
+
+TEST(ColumnarRelationTest, FromRelationMatchesBuildAndFind) {
+  // The encoder sorts cells by kind as plain keys; its dictionary and codes
+  // must be exactly those of ValueDict::Build over every cell plus Find.
+  std::mt19937_64 rng(11);
+  const std::vector<std::string> strings = {"", "'", "''", "a'b", "it's",
+                                            "a", "ab", "b", " ", "\xff"};
+  auto random_value = [&]() -> Value {
+    switch (rng() % 6) {
+      case 0:
+        return Value::Null(static_cast<NullId>(
+            rng() % 2 == 0 ? rng() % 8 : UINT32_MAX - rng() % 3));
+      case 1:
+        return Value::Int(rng() % 2 == 0 ? INT64_MIN + rng() % 3
+                                         : INT64_MAX - rng() % 3);
+      case 2:
+        return Value::Str(strings[rng() % strings.size()]);
+      default:
+        return Value::Int(static_cast<int64_t>(rng() % 21) - 10);
+    }
+  };
+  for (int round = 0; round < 200; ++round) {
+    const size_t arity = rng() % 4;
+    Relation r(arity);
+    const size_t rows = rng() % 40;
+    for (size_t i = 0; i < rows; ++i) {
+      std::vector<Value> vals;
+      for (size_t c = 0; c < arity; ++c) vals.push_back(random_value());
+      r.Add(Tuple(std::move(vals)));
+    }
+    std::vector<Value> cells;
+    for (const Tuple& t : r.tuples()) {
+      for (const Value& v : t.values()) cells.push_back(v);
+    }
+    const auto expected = ValueDict::Build(cells);
+    const auto form = ColumnarRelation::FromRelation(r);
+    ASSERT_EQ(form->dict().values, expected->values) << r.ToString();
+    EXPECT_EQ(form->dict().null_end, expected->null_end) << r.ToString();
+    ASSERT_EQ(form->rows(), r.size());
+    for (size_t row = 0; row < r.size(); ++row) {
+      for (size_t c = 0; c < arity; ++c) {
+        EXPECT_EQ(form->col(c)[row], expected->Find(r.tuples()[row][c]))
+            << r.ToString() << " row " << row << " col " << c;
+      }
     }
   }
 }

@@ -170,7 +170,7 @@ TEST(RelationTest, PostBuildMutationInvalidatesMemoAndIndexesTogether) {
 
   // Force every piece of derived state.
   EXPECT_TRUE(r.IsComplete());
-  EXPECT_TRUE(r.Contains(T2(1, 10)));  // builds the hash-set index
+  EXPECT_TRUE(r.Contains(T2(1, 10)));  // canonicalizes the rows
   auto columnar = r.Columnar();
 
   // Mutate through Add: all derived state must drop or update at once.
@@ -179,7 +179,7 @@ TEST(RelationTest, PostBuildMutationInvalidatesMemoAndIndexesTogether) {
   EXPECT_NE(r.Columnar(), columnar);
   EXPECT_EQ(Decode(r.Columnar()), r);
   EXPECT_TRUE(r.Contains(Tuple{Value::Int(3), Value::Null(7)}));
-  EXPECT_EQ(r.HashIndex().size(), r.size());
+  for (const Tuple& t : r.tuples()) EXPECT_TRUE(r.Contains(t));
   EXPECT_EQ(r.Nulls(), (std::set<NullId>{7}));
 
   // Mutate through AddAll.
@@ -190,7 +190,8 @@ TEST(RelationTest, PostBuildMutationInvalidatesMemoAndIndexesTogether) {
   EXPECT_NE(r.Columnar(), columnar);
   EXPECT_EQ(Decode(r.Columnar()), r);
   EXPECT_FALSE(r.IsComplete());  // null tuple still present
-  EXPECT_EQ(r.HashIndex().size(), r.size());
+  EXPECT_TRUE(r.Contains(T2(4, 40)));
+  for (const Tuple& t : r.tuples()) EXPECT_TRUE(r.Contains(t));
 
   // A copy taken before a mutation keeps the old derived state; only the
   // mutated side invalidates.
@@ -321,6 +322,81 @@ TEST(RelationTest, ColumnarBodyAgreesWithTupleBody) {
     EXPECT_EQ(grown.size(), expected.size()) << name;
     EXPECT_EQ(columns, tuples) << name;  // the source is unchanged
   }
+}
+
+TEST(RelationTest, ContainsAgreesWithLinearScanOnBothBodies) {
+  // Probes: every row of every case, plus values between, below and above
+  // the stored ones, of each kind.
+  const std::vector<Value> fillers = {
+      Value::Null(0), Value::Null(5),  Value::Int(-8), Value::Int(0),
+      Value::Int(2),  Value::Int(99),  Value::Str(""), Value::Str("aa"),
+      Value::Str("it's"), Value::Str("zz")};
+  const std::vector<Relation> cases = BodyCases();
+  for (const Relation& base : cases) {
+    const std::string name = base.ToString();
+    std::vector<Tuple> probes;
+    for (const Relation& other : cases) {
+      if (other.arity() != base.arity()) continue;
+      for (const Tuple& t : other.tuples()) probes.push_back(t);
+    }
+    for (const Value& v : fillers) {
+      probes.push_back(Tuple(std::vector<Value>(base.arity(), v)));
+      for (const Tuple& t : base.tuples()) {
+        for (size_t c = 0; c < base.arity(); ++c) {
+          std::vector<Value> vals = t.values();
+          vals[c] = v;
+          probes.push_back(Tuple(std::move(vals)));
+        }
+      }
+    }
+    probes.push_back(Tuple{Value::Int(1)});  // wrong arity (or the 1-ary row)
+
+    // A dirty tuple body: rows added in reverse order, twice.
+    Relation dirty(base.arity());
+    for (int round = 0; round < 2; ++round) {
+      const std::vector<Tuple>& rows = base.tuples();
+      for (auto it = rows.rbegin(); it != rows.rend(); ++it) dirty.Add(*it);
+    }
+    // Two columnar bodies: over the relation's own dictionary, and over a
+    // wider one holding every filler.
+    const Relation narrow(ColumnarRelation::FromRelation(base));
+    std::vector<Value> cells = fillers;
+    for (const Tuple& t : base.tuples()) {
+      for (const Value& v : t.values()) cells.push_back(v);
+    }
+    auto dict = ValueDict::Build(cells);
+    std::vector<std::vector<uint32_t>> cols(base.arity());
+    for (const Tuple& t : base.tuples()) {
+      for (size_t c = 0; c < base.arity(); ++c) {
+        cols[c].push_back(dict->Find(t[c]));
+      }
+    }
+    const Relation wide(std::make_shared<const ColumnarRelation>(
+        base.arity(), base.size(), dict, std::move(cols)));
+    const Relation narrow_before = narrow;
+    const Relation wide_before = wide;
+
+    for (const Tuple& p : probes) {
+      bool linear = false;
+      for (const Tuple& t : base.tuples()) linear = linear || t == p;
+      EXPECT_EQ(dirty.Contains(p), linear) << name << " " << p.ToString();
+      EXPECT_EQ(narrow.Contains(p), linear) << name << " " << p.ToString();
+      EXPECT_EQ(wide.Contains(p), linear) << name << " " << p.ToString();
+    }
+    // Membership read the columns and decoded no tuples.
+    if (!base.empty()) {
+      EXPECT_TRUE(narrow.SharesStorageWith(narrow_before)) << name;
+      EXPECT_TRUE(wide.SharesStorageWith(wide_before)) << name;
+    }
+  }
+  // 0-ary: {} holds nothing, {()} holds the empty tuple.
+  EXPECT_FALSE(Relation(0).Contains(Tuple{}));
+  Relation unit(0);
+  unit.Add(Tuple{});
+  EXPECT_TRUE(unit.Contains(Tuple{}));
+  EXPECT_TRUE(Relation(ColumnarRelation::FromRelation(unit)).Contains(Tuple{}));
+  EXPECT_FALSE(
+      Relation(ColumnarRelation::FromRelation(Relation(0))).Contains(Tuple{}));
 }
 
 TEST(RelationTest, ColumnarBodiesOverDifferentDictionariesCompareByValue) {

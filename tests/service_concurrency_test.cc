@@ -6,8 +6,9 @@
 // that version, and the answers must be bit-identical. A torn read (a query
 // observing half a batch) has no reconstructible version and fails the
 // replay. Every snapshot encodes its relations against one dictionary,
-// extended only by values it lacks, and answers never share it. Sessions
-// may read and write the rows of one cached columnar answer concurrently.
+// extended only by values it lacks, and answers never share it; SQL reads
+// the snapshot's codes the same way. Sessions may read and write the rows
+// of one cached columnar answer concurrently.
 // Also covers the deterministic admission-control paths.
 
 #include <gtest/gtest.h>
@@ -67,6 +68,16 @@ std::vector<QueryRequest> AllNotionRequests() {
       ra("R", AnswerNotion::kCertainObject),
       ra("proj{0}(R - S)", AnswerNotion::kPossible),
       ra("proj{0}(R)", AnswerNotion::kCertainWithProbability),
+      // SQL on the snapshot's codes: an uncorrelated NOT IN, a correlated
+      // EXISTS served by an equi-probe, grouping, and the certain filter.
+      sql("SELECT a FROM R WHERE a NOT IN (SELECT b FROM S)",
+          AnswerNotion::kNaive),
+      sql("SELECT a, b FROM R WHERE EXISTS (SELECT a FROM S WHERE S.a = R.a "
+          "AND b > 0)",
+          AnswerNotion::k3VL),
+      sql("SELECT b, COUNT(*) FROM R GROUP BY b", AnswerNotion::kMaybe),
+      sql("SELECT a FROM R WHERE a IN (SELECT a FROM S)",
+          AnswerNotion::kCertainNaive),
   };
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "sql/rewrite.h"
+
 namespace incdb {
 namespace {
 
@@ -143,6 +145,79 @@ TEST(SqlEvalTest, ErrorsOnUnknownTableOrColumn) {
                    .ok());  // subquery must have one column
 }
 
+TEST(SqlEvalTest, BadColumnReferencesFailWhateverTheData) {
+  // Columns resolve when the query is planned, before any row is read, so
+  // an empty instance refuses the same queries as a non-empty one, on the
+  // code path and on the reference.
+  Schema schema;
+  ASSERT_TRUE(schema.AddRelation("R", {"a", "b"}).ok());
+  ASSERT_TRUE(schema.AddRelation("S", {"c"}).ok());
+  Database empty(schema);
+  Database full(schema);
+  full.AddTuple("R", Tuple{Value::Int(1), Value::Int(2)});
+  full.AddTuple("S", Tuple{Value::Int(1)});
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"SELECT nosuch FROM R", "unresolved column nosuch"},
+      {"SELECT a FROM R WHERE nosuch = 1", "unresolved column nosuch"},
+      {"SELECT X.a FROM R", "unresolved column X.a"},
+      {"SELECT R.nosuch FROM R", "column nosuch not in table R"},
+      {"SELECT c FROM S WHERE c IN (SELECT nosuch FROM R)",
+       "unresolved column nosuch"},
+      {"SELECT c FROM S WHERE EXISTS (SELECT a FROM R WHERE a = 1 AND "
+       "b = nosuch)",
+       "unresolved column nosuch"},
+      {"SELECT a, COUNT(nosuch) FROM R GROUP BY a",
+       "unresolved column nosuch"},
+  };
+  for (const Database* db : {&empty, &full}) {
+    for (bool code_path : {true, false}) {
+      EvalOptions options;
+      options.use_hash_kernels = code_path;
+      for (const auto& [sql, message] : cases) {
+        for (auto mode : {SqlEvalMode::kSql3VL, SqlEvalMode::kNaive,
+                          SqlEvalMode::kSqlMaybe}) {
+          auto r = EvalSql(sql, *db, mode, options);
+          ASSERT_FALSE(r.ok()) << sql << " answered " << r->ToString();
+          EXPECT_EQ(r.status().code(), StatusCode::kNotFound) << sql;
+          EXPECT_EQ(r.status().message(), message) << sql;
+        }
+      }
+    }
+  }
+  // The widths of IN subqueries and UNION members are checked the same way.
+  for (const Database* db : {&empty, &full}) {
+    for (const char* sql :
+         {"SELECT c FROM S WHERE c IN (SELECT a, b FROM R)",
+          "SELECT c FROM S UNION SELECT a, b FROM R",
+          "SELECT c FROM S WHERE EXISTS (SELECT a FROM R WHERE a IN "
+          "(SELECT * FROM R))"}) {
+      auto r = EvalSql(sql, *db, SqlEvalMode::kSql3VL);
+      ASSERT_FALSE(r.ok()) << sql;
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << sql;
+    }
+  }
+}
+
+TEST(SqlEvalTest, BlockPastUint32RowsIsResourceExhausted) {
+  // 300^4 rows pass UINT32_MAX: refused before any row is emitted, on both
+  // paths. A MAYBE block without WHERE keeps nothing and reads no row.
+  Schema schema;
+  ASSERT_TRUE(schema.AddRelation("R", {"a"}).ok());
+  Database db(schema);
+  for (int64_t i = 0; i < 300; ++i) db.AddTuple("R", Tuple{Value::Int(i)});
+  const std::string sql = "SELECT * FROM R, R X, R Y, R Z";
+  for (bool code_path : {true, false}) {
+    EvalOptions options;
+    options.use_hash_kernels = code_path;
+    auto r = EvalSql(sql, db, SqlEvalMode::kSql3VL, options);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+    auto maybe = EvalSql(sql, db, SqlEvalMode::kSqlMaybe, options);
+    ASSERT_TRUE(maybe.ok()) << maybe.status().ToString();
+    EXPECT_TRUE(maybe->empty());
+  }
+}
+
 TEST(SqlEvalTest, UnionArityMismatchRejected) {
   Database db = EmpDb();
   EXPECT_FALSE(
@@ -266,6 +341,77 @@ TEST(SqlEvalTest, UnnamedRelationRejectedByEveryBlockKind) {
               "relation R has no attribute names; SQL access requires "
               "named attributes")
         << sql;
+  }
+}
+
+// The kSqlBlock counters of the seven SQL shapes the e2e `sql_3vl`
+// workload serves, pinned on a fixed instance: tuples_in sums the FROM
+// relations' sizes per block entry, probes counts equi-probes and
+// tuples_out the rows each entry emits (distinct rows; the collected rows
+// of an aggregate block). The reference counts the same except probes.
+TEST(SqlBlockStatsTest, PinsTheServedShapes) {
+  Schema schema;
+  ASSERT_TRUE(schema.AddRelation("Order", {"o_id", "product"}).ok());
+  ASSERT_TRUE(
+      schema.AddRelation("Pay", {"p_id", "order_id", "amount"}).ok());
+  Database db(schema);
+  for (int64_t o = 1; o <= 6; ++o) {
+    db.AddTuple("Order",
+                Tuple{Value::Int(o), Value::Str("p" + std::to_string(o))});
+  }
+  auto pay = [&](int64_t p, Value order, int64_t amount) {
+    db.AddTuple("Pay", Tuple{Value::Int(p), std::move(order),
+                             Value::Int(amount)});
+  };
+  pay(1, Value::Int(1), 95);
+  pay(2, Value::Int(2), 40);
+  pay(3, Value::Null(0), 99);
+  pay(4, Value::Int(4), 91);
+  pay(5, Value::Int(5), 20);
+
+  const std::string not_in =
+      "SELECT o_id FROM Order WHERE o_id NOT IN (SELECT order_id FROM Pay)";
+  struct Shape {
+    std::string sql;
+    int mode;  // a SqlEvalMode, or -1 for EvalSqlCertain
+    uint64_t calls, in, out, probes;
+  };
+  const std::vector<Shape> shapes = {
+      {not_in, static_cast<int>(SqlEvalMode::kSql3VL), 2, 11, 5, 0},
+      {not_in, static_cast<int>(SqlEvalMode::kNaive), 2, 11, 7, 0},
+      {not_in, static_cast<int>(SqlEvalMode::kSqlMaybe), 2, 11, 7, 0},
+      {"SELECT o_id FROM Order WHERE o_id IN (SELECT order_id FROM Pay)", -1,
+       2, 11, 9, 0},
+      // One outer entry and one correlated entry per order, each probing
+      // Pay by order_id once.
+      {"SELECT o_id, product FROM Order WHERE EXISTS (SELECT p_id FROM Pay "
+       "WHERE order_id = o_id AND amount > 90)",
+       static_cast<int>(SqlEvalMode::kSql3VL), 7, 36, 4, 6},
+      {"SELECT p_id FROM Pay WHERE amount > 95 OR order_id < 50",
+       static_cast<int>(SqlEvalMode::kSql3VL), 1, 5, 5, 0},
+      {"SELECT amount, COUNT(order_id) FROM Pay GROUP BY amount",
+       static_cast<int>(SqlEvalMode::kSql3VL), 1, 5, 5, 0},
+  };
+  for (bool code_path : {true, false}) {
+    for (const Shape& shape : shapes) {
+      EvalStats stats;
+      EvalOptions options;
+      options.use_hash_kernels = code_path;
+      options.stats = &stats;
+      auto r = shape.mode < 0
+                   ? EvalSqlCertain(shape.sql, db, false, options)
+                   : EvalSql(shape.sql, db,
+                             static_cast<SqlEvalMode>(shape.mode), options);
+      ASSERT_TRUE(r.ok()) << shape.sql << ": " << r.status().ToString();
+      const OpCounters& block = stats.at(EvalOp::kSqlBlock);
+      const std::string where =
+          shape.sql + " (mode " + std::to_string(shape.mode) +
+          (code_path ? ", code path)" : ", reference)");
+      EXPECT_EQ(block.calls, shape.calls) << where;
+      EXPECT_EQ(block.tuples_in, shape.in) << where;
+      EXPECT_EQ(block.tuples_out, shape.out) << where;
+      EXPECT_EQ(block.probes, code_path ? shape.probes : 0) << where;
+    }
   }
 }
 

@@ -118,5 +118,36 @@ TEST(SqlMaybeTest, CompleteDataHasNoMaybes) {
   EXPECT_TRUE(maybe->empty());
 }
 
+TEST(SqlMaybeTest, GroupByPutsEveryNullInOneGroup) {
+  // MAYBE, like 3VL, treats SQL nulls as indistinguishable: one group for
+  // all of them. Only naïve mode groups marked nulls by identity.
+  Schema schema;
+  ASSERT_TRUE(schema.AddRelation("R", {"a", "b"}).ok());
+  Database db(schema);
+  db.AddTuple("R", Tuple{Value::Int(1), Value::Null(1)});
+  db.AddTuple("R", Tuple{Value::Int(2), Value::Null(2)});
+  db.AddTuple("R", Tuple{Value::Int(3), Value::Int(7)});
+  const std::string q = "SELECT b, COUNT(*) FROM R GROUP BY b";
+  Relation one_group(2);
+  one_group.Add(Tuple{Value::Null(0), Value::Int(2)});
+  one_group.Add(Tuple{Value::Int(7), Value::Int(1)});
+  Relation by_identity(2);
+  by_identity.Add(Tuple{Value::Null(1), Value::Int(1)});
+  by_identity.Add(Tuple{Value::Null(2), Value::Int(1)});
+  by_identity.Add(Tuple{Value::Int(7), Value::Int(1)});
+  for (bool code_path : {true, false}) {
+    EvalOptions options;
+    options.use_hash_kernels = code_path;
+    for (auto mode : {SqlEvalMode::kSql3VL, SqlEvalMode::kSqlMaybe}) {
+      auto r = EvalSql(q, db, mode, options);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_EQ(*r, one_group) << "mode " << static_cast<int>(mode);
+    }
+    auto naive = EvalSql(q, db, SqlEvalMode::kNaive, options);
+    ASSERT_TRUE(naive.ok()) << naive.status().ToString();
+    EXPECT_EQ(*naive, by_identity);
+  }
+}
+
 }  // namespace
 }  // namespace incdb
