@@ -169,7 +169,9 @@ Result<Relation> EvalNaive(const RAExprPtr& e, const Database& db,
                            const EvalOptions& options) {
   // Batch-at-a-time evaluation over columnar storage; the nested-loop
   // reference answers identically, only slower.
-  if (options.use_hash_kernels) return EvalVectorized(e, db, options);
+  if (options.use_hash_kernels) {
+    return EvalVectorized(e, db, options, NullLogic::kNaive);
+  }
   // Validate typing once at the root.
   INCDB_RETURN_IF_ERROR(e->InferArity(db.schema()).status());
   Rec rec{db, options.stats};

@@ -1,5 +1,7 @@
 #include "algebra/eval_3vl.h"
 
+#include "engine/vectorized.h"
+
 namespace incdb {
 
 TruthValue TupleEquals3VL(const Tuple& a, const Tuple& b) {
@@ -18,7 +20,12 @@ TruthValue TupleEquals3VL(const Tuple& a, const Tuple& b) {
   return acc;
 }
 
-Result<Relation> Eval3VL(const RAExprPtr& e, const Database& db) {
+Result<Relation> Eval3VL(const RAExprPtr& e, const Database& db,
+                         const EvalOptions& options) {
+  if (options.use_hash_kernels) {
+    return EvalVectorized(e, db, options, NullLogic::kThreeValued);
+  }
+  // The fold: the reference semantics, tuple by tuple.
   INCDB_RETURN_IF_ERROR(e->InferArity(db.schema()).status());
 
   struct Rec {
@@ -131,6 +138,10 @@ Result<Relation> Eval3VL(const RAExprPtr& e, const Database& db) {
 
   Rec rec{db};
   return rec.Run(e);
+}
+
+Result<Relation> Eval3VL(const RAExprPtr& e, const Database& db) {
+  return Eval3VL(e, db, EvalOptions{});
 }
 
 }  // namespace incdb

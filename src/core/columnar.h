@@ -124,11 +124,12 @@ std::shared_ptr<const ValueDict> MergeDictList(
     std::vector<std::vector<uint32_t>>* into);
 
 /// Row ids grouped by a 64-bit hash of each row's key, for equality lookups
-/// in O(1): the columnar engine's join build side and the SQL evaluator's
-/// equi-probes and IN lookups. The bucket count is the power of two >= the
-/// row count and a row's bucket is the top bits of its hash times the
-/// 64-bit golden ratio, so building costs O(rows) whatever the dictionary's
-/// size. Hashes collide: callers compare the candidates' key codes.
+/// in O(1): the columnar engine's join build side and 3VL difference, and
+/// the SQL evaluator's equi-probes and IN lookups. The bucket count is the
+/// power of two >= the row count and a row's bucket is the top bits of its
+/// hash times the 64-bit golden ratio, so building costs O(rows) whatever
+/// the dictionary's size. Hashes collide: callers compare the candidates'
+/// key codes.
 class RowHashIndex {
  public:
   /// Indexes rows 0..rows-1 (at most UINT32_MAX) by key_hash(row).
@@ -159,6 +160,17 @@ class RowHashIndex {
   void ForEachCandidate(uint64_t hash, Fn fn) const {
     const size_t b = Bucket(hash);
     for (uint32_t k = start_[b]; k < start_[b + 1]; ++k) fn(ids_[k]);
+  }
+
+  /// True when pred(row) holds for a row of `hash`'s bucket; stops at the
+  /// first such row.
+  template <class Pred>
+  bool AnyCandidate(uint64_t hash, Pred pred) const {
+    const size_t b = Bucket(hash);
+    for (uint32_t k = start_[b]; k < start_[b + 1]; ++k) {
+      if (pred(ids_[k])) return true;
+    }
+    return false;
   }
 
  private:

@@ -170,7 +170,7 @@ Result<QueryResponse> QueryEngine::Run(const QueryRequest& request) const {
     case AnswerNotion::kNaive:
       return finish(EvalNaive(ra, db_, opts));
     case AnswerNotion::k3VL:
-      return finish(Eval3VL(ra, db_));
+      return finish(Eval3VL(ra, db_, opts));
     case AnswerNotion::kMaybe:
       return Status::Unsupported(
           "maybe answers (Codd's MAYBE operator) are defined on SQL queries; "

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -187,137 +188,182 @@ void MaskCmpConst(CmpOp op, const uint32_t* codes, size_t n,
   }
 }
 
-// Evaluates `p` (naïve two-valued semantics) over rows [begin, end) of `t`
-// into `mask` (size end - begin).
+// A predicate mask holds one truth value per row as a byte: FALSE is 0 and
+// TRUE is TrueByte(logic) — 1 under naïve logic, 2 under 3VL, where 1 is
+// UNKNOWN. With that encoding ∧ is min, ∨ is max and ¬ is TRUE − v under
+// both logics.
+uint8_t TrueByte(NullLogic logic) {
+  return logic == NullLogic::kThreeValued ? 2 : 1;
+}
+
+// `p` (a comparison) over rows [begin, begin + n) of `t` into mask[0, n),
+// two-valued: 1 where it holds under the total Value order, else 0.
+void CmpMask(const Predicate& p, const VecTable& t, size_t begin, size_t n,
+             uint8_t* mask) {
+  const Term& l = p.lhs();
+  const Term& r = p.rhs();
+  const bool lc = l.kind == Term::Kind::kColumn;
+  const bool rc = r.kind == Term::Kind::kColumn;
+  if (lc && rc) {
+    const uint32_t* a = t.col(l.column).data() + begin;
+    const uint32_t* b = t.col(r.column).data() + begin;
+    switch (p.op()) {
+      case CmpOp::kEq:
+        for (size_t i = 0; i < n; ++i) mask[i] = a[i] == b[i];
+        return;
+      case CmpOp::kNe:
+        for (size_t i = 0; i < n; ++i) mask[i] = a[i] != b[i];
+        return;
+      case CmpOp::kLt:
+        for (size_t i = 0; i < n; ++i) mask[i] = a[i] < b[i];
+        return;
+      case CmpOp::kLe:
+        for (size_t i = 0; i < n; ++i) mask[i] = a[i] <= b[i];
+        return;
+      case CmpOp::kGt:
+        for (size_t i = 0; i < n; ++i) mask[i] = a[i] > b[i];
+        return;
+      case CmpOp::kGe:
+        for (size_t i = 0; i < n; ++i) mask[i] = a[i] >= b[i];
+        return;
+    }
+    return;
+  }
+  if (!lc && !rc) {
+    const bool v = CmpBool(p.op(), l.constant <=> r.constant);
+    std::fill(mask, mask + n, static_cast<uint8_t>(v));
+    return;
+  }
+  const Term& colt = lc ? l : r;
+  const Term& cnst = lc ? r : l;
+  const CmpOp op = lc ? p.op() : MirrorOp(p.op());
+  MaskCmpConst(op, t.col(colt.column).data() + begin, n, *t.dict,
+               cnst.constant, mask);
+}
+
+// Turns CmpMask's two-valued outcome into the Kleene one: TRUE becomes 2,
+// and a row where an operand is a null (a null code or a null constant)
+// becomes UNKNOWN.
+void KleeneCmp(const Predicate& p, const VecTable& t, size_t begin, size_t n,
+               uint8_t* mask) {
+  for (size_t i = 0; i < n; ++i) mask[i] *= 2;
+  const uint32_t null_end = t.dict->null_end;
+  for (const Term* term : {&p.lhs(), &p.rhs()}) {
+    if (term->kind == Term::Kind::kConst) {
+      if (term->constant.is_null()) std::fill(mask, mask + n, uint8_t{1});
+      continue;
+    }
+    const uint32_t* codes = t.col(term->column).data() + begin;
+    for (size_t i = 0; i < n; ++i) {
+      if (codes[i] < null_end) mask[i] = 1;
+    }
+  }
+}
+
+// Evaluates `p` under `logic` over rows [begin, end) of `t` into `mask`
+// (size end - begin).
 void EvalMask(const Predicate& p, const VecTable& t, size_t begin, size_t end,
-              std::vector<uint8_t>* mask) {
+              NullLogic logic, std::vector<uint8_t>* mask) {
   const size_t n = end - begin;
+  const uint8_t top = TrueByte(logic);
   mask->resize(n);
   switch (p.kind()) {
     case Predicate::Kind::kTrue:
-      std::fill(mask->begin(), mask->end(), uint8_t{1});
+      std::fill(mask->begin(), mask->end(), top);
       return;
     case Predicate::Kind::kFalse:
       std::fill(mask->begin(), mask->end(), uint8_t{0});
       return;
     case Predicate::Kind::kAnd: {
       std::vector<uint8_t> rhs;
-      EvalMask(*p.left(), t, begin, end, mask);
-      EvalMask(*p.right(), t, begin, end, &rhs);
-      for (size_t i = 0; i < n; ++i) (*mask)[i] &= rhs[i];
+      EvalMask(*p.left(), t, begin, end, logic, mask);
+      EvalMask(*p.right(), t, begin, end, logic, &rhs);
+      for (size_t i = 0; i < n; ++i) {
+        (*mask)[i] = std::min((*mask)[i], rhs[i]);
+      }
       return;
     }
     case Predicate::Kind::kOr: {
       std::vector<uint8_t> rhs;
-      EvalMask(*p.left(), t, begin, end, mask);
-      EvalMask(*p.right(), t, begin, end, &rhs);
-      for (size_t i = 0; i < n; ++i) (*mask)[i] |= rhs[i];
+      EvalMask(*p.left(), t, begin, end, logic, mask);
+      EvalMask(*p.right(), t, begin, end, logic, &rhs);
+      for (size_t i = 0; i < n; ++i) {
+        (*mask)[i] = std::max((*mask)[i], rhs[i]);
+      }
       return;
     }
     case Predicate::Kind::kNot: {
-      EvalMask(*p.left(), t, begin, end, mask);
-      for (size_t i = 0; i < n; ++i) (*mask)[i] ^= uint8_t{1};
+      EvalMask(*p.left(), t, begin, end, logic, mask);
+      for (size_t i = 0; i < n; ++i) (*mask)[i] = top - (*mask)[i];
       return;
     }
     case Predicate::Kind::kIsNull: {
       if (p.lhs().kind == Term::Kind::kConst) {
         std::fill(mask->begin(), mask->end(),
-                  static_cast<uint8_t>(p.lhs().constant.is_null()));
+                  p.lhs().constant.is_null() ? top : uint8_t{0});
         return;
       }
       const uint32_t* codes = t.col(p.lhs().column).data() + begin;
       const uint32_t null_end = t.dict->null_end;
-      for (size_t i = 0; i < n; ++i) (*mask)[i] = codes[i] < null_end;
+      for (size_t i = 0; i < n; ++i) {
+        (*mask)[i] = codes[i] < null_end ? top : uint8_t{0};
+      }
       return;
     }
-    case Predicate::Kind::kCmp: {
-      const Term& l = p.lhs();
-      const Term& r = p.rhs();
-      const bool lc = l.kind == Term::Kind::kColumn;
-      const bool rc = r.kind == Term::Kind::kColumn;
-      if (lc && rc) {
-        const uint32_t* a = t.col(l.column).data() + begin;
-        const uint32_t* b = t.col(r.column).data() + begin;
-        switch (p.op()) {
-          case CmpOp::kEq:
-            for (size_t i = 0; i < n; ++i) (*mask)[i] = a[i] == b[i];
-            return;
-          case CmpOp::kNe:
-            for (size_t i = 0; i < n; ++i) (*mask)[i] = a[i] != b[i];
-            return;
-          case CmpOp::kLt:
-            for (size_t i = 0; i < n; ++i) (*mask)[i] = a[i] < b[i];
-            return;
-          case CmpOp::kLe:
-            for (size_t i = 0; i < n; ++i) (*mask)[i] = a[i] <= b[i];
-            return;
-          case CmpOp::kGt:
-            for (size_t i = 0; i < n; ++i) (*mask)[i] = a[i] > b[i];
-            return;
-          case CmpOp::kGe:
-            for (size_t i = 0; i < n; ++i) (*mask)[i] = a[i] >= b[i];
-            return;
-        }
-        return;
+    case Predicate::Kind::kCmp:
+      CmpMask(p, t, begin, n, mask->data());
+      if (logic == NullLogic::kThreeValued) {
+        KleeneCmp(p, t, begin, n, mask->data());
       }
-      if (!lc && !rc) {
-        const bool v = CmpBool(p.op(), l.constant <=> r.constant);
-        std::fill(mask->begin(), mask->end(), static_cast<uint8_t>(v));
-        return;
-      }
-      const Term& colt = lc ? l : r;
-      const Term& cnst = lc ? r : l;
-      const CmpOp op = lc ? p.op() : MirrorOp(p.op());
-      MaskCmpConst(op, t.col(colt.column).data() + begin, n, *t.dict,
-                   cnst.constant, mask->data());
       return;
-    }
   }
 }
 
-// Predicate-over-column selection: batched mask evaluation producing the
-// kept-row selection vector. Chunks across threads above the parallel
-// threshold; per-chunk vectors merge in chunk order, so the selection is
-// bit-identical at every thread count.
-std::vector<uint32_t> FilterRows(const Predicate& pred, const VecTable& t,
-                                 const EvalOptions& options,
-                                 EvalStats* stats) {
-  CountVectorized(stats, t.rows);
-  const bool parallel = t.rows >= options.parallel_row_threshold &&
-                        ResolveNumThreads(options.num_threads) > 1;
-  if (!parallel) {
-    std::vector<uint32_t> keep;
-    std::vector<uint8_t> mask;
-    for (size_t b = 0; b < t.rows; b += kVecBatchRows) {
-      const size_t e = std::min(t.rows, b + kVecBatchRows);
-      EvalMask(pred, t, b, e, &mask);
-      for (size_t i = b; i < e; ++i) {
-        if (mask[i - b]) keep.push_back(static_cast<uint32_t>(i));
-      }
-    }
+// Calls keep_range(begin, end, &ids) over [0, n) — in one call below the
+// parallel threshold, else in chunks across threads — and concatenates the
+// ids the chunks kept in chunk order, so the result is identical at every
+// thread count.
+template <class KeepRange>
+std::vector<uint32_t> ChunkedKeep(size_t n, const EvalOptions& options,
+                                  KeepRange keep_range) {
+  std::vector<uint32_t> keep;
+  if (n < options.parallel_row_threshold ||
+      ResolveNumThreads(options.num_threads) <= 1) {
+    keep_range(size_t{0}, n, &keep);
     return keep;
   }
   std::vector<std::vector<uint32_t>> chunks(
-      ParallelChunkCount(options.num_threads, t.rows, kVecBatchRows));
-  (void)ParallelFor(
-      options.num_threads, t.rows, kVecBatchRows,
-      [&](size_t begin, size_t end, size_t chunk) -> Status {
-        std::vector<uint32_t>& keep = chunks[chunk];
-        std::vector<uint8_t> mask;
-        for (size_t b = begin; b < end; b += kVecBatchRows) {
-          const size_t e = std::min(end, b + kVecBatchRows);
-          EvalMask(pred, t, b, e, &mask);
-          for (size_t i = b; i < e; ++i) {
-            if (mask[i - b]) keep.push_back(static_cast<uint32_t>(i));
-          }
-        }
-        return Status::OK();
-      });
-  std::vector<uint32_t> keep;
+      ParallelChunkCount(options.num_threads, n, kVecBatchRows));
+  (void)ParallelFor(options.num_threads, n, kVecBatchRows,
+                    [&](size_t begin, size_t end, size_t chunk) -> Status {
+                      keep_range(begin, end, &chunks[chunk]);
+                      return Status::OK();
+                    });
   for (const std::vector<uint32_t>& c : chunks) {
     keep.insert(keep.end(), c.begin(), c.end());
   }
   return keep;
+}
+
+// Predicate-over-column selection: batched mask evaluation producing the
+// ascending ids of the rows where `pred` is TRUE under `logic`.
+std::vector<uint32_t> FilterRows(const Predicate& pred, const VecTable& t,
+                                 NullLogic logic, const EvalOptions& options,
+                                 EvalStats* stats) {
+  CountVectorized(stats, t.rows);
+  const uint8_t top = TrueByte(logic);
+  return ChunkedKeep(
+      t.rows, options,
+      [&](size_t begin, size_t end, std::vector<uint32_t>* keep) {
+        std::vector<uint8_t> mask;
+        for (size_t b = begin; b < end; b += kVecBatchRows) {
+          const size_t e = std::min(end, b + kVecBatchRows);
+          EvalMask(pred, t, b, e, logic, &mask);
+          for (size_t i = b; i < e; ++i) {
+            if (mask[i - b] == top) keep->push_back(static_cast<uint32_t>(i));
+          }
+        }
+      });
 }
 
 // Materializes the selected rows (ascending ids, so canonical order is
@@ -330,6 +376,24 @@ VecTable GatherRows(const VecTable& t, const std::vector<uint32_t>& keep) {
     for (uint32_t id : keep) cols[c].push_back(in[id]);
   }
   return VecTable::Own(t.arity, keep.size(), t.dict, std::move(cols));
+}
+
+// The rows of `t` that hold no null: `t` itself when it has none.
+VecTable NullFreeRows(VecTable t, EvalStats* stats) {
+  CountVectorized(stats, t.rows);
+  const uint32_t null_end = t.dict->null_end;
+  if (null_end == 0) return t;  // no null in the dictionary
+  std::vector<uint8_t> has_null(t.rows, 0);
+  for (size_t c = 0; c < t.arity; ++c) {
+    const std::vector<uint32_t>& codes = t.col(c);
+    for (size_t i = 0; i < t.rows; ++i) has_null[i] |= codes[i] < null_end;
+  }
+  std::vector<uint32_t> keep;
+  for (size_t i = 0; i < t.rows; ++i) {
+    if (!has_null[i]) keep.push_back(static_cast<uint32_t>(i));
+  }
+  if (keep.size() == t.rows) return t;
+  return GatherRows(t, keep);
 }
 
 // Projection as column slicing: copy the selected columns, then compact
@@ -453,13 +517,15 @@ void MarkColumns(const Predicate& p, std::vector<uint8_t>* used) {
 }
 
 // Fused equi-join: a flat hash build over the right key columns, a chunked
-// probe over the left rows, residual and projection applied on codes.
+// probe over the left rows, residual and projection applied on codes. Under
+// 3VL a key equality with a null operand is UNKNOWN, so a left row with a
+// null key code matches nothing and does not probe.
 Result<VecTable> HashJoinVec(const VecTable& l, const VecTable& r,
                              const std::vector<JoinKey>& keys,
                              const Predicate* residual,
                              const std::vector<size_t>* projection,
-                             const EvalOptions& options, EvalStats* stats,
-                             OpScope* scope) {
+                             NullLogic logic, const EvalOptions& options,
+                             EvalStats* stats, OpScope* scope) {
   CountVectorized(stats, l.rows + r.rows);
   DictMerge m = MergeDicts(l.dict, r.dict);
   const CodeView lv = RemapInto(l, m, m.from_a);
@@ -487,32 +553,52 @@ Result<VecTable> HashJoinVec(const VecTable& l, const VecTable& r,
     }
     return true;
   };
-  // A chunk stops collecting once it holds more than kMaxRows pairs; the
-  // join then fails instead of emitting a table its row ids cannot index.
+  const bool skip_null_keys = logic == NullLogic::kThreeValued;
+  const uint32_t null_end = m.dict->null_end;
+  auto null_key = [&](size_t li) {
+    for (size_t c : lcols) {
+      if (lv.col(c)[li] < null_end) return true;
+    }
+    return false;
+  };
+  // Returns the lookups made. A chunk stops collecting once it holds more
+  // than kMaxRows pairs; the join then fails instead of emitting a table
+  // its row ids cannot index.
   auto probe_chunk = [&](size_t begin, size_t end,
                          std::vector<std::pair<uint32_t, uint32_t>>* out) {
+    uint64_t lookups = 0;
     for (size_t i = begin; i < end && out->size() <= kMaxRows; ++i) {
+      if (skip_null_keys && null_key(i)) continue;
+      ++lookups;
       index.ForEachCandidate(MixCodes(lv, i, lcols), [&](uint32_t ri) {
         if (keys_match(i, ri)) out->emplace_back(static_cast<uint32_t>(i), ri);
       });
     }
+    return lookups;
   };
 
   std::vector<std::pair<uint32_t, uint32_t>> matches;
+  uint64_t probes = 0;
   const bool parallel = l.rows >= options.parallel_row_threshold &&
                         ResolveNumThreads(options.num_threads) > 1;
   if (!parallel) {
-    probe_chunk(0, l.rows, &matches);
+    probes = probe_chunk(0, l.rows, &matches);
   } else {
-    std::vector<std::vector<std::pair<uint32_t, uint32_t>>> chunks(
-        ParallelChunkCount(options.num_threads, l.rows, kVecBatchRows));
+    const size_t n_chunks =
+        ParallelChunkCount(options.num_threads, l.rows, kVecBatchRows);
+    std::vector<std::vector<std::pair<uint32_t, uint32_t>>> chunks(n_chunks);
+    std::vector<uint64_t> chunk_probes(n_chunks);
     (void)ParallelFor(options.num_threads, l.rows, kVecBatchRows,
                       [&](size_t begin, size_t end, size_t chunk) -> Status {
-                        probe_chunk(begin, end, &chunks[chunk]);
+                        chunk_probes[chunk] =
+                            probe_chunk(begin, end, &chunks[chunk]);
                         return Status::OK();
                       });
     size_t total = 0;
-    for (const auto& c : chunks) total += c.size();
+    for (size_t c = 0; c < n_chunks; ++c) {
+      total += chunks[c].size();
+      probes += chunk_probes[c];
+    }
     if (total > kMaxRows) return TooManyRows("join", l.rows, r.rows);
     matches.reserve(total);
     for (const auto& c : chunks) {
@@ -520,7 +606,7 @@ Result<VecTable> HashJoinVec(const VecTable& l, const VecTable& r,
     }
   }
   if (matches.size() > kMaxRows) return TooManyRows("join", l.rows, r.rows);
-  if (scope != nullptr) scope->CountProbes(l.rows);
+  if (scope != nullptr) scope->CountProbes(probes);
 
   // Emit the matched concatenations column by column: under a projection
   // only the columns it keeps and the residual reads, otherwise all.
@@ -548,7 +634,7 @@ Result<VecTable> HashJoinVec(const VecTable& l, const VecTable& r,
   if (residual != nullptr) {
     // Keep the rows the residual passes, in place (ids ascend).
     const std::vector<uint32_t> keep =
-        FilterRows(*residual, joined, options, stats);
+        FilterRows(*residual, joined, logic, options, stats);
     for (size_t c = 0; c < arity; ++c) {
       if (!emit[c]) continue;
       std::vector<uint32_t>& col = joined.owned[c];
@@ -561,6 +647,109 @@ Result<VecTable> HashJoinVec(const VecTable& l, const VecTable& r,
   CompactRows(joined.arity, joined.dict->size(), &joined.owned,
               &joined.rows);
   return joined;
+}
+
+// The rows of `v` (`rows` rows over `arity` columns) grouped by null
+// pattern — the set of positions holding a null — in order of first
+// appearance; each group lists its rows ascending.
+std::vector<std::vector<uint32_t>> GroupByNullPattern(const CodeView& v,
+                                                      size_t rows,
+                                                      size_t arity,
+                                                      uint32_t null_end) {
+  std::vector<const uint32_t*> cols(arity);
+  for (size_t c = 0; c < arity; ++c) cols[c] = v.col(c).data();
+  std::vector<std::vector<uint32_t>> groups;
+  std::map<std::vector<uint64_t>, uint32_t> group_of;
+  std::vector<uint64_t> pattern((arity + 63) / 64);
+  std::vector<uint64_t> last;
+  uint32_t group = 0;
+  for (size_t i = 0; i < rows; ++i) {
+    std::fill(pattern.begin(), pattern.end(), uint64_t{0});
+    for (size_t c = 0; c < arity; ++c) {
+      if (cols[c][i] < null_end) pattern[c / 64] |= uint64_t{1} << (c % 64);
+    }
+    // Rows of one pattern tend to come in runs; look up only on a change.
+    if (i == 0 || pattern != last) {
+      const auto [it, fresh] =
+          group_of.emplace(pattern, static_cast<uint32_t>(groups.size()));
+      if (fresh) groups.emplace_back();
+      group = it->second;
+      last = pattern;
+    }
+    groups[group].push_back(static_cast<uint32_t>(i));
+  }
+  return groups;
+}
+
+// l − r under 3VL, SQL's NOT IN on rows: a left row t survives unless some
+// right row s agrees with it on every position where both are non-null
+// (then t = s is TRUE or UNKNOWN, not FALSE). For each null pattern of the
+// left rows and each group of right rows sharing a null pattern, the rows
+// still alive probe a RowHashIndex over the group, keyed on the positions
+// both patterns fill; when there are none, the group drops them all. The
+// survivors keep `l`'s codes and order. Probes count the lookups.
+VecTable DiffVec3VL(VecTable l, const VecTable& r, const EvalOptions& options,
+                    EvalStats* stats, OpScope* scope) {
+  CountVectorized(stats, l.rows + r.rows);
+  if (l.rows == 0 || r.rows == 0) return l;
+  DictMerge m = MergeDicts(l.dict, r.dict);
+  const CodeView lv = RemapInto(l, m, m.from_a);
+  const CodeView rv = RemapInto(r, m, m.from_b);
+  const uint32_t null_end = m.dict->null_end;
+  const size_t arity = l.arity;
+  const std::vector<std::vector<uint32_t>> r_groups =
+      GroupByNullPattern(rv, r.rows, arity, null_end);
+
+  std::vector<uint8_t> survives(l.rows, 0);
+  uint64_t probes = 0;
+  for (const std::vector<uint32_t>& l_group :
+       GroupByNullPattern(lv, l.rows, arity, null_end)) {
+    std::vector<uint32_t> alive = l_group;
+    for (const std::vector<uint32_t>& r_group : r_groups) {
+      if (alive.empty()) break;
+      std::vector<size_t> key;
+      for (size_t c = 0; c < arity; ++c) {
+        if (lv.col(c)[l_group[0]] >= null_end &&
+            rv.col(c)[r_group[0]] >= null_end) {
+          key.push_back(c);
+        }
+      }
+      if (key.empty()) {
+        alive.clear();
+        break;
+      }
+      const RowHashIndex index(r_group.size(), [&](size_t k) {
+        return MixCodes(rv, r_group[k], key);
+      });
+      auto agrees = [&](uint32_t t, uint32_t k) {
+        for (size_t c : key) {
+          if (lv.col(c)[t] != rv.col(c)[r_group[k]]) return false;
+        }
+        return true;
+      };
+      probes += alive.size();
+      alive = ChunkedKeep(
+          alive.size(), options,
+          [&](size_t begin, size_t end, std::vector<uint32_t>* keep) {
+            for (size_t a = begin; a < end; ++a) {
+              const uint32_t t = alive[a];
+              if (!index.AnyCandidate(MixCodes(lv, t, key), [&](uint32_t k) {
+                    return agrees(t, k);
+                  })) {
+                keep->push_back(t);
+              }
+            }
+          });
+    }
+    for (uint32_t t : alive) survives[t] = 1;
+  }
+  if (scope != nullptr) scope->CountProbes(probes);
+  std::vector<uint32_t> keep;
+  for (size_t i = 0; i < l.rows; ++i) {
+    if (survives[i]) keep.push_back(static_cast<uint32_t>(i));
+  }
+  if (keep.size() == l.rows) return l;
+  return GatherRows(l, keep);
 }
 
 // r ÷ s by counting over sorted code rows: head runs are contiguous in
@@ -665,12 +854,14 @@ Relation MaterializeVec(VecTable t) {
       t.arity, t.rows, std::move(dict), std::move(cols)));
 }
 
-// The batch evaluator; mirrors algebra/eval.cc's Rec node by node,
-// including the σ/π-over-× join fusion, so the two paths execute the same
-// plan shapes and produce bit-identical relations.
+// The batch evaluator; mirrors algebra/eval.cc's Rec (and under 3VL
+// algebra/eval_3vl.cc's fold) node by node, including the σ/π-over-× join
+// fusion, so the paths execute the same plan shapes and produce
+// bit-identical relations.
 struct VRec {
   const Database& db;
   const EvalOptions& options;
+  NullLogic logic;
   EvalStats* stats;
 
   Result<VecTable> Run(const RAExprPtr& e) {
@@ -719,6 +910,13 @@ struct VRec {
         INCDB_ASSIGN_OR_RETURN(VecTable r, Run(e->right()));
         OpScope scope(stats, EvalOp::kDivide);
         scope.CountIn(l.rows + r.rows);
+        if (logic == NullLogic::kThreeValued && r.rows > 0) {
+          // A head needs a TRUE match for every divisor row, and a dividend
+          // row with a null matches nothing; no null-free row matches a
+          // divisor row with a null either, so such a divisor leaves no
+          // head. An empty divisor keeps every head, nulls included.
+          l = NullFreeRows(std::move(l), stats);
+        }
         scope.CountProbes(l.rows);
         INCDB_ASSIGN_OR_RETURN(VecTable out, DivideVec(l, r, options, stats));
         scope.CountOut(out.rows);
@@ -739,7 +937,17 @@ struct VRec {
     INCDB_ASSIGN_OR_RETURN(VecTable r, Run(e->right()));
     OpScope scope(stats, op);
     scope.CountIn(l.rows + r.rows);
-    VecTable out = SetOpVec(kind, l, r, options, stats);
+    VecTable out;
+    if (logic == NullLogic::kThreeValued && kind == SetKind::kDiff) {
+      out = DiffVec3VL(std::move(l), r, options, stats, &scope);
+    } else {
+      // Under 3VL, t ∈ l ∩ r needs t = s to be TRUE for some s ∈ r: an
+      // exact match of a null-free row.
+      if (logic == NullLogic::kThreeValued && kind == SetKind::kIntersect) {
+        l = NullFreeRows(std::move(l), stats);
+      }
+      out = SetOpVec(kind, l, r, options, stats);
+    }
     scope.CountOut(out.rows);
     return out;
   }
@@ -757,8 +965,9 @@ struct VRec {
         OpScope scope(stats, EvalOp::kHashJoin);
         scope.CountIn(l.rows + r.rows);
         INCDB_ASSIGN_OR_RETURN(
-            VecTable out, HashJoinVec(l, r, split.keys, split.residual.get(),
-                                      projection, options, stats, &scope));
+            VecTable out,
+            HashJoinVec(l, r, split.keys, split.residual.get(), projection,
+                        logic, options, stats, &scope));
         scope.CountOut(out.rows);
         return out;
       }
@@ -776,7 +985,8 @@ struct VRec {
                           const std::vector<size_t>* projection) {
     OpScope scope(stats, EvalOp::kSelect);
     scope.CountIn(in.rows);
-    const std::vector<uint32_t> keep = FilterRows(*pred, in, options, stats);
+    const std::vector<uint32_t> keep =
+        FilterRows(*pred, in, logic, options, stats);
     VecTable out = GatherRows(in, keep);
     if (projection != nullptr) out = ProjectCols(out, *projection);
     scope.CountOut(out.rows);
@@ -787,10 +997,10 @@ struct VRec {
 }  // namespace
 
 Result<Relation> EvalVectorized(const RAExprPtr& e, const Database& db,
-                                const EvalOptions& options) {
+                                const EvalOptions& options, NullLogic logic) {
   // Validate typing once at the root (same contract as EvalNaive).
   INCDB_RETURN_IF_ERROR(e->InferArity(db.schema()).status());
-  VRec rec{db, options, options.stats};
+  VRec rec{db, options, logic, options.stats};
   INCDB_ASSIGN_OR_RETURN(VecTable t, rec.Run(e));
   return MaterializeVec(std::move(t));
 }

@@ -1218,11 +1218,10 @@ class CodeEvaluator {
         s.has_null = IsNull(*it);
       }
     }
-    bool found = false;
-    s.index->ForEachCandidate(x, [&](uint32_t row) {
-      found = found || codes[row] == x;
-    });
-    if (found) return TruthValue::kTrue;
+    if (s.index->AnyCandidate(x,
+                              [&](uint32_t row) { return codes[row] == x; })) {
+      return TruthValue::kTrue;
+    }
     return three_valued && s.has_null ? TruthValue::kUnknown
                                       : TruthValue::kFalse;
   }

@@ -10,6 +10,7 @@
 #include "algebra/classify.h"
 #include "algebra/eval.h"
 #include "algebra/eval_3vl.h"
+#include "algebra/optimize.h"
 #include "core/possible_worlds.h"
 #include "counting/probabilistic.h"
 #include "ctables/ctable.h"
@@ -558,15 +559,25 @@ OracleReport CheckCase(const RAExprPtr& plan, const Database& db,
     }
   }
 
+  // --- 3VL: the columnar engine's three-valued mode across the matrix
+  // against the fold (nested loops, no optimizer, one thread). ---
+  EvalOptions fold;
+  fold.use_hash_kernels = false;
+  fold.optimize = false;
+  fold.num_threads = 1;
+  const std::optional<Relation> sql3vl = CrossCheck(
+      "3vl", Eval3VL(plan, db, fold),
+      [&](const EvalOptions& eval) {
+        return Eval3VL(eval.optimize ? Optimize(plan, db) : plan, db, eval);
+      },
+      options, &report);
+
   // --- 3VL soundness on positive plans: null-free 3VL rows are certain. ---
-  if (certain_cwa && cls == QueryClass::kPositive) {
-    Result<Relation> sql3vl = Eval3VL(plan, db);
-    if (sql3vl.ok()) {
-      const Relation grounded = sql3vl->CompletePart();
-      if (!grounded.IsSubsetOf(*certain_cwa)) {
-        report.violations.push_back("3VL null-free answers ⊄ certain/cwa: " +
-                                    DescribeSides(*certain_cwa, grounded));
-      }
+  if (certain_cwa && sql3vl && cls == QueryClass::kPositive) {
+    const Relation grounded = sql3vl->CompletePart();
+    if (!grounded.IsSubsetOf(*certain_cwa)) {
+      report.violations.push_back("3VL null-free answers ⊄ certain/cwa: " +
+                                  DescribeSides(*certain_cwa, grounded));
     }
   }
 

@@ -8,6 +8,8 @@
 //    ReferenceCertainAnswers, eq. (1) evaluated as written (5 runs in all).
 //  * PossibleAnswersEnum across the same matrix, against
 //    ReferencePossibleAnswers.
+//  * Eval3VL on the columnar engine's three-valued mode across the same
+//    matrix against the fold (use_hash_kernels = false, no optimizer).
 //  * QueryEngine::Run(kCertainEnum) against the direct driver (facade
 //    faithfulness).
 //  * service path: the same request through a shared IncDbService session

@@ -86,6 +86,13 @@ TEST_P(OptimizerSweep, OptimizedPlansAnswerIdenticallyUnderEveryEvaluator) {
     auto tvl_opt = Eval3VL(opt, db);
     ASSERT_EQ(tvl_base.ok(), tvl_opt.ok()) << e->ToString();
     if (tvl_base.ok()) EXPECT_EQ(*tvl_opt, *tvl_base) << e->ToString();
+    // Both equal the fold on the unoptimized plan.
+    EvalOptions fold;
+    fold.use_hash_kernels = false;
+    fold.num_threads = 1;
+    auto tvl_fold = Eval3VL(e, db, fold);
+    ASSERT_EQ(tvl_fold.ok(), tvl_base.ok()) << e->ToString();
+    if (tvl_fold.ok()) EXPECT_EQ(*tvl_base, *tvl_fold) << e->ToString();
 
     // Enumeration drivers with the optimizer off on both plans, so the
     // comparison isolates Optimize() itself.

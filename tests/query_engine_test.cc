@@ -187,6 +187,24 @@ TEST_F(QueryEngineTest, StatsAreAlwaysCollected) {
   EXPECT_GT(mine.TotalTuplesIn(), 0u);
 }
 
+TEST_F(QueryEngineTest, ThreeValuedRaAnswersCarryStats) {
+  // The shape of the e2e `ra_diff_3vl` entry: 3VL RA runs on the columnar
+  // engine, so its response counts its work like a naïve one.
+  QueryEngine engine(db_);
+  QueryRequest req;
+  req.input = QueryInput::RaText("proj{0}(Ord) - proj{1}(Pay)");
+  req.notion = AnswerNotion::k3VL;
+  auto resp = engine.Run(req);
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  EXPECT_TRUE(resp->relation.empty());  // Pay's null order id poisons NOT IN
+  const OpCounters& diff = resp->stats.at(EvalOp::kDiff);
+  EXPECT_EQ(diff.calls, 1u);
+  EXPECT_EQ(diff.tuples_in, 3u);
+  EXPECT_EQ(diff.tuples_out, 0u);
+  EXPECT_GT(resp->stats.TotalTuplesIn(), 0u);
+  EXPECT_GT(resp->stats.rows_vectorized(), 0u);
+}
+
 TEST_F(QueryEngineTest, RejectsEmptyInput) {
   QueryEngine engine(db_);
   QueryRequest none;

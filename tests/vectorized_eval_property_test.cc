@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "algebra/eval.h"
+#include "algebra/eval_3vl.h"
 #include "core/columnar.h"
 #include "service/snapshot.h"
 #include "testing/fuzz_gen.h"
@@ -258,6 +259,66 @@ TEST(VectorizedStatsTest, CountsBatchesAndRowsOnTheColumnarEngineOnly) {
   ASSERT_TRUE(EvalNaive(q, db, ref).ok());
   EXPECT_EQ(ref_stats.batches_processed(), 0u);
   EXPECT_EQ(ref_stats.rows_vectorized(), 0u);
+}
+
+TEST(VectorizedStatsTest, PinsTheThreeValuedKernels) {
+  // Eval3VL's served path on the same instance: the Kleene σ, the join
+  // that skips null keys, − by null-pattern lookup, ∩ and ÷ over null-free
+  // rows. Every counter is the same at 1 and 4 threads.
+  const Database db = CounterDb();
+  const RAExprPtr r0 = RAExpr::Scan("R0");
+  const RAExprPtr r1 = RAExpr::Scan("R1");
+  struct Expected {
+    RAExprPtr plan;
+    uint64_t probes, tuples_in, tuples_out, rows_vectorized, batches;
+  };
+  // Scans count rows out only, as under naïve logic.
+  const Expected cases[] = {
+      // σ[b = 3 OR NOT(a < 500)](R0): one mask pass over 3 002 rows keeps
+      // 1 714 — (⊥1, 3) is TRUE by its b, (5, ⊥2) UNKNOWN.
+      {RAExpr::Select(
+           Predicate::Or(
+               Predicate::Eq(Term::Column(1), Term::Const(Value::Int(3))),
+               Predicate::Not(Predicate::Cmp(CmpOp::kLt, Term::Column(0),
+                                             Term::Const(Value::Int(500))))),
+           r0),
+       0, 3002, 4716, 3002, 2},
+      // R0 ⋈[a = c] R1: (⊥1, 3) neither probes nor meets R1's ⊥1, so 66
+      // rows come out where naïve evaluation gives 67.
+      {RAExpr::Select(Predicate::Eq(Term::Column(0), Term::Column(2)),
+                      RAExpr::Product(r0, r1)),
+       3001, 3024, 3090, 3024, 2},
+      // R1's groups: (⊥1, 0), keyed on b, then the 21 null-free rows. R0's
+      // 3 000 null-free rows probe the first (429 with b = 0 go) and 2 571
+      // the second (6 go); (⊥1, 3) probes both and stays; (5, ⊥2) shares
+      // no filled position with (⊥1, 0) and goes without a probe.
+      {RAExpr::Diff(r0, r1), 5573, 3024, 5590, 3024, 2},
+      // The null-free filter reads R0 (3 002 rows), the merge 3 000 + 22.
+      {RAExpr::Intersect(r0, r1), 0, 3024, 3033, 6024, 4},
+      // The null-free filter reads R0, and its 3 000 null-free rows are
+      // divided by proj{1}(R1) = {0, 1, 2} (143 heads).
+      {RAExpr::Divide(r0, RAExpr::Project({1}, r1)), 3000, 3027, 3170, 6027,
+       5},
+  };
+  for (const Expected& c : cases) {
+    const std::string label = c.plan->ToString();
+    for (int threads : {1, 4}) {
+      EvalStats stats;
+      EvalOptions vec;
+      vec.stats = &stats;
+      vec.num_threads = threads;
+      vec.parallel_row_threshold = 2;
+      ASSERT_TRUE(Eval3VL(c.plan, db, vec).ok()) << label;
+      EXPECT_EQ(stats.TotalProbes(), c.probes) << label << " @" << threads;
+      EXPECT_EQ(stats.TotalTuplesIn(), c.tuples_in) << label << " @" << threads;
+      EXPECT_EQ(stats.TotalTuplesOut(), c.tuples_out)
+          << label << " @" << threads;
+      EXPECT_EQ(stats.rows_vectorized(), c.rows_vectorized)
+          << label << " @" << threads;
+      EXPECT_EQ(stats.batches_processed(), c.batches)
+          << label << " @" << threads;
+    }
+  }
 }
 
 TEST(VectorizedStatsTest, BatchCountsAreThreadCountInvariant) {

@@ -9,8 +9,9 @@ exactly one reply, an `error ...` line; that parse errors name a line and a
 column; that `ping` answers `ok pong` after each input; and that the server
 exits 0 when its --runtime_s runs out. A second server, limited to 4 GB of
 address space, holds a 70 000-row table and is asked for its cross product,
-whose 4.9e9 rows the engine cannot index: it must answer with one
-RESOURCE_EXHAUSTED line and keep serving. Exits 0 on success, 1 on failure.
+whose 4.9e9 rows the engine cannot index, first naively and then under
+3VL: each must answer with one RESOURCE_EXHAUSTED line naming the row bound
+and keep serving. Exits 0 on success, 1 on failure.
 """
 
 import os
@@ -129,8 +130,21 @@ def start_server(server, db, runtime_s, **popen_args):
     return proc, int(match.group(1))
 
 
+def expect_product_refused(conn, name):
+    """`query T x T` fails at once: no rows, one RESOURCE_EXHAUSTED line
+    naming the row bound, then a clean ping."""
+    conn.send(b"query T x T\n")
+    data, term = conn.response()
+    check(data == [] and
+          term.startswith("error RESOURCE_EXHAUSTED ") and
+          "exceeds 4294967295 rows" in term,
+          f"{name}: {len(data)} rows, then {term[:200]!r}")
+    expect_pong(conn, f"after a {name}")
+
+
 def run_product(server, sanitizer, tmp):
-    """A cross product past UINT32_MAX rows costs one error line."""
+    """A cross product past UINT32_MAX rows costs one error line, under
+    naive evaluation and under 3VL."""
     db = os.path.join(tmp, "t.txt")
     with open(db, "w") as f:
         f.write("table T(a)\n")
@@ -157,13 +171,10 @@ def run_product(server, sanitizer, tmp):
             failures.append("cross product server did not start")
             return
         conn = Connection(port)
-        conn.send(b"query T x T\n")
         try:
-            data, term = conn.response()
-            check(data == [] and
-                  term.startswith("error RESOURCE_EXHAUSTED "),
-                  f"cross product: {len(data)} rows, then {term[:200]!r}")
-            expect_pong(conn, "after a cross product")
+            expect_product_refused(conn, "cross product")
+            expect_ok(conn, "notion 3vl", b"notion 3vl\n")
+            expect_product_refused(conn, "3VL cross product")
         except (AssertionError, OSError) as e:
             check(False, f"cross product: {e}")
         conn.close()
