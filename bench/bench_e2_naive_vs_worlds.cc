@@ -162,6 +162,63 @@ BENCHMARK(BM_WorldEnumerationThreads)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
+// An instance shaped like bench/e2e's certain_enum workload, built here:
+// Order(o_id, product) with 150 orders over 16 products, and one
+// Pay(p_id, order_id, amount) row for each of 120 paid orders, amounts
+// 1..20, two of whose order ids are Codd nulls. The domain is the 150 ids
+// plus 2 fresh constants, so 152^2 worlds.
+Database OrdersWithTwoUnknownPayments() {
+  Rng rng(24);
+  Database db;
+  for (int64_t o = 1; o <= 150; ++o) {
+    db.AddTuple("Order",
+                Tuple{Value::Int(o), Value::Int(rng.UniformInt(1, 16))});
+  }
+  for (int64_t p = 1; p <= 120; ++p) {
+    const Value order = p <= 2 ? Value::Null(static_cast<NullId>(p - 1))
+                               : Value::Int(p + 30);
+    db.AddTuple("Pay", Tuple{Value::Int(p), order,
+                             Value::Int(rng.UniformInt(1, 20))});
+  }
+  return db;
+}
+
+// The Gray driver alone: every world of the instance, an empty callback.
+void BM_GrayWalk(benchmark::State& state) {
+  const Database db = OrdersWithTwoUnknownPayments();
+  uint64_t worlds = 0;
+  for (auto _ : state) {
+    worlds = 0;
+    benchmark::DoNotOptimize(ForEachValuationGrayParallel(
+        db, {}, /*num_threads=*/1,
+        [&](const Valuation&, const ValuationDelta&, size_t) {
+          ++worlds;
+          return true;
+        }));
+  }
+  state.counters["worlds"] = static_cast<double>(worlds);
+}
+BENCHMARK(BM_GrayWalk)->Unit(benchmark::kMillisecond);
+
+// Possible answers of certain_enum's join on the same instance at one
+// thread: the same walk with the delta evaluator stepping every world.
+// CI's bench-release job fails when this takes 30x or more the CPU time of
+// BM_GrayWalk.
+void BM_EnumJoinPerWorld(benchmark::State& state) {
+  const Database db = OrdersWithTwoUnknownPayments();
+  const RAExprPtr q = *ParseRA("proj{1}(sel[#0 = #3](Order x Pay))");
+  EvalStats stats;
+  EvalOptions options;
+  options.num_threads = 1;
+  options.stats = &stats;
+  for (auto _ : state) {
+    auto r = PossibleAnswersEnum(q, db, {}, options);
+    benchmark::DoNotOptimize(r);
+  }
+  incdb_bench::ReportEvalStats(state, stats);
+}
+BENCHMARK(BM_EnumJoinPerWorld)->Unit(benchmark::kMillisecond);
+
 // Backend sweep through the QueryEngine facade: the same certain-answer
 // request on Backend::kEnumeration vs Backend::kCTable at increasing null
 // counts. args encode (ctable, #nulls); the "speedup" counter compares this

@@ -2,44 +2,17 @@
 
 #include <algorithm>
 #include <memory>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "algebra/eval.h"
 #include "algebra/optimize.h"
+#include "core/code_rows.h"
 #include "engine/delta_eval.h"
 #include "util/thread_pool.h"
 
 namespace incdb {
 namespace {
-
-// Forces a relation's lazily built shared state on the calling thread so
-// parallel workers only read it.
-void ForceRelation(const Relation& r) {
-  r.tuples();
-  r.IsComplete();
-  r.Columnar();
-}
-
-// Forces every ConstRel literal in `e`, user-written ones included.
-void ForcePlanLiterals(const RAExprPtr& e) {
-  if (e == nullptr) return;
-  if (e->kind() == RAExpr::Kind::kConstRel) ForceRelation(e->literal());
-  ForcePlanLiterals(e->left());
-  ForcePlanLiterals(e->right());
-}
-
-// Per-driver plan preparation: algebraic optimization (once, not per world)
-// and literal forcing (so the workers fanned out below only read literals).
-// Guards and fragment checks run on the caller's original expression; the
-// optimizer preserves answers exactly.
-RAExprPtr PrepareEnumPlan(const RAExprPtr& e, const Database& db,
-                          const EvalOptions& options) {
-  RAExprPtr plan = options.optimize ? Optimize(e, db) : e;
-  ForcePlanLiterals(plan);
-  return plan;
-}
 
 // Per-worker state of the enumeration drivers. The Gray driver calls each
 // worker index from one thread at a time, so no slot ever needs a lock;
@@ -48,12 +21,10 @@ struct Worker {
   // The worker's evaluator, built at the start of its Gray chain.
   std::unique_ptr<DeltaEvaluator> de;
   // Certain answers: the candidates present in every world of the worker's
-  // chain so far.
-  std::unordered_set<Tuple, TupleHash> alive;
-  // The intersection (certain) or union (possible) of the answers in the
-  // worlds the worker saw.
-  Relation acc;
-  // Certain answers: the worker saw at least one world, so `acc` is a real
+  // chain so far. Possible answers: the union of the answers in the worlds
+  // the worker saw. Code rows of the query's dictionary.
+  CodeRows rows;
+  // Certain answers: the worker saw at least one world, so `rows` is a real
   // intersection rather than the empty start value.
   bool started = false;
   EvalStats stats;
@@ -61,27 +32,23 @@ struct Worker {
 };
 
 // One slot per chunk of the Gray driver, and at least one.
-std::vector<Worker> MakeWorkers(const Database& db,
-                                const WorldEnumOptions& opts, int num_threads,
+std::vector<Worker> MakeWorkers(const WorldSpace& space, int num_threads,
                                 size_t arity) {
   const size_t n = std::max<size_t>(
-      1, ParallelChunkCount(num_threads, WorldDomain(db, opts).size(),
-                            /*grain=*/1));
+      1, ParallelChunkCount(num_threads, space.domain.size(), /*grain=*/1));
   std::vector<Worker> workers(n);
-  for (Worker& w : workers) w.acc = Relation(arity);
+  for (Worker& w : workers) w.rows = CodeRows(arity);
   return workers;
 }
 
 // Builds the worker's delta evaluator at the first world of its Gray chain
-// (has_delta == false), or advances it by one single-null step.
-Status StepDelta(Worker& w, const RAExprPtr& plan, const Database& db,
-                 const EvalOptions& options, const Valuation& v,
-                 const ValuationDelta& d) {
+// (has_delta == false), or advances it by one single-null step. The
+// evaluator counts into the worker's slot only when the caller has a sink.
+Status StepDelta(Worker& w, const DeltaPlan& plan, const EvalOptions& options,
+                 const Valuation& v, const ValuationDelta& d) {
   if (d.has_delta) return w.de->ApplyDelta(d);
-  w.de = std::make_unique<DeltaEvaluator>();
-  EvalOptions worker_options = options;
-  worker_options.stats = &w.stats;
-  INCDB_RETURN_IF_ERROR(w.de->Build(plan, db, worker_options));
+  w.de = std::make_unique<DeltaEvaluator>(
+      plan, options.stats != nullptr ? &w.stats : nullptr);
   return w.de->Initialize(v);
 }
 
@@ -103,34 +70,38 @@ Status MergeWorkers(std::vector<Worker>& workers, const EvalOptions& options,
   return st;
 }
 
-// Intersects the per-worker intersections. ∩ is associative and commutative
-// and Relation is canonical, so the result is bit-identical to one
+// Intersects the per-worker intersections on codes and decodes the result.
+// ∩ is associative and commutative, so the answer is bit-identical to one
 // intersection over every world. Workers that saw no world are skipped.
-Relation IntersectWorkers(std::vector<Worker>& workers, size_t arity) {
-  bool any = false;
-  Relation acc(arity);
+Relation IntersectWorkers(std::vector<Worker>& workers,
+                          const DeltaPlan& plan) {
+  CodeRows* acc = nullptr;
+  std::vector<uint32_t> gone;
   for (Worker& w : workers) {
     if (!w.started) continue;
-    if (!any) {
-      acc = std::move(w.acc);
-      any = true;
+    if (acc == nullptr) {
+      acc = &w.rows;
       continue;
     }
-    Relation next(arity);
-    for (const Tuple& t : acc.tuples()) {
-      if (w.acc.Contains(t)) next.Add(t);
-    }
-    acc = std::move(next);
+    gone.clear();
+    acc->ForEach([&](uint32_t s) {
+      if (!w.rows.Contains(acc->Row(s))) gone.push_back(s);
+    });
+    for (uint32_t s : gone) acc->Erase(s);
   }
-  return acc;
+  return acc == nullptr ? Relation(plan.arity()) : plan.Decode(*acc);
 }
 
-// Unions the per-worker unions (bit-identical to one union over every world,
-// for the same reasons as IntersectWorkers).
-Relation UnionWorkers(const std::vector<Worker>& workers, size_t arity) {
-  Relation acc(arity);
-  for (const Worker& w : workers) acc.AddAll(w.acc);
-  return acc;
+// Unions the per-worker unions on codes and decodes the result
+// (bit-identical to one union over every world, for the same reasons as
+// IntersectWorkers).
+Relation UnionWorkers(std::vector<Worker>& workers, const DeltaPlan& plan) {
+  CodeRows& acc = workers[0].rows;
+  for (size_t i = 1; i < workers.size(); ++i) {
+    const CodeRows& more = workers[i].rows;
+    more.ForEach([&](uint32_t s) { acc.Insert(more.Row(s)); });
+  }
+  return plan.Decode(acc);
 }
 
 }  // namespace
@@ -171,65 +142,74 @@ Result<Relation> CertainAnswersEnum(const RAExprPtr& e, const Database& db,
     }
   }
 
-  const RAExprPtr plan = PrepareEnumPlan(e, db, options);
+  const RAExprPtr plan = options.optimize ? Optimize(e, db) : e;
+  const WorldSpace space = MakeWorldSpace(db, opts);
   // A database without nulls is its own single world.
-  if (db.Nulls().empty()) return EvalNaive(plan, db, options);
+  if (space.nulls.empty()) return EvalNaive(plan, db, options);
+  INCDB_ASSIGN_OR_RETURN(const std::shared_ptr<const DeltaPlan> compiled,
+                         DeltaPlan::Compile(plan, db, space));
   std::vector<Worker> workers =
-      MakeWorkers(db, opts, options.num_threads, arity);
+      MakeWorkers(space, options.num_threads, arity);
   // One Gray chain per worker. The worker seeds its candidate set from its
   // chain's first world and thereafter only kills candidates reported
-  // removed by ApplyDelta — an incremental intersection (a tuple absent from
+  // removed by ApplyDelta — an incremental intersection (a row absent from
   // any earlier world of the chain can never re-enter). Early exit: an empty
   // candidate set forces the answer empty, so it stops every worker.
   Status st = ForEachValuationGrayParallel(
-      db, opts, options.num_threads,
+      db, space, opts.max_worlds, options.num_threads,
       [&](const Valuation& v, const ValuationDelta& d, size_t wi) {
         Worker& w = workers[wi];
-        w.error = StepDelta(w, plan, db, options, v, d);
+        w.error = StepDelta(w, *compiled, options, v, d);
         if (!w.error.ok()) return false;
         if (d.has_delta) {
-          for (const Tuple& t : w.de->removed()) w.alive.erase(t);
+          const RowChanges& changes = w.de->changes();
+          for (size_t i = 0; i < changes.size(); ++i) {
+            if (changes.sign(i) < 0) w.rows.EraseRow(changes.Row(i));
+          }
         } else {
-          const Relation out = w.de->Output();
-          for (const Tuple& t : out.tuples()) w.alive.insert(t);
+          const CodeRows& out = w.de->output();
+          out.ForEach([&](uint32_t s) { w.rows.Insert(out.Row(s)); });
           w.started = true;
         }
-        return !w.alive.empty();
+        return !w.rows.empty();
       });
   INCDB_RETURN_IF_ERROR(MergeWorkers(workers, options, st));
-  for (Worker& w : workers) {
-    w.acc =
-        Relation(arity, std::vector<Tuple>(w.alive.begin(), w.alive.end()));
-  }
-  return IntersectWorkers(workers, arity);
+  return IntersectWorkers(workers, *compiled);
 }
 
 Result<Relation> PossibleAnswersEnum(const RAExprPtr& e, const Database& db,
                                      const WorldEnumOptions& opts,
                                      const EvalOptions& options) {
   INCDB_ASSIGN_OR_RETURN(size_t arity, e->InferArity(db.schema()));
-  const RAExprPtr plan = PrepareEnumPlan(e, db, options);
-  if (db.Nulls().empty()) return EvalNaive(plan, db, options);
+  const RAExprPtr plan = options.optimize ? Optimize(e, db) : e;
+  const WorldSpace space = MakeWorldSpace(db, opts);
+  if (space.nulls.empty()) return EvalNaive(plan, db, options);
+  INCDB_ASSIGN_OR_RETURN(const std::shared_ptr<const DeltaPlan> compiled,
+                         DeltaPlan::Compile(plan, db, space));
   std::vector<Worker> workers =
-      MakeWorkers(db, opts, options.num_threads, arity);
+      MakeWorkers(space, options.num_threads, arity);
   // One Gray chain per worker: the union only grows, so each worker adds
-  // its chain's first output once and thereafter only the tuples ApplyDelta
+  // its chain's first output once and thereafter only the rows ApplyDelta
   // reports inserted.
   Status st = ForEachValuationGrayParallel(
-      db, opts, options.num_threads,
+      db, space, opts.max_worlds, options.num_threads,
       [&](const Valuation& v, const ValuationDelta& d, size_t wi) {
         Worker& w = workers[wi];
-        w.error = StepDelta(w, plan, db, options, v, d);
+        w.error = StepDelta(w, *compiled, options, v, d);
         if (!w.error.ok()) return false;
         if (d.has_delta) {
-          for (const Tuple& t : w.de->added()) w.acc.Add(t);
+          const RowChanges& changes = w.de->changes();
+          for (size_t i = 0; i < changes.size(); ++i) {
+            if (changes.sign(i) > 0) w.rows.Insert(changes.Row(i));
+          }
         } else {
-          w.acc.AddAll(w.de->Output());
+          const CodeRows& out = w.de->output();
+          out.ForEach([&](uint32_t s) { w.rows.Insert(out.Row(s)); });
         }
         return true;
       });
   INCDB_RETURN_IF_ERROR(MergeWorkers(workers, options, st));
-  return UnionWorkers(workers, arity);
+  return UnionWorkers(workers, *compiled);
 }
 
 }  // namespace incdb

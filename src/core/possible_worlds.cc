@@ -8,42 +8,75 @@
 
 namespace incdb {
 
-std::vector<Value> WorldDomain(const Database& d,
-                               const WorldEnumOptions& opts) {
-  std::set<Value> domain = d.Constants();
+WorldSpace MakeWorldSpace(const Database& d, const WorldEnumOptions& opts) {
+  WorldSpace space;
+  std::vector<Value>& domain = space.domain;
+  for (const auto& kv : d.relations()) {
+    for (const Tuple& t : kv.second.tuples()) {
+      for (const Value& v : t.values()) {
+        if (v.is_null()) {
+          space.nulls.push_back(v.null_id());
+        } else {
+          domain.push_back(v);
+        }
+      }
+    }
+  }
   for (const Value& v : opts.required_constants) {
     INCDB_CHECK_MSG(v.is_const(), "required constant must be a constant");
-    domain.insert(v);
+    domain.push_back(v);
   }
+  std::sort(space.nulls.begin(), space.nulls.end());
+  space.nulls.erase(std::unique(space.nulls.begin(), space.nulls.end()),
+                    space.nulls.end());
+  std::sort(domain.begin(), domain.end());
+  domain.erase(std::unique(domain.begin(), domain.end()), domain.end());
+
   int fresh = opts.fresh_constants;
-  if (fresh < 0) fresh = static_cast<int>(d.Nulls().size());
+  if (fresh < 0) fresh = static_cast<int>(space.nulls.size());
   // Fresh integers strictly above every integer constant in the domain;
   // where those would overflow, the largest integers absent from it.
   int64_t base = 0;
   for (const Value& v : domain) {
     if (v.is_int()) base = std::max(base, v.as_int());
   }
+  const size_t known = domain.size();
   if (base <= INT64_MAX - fresh) {
-    for (int i = 1; i <= fresh; ++i) domain.insert(Value::Int(base + i));
+    for (int i = 1; i <= fresh; ++i) domain.push_back(Value::Int(base + i));
   } else {
     for (int64_t c = INT64_MAX; fresh > 0; --c) {
-      if (domain.insert(Value::Int(c)).second) --fresh;
+      const Value v = Value::Int(c);
+      if (!std::binary_search(domain.begin(), domain.begin() + known, v)) {
+        domain.push_back(v);
+        --fresh;
+      }
     }
   }
-  return std::vector<Value>(domain.begin(), domain.end());
+  // The fresh integers belong among the integers, before any string.
+  std::sort(domain.begin() + known, domain.end());
+  std::inplace_merge(domain.begin(), domain.begin() + known, domain.end());
+  return space;
 }
 
-uint64_t CountWorldsCwa(const Database& d, const WorldEnumOptions& opts) {
-  const uint64_t domain_size = WorldDomain(d, opts).size();
-  const size_t nulls = d.Nulls().size();
+uint64_t WorldSpace::Count() const {
+  const uint64_t domain_size = domain.size();
   uint64_t count = 1;
-  for (size_t i = 0; i < nulls; ++i) {
+  for (size_t i = 0; i < nulls.size(); ++i) {
     if (count > UINT64_MAX / std::max<uint64_t>(domain_size, 1)) {
       return UINT64_MAX;
     }
     count *= domain_size;
   }
   return count;
+}
+
+std::vector<Value> WorldDomain(const Database& d,
+                               const WorldEnumOptions& opts) {
+  return MakeWorldSpace(d, opts).domain;
+}
+
+uint64_t CountWorldsCwa(const Database& d, const WorldEnumOptions& opts) {
+  return MakeWorldSpace(d, opts).Count();
 }
 
 namespace {
@@ -79,9 +112,12 @@ void RunGrayChain(
         ValuationDelta delta;
         delta.has_delta = true;
         delta.null_id = digits[i].null;
-        delta.old_value = domain[digits[i].offset + pos[i]];
+        delta.null_index = i;
+        delta.old_index = digits[i].offset + pos[i];
         pos[i] = static_cast<size_t>(next);
-        delta.new_value = domain[digits[i].offset + pos[i]];
+        delta.new_index = digits[i].offset + pos[i];
+        delta.old_value = domain[delta.old_index];
+        delta.new_value = domain[delta.new_index];
         v.Bind(delta.null_id, delta.new_value);
         if (!emit(v, delta)) return;
         break;
@@ -98,13 +134,21 @@ Status ForEachValuationGrayParallel(
     const Database& d, const WorldEnumOptions& opts, int num_threads,
     const std::function<bool(const Valuation&, const ValuationDelta&,
                              size_t worker)>& fn) {
-  const std::set<NullId> null_set = d.Nulls();
-  if (null_set.empty()) {
+  return ForEachValuationGrayParallel(d, MakeWorldSpace(d, opts),
+                                      opts.max_worlds, num_threads, fn);
+}
+
+Status ForEachValuationGrayParallel(
+    const Database& d, const WorldSpace& space, uint64_t max_worlds,
+    int num_threads,
+    const std::function<bool(const Valuation&, const ValuationDelta&,
+                             size_t worker)>& fn) {
+  const std::vector<NullId>& nulls = space.nulls;
+  const std::vector<Value>& domain = space.domain;
+  if (nulls.empty()) {
     fn(Valuation(), ValuationDelta{}, /*worker=*/0);
     return Status::OK();
   }
-  const std::vector<Value> domain = WorldDomain(d, opts);
-  const std::vector<NullId> nulls(null_set.begin(), null_set.end());
   if (domain.empty()) {
     return Status::InvalidArgument("empty world domain with nulls present");
   }
@@ -138,7 +182,7 @@ Status ForEachValuationGrayParallel(
             [&](const Valuation& v, const ValuationDelta& delta) {
               if (stop.load(std::memory_order_relaxed)) return false;
               if (emitted.fetch_add(1, std::memory_order_relaxed) >=
-                  opts.max_worlds) {
+                  max_worlds) {
                 exhausted.store(true, std::memory_order_relaxed);
                 stop.store(true, std::memory_order_relaxed);
                 return false;
@@ -155,7 +199,7 @@ Status ForEachValuationGrayParallel(
   if (exhausted.load()) {
     return Status::ResourceExhausted(
         "world enumeration exceeded max_worlds=" +
-        std::to_string(opts.max_worlds));
+        std::to_string(max_worlds));
   }
   return Status::OK();
 }

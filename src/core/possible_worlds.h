@@ -62,16 +62,37 @@ std::vector<Value> WorldDomain(const Database& d, const WorldEnumOptions& opts);
 /// Thread-compatible; O(|D| log |D| + #nulls).
 uint64_t CountWorldsCwa(const Database& d, const WorldEnumOptions& opts);
 
+/// The CWA world space of a database: its nulls, ascending, and the domain
+/// they range over (WorldDomain). An enumeration query computes it once and
+/// hands it to the chunk count, the Gray driver and the delta evaluator's
+/// dictionary (engine/delta_eval.h).
+struct WorldSpace {
+  std::vector<NullId> nulls;
+  std::vector<Value> domain;
+
+  /// |domain|^#nulls, saturating at UINT64_MAX.
+  uint64_t Count() const;
+};
+
+/// Null(D) and WorldDomain(d, opts) from one pass over d's cells.
+/// Thread-compatible; O(|D| log |D|).
+WorldSpace MakeWorldSpace(const Database& d, const WorldEnumOptions& opts);
+
 /// The single-null difference between a Gray-chain world and its
 /// predecessor: the valuation handed to the callback alongside this delta
-/// rebinds exactly `null_id`, from `old_value` to `new_value`. The first
-/// valuation of a chain has no predecessor: `has_delta` is false and the
-/// remaining fields are meaningless.
+/// rebinds exactly `null_id`, from `old_value` to `new_value`. The indices
+/// place the same step in the WorldSpace walked: `null_id` is
+/// nulls[null_index], and the values are domain[old_index] and
+/// domain[new_index]. The first valuation of a chain has no predecessor:
+/// `has_delta` is false and the remaining fields are meaningless.
 struct ValuationDelta {
   bool has_delta = false;
   NullId null_id = 0;
   Value old_value;
   Value new_value;
+  size_t null_index = 0;
+  size_t old_index = 0;
+  size_t new_index = 0;
 };
 
 /// Invokes `fn(v, delta, worker)` on every valuation of Null(D) over the
@@ -94,6 +115,16 @@ struct ValuationDelta {
 /// copy it to keep it. O(|domain|^#nulls · cost(fn)).
 Status ForEachValuationGrayParallel(
     const Database& d, const WorldEnumOptions& opts, int num_threads,
+    const std::function<bool(const Valuation&, const ValuationDelta&,
+                             size_t worker)>& fn);
+
+/// The same walk over a world space the caller has already computed
+/// (`space` must be MakeWorldSpace(d, ...)), with the budget `max_worlds`.
+/// Worker indices are below ParallelChunkCount(num_threads,
+/// space.domain.size(), 1).
+Status ForEachValuationGrayParallel(
+    const Database& d, const WorldSpace& space, uint64_t max_worlds,
+    int num_threads,
     const std::function<bool(const Valuation&, const ValuationDelta&,
                              size_t worker)>& fn);
 

@@ -50,20 +50,4 @@ size_t Tuple::Hash() const {
   return h ^ values_.size();
 }
 
-size_t HashColumns(const Tuple& t, const std::vector<size_t>& cols) {
-  size_t h = 0x345678;
-  for (size_t c : cols) {
-    h = h * 1000003 ^ t[c].Hash();
-  }
-  return h ^ cols.size();
-}
-
-bool ColumnsEqual(const Tuple& a, const std::vector<size_t>& a_cols,
-                  const Tuple& b, const std::vector<size_t>& b_cols) {
-  for (size_t i = 0; i < a_cols.size(); ++i) {
-    if (!(a[a_cols[i]] == b[b_cols[i]])) return false;
-  }
-  return true;
-}
-
 }  // namespace incdb

@@ -57,16 +57,6 @@ struct TupleHash {
   size_t operator()(const Tuple& t) const { return t.Hash(); }
 };
 
-/// Key of a tuple under a column list, hashed like a Tuple of the projected
-/// values (without materializing the projection). Build-side indexes and
-/// probe-side lookups must use this one function to agree.
-size_t HashColumns(const Tuple& t, const std::vector<size_t>& cols);
-
-/// True when a[a_cols[i]] == b[b_cols[i]] for every i (the column lists have
-/// equal length).
-bool ColumnsEqual(const Tuple& a, const std::vector<size_t>& a_cols,
-                  const Tuple& b, const std::vector<size_t>& b_cols);
-
 }  // namespace incdb
 
 #endif  // INCDB_CORE_TUPLE_H_

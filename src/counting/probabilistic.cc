@@ -1,12 +1,12 @@
 #include "counting/probabilistic.h"
 
 #include <map>
-#include <set>
-#include <unordered_map>
+#include <memory>
 #include <utility>
 
 #include "algebra/eval.h"
 #include "algebra/optimize.h"
+#include "core/code_rows.h"
 #include "counting/world_count.h"
 #include "ctables/ctable_algebra.h"
 #include "engine/delta_eval.h"
@@ -50,78 +50,96 @@ Result<Relation> CertainAnswersWithProbabilityEnum(
   RAExprPtr plan = e;
   if (options.optimize) plan = Optimize(plan, db);
 
-  const std::set<NullId> null_set = db.Nulls();
-  const std::vector<NullId> nulls(null_set.begin(), null_set.end());
-  const std::vector<Value> domain = WorldDomain(db, wopts);
-  if (!nulls.empty() && domain.empty()) {
+  const WorldSpace space = MakeWorldSpace(db, wopts);
+  if (!space.nulls.empty() && space.domain.empty()) {
     return Status::InvalidArgument("empty world domain with nulls present");
   }
 
-  // Per-world / per-sample evaluations must not re-optimize, and the
-  // sampled path runs them concurrently, so they get no shared stats sink
-  // and no nested parallelism.
+  // Per-sample evaluations must not re-optimize, and the sampled path runs
+  // them concurrently, so they get no shared stats sink and no nested
+  // parallelism.
   EvalOptions body = options;
   body.optimize = false;
   body.stats = nullptr;
   body.num_threads = 1;
 
   std::map<Tuple, TupleProbability> table;
-  const uint64_t total = CountWorldsCwa(db, wopts);
+  const uint64_t total = space.Count();
   const bool exact = !popts.force_sampling && total != UINT64_MAX &&
                      total <= popts.max_exact_worlds &&
                      total <= wopts.max_worlds;
   if (exact) {
-    // One serial Gray chain through the delta evaluator. A tuple's count is
+    // One serial Gray chain through the delta evaluator. A row's count is
     // the length of every run of consecutive worlds that contain it: a run
-    // opens where the tuple enters and closes where it leaves, or at the
-    // world count when it is still open after the last world.
-    EvalOptions chain_options = body;
-    chain_options.stats = options.stats;
-    DeltaEvaluator de;
-    std::map<Tuple, uint64_t> hits;
-    std::unordered_map<Tuple, uint64_t, TupleHash> entered;
+    // opens where the row enters and closes where it leaves, or at the
+    // world count when it is still open after the last world. Rows stay
+    // codes until the table is built.
+    INCDB_ASSIGN_OR_RETURN(const std::shared_ptr<const DeltaPlan> compiled,
+                           DeltaPlan::Compile(plan, db, space));
+    DeltaEvaluator de(*compiled, options.stats);
+    CodeRows entered(arity), hit_rows(arity);
+    std::vector<uint64_t> entered_at, hit_worlds;
+    auto enter = [&](const uint32_t* row, uint64_t world) {
+      bool inserted;
+      const uint32_t s = entered.Insert(row, &inserted);
+      if (s >= entered_at.size()) entered_at.resize(entered.slot_bound());
+      if (inserted) entered_at[s] = world;
+    };
+    auto count = [&](const uint32_t* row, uint64_t worlds) {
+      bool inserted;
+      const uint32_t s = hit_rows.Insert(row, &inserted);
+      if (s >= hit_worlds.size()) hit_worlds.resize(hit_rows.slot_bound());
+      if (inserted) hit_worlds[s] = 0;
+      hit_worlds[s] += worlds;
+    };
     uint64_t world = 0;
     Status eval_status = Status::OK();
     INCDB_RETURN_IF_ERROR(ForEachValuationGrayParallel(
-        db, wopts, /*num_threads=*/1,
+        db, space, wopts.max_worlds, /*num_threads=*/1,
         [&](const Valuation& v, const ValuationDelta& d, size_t) {
           if (d.has_delta) {
             ++world;
             eval_status = de.ApplyDelta(d);
             if (!eval_status.ok()) return false;
-            for (const Tuple& t : de.removed()) {
-              auto it = entered.find(t);
-              hits[t] += world - it->second;
-              entered.erase(it);
+            const RowChanges& changes = de.changes();
+            for (size_t i = 0; i < changes.size(); ++i) {
+              const uint32_t* row = changes.Row(i);
+              if (changes.sign(i) > 0) {
+                enter(row, world);
+                continue;
+              }
+              const uint32_t s = entered.Find(row);
+              count(row, world - entered_at[s]);
+              entered.Erase(s);
             }
-            for (const Tuple& t : de.added()) entered.emplace(t, world);
             return true;
           }
-          eval_status = de.Build(plan, db, chain_options);
-          if (eval_status.ok()) eval_status = de.Initialize(v);
+          eval_status = de.Initialize(v);
           if (!eval_status.ok()) return false;
-          const Relation out = de.Output();
-          for (const Tuple& t : out.tuples()) entered.emplace(t, 0);
+          const CodeRows& out = de.output();
+          out.ForEach([&](uint32_t s) { enter(out.Row(s), 0); });
           return true;
         }));
     INCDB_RETURN_IF_ERROR(eval_status);
-    for (const auto& [tuple, start] : entered) hits[tuple] += total - start;
+    entered.ForEach(
+        [&](uint32_t s) { count(entered.Row(s), total - entered_at[s]); });
     if (options.stats != nullptr) {
       options.stats->CountWorldsCounted(total);
-      options.stats->CountExactCountHits(hits.size());
+      options.stats->CountExactCountHits(hit_rows.size());
       options.stats->CountDeltaApplied(de.deltas_applied());
       options.stats->CountDeltaFallbacks(de.node_fallbacks());
     }
-    for (const auto& [tuple, count] : hits) {
+    hit_rows.ForEach([&](uint32_t s) {
+      Tuple tuple = compiled->Decode(hit_rows.Row(s));
       const double p =
-          static_cast<double>(count) / static_cast<double>(total);
-      table[tuple] = TupleProbability{tuple, p, p, p, /*exact=*/true};
-    }
+          static_cast<double>(hit_worlds[s]) / static_cast<double>(total);
+      table.emplace(tuple, TupleProbability{tuple, p, p, p, /*exact=*/true});
+    });
   } else {
     INCDB_ASSIGN_OR_RETURN(
         const SampleTally tally,
         SampleTupleFrequencies(
-            nulls, domain, popts.sampling,
+            space.nulls, space.domain, popts.sampling,
             [&](const Valuation& v,
                 std::vector<Tuple>* world_tuples) -> Result<bool> {
               INCDB_ASSIGN_OR_RETURN(const Relation r,
@@ -163,9 +181,9 @@ Result<Relation> CertainAnswersWithProbabilityCTable(
     }
   };
 
-  const std::set<NullId> null_set = db.Nulls();
-  const std::vector<NullId> nulls(null_set.begin(), null_set.end());
-  const std::vector<Value> domain = WorldDomain(db, wopts);
+  const WorldSpace space = MakeWorldSpace(db, wopts);
+  const std::vector<NullId>& nulls = space.nulls;
+  const std::vector<Value>& domain = space.domain;
   if (!nulls.empty() && domain.empty()) {
     flush_norm_counters();
     return Status::InvalidArgument("empty world domain with nulls present");

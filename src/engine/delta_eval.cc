@@ -1,8 +1,10 @@
-// Differential evaluator implementation. The operator rules are documented
-// in delta_eval.h; the representation here is one Node per plan operator,
-// stored in postorder, each holding its counted output plus whatever state
-// its delta rule probes (scan provenance, join key mirrors, division
-// counters). σ-over-× (and π over either) is fused into one join node via
+// Differential evaluator implementation. The operator rules, the code
+// representation and the clock rule are documented in delta_eval.h. A
+// DeltaPlan holds one Op per plan operator, in postorder, with everything
+// that does not change across worlds; a DeltaEvaluator holds one Node per Op
+// with the chain's state: the counted output, the step's transitions, and
+// whatever its delta rule probes (join key mirrors, division counters).
+// σ-over-× (and π over either) is fused into one join node via
 // SplitForEquiJoin, mirroring the full kernels' peephole, so products never
 // pay per-pair work on a step.
 
@@ -10,8 +12,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <set>
-#include <unordered_map>
+#include <map>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -26,33 +29,211 @@ namespace incdb {
 
 namespace {
 
-/// Output tuple -> derivation count. Entries are erased when they reach
-/// zero, so the key set IS the output set.
-using Counts = std::unordered_map<Tuple, int64_t, TupleHash>;
+// A cell of an encoded base row is a dictionary code, or, with this bit
+// set, the slot of the null whose current code the valuation holds.
+constexpr uint32_t kNullSlot = uint32_t{1} << 31;
 
-/// Join-side mirror: HashColumns(key cols) -> tuples of one child's current
-/// set (buckets hold distinct tuples; hash collisions resolved by
-/// ColumnsEqual at probe time).
-using Mirror = std::unordered_map<size_t, std::vector<Tuple>>;
+constexpr uint32_t kNone = CodeRows::kNone;
 
-/// Inserts (+) or removes (−) one tuple from a mirror bucket.
-void MirrorApply(Mirror& m, size_t key, const Tuple& t, int sign) {
-  std::vector<Tuple>& bucket = m[key];
-  if (sign > 0) {
-    bucket.push_back(t);
-    return;
-  }
-  auto it = std::find(bucket.begin(), bucket.end(), t);
-  if (it != bucket.end()) {
-    std::swap(*it, bucket.back());
-    bucket.pop_back();
-  }
-  if (bucket.empty()) m.erase(key);
+bool HasSlot(const std::vector<uint64_t>& bits, size_t slot) {
+  return (bits[slot >> 6] >> (slot & 63)) & 1;
 }
+
+void OrInto(std::vector<uint64_t>& bits, const std::vector<uint64_t>& more) {
+  for (size_t w = 0; w < bits.size(); ++w) bits[w] |= more[w];
+}
+
+// A selection or join residual compiled against the query dictionary, as
+// nodes of a tree whose root is the last node: a comparison of two columns
+// compares their codes, one of a column with a constant tests the column's
+// code against the constant's rank range, and one of two constants, like IS
+// NULL of a constant, is folded.
+struct CodePred {
+  enum class Kind { kConst, kColumns, kRange, kIsNull, kAnd, kOr, kNot };
+  Kind kind = Kind::kConst;
+  bool value = false;     // kConst
+  CmpOp op = CmpOp::kEq;  // kColumns
+  size_t a = 0, b = 0;    // the compared columns (a alone for kRange, kIsNull)
+  CodeRange range;        // kRange
+  uint32_t null_end = 0;  // kIsNull: codes below it are nulls
+  size_t l = 0, r = 0;    // operand nodes of ∧, ∨ (l alone for ¬)
+};
+
+size_t CompilePred(const Predicate& p, const ValueDict& dict,
+                   std::vector<CodePred>* nodes) {
+  CodePred n;
+  switch (p.kind()) {
+    case Predicate::Kind::kTrue:
+    case Predicate::Kind::kFalse:
+      n.value = p.kind() == Predicate::Kind::kTrue;
+      break;
+    case Predicate::Kind::kCmp: {
+      const Term& l = p.lhs();
+      const Term& r = p.rhs();
+      const bool lc = l.kind == Term::Kind::kColumn;
+      const bool rc = r.kind == Term::Kind::kColumn;
+      if (lc && rc) {
+        n.kind = CodePred::Kind::kColumns;
+        n.op = p.op();
+        n.a = l.column;
+        n.b = r.column;
+      } else if (!lc && !rc) {
+        n.value = CmpBool(p.op(), l.constant <=> r.constant);
+      } else {
+        n.kind = CodePred::Kind::kRange;
+        n.a = lc ? l.column : r.column;
+        n.range = ResolveCmp(lc ? p.op() : MirrorOp(p.op()), dict,
+                             lc ? r.constant : l.constant);
+      }
+      break;
+    }
+    case Predicate::Kind::kIsNull:
+      if (p.lhs().kind == Term::Kind::kConst) {
+        n.value = p.lhs().constant.is_null();
+      } else {
+        n.kind = CodePred::Kind::kIsNull;
+        n.a = p.lhs().column;
+        n.null_end = dict.null_end;
+      }
+      break;
+    case Predicate::Kind::kAnd:
+    case Predicate::Kind::kOr:
+      n.kind = p.kind() == Predicate::Kind::kAnd ? CodePred::Kind::kAnd
+                                                 : CodePred::Kind::kOr;
+      n.l = CompilePred(*p.left(), dict, nodes);
+      n.r = CompilePred(*p.right(), dict, nodes);
+      break;
+    case Predicate::Kind::kNot:
+      n.kind = CodePred::Kind::kNot;
+      n.l = CompilePred(*p.left(), dict, nodes);
+      break;
+  }
+  nodes->push_back(n);
+  return nodes->size() - 1;
+}
+
+// Naïve evaluation of node `i` on one row: nulls are values, and the
+// dictionary's order is the total Value order.
+bool EvalPred(const std::vector<CodePred>& nodes, size_t i,
+              const uint32_t* row) {
+  const CodePred& p = nodes[i];
+  switch (p.kind) {
+    case CodePred::Kind::kConst:
+      return p.value;
+    case CodePred::Kind::kColumns:
+      return CmpBool(p.op, row[p.a] <=> row[p.b]);
+    case CodePred::Kind::kRange:
+      return p.range.Holds(row[p.a]);
+    case CodePred::Kind::kIsNull:
+      return row[p.a] < p.null_end;
+    case CodePred::Kind::kAnd:
+      return EvalPred(nodes, p.l, row) && EvalPred(nodes, p.r, row);
+    case CodePred::Kind::kOr:
+      return EvalPred(nodes, p.l, row) || EvalPred(nodes, p.r, row);
+    case CodePred::Kind::kNot:
+      return !EvalPred(nodes, p.l, row);
+  }
+  return false;
+}
+
+bool Holds(const std::vector<CodePred>& pred, const uint32_t* row) {
+  return pred.empty() || EvalPred(pred, pred.size() - 1, row);
+}
+
+void Gather(const uint32_t* row, const std::vector<size_t>& cols,
+            uint32_t* out) {
+  for (size_t i = 0; i < cols.size(); ++i) out[i] = row[cols[i]];
+}
+
+void CollectLiteralValues(const RAExprPtr& e, std::vector<Value>* out) {
+  if (e == nullptr) return;
+  if (e->kind() == RAExpr::Kind::kConstRel) {
+    for (const Tuple& t : e->literal().tuples()) {
+      out->insert(out->end(), t.values().begin(), t.values().end());
+    }
+  }
+  CollectLiteralValues(e->left(), out);
+  CollectLiteralValues(e->right(), out);
+}
+
+// One side of a join: the child's current rows grouped by join key. `rows`
+// holds each row once, and the rows that share a key form a chain linked
+// through next/prev whose first slot `head` keeps, by key slot.
+struct Mirror {
+  CodeRows rows;
+  CodeRows keys;
+  std::vector<uint32_t> next, prev, head;
+  std::vector<uint32_t> key;  // scratch: the key of the row at hand
+  const std::vector<size_t>* key_cols = nullptr;
+
+  void Reset(size_t width, const std::vector<size_t>& cols) {
+    rows = CodeRows(width);
+    keys = CodeRows(cols.size());
+    key.resize(cols.size());
+    key_cols = &cols;
+  }
+  void Clear() {
+    rows.Clear();
+    keys.Clear();
+  }
+
+  void Add(const uint32_t* row) {
+    bool inserted;
+    const uint32_t s = rows.Insert(row, &inserted);
+    if (!inserted) return;
+    if (s >= next.size()) {
+      next.resize(rows.slot_bound());
+      prev.resize(rows.slot_bound());
+    }
+    Gather(row, *key_cols, key.data());
+    const uint32_t k = keys.Insert(key.data(), &inserted);
+    if (k >= head.size()) head.resize(keys.slot_bound());
+    if (inserted) head[k] = kNone;
+    next[s] = head[k];
+    prev[s] = kNone;
+    if (head[k] != kNone) prev[head[k]] = s;
+    head[k] = s;
+  }
+
+  void Remove(const uint32_t* row) {
+    const uint32_t s = rows.Find(row);
+    if (s == kNone) return;
+    if (prev[s] != kNone) {
+      next[prev[s]] = next[s];
+    } else {
+      Gather(row, *key_cols, key.data());
+      const uint32_t k = keys.Find(key.data());
+      head[k] = next[s];
+      if (head[k] == kNone) keys.Erase(k);
+    }
+    if (next[s] != kNone) prev[next[s]] = prev[s];
+    rows.Erase(s);
+  }
+
+  // Calls fn(row) for each row whose key codes are `probe_key`.
+  template <class Fn>
+  void ForEachMatch(const uint32_t* probe_key, Fn fn) const {
+    const uint32_t k = keys.Find(probe_key);
+    if (k == kNone) return;
+    for (uint32_t s = head[k]; s != kNone; s = next[s]) fn(rows.Row(s));
+  }
+};
 
 }  // namespace
 
-struct DeltaEvaluator::Node {
+// A scanned relation's rows encoded against the query dictionary, and the
+// rows each null occurs in: rows prov_rows[prov_start[s], prov_start[s+1])
+// hold the null of slot s, each once.
+struct DeltaPlan::Scan {
+  size_t arity = 0;
+  size_t rows = 0;
+  std::vector<uint32_t> cells;  // arity cells per row
+  std::vector<uint32_t> prov_start;
+  std::vector<uint32_t> prov_rows;
+  std::vector<uint64_t> nulls;  // the slots that occur, as a bitset
+};
+
+struct DeltaPlan::Op {
   enum class Kind {
     kScan,
     kConst,
@@ -66,45 +247,33 @@ struct DeltaEvaluator::Node {
     kDiagonal,  // Δ over the world's active domain
   };
 
-  Kind kind;
+  Kind kind = Kind::kScan;
   size_t arity = 0;
-  Node* left = nullptr;
-  Node* right = nullptr;
-  // Keeps the source operator's predicate / literal alive.
-  RAExprPtr expr;
-  // Nulls occurring in this subtree's base relations: a step whose null is
-  // not here cannot change the output, so the node is skipped wholesale.
-  std::set<NullId> nulls;
-  Counts counts;
-  // Set-level transitions of the last step: one entry per tuple, +1
-  // inserted / -1 removed.
-  std::vector<std::pair<Tuple, int>> delta;
+  size_t left = kNoChild;
+  size_t right = kNoChild;
+  // Null slots occurring in this subtree's base relations: a step whose
+  // null is not here cannot change the output, so the node is skipped.
+  std::vector<uint64_t> nulls;
 
-  // kScan / kConst: the base relation and (scans only) the null ->
-  // supporting-row index into base->tuples().
-  const Relation* base = nullptr;
-  std::unordered_map<NullId, std::vector<uint32_t>> provenance;
-
-  // kSelect.
-  const Predicate* filter = nullptr;
-
+  // kScan: index into scans_. kConst: the literal's rows.
+  size_t scan = 0;
+  std::vector<uint32_t> rows;
+  size_t row_count = 0;
+  // kSelect: the filter; kJoin: the residual on the concatenated row
+  // (empty when there is none).
+  std::vector<CodePred> pred;
   // kJoin: equi-join key columns (parallel lists, left relative to the left
-  // child, right relative to the right child), the residual filter on the
-  // concatenated tuple, the fused projection, and the two key-indexed
-  // mirrors of the children's current sets.
-  std::vector<size_t> left_key_cols, right_key_cols;
-  PredicatePtr residual;
+  // child, right relative to the right child) and the fused projection.
+  std::vector<size_t> left_keys, right_keys;
   bool has_projection = false;
   std::vector<size_t> projection;
-  Mirror left_by_key, right_by_key;
-
   // kProject: projection columns. kDivide: head columns (cols) and divisor
   // columns (cols2) of the left input.
   std::vector<size_t> cols, cols2;
+  // kDiagonal: the codes of Const(D).
+  std::vector<uint32_t> constants;
 
-  // kDivide: head -> #left rows with that head / #divisor rows it matches.
-  // Membership: head_count > 0 and match_count == |divisor|.
-  Counts head_count, match_count;
+  static constexpr size_t kNoChild = static_cast<size_t>(-1);
 
   EvalOp op() const {
     switch (kind) {
@@ -116,7 +285,7 @@ struct DeltaEvaluator::Node {
       case Kind::kProject:
         return EvalOp::kProject;
       case Kind::kJoin:
-        return left_key_cols.empty() ? EvalOp::kProduct : EvalOp::kHashJoin;
+        return left_keys.empty() ? EvalOp::kProduct : EvalOp::kHashJoin;
       case Kind::kUnion:
         return EvalOp::kUnion;
       case Kind::kDiff:
@@ -130,67 +299,103 @@ struct DeltaEvaluator::Node {
     }
     return EvalOp::kScan;
   }
-
-  bool In(const Tuple& t) const { return counts.find(t) != counts.end(); }
-
-  /// Joins one (l, r) pair into `out` with the given sign, applying the
-  /// residual filter and the fused projection.
-  void EmitJoin(const Tuple& l, const Tuple& r, int64_t sign,
-                Counts& out) const {
-    Tuple joined = l.Concat(r);
-    if (residual != nullptr && !residual->EvalNaive(joined)) return;
-    if (has_projection) {
-      out[joined.Project(projection)] += sign;
-    } else {
-      out[std::move(joined)] += sign;
-    }
-  }
-
-  /// Folds derivation-count adjustments into `counts` and appends the
-  /// resulting set-level transitions (zero crossings) to `delta`.
-  void ApplyAdjustments(Counts& adj) {
-    for (auto& kv : adj) {
-      if (kv.second == 0) continue;
-      auto it = counts.find(kv.first);
-      const int64_t before = it == counts.end() ? 0 : it->second;
-      const int64_t after = before + kv.second;
-      if (after == 0) {
-        if (it != counts.end()) counts.erase(it);
-      } else if (it == counts.end()) {
-        counts.emplace(kv.first, after);
-      } else {
-        it->second = after;
-      }
-      if (before <= 0 && after > 0) {
-        delta.emplace_back(kv.first, +1);
-      } else if (before > 0 && after <= 0) {
-        delta.emplace_back(kv.first, -1);
-      }
-    }
-  }
 };
 
-DeltaEvaluator::DeltaEvaluator() = default;
-DeltaEvaluator::~DeltaEvaluator() = default;
+DeltaPlan::DeltaPlan() = default;
+DeltaPlan::~DeltaPlan() = default;
 
-Status DeltaEvaluator::Build(const RAExprPtr& plan, const Database& db,
-                             const EvalOptions& options) {
-  db_ = &db;
-  options_ = options;
-  postorder_.clear();
-  initialized_ = false;
-  added_.clear();
-  removed_.clear();
-  deltas_applied_ = 0;
-  node_fallbacks_ = 0;
-  INCDB_ASSIGN_OR_RETURN(Node * root, Compile(plan));
-  (void)root;
-  return Status::OK();
+size_t DeltaPlan::arity() const { return ops_.back().arity; }
+
+Tuple DeltaPlan::Decode(const uint32_t* row) const {
+  std::vector<Value> values;
+  values.reserve(arity());
+  for (size_t c = 0; c < arity(); ++c) values.push_back(dict_.values[row[c]]);
+  return Tuple(std::move(values));
 }
 
-Result<DeltaEvaluator::Node*> DeltaEvaluator::Compile(const RAExprPtr& e) {
+Relation DeltaPlan::Decode(const CodeRows& rows) const {
+  std::vector<Tuple> tuples;
+  tuples.reserve(rows.size());
+  rows.ForEach([&](uint32_t s) { tuples.push_back(Decode(rows.Row(s))); });
+  return Relation(arity(), std::move(tuples));
+}
+
+Result<std::shared_ptr<const DeltaPlan>> DeltaPlan::Compile(
+    const RAExprPtr& plan, const Database& db, const WorldSpace& space) {
+  std::shared_ptr<DeltaPlan> p(new DeltaPlan());
+  p->nulls_ = space.nulls;
+  // The dictionary: the domain (sorted, constants only) plus the literals'
+  // values. Without literals it is the domain as it stands.
+  std::vector<Value> literal_values;
+  CollectLiteralValues(plan, &literal_values);
+  if (literal_values.empty()) {
+    p->dict_.values = space.domain;
+  } else {
+    literal_values.insert(literal_values.end(), space.domain.begin(),
+                          space.domain.end());
+    p->dict_ = *ValueDict::Build(std::move(literal_values));
+  }
+  if (p->dict_.size() >= kNullSlot || space.nulls.size() >= kNullSlot) {
+    return Status::ResourceExhausted(
+        "delta evaluation: the query dictionary or the null count exceeds "
+        "2^31");
+  }
+  p->domain_codes_.reserve(space.domain.size());
+  for (const Value& v : space.domain) {
+    p->domain_codes_.push_back(p->dict_.Find(v));
+  }
+  std::map<std::string, size_t> scan_of;
+  INCDB_RETURN_IF_ERROR(p->CompileOp(plan, db, &scan_of).status());
+  return std::shared_ptr<const DeltaPlan>(std::move(p));
+}
+
+size_t DeltaPlan::EncodeScan(const Relation& r, size_t arity) {
+  Scan scan;
+  scan.arity = arity;
+  const std::vector<Tuple>& tuples = r.tuples();
+  scan.rows = tuples.size();
+  scan.cells.reserve(scan.rows * arity);
+  // (slot, row) once per null of each row, then grouped by slot.
+  std::vector<std::pair<uint32_t, uint32_t>> occurs;
+  for (uint32_t row = 0; row < tuples.size(); ++row) {
+    const size_t first = occurs.size();
+    for (const Value& v : tuples[row].values()) {
+      if (!v.is_null()) {
+        scan.cells.push_back(dict_.Find(v));
+        continue;
+      }
+      const uint32_t slot = static_cast<uint32_t>(
+          std::lower_bound(nulls_.begin(), nulls_.end(), v.null_id()) -
+          nulls_.begin());
+      scan.cells.push_back(kNullSlot | slot);
+      bool seen = false;
+      for (size_t i = first; i < occurs.size(); ++i) {
+        seen = seen || occurs[i].first == slot;
+      }
+      if (!seen) occurs.emplace_back(slot, row);
+    }
+  }
+  std::stable_sort(
+      occurs.begin(), occurs.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  scan.nulls.assign(std::max<size_t>(1, (nulls_.size() + 63) / 64), 0);
+  scan.prov_start.assign(nulls_.size() + 1, 0);
+  for (const auto& [slot, row] : occurs) {
+    ++scan.prov_start[slot + 1];
+    scan.prov_rows.push_back(row);
+    scan.nulls[slot >> 6] |= uint64_t{1} << (slot & 63);
+  }
+  for (size_t s = 1; s < scan.prov_start.size(); ++s) {
+    scan.prov_start[s] += scan.prov_start[s - 1];
+  }
+  scans_.push_back(std::move(scan));
+  return scans_.size() - 1;
+}
+
+Result<size_t> DeltaPlan::CompileOp(const RAExprPtr& e, const Database& db,
+                                    std::map<std::string, size_t>* scan_of) {
   using K = RAExpr::Kind;
-  INCDB_ASSIGN_OR_RETURN(const size_t arity, e->InferArity(db_->schema()));
+  INCDB_ASSIGN_OR_RETURN(const size_t arity, e->InferArity(db.schema()));
 
   // Detect the fusable join shapes π(σ(×)), σ(×), π(×), and bare ×.
   PredicatePtr sel;
@@ -211,416 +416,586 @@ Result<DeltaEvaluator::Node*> DeltaEvaluator::Compile(const RAExprPtr& e) {
     prod = e.get();
   }
 
-  auto node = std::make_unique<Node>();
-  Node* n = node.get();
-  n->arity = arity;
-  n->expr = e;
-
+  Op n;
+  n.arity = arity;
+  n.nulls.assign(std::max<size_t>(1, (nulls_.size() + 63) / 64), 0);
   if (prod != nullptr) {
-    n->kind = Node::Kind::kJoin;
-    INCDB_ASSIGN_OR_RETURN(n->left, Compile(prod->left()));
-    INCDB_ASSIGN_OR_RETURN(n->right, Compile(prod->right()));
-    n->nulls = n->left->nulls;
-    n->nulls.insert(n->right->nulls.begin(), n->right->nulls.end());
+    n.kind = Op::Kind::kJoin;
+    INCDB_ASSIGN_OR_RETURN(n.left, CompileOp(prod->left(), db, scan_of));
+    INCDB_ASSIGN_OR_RETURN(n.right, CompileOp(prod->right(), db, scan_of));
     if (sel != nullptr) {
-      JoinSplit split = SplitForEquiJoin(sel, n->left->arity);
+      JoinSplit split = SplitForEquiJoin(sel, ops_[n.left].arity);
       for (const JoinKey& k : split.keys) {
-        n->left_key_cols.push_back(k.left_col);
-        n->right_key_cols.push_back(k.right_col);
+        n.left_keys.push_back(k.left_col);
+        n.right_keys.push_back(k.right_col);
       }
-      n->residual = std::move(split.residual);
+      if (split.residual != nullptr) {
+        CompilePred(*split.residual, dict_, &n.pred);
+      }
     }
     if (proj != nullptr) {
-      n->has_projection = true;
-      n->projection = *proj;
+      n.has_projection = true;
+      n.projection = *proj;
     }
-    postorder_.push_back(std::move(node));
-    return n;
-  }
-
-  switch (e->kind()) {
-    case K::kScan: {
-      n->kind = Node::Kind::kScan;
-      n->base = &db_->GetRelation(e->relation_name());
-      n->nulls = n->base->Nulls();
-      const std::vector<Tuple>& rows = n->base->tuples();
-      for (uint32_t i = 0; i < rows.size(); ++i) {
-        for (const Value& v : rows[i].values()) {
-          if (!v.is_null()) continue;
-          std::vector<uint32_t>& rows_of = n->provenance[v.null_id()];
-          if (rows_of.empty() || rows_of.back() != i) rows_of.push_back(i);
+  } else {
+    switch (e->kind()) {
+      case K::kScan: {
+        n.kind = Op::Kind::kScan;
+        auto [it, fresh] = scan_of->emplace(e->relation_name(), 0);
+        if (fresh) {
+          it->second = EncodeScan(db.GetRelation(e->relation_name()), arity);
         }
+        n.scan = it->second;
+        n.nulls = scans_[n.scan].nulls;
+        break;
       }
-      break;
-    }
-    case K::kConstRel: {
-      // Valuations never apply to literals, so nulls stays empty and the
-      // node never steps — matching the full evaluators, which use literals
-      // as-is in every world.
-      n->kind = Node::Kind::kConst;
-      n->base = &e->literal();
-      break;
-    }
-    case K::kSelect: {
-      n->kind = Node::Kind::kSelect;
-      n->filter = e->predicate().get();
-      INCDB_ASSIGN_OR_RETURN(n->left, Compile(e->left()));
-      n->nulls = n->left->nulls;
-      break;
-    }
-    case K::kProject: {
-      n->kind = Node::Kind::kProject;
-      n->cols = e->columns();
-      INCDB_ASSIGN_OR_RETURN(n->left, Compile(e->left()));
-      n->nulls = n->left->nulls;
-      break;
-    }
-    case K::kUnion:
-    case K::kDiff:
-    case K::kIntersect:
-    case K::kDivide: {
-      n->kind = e->kind() == K::kUnion        ? Node::Kind::kUnion
-                : e->kind() == K::kDiff       ? Node::Kind::kDiff
-                : e->kind() == K::kIntersect ? Node::Kind::kIntersect
-                                             : Node::Kind::kDivide;
-      INCDB_ASSIGN_OR_RETURN(n->left, Compile(e->left()));
-      INCDB_ASSIGN_OR_RETURN(n->right, Compile(e->right()));
-      n->nulls = n->left->nulls;
-      n->nulls.insert(n->right->nulls.begin(), n->right->nulls.end());
-      if (n->kind == Node::Kind::kDivide) {
-        for (size_t c = 0; c < n->arity; ++c) n->cols.push_back(c);
-        for (size_t c = n->arity; c < n->left->arity; ++c)
-          n->cols2.push_back(c);
+      case K::kConstRel: {
+        // Valuations never apply to literals, so nulls stays empty and the
+        // node never steps — matching the full evaluators, which use
+        // literals as-is in every world.
+        n.kind = Op::Kind::kConst;
+        const std::vector<Tuple>& tuples = e->literal().tuples();
+        n.row_count = tuples.size();
+        n.rows.reserve(tuples.size() * arity);
+        for (const Tuple& t : tuples) {
+          for (const Value& v : t.values()) n.rows.push_back(dict_.Find(v));
+        }
+        break;
       }
-      break;
+      case K::kSelect:
+        n.kind = Op::Kind::kSelect;
+        CompilePred(*e->predicate(), dict_, &n.pred);
+        break;
+      case K::kProject:
+        n.kind = Op::Kind::kProject;
+        n.cols = e->columns();
+        break;
+      case K::kUnion:
+        n.kind = Op::Kind::kUnion;
+        break;
+      case K::kDiff:
+        n.kind = Op::Kind::kDiff;
+        break;
+      case K::kIntersect:
+        n.kind = Op::Kind::kIntersect;
+        break;
+      case K::kDivide:
+        n.kind = Op::Kind::kDivide;
+        break;
+      case K::kDelta: {
+        // Δ ranges over the whole world's active domain, so every null of
+        // the database can move it.
+        n.kind = Op::Kind::kDiagonal;
+        for (const Value& c : db.Constants()) {
+          n.constants.push_back(dict_.Find(c));
+        }
+        for (size_t s = 0; s < nulls_.size(); ++s) {
+          n.nulls[s >> 6] |= uint64_t{1} << (s & 63);
+        }
+        break;
+      }
+      case K::kProduct:
+        return Status::Internal("delta evaluation: unreachable plan kind");
     }
-    case K::kDelta: {
-      // Δ ranges over the whole world's active domain, so every null of the
-      // database can move it.
-      n->kind = Node::Kind::kDiagonal;
-      n->nulls = db_->Nulls();
-      break;
+    if (e->left() != nullptr) {
+      INCDB_ASSIGN_OR_RETURN(n.left, CompileOp(e->left(), db, scan_of));
     }
-    case K::kProduct:
-      return Status::Internal("delta evaluation: unreachable plan kind");
+    if (e->right() != nullptr) {
+      INCDB_ASSIGN_OR_RETURN(n.right, CompileOp(e->right(), db, scan_of));
+    }
+    if (n.kind == Op::Kind::kDivide) {
+      for (size_t c = 0; c < arity; ++c) n.cols.push_back(c);
+      for (size_t c = arity; c < ops_[n.left].arity; ++c) n.cols2.push_back(c);
+    }
   }
-  postorder_.push_back(std::move(node));
-  return n;
+  if (n.left != Op::kNoChild) OrInto(n.nulls, ops_[n.left].nulls);
+  if (n.right != Op::kNoChild) OrInto(n.nulls, ops_[n.right].nulls);
+  ops_.push_back(std::move(n));
+  return ops_.size() - 1;
 }
 
-Status DeltaEvaluator::Init(Node& n) {
-  OpScope scope(options_.stats, n.op());
-  n.counts.clear();
-  switch (n.kind) {
-    case Node::Kind::kScan: {
-      scope.CountIn(n.base->tuples().size());
-      for (const Tuple& t : n.base->tuples()) n.counts[cur_.Apply(t)] += 1;
-      break;
+// One chain's state of one plan operator.
+struct DeltaEvaluator::Node {
+  const DeltaPlan::Op* op = nullptr;
+  Node* left = nullptr;
+  Node* right = nullptr;
+  // The output rows, each with its derivation count and the step that last
+  // changed it, and the rows changed in the current step with the count each
+  // had before it.
+  CodeRows out;
+  std::vector<int64_t> count;
+  std::vector<uint64_t> changed_in;
+  std::vector<std::pair<uint32_t, int64_t>> touched;
+  RowChanges delta;
+  // kJoin: key-indexed mirrors of the children's current rows.
+  Mirror left_rows, right_rows;
+  // kDiff / kIntersect: the children's transitions of the step, by row.
+  CodeRows left_flips, right_flips;
+  std::vector<int8_t> right_sign;
+  // kDivide: head -> #left rows with that head / #divisor rows it matches;
+  // membership is rows > 0 and matches == |divisor|. The heads changed in
+  // the step keep their counts from before it.
+  CodeRows heads;
+  std::vector<int64_t> head_rows, head_matches;
+  std::vector<uint64_t> head_changed_in;
+  std::vector<std::tuple<uint32_t, int64_t, int64_t>> head_touched;
+  // Row scratch.
+  std::vector<uint32_t> buf, buf2;
+
+  // The slot of division head `head`, added with zero counters when new.
+  uint32_t Head(const uint32_t* head, bool* inserted) {
+    const uint32_t h = heads.Insert(head, inserted);
+    if (h >= head_rows.size()) {
+      head_rows.resize(heads.slot_bound());
+      head_matches.resize(heads.slot_bound());
+      head_changed_in.resize(heads.slot_bound());
     }
-    case Node::Kind::kConst: {
-      scope.CountIn(n.base->tuples().size());
-      for (const Tuple& t : n.base->tuples()) n.counts[t] += 1;
-      break;
+    if (*inserted) head_rows[h] = head_matches[h] = head_changed_in[h] = 0;
+    return h;
+  }
+};
+
+DeltaEvaluator::DeltaEvaluator(const DeltaPlan& plan, EvalStats* stats)
+    : plan_(plan), stats_(stats), val_(plan.nulls_.size(), 0) {
+  nodes_.resize(plan.ops_.size());
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    const DeltaPlan::Op& op = plan.ops_[i];
+    Node& n = nodes_[i];
+    n.op = &op;
+    if (op.left != DeltaPlan::Op::kNoChild) n.left = &nodes_[op.left];
+    if (op.right != DeltaPlan::Op::kNoChild) n.right = &nodes_[op.right];
+    n.out = CodeRows(op.arity);
+    n.delta = RowChanges(op.arity);
+    size_t scratch = op.arity;
+    switch (op.kind) {
+      case DeltaPlan::Op::Kind::kScan:
+        scratch = plan.scans_[op.scan].arity;
+        break;
+      case DeltaPlan::Op::Kind::kJoin:
+        n.left_rows.Reset(n.left->op->arity, op.left_keys);
+        n.right_rows.Reset(n.right->op->arity, op.right_keys);
+        scratch = n.left->op->arity + n.right->op->arity;
+        break;
+      case DeltaPlan::Op::Kind::kDiff:
+      case DeltaPlan::Op::Kind::kIntersect:
+        n.left_flips = CodeRows(op.arity);
+        n.right_flips = CodeRows(op.arity);
+        break;
+      case DeltaPlan::Op::Kind::kDivide:
+        n.heads = CodeRows(op.arity);
+        scratch = n.left->op->arity;
+        break;
+      default:
+        break;
     }
-    case Node::Kind::kSelect: {
-      scope.CountIn(n.left->counts.size());
-      for (const auto& kv : n.left->counts) {
-        if (n.filter->EvalNaive(kv.first)) n.counts.emplace(kv.first, 1);
-      }
-      break;
+    n.buf.resize(std::max(scratch, op.arity));
+    n.buf2.resize(std::max(scratch, op.arity));
+  }
+}
+
+DeltaEvaluator::~DeltaEvaluator() = default;
+
+const CodeRows& DeltaEvaluator::output() const { return nodes_.back().out; }
+
+const RowChanges& DeltaEvaluator::changes() const {
+  return nodes_.back().delta;
+}
+
+void DeltaEvaluator::Adjust(Node& n, const uint32_t* row, int64_t d) {
+  bool inserted;
+  const uint32_t s = n.out.Insert(row, &inserted);
+  if (s >= n.count.size()) {
+    n.count.resize(n.out.slot_bound());
+    n.changed_in.resize(n.out.slot_bound());
+  }
+  if (inserted) n.count[s] = 0;
+  if (inserted || n.changed_in[s] != step_) {
+    n.changed_in[s] = step_;
+    n.touched.emplace_back(s, n.count[s]);
+  }
+  n.count[s] += d;
+}
+
+void DeltaEvaluator::Finish(Node& n, bool emit) {
+  for (const auto& [s, before] : n.touched) {
+    const int64_t after = n.count[s];
+    if (emit && before <= 0 && after > 0) {
+      n.delta.Push(n.out.Row(s), +1);
+    } else if (emit && before > 0 && after <= 0) {
+      n.delta.Push(n.out.Row(s), -1);
     }
-    case Node::Kind::kProject: {
-      scope.CountIn(n.left->counts.size());
-      for (const auto& kv : n.left->counts) {
-        n.counts[kv.first.Project(n.cols)] += 1;
-      }
-      break;
-    }
-    case Node::Kind::kJoin: {
-      scope.CountIn(n.left->counts.size() + n.right->counts.size());
-      n.left_by_key.clear();
-      n.right_by_key.clear();
-      for (const auto& kv : n.left->counts) {
-        n.left_by_key[HashColumns(kv.first, n.left_key_cols)].push_back(
-            kv.first);
-      }
-      for (const auto& kv : n.right->counts) {
-        n.right_by_key[HashColumns(kv.first, n.right_key_cols)].push_back(
-            kv.first);
-      }
-      for (const auto& kv : n.left->counts) {
-        scope.CountProbes(1);
-        auto it = n.right_by_key.find(HashColumns(kv.first, n.left_key_cols));
-        if (it == n.right_by_key.end()) continue;
-        for (const Tuple& r : it->second) {
-          if (!ColumnsEqual(kv.first, n.left_key_cols, r, n.right_key_cols)) {
-            continue;
-          }
-          n.EmitJoin(kv.first, r, +1, n.counts);
+    if (after == 0) n.out.Erase(s);
+  }
+  n.touched.clear();
+}
+
+void DeltaEvaluator::JoinPair(Node& n, const uint32_t* l, const uint32_t* r,
+                              int64_t sign) {
+  const size_t lw = n.left->op->arity;
+  uint32_t* joined = n.buf.data();
+  std::copy(l, l + lw, joined);
+  std::copy(r, r + n.right->op->arity, joined + lw);
+  if (!Holds(n.op->pred, joined)) return;
+  if (n.op->has_projection) {
+    Gather(joined, n.op->projection, n.buf2.data());
+    Adjust(n, n.buf2.data(), sign);
+  } else {
+    Adjust(n, joined, sign);
+  }
+}
+
+void DeltaEvaluator::Init(Node& n, bool emit) {
+  using Kind = DeltaPlan::Op::Kind;
+  const DeltaPlan::Op& op = *n.op;
+  OpScope scope(stats_, op.op(), /*timed=*/false);
+  switch (op.kind) {
+    case Kind::kScan: {
+      const DeltaPlan::Scan& scan = plan_.scans_[op.scan];
+      scope.CountIn(scan.rows);
+      const uint32_t* cell = scan.cells.data();
+      for (size_t row = 0; row < scan.rows; ++row) {
+        for (size_t c = 0; c < scan.arity; ++c, ++cell) {
+          n.buf[c] = *cell & kNullSlot ? val_[*cell & ~kNullSlot] : *cell;
         }
-      }
-      // EmitJoin adds signed counts; drop residual-rejected zero entries.
-      for (auto it = n.counts.begin(); it != n.counts.end();) {
-        it = it->second == 0 ? n.counts.erase(it) : std::next(it);
+        Adjust(n, n.buf.data(), +1);
       }
       break;
     }
-    case Node::Kind::kUnion: {
-      scope.CountIn(n.left->counts.size() + n.right->counts.size());
-      for (const auto& kv : n.left->counts) n.counts[kv.first] += 1;
-      for (const auto& kv : n.right->counts) n.counts[kv.first] += 1;
+    case Kind::kConst:
+      scope.CountIn(op.row_count);
+      for (size_t row = 0; row < op.row_count; ++row) {
+        Adjust(n, op.rows.data() + row * op.arity, +1);
+      }
       break;
-    }
-    case Node::Kind::kDiff: {
-      scope.CountIn(n.left->counts.size() + n.right->counts.size());
-      for (const auto& kv : n.left->counts) {
+    case Kind::kSelect:
+      scope.CountIn(n.left->out.size());
+      n.left->out.ForEach([&](uint32_t s) {
+        const uint32_t* row = n.left->out.Row(s);
+        if (Holds(op.pred, row)) Adjust(n, row, +1);
+      });
+      break;
+    case Kind::kProject:
+      scope.CountIn(n.left->out.size());
+      n.left->out.ForEach([&](uint32_t s) {
+        Gather(n.left->out.Row(s), op.cols, n.buf.data());
+        Adjust(n, n.buf.data(), +1);
+      });
+      break;
+    case Kind::kJoin: {
+      const CodeRows& l = n.left->out;
+      const CodeRows& r = n.right->out;
+      scope.CountIn(l.size() + r.size());
+      n.left_rows.Clear();
+      n.right_rows.Clear();
+      l.ForEach([&](uint32_t s) { n.left_rows.Add(l.Row(s)); });
+      r.ForEach([&](uint32_t s) { n.right_rows.Add(r.Row(s)); });
+      std::vector<uint32_t>& key = n.left_rows.key;
+      l.ForEach([&](uint32_t s) {
         scope.CountProbes(1);
-        if (!n.right->In(kv.first)) n.counts.emplace(kv.first, 1);
-      }
+        const uint32_t* lrow = l.Row(s);
+        Gather(lrow, op.left_keys, key.data());
+        n.right_rows.ForEachMatch(key.data(), [&](const uint32_t* rrow) {
+          JoinPair(n, lrow, rrow, +1);
+        });
+      });
       break;
     }
-    case Node::Kind::kIntersect: {
-      scope.CountIn(n.left->counts.size() + n.right->counts.size());
-      for (const auto& kv : n.left->counts) {
+    case Kind::kUnion:
+      scope.CountIn(n.left->out.size() + n.right->out.size());
+      for (const Node* child : {n.left, n.right}) {
+        child->out.ForEach(
+            [&](uint32_t s) { Adjust(n, child->out.Row(s), +1); });
+      }
+      break;
+    case Kind::kDiff:
+    case Kind::kIntersect: {
+      const bool keep_if_in_right = op.kind == Kind::kIntersect;
+      scope.CountIn(n.left->out.size() + n.right->out.size());
+      n.left->out.ForEach([&](uint32_t s) {
         scope.CountProbes(1);
-        if (n.right->In(kv.first)) n.counts.emplace(kv.first, 1);
-      }
+        const uint32_t* row = n.left->out.Row(s);
+        if (n.right->out.Contains(row) == keep_if_in_right) {
+          Adjust(n, row, +1);
+        }
+      });
       break;
     }
-    case Node::Kind::kDivide: {
-      scope.CountIn(n.left->counts.size() + n.right->counts.size());
-      n.head_count.clear();
-      n.match_count.clear();
-      const size_t s_size = n.right->counts.size();
-      for (const auto& kv : n.left->counts) {
+    case Kind::kDivide: {
+      scope.CountIn(n.left->out.size() + n.right->out.size());
+      n.heads.Clear();
+      const uint64_t s_size = n.right->out.size();
+      n.left->out.ForEach([&](uint32_t s) {
         scope.CountProbes(1);
-        Tuple head = kv.first.Project(n.cols);
-        if (n.right->In(kv.first.Project(n.cols2))) n.match_count[head] += 1;
-        n.head_count[std::move(head)] += 1;
-      }
-      for (const auto& kv : n.head_count) {
-        auto it = n.match_count.find(kv.first);
-        const int64_t m = it == n.match_count.end() ? 0 : it->second;
-        if (static_cast<uint64_t>(m) == s_size) n.counts.emplace(kv.first, 1);
-      }
+        const uint32_t* row = n.left->out.Row(s);
+        Gather(row, op.cols, n.buf.data());
+        bool inserted;
+        const uint32_t h = n.Head(n.buf.data(), &inserted);
+        n.head_rows[h] += 1;
+        Gather(row, op.cols2, n.buf2.data());
+        if (n.right->out.Contains(n.buf2.data())) n.head_matches[h] += 1;
+      });
+      n.heads.ForEach([&](uint32_t h) {
+        if (static_cast<uint64_t>(n.head_matches[h]) == s_size) {
+          Adjust(n, n.heads.Row(h), +1);
+        }
+      });
       break;
     }
-    case Node::Kind::kDiagonal: {
+    case Kind::kDiagonal: {
       // (c, c) is derived once if c is a constant of D, and once more per
       // null currently bound to c.
-      for (const Value& c : db_->Constants()) n.counts[Tuple{c, c}] += 1;
-      for (NullId id : n.nulls) {
-        const Value& c = cur_.Lookup(id);
-        n.counts[Tuple{c, c}] += 1;
+      for (uint32_t c : op.constants) {
+        n.buf[0] = n.buf[1] = c;
+        Adjust(n, n.buf.data(), +1);
+      }
+      for (uint32_t c : val_) {
+        n.buf[0] = n.buf[1] = c;
+        Adjust(n, n.buf.data(), +1);
       }
       break;
     }
   }
-  scope.CountOut(n.counts.size());
-  return Status::OK();
+  Finish(n, emit);
+  scope.CountOut(n.out.size());
 }
 
-Status DeltaEvaluator::Initialize(const Valuation& v) {
-  if (postorder_.empty()) return Status::Internal("Initialize before Build");
-  cur_ = v;
-  added_.clear();
-  removed_.clear();
-  for (auto& n : postorder_) {
-    n->delta.clear();
-    INCDB_RETURN_IF_ERROR(Init(*n));
-  }
-  initialized_ = true;
-  return Status::OK();
+void DeltaEvaluator::Recompute(Node& n) {
+  ++node_fallbacks_;
+  // Zero every count, remembering it, so that Init's full evaluation turns
+  // into transitions against the old output.
+  n.out.ForEach([&](uint32_t s) {
+    if (n.changed_in[s] != step_) {
+      n.changed_in[s] = step_;
+      n.touched.emplace_back(s, n.count[s]);
+    }
+    n.count[s] = 0;
+  });
+  Init(n, /*emit=*/true);
 }
 
-Status DeltaEvaluator::Step(Node& n, const ValuationDelta& delta) {
-  OpScope scope(options_.stats, n.op());
+void DeltaEvaluator::Step(Node& n, size_t slot, uint32_t old_code) {
+  using Kind = DeltaPlan::Op::Kind;
+  const DeltaPlan::Op& op = *n.op;
+  OpScope scope(stats_, op.op(), /*timed=*/false);
   if (n.left != nullptr) scope.CountIn(n.left->delta.size());
   if (n.right != nullptr) scope.CountIn(n.right->delta.size());
-  Counts adj;
-  switch (n.kind) {
-    case Node::Kind::kConst:
-      return Status::OK();  // unreachable: nulls is empty
-    case Node::Kind::kScan: {
-      auto it = n.provenance.find(delta.null_id);
-      if (it == n.provenance.end()) return Status::OK();
-      scope.CountIn(it->second.size());
-      const std::vector<Tuple>& rows = n.base->tuples();
-      for (uint32_t idx : it->second) {
-        const Tuple& bt = rows[idx];
+  switch (op.kind) {
+    case Kind::kConst:
+      return;  // unreachable: nulls is empty
+    case Kind::kScan: {
+      const DeltaPlan::Scan& scan = plan_.scans_[op.scan];
+      const uint32_t begin = scan.prov_start[slot];
+      const uint32_t end = scan.prov_start[slot + 1];
+      scope.CountIn(end - begin);
+      for (uint32_t i = begin; i < end; ++i) {
         // Retract the row's previous instance: the flipped null maps to its
-        // old value, every other value through the (already updated)
-        // current valuation, which agrees with the previous one elsewhere.
-        std::vector<Value> old_vals;
-        old_vals.reserve(bt.arity());
-        for (const Value& v : bt.values()) {
-          if (v.is_null() && v.null_id() == delta.null_id) {
-            old_vals.push_back(delta.old_value);
-          } else {
-            old_vals.push_back(cur_.Apply(v));
+        // old code, every other cell through the (already updated) current
+        // valuation, which agrees with the previous one elsewhere.
+        const uint32_t* cell =
+            scan.cells.data() + scan.prov_rows[i] * scan.arity;
+        for (size_t c = 0; c < scan.arity; ++c) {
+          if (!(cell[c] & kNullSlot)) {
+            n.buf[c] = n.buf2[c] = cell[c];
+            continue;
           }
+          const uint32_t s = cell[c] & ~kNullSlot;
+          n.buf2[c] = val_[s];
+          n.buf[c] = s == slot ? old_code : val_[s];
         }
-        adj[Tuple(std::move(old_vals))] -= 1;
-        adj[cur_.Apply(bt)] += 1;
+        Adjust(n, n.buf.data(), -1);
+        Adjust(n, n.buf2.data(), +1);
       }
       break;
     }
-    case Node::Kind::kSelect: {
-      for (const auto& kv : n.left->delta) {
-        if (n.filter->EvalNaive(kv.first)) adj[kv.first] += kv.second;
+    case Kind::kSelect: {
+      const RowChanges& d = n.left->delta;
+      for (size_t i = 0; i < d.size(); ++i) {
+        if (Holds(op.pred, d.Row(i))) Adjust(n, d.Row(i), d.sign(i));
       }
       break;
     }
-    case Node::Kind::kProject: {
-      for (const auto& kv : n.left->delta) {
-        adj[kv.first.Project(n.cols)] += kv.second;
+    case Kind::kProject: {
+      const RowChanges& d = n.left->delta;
+      for (size_t i = 0; i < d.size(); ++i) {
+        Gather(d.Row(i), op.cols, n.buf.data());
+        Adjust(n, n.buf.data(), d.sign(i));
       }
       break;
     }
-    case Node::Kind::kJoin: {
-      if (n.left->delta.size() + n.right->delta.size() >
-          n.left->counts.size() + n.right->counts.size()) {
+    case Kind::kJoin: {
+      const RowChanges& ld = n.left->delta;
+      const RowChanges& rd = n.right->delta;
+      if (ld.size() + rd.size() > n.left->out.size() + n.right->out.size()) {
         return Recompute(n);
       }
       // Δ(L ⋈ R) = ΔL ⋈ R_old  +  L_new ⋈ ΔR: probe the right mirror
       // before folding ΔR into it, and fold ΔL into the left mirror before
       // probing it.
-      for (const auto& kv : n.left->delta) {
+      std::vector<uint32_t>& key = n.left_rows.key;
+      for (size_t i = 0; i < ld.size(); ++i) {
         scope.CountProbes(1);
-        auto it = n.right_by_key.find(HashColumns(kv.first, n.left_key_cols));
-        if (it == n.right_by_key.end()) continue;
-        for (const Tuple& r : it->second) {
-          if (!ColumnsEqual(kv.first, n.left_key_cols, r, n.right_key_cols)) {
-            continue;
-          }
-          n.EmitJoin(kv.first, r, kv.second, adj);
+        Gather(ld.Row(i), op.left_keys, key.data());
+        n.right_rows.ForEachMatch(key.data(), [&](const uint32_t* r) {
+          JoinPair(n, ld.Row(i), r, ld.sign(i));
+        });
+      }
+      for (size_t i = 0; i < ld.size(); ++i) {
+        if (ld.sign(i) > 0) {
+          n.left_rows.Add(ld.Row(i));
+        } else {
+          n.left_rows.Remove(ld.Row(i));
         }
       }
-      for (const auto& kv : n.left->delta) {
-        MirrorApply(n.left_by_key, HashColumns(kv.first, n.left_key_cols),
-                    kv.first, kv.second);
-      }
-      for (const auto& kv : n.right->delta) {
+      std::vector<uint32_t>& rkey = n.right_rows.key;
+      for (size_t i = 0; i < rd.size(); ++i) {
         scope.CountProbes(1);
-        auto it = n.left_by_key.find(HashColumns(kv.first, n.right_key_cols));
-        if (it != n.left_by_key.end()) {
-          for (const Tuple& l : it->second) {
-            if (!ColumnsEqual(l, n.left_key_cols, kv.first,
-                              n.right_key_cols)) {
-              continue;
-            }
-            n.EmitJoin(l, kv.first, kv.second, adj);
-          }
+        Gather(rd.Row(i), op.right_keys, rkey.data());
+        n.left_rows.ForEachMatch(rkey.data(), [&](const uint32_t* l) {
+          JoinPair(n, l, rd.Row(i), rd.sign(i));
+        });
+        if (rd.sign(i) > 0) {
+          n.right_rows.Add(rd.Row(i));
+        } else {
+          n.right_rows.Remove(rd.Row(i));
         }
-        MirrorApply(n.right_by_key, HashColumns(kv.first, n.right_key_cols),
-                    kv.first, kv.second);
       }
       break;
     }
-    case Node::Kind::kUnion: {
-      for (const auto& kv : n.left->delta) adj[kv.first] += kv.second;
-      for (const auto& kv : n.right->delta) adj[kv.first] += kv.second;
+    case Kind::kUnion:
+      for (const Node* child : {n.left, n.right}) {
+        const RowChanges& d = child->delta;
+        for (size_t i = 0; i < d.size(); ++i) {
+          Adjust(n, d.Row(i), d.sign(i));
+        }
+      }
       break;
-    }
-    case Node::Kind::kDiff:
-    case Node::Kind::kIntersect: {
-      // A child transition's sign encodes the tuple's old membership there
-      // (+1 ⇒ was absent, −1 ⇒ was present); membership of unflipped
-      // tuples is the same before and after.
-      std::unordered_map<Tuple, int, TupleHash> lflip, rflip;
-      for (const auto& kv : n.left->delta) lflip[kv.first] = kv.second;
-      for (const auto& kv : n.right->delta) rflip[kv.first] = kv.second;
-      const bool is_diff = n.kind == Node::Kind::kDiff;
-      auto visit = [&](const Tuple& t) {
-        auto lf = lflip.find(t);
-        auto rf = rflip.find(t);
-        const bool l_new = n.left->In(t);
-        const bool r_new = n.right->In(t);
-        const bool l_old = lf == lflip.end() ? l_new : lf->second < 0;
-        const bool r_old = rf == rflip.end() ? r_new : rf->second < 0;
+    case Kind::kDiff:
+    case Kind::kIntersect: {
+      // A child transition's sign encodes the row's old membership there
+      // (+1 ⇒ was absent, −1 ⇒ was present); membership of unflipped rows
+      // is the same before and after.
+      const RowChanges& ld = n.left->delta;
+      const RowChanges& rd = n.right->delta;
+      const bool both = !ld.empty() && !rd.empty();
+      if (both) {
+        for (size_t i = 0; i < ld.size(); ++i) n.left_flips.Insert(ld.Row(i));
+        for (size_t i = 0; i < rd.size(); ++i) {
+          bool inserted;
+          const uint32_t s = n.right_flips.Insert(rd.Row(i), &inserted);
+          if (s >= n.right_sign.size()) {
+            n.right_sign.resize(n.right_flips.slot_bound());
+          }
+          n.right_sign[s] = static_cast<int8_t>(rd.sign(i));
+        }
+      }
+      const bool is_diff = op.kind == Kind::kDiff;
+      auto visit = [&](const uint32_t* row, int lsign, int rsign) {
+        const bool l_new = n.left->out.Contains(row);
+        const bool r_new = n.right->out.Contains(row);
+        const bool l_old = lsign == 0 ? l_new : lsign < 0;
+        const bool r_old = rsign == 0 ? r_new : rsign < 0;
         const bool was = l_old && (is_diff ? !r_old : r_old);
         const bool now = l_new && (is_diff ? !r_new : r_new);
-        if (was != now) adj[t] += now ? 1 : -1;
+        if (was != now) Adjust(n, row, now ? 1 : -1);
       };
-      for (const auto& kv : lflip) {
+      for (size_t i = 0; i < ld.size(); ++i) {
         scope.CountProbes(1);
-        visit(kv.first);
+        int rsign = 0;
+        if (both) {
+          const uint32_t s = n.right_flips.Find(ld.Row(i));
+          if (s != kNone) rsign = n.right_sign[s];
+        }
+        visit(ld.Row(i), ld.sign(i), rsign);
       }
-      for (const auto& kv : rflip) {
-        if (lflip.find(kv.first) != lflip.end()) continue;
+      for (size_t i = 0; i < rd.size(); ++i) {
+        if (both && n.left_flips.Contains(rd.Row(i))) continue;
         scope.CountProbes(1);
-        visit(kv.first);
+        visit(rd.Row(i), 0, rd.sign(i));
+      }
+      if (both) {
+        n.left_flips.Clear();
+        n.right_flips.Clear();
       }
       break;
     }
-    case Node::Kind::kDivide: {
+    case Kind::kDivide: {
       // A changed divisor moves the match target for every head at once —
       // recompute rather than re-probing all heads.
+      const RowChanges& ld = n.left->delta;
       if (!n.right->delta.empty()) return Recompute(n);
-      if (n.left->delta.size() > n.left->counts.size()) return Recompute(n);
-      const size_t s_size = n.right->counts.size();
-      Counts head_adj, match_adj;
-      for (const auto& kv : n.left->delta) {
+      if (ld.size() > n.left->out.size()) return Recompute(n);
+      const uint64_t s_size = n.right->out.size();
+      for (size_t i = 0; i < ld.size(); ++i) {
         scope.CountProbes(1);
-        Tuple head = kv.first.Project(n.cols);
-        if (n.right->In(kv.first.Project(n.cols2))) {
-          match_adj[head] += kv.second;
+        const uint32_t* row = ld.Row(i);
+        Gather(row, op.cols, n.buf.data());
+        bool inserted;
+        const uint32_t h = n.Head(n.buf.data(), &inserted);
+        if (inserted || n.head_changed_in[h] != step_) {
+          n.head_changed_in[h] = step_;
+          n.head_touched.emplace_back(h, n.head_rows[h], n.head_matches[h]);
         }
-        head_adj[std::move(head)] += kv.second;
+        n.head_rows[h] += ld.sign(i);
+        Gather(row, op.cols2, n.buf2.data());
+        if (n.right->out.Contains(n.buf2.data())) {
+          n.head_matches[h] += ld.sign(i);
+        }
       }
-      for (const auto& kv : head_adj) {
-        const Tuple& head = kv.first;
-        auto hit = n.head_count.find(head);
-        auto mit = n.match_count.find(head);
-        const int64_t h_old = hit == n.head_count.end() ? 0 : hit->second;
-        const int64_t m_old = mit == n.match_count.end() ? 0 : mit->second;
-        const int64_t h_new = h_old + kv.second;
-        auto ma = match_adj.find(head);
-        const int64_t m_new =
-            m_old + (ma == match_adj.end() ? 0 : ma->second);
-        if (h_new == 0) {
-          if (hit != n.head_count.end()) n.head_count.erase(hit);
-        } else if (hit == n.head_count.end()) {
-          n.head_count.emplace(head, h_new);
-        } else {
-          hit->second = h_new;
-        }
-        if (m_new == 0) {
-          if (mit != n.match_count.end()) n.match_count.erase(mit);
-        } else if (mit == n.match_count.end()) {
-          n.match_count.emplace(head, m_new);
-        } else {
-          mit->second = m_new;
-        }
+      for (const auto& [h, h_old, m_old] : n.head_touched) {
+        const int64_t h_new = n.head_rows[h];
+        const int64_t m_new = n.head_matches[h];
         const bool was = h_old > 0 && static_cast<uint64_t>(m_old) == s_size;
         const bool now = h_new > 0 && static_cast<uint64_t>(m_new) == s_size;
-        if (was != now) adj[head] += now ? 1 : -1;
+        if (was != now) Adjust(n, n.heads.Row(h), now ? 1 : -1);
       }
+      for (const auto& [h, h_old, m_old] : n.head_touched) {
+        if (n.head_rows[h] == 0 && n.head_matches[h] == 0) n.heads.Erase(h);
+      }
+      n.head_touched.clear();
       break;
     }
-    case Node::Kind::kDiagonal: {
-      adj[Tuple{delta.old_value, delta.old_value}] -= 1;
-      adj[Tuple{delta.new_value, delta.new_value}] += 1;
+    case Kind::kDiagonal:
+      n.buf[0] = n.buf[1] = old_code;
+      Adjust(n, n.buf.data(), -1);
+      n.buf[0] = n.buf[1] = val_[slot];
+      Adjust(n, n.buf.data(), +1);
       break;
-    }
   }
-  n.ApplyAdjustments(adj);
+  Finish(n, /*emit=*/true);
   scope.CountOut(n.delta.size());
-  return Status::OK();
 }
 
-Status DeltaEvaluator::Recompute(Node& n) {
-  ++node_fallbacks_;
-  Counts old = std::move(n.counts);
-  INCDB_RETURN_IF_ERROR(Init(n));
-  for (const auto& kv : n.counts) {
-    if (old.find(kv.first) == old.end()) n.delta.emplace_back(kv.first, +1);
-  }
-  for (const auto& kv : old) {
-    if (n.counts.find(kv.first) == n.counts.end()) {
-      n.delta.emplace_back(kv.first, -1);
+void DeltaEvaluator::ChargeRoot() {
+  const auto now = std::chrono::steady_clock::now();
+  stats_->at(plan_.ops_.back().op()).nanos += static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(now - last_)
+          .count());
+  last_ = now;
+}
+
+Status DeltaEvaluator::Initialize(const Valuation& v) {
+  if (stats_ != nullptr) last_ = std::chrono::steady_clock::now();
+  for (size_t s = 0; s < val_.size(); ++s) {
+    const auto it = v.map().find(plan_.nulls_[s]);
+    const uint32_t code = it == v.map().end()
+                              ? ValueDict::kNotFound
+                              : plan_.dict_.Find(it->second);
+    if (code == ValueDict::kNotFound || code < plan_.dict_.null_end) {
+      return Status::Internal(
+          "delta evaluation: the valuation does not bind every null to a "
+          "domain value");
     }
+    val_[s] = code;
   }
+  ++step_;
+  for (Node& n : nodes_) {
+    n.delta.Clear();
+    n.out.Clear();
+    n.touched.clear();
+    Init(n, /*emit=*/false);
+  }
+  initialized_ = true;
+  if (stats_ != nullptr) ChargeRoot();
   return Status::OK();
 }
 
@@ -629,28 +1004,23 @@ Status DeltaEvaluator::ApplyDelta(const ValuationDelta& delta) {
   if (!delta.has_delta) {
     return Status::Internal("ApplyDelta requires a single-null delta");
   }
-  added_.clear();
-  removed_.clear();
-  cur_.Bind(delta.null_id, delta.new_value);
-  for (auto& n : postorder_) {
-    n->delta.clear();
-    if (n->nulls.find(delta.null_id) == n->nulls.end()) continue;
-    INCDB_RETURN_IF_ERROR(Step(*n, delta));
+  if (delta.null_index >= val_.size() ||
+      delta.old_index >= plan_.domain_codes_.size() ||
+      delta.new_index >= plan_.domain_codes_.size()) {
+    return Status::Internal("ApplyDelta outside the plan's world space");
   }
-  for (const auto& kv : postorder_.back()->delta) {
-    (kv.second > 0 ? added_ : removed_).push_back(kv.first);
+  ++step_;
+  const size_t slot = delta.null_index;
+  const uint32_t old_code = plan_.domain_codes_[delta.old_index];
+  val_[slot] = plan_.domain_codes_[delta.new_index];
+  for (Node& n : nodes_) {
+    n.delta.Clear();
+    if (!HasSlot(n.op->nulls, slot)) continue;
+    Step(n, slot, old_code);
   }
   ++deltas_applied_;
+  if (stats_ != nullptr) ChargeRoot();
   return Status::OK();
-}
-
-Relation DeltaEvaluator::Output() const {
-  if (postorder_.empty()) return Relation(0);
-  const Node* root = postorder_.back().get();
-  std::vector<Tuple> out;
-  out.reserve(root->counts.size());
-  for (const auto& kv : root->counts) out.push_back(kv.first);
-  return Relation(root->arity, std::move(out));
 }
 
 }  // namespace incdb

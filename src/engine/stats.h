@@ -52,7 +52,10 @@ struct OpCounters {
   uint64_t tuples_in = 0;   ///< input tuples consumed (sum over children)
   uint64_t tuples_out = 0;  ///< output tuples produced (pre-dedup)
   uint64_t probes = 0;      ///< hash-table lookups performed
-  uint64_t nanos = 0;       ///< self wall time (children excluded)
+  uint64_t nanos = 0;       ///< self wall time (children excluded), but
+                            ///< a SQL subquery's goes to its block and a
+                            ///< delta-evaluated plan's to its root
+                            ///< (docs/ARCHITECTURE.md §10)
 
   void Merge(const OpCounters& o) {
     calls += o.calls;

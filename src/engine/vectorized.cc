@@ -117,74 +117,18 @@ bool RowEq(const CodeView& a, size_t ai, const CodeView& b, size_t bi,
   return true;
 }
 
-bool CmpBool(CmpOp op, std::strong_ordering cmp) {
-  switch (op) {
-    case CmpOp::kEq: return cmp == 0;
-    case CmpOp::kNe: return cmp != 0;
-    case CmpOp::kLt: return cmp < 0;
-    case CmpOp::kLe: return cmp <= 0;
-    case CmpOp::kGt: return cmp > 0;
-    case CmpOp::kGe: return cmp >= 0;
-  }
-  return false;
-}
-
-CmpOp MirrorOp(CmpOp op) {
-  switch (op) {
-    case CmpOp::kLt: return CmpOp::kGt;
-    case CmpOp::kLe: return CmpOp::kGe;
-    case CmpOp::kGt: return CmpOp::kLt;
-    case CmpOp::kGe: return CmpOp::kLe;
-    default: return op;  // =, ≠ are symmetric
-  }
-}
-
 // col OP const as a predicate over dictionary codes: the constant resolves
-// to dictionary ranks once, the loop compares 32-bit codes. Valid because
-// the dictionary is sorted by the total Value order — the same order the
-// nested-loop reference compares with.
+// to a range of dictionary ranks once (ResolveCmp), the loop compares 32-bit
+// codes only.
 void MaskCmpConst(CmpOp op, const uint32_t* codes, size_t n,
                   const ValueDict& dict, const Value& constant,
                   uint8_t* mask) {
-  switch (op) {
-    case CmpOp::kEq: {
-      const uint32_t eq = dict.Find(constant);
-      if (eq == ValueDict::kNotFound) {
-        std::fill(mask, mask + n, uint8_t{0});
-      } else {
-        for (size_t i = 0; i < n; ++i) mask[i] = codes[i] == eq;
-      }
-      return;
-    }
-    case CmpOp::kNe: {
-      const uint32_t eq = dict.Find(constant);
-      if (eq == ValueDict::kNotFound) {
-        std::fill(mask, mask + n, uint8_t{1});
-      } else {
-        for (size_t i = 0; i < n; ++i) mask[i] = codes[i] != eq;
-      }
-      return;
-    }
-    case CmpOp::kLt: {
-      const uint32_t lb = dict.LowerBound(constant);
-      for (size_t i = 0; i < n; ++i) mask[i] = codes[i] < lb;
-      return;
-    }
-    case CmpOp::kLe: {
-      const uint32_t ub = dict.UpperBound(constant);
-      for (size_t i = 0; i < n; ++i) mask[i] = codes[i] < ub;
-      return;
-    }
-    case CmpOp::kGt: {
-      const uint32_t ub = dict.UpperBound(constant);
-      for (size_t i = 0; i < n; ++i) mask[i] = codes[i] >= ub;
-      return;
-    }
-    case CmpOp::kGe: {
-      const uint32_t lb = dict.LowerBound(constant);
-      for (size_t i = 0; i < n; ++i) mask[i] = codes[i] >= lb;
-      return;
-    }
+  const CodeRange r = ResolveCmp(op, dict, constant);
+  const uint32_t span = r.hi - r.lo;
+  if (r.negate) {
+    for (size_t i = 0; i < n; ++i) mask[i] = codes[i] - r.lo >= span;
+  } else {
+    for (size_t i = 0; i < n; ++i) mask[i] = codes[i] - r.lo < span;
   }
 }
 

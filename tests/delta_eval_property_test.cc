@@ -11,18 +11,26 @@
 //    step between (old, old) and (new, new).
 //  * The exact probability table of the enumeration backend, counted along
 //    one Gray chain, must equal a per-world count over the reference.
+//  * Literals and selection constants reach the evaluator's one dictionary
+//    per query: a literal holding a null or a value outside the world
+//    domain, and selection constants outside it under every comparison,
+//    must answer like the reference on instances with and without strings.
+//  * DeltaOperatorTest.PinsStepCounters pins the evaluator's exact work
+//    counters on a fixed instance shaped like the certain_enum workload.
 // The non-enumeration notions are covered across thread counts by
 // ParallelEvalSweep (parallel_eval_property_test.cc).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "algebra/certain.h"
 #include "algebra/eval.h"
+#include "algebra/parser.h"
 #include "counting/probabilistic.h"
 #include "engine/query_engine.h"
 #include "testing/oracle.h"
@@ -33,7 +41,9 @@ namespace {
 
 // Random tables under a named schema so SQL queries can run. Small domain +
 // low null density keeps the world count tractable: fresh_constants is
-// pinned to 1 below, so worlds ≤ (3 + 1)^#nulls.
+// pinned to 1 below, so worlds ≤ (3 + 1)^#nulls. Odd seeds mix strings
+// among the integers, so the query dictionary spans both kinds; their
+// domain holds up to 3 + 3 + 1 values, so they keep at most 3 nulls.
 Database NamedRandomDb(uint64_t seed) {
   RandomDbConfig cfg;
   cfg.arities = {2, 2};
@@ -41,6 +51,10 @@ Database NamedRandomDb(uint64_t seed) {
   cfg.domain_size = 3;
   cfg.null_density = 0.15;
   cfg.null_reuse = 0.5;
+  if (seed % 2 == 1) {
+    cfg.string_density = 0.3;
+    cfg.max_nulls = 3;
+  }
   cfg.seed = seed;
   Database rnd = MakeRandomDatabase(cfg);
 
@@ -264,6 +278,34 @@ TEST_P(DeltaEvalSweep, DeltaPlansMatchTheReference) {
   }
 }
 
+TEST_P(DeltaEvalSweep, LiteralsAndOutOfDomainConstantsMatchTheReference) {
+  Database db = NamedRandomDb(GetParam());
+  std::vector<std::string> plans = {
+      // A literal row with a null and a constant outside the world domain:
+      // both join the query dictionary, and the null is no null of D.
+      "R0 U {(_9, 99)}",
+      "R0 - {(_9, 99)}",
+      // Joins against a literal whose values the domain lacks.
+      "sel[#0 = #2](R0 x {('x', 99)})",
+      "proj{0,3}(sel[#1 < #3](R0 x {('x', 99)}))",
+  };
+  // Selection constants under every comparison: two that the domain
+  // usually holds, and four outside it — below every value, past the
+  // integers (ints sort before strings), between two strings and above
+  // every value.
+  for (const char* op : {"=", "!=", "<", "<=", ">", ">="}) {
+    for (const char* c : {"1", "'s1'", "-5", "7", "'s1a'", "'zz'"}) {
+      plans.push_back(std::string("sel[#1 ") + op + " " + c + "](R0)");
+    }
+  }
+  for (const std::string& text : plans) {
+    const Result<RAExprPtr> q = ParseRA(text);
+    ASSERT_TRUE(q.ok()) << text << ": " << q.status().ToString();
+    ExpectEnumMatchesReference(*q, db, OneFreshConstant());
+    ExpectExactProbabilitiesMatchReference(*q, db, OneFreshConstant());
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Sweep, DeltaEvalSweep,
                          ::testing::Range<uint64_t>(0, 12));
 
@@ -315,6 +357,123 @@ TEST(DeltaOperatorTest, OneChainAppliesADeltaPerWorldWithoutFallbacks) {
   EXPECT_EQ(prob_stats.worlds_counted(), worlds);
   EXPECT_EQ(prob_stats.delta_applied(), worlds - 1);
   EXPECT_EQ(prob_stats.delta_fallbacks(), 0u);
+}
+
+// The non-zero per-operator counters, one "op calls in out probes" line
+// each, then the evaluator's and the counting driver's own counters.
+std::string StepCounters(const EvalStats& s) {
+  std::string out;
+  char line[160];
+  for (size_t k = 0; k < kNumEvalOps; ++k) {
+    const OpCounters& c = s.at(static_cast<EvalOp>(k));
+    if (c.calls == 0 && c.tuples_in == 0 && c.tuples_out == 0 &&
+        c.probes == 0) {
+      continue;
+    }
+    std::snprintf(line, sizeof(line), "%s %llu %llu %llu %llu\n",
+                  EvalOpName(static_cast<EvalOp>(k)),
+                  static_cast<unsigned long long>(c.calls),
+                  static_cast<unsigned long long>(c.tuples_in),
+                  static_cast<unsigned long long>(c.tuples_out),
+                  static_cast<unsigned long long>(c.probes));
+    out += line;
+  }
+  std::snprintf(line, sizeof(line), "applied %llu fallbacks %llu worlds %llu",
+                static_cast<unsigned long long>(s.delta_applied()),
+                static_cast<unsigned long long>(s.delta_fallbacks()),
+                static_cast<unsigned long long>(s.worlds_counted()));
+  return out + line;
+}
+
+TEST(DeltaOperatorTest, PinsStepCounters) {
+  // Order(o_id, product) and Pay(p_id, order_id, amount) with two Codd
+  // nulls among the paid order ids, as in the certain_enum workload: the
+  // domain is the 9 constants plus 2 fresh ones, so 121 worlds. The null
+  // ids are sparse, so a null's id is not its slot in the world space.
+  Database db;
+  for (int64_t o = 1; o <= 6; ++o) {
+    db.AddTuple("Order", Tuple{Value::Int(o), Value::Int((o + 1) / 2)});
+  }
+  db.AddTuple("Pay", Tuple{Value::Int(1), Value::Int(1), Value::Int(10)});
+  db.AddTuple("Pay", Tuple{Value::Int(2), Value::Null(3), Value::Int(20)});
+  db.AddTuple("Pay", Tuple{Value::Int(3), Value::Int(3), Value::Int(10)});
+  db.AddTuple("Pay", Tuple{Value::Int(4), Value::Null(7), Value::Int(30)});
+  db.AddTuple("Pay", Tuple{Value::Int(5), Value::Int(5), Value::Int(20)});
+  ASSERT_EQ(CountWorldsCwa(db, {}), 121u);
+
+  struct Expected {
+    const char* plan;
+    // Possible answers at 1 and 4 threads (every chain walks its whole
+    // range), and the exact probability table's one chain.
+    const char* possible1;
+    const char* possible4;
+    const char* probability;
+  };
+  const Expected cases[] = {
+      // The certain_enum join: the Pay scan steps, the fused join probes
+      // the Order mirror once per Pay transition.
+      {"proj{1}(sel[#0 = #3](Order x Pay))",
+       "scan 122 131 251 0\nhash-join 121 251 3 246\n"
+       "applied 120 fallbacks 0 worlds 0",
+       "scan 125 161 278 0\nhash-join 121 278 12 258\n"
+       "applied 117 fallbacks 0 worlds 0",
+       "scan 122 131 251 0\nhash-join 121 251 3 246\n"
+       "applied 120 fallbacks 0 worlds 121"},
+      // Its difference: − re-derives membership for the flipped rows only.
+      {"proj{0}(Order) - proj{1}(Pay)",
+       "scan 122 131 251 0\nproject 122 251 174 0\ndiff 121 174 69 171\n"
+       "applied 120 fallbacks 0 worlds 0",
+       "scan 125 161 278 0\nproject 125 278 194 0\ndiff 121 194 73 179\n"
+       "applied 117 fallbacks 0 worlds 0",
+       "scan 122 131 251 0\nproject 122 251 174 0\ndiff 121 174 69 171\n"
+       "applied 120 fallbacks 0 worlds 121"},
+      // A fixed divisor: ÷ steps its per-head counters.
+      {"proj{2,1}(Pay) / proj{0}(sel[#0 = 1](Order))",
+       "scan 122 131 251 0\nselect 1 6 1 0\nproject 122 246 224 0\n"
+       "divide 121 224 15 223\napplied 120 fallbacks 0 worlds 0",
+       "scan 125 161 278 0\nselect 4 24 4 0\nproject 125 258 236 0\n"
+       "divide 121 236 24 232\napplied 117 fallbacks 0 worlds 0",
+       "scan 122 131 251 0\nselect 1 6 1 0\nproject 122 246 224 0\n"
+       "divide 121 224 15 223\napplied 120 fallbacks 0 worlds 121"},
+      // A divisor that moves with the nulls: ÷ recomputes on those steps.
+      {"proj{1,0}(Order) / proj{1}(Pay)",
+       "scan 122 131 251 0\nproject 122 251 174 0\ndivide 236 1372 0 696\n"
+       "applied 120 fallbacks 115 worlds 0",
+       "scan 125 161 278 0\nproject 125 278 194 0\ndivide 232 1352 0 690\n"
+       "applied 117 fallbacks 111 worlds 0",
+       "scan 122 131 251 0\nproject 122 251 174 0\ndivide 236 1372 0 696\n"
+       "applied 120 fallbacks 115 worlds 121"},
+      // Δ moves one count per step between (old, old) and (new, new).
+      {"sel[#0 = #3](delta x Pay)",
+       "scan 121 125 245 0\nhash-join 121 287 245 282\ndelta 121 0 42 0\n"
+       "applied 120 fallbacks 0 worlds 0",
+       "scan 121 137 254 0\nhash-join 121 322 254 302\ndelta 121 0 68 0\n"
+       "applied 117 fallbacks 0 worlds 0",
+       "scan 121 125 245 0\nhash-join 121 287 245 282\ndelta 121 0 42 0\n"
+       "applied 120 fallbacks 0 worlds 121"},
+  };
+  for (const Expected& c : cases) {
+    const Result<RAExprPtr> q = ParseRA(c.plan);
+    ASSERT_TRUE(q.ok()) << c.plan << ": " << q.status().ToString();
+    for (int threads : {1, 4}) {
+      EvalStats stats;
+      EvalOptions options;
+      options.num_threads = threads;
+      options.stats = &stats;
+      ASSERT_TRUE(PossibleAnswersEnum(*q, db, {}, options).ok()) << c.plan;
+      EXPECT_EQ(StepCounters(stats), threads == 1 ? c.possible1 : c.possible4)
+          << c.plan << " @" << threads;
+    }
+    EvalStats stats;
+    EvalOptions options;
+    options.stats = &stats;
+    ASSERT_TRUE(CertainAnswersWithProbabilityEnum(
+                    *q, db, WorldSemantics::kClosedWorld,
+                    ProbabilisticOptions{}, {}, options)
+                    .ok())
+        << c.plan;
+    EXPECT_EQ(StepCounters(stats), c.probability) << c.plan;
+  }
 }
 
 }  // namespace

@@ -147,7 +147,14 @@ Database ThreeNullDb() {
 // Applies `delta` to a copy of `v` and checks it yields `next`; the Gray
 // drivers promise every consecutive pair differs in exactly that one null.
 void ExpectDeltaConnects(const Valuation& prev, const ValuationDelta& delta,
-                         const Valuation& next) {
+                         const Valuation& next, const WorldSpace& space) {
+  // The indices name the same step within the world space walked.
+  ASSERT_LT(delta.null_index, space.nulls.size());
+  ASSERT_LT(delta.old_index, space.domain.size());
+  ASSERT_LT(delta.new_index, space.domain.size());
+  EXPECT_EQ(space.nulls[delta.null_index], delta.null_id);
+  EXPECT_EQ(space.domain[delta.old_index], delta.old_value);
+  EXPECT_EQ(space.domain[delta.new_index], delta.new_value);
   ASSERT_TRUE(prev.IsBound(delta.null_id));
   EXPECT_EQ(prev.Lookup(delta.null_id), delta.old_value);
   EXPECT_NE(delta.old_value, delta.new_value);
@@ -159,6 +166,11 @@ void ExpectDeltaConnects(const Valuation& prev, const ValuationDelta& delta,
 TEST(GrayWorldEnumTest, VisitsTheSerialValuationMultisetOneStepApart) {
   Database d = ThreeNullDb();
   WorldEnumOptions opts;
+  const WorldSpace space = MakeWorldSpace(d, opts);
+  const std::set<NullId> nulls = d.Nulls();
+  EXPECT_EQ(space.nulls, std::vector<NullId>(nulls.begin(), nulls.end()));
+  EXPECT_EQ(space.domain, WorldDomain(d, opts));
+  EXPECT_EQ(space.Count(), CountWorldsCwa(d, opts));
   // ForEachValuation is the serial Gray chain, so its valuations must be
   // all CountWorldsCwa of them, each once.
   std::set<std::string> plain;
@@ -180,7 +192,7 @@ TEST(GrayWorldEnumTest, VisitsTheSerialValuationMultisetOneStepApart) {
         EXPECT_EQ(worker, 0u);
         gray.push_back(v.ToString());
         if (delta.has_delta) {
-          ExpectDeltaConnects(prev, delta, v);
+          ExpectDeltaConnects(prev, delta, v, space);
         } else {
           ++chain_starts;
         }
@@ -198,6 +210,7 @@ TEST(GrayWorldEnumTest, VisitsTheSerialValuationMultisetOneStepApart) {
 TEST(GrayWorldEnumTest, ParallelChainsCoverTheSerialSetOneStartPerWorker) {
   Database d = ThreeNullDb();
   WorldEnumOptions opts;
+  const WorldSpace space = MakeWorldSpace(d, opts);
   std::multiset<std::string> serial;
   ASSERT_TRUE(ForEachValuation(d, opts, [&](const Valuation& v) {
                 serial.insert(v.ToString());
@@ -215,7 +228,7 @@ TEST(GrayWorldEnumTest, ParallelChainsCoverTheSerialSetOneStartPerWorker) {
         [&](const Valuation& v, const ValuationDelta& delta, size_t worker) {
           EXPECT_LT(worker, prev.size());
           if (delta.has_delta) {
-            ExpectDeltaConnects(prev[worker], delta, v);
+            ExpectDeltaConnects(prev[worker], delta, v, space);
           } else {
             ++starts[worker];
           }
