@@ -1,6 +1,11 @@
 // E5 — c-tables are a strong representation system for full RA under CWA,
 // at the price of condition growth under difference pipelines (paper,
 // Section 2: "hardly meaningful to humans").
+//
+// BM_CTableJoinProbability answers the e2e certain_ctable workload's
+// probability join on the c-table backend at one thread, over an instance
+// of the same shape; BM_NaiveJoin evaluates the same plan naïvely. CI's
+// c-table cost gate compares the two CPU times.
 
 #include <benchmark/benchmark.h>
 
@@ -102,5 +107,64 @@ void BM_ConditionSatisfiability(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ConditionSatisfiability)->Unit(benchmark::kMillisecond);
+
+// 150 orders over products 1..40, 120 payments with amounts 1..50, 6 of
+// them on 2 shared null order ids: the shape of bench/e2e's certain_ctable
+// instance. Products 39 and 40 belong only to orders no ground payment
+// pays, so their probabilities are counted over the nulls' worlds.
+Database OrdersAndPayments() {
+  Schema schema;
+  (void)schema.AddRelation("Order", {"o_id", "product"});
+  (void)schema.AddRelation("Pay", {"p_id", "order_id", "amount"});
+  Database db(schema);
+  for (int64_t o = 1; o <= 150; ++o) {
+    db.AddTuple("Order", Tuple{Value::Int(o),
+                               Value::Int(o <= 140 ? 1 + o % 38 : 39 + o % 2)});
+  }
+  for (int64_t p = 1; p <= 120; ++p) {
+    const Value order = p % 20 == 10 ? Value::Null(p < 60 ? 0 : 1)
+                                     : Value::Int(1 + (p * 37) % 140);
+    db.AddTuple("Pay",
+                Tuple{Value::Int(p), order, Value::Int(1 + (p * 13) % 50)});
+  }
+  return db;
+}
+
+RAExprPtr PaidProducts() {
+  return ParseRA("proj{1}(sel[#0 = #3](Order x Pay))").value();
+}
+
+void BM_CTableJoinProbability(benchmark::State& state) {
+  const Database db = OrdersAndPayments();
+  const RAExprPtr plan = PaidProducts();
+  ProbabilisticOptions popts;
+  popts.threshold = 0.5;
+  WorldEnumOptions wopts;
+  wopts.max_worlds = 200'000;  // incdb_serve's per-query budget
+  EvalOptions eo;
+  eo.num_threads = 1;
+  for (auto _ : state) {
+    auto r = CertainAnswersWithProbabilityCTable(
+        plan, db, WorldSemantics::kClosedWorld, popts, wopts, eo);
+    if (!r.ok()) {
+      state.SkipWithError(r.status().ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(r);
+  }
+}
+BENCHMARK(BM_CTableJoinProbability);
+
+void BM_NaiveJoin(benchmark::State& state) {
+  const Database db = OrdersAndPayments();
+  const RAExprPtr plan = PaidProducts();
+  EvalOptions eo;
+  eo.num_threads = 1;
+  for (auto _ : state) {
+    auto r = EvalNaive(plan, db, eo);
+    benchmark::DoNotOptimize(r);
+  }
+}
+BENCHMARK(BM_NaiveJoin);
 
 }  // namespace

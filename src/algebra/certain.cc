@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -104,6 +105,15 @@ Relation UnionWorkers(std::vector<Worker>& workers, const DeltaPlan& plan) {
   return plan.Decode(acc);
 }
 
+// The world budget, decided before any world is walked: the answer's
+// status then depends only on the plan, the database and `max_worlds`,
+// never on how far the chains got before an early exit stopped them.
+Status CheckWorldBudget(const WorldSpace& space, uint64_t max_worlds) {
+  if (space.Count() <= max_worlds) return Status::OK();
+  return Status::ResourceExhausted("world enumeration exceeded max_worlds=" +
+                                   std::to_string(max_worlds));
+}
+
 }  // namespace
 
 Result<Relation> CertainAnswersNaive(const RAExprPtr& e, const Database& db,
@@ -146,6 +156,7 @@ Result<Relation> CertainAnswersEnum(const RAExprPtr& e, const Database& db,
   const WorldSpace space = MakeWorldSpace(db, opts);
   // A database without nulls is its own single world.
   if (space.nulls.empty()) return EvalNaive(plan, db, options);
+  INCDB_RETURN_IF_ERROR(CheckWorldBudget(space, opts.max_worlds));
   INCDB_ASSIGN_OR_RETURN(const std::shared_ptr<const DeltaPlan> compiled,
                          DeltaPlan::Compile(plan, db, space));
   std::vector<Worker> workers =
@@ -154,7 +165,8 @@ Result<Relation> CertainAnswersEnum(const RAExprPtr& e, const Database& db,
   // chain's first world and thereafter only kills candidates reported
   // removed by ApplyDelta — an incremental intersection (a row absent from
   // any earlier world of the chain can never re-enter). Early exit: an empty
-  // candidate set forces the answer empty, so it stops every worker.
+  // candidate set forces the answer empty, so it stops every worker; the
+  // budget was checked above, so stopping early cannot change the status.
   Status st = ForEachValuationGrayParallel(
       db, space, opts.max_worlds, options.num_threads,
       [&](const Valuation& v, const ValuationDelta& d, size_t wi) {
@@ -184,6 +196,7 @@ Result<Relation> PossibleAnswersEnum(const RAExprPtr& e, const Database& db,
   const RAExprPtr plan = options.optimize ? Optimize(e, db) : e;
   const WorldSpace space = MakeWorldSpace(db, opts);
   if (space.nulls.empty()) return EvalNaive(plan, db, options);
+  INCDB_RETURN_IF_ERROR(CheckWorldBudget(space, opts.max_worlds));
   INCDB_ASSIGN_OR_RETURN(const std::shared_ptr<const DeltaPlan> compiled,
                          DeltaPlan::Compile(plan, db, space));
   std::vector<Worker> workers =

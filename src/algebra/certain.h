@@ -43,7 +43,10 @@ Result<Relation> CertainObjectNaive(const RAExprPtr& e, const Database& db,
 /// When `options.num_threads` resolves above 1 the worlds are enumerated on
 /// the thread pool (per-worker intersections merged at the end, per-worker
 /// stats merged into `options.stats`); the answer is bit-identical to the
-/// serial path at every thread count.
+/// serial path at every thread count. A database with nulls whose world
+/// count exceeds opts.max_worlds is refused up front with
+/// ResourceExhausted, before any world is walked, so the status does not
+/// depend on how soon an empty intersection would have stopped the walk.
 Result<Relation> CertainAnswersEnum(const RAExprPtr& e, const Database& db,
                                     WorldSemantics semantics,
                                     const WorldEnumOptions& opts = {},
@@ -51,7 +54,8 @@ Result<Relation> CertainAnswersEnum(const RAExprPtr& e, const Database& db,
 
 /// Possible answers: ⋃ { Q(D') | D' ∈ ⟦D⟧_cwa } by enumeration. Useful for
 /// "maybe" tuples in examples and tests. Parallelizes like
-/// CertainAnswersEnum (per-worker unions), with bit-identical answers.
+/// CertainAnswersEnum (per-worker unions), with bit-identical answers, and
+/// refuses a world count above opts.max_worlds up front as it does.
 Result<Relation> PossibleAnswersEnum(const RAExprPtr& e, const Database& db,
                                      const WorldEnumOptions& opts = {},
                                      const EvalOptions& options = {});

@@ -8,7 +8,7 @@
 #include "algebra/optimize.h"
 #include "core/code_rows.h"
 #include "counting/world_count.h"
-#include "ctables/ctable_algebra.h"
+#include "ctables/code_ctable.h"
 #include "engine/delta_eval.h"
 
 namespace incdb {
@@ -160,105 +160,101 @@ Result<Relation> CertainAnswersWithProbabilityEnum(
   return EmitAnswers(arity, table, popts.threshold, probabilities);
 }
 
-Result<Relation> CertainAnswersWithProbabilityCTable(
-    const RAExprPtr& e, const Database& db, WorldSemantics semantics,
+namespace {
+
+// The probability table of the result c-table `result` of `query`, whose
+// encoding was made for `space`: candidates, exact counts where the budget
+// allows, one sampling pass for the rest.
+Result<Relation> ProbabilitiesOnCodes(
+    CTableQuery* query, const CodeCTable& result, const WorldSpace& space,
     const ProbabilisticOptions& popts, const WorldEnumOptions& wopts,
     const EvalOptions& options,
     std::vector<TupleProbability>* probabilities) {
-  INCDB_RETURN_IF_ERROR(CheckCwa(semantics));
-  INCDB_RETURN_IF_ERROR(e->InferArity(db.schema()).status());
-  RAExprPtr plan = e;
-  if (options.optimize) plan = Optimize(plan, db);
-
-  const CDatabase cdb = CDatabase::FromDatabase(db);
-  ConditionNormalizer norm;
-  INCDB_ASSIGN_OR_RETURN(CTable result,
-                         EvalOnCTables(plan, cdb, options, &norm));
-  auto flush_norm_counters = [&]() {
-    if (options.stats != nullptr) {
-      options.stats->CountCondSimplified(norm.simplified());
-      options.stats->CountUnsatPruned(norm.unsat_pruned());
-    }
-  };
-
-  const WorldSpace space = MakeWorldSpace(db, wopts);
   const std::vector<NullId>& nulls = space.nulls;
   const std::vector<Value>& domain = space.domain;
   if (!nulls.empty() && domain.empty()) {
-    flush_norm_counters();
     return Status::InvalidArgument("empty world domain with nulls present");
   }
   const uint64_t budget = wopts.max_worlds;
-
-  const ConditionPtr global = norm.Normalize(result.global_condition());
+  CondArena& arena = query->arena();
+  const uint32_t global = result.global;
+  uint64_t left = budget;
   INCDB_ASSIGN_OR_RETURN(const bool global_sat,
-                         SatisfiableOverDomain(global, domain, &norm, budget));
+                         query->solver().Satisfiable(global, &left));
   if (!global_sat) {
-    flush_norm_counters();
     return Status::InvalidArgument(
         "c-table global condition is unsatisfiable over the domain: the "
         "represented world set is empty");
   }
 
-  // Candidates are exactly the possible tuples — the probability-> 0 set.
-  INCDB_ASSIGN_OR_RETURN(
-      const Relation candidates,
-      PossibleAnswersFromCTable(result, domain, &norm, budget, options.stats));
+  // Candidates are exactly the possible rows — the probability-> 0 set.
+  INCDB_ASSIGN_OR_RETURN(const SortedCodeRows candidates,
+                         query->Possible(result, budget, options.stats));
 
-  // The conditioning denominator: #satisfying(global). Usually `true`
-  // (lifted naive databases), so this is the free-null fast path.
+  // The conditioning denominator: #satisfying(global). A plan over a
+  // database has global condition `true`: the free-null fast path.
   bool exact_global = false;
   WorldCount global_count;
   if (!popts.force_sampling) {
-    Result<WorldCount> g = CountSatisfyingValuations(
-        global, nulls, domain, &norm, budget, options.stats);
+    Result<WorldCount> g =
+        CountSatisfying(global, &arena, &query->solver(), query->enc(),
+                        budget, options.stats);
     if (g.ok()) {
       global_count = *g;
       exact_global = global_count.fraction > 0.0;
     } else if (g.status().code() != StatusCode::kResourceExhausted) {
-      flush_norm_counters();
       return g.status();
     }
   }
 
+  const size_t arity = result.arity;
   std::map<Tuple, TupleProbability> table;
-  // Candidates whose exact count blew the budget, with their pre-normalized
-  // membership conditions (normalization is single-threaded; the sampling
-  // pass below only calls the thread-safe EvalUnder on the shared nodes).
-  std::vector<std::pair<Tuple, ConditionPtr>> sampled;
-  const RowIndex index(result);
-  for (const Tuple& cand : candidates.tuples()) {
-    const ConditionPtr membership = norm.Normalize(Condition::And(
-        global, TupleMembershipCondition(result, index, cand)));
+  // Candidates whose exact count blew the budget, with their membership
+  // conditions. The arena is complete before the sampling pass starts,
+  // which only reads it (CondArena::Eval).
+  std::vector<std::pair<Tuple, uint32_t>> sampled;
+  const CodeRowIndex index(result);
+  for (size_t k = 0; k < candidates.size; ++k) {
+    const uint32_t* cand = candidates.Row(k);
+    Tuple tuple = query->DecodeRow(cand, arity);
+    const uint32_t membership =
+        arena.And(global, query->Membership(result, index, cand));
     if (exact_global) {
-      Result<WorldCount> wc = CountSatisfyingValuations(
-          membership, nulls, domain, &norm, budget, options.stats);
+      Result<WorldCount> wc =
+          CountSatisfying(membership, &arena, &query->solver(), query->enc(),
+                          budget, options.stats);
       if (wc.ok()) {
         const double p = wc->fraction / global_count.fraction;
-        table[cand] = TupleProbability{cand, p, p, p, /*exact=*/true};
+        table[tuple] = TupleProbability{tuple, p, p, p, /*exact=*/true};
         if (options.stats != nullptr) options.stats->CountExactCountHits(1);
         continue;
       }
       if (wc.status().code() != StatusCode::kResourceExhausted) {
-        flush_norm_counters();
         return wc.status();
       }
     }
-    sampled.emplace_back(cand, membership);
+    sampled.emplace_back(std::move(tuple), membership);
   }
 
   if (!sampled.empty()) {
+    const ValueDict& dict = query->enc().dict();
     INCDB_ASSIGN_OR_RETURN(
         const SampleTally tally,
         SampleTupleFrequencies(
             nulls, domain, popts.sampling,
             [&](const Valuation& v,
                 std::vector<Tuple>* world_tuples) -> Result<bool> {
-              if (!global->EvalUnder(v)) return false;
+              std::vector<uint32_t> codes(nulls.size());
+              for (size_t s = 0; s < nulls.size(); ++s) {
+                codes[s] = dict.Find(v.Lookup(nulls[s]));
+              }
+              if (!arena.Eval(global, codes.data())) return false;
               for (const auto& [cand, membership] : sampled) {
                 // membership already conjoins global, so under an admitted
                 // valuation it reduces to the D_t test.
-                if (membership->EvalUnder(v)) world_tuples->push_back(cand);
+                if (arena.Eval(membership, codes.data())) {
+                  world_tuples->push_back(cand);
+                }
               }
               return true;
             },
@@ -276,9 +272,30 @@ Result<Relation> CertainAnswersWithProbabilityCTable(
           TupleProbability{cand, p, ci.low, ci.high, /*exact=*/false};
     }
   }
+  return EmitAnswers(arity, table, popts.threshold, probabilities);
+}
 
-  flush_norm_counters();
-  return EmitAnswers(result.arity(), table, popts.threshold, probabilities);
+}  // namespace
+
+Result<Relation> CertainAnswersWithProbabilityCTable(
+    const RAExprPtr& e, const Database& db, WorldSemantics semantics,
+    const ProbabilisticOptions& popts, const WorldEnumOptions& wopts,
+    const EvalOptions& options,
+    std::vector<TupleProbability>* probabilities) {
+  INCDB_RETURN_IF_ERROR(CheckCwa(semantics));
+  INCDB_RETURN_IF_ERROR(e->InferArity(db.schema()).status());
+  RAExprPtr plan = e;
+  if (options.optimize) plan = Optimize(plan, db);
+
+  const WorldSpace space = MakeWorldSpace(db, wopts);
+  INCDB_ASSIGN_OR_RETURN(const std::unique_ptr<CTableQuery> query,
+                         CTableQuery::Make(plan, space));
+  INCDB_ASSIGN_OR_RETURN(const CodeCTable result,
+                         query->Eval(plan, db, options));
+  Result<Relation> answers = ProbabilitiesOnCodes(
+      query.get(), result, space, popts, wopts, options, probabilities);
+  query->CountConditionWork(options.stats);
+  return answers;
 }
 
 }  // namespace incdb

@@ -5,8 +5,6 @@
 #include <numeric>
 #include <set>
 
-#include "core/valuation.h"
-
 namespace incdb {
 namespace {
 
@@ -25,17 +23,6 @@ uint64_t PowSat(uint64_t base, size_t exp, bool* saturated) {
   return out;
 }
 
-// Splices nested conjunctions into one operand list (the normalizer keeps
-// AND flattened logically but stores it as binary nodes).
-void FlattenAnd(const ConditionPtr& c, std::vector<ConditionPtr>* out) {
-  if (c->kind() == Condition::Kind::kAnd) {
-    FlattenAnd(c->left(), out);
-    FlattenAnd(c->right(), out);
-  } else {
-    out->push_back(c);
-  }
-}
-
 size_t Find(std::vector<size_t>* parent, size_t i) {
   while ((*parent)[i] != i) {
     (*parent)[i] = (*parent)[(*parent)[i]];
@@ -46,49 +33,45 @@ size_t Find(std::vector<size_t>* parent, size_t i) {
 
 }  // namespace
 
-Result<WorldCount> CountSatisfyingValuations(const ConditionPtr& c,
-                                             const std::vector<NullId>& nulls,
-                                             const std::vector<Value>& domain,
-                                             ConditionNormalizer* norm,
-                                             uint64_t budget,
-                                             EvalStats* stats) {
+Result<WorldCount> CountSatisfying(uint32_t c, CondArena* arena,
+                                   ValueClassSolver* solver,
+                                   const WorldEncoding& enc, uint64_t budget,
+                                   EvalStats* stats) {
   WorldCount out;
-  const ConditionPtr nc = norm->Normalize(c);
-  if (nc->IsFalse()) return out;  // fraction 0, count 0
-
-  if (!nulls.empty() && domain.empty()) {
+  if (c == CondArena::kFalse) return out;  // fraction 0, count 0
+  const size_t num_nulls = enc.nulls().size();
+  const uint64_t dsize = enc.domain_codes().size();
+  if (num_nulls > 0 && dsize == 0) {
     return Status::InvalidArgument("empty world domain with nulls present");
   }
-  const uint64_t dsize = domain.size();
-
-  std::set<NullId> cond_null_set;
-  nc->CollectNulls(&cond_null_set);
-  INCDB_CHECK_MSG(
-      std::includes(nulls.begin(), nulls.end(), cond_null_set.begin(),
-                    cond_null_set.end()),
-      "condition mentions a null outside the measure space");
-
-  if (cond_null_set.empty()) {
-    // Ground condition: every valuation agrees with it.
-    const bool sat = nc->EvalUnder(Valuation());
-    out.fraction = sat ? 1.0 : 0.0;
-    out.count = sat ? PowSat(dsize, nulls.size(), &out.saturated) : 0;
+  if (c == CondArena::kTrue) {
+    // Every valuation agrees with a ground condition.
+    out.fraction = 1.0;
+    out.count = PowSat(dsize, num_nulls, &out.saturated);
     return out;
   }
 
-  std::vector<ConditionPtr> ops;
-  FlattenAnd(nc, &ops);
+  std::vector<uint32_t> ops;
+  if (arena->kind(c) == CondArena::Kind::kAnd) {
+    const auto span = arena->operands(c);
+    ops.assign(span.begin(), span.end());
+  } else {
+    ops.push_back(c);
+  }
 
   // Union-find over operand indices: operands sharing a null land in one
   // component; components touch disjoint null sets, so counts multiply.
   std::vector<size_t> parent(ops.size());
   std::iota(parent.begin(), parent.end(), 0);
-  std::map<NullId, size_t> null_owner;
-  std::vector<std::set<NullId>> op_nulls(ops.size());
+  std::map<uint32_t, size_t> null_owner;
+  std::vector<std::vector<uint32_t>> op_slots(ops.size());
+  std::vector<uint32_t> codes;
   for (size_t i = 0; i < ops.size(); ++i) {
-    ops[i]->CollectNulls(&op_nulls[i]);
-    for (NullId id : op_nulls[i]) {
-      auto [it, inserted] = null_owner.emplace(id, i);
+    arena->Mentions(ops[i], &op_slots[i], &codes);
+    for (uint32_t slot : op_slots[i]) {
+      INCDB_CHECK_MSG(slot < num_nulls,
+                      "condition mentions a null outside the measure space");
+      auto [it, inserted] = null_owner.emplace(slot, i);
       if (!inserted) parent[Find(&parent, i)] = Find(&parent, it->second);
     }
   }
@@ -99,28 +82,20 @@ Result<WorldCount> CountSatisfyingValuations(const ConditionPtr& c,
 
   // Nulls no operand mentions are free: |domain| choices each, all
   // satisfying.
-  const size_t free_nulls = nulls.size() - cond_null_set.size();
   out.fraction = 1.0;
-  out.count = PowSat(dsize, free_nulls, &out.saturated);
+  out.count = PowSat(dsize, num_nulls - null_owner.size(), &out.saturated);
 
   uint64_t remaining = budget;
-  for (const auto& [root, members] : components) {
-    std::set<NullId> comp_null_set;
-    for (size_t i : members) {
-      comp_null_set.insert(op_nulls[i].begin(), op_nulls[i].end());
+  std::vector<uint32_t> members;
+  for (const auto& [root, ids] : components) {
+    std::set<uint32_t> comp_slots;
+    members.clear();
+    for (size_t i : ids) {
+      comp_slots.insert(op_slots[i].begin(), op_slots[i].end());
+      members.push_back(ops[i]);
     }
-    if (comp_null_set.empty()) {
-      // Ground operand: the normalizer folds these to true/false, but stay
-      // defensive — a false one zeroes the count.
-      for (size_t i : members) {
-        if (!ops[i]->EvalUnder(Valuation())) return WorldCount{};
-      }
-      continue;
-    }
-    const std::vector<NullId> comp_nulls(comp_null_set.begin(),
-                                         comp_null_set.end());
     bool comp_saturated = false;
-    const uint64_t total = PowSat(dsize, comp_nulls.size(), &comp_saturated);
+    const uint64_t total = PowSat(dsize, comp_slots.size(), &comp_saturated);
     if (comp_saturated || total > remaining) {
       return Status::ResourceExhausted(
           "exact world counting needs " +
@@ -131,35 +106,36 @@ Result<WorldCount> CountSatisfyingValuations(const ConditionPtr& c,
     remaining -= total;
     if (stats != nullptr) stats->CountWorldsCounted(total);
 
-    // Odometer over domain^comp_nulls; count assignments satisfying every
-    // member operand.
-    uint64_t sat_count = 0;
-    Valuation v;
-    std::vector<size_t> idx(comp_nulls.size(), 0);
-    for (;;) {
-      for (size_t i = 0; i < comp_nulls.size(); ++i) {
-        v.Bind(comp_nulls[i], domain[idx[i]]);
-      }
-      bool sat = true;
-      for (size_t i : members) {
-        if (!ops[i]->EvalUnder(v)) {
-          sat = false;
-          break;
-        }
-      }
-      if (sat) ++sat_count;
-      size_t pos = 0;
-      while (pos < idx.size() && ++idx[pos] == domain.size()) {
-        idx[pos] = 0;
-        ++pos;
-      }
-      if (pos == idx.size()) break;
-    }
+    // The component's own conjunction mentions exactly its nulls.
+    const uint64_t sat_count = solver->CountOwn(arena->AndOf(&members));
     if (sat_count == 0) return WorldCount{};  // fraction 0, count 0
     out.fraction *= static_cast<double>(sat_count) / static_cast<double>(total);
     out.count = MulSat(out.count, sat_count, &out.saturated);
   }
   return out;
+}
+
+Result<WorldCount> CountSatisfyingValuations(const ConditionPtr& c,
+                                             const std::vector<NullId>& nulls,
+                                             const std::vector<Value>& domain,
+                                             uint64_t budget,
+                                             EvalStats* stats) {
+  std::set<NullId> cond_nulls;
+  c->CollectNulls(&cond_nulls);
+  INCDB_CHECK_MSG(std::includes(nulls.begin(), nulls.end(),
+                                cond_nulls.begin(), cond_nulls.end()),
+                  "condition mentions a null outside the measure space");
+  std::set<Value> constants;
+  c->CollectConstants(&constants);
+  INCDB_ASSIGN_OR_RETURN(
+      const WorldEncoding enc,
+      WorldEncoding::FromValues(
+          std::vector<Value>(constants.begin(), constants.end()), nulls,
+          domain));
+  CondArena arena;
+  ValueClassSolver solver(&arena, enc);
+  return CountSatisfying(ImportCondition(c, enc, &arena), &arena, &solver,
+                         enc, budget, stats);
 }
 
 }  // namespace incdb

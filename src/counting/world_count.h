@@ -9,21 +9,23 @@
 // with D_t the membership condition of ctables/ctable_algebra.h.
 //
 // Naïve counting enumerates |domain|^#nulls assignments, which is exactly
-// the exponential this layer exists to avoid. CountSatisfyingValuations
-// factors the problem first:
+// the exponential this layer exists to avoid. CountSatisfying factors the
+// problem first:
 //
 //  * nulls the condition never mentions are free — they multiply the count
 //    by |domain|^#free and the fraction by 1;
 //  * the top-level conjunction is split into connected components by
 //    shared nulls (union-find): components touch disjoint null sets, so
-//    their counts multiply. Per-null independence — the common case when
-//    nulls don't co-occur in any condition — makes every component a
-//    single-null enumeration of |domain| assignments;
-//  * each component is counted by brute enumeration of its own null set
-//    (|domain|^#component-nulls assignments), charged against `budget`.
-//    A component that is coupled beyond the budget (e.g. a many-null OR
-//    that no factoring splits) surfaces ResourceExhausted, which is the
-//    signal to fall back to Monte-Carlo sampling (counting/sampler.h).
+//    their counts multiply;
+//  * each component is charged |domain|^#component-nulls against `budget`
+//    up front — the assignments it decides — and a component coupled
+//    beyond the budget (e.g. a many-null OR that no factoring splits)
+//    surfaces ResourceExhausted, the signal to fall back to Monte-Carlo
+//    sampling (counting/sampler.h). Within the budget, the component is
+//    counted by value classes (ctables/cond_arena.h ValueClassSolver): a
+//    null branches over the domain codes the condition mentions plus one
+//    representative of the rest, weighted by their number, so a null that
+//    meets k codes costs k + 1 branches, not |domain|.
 //
 // Counts can overflow uint64 long before the fraction loses precision
 // (24^20 ≈ 4·10^27), so the fraction is computed as a product of
@@ -37,7 +39,7 @@
 #include <vector>
 
 #include "core/value.h"
-#include "ctables/condition_norm.h"
+#include "ctables/cond_arena.h"
 #include "engine/stats.h"
 #include "util/status.h"
 
@@ -55,18 +57,23 @@ struct WorldCount {
   bool saturated = false;
 };
 
-/// Number of valuations of `nulls` over `domain` satisfying `c`, computed
-/// by independence factoring + per-component enumeration as described
-/// above. `nulls` is the full measure space (every database null, sorted);
-/// nulls of `c` must be a subset. Charges one `budget` unit per component
-/// assignment enumerated and returns ResourceExhausted when the budget is
-/// exceeded — the caller's cue to sample instead. `stats`, when non-null,
-/// receives the assignments enumerated via CountWorldsCounted.
-/// O(Σ_components |domain|^#component-nulls · |component|).
+/// Number of valuations of the encoding's nulls (the measure space) over
+/// its domain codes that satisfy arena node `c`, by independence factoring
+/// and value classes as described above. Charges each component's
+/// |domain|^#component-nulls assignments against `budget` before counting
+/// it, and returns ResourceExhausted when the budget is exceeded — the
+/// caller's cue to sample instead. `stats`, when non-null, receives the
+/// charged assignments via CountWorldsCounted.
+Result<WorldCount> CountSatisfying(uint32_t c, CondArena* arena,
+                                   ValueClassSolver* solver,
+                                   const WorldEncoding& enc, uint64_t budget,
+                                   EvalStats* stats = nullptr);
+
+/// CountSatisfying of a Condition tree: `nulls` is the full measure space
+/// (every database null, sorted); the nulls of `c` must be a subset.
 Result<WorldCount> CountSatisfyingValuations(const ConditionPtr& c,
                                              const std::vector<NullId>& nulls,
                                              const std::vector<Value>& domain,
-                                             ConditionNormalizer* norm,
                                              uint64_t budget,
                                              EvalStats* stats = nullptr);
 

@@ -1,0 +1,241 @@
+// The c-table backend on dictionary codes: conditional tables whose cells
+// are the query's codes and null slots and whose conditions are node ids of
+// one per-query CondArena (ctables/cond_arena.h).
+//
+// CertainAnswersCTable, PossibleAnswersCTable and
+// CertainAnswersWithProbabilityCTable build one CTableQuery per query on
+// the calling thread: the shared WorldEncoding of the plan over the
+// database's WorldSpace (engine/world_encoding.h), an arena, and a
+// ValueClassSolver over the domain codes. The plan runs once on code
+// tables — σ, π, ×, the fused equi-join, ∪, −, ∩ and Δ — and the answer is
+// extracted from the result table without materializing a world:
+//
+//   t is certain  ⟺  global ∧ ¬D_t is unsatisfiable, where
+//                    D_t = ⋁_rows (cond_r ∧ "row_r = t");
+//   t is possible ⟺  some row's condition ∧ "row_r = t" is satisfiable;
+//   P(t)          =  #(global ∧ D_t) / #global over the uniform valuations.
+//
+// Satisfiability and counting run over the same finite domain world
+// enumeration uses (core/possible_worlds.h), so the answers are those of
+// CertainAnswersEnum / PossibleAnswersEnum. A base cell's null is a slot, a
+// literal's null is a code like any constant (valuations never apply to
+// literals), and a σ or join constant outside the dictionary gets a code of
+// its own above the dictionary's, equal to no domain value.
+//
+// Every operator keeps the row order, the candidate order and the early
+// exits of the Imieliński–Lipski operators in ctables/ctable_algebra.h, and
+// counts calls, rows in and out and probes the same way. Rows whose
+// condition is `false` are dropped.
+//
+// The un-normalized EvalOnCTables (ctables/ctable_algebra.h) is the
+// reference this engine is tested against.
+
+#ifndef INCDB_CTABLES_CODE_CTABLE_H_
+#define INCDB_CTABLES_CODE_CTABLE_H_
+
+#include <cstdint>
+#include <map>
+#include <memory>
+#include <vector>
+
+#include "algebra/ast.h"
+#include "algebra/predicate.h"
+#include "core/code_rows.h"
+#include "core/database.h"
+#include "core/possible_worlds.h"
+#include "ctables/cond_arena.h"
+#include "ctables/ctable.h"
+#include "engine/kernels.h"
+#include "engine/stats.h"
+#include "engine/world_encoding.h"
+
+namespace incdb {
+
+/// A c-table over codes: `arity` cells per row and one condition per row.
+struct CodeCTable {
+  size_t arity = 0;
+  std::vector<uint32_t> cells;
+  std::vector<uint32_t> conds;
+  uint32_t global = CondArena::kTrue;
+
+  explicit CodeCTable(size_t a = 0) : arity(a) {}
+  size_t rows() const { return conds.size(); }
+  const uint32_t* Row(size_t i) const { return cells.data() + i * arity; }
+  void Add(const uint32_t* row, uint32_t cond) {
+    cells.insert(cells.end(), row, row + arity);
+    conds.push_back(cond);
+  }
+};
+
+/// Whether a row of `arity` cells holds a null slot.
+inline bool RowHasSlot(const uint32_t* row, size_t arity) {
+  for (size_t c = 0; c < arity; ++c) {
+    if (row[c] & WorldEncoding::kNullSlot) return true;
+  }
+  return false;
+}
+
+/// Distinct rows of codes in ascending order (code order is Value order,
+/// so this is the canonical tuple order): an extraction's answer.
+struct SortedCodeRows {
+  size_t arity = 0;
+  size_t size = 0;
+  std::vector<uint32_t> cells;
+
+  const uint32_t* Row(size_t i) const { return cells.data() + i * arity; }
+};
+
+/// The rows of a code table that can match a given row. Null-free rows are
+/// bucketed by their codes; a null-free row can only match its own bucket
+/// and the rows that carry a null, because "row_r = t" is false at any
+/// position where both are distinct codes. A row with a null can match any
+/// row. Holds positions: use it only with the table it was built from.
+class CodeRowIndex {
+ public:
+  explicit CodeRowIndex(const CodeCTable& t);
+
+  /// Positions of the null-free rows equal to `row`, increasing.
+  const std::vector<uint32_t>& ExactRows(const uint32_t* row) const;
+  /// Positions of the rows that carry a null, increasing.
+  const std::vector<uint32_t>& NullRows() const { return null_rows_; }
+
+  /// Calls fn(i) for every position i that can match `row`, increasing,
+  /// until fn returns false.
+  template <typename Fn>
+  void ForEachCandidate(const uint32_t* row, Fn&& fn) const {
+    if (RowHasSlot(row, arity_)) {
+      for (uint32_t i = 0; i < num_rows_; ++i) {
+        if (!fn(i)) return;
+      }
+      return;
+    }
+    const std::vector<uint32_t>& exact = ExactRows(row);
+    size_t e = 0;
+    size_t n = 0;
+    while (e < exact.size() || n < null_rows_.size()) {
+      const bool take_exact =
+          n == null_rows_.size() ||
+          (e < exact.size() && exact[e] < null_rows_[n]);
+      if (!fn(take_exact ? exact[e++] : null_rows_[n++])) return;
+    }
+  }
+
+ private:
+  size_t arity_;
+  uint32_t num_rows_;
+  CodeRows complete_;
+  std::vector<std::vector<uint32_t>> buckets_;  // by complete_ slot
+  std::vector<uint32_t> null_rows_;
+};
+
+/// True when `pred` (null = no residual) stays inside the c-table
+/// condition language on every row: only =, ≠, TRUE/FALSE under AND/OR/
+/// NOT. Order comparisons and IS NULL are excluded — even on constants —
+/// so a fused join can never succeed where σ over × errors.
+bool ResidualSafeForCTableJoin(const Predicate* pred);
+
+/// One c-table query's encoding, arena and solver, and its operators.
+/// Single-threaded while it builds; afterwards any number of threads may
+/// evaluate its conditions (CondArena::Eval).
+class CTableQuery {
+ public:
+  /// The query of `plan` over `space` (MakeWorldSpace of the database).
+  static Result<std::unique_ptr<CTableQuery>> Make(const RAExprPtr& plan,
+                                                   const WorldSpace& space);
+  /// A query over a caller-built encoding.
+  explicit CTableQuery(WorldEncoding enc);
+  CTableQuery(const CTableQuery&) = delete;
+  CTableQuery& operator=(const CTableQuery&) = delete;
+
+  const WorldEncoding& enc() const { return enc_; }
+  CondArena& arena() { return arena_; }
+  ValueClassSolver& solver() { return solver_; }
+
+  /// Evaluates `plan` (division expanded first) on `db`, which must be the
+  /// database the encoding was made for. With options.use_hash_kernels, σ
+  /// over × runs the fused equi-join where the predicate has a key and a
+  /// safe residual. options.stats receives the operator counters.
+  Result<CodeCTable> Eval(const RAExprPtr& plan, const Database& db,
+                          const EvalOptions& options);
+
+  // The operators.
+  Result<CodeCTable> Select(const PredicatePtr& pred, const CodeCTable& in);
+  CodeCTable Project(const std::vector<size_t>& cols, const CodeCTable& in);
+  CodeCTable Product(const CodeCTable& l, const CodeCTable& r,
+                     EvalStats* stats);
+  /// σ_{keys ∧ residual}(l × r) by hash: a left row with codes in every key
+  /// column probes its bucket and the right rows with a null in a key
+  /// column; one with a null there visits every right row. Probes count
+  /// the pairs visited.
+  Result<CodeCTable> Join(const CodeCTable& l, const CodeCTable& r,
+                          const std::vector<JoinKey>& keys,
+                          const PredicatePtr& residual, EvalStats* stats);
+  CodeCTable Union(const CodeCTable& l, const CodeCTable& r);
+  CodeCTable Diff(const CodeCTable& l, const CodeCTable& r, EvalStats* stats);
+  CodeCTable Intersect(const CodeCTable& l, const CodeCTable& r,
+                       EvalStats* stats);
+
+  /// "a = b" position by position.
+  uint32_t RowsEqual(const uint32_t* a, const uint32_t* b, size_t arity);
+  /// D_t: ⋁ over the rows `index` offers for `cand` of
+  /// (cond_r ∧ "row_r = cand").
+  uint32_t Membership(const CodeCTable& t, const CodeRowIndex& index,
+                      const uint32_t* cand);
+
+  /// The certain rows of `t`, ascending. Candidates are the rows of one
+  /// world, the first satisfying valuation of the global condition with
+  /// every other null at the first domain value, so the cost is one
+  /// satisfiability check per candidate no unconditional row carries.
+  /// Fails InvalidArgument when the global condition is unsatisfiable,
+  /// ResourceExhausted when one check exceeds `budget` class branches.
+  Result<SortedCodeRows> Certain(const CodeCTable& t, uint64_t budget,
+                                 EvalStats* stats);
+  /// The possible rows of `t`, ascending: every grounding of every row's
+  /// nulls (each null over every domain value) whose condition stays
+  /// satisfiable. A null-free row whose row is already possible is skipped
+  /// before its check.
+  Result<SortedCodeRows> Possible(const CodeCTable& t, uint64_t budget,
+                                  EvalStats* stats);
+
+  /// The value a term names.
+  Value TermValue(uint32_t term) const;
+  Tuple DecodeRow(const uint32_t* row, size_t arity) const;
+  Relation Decode(const SortedCodeRows& rows) const;
+
+  /// `t` on codes: its constants must be in the dictionary, its nulls among
+  /// the encoding's.
+  CodeCTable Import(const CTable& t);
+  /// `t` as a Condition-tree c-table.
+  CTable Export(const CodeCTable& t) const;
+
+  /// Flushes the arena's simplification counters into `stats`.
+  void CountConditionWork(EvalStats* stats) const;
+
+ private:
+  // The term of a σ or join constant.
+  uint32_t ConstTerm(const Value& c);
+  // "a ≠ b" somewhere, built atom by atom (the negation of RowsEqual as the
+  // Condition-tree operators' NNF builds it, not the negation of its
+  // normal form).
+  uint32_t RowsDiffer(const uint32_t* a, const uint32_t* b, size_t arity);
+  // The condition `p` (its negation with `negate`) puts on `row`, built in
+  // negation normal form from the predicate's own tree.
+  Result<uint32_t> PredCond(const Predicate& p, const uint32_t* row,
+                            bool negate);
+  Result<CodeCTable> Rec(const RAExprPtr& e, const Database& db,
+                         const EvalOptions& options);
+
+  WorldEncoding enc_;
+  CondArena arena_;
+  ValueClassSolver solver_;
+  // Constants of σ and join predicates outside the dictionary, coded from
+  // dict().size() up.
+  std::map<Value, uint32_t> extra_codes_;
+  std::vector<Value> extra_;
+  // Scratch for RowsEqual / RowsDiffer.
+  std::vector<uint32_t> row_ops_;
+};
+
+}  // namespace incdb
+
+#endif  // INCDB_CTABLES_CODE_CTABLE_H_

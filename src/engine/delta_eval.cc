@@ -31,7 +31,7 @@ namespace {
 
 // A cell of an encoded base row is a dictionary code, or, with this bit
 // set, the slot of the null whose current code the valuation holds.
-constexpr uint32_t kNullSlot = uint32_t{1} << 31;
+constexpr uint32_t kNullSlot = WorldEncoding::kNullSlot;
 
 constexpr uint32_t kNone = CodeRows::kNone;
 
@@ -143,17 +143,6 @@ bool Holds(const std::vector<CodePred>& pred, const uint32_t* row) {
 void Gather(const uint32_t* row, const std::vector<size_t>& cols,
             uint32_t* out) {
   for (size_t i = 0; i < cols.size(); ++i) out[i] = row[cols[i]];
-}
-
-void CollectLiteralValues(const RAExprPtr& e, std::vector<Value>* out) {
-  if (e == nullptr) return;
-  if (e->kind() == RAExpr::Kind::kConstRel) {
-    for (const Tuple& t : e->literal().tuples()) {
-      out->insert(out->end(), t.values().begin(), t.values().end());
-    }
-  }
-  CollectLiteralValues(e->left(), out);
-  CollectLiteralValues(e->right(), out);
 }
 
 // One side of a join: the child's current rows grouped by join key. `rows`
@@ -309,7 +298,7 @@ size_t DeltaPlan::arity() const { return ops_.back().arity; }
 Tuple DeltaPlan::Decode(const uint32_t* row) const {
   std::vector<Value> values;
   values.reserve(arity());
-  for (size_t c = 0; c < arity(); ++c) values.push_back(dict_.values[row[c]]);
+  for (size_t c = 0; c < arity(); ++c) values.push_back(enc_.dict().values[row[c]]);
   return Tuple(std::move(values));
 }
 
@@ -323,27 +312,7 @@ Relation DeltaPlan::Decode(const CodeRows& rows) const {
 Result<std::shared_ptr<const DeltaPlan>> DeltaPlan::Compile(
     const RAExprPtr& plan, const Database& db, const WorldSpace& space) {
   std::shared_ptr<DeltaPlan> p(new DeltaPlan());
-  p->nulls_ = space.nulls;
-  // The dictionary: the domain (sorted, constants only) plus the literals'
-  // values. Without literals it is the domain as it stands.
-  std::vector<Value> literal_values;
-  CollectLiteralValues(plan, &literal_values);
-  if (literal_values.empty()) {
-    p->dict_.values = space.domain;
-  } else {
-    literal_values.insert(literal_values.end(), space.domain.begin(),
-                          space.domain.end());
-    p->dict_ = *ValueDict::Build(std::move(literal_values));
-  }
-  if (p->dict_.size() >= kNullSlot || space.nulls.size() >= kNullSlot) {
-    return Status::ResourceExhausted(
-        "delta evaluation: the query dictionary or the null count exceeds "
-        "2^31");
-  }
-  p->domain_codes_.reserve(space.domain.size());
-  for (const Value& v : space.domain) {
-    p->domain_codes_.push_back(p->dict_.Find(v));
-  }
+  INCDB_ASSIGN_OR_RETURN(p->enc_, WorldEncoding::Make(plan, space));
   std::map<std::string, size_t> scan_of;
   INCDB_RETURN_IF_ERROR(p->CompileOp(plan, db, &scan_of).status());
   return std::shared_ptr<const DeltaPlan>(std::move(p));
@@ -352,22 +321,17 @@ Result<std::shared_ptr<const DeltaPlan>> DeltaPlan::Compile(
 size_t DeltaPlan::EncodeScan(const Relation& r, size_t arity) {
   Scan scan;
   scan.arity = arity;
-  const std::vector<Tuple>& tuples = r.tuples();
-  scan.rows = tuples.size();
-  scan.cells.reserve(scan.rows * arity);
+  scan.rows = r.size();
+  scan.cells = enc_.EncodeBaseRows(r);
+  const size_t num_nulls = enc_.nulls().size();
   // (slot, row) once per null of each row, then grouped by slot.
   std::vector<std::pair<uint32_t, uint32_t>> occurs;
-  for (uint32_t row = 0; row < tuples.size(); ++row) {
+  for (uint32_t row = 0; row < scan.rows; ++row) {
     const size_t first = occurs.size();
-    for (const Value& v : tuples[row].values()) {
-      if (!v.is_null()) {
-        scan.cells.push_back(dict_.Find(v));
-        continue;
-      }
-      const uint32_t slot = static_cast<uint32_t>(
-          std::lower_bound(nulls_.begin(), nulls_.end(), v.null_id()) -
-          nulls_.begin());
-      scan.cells.push_back(kNullSlot | slot);
+    for (size_t c = 0; c < arity; ++c) {
+      const uint32_t cell = scan.cells[row * arity + c];
+      if (!(cell & kNullSlot)) continue;
+      const uint32_t slot = cell & ~kNullSlot;
       bool seen = false;
       for (size_t i = first; i < occurs.size(); ++i) {
         seen = seen || occurs[i].first == slot;
@@ -378,8 +342,8 @@ size_t DeltaPlan::EncodeScan(const Relation& r, size_t arity) {
   std::stable_sort(
       occurs.begin(), occurs.end(),
       [](const auto& a, const auto& b) { return a.first < b.first; });
-  scan.nulls.assign(std::max<size_t>(1, (nulls_.size() + 63) / 64), 0);
-  scan.prov_start.assign(nulls_.size() + 1, 0);
+  scan.nulls.assign(std::max<size_t>(1, (num_nulls + 63) / 64), 0);
+  scan.prov_start.assign(num_nulls + 1, 0);
   for (const auto& [slot, row] : occurs) {
     ++scan.prov_start[slot + 1];
     scan.prov_rows.push_back(row);
@@ -418,7 +382,7 @@ Result<size_t> DeltaPlan::CompileOp(const RAExprPtr& e, const Database& db,
 
   Op n;
   n.arity = arity;
-  n.nulls.assign(std::max<size_t>(1, (nulls_.size() + 63) / 64), 0);
+  n.nulls.assign(std::max<size_t>(1, (enc_.nulls().size() + 63) / 64), 0);
   if (prod != nullptr) {
     n.kind = Op::Kind::kJoin;
     INCDB_ASSIGN_OR_RETURN(n.left, CompileOp(prod->left(), db, scan_of));
@@ -430,7 +394,7 @@ Result<size_t> DeltaPlan::CompileOp(const RAExprPtr& e, const Database& db,
         n.right_keys.push_back(k.right_col);
       }
       if (split.residual != nullptr) {
-        CompilePred(*split.residual, dict_, &n.pred);
+        CompilePred(*split.residual, enc_.dict(), &n.pred);
       }
     }
     if (proj != nullptr) {
@@ -454,17 +418,13 @@ Result<size_t> DeltaPlan::CompileOp(const RAExprPtr& e, const Database& db,
         // node never steps — matching the full evaluators, which use
         // literals as-is in every world.
         n.kind = Op::Kind::kConst;
-        const std::vector<Tuple>& tuples = e->literal().tuples();
-        n.row_count = tuples.size();
-        n.rows.reserve(tuples.size() * arity);
-        for (const Tuple& t : tuples) {
-          for (const Value& v : t.values()) n.rows.push_back(dict_.Find(v));
-        }
+        n.row_count = e->literal().size();
+        n.rows = enc_.EncodeLiteralRows(e->literal());
         break;
       }
       case K::kSelect:
         n.kind = Op::Kind::kSelect;
-        CompilePred(*e->predicate(), dict_, &n.pred);
+        CompilePred(*e->predicate(), enc_.dict(), &n.pred);
         break;
       case K::kProject:
         n.kind = Op::Kind::kProject;
@@ -487,9 +447,9 @@ Result<size_t> DeltaPlan::CompileOp(const RAExprPtr& e, const Database& db,
         // the database can move it.
         n.kind = Op::Kind::kDiagonal;
         for (const Value& c : db.Constants()) {
-          n.constants.push_back(dict_.Find(c));
+          n.constants.push_back(enc_.dict().Find(c));
         }
-        for (size_t s = 0; s < nulls_.size(); ++s) {
+        for (size_t s = 0; s < enc_.nulls().size(); ++s) {
           n.nulls[s >> 6] |= uint64_t{1} << (s & 63);
         }
         break;
@@ -556,7 +516,7 @@ struct DeltaEvaluator::Node {
 };
 
 DeltaEvaluator::DeltaEvaluator(const DeltaPlan& plan, EvalStats* stats)
-    : plan_(plan), stats_(stats), val_(plan.nulls_.size(), 0) {
+    : plan_(plan), stats_(stats), val_(plan.enc_.nulls().size(), 0) {
   nodes_.resize(plan.ops_.size());
   for (size_t i = 0; i < nodes_.size(); ++i) {
     const DeltaPlan::Op& op = plan.ops_[i];
@@ -976,11 +936,11 @@ void DeltaEvaluator::ChargeRoot() {
 Status DeltaEvaluator::Initialize(const Valuation& v) {
   if (stats_ != nullptr) last_ = std::chrono::steady_clock::now();
   for (size_t s = 0; s < val_.size(); ++s) {
-    const auto it = v.map().find(plan_.nulls_[s]);
+    const auto it = v.map().find(plan_.enc_.nulls()[s]);
     const uint32_t code = it == v.map().end()
                               ? ValueDict::kNotFound
-                              : plan_.dict_.Find(it->second);
-    if (code == ValueDict::kNotFound || code < plan_.dict_.null_end) {
+                              : plan_.enc_.dict().Find(it->second);
+    if (code == ValueDict::kNotFound || code < plan_.enc_.dict().null_end) {
       return Status::Internal(
           "delta evaluation: the valuation does not bind every null to a "
           "domain value");
@@ -1005,14 +965,14 @@ Status DeltaEvaluator::ApplyDelta(const ValuationDelta& delta) {
     return Status::Internal("ApplyDelta requires a single-null delta");
   }
   if (delta.null_index >= val_.size() ||
-      delta.old_index >= plan_.domain_codes_.size() ||
-      delta.new_index >= plan_.domain_codes_.size()) {
+      delta.old_index >= plan_.enc_.domain_codes().size() ||
+      delta.new_index >= plan_.enc_.domain_codes().size()) {
     return Status::Internal("ApplyDelta outside the plan's world space");
   }
   ++step_;
   const size_t slot = delta.null_index;
-  const uint32_t old_code = plan_.domain_codes_[delta.old_index];
-  val_[slot] = plan_.domain_codes_[delta.new_index];
+  const uint32_t old_code = plan_.enc_.domain_codes()[delta.old_index];
+  val_[slot] = plan_.enc_.domain_codes()[delta.new_index];
   for (Node& n : nodes_) {
     n.delta.Clear();
     if (!HasSlot(n.op->nulls, slot)) continue;

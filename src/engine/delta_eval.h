@@ -36,11 +36,12 @@
 // remainder of the plan.
 //
 // Everything steps on 32-bit dictionary codes. A DeltaPlan, built once per
-// query on the calling thread, holds one sorted dictionary: the world
-// domain plus every value of the plan's literals (their nulls included), so
-// every row of every world is a fixed-width row of codes and code order is
-// Value order. It also holds the scanned relations' rows encoded against
-// it, a null cell naming its null's slot in the WorldSpace; σ and join
+// query on the calling thread, holds the query's WorldEncoding
+// (engine/world_encoding.h): one sorted dictionary of the world domain plus
+// every value of the plan's literals (their nulls included), so every row
+// of every world is a fixed-width row of codes and code order is Value
+// order. It also holds the scanned relations' rows encoded against it, a
+// null cell naming its null's slot in the WorldSpace; σ and join
 // residuals resolved to code comparisons (a constant outside the dictionary
 // resolves to the rank range it would occupy, engine/kernels.h); and each
 // scan's provenance. Each chain's DeltaEvaluator keeps the valuation as one
@@ -80,6 +81,7 @@
 #include "core/possible_worlds.h"
 #include "core/valuation.h"
 #include "engine/stats.h"
+#include "engine/world_encoding.h"
 
 namespace incdb {
 
@@ -147,11 +149,9 @@ class DeltaPlan {
                            std::map<std::string, size_t>* scan_of);
   size_t EncodeScan(const Relation& r, size_t arity);
 
-  ValueDict dict_;
-  // The WorldSpace's nulls (a null's slot is its index here) and the code
-  // of each domain value, by domain position.
-  std::vector<NullId> nulls_;
-  std::vector<uint32_t> domain_codes_;
+  // The query's dictionary, null slots and domain codes, shared with the
+  // c-table backend's encoding.
+  WorldEncoding enc_;
   // Encoded scanned relations, one per relation name.
   std::vector<Scan> scans_;
   // Operators in postorder (children before parents); the root is last.

@@ -110,9 +110,13 @@ class EvalStats {
   void CountDeltaApplied(uint64_t n) { delta_applied_ += n; }
   void CountDeltaFallbacks(uint64_t n) { delta_fallbacks_ += n; }
 
-  /// Condition normalizer (c-table backend): conditions whose canonical
-  /// form came out strictly smaller / conjunctions the union-find check
-  /// proved unsatisfiable (rows or search branches pruned outright).
+  /// Condition arena (c-table backend, ctables/cond_arena.h): ANDs and
+  /// ORs whose normal form dropped an operand that was not a constant (a
+  /// duplicate, an implied equality, a decided disequality) or collapsed
+  /// by a contradiction or a complementary pair / conjunctions the
+  /// union-find check proved unsatisfiable (rows or search branches pruned
+  /// outright). Both count constructions: a condition built twice counts
+  /// twice.
   uint64_t cond_simplified() const { return cond_simplified_; }
   uint64_t unsat_pruned() const { return unsat_pruned_; }
   void CountCondSimplified(uint64_t n) { cond_simplified_ += n; }

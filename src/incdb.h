@@ -15,7 +15,9 @@
 //               naïve / SQL-3VL evaluation, certain answers
 //   logic/    — FO formulas, model checking, diagram formulas δ_D,
 //               conjunctive queries, tableau duality, containment
-//   ctables/  — conditional tables and the Imieliński–Lipski algebra
+//   ctables/  — conditional tables and the Imieliński–Lipski algebra, on
+//               Condition trees (the reference) and on dictionary codes
+//               with conditions in a per-query arena (the c-table backend)
 //   counting/ — probabilistic answers: exact world counting by independence
 //               factoring, seeded Monte-Carlo valuation sampling with
 //               Wilson confidence intervals
@@ -58,6 +60,8 @@
 #include "counting/sampler.h"
 #include "counting/world_count.h"
 #include "ctables/cio.h"
+#include "ctables/code_ctable.h"
+#include "ctables/cond_arena.h"
 #include "ctables/condition.h"
 #include "ctables/ctable.h"
 #include "ctables/ctable_algebra.h"
@@ -66,6 +70,7 @@
 #include "engine/kernels.h"
 #include "engine/query_engine.h"
 #include "engine/stats.h"
+#include "engine/world_encoding.h"
 #include "exchange/chase.h"
 #include "exchange/general_chase.h"
 #include "exchange/mapping.h"

@@ -5,10 +5,14 @@
 
 #include <cstdint>
 #include <limits>
+#include <string>
 
 #include "algebra/certain.h"
 #include "algebra/eval.h"
 #include "ctables/ctable_algebra.h"
+#include "testing/fuzz_gen.h"
+#include "util/random.h"
+#include "workload/generators.h"
 
 namespace incdb {
 namespace {
@@ -216,6 +220,69 @@ TEST(CertainTest, FreshConstantsNearInt64MaxKeepNullsApart) {
   auto by_ctable = CertainAnswersCTable(q, db, WorldSemantics::kClosedWorld);
   ASSERT_TRUE(by_ctable.ok()) << by_ctable.status().ToString();
   EXPECT_TRUE(by_ctable->empty()) << by_ctable->ToString();
+}
+
+}  // namespace
+}  // namespace incdb
+
+namespace incdb {
+namespace {
+
+// Under a world budget, the enumeration drivers' status depends only on the
+// plan, the database and max_worlds: a world count above the budget is
+// refused before any chain starts, so an early exit on an empty
+// intersection can no longer race the shared budget at some thread counts.
+TEST(CertainBudgetTest, StatusIndependentOfThreadsAndRuns) {
+  Rng rng(37);
+  WorldEnumOptions opts;
+  opts.max_worlds = 37;
+  size_t refused = 0;
+  size_t answered = 0;
+  for (int i = 0; i < 400; ++i) {
+    RandomDbConfig dbc;
+    dbc.arities = {1 + rng.Uniform(3), 1 + rng.Uniform(3)};
+    dbc.rows_per_relation = 1 + rng.Uniform(6);
+    dbc.domain_size = 4;
+    dbc.null_density = 0.35;
+    dbc.max_nulls = 3;
+    const Database db = MakeRandomDatabase(dbc, rng);
+    PlanGenConfig pgc;
+    pgc.max_depth = 1 + rng.Uniform(3);
+    const RAExprPtr plan = RandomPlan(rng, db, pgc).plan;
+    std::string first;
+    for (int threads : {1, 2, 4}) {
+      for (int run = 0; run < 3; ++run) {
+        EvalOptions eo;
+        eo.num_threads = threads;
+        auto certain =
+            CertainAnswersEnum(plan, db, WorldSemantics::kClosedWorld, opts,
+                               eo);
+        auto possible = PossibleAnswersEnum(plan, db, opts, eo);
+        const std::string seen =
+            (certain.ok() ? certain->ToString() : certain.status().ToString()) +
+            " | " +
+            (possible.ok() ? possible->ToString()
+                           : possible.status().ToString());
+        if (threads == 1 && run == 0) {
+          first = seen;
+          if (!certain.ok() &&
+              certain.status().code() == StatusCode::kResourceExhausted) {
+            ++refused;
+          } else {
+            ++answered;
+          }
+          continue;
+        }
+        EXPECT_EQ(seen, first) << "case " << i << ", " << threads
+                               << " threads, run " << run << ": "
+                               << plan->ToString() << "\n"
+                               << db.ToString();
+      }
+    }
+  }
+  // The sweep saw both sides of the budget.
+  EXPECT_GT(refused, 0u);
+  EXPECT_GT(answered, 0u);
 }
 
 }  // namespace

@@ -2,8 +2,10 @@
 //
 //  * WilsonInterval — bounds, containment of the point estimate, shrinkage;
 //  * CountSatisfyingValuations — free nulls, independent components,
-//    coupled components, budget exhaustion, saturation, and a brute-force
-//    cross-check against direct odometer enumeration;
+//    coupled components, budget exhaustion, saturation, and brute-force
+//    cross-checks against direct odometer enumeration, on a 3-value domain
+//    the conditions mention almost entirely and on wide domains (8–40
+//    values, most never mentioned) where value classes do the counting;
 //  * SampleValuationAt — (seed, index) determinism and domain closure;
 //  * SampleTupleFrequencies — thread-count bit-identity and CI coverage
 //    of a known frequency;
@@ -16,14 +18,15 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "algebra/parser.h"
 #include "counting/probabilistic.h"
 #include "counting/sampler.h"
 #include "counting/world_count.h"
+#include "ctables/cond_arena.h"
 #include "core/possible_worlds.h"
-#include "ctables/condition_norm.h"
 #include "engine/query_engine.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -85,26 +88,24 @@ TEST(WilsonInterval, ShrinksWithSamples) {
 }
 
 TEST(CountSatisfyingValuations, FreeNullsAndGroundConditions) {
-  ConditionNormalizer norm;
   const std::vector<NullId> nulls = {1, 2, 3};
   const std::vector<Value> domain = IntDomain(4);
 
   auto all = CountSatisfyingValuations(Condition::True(), nulls, domain,
-                                       &norm, 1'000);
+                                       1'000);
   ASSERT_TRUE(all.ok()) << all.status().ToString();
   EXPECT_EQ(all->count, 64u);  // 4^3, every null free
   EXPECT_DOUBLE_EQ(all->fraction, 1.0);
   EXPECT_FALSE(all->saturated);
 
   auto none = CountSatisfyingValuations(Condition::False(), nulls, domain,
-                                        &norm, 1'000);
+                                        1'000);
   ASSERT_TRUE(none.ok());
   EXPECT_EQ(none->count, 0u);
   EXPECT_DOUBLE_EQ(none->fraction, 0.0);
 }
 
 TEST(CountSatisfyingValuations, IndependentComponentsMultiply) {
-  ConditionNormalizer norm;
   const std::vector<NullId> nulls = {1, 2, 3};
   const std::vector<Value> domain = IntDomain(4);
   // (x1 = 0) ∧ (x2 = 0): two single-null components, x3 free.
@@ -112,7 +113,7 @@ TEST(CountSatisfyingValuations, IndependentComponentsMultiply) {
       Condition::And(Condition::Eq(Value::Null(1), Value::Int(0)),
                      Condition::Eq(Value::Null(2), Value::Int(0)));
   EvalStats stats;
-  auto r = CountSatisfyingValuations(c, nulls, domain, &norm, 1'000, &stats);
+  auto r = CountSatisfyingValuations(c, nulls, domain, 1'000, &stats);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->count, 4u);  // 1 · 1 · 4
   EXPECT_DOUBLE_EQ(r->fraction, 1.0 / 16.0);
@@ -121,28 +122,26 @@ TEST(CountSatisfyingValuations, IndependentComponentsMultiply) {
 }
 
 TEST(CountSatisfyingValuations, CoupledComponentEnumeratesJointly) {
-  ConditionNormalizer norm;
   const std::vector<NullId> nulls = {1, 2};
   const std::vector<Value> domain = IntDomain(5);
   // x1 = x2 couples both nulls into one component of 25 assignments.
   const ConditionPtr c = Condition::Eq(Value::Null(1), Value::Null(2));
-  auto r = CountSatisfyingValuations(c, nulls, domain, &norm, 25);
+  auto r = CountSatisfyingValuations(c, nulls, domain, 25);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->count, 5u);
   EXPECT_DOUBLE_EQ(r->fraction, 1.0 / 5.0);
 
   // One unit short of the component size: the budget must trip.
-  auto exhausted = CountSatisfyingValuations(c, nulls, domain, &norm, 24);
+  auto exhausted = CountSatisfyingValuations(c, nulls, domain, 24);
   ASSERT_FALSE(exhausted.ok());
   EXPECT_EQ(exhausted.status().code(), StatusCode::kResourceExhausted);
 }
 
 TEST(CountSatisfyingValuations, SaturatesInsteadOfWrapping) {
-  ConditionNormalizer norm;
   std::vector<NullId> nulls;
   for (NullId i = 1; i <= 40; ++i) nulls.push_back(i);
   const std::vector<Value> domain = IntDomain(4);  // 4^40 = 2^80 > 2^64
-  auto r = CountSatisfyingValuations(Condition::True(), nulls, domain, &norm,
+  auto r = CountSatisfyingValuations(Condition::True(), nulls, domain,
                                      1'000);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_TRUE(r->saturated);
@@ -173,13 +172,93 @@ TEST(CountSatisfyingValuations, MatchesBruteForceOnRandomConditions) {
       }
       c = Condition::And(std::move(c), std::move(atom));
     }
-    ConditionNormalizer norm;
-    auto r = CountSatisfyingValuations(c, nulls, domain, &norm, 100'000);
+    auto r = CountSatisfyingValuations(c, nulls, domain, 100'000);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     const uint64_t brute = BruteCount(c, nulls, domain);
     EXPECT_EQ(r->count, brute) << c->ToString();
     EXPECT_NEAR(r->fraction, static_cast<double>(brute) / 81.0, 1e-12)
         << c->ToString();
+  }
+}
+
+// A world domain of about `size` values built the way MakeWorldSpace builds
+// one: an instance's ints and strings, then one fresh integer per null.
+std::vector<Value> WideDomain(Rng* rng, size_t size) {
+  Database db;
+  for (size_t i = 0; i + 3 < size; ++i) {
+    std::string name = "s";
+    name += std::to_string(i);
+    db.AddTuple("R", Tuple{rng->Bernoulli(0.25)
+                               ? Value::Str(name)
+                               : Value::Int(static_cast<int64_t>(5 * i))});
+  }
+  for (NullId id = 1; id <= 3; ++id) db.AddTuple("R", Tuple{Value::Null(id)});
+  return MakeWorldSpace(db, WorldEnumOptions{}).domain;
+}
+
+void ExpectCountMatchesBruteForce(const ConditionPtr& c,
+                                  const std::vector<NullId>& nulls,
+                                  const std::vector<Value>& domain) {
+  auto r = CountSatisfyingValuations(c, nulls, domain, 1'000'000);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const uint64_t brute = BruteCount(c, nulls, domain);
+  double total = 1.0;
+  for (size_t i = 0; i < nulls.size(); ++i) total *= domain.size();
+  EXPECT_EQ(r->count, brute) << c->ToString();
+  EXPECT_NEAR(r->fraction, static_cast<double>(brute) / total, 1e-12)
+      << c->ToString();
+  // Satisfiability agrees with the count.
+  auto sat = SatisfiableOverDomain(c, domain);
+  ASSERT_TRUE(sat.ok());
+  EXPECT_EQ(*sat, brute > 0) << c->ToString();
+}
+
+TEST(CountSatisfyingValuations, MatchesBruteForceOnWideDomains) {
+  Rng rng(20261019);
+  const std::vector<NullId> nulls = {1, 2, 3};
+  for (int round = 0; round < 6; ++round) {
+    const std::vector<Value> domain = WideDomain(&rng, 8 + rng.Uniform(33));
+    ASSERT_GE(domain.size(), 8u);
+    ASSERT_LE(domain.size(), 40u);
+    // A few mentioned values, one outside the domain and one fresh integer;
+    // the rest of the domain is never mentioned.
+    std::vector<Value> picks = {Value::Int(-7), domain.back()};
+    for (int k = 0; k < 2; ++k) {
+      picks.push_back(domain[rng.Uniform(domain.size())]);
+    }
+    for (int iter = 0; iter < 25; ++iter) {
+      // Conjunctions of atoms whose null-null equalities couple up to all
+      // three nulls into one component, some atoms widened by an OR.
+      ConditionPtr c = Condition::True();
+      const int atoms = 1 + static_cast<int>(rng.Uniform(4));
+      for (int a = 0; a < atoms; ++a) {
+        const Value lhs = Value::Null(1 + rng.Uniform(3));
+        const Value rhs = rng.Uniform(2) == 0
+                              ? Value::Null(1 + rng.Uniform(3))
+                              : picks[rng.Uniform(picks.size())];
+        ConditionPtr atom = rng.Uniform(2) == 0 ? Condition::Eq(lhs, rhs)
+                                                : Condition::Neq(lhs, rhs);
+        if (rng.Uniform(3) == 0) {
+          atom = Condition::Or(std::move(atom),
+                               Condition::Eq(Value::Null(1 + rng.Uniform(3)),
+                                             picks[rng.Uniform(picks.size())]));
+        }
+        c = Condition::And(std::move(c), std::move(atom));
+      }
+      ExpectCountMatchesBruteForce(c, nulls, domain);
+    }
+    // One 3-null component coupled by equalities.
+    const Value x = Value::Null(1), y = Value::Null(2), z = Value::Null(3);
+    ExpectCountMatchesBruteForce(
+        Condition::And(Condition::And(Condition::Eq(x, y), Condition::Neq(y, z)),
+                       Condition::Neq(z, picks[2])),
+        nulls, domain);
+    // One component that mentions every domain value.
+    ConditionPtr every = Condition::Neq(x, z);
+    for (size_t i = 0; i + 2 < domain.size(); ++i) {
+      every = Condition::And(every, Condition::Neq(x, domain[i]));
+    }
+    ExpectCountMatchesBruteForce(every, nulls, domain);
   }
 }
 

@@ -4,22 +4,33 @@
 //  * CertainAnswersCTable == CertainAnswersEnum and PossibleAnswersCTable ==
 //    PossibleAnswersEnum on random databases × random positive plans and on
 //    hand-built fixtures (same WorldEnumOptions on both sides);
-//  * the fused hash equi-join kernel (JoinCT) represents the same world set
-//    as the unfused SelectCT ∘ ProductCT it replaces;
+//  * the fused hash equi-join on codes (CTableQuery::Join) represents the
+//    same world set as the unfused σ ∘ × it replaces;
 //  * the OWA positivity guard matches the enumeration driver's;
 //  * at 12+ nulls the enumeration backend exhausts its world budget while
-//    the c-table backend still answers (the acceptance bar of the redesign).
+//    the c-table backend still answers (the acceptance bar of the redesign);
+//  * a relation literal's nulls are values, as in enumeration and eq. (1):
+//    certain, possible and probability answers of both backends match the
+//    reference on plans that mix literals with the instance;
+//  * the work counters of the join and the difference on an instance
+//    shaped like the e2e certain_ctable workload are pinned.
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "algebra/certain.h"
+#include "counting/probabilistic.h"
+#include "ctables/code_ctable.h"
 #include "ctables/ctable_algebra.h"
-#include "ctables/ctable_kernels.h"
 #include "engine/kernels.h"
+#include "engine/query_engine.h"
 #include "testing/fuzz_gen.h"
+#include "testing/oracle.h"
 #include "util/random.h"
 #include "workload/generators.h"
 
@@ -197,18 +208,23 @@ TEST(CTableKernels, FusedJoinMatchesUnfusedProductSelect) {
     ASSERT_FALSE(split.keys.empty());
     ASSERT_TRUE(ResidualSafeForCTableJoin(split.residual.get()));
 
-    ConditionNormalizer norm;
-    auto fused = JoinCT(l, rt, split.keys, split.residual, &norm);
-    ASSERT_TRUE(fused.ok()) << fused.status().ToString();
-
-    ConditionNormalizer norm2;
-    CTable prod = ProductCT(l, rt, nullptr, &norm2);
-    auto unfused = SelectCT(pred, prod, &norm2);
-    ASSERT_TRUE(unfused.ok()) << unfused.status().ToString();
-
     const std::vector<Value> domain = {Value::Int(0), Value::Int(1),
                                        Value::Int(2)};
-    EXPECT_EQ(WorldsOf(*fused, domain), WorldsOf(*unfused, domain))
+    const std::set<Value> constants = cdb.Constants();
+    const std::set<NullId> nulls = cdb.Nulls();
+    CTableQuery q(*WorldEncoding::FromValues(
+        std::vector<Value>(constants.begin(), constants.end()),
+        std::vector<NullId>(nulls.begin(), nulls.end()), domain));
+    const CodeCTable cl = q.Import(l);
+    const CodeCTable cr = q.Import(rt);
+    auto fused = q.Join(cl, cr, split.keys, split.residual, nullptr);
+    ASSERT_TRUE(fused.ok()) << fused.status().ToString();
+
+    auto unfused = q.Select(pred, q.Product(cl, cr, nullptr));
+    ASSERT_TRUE(unfused.ok()) << unfused.status().ToString();
+
+    EXPECT_EQ(WorldsOf(q.Export(*fused), domain),
+              WorldsOf(q.Export(*unfused), domain))
         << "iter " << iter;
   }
 }
@@ -284,6 +300,223 @@ TEST(CTableCertain, StatsReportNormalizerWork) {
   ASSERT_TRUE(ct.ok()) << ct.status().ToString();
   EXPECT_GT(stats.at(EvalOp::kCTableExtract).calls, 0u);
   EXPECT_GT(stats.cond_simplified() + stats.unsat_pruned(), 0u);
+}
+
+// --------------------------------------------------------------------------
+// Relation literals: their nulls are values, never valued by a world.
+// --------------------------------------------------------------------------
+
+// Certain, possible and exact-probability answers of both backends against
+// eq. (1) and the union of the worlds.
+void ExpectBackendsMatchReference(const RAExprPtr& plan, const Database& db) {
+  WorldEnumOptions opts;
+  opts.max_worlds = 200'000;
+  const std::string where = plan->ToString() + "\non\n" + db.ToString();
+  auto certain = ReferenceCertainAnswers(plan, db, opts);
+  auto possible = ReferencePossibleAnswers(plan, db, opts);
+  ASSERT_TRUE(certain.ok()) << certain.status().ToString();
+  ASSERT_TRUE(possible.ok()) << possible.status().ToString();
+  EvalOptions eo;
+  eo.num_threads = 1;
+  for (Backend backend : {Backend::kEnumeration, Backend::kCTable}) {
+    const bool ct = backend == Backend::kCTable;
+    auto c = ct ? CertainAnswersCTable(plan, db, WorldSemantics::kClosedWorld,
+                                       opts, eo)
+                : CertainAnswersEnum(plan, db, WorldSemantics::kClosedWorld,
+                                     opts, eo);
+    ASSERT_TRUE(c.ok()) << c.status().ToString() << "\n" << where;
+    EXPECT_EQ(*c, *certain) << BackendName(backend) << " certain: " << where;
+    auto p = ct ? PossibleAnswersCTable(plan, db, opts, eo)
+                : PossibleAnswersEnum(plan, db, opts, eo);
+    ASSERT_TRUE(p.ok()) << p.status().ToString() << "\n" << where;
+    EXPECT_EQ(*p, *possible) << BackendName(backend) << " possible: " << where;
+
+    ProbabilisticOptions popts;
+    popts.threshold = 1.0;
+    std::vector<TupleProbability> table;
+    auto pr =
+        ct ? CertainAnswersWithProbabilityCTable(
+                 plan, db, WorldSemantics::kClosedWorld, popts, opts, eo,
+                 &table)
+           : CertainAnswersWithProbabilityEnum(
+                 plan, db, WorldSemantics::kClosedWorld, popts, opts, eo,
+                 &table);
+    ASSERT_TRUE(pr.ok()) << pr.status().ToString() << "\n" << where;
+    EXPECT_EQ(*pr, *certain) << BackendName(backend) << " p = 1: " << where;
+    Relation positive(possible->arity());
+    for (const TupleProbability& t : table) {
+      EXPECT_TRUE(t.exact) << where;
+      if (t.probability > 0) positive.Add(t.tuple);
+    }
+    EXPECT_EQ(positive, *possible) << BackendName(backend) << " p > 0: "
+                                   << where;
+  }
+}
+
+Database LiteralDb() {
+  Database db;
+  db.AddTuple("R", Tuple{Value::Int(1), Value::Int(2)});
+  db.AddTuple("R", Tuple{Value::Null(0), Value::Int(3)});
+  return db;
+}
+
+RAExprPtr Literal(std::vector<Tuple> rows) {
+  Relation r(rows.front().arity());
+  for (Tuple& t : rows) r.Add(std::move(t));
+  return RAExpr::ConstRel(std::move(r));
+}
+
+TEST(CTableLiteralNulls, PlansThatDisagreedWithEnumeration) {
+  const Database db = LiteralDb();
+  const RAExprPtr r = RAExpr::Scan("R");
+  const RAExprPtr fresh = Literal({Tuple{Value::Null(9), Value::Int(99)}});
+  const RAExprPtr shared = Literal({Tuple{Value::Null(0), Value::Int(3)}});
+  const RAExprPtr shared5 = Literal({Tuple{Value::Null(0), Value::Int(5)}});
+  for (const RAExprPtr& plan :
+       {RAExpr::Union(r, fresh), RAExpr::Intersect(r, shared),
+        RAExpr::Union(r, shared5), RAExpr::Diff(r, shared),
+        RAExpr::Project(
+            {1}, RAExpr::Select(
+                     Predicate::Eq(Term::Column(0), Term::Const(Value::Int(1))),
+                     RAExpr::Union(r, fresh)))}) {
+    ExpectBackendsMatchReference(plan, db);
+  }
+  // The literal keeps its null in the answer: (_9, 99) is certain.
+  QueryEngine engine(db);
+  auto resp = engine.Run(
+      QueryRequestBuilder(QueryInput::RaText("R U {(_9, 99)}"))
+          .Notion(AnswerNotion::kCertainWithProbability)
+          .OnBackend(Backend::kCTable)
+          .Build());
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  EXPECT_TRUE(resp->relation.Contains(Tuple{Value::Null(9), Value::Int(99)}));
+  EXPECT_FALSE(resp->relation.Contains(Tuple{Value::Int(1), Value::Int(99)}));
+}
+
+class CTableLiteralSweep : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(CTableLiteralSweep, LiteralsWithFreshOrSharedNulls) {
+  Rng rng(GetParam() + 7000);
+  RandomDbConfig dbc;
+  dbc.arities = {2};
+  dbc.rows_per_relation = 3;
+  dbc.domain_size = 3;
+  dbc.null_density = 0.35;
+  dbc.null_reuse = 0.4;
+  dbc.max_nulls = 2;
+  const Database db = MakeRandomDatabase(dbc, rng);
+  const std::set<NullId> nulls = db.Nulls();
+  const RAExprPtr r = RAExpr::Scan("R0");
+  for (int i = 0; i < 4; ++i) {
+    // A fresh null or one of the instance's, beside a constant.
+    Value null = Value::Null(50 + static_cast<NullId>(i));
+    if (!nulls.empty() && rng.Bernoulli(0.5)) {
+      auto it = nulls.begin();
+      std::advance(it, rng.Uniform(nulls.size()));
+      null = Value::Null(*it);
+    }
+    const Value c = Value::Int(rng.UniformInt(0, 2));
+    const RAExprPtr lit = Literal({rng.Bernoulli(0.5) ? Tuple{null, c}
+                                                      : Tuple{c, null}});
+    for (const RAExprPtr& plan :
+         {RAExpr::Union(r, lit), RAExpr::Diff(r, lit), RAExpr::Diff(lit, r),
+          RAExpr::Intersect(r, lit),
+          RAExpr::Select(Predicate::Eq(Term::Column(0), Term::Column(2)),
+                         RAExpr::Product(r, lit))}) {
+      ExpectBackendsMatchReference(plan, db);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, CTableLiteralSweep,
+                         ::testing::Range<uint64_t>(0, 12));
+
+// --------------------------------------------------------------------------
+// Work counters on an instance shaped like the e2e certain_ctable workload:
+// 150 orders over products 1..40, 120 payments with amounts 1..50, 6 of
+// them on 2 shared null order ids. Products 39 and 40 belong only to orders
+// no ground payment pays, so the join's probabilities count worlds.
+// --------------------------------------------------------------------------
+
+Database OrdersAndPayments() {
+  Schema schema;
+  EXPECT_TRUE(schema.AddRelation("Order", {"o_id", "product"}).ok());
+  EXPECT_TRUE(schema.AddRelation("Pay", {"p_id", "order_id", "amount"}).ok());
+  Database db(schema);
+  for (int64_t o = 1; o <= 150; ++o) {
+    db.AddTuple("Order", Tuple{Value::Int(o),
+                               Value::Int(o <= 140 ? 1 + o % 38 : 39 + o % 2)});
+  }
+  for (int64_t p = 1; p <= 120; ++p) {
+    const Value order = p % 20 == 10 ? Value::Null(p < 60 ? 0 : 1)
+                                     : Value::Int(1 + (p * 37) % 140);
+    db.AddTuple("Pay",
+                Tuple{Value::Int(p), order, Value::Int(1 + (p * 13) % 50)});
+  }
+  return db;
+}
+
+struct PinnedWork {
+  const char* plan;
+  AnswerNotion notion;
+  size_t answers;
+  EvalOp op;          // ct-join or ct-diff
+  OpCounters kernel;  // calls, rows in, rows out, probes
+  OpCounters extract;
+  uint64_t worlds_counted, exact_count_hits, samples_drawn;
+};
+
+TEST(CTableStatsTest, PinsWorkCounters) {
+  const char* kJoin = "proj{1}(sel[#0 = #3](Order x Pay))";
+  const char* kDiff = "proj{0}(Order) - proj{1}(Pay)";
+  const OpCounters join{1, 270, 1014, 1014, 0};
+  const OpCounters diff{1, 270, 36, 675, 0};
+  const PinnedWork pins[] = {
+      {kJoin, AnswerNotion::kCertainEnum, 38, EvalOp::kCTableJoin, join,
+       {1, 1014, 38, 0, 0}, 0, 0, 0},
+      {kJoin, AnswerNotion::kPossible, 40, EvalOp::kCTableJoin, join,
+       {1, 1014, 40, 40, 0}, 0, 0, 0},
+      {kJoin, AnswerNotion::kCertainWithProbability, 38, EvalOp::kCTableJoin,
+       join, {1, 1014, 40, 40, 0}, 46208, 40, 0},
+      {kDiff, AnswerNotion::kCertainEnum, 0, EvalOp::kCTableDiff, diff,
+       {1, 36, 0, 35, 0}, 0, 0, 0},
+      {kDiff, AnswerNotion::kPossible, 36, EvalOp::kCTableDiff, diff,
+       {1, 36, 36, 36, 0}, 0, 0, 0},
+      {kDiff, AnswerNotion::kCertainWithProbability, 36, EvalOp::kCTableDiff,
+       diff, {1, 36, 36, 36, 0}, 10944, 36, 0},
+  };
+  const Database db = OrdersAndPayments();
+  const QueryEngine engine(db);
+  for (const PinnedWork& pin : pins) {
+    ProbabilisticOptions popts;
+    popts.threshold = 0.5;
+    QueryRequest req = QueryRequestBuilder(QueryInput::RaText(pin.plan))
+                           .Notion(pin.notion)
+                           .OnBackend(Backend::kCTable)
+                           .Probability(popts)
+                           .Build();
+    req.eval.num_threads = 1;
+    req.world_options.max_worlds = 200'000;
+    auto resp = engine.Run(req);
+    const std::string what =
+        std::string(pin.plan) + " " + AnswerNotionName(pin.notion);
+    ASSERT_TRUE(resp.ok()) << what << ": " << resp.status().ToString();
+    EXPECT_EQ(resp->relation.size(), pin.answers) << what;
+    const EvalStats& s = resp->stats;
+    for (const auto& [op, want] : {std::pair{pin.op, pin.kernel},
+                                   std::pair{EvalOp::kCTableExtract,
+                                             pin.extract}}) {
+      const OpCounters& got = s.at(op);
+      EXPECT_EQ(got.calls, want.calls) << what << " " << EvalOpName(op);
+      EXPECT_EQ(got.tuples_in, want.tuples_in) << what << " " << EvalOpName(op);
+      EXPECT_EQ(got.tuples_out, want.tuples_out)
+          << what << " " << EvalOpName(op);
+      EXPECT_EQ(got.probes, want.probes) << what << " " << EvalOpName(op);
+    }
+    EXPECT_EQ(s.worlds_counted(), pin.worlds_counted) << what;
+    EXPECT_EQ(s.exact_count_hits(), pin.exact_count_hits) << what;
+    EXPECT_EQ(s.samples_drawn(), pin.samples_drawn) << what;
+  }
 }
 
 }  // namespace

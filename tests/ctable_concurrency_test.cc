@@ -1,7 +1,9 @@
 // Concurrent c-table queries (run under TSan in CI): several threads answer
 // certain, possible and probability queries on Backend::kCTable through
 // QueryEngine against one shared database, and every answer must equal the
-// one a serial run gives. The serial run comes after the threads have
+// one a serial run gives. One probability request per query forces the
+// sampling pass, whose workers read the query's condition arena from
+// several threads. The serial run comes after the threads have
 // joined, so the first touch of any process-wide state the c-table path
 // keeps (the owner-less `true`/`false` constants, CDatabase's shared empty
 // tables) happens on the worker threads.
@@ -57,6 +59,20 @@ std::vector<QueryRequest> CTableRequests(
       req.eval.num_threads = 1;
       out.push_back(std::move(req));
     }
+    // The sampling pass: its workers read the query's condition arena
+    // concurrently, beside the other threads' queries.
+    ProbabilisticOptions sampled;
+    sampled.threshold = 0.5;
+    sampled.force_sampling = true;
+    sampled.sampling.samples = 2'000;
+    sampled.sampling.num_threads = 4;
+    QueryRequest req = QueryRequestBuilder(QueryInput::RaText(text))
+                           .Notion(AnswerNotion::kCertainWithProbability)
+                           .OnBackend(Backend::kCTable)
+                           .Probability(sampled)
+                           .Build();
+    req.eval.num_threads = 1;
+    out.push_back(std::move(req));
   }
   return out;
 }

@@ -1,6 +1,6 @@
-// Extraction from result c-tables (ctables/ctable_algebra.h):
+// Extraction from result c-tables on codes (ctables/code_ctable.h):
 //
-//  * the membership condition D_t built through a RowIndex is the node a
+//  * the membership condition D_t built through a CodeRowIndex is the node a
 //    fold over every row builds, on random c-tables with null-carrying rows
 //    and a non-`true` global condition;
 //  * possible-answer extraction stops checking a ground tuple once it is
@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "ctables/code_ctable.h"
 #include "ctables/ctable_algebra.h"
 #include "util/random.h"
 
@@ -46,15 +47,33 @@ CDatabase RandomCDatabase(uint64_t seed) {
   return db;
 }
 
+// A code query whose dictionary holds `t`'s constants and `domain`, and
+// whose nulls are `t`'s and `more`.
+std::unique_ptr<CTableQuery> QueryFor(const CTable& t,
+                                      const std::vector<Value>& domain,
+                                      std::set<NullId> more = {}) {
+  const std::set<Value> constants = t.Constants();
+  const std::set<NullId> own = t.Nulls();
+  more.insert(own.begin(), own.end());
+  return std::make_unique<CTableQuery>(*WorldEncoding::FromValues(
+      std::vector<Value>(constants.begin(), constants.end()),
+      std::vector<NullId>(more.begin(), more.end()), domain));
+}
+
+std::vector<uint32_t> Encode(const CTableQuery& q, const Tuple& t) {
+  std::vector<uint32_t> row;
+  for (const Value& v : t.values()) row.push_back(q.enc().EncodeBase(v));
+  return row;
+}
+
 // The reference D_t: ⋁ over every row of (cond_r ∧ "tuple_r = cand").
-ConditionPtr FullFold(const CTable& t, const Tuple& cand) {
-  ConditionPtr dt = Condition::False();
-  for (const CTableRow& row : t.rows()) {
-    dt = Condition::Or(
-        std::move(dt),
-        Condition::And(row.condition, TuplesEqualCondition(row.tuple, cand)));
+uint32_t FullFold(CTableQuery* q, const CodeCTable& t, const uint32_t* cand) {
+  std::vector<uint32_t> ops;
+  for (size_t i = 0; i < t.rows(); ++i) {
+    ops.push_back(q->arena().And(t.conds[i], q->RowsEqual(t.Row(i), cand,
+                                                          t.arity)));
   }
-  return dt;
+  return q->arena().OrOf(&ops);
 }
 
 // Every tuple of `arity` over `domain`.
@@ -88,30 +107,34 @@ TEST(IndexedMembership, SameNodeAsTheFullFold) {
   for (uint64_t seed = 0; seed < 40; ++seed) {
     const CDatabase db = RandomCDatabase(seed);
     for (const RAExprPtr& plan : plans) {
-      ConditionNormalizer norm;
-      Result<CTable> t = EvalOnCTables(plan, db, EvalOptions{}, &norm);
+      Result<CTable> t = EvalOnCTables(plan, db);
       ASSERT_TRUE(t.ok()) << t.status().ToString();
       // A global condition that is not `true`, on a null the tables use.
       t->SetGlobalCondition(
           Condition::Or(Condition::Neq(Value::Null(0), Value::Int(1)),
                         Condition::Eq(Value::Null(0), Value::Int(2))));
-      const ConditionPtr global = norm.Normalize(t->global_condition());
-      ASSERT_FALSE(global->IsTrue());
+      const std::unique_ptr<CTableQuery> q = QueryFor(*t, domain, {0});
+      const CodeCTable ct = q->Import(*t);
+      const uint32_t global = ct.global;
+      ASSERT_NE(global, CondArena::kTrue);
+      const auto term = [&](uint32_t x) { return q->TermValue(x); };
 
-      const RowIndex index(*t);
+      const CodeRowIndex index(ct);
       null_rows += index.NullRows().size();
-      for (const Tuple& cand : AllTuples(t->arity(), domain)) {
-        if (index.ExactRows(cand).size() > 1) ++shared_buckets;
-        const ConditionPtr indexed = TupleMembershipCondition(*t, index, cand);
-        const ConditionPtr full = FullFold(*t, cand);
+      for (const Tuple& tuple : AllTuples(ct.arity, domain)) {
+        const std::vector<uint32_t> cand = Encode(*q, tuple);
+        if (index.ExactRows(cand.data()).size() > 1) ++shared_buckets;
+        const uint32_t indexed = q->Membership(ct, index, cand.data());
+        const uint32_t full = FullFold(q.get(), ct, cand.data());
         const std::string where =
             "seed " + std::to_string(seed) + ", " + plan->ToString() +
-            " at " + cand.ToString();
-        EXPECT_EQ(indexed->ToString(), full->ToString()) << where;
-        EXPECT_EQ(norm.Normalize(indexed).get(), norm.Normalize(full).get())
+            " at " + tuple.ToString();
+        EXPECT_EQ(ExportCondition(q->arena(), indexed, term)->ToString(),
+                  ExportCondition(q->arena(), full, term)->ToString())
             << where;
-        EXPECT_EQ(norm.Normalize(Condition::And(global, indexed)).get(),
-                  norm.Normalize(Condition::And(global, full)).get())
+        EXPECT_EQ(indexed, full) << where;
+        EXPECT_EQ(q->arena().And(global, indexed),
+                  q->arena().And(global, full))
             << where;
       }
     }
@@ -128,32 +151,49 @@ TEST(RowIndexTest, CandidatesAreExactRowsAndNullRowsInRowOrder) {
   t.AddRow(Tuple{Value::Int(2), Value::Int(2)}, Condition::True());
   t.AddRow(Tuple{Value::Int(1), Value::Int(1)}, Condition::True());
   t.AddRow(Tuple{Value::Null(1), Value::Int(2)}, Condition::True());
-  const RowIndex index(t);
+  const std::unique_ptr<CTableQuery> q =
+      QueryFor(t, {Value::Int(7)}, {0, 1, 2});
+  const CodeCTable ct = q->Import(t);
+  const CodeRowIndex index(ct);
   auto candidates = [&](const Tuple& cand) {
-    std::vector<size_t> out;
-    index.ForEachCandidate(cand, [&](size_t i) {
+    const std::vector<uint32_t> row = Encode(*q, cand);
+    std::vector<uint32_t> out;
+    index.ForEachCandidate(row.data(), [&](uint32_t i) {
       out.push_back(i);
       return true;
     });
     return out;
   };
-  EXPECT_EQ(index.ExactRows(Tuple{Value::Int(1), Value::Int(1)}),
-            (std::vector<size_t>{0, 3}));
-  EXPECT_EQ(index.NullRows(), (std::vector<size_t>{1, 4}));
+  EXPECT_EQ(index.ExactRows(Encode(*q, Tuple{Value::Int(1), Value::Int(1)})
+                                .data()),
+            (std::vector<uint32_t>{0, 3}));
+  EXPECT_EQ(index.NullRows(), (std::vector<uint32_t>{1, 4}));
   EXPECT_EQ(candidates(Tuple{Value::Int(1), Value::Int(1)}),
-            (std::vector<size_t>{0, 1, 3, 4}));
+            (std::vector<uint32_t>{0, 1, 3, 4}));
   EXPECT_EQ(candidates(Tuple{Value::Int(7), Value::Int(7)}),
-            (std::vector<size_t>{1, 4}));
-  // A tuple with a null can match any row.
+            (std::vector<uint32_t>{1, 4}));
+  // A row with a null can match any row.
   EXPECT_EQ(candidates(Tuple{Value::Null(2), Value::Int(2)}),
-            (std::vector<size_t>{0, 1, 2, 3, 4}));
+            (std::vector<uint32_t>{0, 1, 2, 3, 4}));
   // The visit stops when the callback says so.
-  std::vector<size_t> first;
-  index.ForEachCandidate(Tuple{Value::Int(1), Value::Int(1)}, [&](size_t i) {
+  std::vector<uint32_t> first;
+  const std::vector<uint32_t> ones = Encode(*q, Tuple{Value::Int(1),
+                                                      Value::Int(1)});
+  index.ForEachCandidate(ones.data(), [&](uint32_t i) {
     first.push_back(i);
     return false;
   });
-  EXPECT_EQ(first, (std::vector<size_t>{0}));
+  EXPECT_EQ(first, (std::vector<uint32_t>{0}));
+}
+
+// The possible answers of `t` over `domain` through the code engine.
+Result<Relation> PossibleOf(const CTable& t, const std::vector<Value>& domain,
+                            EvalStats* stats) {
+  const std::unique_ptr<CTableQuery> q = QueryFor(t, domain);
+  const CodeCTable ct = q->Import(t);
+  INCDB_ASSIGN_OR_RETURN(const SortedCodeRows rows,
+                         q->Possible(ct, 50'000'000, stats));
+  return q->Decode(rows);
 }
 
 TEST(PossibleExtraction, OneCheckPerPossibleGroundTuple) {
@@ -172,10 +212,8 @@ TEST(PossibleExtraction, OneCheckPerPossibleGroundTuple) {
   const std::vector<Value> domain = {Value::Int(1), Value::Int(2),
                                      Value::Int(3), Value::Int(4),
                                      Value::Int(5)};
-  ConditionNormalizer norm;
   EvalStats stats;
-  Result<Relation> possible =
-      PossibleAnswersFromCTable(t, domain, &norm, 50'000'000, &stats);
+  Result<Relation> possible = PossibleOf(t, domain, &stats);
   ASSERT_TRUE(possible.ok()) << possible.status().ToString();
   EXPECT_EQ(*possible,
             Relation(1, {Tuple{Value::Int(1)}, Tuple{Value::Int(2)}}));
@@ -186,8 +224,8 @@ TEST(PossibleExtraction, OneCheckPerPossibleGroundTuple) {
 }
 
 TEST(PossibleExtraction, NullRowGroundingsStillChecked) {
-  // A null-carrying row is not skipped: each grounding its condition admits
-  // is one check, and a ground row after it whose tuple one of those
+  // A null-carrying row is not skipped: each grounding its condition does
+  // not already rule out is one check, and a ground row after it whose tuple one of those
   // groundings already produced costs nothing.
   CTable t(1);
   t.AddRow(Tuple{Value::Null(0)},
@@ -196,10 +234,8 @@ TEST(PossibleExtraction, NullRowGroundingsStillChecked) {
   t.AddRow(Tuple{Value::Int(3)}, Condition::True());
   const std::vector<Value> domain = {Value::Int(1), Value::Int(2),
                                      Value::Int(3)};
-  ConditionNormalizer norm;
   EvalStats stats;
-  Result<Relation> possible =
-      PossibleAnswersFromCTable(t, domain, &norm, 50'000'000, &stats);
+  Result<Relation> possible = PossibleOf(t, domain, &stats);
   ASSERT_TRUE(possible.ok()) << possible.status().ToString();
   EXPECT_EQ(*possible,
             Relation(1, {Tuple{Value::Int(1)}, Tuple{Value::Int(2)},

@@ -11,7 +11,10 @@ exits 0 when its --runtime_s runs out. A second server, limited to 4 GB of
 address space, holds a 70 000-row table and is asked for its cross product,
 whose 4.9e9 rows the engine cannot index, first naively and then under
 3VL: each must answer with one RESOURCE_EXHAUSTED line naming the row bound
-and keep serving. Exits 0 on success, 1 on failure.
+and keep serving. A third server holds R = {(1, 2), (_0, 3)}: a
+certain-probability query of R with a literal holding a null must get the
+same rows on the c-table backend as on enumeration, and the server must
+keep serving. Exits 0 on success, 1 on failure.
 """
 
 import os
@@ -25,6 +28,7 @@ import tempfile
 
 RUNTIME_S = 15
 PRODUCT_RUNTIME_S = 10
+LITERAL_RUNTIME_S = 5
 PRODUCT_ROWS = 70000
 ADDRESS_LIMIT = 4000000 * 1024  # `ulimit -v 4000000`
 POSITION = re.compile(r"on line \d+, column \d+")
@@ -189,6 +193,46 @@ def run_product(server, sanitizer, tmp):
           f"cross product server exit status {proc.returncode}")
 
 
+def run_literal_nulls(server, tmp):
+    """A relation literal's null is a value on both backends: the c-table
+    backend answers `R U {(_9, 99)}` as enumeration does and keeps
+    serving."""
+    db = os.path.join(tmp, "literal.txt")
+    with open(db, "w") as f:
+        f.write("table R(a, b)\n1, 2\n_0, 3\n")
+    proc, port = start_server(server, db, LITERAL_RUNTIME_S)
+    try:
+        if port is None:
+            failures.append("literal nulls: server did not start")
+            return
+        conn = Connection(port)
+        answers = {}
+        for backend in (b"enumeration", b"ctable"):
+            expect_ok(conn, "backend", b"backend " + backend + b"\n")
+            expect_ok(conn, "notion", b"notion certain-probability\n")
+            conn.send(b"query R U {(_9, 99)}\n")
+            data, term = conn.response()
+            check(term.startswith("ok rows="),
+                  f"literal nulls on {backend}: {term[:200]}")
+            answers[backend] = data
+            expect_pong(conn, f"literal nulls on {backend}")
+        check(answers[b"ctable"] == answers[b"enumeration"],
+              f"literal nulls: ctable {answers[b'ctable']} != "
+              f"enumeration {answers[b'enumeration']}")
+        check("| (_9, 99)" in answers[b"ctable"],
+              f"literal nulls: (_9, 99) not certain: {answers[b'ctable']}")
+        conn.close()
+    finally:
+        try:
+            proc.communicate(timeout=LITERAL_RUNTIME_S + 60)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.communicate()
+            failures.append("literal nulls: server did not exit")
+    check(proc.returncode == 0,
+          f"literal nulls: server exit status {proc.returncode}")
+
+
 def main():
     if len(sys.argv) not in (2, 3):
         print(__doc__)
@@ -204,6 +248,7 @@ def main():
             if port is None:
                 return 1
             run(port)
+            run_literal_nulls(server, tmp)
             run_product(server, sanitizer, tmp)
         finally:
             try:
