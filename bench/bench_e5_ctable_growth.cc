@@ -2,6 +2,11 @@
 // at the price of condition growth under difference pipelines (paper,
 // Section 2: "hardly meaningful to humans").
 //
+// The pipelines run on the c-table engine on codes (ctables/code_ctable.h):
+// the summary reports the exported Condition trees' size beside the arena
+// nodes the query built, and BM_ConditionSatisfiability decides the
+// exported conditions.
+//
 // BM_CTableJoinProbability answers the e2e certain_ctable workload's
 // probability join on the c-table backend at one thread, over an instance
 // of the same shape; BM_NaiveJoin evaluates the same plan naïvely. CI's
@@ -50,17 +55,22 @@ struct Summary {
         "E5: c-table condition growth under iterated difference",
         "the strong representation system pays with condition size "
         "multiplying at each difference",
-        " depth   rows_in  rows_out  cond_size  cond/row");
+        " depth   rows_in  rows_out  cond_size  cond/row  arena_nodes");
     for (size_t depth : {1, 2, 3, 4, 5, 6}) {
-      CDatabase db = MakeInput(6, depth, 3);
-      auto ct = EvalOnCTables(Pipeline(depth), db);
-      if (!ct.ok()) continue;
-      const size_t conds = ct->TotalConditionSize();
-      std::printf("%6zu  %8u  %8zu  %9zu  %8.1f\n", depth, 6u,
-                  ct->rows().size(), conds,
-                  ct->rows().empty()
+      const CDatabase db = MakeInput(6, depth, 3);
+      const RAExprPtr plan = Pipeline(depth);
+      auto query = CTableQuery::Make(plan, db);
+      if (!query.ok()) continue;
+      auto table = (*query)->Eval(plan, db, EvalOptions{});
+      if (!table.ok()) continue;
+      const CTable ct = (*query)->Export(*table);
+      const size_t conds = ct.TotalConditionSize();
+      std::printf("%6zu  %8u  %8zu  %9zu  %8.1f  %11zu\n", depth, 6u,
+                  ct.rows().size(), conds,
+                  ct.rows().empty()
                       ? 0.0
-                      : static_cast<double>(conds) / ct->rows().size());
+                      : static_cast<double>(conds) / ct.rows().size(),
+                  (*query)->arena().size());
     }
     incdb_bench::TableFooter();
   }

@@ -123,7 +123,8 @@ Result<Relation> CertainAnswersNaive(const RAExprPtr& e, const Database& db,
     return Status::Unsupported(
         std::string("naive evaluation has no certain-answer guarantee for a ") +
         QueryClassName(Classify(e)) + " query under " +
-        WorldSemanticsName(semantics));
+        WorldSemanticsName(semantics) +
+        (LiteralHoldsNull(e) ? " whose relation literal holds a null" : ""));
   }
   INCDB_ASSIGN_OR_RETURN(Relation naive, EvalNaive(e, db, options));
   return naive.CompletePart();

@@ -85,7 +85,18 @@ QueryClass Classify(const RAExprPtr& e) {
   return QueryClass::kFullRA;
 }
 
+bool LiteralHoldsNull(const RAExprPtr& e) {
+  if (e == nullptr) return false;
+  if (e->kind() == RAExpr::Kind::kConstRel) {
+    for (const Tuple& t : e->literal().tuples()) {
+      if (t.HasNull()) return true;
+    }
+  }
+  return LiteralHoldsNull(e->left()) || LiteralHoldsNull(e->right());
+}
+
 bool NaiveEvaluationWorks(const RAExprPtr& e, WorldSemantics semantics) {
+  if (LiteralHoldsNull(e)) return false;
   const QueryClass c = Classify(e);
   switch (semantics) {
     case WorldSemantics::kOpenWorld:

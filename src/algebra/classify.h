@@ -40,8 +40,15 @@ bool IsRAcwa(const RAExprPtr& e);
 /// The most specific class containing `e`.
 QueryClass Classify(const RAExprPtr& e);
 
+/// True if a relation literal of `e` holds a null. Such a plan is not
+/// generic: the literal's null is a value in every world, not an unknown.
+bool LiteralHoldsNull(const RAExprPtr& e);
+
 /// Naïve-evaluation guarantee (equation (4) of the paper): does naïve
-/// evaluation compute certain answers for `e` under `semantics`?
+/// evaluation compute certain answers for `e` under `semantics`? Never for
+/// a plan whose relation literal holds a null: eq. (4) is about generic
+/// queries, whose constants are constants, and Q(D)_cmpl drops the rows
+/// that carry the literal's null.
 bool NaiveEvaluationWorks(const RAExprPtr& e, WorldSemantics semantics);
 
 }  // namespace incdb

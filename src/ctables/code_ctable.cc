@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <set>
 #include <string>
 #include <utility>
 
@@ -85,6 +86,20 @@ bool ResidualSafeForCTableJoin(const Predicate* pred) {
 Result<std::unique_ptr<CTableQuery>> CTableQuery::Make(
     const RAExprPtr& plan, const WorldSpace& space) {
   INCDB_ASSIGN_OR_RETURN(WorldEncoding enc, WorldEncoding::Make(plan, space));
+  return std::make_unique<CTableQuery>(std::move(enc));
+}
+
+Result<std::unique_ptr<CTableQuery>> CTableQuery::Make(const RAExprPtr& plan,
+                                                       const CDatabase& db) {
+  const std::set<Value> constants = db.Constants();
+  const std::set<NullId> nulls = db.Nulls();
+  std::vector<Value> values(constants.begin(), constants.end());
+  WorldEncoding::CollectLiteralValues(plan, &values);
+  INCDB_ASSIGN_OR_RETURN(
+      WorldEncoding enc,
+      WorldEncoding::FromValues(std::move(values),
+                                std::vector<NullId>(nulls.begin(), nulls.end()),
+                                /*domain=*/{}));
   return std::make_unique<CTableQuery>(std::move(enc));
 }
 
@@ -174,10 +189,16 @@ Result<uint32_t> CTableQuery::PredCond(const Predicate& p,
       }
       return holds != negate ? kTrue : kFalse;
     }
-    case Predicate::Kind::kIsNull:
-      return Status::Unsupported(
-          "IS NULL is not world-invariant and cannot appear in c-table "
-          "conditions");
+    case Predicate::Kind::kIsNull: {
+      // A world holds no nulls: a base null's slot (never below null_end)
+      // is a constant in every world, and only a literal's null, a code
+      // below null_end, is null.
+      const Term& t = p.lhs();
+      const bool holds = t.kind == Term::Kind::kColumn
+                             ? row[t.column] < enc_.dict().null_end
+                             : t.constant.is_null();
+      return holds != negate ? kTrue : kFalse;
+    }
     case Predicate::Kind::kAnd:
     case Predicate::Kind::kOr: {
       INCDB_ASSIGN_OR_RETURN(const uint32_t a,
@@ -435,18 +456,34 @@ Result<CodeCTable> CTableQuery::Eval(const RAExprPtr& plan,
   return Rec(RAExpr::ExpandDivision(plan, db.schema()), db, options);
 }
 
-Result<CodeCTable> CTableQuery::Rec(const RAExprPtr& e, const Database& db,
+Result<CodeCTable> CTableQuery::Eval(const RAExprPtr& plan,
+                                     const CDatabase& db,
+                                     const EvalOptions& options) {
+  INCDB_RETURN_IF_ERROR(plan->InferArity(db.schema()).status());
+  return Rec(RAExpr::ExpandDivision(plan, db.schema()), db, options);
+}
+
+CodeCTable CTableQuery::Scan(const Database& db,
+                             const std::string& name) const {
+  const Relation& rel = db.GetRelation(name);
+  CodeCTable t(rel.arity());
+  t.cells = enc_.EncodeBaseRows(rel);
+  t.conds.assign(rel.size(), kTrue);
+  return t;
+}
+
+CodeCTable CTableQuery::Scan(const CDatabase& db, const std::string& name) {
+  return Import(db.GetTable(name));
+}
+
+template <typename Source>
+Result<CodeCTable> CTableQuery::Rec(const RAExprPtr& e, const Source& db,
                                     const EvalOptions& options) {
   EvalStats* stats = options.stats;
   using K = RAExpr::Kind;
   switch (e->kind()) {
-    case K::kScan: {
-      const Relation& rel = db.GetRelation(e->relation_name());
-      CodeCTable t(rel.arity());
-      t.cells = enc_.EncodeBaseRows(rel);
-      t.conds.assign(rel.size(), kTrue);
-      return t;
-    }
+    case K::kScan:
+      return Scan(db, e->relation_name());
     case K::kConstRel: {
       CodeCTable t(e->literal().arity());
       t.cells = enc_.EncodeLiteralRows(e->literal());

@@ -22,13 +22,20 @@
 // literals), and a σ or join constant outside the dictionary gets a code of
 // its own above the dictionary's, equal to no domain value.
 //
-// Every operator keeps the row order, the candidate order and the early
-// exits of the Imieliński–Lipski operators in ctables/ctable_algebra.h, and
-// counts calls, rows in and out and probes the same way. Rows whose
+// These are the only Imieliński–Lipski operators in the library. Stored
+// c-tables (CDatabase: rows with local conditions and a global condition)
+// enter through Make(plan, cdb), which imports every stored condition as an
+// arena node; EvalOnCTables (ctables/ctable_algebra.h) evaluates on them
+// and exports the result as a Condition-tree CTable. Difference and
+// intersection visit a left row's candidates in row order and stop where
+// an unconditional right row equal to it decides the result. Rows whose
 // condition is `false` are dropped.
 //
-// The un-normalized EvalOnCTables (ctables/ctable_algebra.h) is the
-// reference this engine is tested against.
+// The references are eq. (1) (ReferenceCertainAnswers /
+// ReferencePossibleAnswers, testing/oracle.h) for the extracted answers,
+// and the oracle's world-by-world check of the result table: under every
+// valuation v, the rows whose condition holds, grounded on v's codes, are
+// Q(v(D)) — the strong representation property.
 
 #ifndef INCDB_CTABLES_CODE_CTABLE_H_
 #define INCDB_CTABLES_CODE_CTABLE_H_
@@ -36,6 +43,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "algebra/ast.h"
@@ -130,8 +138,10 @@ class CodeRowIndex {
 
 /// True when `pred` (null = no residual) stays inside the c-table
 /// condition language on every row: only =, ≠, TRUE/FALSE under AND/OR/
-/// NOT. Order comparisons and IS NULL are excluded — even on constants —
-/// so a fused join can never succeed where σ over × errors.
+/// NOT. Order comparisons are excluded — even on constants — so a fused
+/// join can never succeed where σ over × errors. IS NULL never errors, but
+/// it is a test on the cell rather than a condition, and σ over × answers
+/// it.
 bool ResidualSafeForCTableJoin(const Predicate* pred);
 
 /// One c-table query's encoding, arena and solver, and its operators.
@@ -142,6 +152,12 @@ class CTableQuery {
   /// The query of `plan` over `space` (MakeWorldSpace of the database).
   static Result<std::unique_ptr<CTableQuery>> Make(const RAExprPtr& plan,
                                                    const WorldSpace& space);
+  /// The query of `plan` over stored c-tables: the dictionary is `db`'s
+  /// constants, its conditions' included, and the plan's literal values;
+  /// the nulls are `db`'s, also those only its conditions mention. There is
+  /// no domain: Eval and Export read none, Certain and Possible need one.
+  static Result<std::unique_ptr<CTableQuery>> Make(const RAExprPtr& plan,
+                                                   const CDatabase& db);
   /// A query over a caller-built encoding.
   explicit CTableQuery(WorldEncoding enc);
   CTableQuery(const CTableQuery&) = delete;
@@ -156,6 +172,10 @@ class CTableQuery {
   /// over × runs the fused equi-join where the predicate has a key and a
   /// safe residual. options.stats receives the operator counters.
   Result<CodeCTable> Eval(const RAExprPtr& plan, const Database& db,
+                          const EvalOptions& options);
+  /// The same on stored c-tables: a scan imports the table, its conditions
+  /// as arena nodes, and Δ ranges over `db`'s nulls and constants.
+  Result<CodeCTable> Eval(const RAExprPtr& plan, const CDatabase& db,
                           const EvalOptions& options);
 
   // The operators.
@@ -222,7 +242,12 @@ class CTableQuery {
   // negation normal form from the predicate's own tree.
   Result<uint32_t> PredCond(const Predicate& p, const uint32_t* row,
                             bool negate);
-  Result<CodeCTable> Rec(const RAExprPtr& e, const Database& db,
+  // A base relation on codes, or a stored c-table imported.
+  CodeCTable Scan(const Database& db, const std::string& name) const;
+  CodeCTable Scan(const CDatabase& db, const std::string& name);
+  // Eval on either source; only Scan differs.
+  template <typename Source>
+  Result<CodeCTable> Rec(const RAExprPtr& e, const Source& db,
                          const EvalOptions& options);
 
   WorldEncoding enc_;

@@ -189,12 +189,4 @@ bool IsSatisfiable(const ConditionPtr& c) {
   return rec(0, v);
 }
 
-bool Implies(const ConditionPtr& a, const ConditionPtr& b) {
-  return !IsSatisfiable(Condition::And(a, Condition::Not(b)));
-}
-
-bool Equivalent(const ConditionPtr& a, const ConditionPtr& b) {
-  return Implies(a, b) && Implies(b, a);
-}
-
 }  // namespace incdb

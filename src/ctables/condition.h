@@ -83,12 +83,6 @@ class Condition {
 /// the number of distinct nulls in the condition.
 bool IsSatisfiable(const ConditionPtr& c);
 
-/// Logical implication: a ⊨ b (every satisfying valuation of a satisfies b).
-bool Implies(const ConditionPtr& a, const ConditionPtr& b);
-
-/// Logical equivalence.
-bool Equivalent(const ConditionPtr& a, const ConditionPtr& b);
-
 }  // namespace incdb
 
 #endif  // INCDB_CTABLES_CONDITION_H_

@@ -4,8 +4,10 @@
 //   ⟦T⟧_cwa = { { v(t_i) | v ⊨ c_i } : valuations v with v ⊨ c_global }
 //
 // C-tables are a *strong* representation system for full relational algebra
-// under CWA [Imieliński & Lipski 1984]: the algebra over c-tables in
-// ctable_algebra.h satisfies ⟦Q(T)⟧ = Q(⟦T⟧).
+// under CWA [Imieliński & Lipski 1984]: the algebra over c-tables satisfies
+// ⟦Q(T)⟧ = Q(⟦T⟧). It runs on dictionary codes (ctables/code_ctable.h);
+// EvalOnCTables (ctable_algebra.h) takes and returns the CTable and
+// CDatabase types here, which are also the text format (ctables/cio.h).
 
 #ifndef INCDB_CTABLES_CTABLE_H_
 #define INCDB_CTABLES_CTABLE_H_

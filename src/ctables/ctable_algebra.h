@@ -9,17 +9,16 @@
 // Supported selection predicates: equalities/inequalities under AND/OR/NOT
 // (order comparisons are admitted only when both operands resolve to
 // constants — a condition on nulls with `<` is outside the equality-
-// condition language of c-tables).
+// condition language of c-tables), and IS NULL, which no cell of a world
+// satisfies unless a relation literal put a null there.
 //
-// These Condition-tree operators are the un-normalized reference. The
-// served certain, possible and probability answers run the same algebra on
-// dictionary codes with conditions in one arena per query
-// (ctables/code_ctable.h), which is tested against this one.
+// The operators run on dictionary codes with conditions in one arena per
+// query (ctables/code_ctable.h). This header holds the entry points: on
+// stored c-tables (EvalOnCTables) and on a database's worlds (certain and
+// possible answers).
 
 #ifndef INCDB_CTABLES_CTABLE_ALGEBRA_H_
 #define INCDB_CTABLES_CTABLE_ALGEBRA_H_
-
-#include <vector>
 
 #include "algebra/ast.h"
 #include "core/possible_worlds.h"
@@ -28,33 +27,14 @@
 
 namespace incdb {
 
-/// Evaluates a relational algebra expression over a c-table database.
-/// Division is expanded to its σπ×− form first. Δ ranges over the active
-/// domain (constants and nulls) of the c-database.
-Result<CTable> EvalOnCTables(const RAExprPtr& e, const CDatabase& db,
-                             const EvalOptions& options);
+/// Evaluates a relational algebra expression over a c-table database on
+/// codes (CTableQuery::Make(e, db), Eval, Export). Division is expanded to
+/// its σπ×− form first; σ over × runs as the fused equi-join where it can.
+/// Δ ranges over the active domain (constants and nulls) of the
+/// c-database. Fails Unsupported on a plan whose relation literal holds a
+/// null: on codes that null is a value, and the exported table would print
+/// it as a variable.
 Result<CTable> EvalOnCTables(const RAExprPtr& e, const CDatabase& db);
-
-/// Converts a selection predicate applied to a (possibly null-carrying)
-/// tuple into a condition. Fails (kUnsupported) for order comparisons with
-/// unresolved nulls and for IS NULL (which is not world-invariant).
-Result<ConditionPtr> PredicateToCondition(const PredicatePtr& pred,
-                                          const Tuple& t);
-
-// Individual operators, exposed for tests. Difference and intersection fold
-// over every right row, in row order, and stop where an unconditional right
-// row equal to the left row decides the result.
-Result<CTable> SelectCT(const PredicatePtr& pred, const CTable& in);
-CTable ProjectCT(const std::vector<size_t>& cols, const CTable& in);
-CTable ProductCT(const CTable& l, const CTable& r, EvalStats* stats = nullptr);
-Result<CTable> UnionCT(const CTable& l, const CTable& r);
-Result<CTable> DiffCT(const CTable& l, const CTable& r,
-                      EvalStats* stats = nullptr);
-Result<CTable> IntersectCT(const CTable& l, const CTable& r,
-                           EvalStats* stats = nullptr);
-
-/// Condition "t = s" componentwise.
-ConditionPtr TuplesEqualCondition(const Tuple& t, const Tuple& s);
 
 // ---------------------------------------------------------------------------
 // Certain and possible answers on the c-table backend (ctables/code_ctable.h

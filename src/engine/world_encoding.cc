@@ -4,9 +4,9 @@
 #include <utility>
 
 namespace incdb {
-namespace {
 
-void CollectLiteralValues(const RAExprPtr& e, std::vector<Value>* out) {
+void WorldEncoding::CollectLiteralValues(const RAExprPtr& e,
+                                         std::vector<Value>* out) {
   if (e == nullptr) return;
   if (e->kind() == RAExpr::Kind::kConstRel) {
     for (const Tuple& t : e->literal().tuples()) {
@@ -16,8 +16,6 @@ void CollectLiteralValues(const RAExprPtr& e, std::vector<Value>* out) {
   CollectLiteralValues(e->left(), out);
   CollectLiteralValues(e->right(), out);
 }
-
-}  // namespace
 
 Result<WorldEncoding> WorldEncoding::Make(const RAExprPtr& plan,
                                           const WorldSpace& space) {

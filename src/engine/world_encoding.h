@@ -51,6 +51,10 @@ class WorldEncoding {
                                           const std::vector<NullId>& nulls,
                                           const std::vector<Value>& domain);
 
+  /// Appends every value of `plan`'s relation literals to `out`.
+  static void CollectLiteralValues(const RAExprPtr& plan,
+                                   std::vector<Value>* out);
+
   const ValueDict& dict() const { return dict_; }
   /// The WorldSpace's nulls, ascending: a null's slot is its index here.
   const std::vector<NullId>& nulls() const { return nulls_; }

@@ -15,9 +15,9 @@
 //               naïve / SQL-3VL evaluation, certain answers
 //   logic/    — FO formulas, model checking, diagram formulas δ_D,
 //               conjunctive queries, tableau duality, containment
-//   ctables/  — conditional tables and the Imieliński–Lipski algebra, on
-//               Condition trees (the reference) and on dictionary codes
-//               with conditions in a per-query arena (the c-table backend)
+//   ctables/  — conditional tables (Condition trees, the text format) and
+//               the Imieliński–Lipski algebra on dictionary codes with
+//               conditions in a per-query arena (the c-table backend)
 //   counting/ — probabilistic answers: exact world counting by independence
 //               factoring, seeded Monte-Carlo valuation sampling with
 //               Wilson confidence intervals

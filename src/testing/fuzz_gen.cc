@@ -1,6 +1,7 @@
 #include "testing/fuzz_gen.h"
 
 #include <algorithm>
+#include <set>
 #include <string>
 #include <utility>
 
@@ -16,6 +17,7 @@ struct Gen {
   Rng& rng;
   const PlanGenConfig& config;
   std::vector<std::pair<std::string, size_t>> scans;  // name, arity
+  std::vector<NullId> nulls;  // the instance's, ascending
 
   // A plan plus its output arity, tracked during generation so the result
   // always type-checks.
@@ -29,6 +31,16 @@ struct Gen {
 
   Value RandomConst() {
     return Value::Int(rng.UniformInt(0, config.domain_size - 1));
+  }
+
+  // A literal's cell: now and then a null, one of the instance's or a fresh
+  // one. In every world it stays that null, a value like a constant.
+  Value LiteralValue() {
+    if (!rng.Bernoulli(0.15)) return RandomConst();
+    if (!nulls.empty() && rng.Bernoulli(0.5)) {
+      return Value::Null(nulls[rng.Uniform(nulls.size())]);
+    }
+    return Value::Null(nulls.empty() ? 0 : nulls.back() + 1);
   }
 
   Term RandomTerm(size_t arity) {
@@ -89,7 +101,7 @@ struct Gen {
       const size_t rows = 1 + rng.Uniform(2);
       for (size_t i = 0; i < rows; ++i) {
         std::vector<Value> vals;
-        for (size_t c = 0; c < arity; ++c) vals.push_back(RandomConst());
+        for (size_t c = 0; c < arity; ++c) vals.push_back(LiteralValue());
         lit.Add(Tuple(std::move(vals)));
       }
       return Typed{RAExpr::ConstRel(std::move(lit)), arity};
@@ -211,10 +223,12 @@ struct Gen {
 
 GeneratedPlan RandomPlan(Rng& rng, const Database& db,
                          const PlanGenConfig& config) {
-  Gen gen{rng, config, {}};
+  Gen gen{rng, config, {}, {}};
   for (const auto& [name, rel] : db.relations()) {
     gen.scans.emplace_back(name, rel.arity());
   }
+  const std::set<NullId> nulls = db.Nulls();
+  gen.nulls.assign(nulls.begin(), nulls.end());
   GeneratedPlan out;
   if (gen.scans.empty()) {
     out.plan = RAExpr::ConstRel(Relation(1));

@@ -2,7 +2,9 @@
 //
 // Plans are generated bottom-up against a concrete database (scans use its
 // relation names and arities; selection constants are drawn from its value
-// domain) and stratified by the paper's fragments: a requested
+// domain; a relation literal's cell is now and then a null, one of the
+// database's or a fresh one) and stratified by the paper's fragments: a
+// requested
 // QueryClass bounds the operator vocabulary —
 //
 //   kPositive: σ (positive predicates: =, AND, OR), π, ×, ∪, ∩, Δ

@@ -1,6 +1,7 @@
 #include "testing/oracle.h"
 
 #include <cmath>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -13,7 +14,7 @@
 #include "algebra/optimize.h"
 #include "core/possible_worlds.h"
 #include "counting/probabilistic.h"
-#include "ctables/ctable.h"
+#include "ctables/code_ctable.h"
 #include "ctables/ctable_algebra.h"
 #include "engine/query_engine.h"
 #include "service/service.h"
@@ -223,8 +224,10 @@ OracleReport CheckCase(const RAExprPtr& plan, const Database& db,
     }
   }
 
-  // --- OWA: for positive plans the enum and naïve notions must agree. ---
-  if (options.check_owa && cls == QueryClass::kPositive) {
+  // --- OWA: inside eq. (4)'s UCQ fragment the enum and naïve notions must
+  // agree. ---
+  if (options.check_owa &&
+      NaiveEvaluationWorks(plan, WorldSemantics::kOpenWorld)) {
     Result<Relation> owa_enum = CertainAnswersEnum(
         plan, db, WorldSemantics::kOpenWorld, world_opts, {});
     Result<Relation> owa_naive = CertainAnswersNaive(
@@ -559,14 +562,17 @@ OracleReport CheckCase(const RAExprPtr& plan, const Database& db,
     }
   }
 
+  // The reference evaluators' options: nested loops, no optimizer, one
+  // thread.
+  EvalOptions nested;
+  nested.use_hash_kernels = false;
+  nested.optimize = false;
+  nested.num_threads = 1;
+
   // --- 3VL: the columnar engine's three-valued mode across the matrix
-  // against the fold (nested loops, no optimizer, one thread). ---
-  EvalOptions fold;
-  fold.use_hash_kernels = false;
-  fold.optimize = false;
-  fold.num_threads = 1;
+  // against the fold. ---
   const std::optional<Relation> sql3vl = CrossCheck(
-      "3vl", Eval3VL(plan, db, fold),
+      "3vl", Eval3VL(plan, db, nested),
       [&](const EvalOptions& eval) {
         return Eval3VL(eval.optimize ? Optimize(plan, db) : plan, db, eval);
       },
@@ -581,40 +587,85 @@ OracleReport CheckCase(const RAExprPtr& plan, const Database& db,
     }
   }
 
-  // --- Strong representation: ground Q(T) world by world. ---
-  if (options.check_ctables) {
-    const CDatabase cdb = CDatabase::FromDatabase(db);
-    Result<CTable> ct = EvalOnCTables(plan, cdb);
-    if (!ct.ok()) {
-      report.skipped.push_back("ctables: " + ct.status().ToString());
-    } else {
-      Status st = ForEachValuation(
-          db, world_opts, [&](const Valuation& v) -> bool {
-            bool global_ok = true;
-            Relation grounded = ct->ApplyValuation(v, &global_ok);
-            if (!global_ok) {
-              report.violations.push_back(
-                  "ctables: global condition false under valuation " +
-                  v.ToString() + " (lifted database has no global guard)");
-              return false;
-            }
-            Result<Relation> expected = EvalNaive(plan, v.Apply(db));
-            if (!expected.ok()) {
-              report.violations.push_back("ctables: world evaluation failed: " +
-                                          expected.status().ToString());
-              return false;
-            }
-            if (grounded != *expected) {
-              report.violations.push_back(
-                  "ctables: v(Q(T)) != Q(v(D)) under " + v.ToString() + ": " +
-                  DescribeSides(*expected, grounded));
-              return false;
-            }
-            return true;
-          });
-      if (st.code() == StatusCode::kResourceExhausted) {
-        report.skipped.push_back("ctables: world budget exhausted");
+  // --- Strong representation on the served c-table engine: Q(T) on codes,
+  // grounded world by world. Under every valuation v, the rows whose
+  // condition holds, each slot at v's code, must be Q(v(D)) — for the
+  // optimized plan with the fused join, as served, and for the raw plan
+  // with σ over ×. ---
+  struct CodeTable {
+    std::string label;
+    std::unique_ptr<CTableQuery> query;
+    CodeCTable table;
+  };
+  std::vector<CodeTable> code_tables;
+  const WorldSpace space = MakeWorldSpace(db, world_opts);
+  for (const bool served : {true, false}) {
+    const RAExprPtr p = served ? Optimize(plan, db) : plan;
+    EvalOptions eval;
+    eval.use_hash_kernels = served;
+    const std::string label =
+        served ? "ctables [served]" : "ctables [σ over ×]";
+    Result<std::unique_ptr<CTableQuery>> query = CTableQuery::Make(p, space);
+    Result<CodeCTable> table =
+        query.ok() ? (*query)->Eval(p, db, eval) : query.status();
+    if (!table.ok()) {
+      if (table.status().code() == StatusCode::kUnsupported) {
+        report.skipped.push_back(label + ": " + table.status().ToString());
+      } else {
+        report.violations.push_back(label + ": " + table.status().ToString());
       }
+      continue;
+    }
+    code_tables.push_back({label, std::move(*query), std::move(*table)});
+  }
+  if (!code_tables.empty()) {
+    std::vector<uint32_t> codes;
+    Status st = ForEachValuation(db, world_opts, [&](const Valuation& v) {
+      Result<Relation> expected = EvalNaive(plan, v.Apply(db), nested);
+      if (!expected.ok()) {
+        report.violations.push_back("ctables: world evaluation failed: " +
+                                    expected.status().ToString());
+        return false;
+      }
+      for (CodeTable& ct : code_tables) {
+        const WorldEncoding& enc = ct.query->enc();
+        const CondArena& arena = ct.query->arena();
+        const CodeCTable& t = ct.table;
+        codes.resize(enc.nulls().size());
+        for (size_t s = 0; s < codes.size(); ++s) {
+          codes[s] = enc.dict().Find(v.Lookup(enc.nulls()[s]));
+        }
+        if (!arena.Eval(t.global, codes.data())) {
+          report.violations.push_back(
+              ct.label + ": global condition false under valuation " +
+              v.ToString() + " (a database has no global guard)");
+          return false;
+        }
+        Relation grounded(t.arity);
+        std::vector<Value> cells(t.arity);
+        for (size_t i = 0; i < t.rows(); ++i) {
+          if (!arena.Eval(t.conds[i], codes.data())) continue;
+          const uint32_t* row = t.Row(i);
+          for (size_t c = 0; c < t.arity; ++c) {
+            const uint32_t cell = row[c];
+            cells[c] = ct.query->TermValue(
+                (cell & WorldEncoding::kNullSlot)
+                    ? codes[cell & ~WorldEncoding::kNullSlot]
+                    : cell);
+          }
+          grounded.Add(Tuple(cells));
+        }
+        if (grounded != *expected) {
+          report.violations.push_back(
+              ct.label + ": v(Q(T)) != Q(v(D)) under " + v.ToString() +
+              ": " + DescribeSides(*expected, grounded));
+          return false;
+        }
+      }
+      return true;
+    });
+    if (st.code() == StatusCode::kResourceExhausted) {
+      report.skipped.push_back("ctables: world budget exhausted");
     }
   }
 

@@ -17,14 +17,18 @@
 //    direct drivers, on the cold run and again from the plan cache.
 //  * CertainAnswersNaive == CertainAnswersEnum whenever
 //    NaiveEvaluationWorks(plan, semantics) — equation (4): naïve evaluation
-//    computes certain answers on UCQ/OWA and Pos∀G(=RA_cwa)/CWA.
-//  * c-tables: Q evaluated on the lifted c-database, then grounded world by
-//    world — v(Q(T)) must equal Q(v(D)) for every valuation v over the
-//    enumeration domain (the strong representation property).
-//  * c-table backend: CertainAnswersCTable / PossibleAnswersCTable (the
-//    native pipeline — normalizing kernels + condition-level extraction,
-//    no world ever materialized) against the enumeration reference, and
-//    QueryEngine::Run on Backend::kCTable against both.
+//    computes certain answers on UCQ/OWA and Pos∀G(=RA_cwa)/CWA, for plans
+//    whose relation literals hold no null.
+//  * c-tables: Q evaluated once on the database's codes by the served
+//    c-table engine (CTableQuery), then grounded world by world — under
+//    every valuation v over the enumeration domain, the rows whose arena
+//    condition holds at v's codes must be Q(v(D)) (the strong
+//    representation property). Two configurations: the optimized plan with
+//    the fused join, as served, and the raw plan with σ over ×.
+//  * c-table backend: CertainAnswersCTable / PossibleAnswersCTable (one
+//    evaluation on codes, then condition-level extraction, no world ever
+//    materialized) against the enumeration reference, and QueryEngine::Run
+//    on Backend::kCTable against both.
 //  * probabilistic notion: exact per-tuple probabilities (both backends)
 //    must report exactly the possible tuples with probability 1 exactly on
 //    the certain tuples; forced-sampling tallies must be bit-identical
@@ -61,8 +65,6 @@ struct OracleOptions {
   uint64_t max_worlds_per_case = 20'000;
   /// Threads for the parallel configurations.
   int num_threads = 4;
-  /// Run the (expensive) per-world c-table grounding check.
-  bool check_ctables = true;
   /// Cross-check the c-table-native certain/possible backend against the
   /// enumeration reference (kUnsupported refusals are skipped, e.g. order
   /// comparisons on nulls outside the c-table condition language).

@@ -90,5 +90,27 @@ TEST(ClassifyTest, NaiveEvaluationGuarantees) {
   EXPECT_FALSE(NaiveEvaluationWorks(full, WorldSemantics::kClosedWorld));
 }
 
+TEST(ClassifyTest, NoGuaranteeWithANullInARelationLiteral) {
+  // R ∪ {(_9, 99)} is positive, but its literal's null is a value in every
+  // world, which Q(D)_cmpl drops: naïve evaluation loses the certain row.
+  auto literal = [](Value a) {
+    Relation r(2);
+    r.Add(Tuple{std::move(a), Value::Int(99)});
+    return RAExpr::ConstRel(std::move(r));
+  };
+  auto with_null = RAExpr::Union(RAExpr::Scan("R"), literal(Value::Null(9)));
+  auto ground = RAExpr::Union(RAExpr::Scan("R"), literal(Value::Int(9)));
+  EXPECT_EQ(Classify(with_null), QueryClass::kPositive);
+  EXPECT_TRUE(LiteralHoldsNull(with_null));
+  EXPECT_TRUE(LiteralHoldsNull(RAExpr::Project({0}, with_null)));
+  EXPECT_FALSE(LiteralHoldsNull(ground));
+  for (WorldSemantics semantics :
+       {WorldSemantics::kOpenWorld, WorldSemantics::kClosedWorld,
+        WorldSemantics::kWeakClosedWorld}) {
+    EXPECT_FALSE(NaiveEvaluationWorks(with_null, semantics));
+    EXPECT_TRUE(NaiveEvaluationWorks(ground, semantics));
+  }
+}
+
 }  // namespace
 }  // namespace incdb

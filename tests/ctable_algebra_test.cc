@@ -1,9 +1,13 @@
-// The Imieliński–Lipski algebra, including the paper's Section 2 example:
-// the c-table answer to R − S for R = {1, 2}, S = {⊥}.
+// The Imieliński–Lipski algebra on stored c-tables (CTableQuery through
+// EvalOnCTables), including the paper's Section 2 example: the c-table
+// answer to R − S for R = {1, 2}, S = {⊥}.
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "algebra/eval.h"
+#include "ctables/code_ctable.h"
 #include "ctables/ctable_algebra.h"
 
 namespace incdb {
@@ -125,40 +129,78 @@ TEST(CTableAlgebraTest, StrongRepresentationForDivision) {
       {Value::Int(1), Value::Int(2), Value::Int(3)});
 }
 
+// A code query over the stored table R = `r` (and S = `s`, when given).
+std::unique_ptr<CTableQuery> QueryOver(const CTable& r,
+                                      const CTable& s = CTable(0)) {
+  CDatabase db;
+  *db.MutableTable("R", r.arity()) = r;
+  *db.MutableTable("S", s.arity()) = s;
+  Result<std::unique_ptr<CTableQuery>> q =
+      CTableQuery::Make(RAExpr::Scan("R"), db);
+  EXPECT_TRUE(q.ok()) << q.status().ToString();
+  return std::move(q).value();
+}
+
 TEST(CTableAlgebraTest, SelectionBuildsConditions) {
   CTable r(1);
   r.AddRow(Tuple{Value::Null(0)}, Condition::True());
-  auto sel = SelectCT(
-      Predicate::Eq(Term::Column(0), Term::Const(Value::Int(5))), r);
+  const std::unique_ptr<CTableQuery> q = QueryOver(r);
+  auto sel = q->Select(
+      Predicate::Eq(Term::Column(0), Term::Const(Value::Int(5))),
+      q->Import(r));
   ASSERT_TRUE(sel.ok());
-  ASSERT_EQ(sel->rows().size(), 1u);
-  EXPECT_EQ(sel->rows()[0].condition->ToString(), "_0 = 5");
+  const CTable out = q->Export(*sel);
+  ASSERT_EQ(out.rows().size(), 1u);
+  EXPECT_EQ(out.rows()[0].condition->ToString(), "_0 = 5");
 }
 
 TEST(CTableAlgebraTest, OrderPredicatesOnNullsUnsupported) {
   CTable r(1);
   r.AddRow(Tuple{Value::Null(0)}, Condition::True());
-  auto sel = SelectCT(
+  const std::unique_ptr<CTableQuery> q = QueryOver(r);
+  auto sel = q->Select(
       Predicate::Cmp(CmpOp::kLt, Term::Column(0), Term::Const(Value::Int(5))),
-      r);
+      q->Import(r));
   EXPECT_EQ(sel.status().code(), StatusCode::kUnsupported);
   // ...but order comparisons on constants fold fine.
   CTable c(1);
   c.AddRow(Tuple{Value::Int(3)}, Condition::True());
-  auto ok = SelectCT(
+  const std::unique_ptr<CTableQuery> qc = QueryOver(c);
+  auto ok = qc->Select(
       Predicate::Cmp(CmpOp::kLt, Term::Column(0), Term::Const(Value::Int(5))),
-      c);
+      qc->Import(c));
   ASSERT_TRUE(ok.ok());
-  EXPECT_EQ(ok->rows().size(), 1u);
+  EXPECT_EQ(qc->Export(*ok).rows().size(), 1u);
 }
 
-TEST(CTableAlgebraTest, TuplesEqualConditionComponentwise) {
-  auto c = TuplesEqualCondition(Tuple{Value::Int(1), Value::Null(0)},
-                                Tuple{Value::Int(1), Value::Int(5)});
+TEST(CTableAlgebraTest, RowsEqualComponentwise) {
+  // The compared rows: R's (1, _0) against (1, 5), and S's (1) against (2).
+  CTable r(2);
+  r.AddRow(Tuple{Value::Int(1), Value::Null(0)}, Condition::True());
+  r.AddRow(Tuple{Value::Int(1), Value::Int(5)}, Condition::True());
+  CTable s(1);
+  s.AddRow(Tuple{Value::Int(1)}, Condition::True());
+  s.AddRow(Tuple{Value::Int(2)}, Condition::True());
+  const std::unique_ptr<CTableQuery> q = QueryOver(r, s);
+  const CodeCTable rows = q->Import(r);
+  const CodeCTable ones = q->Import(s);
+  const auto term = [&](uint32_t x) { return q->TermValue(x); };
+  const uint32_t c = q->RowsEqual(rows.Row(0), rows.Row(1), 2);
   // First component folds to true; remains ⊥0 = 5.
-  EXPECT_EQ(c->ToString(), "_0 = 5");
-  auto f = TuplesEqualCondition(Tuple{Value::Int(1)}, Tuple{Value::Int(2)});
-  EXPECT_TRUE(f->IsFalse());
+  EXPECT_EQ(ExportCondition(q->arena(), c, term)->ToString(), "_0 = 5");
+  const uint32_t f = q->RowsEqual(ones.Row(0), ones.Row(1), 1);
+  EXPECT_TRUE(ExportCondition(q->arena(), f, term)->IsFalse());
+}
+
+// A literal's null is a value on codes; exported, it would read as a
+// c-table variable, so a stored c-table query refuses it.
+TEST(CTableAlgebraTest, LiteralNullRefused) {
+  Relation lit(1);
+  lit.Add(Tuple{Value::Null(0)});
+  auto ct = EvalOnCTables(
+      RAExpr::Intersect(RAExpr::Scan("S"), RAExpr::ConstRel(lit)),
+      PaperDiffDb());
+  EXPECT_EQ(ct.status().code(), StatusCode::kUnsupported);
 }
 
 }  // namespace

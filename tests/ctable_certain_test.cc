@@ -11,7 +11,8 @@
 //    the c-table backend still answers (the acceptance bar of the redesign);
 //  * a relation literal's nulls are values, as in enumeration and eq. (1):
 //    certain, possible and probability answers of both backends match the
-//    reference on plans that mix literals with the instance;
+//    reference on plans that mix literals with the instance, IS NULL
+//    included (true on a literal's null only);
 //  * the work counters of the join and the difference on an instance
 //    shaped like the e2e certain_ctable workload are pinned.
 
@@ -430,6 +431,37 @@ TEST_P(CTableLiteralSweep, LiteralsWithFreshOrSharedNulls) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, CTableLiteralSweep,
                          ::testing::Range<uint64_t>(0, 12));
+
+// IS NULL is world-invariant: no cell of a world is null but a literal's
+// null, which is a value in every world.
+TEST(CTableIsNull, OnlyALiteralsNullIsNull) {
+  const Database db = LiteralDb();
+  const RAExprPtr r = RAExpr::Scan("R");
+  const PredicatePtr is_null = Predicate::IsNull(Term::Column(0));
+  const RAExprPtr base = RAExpr::Select(is_null, r);
+  const RAExprPtr not_null = RAExpr::Select(Predicate::Not(is_null), r);
+  const RAExprPtr literal = RAExpr::Select(
+      is_null,
+      RAExpr::Union(r, Literal({Tuple{Value::Null(9), Value::Int(99)}})));
+  for (const RAExprPtr& plan : {base, not_null, literal}) {
+    ExpectBackendsMatchReference(plan, db);
+  }
+  const WorldEnumOptions opts = SmallWorlds();
+  auto certain = [&](const RAExprPtr& plan) {
+    return CertainAnswersCTable(plan, db, WorldSemantics::kClosedWorld, opts);
+  };
+  auto possible = [&](const RAExprPtr& plan) {
+    return PossibleAnswersCTable(plan, db, opts);
+  };
+  const Relation none(2);
+  const Relation nine(2, {Tuple{Value::Null(9), Value::Int(99)}});
+  EXPECT_EQ(*certain(base), none);
+  EXPECT_EQ(*possible(base), none);
+  EXPECT_EQ(*certain(not_null),
+            Relation(2, {Tuple{Value::Int(1), Value::Int(2)}}));
+  EXPECT_EQ(*certain(literal), nine);
+  EXPECT_EQ(*possible(literal), nine);
+}
 
 // --------------------------------------------------------------------------
 // Work counters on an instance shaped like the e2e certain_ctable workload:

@@ -39,7 +39,6 @@ void Usage() {
                "  --replay=DIR        replay *.inc corpus instead of "
                "fuzzing\n"
                "  --no_shrink         report failures unshrunk\n"
-               "  --no_ctables        skip the c-table grounding check\n"
                "  --no_ctable_backend skip the c-table-native certain/"
                "possible backend cross-check\n"
                "  --no_service        skip the IncDbService session "
@@ -124,8 +123,6 @@ int main(int argc, char** argv) {
       replay_dir = v;
     } else if (arg == "--no_shrink") {
       config.shrink = false;
-    } else if (arg == "--no_ctables") {
-      config.oracle.check_ctables = false;
     } else if (arg == "--no_ctable_backend") {
       config.oracle.check_ctable_backend = false;
     } else if (arg == "--no_service") {
