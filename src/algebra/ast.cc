@@ -200,4 +200,25 @@ RAExprPtr RAExpr::ExpandDivision(const RAExprPtr& e, const Schema& schema) {
   return e;
 }
 
+namespace {
+
+void CollectPredicateConstants(const Predicate& p, std::vector<Value>* out) {
+  for (const Term* t : {&p.lhs(), &p.rhs()}) {
+    if (t->kind == Term::Kind::kConst) out->push_back(t->constant);
+  }
+  if (p.left() != nullptr) CollectPredicateConstants(*p.left(), out);
+  if (p.right() != nullptr) CollectPredicateConstants(*p.right(), out);
+}
+
+}  // namespace
+
+void CollectSelectionConstants(const RAExprPtr& e, std::vector<Value>* out) {
+  if (e == nullptr) return;
+  if (e->kind() == RAExpr::Kind::kSelect) {
+    CollectPredicateConstants(*e->predicate(), out);
+  }
+  CollectSelectionConstants(e->left(), out);
+  CollectSelectionConstants(e->right(), out);
+}
+
 }  // namespace incdb

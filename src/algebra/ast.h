@@ -81,6 +81,10 @@ class RAExpr {
   RAExprPtr right_;
 };
 
+/// Appends the constants of `e`'s selection predicates, nulls included, to
+/// `out`.
+void CollectSelectionConstants(const RAExprPtr& e, std::vector<Value>* out);
+
 }  // namespace incdb
 
 #endif  // INCDB_ALGEBRA_AST_H_

@@ -120,11 +120,16 @@ Result<Relation> CertainAnswersNaive(const RAExprPtr& e, const Database& db,
                                      WorldSemantics semantics, bool force,
                                      const EvalOptions& options) {
   if (!force && !NaiveEvaluationWorks(e, semantics)) {
+    std::string why;
+    if (LiteralHoldsNull(e)) {
+      why = " whose relation literal holds a null";
+    } else if (const std::optional<Value> null = SelectionNull(e)) {
+      why = " whose selection compares with the null " + null->ToString();
+    }
     return Status::Unsupported(
         std::string("naive evaluation has no certain-answer guarantee for a ") +
         QueryClassName(Classify(e)) + " query under " +
-        WorldSemanticsName(semantics) +
-        (LiteralHoldsNull(e) ? " whose relation literal holds a null" : ""));
+        WorldSemanticsName(semantics) + why);
   }
   INCDB_ASSIGN_OR_RETURN(Relation naive, EvalNaive(e, db, options));
   return naive.CompletePart();
@@ -154,7 +159,7 @@ Result<Relation> CertainAnswersEnum(const RAExprPtr& e, const Database& db,
   }
 
   const RAExprPtr plan = options.optimize ? Optimize(e, db) : e;
-  const WorldSpace space = MakeWorldSpace(db, opts);
+  const WorldSpace space = MakeWorldSpace(db, WithQueryConstants(e, opts));
   // A database without nulls is its own single world.
   if (space.nulls.empty()) return EvalNaive(plan, db, options);
   INCDB_RETURN_IF_ERROR(CheckWorldBudget(space, opts.max_worlds));
@@ -195,7 +200,7 @@ Result<Relation> PossibleAnswersEnum(const RAExprPtr& e, const Database& db,
                                      const EvalOptions& options) {
   INCDB_ASSIGN_OR_RETURN(size_t arity, e->InferArity(db.schema()));
   const RAExprPtr plan = options.optimize ? Optimize(e, db) : e;
-  const WorldSpace space = MakeWorldSpace(db, opts);
+  const WorldSpace space = MakeWorldSpace(db, WithQueryConstants(e, opts));
   if (space.nulls.empty()) return EvalNaive(plan, db, options);
   INCDB_RETURN_IF_ERROR(CheckWorldBudget(space, opts.max_worlds));
   INCDB_ASSIGN_OR_RETURN(const std::shared_ptr<const DeltaPlan> compiled,

@@ -1,5 +1,7 @@
 #include "algebra/classify.h"
 
+#include <vector>
+
 #include "core/valuation.h"
 
 namespace incdb {
@@ -95,8 +97,17 @@ bool LiteralHoldsNull(const RAExprPtr& e) {
   return LiteralHoldsNull(e->left()) || LiteralHoldsNull(e->right());
 }
 
+std::optional<Value> SelectionNull(const RAExprPtr& e) {
+  std::vector<Value> constants;
+  CollectSelectionConstants(e, &constants);
+  for (const Value& v : constants) {
+    if (v.is_null()) return v;
+  }
+  return std::nullopt;
+}
+
 bool NaiveEvaluationWorks(const RAExprPtr& e, WorldSemantics semantics) {
-  if (LiteralHoldsNull(e)) return false;
+  if (LiteralHoldsNull(e) || SelectionNull(e).has_value()) return false;
   const QueryClass c = Classify(e);
   switch (semantics) {
     case WorldSemantics::kOpenWorld:

@@ -14,6 +14,8 @@
 #ifndef INCDB_ALGEBRA_CLASSIFY_H_
 #define INCDB_ALGEBRA_CLASSIFY_H_
 
+#include <optional>
+
 #include "algebra/ast.h"
 #include "core/valuation.h"
 
@@ -44,11 +46,17 @@ QueryClass Classify(const RAExprPtr& e);
 /// generic: the literal's null is a value in every world, not an unknown.
 bool LiteralHoldsNull(const RAExprPtr& e);
 
+/// The first null among the constants of `e`'s selection predicates, if
+/// any. Such a plan is not generic either: valuations never apply to a
+/// predicate's constants, so `#0 = _0` holds on the null _0 of D under
+/// naïve evaluation and on no row of any world.
+std::optional<Value> SelectionNull(const RAExprPtr& e);
+
 /// Naïve-evaluation guarantee (equation (4) of the paper): does naïve
 /// evaluation compute certain answers for `e` under `semantics`? Never for
-/// a plan whose relation literal holds a null: eq. (4) is about generic
-/// queries, whose constants are constants, and Q(D)_cmpl drops the rows
-/// that carry the literal's null.
+/// a plan whose relation literal holds a null or whose selection compares
+/// with one: eq. (4) is about generic queries, whose constants are
+/// constants, and Q(D)_cmpl drops the rows that carry a literal's null.
 bool NaiveEvaluationWorks(const RAExprPtr& e, WorldSemantics semantics);
 
 }  // namespace incdb

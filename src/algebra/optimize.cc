@@ -91,7 +91,6 @@ PredicatePtr RemapColumns(const PredicatePtr& p,
 
 struct Rewriter {
   const Database& db;
-  const OptimizerOptions& opts;
   OptimizerReport* report;
 
   size_t Arity(const RAExprPtr& e) const {
@@ -107,24 +106,10 @@ struct Rewriter {
       case RAExpr::Kind::kDelta:
         return e;
       case RAExpr::Kind::kSelect:
-        if (!opts.push_selections) break;
         return OptSelect(e->predicate(), e->left());
       case RAExpr::Kind::kProject:
-        if (!opts.push_projections) break;
         return OptProject(e->columns(), e->left());
-      default:
-        break;
-    }
-    // Structural recursion for everything else.
-    switch (e->kind()) {
-      case RAExpr::Kind::kSelect: {
-        RAExprPtr c = Opt(e->left());
-        return c == e->left() ? e : RAExpr::Select(e->predicate(), c);
-      }
-      case RAExpr::Kind::kProject: {
-        RAExprPtr c = Opt(e->left());
-        return c == e->left() ? e : RAExpr::Project(e->columns(), c);
-      }
+      // Structural recursion for the binary operators.
       case RAExpr::Kind::kProduct:
       case RAExpr::Kind::kUnion:
       case RAExpr::Kind::kDiff:
@@ -146,9 +131,8 @@ struct Rewriter {
             return RAExpr::Divide(l, r);
         }
       }
-      default:
-        return e;
     }
+    return e;
   }
 
   // σ_pred over `child` (child not yet optimized).
@@ -218,11 +202,8 @@ struct Rewriter {
     RAExprPtr node = cross_parts.empty()
                          ? base
                          : RAExpr::Select(AndAll(cross_parts), base);
-    if (opts.reorder_joins) {
-      RAExprPtr reordered = TryReorder(node);
-      if (reordered != nullptr) return reordered;
-    }
-    return node;
+    RAExprPtr reordered = TryReorder(node);
+    return reordered != nullptr ? reordered : node;
   }
 
   // π_cols over `child` (child not yet optimized).
@@ -531,11 +512,11 @@ double EstimateCardinality(const RAExprPtr& e, const Database& db) {
 }
 
 RAExprPtr Optimize(const RAExprPtr& e, const Database& db,
-                   const OptimizerOptions& options, OptimizerReport* report) {
+                   OptimizerReport* report) {
   if (e == nullptr) return e;
   if (!e->InferArity(db.schema()).ok()) return e;  // evaluator reports it
   OptimizerReport local;
-  Rewriter rw{db, options, report != nullptr ? report : &local};
+  Rewriter rw{db, report != nullptr ? report : &local};
   RAExprPtr out = e;
   uint64_t fp = RAFingerprint(out);
   // Rewrites cascade (a pushed σ exposes a π split, a reorder exposes a π∘π

@@ -33,13 +33,6 @@
 
 namespace incdb {
 
-/// Which rewrite families Optimize applies. All on by default.
-struct OptimizerOptions {
-  bool push_selections = true;
-  bool push_projections = true;
-  bool reorder_joins = true;
-};
-
 /// Counts of rewrites applied, for explain output and tests.
 struct OptimizerReport {
   uint64_t selections_pushed = 0;   ///< σ moved through ∪ / ∩ / − / ×
@@ -59,7 +52,6 @@ struct OptimizerReport {
 /// evaluates to a bit-identical relation under every evaluator and has the
 /// same Classify() fragment as `e`.
 RAExprPtr Optimize(const RAExprPtr& e, const Database& db,
-                   const OptimizerOptions& options = {},
                    OptimizerReport* report = nullptr);
 
 /// Structural fingerprint: equal trees hash equal; used for rewrite

@@ -2,10 +2,12 @@
 //
 // Under CWA, ⟦D⟧ = { v(D) } for valuations v of Null(D). The world space is
 // infinite (Const is infinite), but for generic queries it suffices to let
-// nulls range over the active constants plus k fresh constants, where k is
-// the number of nulls: any world is isomorphic, over the constants of D and
-// of the query, to one of the sampled worlds, and generic queries cannot
-// distinguish isomorphic worlds. `WorldDomain` builds that finite domain.
+// nulls range over the active constants, the query's constants and k fresh
+// constants, where k is the number of nulls: any world is isomorphic, over
+// the constants of D and of the query, to one of the sampled worlds, and
+// generic queries cannot distinguish isomorphic worlds. `WorldDomain`
+// builds that finite domain; the query's constants come in as
+// `required_constants` (engine/world_encoding.h WithQueryConstants).
 //
 // Under OWA the worlds also add arbitrary tuples; `ForEachWorldOwaBounded`
 // enumerates v(D) extended with subsets of a caller-supplied candidate tuple

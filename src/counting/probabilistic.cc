@@ -50,7 +50,7 @@ Result<Relation> CertainAnswersWithProbabilityEnum(
   RAExprPtr plan = e;
   if (options.optimize) plan = Optimize(plan, db);
 
-  const WorldSpace space = MakeWorldSpace(db, wopts);
+  const WorldSpace space = MakeWorldSpace(db, WithQueryConstants(e, wopts));
   if (!space.nulls.empty() && space.domain.empty()) {
     return Status::InvalidArgument("empty world domain with nulls present");
   }
@@ -287,7 +287,7 @@ Result<Relation> CertainAnswersWithProbabilityCTable(
   RAExprPtr plan = e;
   if (options.optimize) plan = Optimize(plan, db);
 
-  const WorldSpace space = MakeWorldSpace(db, wopts);
+  const WorldSpace space = MakeWorldSpace(db, WithQueryConstants(e, wopts));
   INCDB_ASSIGN_OR_RETURN(const std::unique_ptr<CTableQuery> query,
                          CTableQuery::Make(plan, space));
   INCDB_ASSIGN_OR_RETURN(const CodeCTable result,

@@ -106,12 +106,12 @@ Result<std::unique_ptr<CTableQuery>> CTableQuery::Make(const RAExprPtr& plan,
 CTableQuery::CTableQuery(WorldEncoding enc)
     : enc_(std::move(enc)), solver_(&arena_, enc_) {}
 
-uint32_t CTableQuery::ConstTerm(const Value& c) {
-  const uint32_t code = enc_.dict().Find(c);
-  if (code != ValueDict::kNotFound) return code;
+uint32_t CTableQuery::ConstTerm(const CodePred::Node& n) {
+  // An = or ≠ range is the constant's one code when the dictionary has it.
+  if (n.range.hi != n.range.lo) return n.range.lo;
   auto [it, fresh] = extra_codes_.emplace(
-      c, static_cast<uint32_t>(enc_.dict().size() + extra_.size()));
-  if (fresh) extra_.push_back(c);
+      n.constant, static_cast<uint32_t>(enc_.dict().size() + extra_.size()));
+  if (fresh) extra_.push_back(n.constant);
   return it->second;
 }
 
@@ -143,75 +143,52 @@ void CTableQuery::CountConditionWork(EvalStats* stats) const {
   stats->CountUnsatPruned(arena_.unsat_pruned());
 }
 
-Result<uint32_t> CTableQuery::PredCond(const Predicate& p,
+Result<uint32_t> CTableQuery::PredCond(const CodePred& p, size_t i,
                                        const uint32_t* row, bool negate) {
-  switch (p.kind()) {
-    case Predicate::Kind::kTrue:
-    case Predicate::Kind::kFalse:
-      return (p.kind() == Predicate::Kind::kTrue) != negate ? kTrue : kFalse;
-    case Predicate::Kind::kCmp: {
-      const Term& l = p.lhs();
-      const Term& r = p.rhs();
-      const bool lc = l.kind == Term::Kind::kColumn;
-      const bool rc = r.kind == Term::Kind::kColumn;
-      bool holds;
-      if (!lc && !rc) {
-        holds = CmpBool(p.op(), l.constant <=> r.constant);
-      } else {
-        const bool equality = p.op() == CmpOp::kEq || p.op() == CmpOp::kNe;
-        uint32_t a, b;
-        if (lc && rc) {
-          a = row[l.column];
-          b = row[r.column];
-          if (!equality && !((a | b) & kNullSlot)) {
-            holds = CmpBool(p.op(), a <=> b);
-            return holds != negate ? kTrue : kFalse;
-          }
-        } else {
-          a = lc ? row[l.column] : row[r.column];
-          const Value& c = lc ? r.constant : l.constant;
-          if (!(a & kNullSlot)) {
-            holds =
-                ResolveCmp(lc ? p.op() : MirrorOp(p.op()), enc_.dict(), c)
-                    .Holds(a);
-            return holds != negate ? kTrue : kFalse;
-          }
-          b = equality ? ConstTerm(c) : 0;
-        }
-        if (!equality) {
-          return Status::Unsupported(
-              "order comparison on nulls is outside the c-table condition "
-              "language: " +
-              p.ToString());
-        }
-        const uint32_t eq = arena_.Eq(a, b);
-        return (p.op() == CmpOp::kNe) != negate ? arena_.Not(eq) : eq;
-      }
-      return holds != negate ? kTrue : kFalse;
-    }
-    case Predicate::Kind::kIsNull: {
+  using Kind = CodePred::Node::Kind;
+  const CodePred::Node& n = p.nodes[i];
+  auto fold = [negate](bool holds) { return holds != negate ? kTrue : kFalse; };
+  switch (n.kind) {
+    case Kind::kConst:
+      return fold(n.value);
+    case Kind::kIsNull:
       // A world holds no nulls: a base null's slot (never below null_end)
       // is a constant in every world, and only a literal's null, a code
       // below null_end, is null.
-      const Term& t = p.lhs();
-      const bool holds = t.kind == Term::Kind::kColumn
-                             ? row[t.column] < enc_.dict().null_end
-                             : t.constant.is_null();
-      return holds != negate ? kTrue : kFalse;
+      return fold(row[n.a] < p.null_end);
+    case Kind::kAnd:
+    case Kind::kOr: {
+      INCDB_ASSIGN_OR_RETURN(const uint32_t a, PredCond(p, n.l, row, negate));
+      INCDB_ASSIGN_OR_RETURN(const uint32_t b, PredCond(p, n.r, row, negate));
+      return (n.kind == Kind::kAnd) != negate ? arena_.And(a, b)
+                                              : arena_.Or(a, b);
     }
-    case Predicate::Kind::kAnd:
-    case Predicate::Kind::kOr: {
-      INCDB_ASSIGN_OR_RETURN(const uint32_t a,
-                             PredCond(*p.left(), row, negate));
-      INCDB_ASSIGN_OR_RETURN(const uint32_t b,
-                             PredCond(*p.right(), row, negate));
-      return (p.kind() == Predicate::Kind::kAnd) != negate ? arena_.And(a, b)
-                                                           : arena_.Or(a, b);
-    }
-    case Predicate::Kind::kNot:
-      return PredCond(*p.left(), row, !negate);
+    case Kind::kNot:
+      return PredCond(p, n.l, row, !negate);
+    case Kind::kColumns:
+    case Kind::kRange:
+      break;
   }
-  return Status::Internal("unknown predicate kind");
+  const bool equality = n.op == CmpOp::kEq || n.op == CmpOp::kNe;
+  const uint32_t a = row[n.a];
+  uint32_t b;
+  if (n.kind == Kind::kColumns) {
+    b = row[n.b];
+    if (!equality && !((a | b) & kNullSlot)) {
+      return fold(CmpBool(n.op, a <=> b));
+    }
+  } else {
+    if (!(a & kNullSlot)) return fold(n.range.Holds(a));
+    b = equality ? ConstTerm(n) : 0;
+  }
+  if (!equality) {
+    return Status::Unsupported(
+        "order comparison on nulls is outside the c-table condition "
+        "language: " +
+        n.cmp->ToString());
+  }
+  const uint32_t eq = arena_.Eq(a, b);
+  return (n.op == CmpOp::kNe) != negate ? arena_.Not(eq) : eq;
 }
 
 uint32_t CTableQuery::RowsEqual(const uint32_t* a, const uint32_t* b,
@@ -240,10 +217,12 @@ uint32_t CTableQuery::RowsDiffer(const uint32_t* a, const uint32_t* b,
 
 Result<CodeCTable> CTableQuery::Select(const PredicatePtr& pred,
                                        const CodeCTable& in) {
+  const CodePred p = CompilePred(pred, enc_.dict());
   CodeCTable out(in.arity);
   out.global = in.global;
   for (size_t i = 0; i < in.rows(); ++i) {
-    INCDB_ASSIGN_OR_RETURN(const uint32_t c, PredCond(*pred, in.Row(i), false));
+    INCDB_ASSIGN_OR_RETURN(const uint32_t c,
+                           PredCond(p, p.root(), in.Row(i), false));
     const uint32_t combined = arena_.And(in.conds[i], c);
     if (combined != kFalse) out.Add(in.Row(i), combined);
   }
@@ -316,6 +295,9 @@ Result<CodeCTable> CTableQuery::Join(const CodeCTable& l, const CodeCTable& r,
     buckets[s].push_back(j);
   }
 
+  const CodePred pred = residual != nullptr
+                            ? CompilePred(residual, enc_.dict())
+                            : CodePred{};
   uint64_t probes = 0;
   std::vector<uint32_t> candidates, all_rows, joined(out.arity);
   static const std::vector<uint32_t> kNoRows;
@@ -346,9 +328,10 @@ Result<CodeCTable> CTableQuery::Join(const CodeCTable& l, const CodeCTable& r,
       if (c == kFalse) continue;
       std::copy(a, a + l.arity, joined.begin());
       std::copy(b, b + r.arity, joined.begin() + l.arity);
-      if (residual != nullptr) {
-        INCDB_ASSIGN_OR_RETURN(const uint32_t rc,
-                               PredCond(*residual, joined.data(), false));
+      if (!pred.empty()) {
+        INCDB_ASSIGN_OR_RETURN(
+            const uint32_t rc,
+            PredCond(pred, pred.root(), joined.data(), false));
         c = arena_.And(c, rc);
       }
       if (c != kFalse) out.Add(joined.data(), c);

@@ -19,8 +19,11 @@
 // enumeration uses (core/possible_worlds.h), so the answers are those of
 // CertainAnswersEnum / PossibleAnswersEnum. A base cell's null is a slot, a
 // literal's null is a code like any constant (valuations never apply to
-// literals), and a σ or join constant outside the dictionary gets a code of
-// its own above the dictionary's, equal to no domain value.
+// literals). σ and join residuals compile once per call (CompilePred,
+// engine/kernels.h); the world domain holds their constants
+// (WithQueryConstants), and one outside the dictionary, as over stored
+// c-tables, that meets a null gets a code of its own above the
+// dictionary's, equal to no domain value.
 //
 // These are the only Imieliński–Lipski operators in the library. Stored
 // c-tables (CDatabase: rows with local conditions and a global condition)
@@ -232,15 +235,15 @@ class CTableQuery {
   void CountConditionWork(EvalStats* stats) const;
 
  private:
-  // The term of a σ or join constant.
-  uint32_t ConstTerm(const Value& c);
+  // The term of the constant of an = or ≠ node.
+  uint32_t ConstTerm(const CodePred::Node& n);
   // "a ≠ b" somewhere, built atom by atom (the negation of RowsEqual as the
   // Condition-tree operators' NNF builds it, not the negation of its
   // normal form).
   uint32_t RowsDiffer(const uint32_t* a, const uint32_t* b, size_t arity);
-  // The condition `p` (its negation with `negate`) puts on `row`, built in
-  // negation normal form from the predicate's own tree.
-  Result<uint32_t> PredCond(const Predicate& p, const uint32_t* row,
+  // The condition node `i` of `p` (its negation with `negate`) puts on
+  // `row`, built in negation normal form from the predicate's own tree.
+  Result<uint32_t> PredCond(const CodePred& p, size_t i, const uint32_t* row,
                             bool negate);
   // A base relation on codes, or a stored c-table imported.
   CodeCTable Scan(const Database& db, const std::string& name) const;

@@ -1,7 +1,10 @@
 #include "ctables/condition.h"
 
-#include <functional>
+#include <algorithm>
+#include <cstdint>
 #include <vector>
+
+#include "ctables/cond_arena.h"
 
 namespace incdb {
 
@@ -159,12 +162,11 @@ ConditionPtr Condition::Not(ConditionPtr a) {
 bool IsSatisfiable(const ConditionPtr& c) {
   if (c->IsTrue()) return true;
   if (c->IsFalse()) return false;
-  std::set<NullId> null_set;
-  c->CollectNulls(&null_set);
-  std::set<Value> const_set;
-  c->CollectConstants(&const_set);
-  const std::vector<NullId> nulls(null_set.begin(), null_set.end());
-  std::vector<Value> domain(const_set.begin(), const_set.end());
+  std::set<NullId> nulls;
+  c->CollectNulls(&nulls);
+  std::set<Value> constants;
+  c->CollectConstants(&constants);
+  std::vector<Value> domain(constants.begin(), constants.end());
   // One fresh constant per null suffices to realize any equality type.
   int64_t base = 0;
   for (const Value& v : domain) {
@@ -173,20 +175,7 @@ bool IsSatisfiable(const ConditionPtr& c) {
   for (size_t i = 1; i <= nulls.size(); ++i) {
     domain.push_back(Value::Int(base + static_cast<int64_t>(i)));
   }
-  if (nulls.empty()) {
-    return c->EvalUnder(Valuation());
-  }
-  std::function<bool(size_t, Valuation&)> rec = [&](size_t i,
-                                                    Valuation& v) -> bool {
-    if (i == nulls.size()) return c->EvalUnder(v);
-    for (const Value& d : domain) {
-      v.Bind(nulls[i], d);
-      if (rec(i + 1, v)) return true;
-    }
-    return false;
-  };
-  Valuation v;
-  return rec(0, v);
+  return SatisfiableOverDomain(c, domain, UINT64_MAX).value();
 }
 
 }  // namespace incdb

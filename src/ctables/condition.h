@@ -79,8 +79,10 @@ class Condition {
   ConditionPtr right_;
 };
 
-/// Exact satisfiability over the infinite constant domain. Exponential in
-/// the number of distinct nulls in the condition.
+/// Exact satisfiability over the infinite constant domain: the value-class
+/// search of SatisfiableOverDomain (ctables/cond_arena.h), without a branch
+/// budget, over the condition's constants plus one fresh constant per
+/// null, which realizes every equality type.
 bool IsSatisfiable(const ConditionPtr& c);
 
 }  // namespace incdb

@@ -22,7 +22,8 @@ Result<CTable> EvalOnCTables(const RAExprPtr& e, const CDatabase& db) {
 
 namespace {
 
-// Encodes the plan and the database, evaluates the plan once on code
+// Encodes the plan and the database over the world space of `opts` (the
+// query's constants already added), evaluates the plan once on code
 // c-tables and extracts with `extract`; the arena's counters go to the
 // stats after the extraction.
 template <typename Extract>
@@ -62,7 +63,7 @@ Result<Relation> CertainAnswersCTable(const RAExprPtr& e, const Database& db,
   RAExprPtr plan = e;
   if (options.optimize) plan = Optimize(plan, db);
   return RunCTableQuery(
-      plan, db, opts, options,
+      plan, db, WithQueryConstants(e, opts), options,
       [&](CTableQuery& q, const CodeCTable& t) {
         return q.Certain(t, opts.max_worlds, options.stats);
       });
@@ -75,7 +76,7 @@ Result<Relation> PossibleAnswersCTable(const RAExprPtr& e, const Database& db,
   RAExprPtr plan = e;
   if (options.optimize) plan = Optimize(plan, db);
   return RunCTableQuery(
-      plan, db, opts, options,
+      plan, db, WithQueryConstants(e, opts), options,
       [&](CTableQuery& q, const CodeCTable& t) {
         return q.Possible(t, opts.max_worlds, options.stats);
       });

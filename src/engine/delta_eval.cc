@@ -43,103 +43,6 @@ void OrInto(std::vector<uint64_t>& bits, const std::vector<uint64_t>& more) {
   for (size_t w = 0; w < bits.size(); ++w) bits[w] |= more[w];
 }
 
-// A selection or join residual compiled against the query dictionary, as
-// nodes of a tree whose root is the last node: a comparison of two columns
-// compares their codes, one of a column with a constant tests the column's
-// code against the constant's rank range, and one of two constants, like IS
-// NULL of a constant, is folded.
-struct CodePred {
-  enum class Kind { kConst, kColumns, kRange, kIsNull, kAnd, kOr, kNot };
-  Kind kind = Kind::kConst;
-  bool value = false;     // kConst
-  CmpOp op = CmpOp::kEq;  // kColumns
-  size_t a = 0, b = 0;    // the compared columns (a alone for kRange, kIsNull)
-  CodeRange range;        // kRange
-  uint32_t null_end = 0;  // kIsNull: codes below it are nulls
-  size_t l = 0, r = 0;    // operand nodes of ∧, ∨ (l alone for ¬)
-};
-
-size_t CompilePred(const Predicate& p, const ValueDict& dict,
-                   std::vector<CodePred>* nodes) {
-  CodePred n;
-  switch (p.kind()) {
-    case Predicate::Kind::kTrue:
-    case Predicate::Kind::kFalse:
-      n.value = p.kind() == Predicate::Kind::kTrue;
-      break;
-    case Predicate::Kind::kCmp: {
-      const Term& l = p.lhs();
-      const Term& r = p.rhs();
-      const bool lc = l.kind == Term::Kind::kColumn;
-      const bool rc = r.kind == Term::Kind::kColumn;
-      if (lc && rc) {
-        n.kind = CodePred::Kind::kColumns;
-        n.op = p.op();
-        n.a = l.column;
-        n.b = r.column;
-      } else if (!lc && !rc) {
-        n.value = CmpBool(p.op(), l.constant <=> r.constant);
-      } else {
-        n.kind = CodePred::Kind::kRange;
-        n.a = lc ? l.column : r.column;
-        n.range = ResolveCmp(lc ? p.op() : MirrorOp(p.op()), dict,
-                             lc ? r.constant : l.constant);
-      }
-      break;
-    }
-    case Predicate::Kind::kIsNull:
-      if (p.lhs().kind == Term::Kind::kConst) {
-        n.value = p.lhs().constant.is_null();
-      } else {
-        n.kind = CodePred::Kind::kIsNull;
-        n.a = p.lhs().column;
-        n.null_end = dict.null_end;
-      }
-      break;
-    case Predicate::Kind::kAnd:
-    case Predicate::Kind::kOr:
-      n.kind = p.kind() == Predicate::Kind::kAnd ? CodePred::Kind::kAnd
-                                                 : CodePred::Kind::kOr;
-      n.l = CompilePred(*p.left(), dict, nodes);
-      n.r = CompilePred(*p.right(), dict, nodes);
-      break;
-    case Predicate::Kind::kNot:
-      n.kind = CodePred::Kind::kNot;
-      n.l = CompilePred(*p.left(), dict, nodes);
-      break;
-  }
-  nodes->push_back(n);
-  return nodes->size() - 1;
-}
-
-// Naïve evaluation of node `i` on one row: nulls are values, and the
-// dictionary's order is the total Value order.
-bool EvalPred(const std::vector<CodePred>& nodes, size_t i,
-              const uint32_t* row) {
-  const CodePred& p = nodes[i];
-  switch (p.kind) {
-    case CodePred::Kind::kConst:
-      return p.value;
-    case CodePred::Kind::kColumns:
-      return CmpBool(p.op, row[p.a] <=> row[p.b]);
-    case CodePred::Kind::kRange:
-      return p.range.Holds(row[p.a]);
-    case CodePred::Kind::kIsNull:
-      return row[p.a] < p.null_end;
-    case CodePred::Kind::kAnd:
-      return EvalPred(nodes, p.l, row) && EvalPred(nodes, p.r, row);
-    case CodePred::Kind::kOr:
-      return EvalPred(nodes, p.l, row) || EvalPred(nodes, p.r, row);
-    case CodePred::Kind::kNot:
-      return !EvalPred(nodes, p.l, row);
-  }
-  return false;
-}
-
-bool Holds(const std::vector<CodePred>& pred, const uint32_t* row) {
-  return pred.empty() || EvalPred(pred, pred.size() - 1, row);
-}
-
 void Gather(const uint32_t* row, const std::vector<size_t>& cols,
             uint32_t* out) {
   for (size_t i = 0; i < cols.size(); ++i) out[i] = row[cols[i]];
@@ -250,7 +153,7 @@ struct DeltaPlan::Op {
   size_t row_count = 0;
   // kSelect: the filter; kJoin: the residual on the concatenated row
   // (empty when there is none).
-  std::vector<CodePred> pred;
+  CodePred pred;
   // kJoin: equi-join key columns (parallel lists, left relative to the left
   // child, right relative to the right child) and the fused projection.
   std::vector<size_t> left_keys, right_keys;
@@ -394,7 +297,7 @@ Result<size_t> DeltaPlan::CompileOp(const RAExprPtr& e, const Database& db,
         n.right_keys.push_back(k.right_col);
       }
       if (split.residual != nullptr) {
-        CompilePred(*split.residual, enc_.dict(), &n.pred);
+        n.pred = CompilePred(split.residual, enc_.dict());
       }
     }
     if (proj != nullptr) {
@@ -424,7 +327,7 @@ Result<size_t> DeltaPlan::CompileOp(const RAExprPtr& e, const Database& db,
       }
       case K::kSelect:
         n.kind = Op::Kind::kSelect;
-        CompilePred(*e->predicate(), enc_.dict(), &n.pred);
+        n.pred = CompilePred(e->predicate(), enc_.dict());
         break;
       case K::kProject:
         n.kind = Op::Kind::kProject;
@@ -595,7 +498,7 @@ void DeltaEvaluator::JoinPair(Node& n, const uint32_t* l, const uint32_t* r,
   uint32_t* joined = n.buf.data();
   std::copy(l, l + lw, joined);
   std::copy(r, r + n.right->op->arity, joined + lw);
-  if (!Holds(n.op->pred, joined)) return;
+  if (!n.op->pred.Holds(joined)) return;
   if (n.op->has_projection) {
     Gather(joined, n.op->projection, n.buf2.data());
     Adjust(n, n.buf2.data(), sign);
@@ -631,7 +534,7 @@ void DeltaEvaluator::Init(Node& n, bool emit) {
       scope.CountIn(n.left->out.size());
       n.left->out.ForEach([&](uint32_t s) {
         const uint32_t* row = n.left->out.Row(s);
-        if (Holds(op.pred, row)) Adjust(n, row, +1);
+        if (op.pred.Holds(row)) Adjust(n, row, +1);
       });
       break;
     case Kind::kProject:
@@ -770,7 +673,7 @@ void DeltaEvaluator::Step(Node& n, size_t slot, uint32_t old_code) {
     case Kind::kSelect: {
       const RowChanges& d = n.left->delta;
       for (size_t i = 0; i < d.size(); ++i) {
-        if (Holds(op.pred, d.Row(i))) Adjust(n, d.Row(i), d.sign(i));
+        if (op.pred.Holds(d.Row(i))) Adjust(n, d.Row(i), d.sign(i));
       }
       break;
     }

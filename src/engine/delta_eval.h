@@ -42,9 +42,9 @@
 // of every world is a fixed-width row of codes and code order is Value
 // order. It also holds the scanned relations' rows encoded against it, a
 // null cell naming its null's slot in the WorldSpace; σ and join
-// residuals resolved to code comparisons (a constant outside the dictionary
-// resolves to the rank range it would occupy, engine/kernels.h); and each
-// scan's provenance. Each chain's DeltaEvaluator keeps the valuation as one
+// residuals compiled once to nodes over codes (CompilePred,
+// engine/kernels.h: a constant resolves to the rank range it occupies or
+// would occupy); and each scan's provenance. Each chain's DeltaEvaluator keeps the valuation as one
 // code per null, and every node's counted output, its transitions, the join
 // mirrors and the division counters as code rows in flat hash sets
 // (core/code_rows.h), which reuse their slots: once a chain has reached its

@@ -1,5 +1,6 @@
 #include "engine/kernels.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace incdb {
@@ -13,6 +14,69 @@ void FlattenAnd(const PredicatePtr& p, std::vector<PredicatePtr>* out) {
     return;
   }
   out->push_back(p);
+}
+
+size_t CompileNode(const PredicatePtr& pred, const ValueDict& dict,
+                   CodePred* out) {
+  using Node = CodePred::Node;
+  const Predicate& p = *pred;
+  Node n;
+  switch (p.kind()) {
+    case Predicate::Kind::kTrue:
+    case Predicate::Kind::kFalse:
+      n.value = p.kind() == Predicate::Kind::kTrue;
+      break;
+    case Predicate::Kind::kCmp: {
+      const Term& l = p.lhs();
+      const Term& r = p.rhs();
+      const bool lc = l.kind == Term::Kind::kColumn;
+      const bool rc = r.kind == Term::Kind::kColumn;
+      if (lc && rc) {
+        n.kind = Node::Kind::kColumns;
+        n.op = p.op();
+        n.a = l.column;
+        n.b = r.column;
+        n.cmp = pred;
+        out->columns.push_back(n.a);
+        out->columns.push_back(n.b);
+      } else if (!lc && !rc) {
+        n.value = CmpBool(p.op(), l.constant <=> r.constant);
+        n.null_const = l.constant.is_null() || r.constant.is_null();
+      } else {
+        n.kind = Node::Kind::kRange;
+        n.op = lc ? p.op() : MirrorOp(p.op());
+        n.a = lc ? l.column : r.column;
+        n.constant = lc ? r.constant : l.constant;
+        n.null_const = n.constant.is_null();
+        n.range = ResolveCmp(n.op, dict, n.constant);
+        n.cmp = pred;
+        out->columns.push_back(n.a);
+      }
+      break;
+    }
+    case Predicate::Kind::kIsNull:
+      if (p.lhs().kind == Term::Kind::kConst) {
+        n.value = p.lhs().constant.is_null();
+      } else {
+        n.kind = Node::Kind::kIsNull;
+        n.a = p.lhs().column;
+        out->columns.push_back(n.a);
+      }
+      break;
+    case Predicate::Kind::kAnd:
+    case Predicate::Kind::kOr:
+      n.kind = p.kind() == Predicate::Kind::kAnd ? Node::Kind::kAnd
+                                                 : Node::Kind::kOr;
+      n.l = CompileNode(p.left(), dict, out);
+      n.r = CompileNode(p.right(), dict, out);
+      break;
+    case Predicate::Kind::kNot:
+      n.kind = Node::Kind::kNot;
+      n.l = CompileNode(p.left(), dict, out);
+      break;
+  }
+  out->nodes.push_back(std::move(n));
+  return out->nodes.size() - 1;
 }
 
 }  // namespace
@@ -77,6 +141,41 @@ CodeRange ResolveCmp(CmpOp op, const ValueDict& dict, const Value& c) {
     case CmpOp::kGe: return CodeRange{dict.LowerBound(c), size};
   }
   return CodeRange{};
+}
+
+CodePred CompilePred(const PredicatePtr& p, const ValueDict& dict) {
+  CodePred out;
+  out.null_end = dict.null_end;
+  CompileNode(p, dict, &out);
+  std::vector<size_t>& cols = out.columns;
+  std::sort(cols.begin(), cols.end());
+  cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
+  return out;
+}
+
+bool CodePred::Holds(const uint32_t* row) const {
+  return nodes.empty() || HoldsAt(root(), row);
+}
+
+bool CodePred::HoldsAt(size_t i, const uint32_t* row) const {
+  const Node& n = nodes[i];
+  switch (n.kind) {
+    case Node::Kind::kConst:
+      return n.value;
+    case Node::Kind::kColumns:
+      return CmpBool(n.op, row[n.a] <=> row[n.b]);
+    case Node::Kind::kRange:
+      return n.range.Holds(row[n.a]);
+    case Node::Kind::kIsNull:
+      return row[n.a] < null_end;
+    case Node::Kind::kAnd:
+      return HoldsAt(n.l, row) && HoldsAt(n.r, row);
+    case Node::Kind::kOr:
+      return HoldsAt(n.l, row) || HoldsAt(n.r, row);
+    case Node::Kind::kNot:
+      return !HoldsAt(n.l, row);
+  }
+  return false;
 }
 
 }  // namespace incdb

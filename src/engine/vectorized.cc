@@ -117,21 +117,6 @@ bool RowEq(const CodeView& a, size_t ai, const CodeView& b, size_t bi,
   return true;
 }
 
-// col OP const as a predicate over dictionary codes: the constant resolves
-// to a range of dictionary ranks once (ResolveCmp), the loop compares 32-bit
-// codes only.
-void MaskCmpConst(CmpOp op, const uint32_t* codes, size_t n,
-                  const ValueDict& dict, const Value& constant,
-                  uint8_t* mask) {
-  const CodeRange r = ResolveCmp(op, dict, constant);
-  const uint32_t span = r.hi - r.lo;
-  if (r.negate) {
-    for (size_t i = 0; i < n; ++i) mask[i] = codes[i] - r.lo >= span;
-  } else {
-    for (size_t i = 0; i < n; ++i) mask[i] = codes[i] - r.lo < span;
-  }
-}
-
 // A predicate mask holds one truth value per row as a byte: FALSE is 0 and
 // TRUE is TrueByte(logic) — 1 under naïve logic, 2 under 3VL, where 1 is
 // UNKNOWN. With that encoding ∧ is min, ∨ is max and ¬ is TRUE − v under
@@ -140,126 +125,102 @@ uint8_t TrueByte(NullLogic logic) {
   return logic == NullLogic::kThreeValued ? 2 : 1;
 }
 
-// `p` (a comparison) over rows [begin, begin + n) of `t` into mask[0, n),
-// two-valued: 1 where it holds under the total Value order, else 0.
-void CmpMask(const Predicate& p, const VecTable& t, size_t begin, size_t n,
-             uint8_t* mask) {
-  const Term& l = p.lhs();
-  const Term& r = p.rhs();
-  const bool lc = l.kind == Term::Kind::kColumn;
-  const bool rc = r.kind == Term::Kind::kColumn;
-  if (lc && rc) {
-    const uint32_t* a = t.col(l.column).data() + begin;
-    const uint32_t* b = t.col(r.column).data() + begin;
-    switch (p.op()) {
-      case CmpOp::kEq:
-        for (size_t i = 0; i < n; ++i) mask[i] = a[i] == b[i];
-        return;
-      case CmpOp::kNe:
-        for (size_t i = 0; i < n; ++i) mask[i] = a[i] != b[i];
-        return;
-      case CmpOp::kLt:
-        for (size_t i = 0; i < n; ++i) mask[i] = a[i] < b[i];
-        return;
-      case CmpOp::kLe:
-        for (size_t i = 0; i < n; ++i) mask[i] = a[i] <= b[i];
-        return;
-      case CmpOp::kGt:
-        for (size_t i = 0; i < n; ++i) mask[i] = a[i] > b[i];
-        return;
-      case CmpOp::kGe:
-        for (size_t i = 0; i < n; ++i) mask[i] = a[i] >= b[i];
-        return;
-    }
-    return;
-  }
-  if (!lc && !rc) {
-    const bool v = CmpBool(p.op(), l.constant <=> r.constant);
-    std::fill(mask, mask + n, static_cast<uint8_t>(v));
-    return;
-  }
-  const Term& colt = lc ? l : r;
-  const Term& cnst = lc ? r : l;
-  const CmpOp op = lc ? p.op() : MirrorOp(p.op());
-  MaskCmpConst(op, t.col(colt.column).data() + begin, n, *t.dict,
-               cnst.constant, mask);
-}
-
-// Turns CmpMask's two-valued outcome into the Kleene one: TRUE becomes 2,
-// and a row where an operand is a null (a null code or a null constant)
-// becomes UNKNOWN.
-void KleeneCmp(const Predicate& p, const VecTable& t, size_t begin, size_t n,
-               uint8_t* mask) {
-  for (size_t i = 0; i < n; ++i) mask[i] *= 2;
-  const uint32_t null_end = t.dict->null_end;
-  for (const Term* term : {&p.lhs(), &p.rhs()}) {
-    if (term->kind == Term::Kind::kConst) {
-      if (term->constant.is_null()) std::fill(mask, mask + n, uint8_t{1});
-      continue;
-    }
-    const uint32_t* codes = t.col(term->column).data() + begin;
-    for (size_t i = 0; i < n; ++i) {
-      if (codes[i] < null_end) mask[i] = 1;
-    }
+// `a OP b` on two code runs into mask[0, n): 1 where it holds, else 0.
+void MaskColumns(CmpOp op, const uint32_t* a, const uint32_t* b, size_t n,
+                 uint8_t* mask) {
+  switch (op) {
+    case CmpOp::kEq:
+      for (size_t i = 0; i < n; ++i) mask[i] = a[i] == b[i];
+      return;
+    case CmpOp::kNe:
+      for (size_t i = 0; i < n; ++i) mask[i] = a[i] != b[i];
+      return;
+    case CmpOp::kLt:
+      for (size_t i = 0; i < n; ++i) mask[i] = a[i] < b[i];
+      return;
+    case CmpOp::kLe:
+      for (size_t i = 0; i < n; ++i) mask[i] = a[i] <= b[i];
+      return;
+    case CmpOp::kGt:
+      for (size_t i = 0; i < n; ++i) mask[i] = a[i] > b[i];
+      return;
+    case CmpOp::kGe:
+      for (size_t i = 0; i < n; ++i) mask[i] = a[i] >= b[i];
+      return;
   }
 }
 
-// Evaluates `p` under `logic` over rows [begin, end) of `t` into `mask`
-// (size end - begin).
-void EvalMask(const Predicate& p, const VecTable& t, size_t begin, size_t end,
-              NullLogic logic, std::vector<uint8_t>* mask) {
-  const size_t n = end - begin;
+// Node `i` of `p` under `logic` over rows [begin, begin + n) of `t`, the
+// table `p` was compiled for, into masks[i]; the operands' masks, earlier
+// in postorder, are already built. A comparison's two-valued outcome turns
+// Kleene under 3VL: TRUE becomes 2, and a row where an operand is a null (a
+// null code or a null constant) becomes UNKNOWN.
+void NodeMask(const CodePred& p, size_t i, const VecTable& t, size_t begin,
+              size_t n, NullLogic logic,
+              std::vector<std::vector<uint8_t>>* masks) {
+  using Kind = CodePred::Node::Kind;
+  const CodePred::Node& node = p.nodes[i];
+  const bool kleene = logic == NullLogic::kThreeValued;
   const uint8_t top = TrueByte(logic);
-  mask->resize(n);
-  switch (p.kind()) {
-    case Predicate::Kind::kTrue:
-      std::fill(mask->begin(), mask->end(), top);
+  uint8_t* mask = (*masks)[i].data();
+  switch (node.kind) {
+    case Kind::kConst:
+      std::fill(mask, mask + n,
+                kleene && node.null_const ? uint8_t{1}
+                                          : node.value ? top : uint8_t{0});
       return;
-    case Predicate::Kind::kFalse:
-      std::fill(mask->begin(), mask->end(), uint8_t{0});
-      return;
-    case Predicate::Kind::kAnd: {
-      std::vector<uint8_t> rhs;
-      EvalMask(*p.left(), t, begin, end, logic, mask);
-      EvalMask(*p.right(), t, begin, end, logic, &rhs);
-      for (size_t i = 0; i < n; ++i) {
-        (*mask)[i] = std::min((*mask)[i], rhs[i]);
+    case Kind::kIsNull: {
+      const uint32_t* codes = t.col(node.a).data() + begin;
+      for (size_t k = 0; k < n; ++k) {
+        mask[k] = codes[k] < p.null_end ? top : uint8_t{0};
       }
       return;
     }
-    case Predicate::Kind::kOr: {
-      std::vector<uint8_t> rhs;
-      EvalMask(*p.left(), t, begin, end, logic, mask);
-      EvalMask(*p.right(), t, begin, end, logic, &rhs);
-      for (size_t i = 0; i < n; ++i) {
-        (*mask)[i] = std::max((*mask)[i], rhs[i]);
+    case Kind::kAnd:
+    case Kind::kOr: {
+      const uint8_t* l = (*masks)[node.l].data();
+      const uint8_t* r = (*masks)[node.r].data();
+      if (node.kind == Kind::kAnd) {
+        for (size_t k = 0; k < n; ++k) mask[k] = std::min(l[k], r[k]);
+      } else {
+        for (size_t k = 0; k < n; ++k) mask[k] = std::max(l[k], r[k]);
       }
       return;
     }
-    case Predicate::Kind::kNot: {
-      EvalMask(*p.left(), t, begin, end, logic, mask);
-      for (size_t i = 0; i < n; ++i) (*mask)[i] = top - (*mask)[i];
+    case Kind::kNot: {
+      const uint8_t* l = (*masks)[node.l].data();
+      for (size_t k = 0; k < n; ++k) mask[k] = top - l[k];
       return;
     }
-    case Predicate::Kind::kIsNull: {
-      if (p.lhs().kind == Term::Kind::kConst) {
-        std::fill(mask->begin(), mask->end(),
-                  p.lhs().constant.is_null() ? top : uint8_t{0});
-        return;
-      }
-      const uint32_t* codes = t.col(p.lhs().column).data() + begin;
-      const uint32_t null_end = t.dict->null_end;
-      for (size_t i = 0; i < n; ++i) {
-        (*mask)[i] = codes[i] < null_end ? top : uint8_t{0};
-      }
-      return;
+    case Kind::kColumns:
+    case Kind::kRange:
+      break;
+  }
+  if (kleene && node.null_const) {
+    std::fill(mask, mask + n, uint8_t{1});
+    return;
+  }
+  const uint32_t* a = t.col(node.a).data() + begin;
+  const uint32_t* b = nullptr;
+  if (node.kind == Kind::kColumns) {
+    b = t.col(node.b).data() + begin;
+    MaskColumns(node.op, a, b, n, mask);
+  } else {
+    const uint32_t lo = node.range.lo;
+    const uint32_t span = node.range.hi - lo;
+    if (node.range.negate) {
+      for (size_t k = 0; k < n; ++k) mask[k] = a[k] - lo >= span;
+    } else {
+      for (size_t k = 0; k < n; ++k) mask[k] = a[k] - lo < span;
     }
-    case Predicate::Kind::kCmp:
-      CmpMask(p, t, begin, n, mask->data());
-      if (logic == NullLogic::kThreeValued) {
-        KleeneCmp(p, t, begin, n, mask->data());
-      }
-      return;
+  }
+  if (!kleene) return;
+  for (size_t k = 0; k < n; ++k) {
+    mask[k] = a[k] < p.null_end ? uint8_t{1} : uint8_t(2 * mask[k]);
+  }
+  if (b == nullptr) return;
+  for (size_t k = 0; k < n; ++k) {
+    if (b[k] < p.null_end) mask[k] = 1;
   }
 }
 
@@ -290,8 +251,10 @@ std::vector<uint32_t> ChunkedKeep(size_t n, const EvalOptions& options,
 }
 
 // Predicate-over-column selection: batched mask evaluation producing the
-// ascending ids of the rows where `pred` is TRUE under `logic`.
-std::vector<uint32_t> FilterRows(const Predicate& pred, const VecTable& t,
+// ascending ids of the rows where `pred`, compiled for `t`'s dictionary, is
+// TRUE under `logic`. Each chunk keeps one mask per node across its
+// batches.
+std::vector<uint32_t> FilterRows(const CodePred& pred, const VecTable& t,
                                  NullLogic logic, const EvalOptions& options,
                                  EvalStats* stats) {
   CountVectorized(stats, t.rows);
@@ -299,10 +262,15 @@ std::vector<uint32_t> FilterRows(const Predicate& pred, const VecTable& t,
   return ChunkedKeep(
       t.rows, options,
       [&](size_t begin, size_t end, std::vector<uint32_t>* keep) {
-        std::vector<uint8_t> mask;
+        std::vector<std::vector<uint8_t>> masks(
+            pred.nodes.size(),
+            std::vector<uint8_t>(std::min(end - begin, kVecBatchRows)));
+        const uint8_t* mask = masks[pred.root()].data();
         for (size_t b = begin; b < end; b += kVecBatchRows) {
           const size_t e = std::min(end, b + kVecBatchRows);
-          EvalMask(pred, t, b, e, logic, &mask);
+          for (size_t i = 0; i < pred.nodes.size(); ++i) {
+            NodeMask(pred, i, t, b, e - b, logic, &masks);
+          }
           for (size_t i = b; i < e; ++i) {
             if (mask[i - b] == top) keep->push_back(static_cast<uint32_t>(i));
           }
@@ -435,38 +403,13 @@ uint64_t MixCodes(const CodeView& v, size_t row,
   return h ^ cols.size();
 }
 
-// Sets used[c] for every column `p` reads.
-void MarkColumns(const Predicate& p, std::vector<uint8_t>* used) {
-  switch (p.kind()) {
-    case Predicate::Kind::kTrue:
-    case Predicate::Kind::kFalse:
-      return;
-    case Predicate::Kind::kAnd:
-    case Predicate::Kind::kOr:
-      MarkColumns(*p.left(), used);
-      MarkColumns(*p.right(), used);
-      return;
-    case Predicate::Kind::kNot:
-      MarkColumns(*p.left(), used);
-      return;
-    case Predicate::Kind::kIsNull:
-    case Predicate::Kind::kCmp:
-      if (p.lhs().kind == Term::Kind::kColumn) (*used)[p.lhs().column] = 1;
-      if (p.kind() == Predicate::Kind::kCmp &&
-          p.rhs().kind == Term::Kind::kColumn) {
-        (*used)[p.rhs().column] = 1;
-      }
-      return;
-  }
-}
-
 // Fused equi-join: a flat hash build over the right key columns, a chunked
 // probe over the left rows, residual and projection applied on codes. Under
 // 3VL a key equality with a null operand is UNKNOWN, so a left row with a
 // null key code matches nothing and does not probe.
 Result<VecTable> HashJoinVec(const VecTable& l, const VecTable& r,
                              const std::vector<JoinKey>& keys,
-                             const Predicate* residual,
+                             const PredicatePtr& residual,
                              const std::vector<size_t>* projection,
                              NullLogic logic, const EvalOptions& options,
                              EvalStats* stats, OpScope* scope) {
@@ -474,6 +417,8 @@ Result<VecTable> HashJoinVec(const VecTable& l, const VecTable& r,
   DictMerge m = MergeDicts(l.dict, r.dict);
   const CodeView lv = RemapInto(l, m, m.from_a);
   const CodeView rv = RemapInto(r, m, m.from_b);
+  const CodePred pred =
+      residual != nullptr ? CompilePred(residual, *m.dict) : CodePred{};
   std::vector<size_t> lcols;
   std::vector<size_t> rcols;
   lcols.reserve(keys.size());
@@ -558,7 +503,7 @@ Result<VecTable> HashJoinVec(const VecTable& l, const VecTable& r,
   std::vector<uint8_t> emit(arity, projection == nullptr ? 1 : 0);
   if (projection != nullptr) {
     for (size_t c : *projection) emit[c] = 1;
-    if (residual != nullptr) MarkColumns(*residual, &emit);
+    for (size_t c : pred.columns) emit[c] = 1;
   }
   std::vector<std::vector<uint32_t>> out(arity);
   for (size_t c = 0; c < arity; ++c) {
@@ -575,10 +520,10 @@ Result<VecTable> HashJoinVec(const VecTable& l, const VecTable& r,
   VecTable joined =
       VecTable::Own(arity, matches.size(), m.dict, std::move(out));
 
-  if (residual != nullptr) {
+  if (!pred.empty()) {
     // Keep the rows the residual passes, in place (ids ascend).
     const std::vector<uint32_t> keep =
-        FilterRows(*residual, joined, logic, options, stats);
+        FilterRows(pred, joined, logic, options, stats);
     for (size_t c = 0; c < arity; ++c) {
       if (!emit[c]) continue;
       std::vector<uint32_t>& col = joined.owned[c];
@@ -910,7 +855,7 @@ struct VRec {
         scope.CountIn(l.rows + r.rows);
         INCDB_ASSIGN_OR_RETURN(
             VecTable out,
-            HashJoinVec(l, r, split.keys, split.residual.get(), projection,
+            HashJoinVec(l, r, split.keys, split.residual, projection,
                         logic, options, stats, &scope));
         scope.CountOut(out.rows);
         return out;
@@ -930,7 +875,7 @@ struct VRec {
     OpScope scope(stats, EvalOp::kSelect);
     scope.CountIn(in.rows);
     const std::vector<uint32_t> keep =
-        FilterRows(*pred, in, logic, options, stats);
+        FilterRows(CompilePred(pred, *in.dict), in, logic, options, stats);
     VecTable out = GatherRows(in, keep);
     if (projection != nullptr) out = ProjectCols(out, *projection);
     scope.CountOut(out.rows);

@@ -5,6 +5,17 @@
 
 namespace incdb {
 
+WorldEnumOptions WithQueryConstants(const RAExprPtr& plan,
+                                    WorldEnumOptions opts) {
+  std::vector<Value> values;
+  CollectSelectionConstants(plan, &values);
+  WorldEncoding::CollectLiteralValues(plan, &values);
+  for (Value& v : values) {
+    if (!v.is_null()) opts.required_constants.push_back(std::move(v));
+  }
+  return opts;
+}
+
 void WorldEncoding::CollectLiteralValues(const RAExprPtr& e,
                                          std::vector<Value>* out) {
   if (e == nullptr) return;

@@ -13,8 +13,11 @@
 //    WorldSpace (its index in `nulls`), tagged with kNullSlot;
 //  * the domain as codes, ascending: nulls range over these codes only.
 //
-// Predicate constants are not added: σ and join residuals resolve them
-// against the dictionary as rank ranges (engine/kernels.h ResolveCmp).
+// The drivers build the space with the plan's own constants in the domain
+// (WithQueryConstants), so a non-null σ constant has a code. σ and join
+// residuals compile against the dictionary once (engine/kernels.h
+// CompilePred), and a constant outside it, a null one or any in a query
+// over stored c-tables, resolves to the rank range it would occupy.
 //
 // Immutable once built; thread-compatible.
 
@@ -31,6 +34,14 @@
 #include "util/status.h"
 
 namespace incdb {
+
+/// `opts` with the non-null constants of `plan`'s selection predicates and
+/// relation literals added to required_constants. Exactness rests on every
+/// world being isomorphic, over the constants of D and of the query, to one
+/// the domain covers, so the certain, possible and probability drivers on
+/// both backends, and the oracle's eq. (1) reference, walk this space.
+WorldEnumOptions WithQueryConstants(const RAExprPtr& plan,
+                                    WorldEnumOptions opts);
 
 class WorldEncoding {
  public:

@@ -42,30 +42,12 @@ bool SqlSelect::HasAggregates() const {
   return false;
 }
 
-const char* SqlCmpOpSymbol(SqlCmpOp op) {
-  switch (op) {
-    case SqlCmpOp::kEq:
-      return "=";
-    case SqlCmpOp::kNe:
-      return "<>";
-    case SqlCmpOp::kLt:
-      return "<";
-    case SqlCmpOp::kLe:
-      return "<=";
-    case SqlCmpOp::kGt:
-      return ">";
-    case SqlCmpOp::kGe:
-      return ">=";
-  }
-  return "?";
-}
-
 std::string SqlCondition::ToString() const {
   switch (kind) {
     case Kind::kTrue:
       return "TRUE";
     case Kind::kCmp:
-      return lhs.ToString() + " " + SqlCmpOpSymbol(op) + " " + rhs.ToString();
+      return lhs.ToString() + " " + CmpOpSymbol(op) + " " + rhs.ToString();
     case Kind::kAnd:
       return "(" + left->ToString() + " AND " + right->ToString() + ")";
     case Kind::kOr:

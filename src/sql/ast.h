@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "algebra/predicate.h"
 #include "core/value.h"
 
 namespace incdb {
@@ -84,10 +85,6 @@ using SqlQueryPtr = std::shared_ptr<SqlQuery>;
 struct SqlCondition;
 using SqlConditionPtr = std::shared_ptr<SqlCondition>;
 
-/// Comparison operator reuse from the algebra layer.
-enum class SqlCmpOp { kEq, kNe, kLt, kLe, kGt, kGe };
-const char* SqlCmpOpSymbol(SqlCmpOp op);
-
 /// A WHERE-clause condition node.
 struct SqlCondition {
   enum class Kind {
@@ -102,7 +99,7 @@ struct SqlCondition {
   };
 
   Kind kind = Kind::kTrue;
-  SqlCmpOp op = SqlCmpOp::kEq;
+  CmpOp op = CmpOp::kEq;  ///< for kCmp (the algebra's operators)
   SqlOperand lhs;
   SqlOperand rhs;
   SqlConditionPtr left;

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/columnar.h"
+#include "engine/kernels.h"
 #include "sql/parser.h"
 
 namespace incdb {
@@ -34,39 +35,17 @@ bool EqualsIgnoreCaseAlias(const std::string& a, const std::string& b) {
   return true;
 }
 
-bool CmpHolds(SqlCmpOp op, std::strong_ordering cmp) {
-  switch (op) {
-    case SqlCmpOp::kEq: return cmp == 0;
-    case SqlCmpOp::kNe: return cmp != 0;
-    case SqlCmpOp::kLt: return cmp < 0;
-    case SqlCmpOp::kLe: return cmp <= 0;
-    case SqlCmpOp::kGt: return cmp > 0;
-    case SqlCmpOp::kGe: return cmp >= 0;
-  }
-  return false;
-}
-
-SqlCmpOp MirrorOp(SqlCmpOp op) {
-  switch (op) {
-    case SqlCmpOp::kLt: return SqlCmpOp::kGt;
-    case SqlCmpOp::kLe: return SqlCmpOp::kGe;
-    case SqlCmpOp::kGt: return SqlCmpOp::kLt;
-    case SqlCmpOp::kGe: return SqlCmpOp::kLe;
-    default: return op;  // =, <> are symmetric
-  }
-}
-
 TruthValue FromBool(bool b) {
   return b ? TruthValue::kTrue : TruthValue::kFalse;
 }
 
 // a op b on values: UNKNOWN when a null meets anything outside naïve mode.
-TruthValue CompareValues(SqlEvalMode mode, SqlCmpOp op, const Value& a,
+TruthValue CompareValues(SqlEvalMode mode, CmpOp op, const Value& a,
                          const Value& b) {
   if (mode != SqlEvalMode::kNaive && (a.is_null() || b.is_null())) {
     return TruthValue::kUnknown;
   }
-  return FromBool(CmpHolds(op, a <=> b));
+  return FromBool(CmpBool(op, a <=> b));
 }
 
 // --- Aggregates, shared by both paths ---------------------------------------
@@ -129,21 +108,19 @@ struct Operand {
 
 // A comparison decided on codes, chosen when the code path prepares the
 // block: a constant (two literals, or a null literal outside naïve mode),
-// two columns compared by code, or a column whose code must fall inside (or
-// outside) the code range [lo, hi) that a literal's dictionary ranks give.
+// two columns compared by code, or a column whose code must fall in the
+// code range a literal resolves to (engine/kernels.h ResolveCmp).
 struct CodeCmp {
   enum class Kind { kConst, kColumns, kRange };
   Kind kind = Kind::kConst;
   TruthValue value = TruthValue::kUnknown;
   bool column_on_left = true;
-  uint32_t lo = 0;
-  uint32_t hi = 0;
-  bool inside = true;
+  CodeRange range;
 };
 
 struct Cond {
   SqlCondition::Kind kind = SqlCondition::Kind::kTrue;
-  SqlCmpOp op = SqlCmpOp::kEq;
+  CmpOp op = CmpOp::kEq;
   bool negated = false;
   Operand lhs;
   Operand rhs;
@@ -646,7 +623,7 @@ class TupleEvaluator {
         const Value& x = Get(c.lhs);
         TruthValue in = TruthValue::kFalse;
         for (const Tuple& s : sub->tuples()) {
-          in = Or3(in, CompareValues(mode_, SqlCmpOp::kEq, x, s[0]));
+          in = Or3(in, CompareValues(mode_, CmpOp::kEq, x, s[0]));
           if (in == TruthValue::kTrue) break;
         }
         return c.negated ? Not3(in) : in;
@@ -879,8 +856,8 @@ class CodeEvaluator {
   }
 
   // The dictionary is sorted by the total value order, the order
-  // CompareValues uses, so a literal's ranks turn `column op literal` into
-  // a code range: [LowerBound, UpperBound) holds the codes equal to it.
+  // CompareValues uses, so ResolveCmp turns `column op literal` into a code
+  // range once per query.
   CodeCmp CompileCmp(const Cond& c) const {
     CodeCmp k;
     if (c.lhs.literal && c.rhs.literal) {
@@ -894,18 +871,9 @@ class CodeEvaluator {
     k.column_on_left = !c.lhs.literal;
     const Value& v = k.column_on_left ? c.rhs.value : c.lhs.value;
     if (!naive_ && v.is_null()) return k;  // UNKNOWN for every row
-    const SqlCmpOp op = k.column_on_left ? c.op : MirrorOp(c.op);
-    const uint32_t lb = dict_->LowerBound(v);
-    const uint32_t ub = dict_->UpperBound(v);
     k.kind = CodeCmp::Kind::kRange;
-    switch (op) {
-      case SqlCmpOp::kEq: k.lo = lb; k.hi = ub; k.inside = true; break;
-      case SqlCmpOp::kNe: k.lo = lb; k.hi = ub; k.inside = false; break;
-      case SqlCmpOp::kLt: k.hi = lb; k.inside = true; break;
-      case SqlCmpOp::kLe: k.hi = ub; k.inside = true; break;
-      case SqlCmpOp::kGt: k.hi = ub; k.inside = false; break;
-      case SqlCmpOp::kGe: k.hi = lb; k.inside = false; break;
-    }
+    k.range =
+        ResolveCmp(k.column_on_left ? c.op : MirrorOp(c.op), *dict_, v);
     return k;
   }
 
@@ -940,7 +908,7 @@ class CodeEvaluator {
         continue;
       }
       const size_t depth = std::max(depth_of(c->lhs), depth_of(c->rhs));
-      if (!b.maybe && c->op == SqlCmpOp::kEq && !b.equi[depth].active) {
+      if (!b.maybe && c->op == CmpOp::kEq && !b.equi[depth].active) {
         const Operand* here = nullptr;
         const Operand* other = nullptr;
         if (bound_at(c->lhs, depth) && !bound_at(c->rhs, depth)) {
@@ -1134,12 +1102,12 @@ class CodeEvaluator {
         if (!naive_ && (a < null_end_ || b < null_end_)) {
           return TruthValue::kUnknown;
         }
-        return FromBool(CmpHolds(c.op, a <=> b));
+        return FromBool(CmpBool(c.op, a <=> b));
       }
       case CodeCmp::Kind::kRange: {
         const uint32_t code = Code(k.column_on_left ? c.lhs : c.rhs);
         if (!naive_ && code < null_end_) return TruthValue::kUnknown;
-        return FromBool((code >= k.lo && code < k.hi) == k.inside);
+        return FromBool(k.range.Holds(code));
       }
     }
     return TruthValue::kUnknown;

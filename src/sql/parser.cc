@@ -187,25 +187,25 @@ class Parser {
     }
     if (negated) return Error("expected IN after NOT");
     // comparison
-    SqlCmpOp op;
+    CmpOp op;
     switch (Peek().type) {
       case TokenType::kEq:
-        op = SqlCmpOp::kEq;
+        op = CmpOp::kEq;
         break;
       case TokenType::kNe:
-        op = SqlCmpOp::kNe;
+        op = CmpOp::kNe;
         break;
       case TokenType::kLt:
-        op = SqlCmpOp::kLt;
+        op = CmpOp::kLt;
         break;
       case TokenType::kLe:
-        op = SqlCmpOp::kLe;
+        op = CmpOp::kLe;
         break;
       case TokenType::kGt:
-        op = SqlCmpOp::kGt;
+        op = CmpOp::kGt;
         break;
       case TokenType::kGe:
-        op = SqlCmpOp::kGe;
+        op = CmpOp::kGe;
         break;
       default:
         return Error("expected comparison, IN, or IS NULL");

@@ -10,7 +10,7 @@ bool IsPositiveCondition(const SqlCondition& c) {
     case SqlCondition::Kind::kTrue:
       return true;
     case SqlCondition::Kind::kCmp:
-      return c.op == SqlCmpOp::kEq;
+      return c.op == CmpOp::kEq;
     case SqlCondition::Kind::kAnd:
     case SqlCondition::Kind::kOr:
       return IsPositiveCondition(*c.left) && IsPositiveCondition(*c.right);

@@ -42,24 +42,6 @@ Result<Term> OperandToTerm(const SqlOperand& op, const FromLayout& layout) {
   return Term::Column(col);
 }
 
-CmpOp ToCmpOp(SqlCmpOp op) {
-  switch (op) {
-    case SqlCmpOp::kEq:
-      return CmpOp::kEq;
-    case SqlCmpOp::kNe:
-      return CmpOp::kNe;
-    case SqlCmpOp::kLt:
-      return CmpOp::kLt;
-    case SqlCmpOp::kLe:
-      return CmpOp::kLe;
-    case SqlCmpOp::kGt:
-      return CmpOp::kGt;
-    case SqlCmpOp::kGe:
-      return CmpOp::kGe;
-  }
-  return CmpOp::kEq;
-}
-
 // Translates a pure-predicate condition (no subqueries anywhere).
 Result<PredicatePtr> ConditionToPredicate(const SqlCondition& c,
                                           const FromLayout& layout) {
@@ -69,7 +51,7 @@ Result<PredicatePtr> ConditionToPredicate(const SqlCondition& c,
     case SqlCondition::Kind::kCmp: {
       INCDB_ASSIGN_OR_RETURN(Term lhs, OperandToTerm(c.lhs, layout));
       INCDB_ASSIGN_OR_RETURN(Term rhs, OperandToTerm(c.rhs, layout));
-      return Predicate::Cmp(ToCmpOp(c.op), std::move(lhs), std::move(rhs));
+      return Predicate::Cmp(c.op, std::move(lhs), std::move(rhs));
     }
     case SqlCondition::Kind::kAnd: {
       INCDB_ASSIGN_OR_RETURN(PredicatePtr a,

@@ -43,11 +43,28 @@ struct Gen {
     return Value::Null(nulls.empty() ? 0 : nulls.back() + 1);
   }
 
+  // A selection constant: mostly one the instance may hold, now and then
+  // one no dictionary holds — below every integer, just past the
+  // instance's, or a string below, between or above its strings ("s0",
+  // "s1", ...).
+  Value SelectionConst() {
+    if (!rng.Bernoulli(0.15)) return RandomConst();
+    static const char* const kStrings[] = {"a", "s0a", "zz"};
+    switch (rng.Uniform(4)) {
+      case 0:
+        return Value::Int(-1);
+      case 1:
+        return Value::Int(config.domain_size);
+      default:
+        return Value::Str(kStrings[rng.Uniform(3)]);
+    }
+  }
+
   Term RandomTerm(size_t arity) {
     if (rng.Bernoulli(0.6)) {
       return Term::Column(static_cast<size_t>(rng.Uniform(arity)));
     }
-    return Term::Const(RandomConst());
+    return Term::Const(SelectionConst());
   }
 
   // A selection predicate over `arity` columns. Positive fragments get

@@ -2,10 +2,10 @@
 //
 // Plans are generated bottom-up against a concrete database (scans use its
 // relation names and arities; selection constants are drawn from its value
-// domain; a relation literal's cell is now and then a null, one of the
-// database's or a fresh one) and stratified by the paper's fragments: a
-// requested
-// QueryClass bounds the operator vocabulary —
+// domain and now and then from outside every dictionary; a relation
+// literal's cell is now and then a null, one of the database's or a fresh
+// one) and stratified by the paper's fragments: a requested QueryClass
+// bounds the operator vocabulary —
 //
 //   kPositive: σ (positive predicates: =, AND, OR), π, ×, ∪, ∩, Δ
 //   kRAcwa:    kPositive plus guarded division Q ÷ Q' with Q' ∈ RA(Δ,π,×,∪)
@@ -35,7 +35,9 @@ struct PlanGenConfig {
   QueryClass fragment = QueryClass::kFullRA;
   /// Maximum operator-tree depth above the scans.
   size_t max_depth = 3;
-  /// Constants in predicates are drawn from [0, domain_size).
+  /// Constants in predicates are drawn from [0, domain_size), and now and
+  /// then are -1, domain_size or a string ('a', 's0a', 'zz') that sorts
+  /// below, between or above the instance's strings.
   int64_t domain_size = 4;
   /// Probability that a unary position adds a selection / projection rather
   /// than recursing into a binary operator.

@@ -116,7 +116,8 @@ std::optional<Relation> CrossCheck(const std::string& what,
 
 // Folds Q(v(D)) over the CWA worlds in ForEachWorldCwa's order into `acc`:
 // the first world's answer seeds it, `combine(acc, answer)` folds in each
-// later one, and the walk stops once `done(acc)` holds.
+// later one, and the walk stops once `done(acc)` holds. The domain holds
+// the plan's constants (WithQueryConstants).
 template <typename Combine, typename Done>
 Result<Relation> FoldWorldAnswers(const RAExprPtr& plan, const Database& db,
                                   const WorldEnumOptions& opts,
@@ -129,7 +130,8 @@ Result<Relation> FoldWorldAnswers(const RAExprPtr& plan, const Database& db,
   nested.num_threads = 1;
   std::optional<Relation> acc;
   Status eval = Status::OK();
-  INCDB_RETURN_IF_ERROR(ForEachWorldCwa(db, opts, [&](const Database& world) {
+  const WorldEnumOptions qopts = WithQueryConstants(plan, opts);
+  INCDB_RETURN_IF_ERROR(ForEachWorldCwa(db, qopts, [&](const Database& world) {
     Result<Relation> ans = EvalNaive(plan, world, nested);
     if (!ans.ok()) {
       eval = ans.status();
@@ -178,7 +180,10 @@ OracleReport CheckCase(const RAExprPtr& plan, const Database& db,
   OracleReport report;
   WorldEnumOptions world_opts;
   world_opts.max_worlds = options.max_worlds_per_case + 1;
-  if (CountWorldsCwa(db, world_opts) > options.max_worlds_per_case) {
+  // The space every world-quantified notion walks: D's, with the plan's
+  // constants in the domain.
+  const WorldEnumOptions query_opts = WithQueryConstants(plan, world_opts);
+  if (CountWorldsCwa(db, query_opts) > options.max_worlds_per_case) {
     report.skipped.push_back("case: world space exceeds max_worlds_per_case");
     return report;
   }
@@ -373,13 +378,16 @@ OracleReport CheckCase(const RAExprPtr& plan, const Database& db,
     // carry probability exactly 1 (a certain tuple is in every world, so
     // even a sampled tally hits on every admitted sample), and the
     // threshold-1.0 relation therefore covers the certain answers. When
-    // every row is exact the description is complete: reported == possible,
-    // probability-1 set == certain, relation == certain.
+    // the run drew no sample and every row is exact the description is
+    // complete: reported == possible, probability-1 set == certain,
+    // relation == certain. A sampled run reports only the tuples its
+    // samples hit, so its table may even be empty.
     auto check_table = [&](const std::string& what, const Relation& rel,
-                           const std::vector<TupleProbability>& tab) {
+                           const std::vector<TupleProbability>& tab,
+                           bool sampled) {
       Relation reported(possible->arity());
       Relation prob_one(possible->arity());
-      bool all_exact = true;
+      bool all_exact = !sampled;
       for (const TupleProbability& p : tab) {
         reported.Add(p.tuple);
         all_exact = all_exact && p.exact;
@@ -429,18 +437,24 @@ OracleReport CheckCase(const RAExprPtr& plan, const Database& db,
     // Runs one driver configuration; kUnsupported / kResourceExhausted are
     // legitimate refusals (condition language, counting budget), anything
     // else is a violation because the enumeration reference succeeded.
+    // `sampled` tells whether the run drew a sample.
     auto run_prob =
         [&](const std::string& what, bool ctable,
             const ProbabilisticOptions& popts,
-            std::vector<TupleProbability>* tab) -> std::optional<Relation> {
+            std::vector<TupleProbability>* tab,
+            bool* sampled) -> std::optional<Relation> {
       ++report.configs_run;
+      EvalStats stats;
+      EvalOptions eval;
+      eval.stats = &stats;
       Result<Relation> r =
           ctable ? CertainAnswersWithProbabilityCTable(
                        plan, db, WorldSemantics::kClosedWorld, popts,
-                       world_opts, {}, tab)
+                       world_opts, eval, tab)
                  : CertainAnswersWithProbabilityEnum(
                        plan, db, WorldSemantics::kClosedWorld, popts,
-                       world_opts, {}, tab);
+                       world_opts, eval, tab);
+      *sampled = stats.samples_drawn() > 0;
       if (r.ok()) return std::move(r).value();
       if (r.status().code() == StatusCode::kUnsupported ||
           r.status().code() == StatusCode::kResourceExhausted) {
@@ -471,19 +485,22 @@ OracleReport CheckCase(const RAExprPtr& plan, const Database& db,
     // Exact mode, both backends. Exact probabilities are the same rational
     // count/total on both sides, computed by different factorings — agree
     // up to FP rounding.
+    bool sampled_run = false;
     std::vector<TupleProbability> exact_enum;
     std::optional<Relation> exact_enum_rel =
         run_prob("probability/exact-enum", /*ctable=*/false, popts,
-                 &exact_enum);
+                 &exact_enum, &sampled_run);
     if (exact_enum_rel) {
-      check_table("probability/exact-enum", *exact_enum_rel, exact_enum);
+      check_table("probability/exact-enum", *exact_enum_rel, exact_enum,
+                  sampled_run);
     }
     std::vector<TupleProbability> exact_ct;
     std::optional<Relation> exact_ct_rel =
         run_prob("probability/exact-ctable", /*ctable=*/true, popts,
-                 &exact_ct);
+                 &exact_ct, &sampled_run);
     if (exact_ct_rel) {
-      check_table("probability/exact-ctable", *exact_ct_rel, exact_ct);
+      check_table("probability/exact-ctable", *exact_ct_rel, exact_ct,
+                  sampled_run);
     }
     if (exact_enum_rel && exact_ct_rel) {
       bool agree = exact_enum.size() == exact_ct.size();
@@ -534,15 +551,15 @@ OracleReport CheckCase(const RAExprPtr& plan, const Database& db,
     std::vector<TupleProbability> serial_enum;
     std::optional<Relation> serial_rel = run_prob(
         "probability/sampled-enum-serial", /*ctable=*/false, sampled,
-        &serial_enum);
+        &serial_enum, &sampled_run);
     if (serial_rel) {
       check_table("probability/sampled-enum-serial", *serial_rel,
-                  serial_enum);
+                  serial_enum, sampled_run);
       sampled.sampling.num_threads = options.num_threads;
       std::vector<TupleProbability> parallel_enum;
       std::optional<Relation> parallel_rel = run_prob(
           "probability/sampled-enum-parallel", /*ctable=*/false, sampled,
-          &parallel_enum);
+          &parallel_enum, &sampled_run);
       if (parallel_rel && !tables_equal(serial_enum, parallel_enum)) {
         report.violations.push_back(
             "probability: sampled tallies differ across thread counts: "
@@ -552,7 +569,7 @@ OracleReport CheckCase(const RAExprPtr& plan, const Database& db,
       std::vector<TupleProbability> sampled_ct;
       std::optional<Relation> sampled_ct_rel = run_prob(
           "probability/sampled-ctable", /*ctable=*/true, sampled,
-          &sampled_ct);
+          &sampled_ct, &sampled_run);
       if (sampled_ct_rel && !tables_equal(serial_enum, sampled_ct)) {
         report.violations.push_back(
             "probability: sampled-ctable != sampled-enum at equal seed: "
@@ -598,7 +615,7 @@ OracleReport CheckCase(const RAExprPtr& plan, const Database& db,
     CodeCTable table;
   };
   std::vector<CodeTable> code_tables;
-  const WorldSpace space = MakeWorldSpace(db, world_opts);
+  const WorldSpace space = MakeWorldSpace(db, query_opts);
   for (const bool served : {true, false}) {
     const RAExprPtr p = served ? Optimize(plan, db) : plan;
     EvalOptions eval;
@@ -620,7 +637,7 @@ OracleReport CheckCase(const RAExprPtr& plan, const Database& db,
   }
   if (!code_tables.empty()) {
     std::vector<uint32_t> codes;
-    Status st = ForEachValuation(db, world_opts, [&](const Valuation& v) {
+    Status st = ForEachValuation(db, query_opts, [&](const Valuation& v) {
       Result<Relation> expected = EvalNaive(plan, v.Apply(db), nested);
       if (!expected.ok()) {
         report.violations.push_back("ctables: world evaluation failed: " +

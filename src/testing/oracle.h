@@ -100,9 +100,11 @@ struct OracleReport {
 /// certain(Q, D) under CWA as eq. (1) writes it: the intersection of
 /// Q(v(D)) over every world v(D), walked one world at a time by the serial
 /// ForEachWorldCwa and evaluated by the nested-loop EvalNaive
-/// (`use_hash_kernels = false`, `optimize = false`). Stops early once the
-/// intersection is empty. The reference the enumeration backend is checked
-/// against; exponential in the number of nulls.
+/// (`use_hash_kernels = false`, `optimize = false`). The domain is `opts`'s
+/// with the plan's constants added (WithQueryConstants), as the drivers
+/// build it. Stops early once the intersection is empty. The reference the
+/// enumeration backend is checked against; exponential in the number of
+/// nulls.
 Result<Relation> ReferenceCertainAnswers(const RAExprPtr& plan,
                                          const Database& db,
                                          const WorldEnumOptions& opts = {});

@@ -11,6 +11,7 @@
 #include "algebra/eval.h"
 #include "ctables/ctable_algebra.h"
 #include "testing/fuzz_gen.h"
+#include "testing/oracle.h"
 #include "util/random.h"
 #include "workload/generators.h"
 
@@ -232,6 +233,47 @@ namespace {
 // plan, the database and max_worlds: a world count above the budget is
 // refused before any chain starts, so an early exit on an empty
 // intersection can no longer race the shared budget at some thread counts.
+TEST(CertainTest, NaiveRefusesANullSelectionConstant) {
+  // R = {(1, 2), (_0, 3)}: σ_{#0 = _0} matches (_0, 3) under naïve
+  // evaluation, but in every world _0 is a constant and the predicate's _0
+  // stays a null, so the certain answer is empty.
+  Database db;
+  db.AddTuple("R", Tuple{Value::Int(1), Value::Int(2)});
+  db.AddTuple("R", Tuple{Value::Null(0), Value::Int(3)});
+  auto q = RAExpr::Project(
+      {1}, RAExpr::Select(Predicate::Eq(Term::Column(0),
+                                        Term::Const(Value::Null(0))),
+                          RAExpr::Scan("R")));
+  const Relation none(1);
+  for (auto sem : {WorldSemantics::kOpenWorld, WorldSemantics::kClosedWorld,
+                   WorldSemantics::kWeakClosedWorld}) {
+    auto naive = CertainAnswersNaive(q, db, sem);
+    ASSERT_FALSE(naive.ok()) << WorldSemanticsName(sem);
+    EXPECT_EQ(naive.status().code(), StatusCode::kUnsupported);
+    EXPECT_NE(naive.status().message().find(
+                  "whose selection compares with the null _0"),
+              std::string::npos)
+        << naive.status().ToString();
+    auto forced = CertainAnswersNaive(q, db, sem, /*force=*/true);
+    ASSERT_TRUE(forced.ok());
+    EXPECT_EQ(*forced, Relation(1, {Tuple{Value::Int(3)}}));
+  }
+  auto reference = ReferenceCertainAnswers(q, db);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  EXPECT_EQ(*reference, none);
+  for (auto sem :
+       {WorldSemantics::kOpenWorld, WorldSemantics::kClosedWorld}) {
+    auto en = CertainAnswersEnum(q, db, sem);
+    auto ct = CertainAnswersCTable(q, db, sem);
+    ASSERT_TRUE(en.ok()) << en.status().ToString();
+    ASSERT_TRUE(ct.ok()) << ct.status().ToString();
+    EXPECT_EQ(*en, none) << WorldSemanticsName(sem);
+    EXPECT_EQ(*ct, none) << WorldSemanticsName(sem);
+  }
+  const OracleReport report = CheckCase(q, db);
+  EXPECT_TRUE(report.ok()) << report.violations.front();
+}
+
 TEST(CertainBudgetTest, StatusIndependentOfThreadsAndRuns) {
   Rng rng(37);
   WorldEnumOptions opts;

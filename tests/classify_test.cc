@@ -112,5 +112,29 @@ TEST(ClassifyTest, NoGuaranteeWithANullInARelationLiteral) {
   }
 }
 
+TEST(ClassifyTest, NoGuaranteeWithANullSelectionConstant) {
+  // π_1(σ_{#0 = _0}(R)) is positive, but valuations never apply to the
+  // predicate's _0: naïve evaluation matches the null _0 of D, no world
+  // holds it.
+  auto select = [](Value c) {
+    return RAExpr::Project(
+        {1}, RAExpr::Select(Predicate::Eq(Term::Column(0),
+                                          Term::Const(std::move(c))),
+                            RAExpr::Scan("R")));
+  };
+  auto with_null = select(Value::Null(0));
+  auto ground = select(Value::Int(0));
+  EXPECT_EQ(Classify(with_null), QueryClass::kPositive);
+  EXPECT_EQ(SelectionNull(with_null), Value::Null(0));
+  EXPECT_EQ(SelectionNull(ground), std::nullopt);
+  EXPECT_FALSE(LiteralHoldsNull(with_null));
+  for (WorldSemantics semantics :
+       {WorldSemantics::kOpenWorld, WorldSemantics::kClosedWorld,
+        WorldSemantics::kWeakClosedWorld}) {
+    EXPECT_FALSE(NaiveEvaluationWorks(with_null, semantics));
+    EXPECT_TRUE(NaiveEvaluationWorks(ground, semantics));
+  }
+}
+
 }  // namespace
 }  // namespace incdb

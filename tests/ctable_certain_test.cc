@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "algebra/certain.h"
+#include "algebra/parser.h"
 #include "counting/probabilistic.h"
 #include "ctables/code_ctable.h"
 #include "ctables/ctable_algebra.h"
@@ -431,6 +432,61 @@ TEST_P(CTableLiteralSweep, LiteralsWithFreshOrSharedNulls) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, CTableLiteralSweep,
                          ::testing::Range<uint64_t>(0, 12));
+
+// A selection constant that D lacks is in the world domain: the null can
+// take it. Over R = {(_0)} and S = {(3)} the domain is {3, 7, 8}, and the
+// world _0 ↦ 7 removes (3) from S − π(σ_{#0 = 7}(R × S)).
+TEST(CTableQueryConstants, JoinTheWorldDomain) {
+  Database db;
+  db.AddTuple("R", Tuple{Value::Null(0)});
+  db.AddTuple("S", Tuple{Value::Int(3)});
+  const Result<RAExprPtr> diff = ParseRA("S - proj{1}(sel[#0 = 7](R x S))");
+  const Result<RAExprPtr> sel = ParseRA("sel[#0 = 7](R)");
+  ASSERT_TRUE(diff.ok() && sel.ok());
+  ExpectBackendsMatchReference(*diff, db);
+  ExpectBackendsMatchReference(*sel, db);
+  const WorldEnumOptions opts = SmallWorlds();
+  const Relation none(1);
+  const Relation three(1, {Tuple{Value::Int(3)}});
+  const Relation seven(1, {Tuple{Value::Int(7)}});
+  EXPECT_EQ(*ReferenceCertainAnswers(*diff, db, opts), none);
+  EXPECT_EQ(*ReferencePossibleAnswers(*sel, db, opts), seven);
+  QueryEngine engine(db);
+  for (Backend backend : {Backend::kEnumeration, Backend::kCTable}) {
+    const bool ct = backend == Backend::kCTable;
+    const std::string name = BackendName(backend);
+    auto c = ct ? CertainAnswersCTable(*diff, db, WorldSemantics::kClosedWorld,
+                                       opts)
+                : CertainAnswersEnum(*diff, db, WorldSemantics::kClosedWorld,
+                                     opts);
+    ASSERT_TRUE(c.ok()) << c.status().ToString();
+    EXPECT_EQ(*c, none) << name;
+    auto p = ct ? PossibleAnswersCTable(*sel, db, opts)
+                : PossibleAnswersEnum(*sel, db, opts);
+    ASSERT_TRUE(p.ok()) << p.status().ToString();
+    EXPECT_EQ(*p, seven) << name;
+    std::vector<TupleProbability> table;
+    auto pr = ct ? CertainAnswersWithProbabilityCTable(
+                       *diff, db, WorldSemantics::kClosedWorld, {}, opts, {},
+                       &table)
+                 : CertainAnswersWithProbabilityEnum(
+                       *diff, db, WorldSemantics::kClosedWorld, {}, opts, {},
+                       &table);
+    ASSERT_TRUE(pr.ok()) << pr.status().ToString();
+    ASSERT_EQ(table.size(), 1u) << name;
+    EXPECT_EQ(table[0].tuple, Tuple{Value::Int(3)}) << name;
+    EXPECT_TRUE(table[0].exact) << name;
+    EXPECT_EQ(table[0].probability, 2.0 / 3.0) << name;
+    auto resp = engine.Run(
+        QueryRequestBuilder(
+            QueryInput::RaText("S - proj{1}(sel[#0 = 7](R x S))"))
+            .Notion(AnswerNotion::kCertainEnum)
+            .OnBackend(backend)
+            .Build());
+    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+    EXPECT_EQ(resp->relation, none) << name;
+  }
+}
 
 // IS NULL is world-invariant: no cell of a world is null but a literal's
 // null, which is a value in every world.

@@ -130,6 +130,8 @@ TEST_P(HashKernelSweep, SqlCodePathMatchesReference) {
       "SELECT a FROM R0 WHERE b <> 17",
       "SELECT a FROM R0 WHERE b < 17 AND a >= -3",
       "SELECT a, b FROM R0 WHERE b >= 'zz' OR a < 'm'",
+      "SELECT a FROM R0 WHERE b <= 17 AND a > -3",
+      "SELECT a, b FROM R0 WHERE b > 'zz' OR a <= 'm'",
       "SELECT c FROM R1 WHERE d = 'zz'",
       // Literal SELECT items, in and out of the dictionary, and as IN
       // operands.

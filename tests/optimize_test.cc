@@ -51,7 +51,7 @@ TEST(OptimizeTest, StackedSelectionsFuseAndSplitOverProduct) {
       RAExpr::Select(Predicate::Eq(Term::Column(0), Term::Const(Value::Int(1))),
                      RAExpr::Product(RAExpr::Scan("R"), RAExpr::Scan("S"))));
   OptimizerReport report;
-  RAExprPtr opt = Optimize(e, db, {}, &report);
+  RAExprPtr opt = Optimize(e, db, &report);
   EXPECT_GE(report.selections_fused, 1u);
   EXPECT_GE(report.selections_pushed, 1u);
   ASSERT_EQ(opt->kind(), RAExpr::Kind::kSelect);
@@ -67,7 +67,7 @@ TEST(OptimizeTest, SelectionDistributesOverUnion) {
       Predicate::Eq(Term::Column(0), Term::Const(Value::Int(2))),
       RAExpr::Union(RAExpr::Scan("R"), RAExpr::Scan("S")));
   OptimizerReport report;
-  RAExprPtr opt = Optimize(e, db, {}, &report);
+  RAExprPtr opt = Optimize(e, db, &report);
   EXPECT_EQ(opt->kind(), RAExpr::Kind::kUnion) << opt->ToString();
   EXPECT_GE(report.selections_pushed, 1u);
   ExpectSameAnswer(e, opt, db);
@@ -93,7 +93,7 @@ TEST(OptimizeTest, ProjectionsCompose) {
   auto e = RAExpr::Project(
       {0}, RAExpr::Project({1, 0}, RAExpr::Scan("R")));
   OptimizerReport report;
-  RAExprPtr opt = Optimize(e, db, {}, &report);
+  RAExprPtr opt = Optimize(e, db, &report);
   ASSERT_EQ(opt->kind(), RAExpr::Kind::kProject);
   EXPECT_EQ(opt->columns(), (std::vector<size_t>{1}));
   EXPECT_EQ(opt->left()->kind(), RAExpr::Kind::kScan);
@@ -147,7 +147,7 @@ TEST(OptimizeTest, GreedyJoinOrderingStartsFromSmallestRelation) {
       RAExpr::Product(RAExpr::Product(RAExpr::Scan("R"), RAExpr::Scan("S")),
                       RAExpr::Scan("T")));
   OptimizerReport report;
-  RAExprPtr opt = Optimize(e, db, {}, &report);
+  RAExprPtr opt = Optimize(e, db, &report);
   EXPECT_GE(report.joins_reordered, 1u) << opt->ToString();
   EXPECT_EQ(opt->kind(), RAExpr::Kind::kProject) << opt->ToString();
   ExpectSameAnswer(e, opt, db);
@@ -162,22 +162,9 @@ TEST(OptimizeTest, JoinOrderingLeavesGoodOrdersAlone) {
       RAExpr::Product(RAExpr::Product(RAExpr::Scan("T"), RAExpr::Scan("S")),
                       RAExpr::Scan("R")));
   OptimizerReport report;
-  RAExprPtr opt = Optimize(e, db, {}, &report);
+  RAExprPtr opt = Optimize(e, db, &report);
   EXPECT_EQ(report.joins_reordered, 0u) << opt->ToString();
   ExpectSameAnswer(e, opt, db);
-}
-
-TEST(OptimizeTest, RewriteFamiliesCanBeDisabled) {
-  Database db = TestDb();
-  auto e = RAExpr::Select(
-      Predicate::Eq(Term::Column(0), Term::Const(Value::Int(2))),
-      RAExpr::Union(RAExpr::Scan("R"), RAExpr::Scan("S")));
-  OptimizerOptions off;
-  off.push_selections = false;
-  off.push_projections = false;
-  off.reorder_joins = false;
-  RAExprPtr opt = Optimize(e, db, off);
-  EXPECT_EQ(opt.get(), e.get());  // nothing enabled → the same tree back
 }
 
 TEST(OptimizeTest, FragmentIsPreservedAcrossTheFragments) {

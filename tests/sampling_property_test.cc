@@ -24,6 +24,7 @@
 #include "counting/probabilistic.h"
 #include "counting/sampler.h"
 #include "core/possible_worlds.h"
+#include "engine/world_encoding.h"
 #include "testing/fuzz_gen.h"
 #include "util/random.h"
 
@@ -121,7 +122,9 @@ TEST(SamplingProperty, ConvergesToExactEnumeration) {
     const GeneratedPlan gp = RandomPlan(rng, db, gen);
     // Stay under ProbabilisticOptions::max_exact_worlds so the exact-mode
     // check below really takes the exact path on the enumeration backend.
-    WorldEnumOptions wopts;
+    // The drivers walk D's worlds with the plan's constants in the domain,
+    // and so does the ground truth.
+    const WorldEnumOptions wopts = WithQueryConstants(gp.plan, {});
     if (CountWorldsCwa(db, wopts) > 50'000) continue;
     ++cases;
 

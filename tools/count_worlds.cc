@@ -136,16 +136,6 @@ int main(int argc, char** argv) {
     db = *std::move(loaded);
   }
 
-  incdb::WorldEnumOptions wopts;
-  std::printf("nulls: %zu   domain: %zu   worlds: ", db.Nulls().size(),
-              incdb::WorldDomain(db, wopts).size());
-  const uint64_t worlds = incdb::CountWorldsCwa(db, wopts);
-  if (worlds == UINT64_MAX) {
-    std::printf(">= 2^64\n");
-  } else {
-    std::printf("%llu\n", static_cast<unsigned long long>(worlds));
-  }
-
   incdb::QueryEngine engine(db);
   const incdb::QueryRequest request =
       incdb::QueryRequestBuilder(
@@ -164,6 +154,19 @@ int main(int argc, char** argv) {
   if (!resp.ok()) {
     std::fprintf(stderr, "error: %s\n", resp.status().ToString().c_str());
     return 1;
+  }
+
+  // The space the drivers counted: D's worlds, the query's constants in
+  // the domain.
+  const incdb::WorldEnumOptions wopts =
+      incdb::WithQueryConstants(resp->plan, incdb::WorldEnumOptions{});
+  std::printf("nulls: %zu   domain: %zu   worlds: ", db.Nulls().size(),
+              incdb::WorldDomain(db, wopts).size());
+  const uint64_t worlds = incdb::CountWorldsCwa(db, wopts);
+  if (worlds == UINT64_MAX) {
+    std::printf(">= 2^64\n");
+  } else {
+    std::printf("%llu\n", static_cast<unsigned long long>(worlds));
   }
 
   std::printf("backend: %s   threshold: %.4g   time: %.3fs\n",
