@@ -74,23 +74,27 @@ struct Summary {
 };
 const Summary kSummary;
 
-void RunNaiveEvaluation(benchmark::State& state, bool use_hash_kernels) {
+// Times `certain(q, db, stats)`, the naïve certain answers of the join.
+template <typename Certain>
+void RunNaiveEvaluation(benchmark::State& state, Certain certain) {
   Database db = DbWithNulls(static_cast<size_t>(state.range(0)), 7);
   auto q = JoinQuery();
   EvalStats stats;
-  EvalOptions options;
-  options.stats = &stats;
-  options.use_hash_kernels = use_hash_kernels;
   for (auto _ : state) {
-    auto r = CertainAnswersNaive(q, db, WorldSemantics::kClosedWorld,
-                                 /*force=*/false, options);
+    auto r = certain(q, db, &stats);
     benchmark::DoNotOptimize(r);
   }
   incdb_bench::ReportEvalStats(state, stats);
 }
 
 void BM_NaiveEvaluation(benchmark::State& state) {
-  RunNaiveEvaluation(state, /*use_hash_kernels=*/true);
+  RunNaiveEvaluation(state, [](const RAExprPtr& q, const Database& db,
+                               EvalStats* stats) {
+    EvalOptions options;
+    options.stats = stats;
+    return CertainAnswersNaive(q, db, WorldSemantics::kClosedWorld,
+                               /*force=*/false, options);
+  });
 }
 // rows per relation = max(4, #nulls): past 12 the argument mostly scales
 // the data so the join-kernel asymptotics show.
@@ -101,7 +105,11 @@ BENCHMARK(BM_NaiveEvaluation)->DenseRange(2, 12, 2)->Arg(32)->Arg(64)->Arg(
 // runnable so speedups are attributable: compare probes/tuples_in between
 // the two variants at equal args.
 void BM_NaiveEvaluationNestedLoop(benchmark::State& state) {
-  RunNaiveEvaluation(state, /*use_hash_kernels=*/false);
+  RunNaiveEvaluation(state, [](const RAExprPtr& q, const Database& db,
+                               EvalStats* stats) -> Result<Relation> {
+    INCDB_ASSIGN_OR_RETURN(Relation naive, EvalNaiveReference(q, db, stats));
+    return naive.CompletePart();
+  });
 }
 BENCHMARK(BM_NaiveEvaluationNestedLoop)
     ->DenseRange(2, 12, 2)
@@ -280,9 +288,9 @@ void BM_SamplingSweep(benchmark::State& state) {
   EvalStats stats;
   EvalOptions options;
   options.stats = &stats;
+  options.num_threads = threads;
   ProbabilisticOptions popts;
   popts.sampling.samples = samples;
-  popts.sampling.num_threads = threads;
   const QueryRequest req =
       QueryRequestBuilder(QueryInput::Ra(JoinQuery()))
           .Notion(AnswerNotion::kCertainWithProbability)

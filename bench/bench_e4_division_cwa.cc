@@ -81,23 +81,27 @@ struct Summary {
 };
 const Summary kSummary;
 
-void RunDivisionNaive(benchmark::State& state, bool use_hash_kernels) {
+// Times `certain(q, db, stats)`, the naïve certain answers of the division.
+template <typename Certain>
+void RunDivisionNaive(benchmark::State& state, Certain certain) {
   Database db = Workload(static_cast<size_t>(state.range(0)), 11, 0.1);
   auto q = Query();
   EvalStats stats;
-  EvalOptions options;
-  options.stats = &stats;
-  options.use_hash_kernels = use_hash_kernels;
   for (auto _ : state) {
-    auto r = CertainAnswersNaive(q, db, WorldSemantics::kClosedWorld,
-                                 /*force=*/false, options);
+    auto r = certain(q, db, &stats);
     benchmark::DoNotOptimize(r);
   }
   incdb_bench::ReportEvalStats(state, stats);
 }
 
 void BM_DivisionNaive(benchmark::State& state) {
-  RunDivisionNaive(state, /*use_hash_kernels=*/true);
+  RunDivisionNaive(state, [](const RAExprPtr& q, const Database& db,
+                             EvalStats* stats) {
+    EvalOptions options;
+    options.stats = stats;
+    return CertainAnswersNaive(q, db, WorldSemantics::kClosedWorld,
+                               /*force=*/false, options);
+  });
 }
 BENCHMARK(BM_DivisionNaive)
     ->Arg(1000)
@@ -107,7 +111,11 @@ BENCHMARK(BM_DivisionNaive)
 
 // Pre-kernel nested-loop division, kept runnable for attribution.
 void BM_DivisionNestedLoop(benchmark::State& state) {
-  RunDivisionNaive(state, /*use_hash_kernels=*/false);
+  RunDivisionNaive(state, [](const RAExprPtr& q, const Database& db,
+                             EvalStats* stats) -> Result<Relation> {
+    INCDB_ASSIGN_OR_RETURN(Relation naive, EvalNaiveReference(q, db, stats));
+    return naive.CompletePart();
+  });
 }
 BENCHMARK(BM_DivisionNestedLoop)
     ->Arg(1000)
@@ -236,9 +244,9 @@ void BM_DivisionSamplingSweep(benchmark::State& state) {
   EvalStats stats;
   EvalOptions options;
   options.stats = &stats;
+  options.num_threads = threads;
   ProbabilisticOptions popts;
   popts.sampling.samples = samples;
-  popts.sampling.num_threads = threads;
   const QueryRequest req =
       QueryRequestBuilder(QueryInput::Ra(Query()))
           .Notion(AnswerNotion::kCertainWithProbability)

@@ -43,7 +43,7 @@ Result<Relation> DivideNestedLoop(const Relation& r, const Relation& s,
   return out;
 }
 
-// The nested-loop reference evaluator (use_hash_kernels = false): every
+// The nested-loop reference evaluator (EvalNaiveReference): every
 // operator is the textbook loop, sharing no code with the columnar kernels,
 // so the differential oracle compares two independent implementations.
 struct Rec {
@@ -167,19 +167,19 @@ Result<Relation> DivideRelations(const Relation& r, const Relation& s) {
 
 Result<Relation> EvalNaive(const RAExprPtr& e, const Database& db,
                            const EvalOptions& options) {
-  // Batch-at-a-time evaluation over columnar storage; the nested-loop
-  // reference answers identically, only slower.
-  if (options.use_hash_kernels) {
-    return EvalVectorized(e, db, options, NullLogic::kNaive);
-  }
-  // Validate typing once at the root.
-  INCDB_RETURN_IF_ERROR(e->InferArity(db.schema()).status());
-  Rec rec{db, options.stats};
-  return rec.Run(e);
+  return EvalVectorized(e, db, options, NullLogic::kNaive);
 }
 
 Result<Relation> EvalNaive(const RAExprPtr& e, const Database& db) {
   return EvalNaive(e, db, EvalOptions{});
+}
+
+Result<Relation> EvalNaiveReference(const RAExprPtr& e, const Database& db,
+                                    EvalStats* stats) {
+  // Validate typing once at the root.
+  INCDB_RETURN_IF_ERROR(e->InferArity(db.schema()).status());
+  Rec rec{db, stats};
+  return rec.Run(e);
 }
 
 Result<Relation> EvalComplete(const RAExprPtr& e, const Database& db,

@@ -7,12 +7,13 @@
 // the naïve answer — with or without its null-free restriction — is the
 // right certain answer.
 //
-// EvalNaive has two routes. By default it runs the batch-vectorized
-// columnar engine (engine/vectorized.h), which fuses σ_{col=col}(l × r) —
-// optionally under a π — into a hash equi-join and serves ∪/∩/− as merge
-// walks. With .use_hash_kernels = false it runs the nested-loop reference
-// instead: the textbook semantics the engine is property-tested against.
-// Pass EvalOptions{.stats = &s} to collect per-operator counters.
+// EvalNaive runs the batch-vectorized columnar engine (engine/vectorized.h),
+// which fuses σ_{col=col}(l × r) — optionally under a π — into a hash
+// equi-join and serves ∪/∩/− as merge walks. EvalNaiveReference beside it
+// is the nested-loop reference: the textbook semantics the engine is
+// property-tested against, called by the differential oracle, the tests
+// and the benches, never by a served path. Pass EvalOptions{.stats = &s}
+// to collect per-operator counters.
 
 #ifndef INCDB_ALGEBRA_EVAL_H_
 #define INCDB_ALGEBRA_EVAL_H_
@@ -28,6 +29,12 @@ namespace incdb {
 Result<Relation> EvalNaive(const RAExprPtr& e, const Database& db,
                            const EvalOptions& options);
 Result<Relation> EvalNaive(const RAExprPtr& e, const Database& db);
+
+/// The nested-loop reference of EvalNaive, on one thread and without the
+/// UINT32_MAX row bound; otherwise the same answers and statuses. `stats`
+/// receives per-operator counters (no batches or rows vectorized).
+Result<Relation> EvalNaiveReference(const RAExprPtr& e, const Database& db,
+                                    EvalStats* stats = nullptr);
 
 /// Evaluates on a database required to be complete (checked).
 Result<Relation> EvalComplete(const RAExprPtr& e, const Database& db,

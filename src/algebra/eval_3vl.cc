@@ -22,9 +22,14 @@ TruthValue TupleEquals3VL(const Tuple& a, const Tuple& b) {
 
 Result<Relation> Eval3VL(const RAExprPtr& e, const Database& db,
                          const EvalOptions& options) {
-  if (options.use_hash_kernels) {
-    return EvalVectorized(e, db, options, NullLogic::kThreeValued);
-  }
+  return EvalVectorized(e, db, options, NullLogic::kThreeValued);
+}
+
+Result<Relation> Eval3VL(const RAExprPtr& e, const Database& db) {
+  return Eval3VL(e, db, EvalOptions{});
+}
+
+Result<Relation> Eval3VLReference(const RAExprPtr& e, const Database& db) {
   // The fold: the reference semantics, tuple by tuple.
   INCDB_RETURN_IF_ERROR(e->InferArity(db.schema()).status());
 
@@ -138,10 +143,6 @@ Result<Relation> Eval3VL(const RAExprPtr& e, const Database& db,
 
   Rec rec{db};
   return rec.Run(e);
-}
-
-Result<Relation> Eval3VL(const RAExprPtr& e, const Database& db) {
-  return Eval3VL(e, db, EvalOptions{});
 }
 
 }  // namespace incdb

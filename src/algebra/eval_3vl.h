@@ -22,11 +22,11 @@
 // row comparison t = s — the `NOT IN` and `IN` row tests — not through
 // EXCEPT / INTERSECT, which compare nulls as equal.
 //
-// Two paths compute these answers. By default (EvalOptions::use_hash_kernels)
-// the columnar engine (engine/vectorized.h) answers in its three-valued
-// mode, which shares scan, π, ×, ∪, Δ, the σ/π-over-× join fusion, the
-// UINT32_MAX row bound, the parallel chunking and the counters with naïve
-// evaluation and changes four pieces, each equivalent to the rule above:
+// Eval3VL serves these answers on the columnar engine (engine/vectorized.h)
+// in its three-valued mode, which shares scan, π, ×, ∪, Δ, the σ/π-over-×
+// join fusion, the UINT32_MAX row bound, the parallel chunking and the
+// counters with naïve evaluation and changes four pieces, each equivalent
+// to the rule above:
 //
 //  1. predicate masks are Kleene (FALSE 0, UNKNOWN 1, TRUE 2: ∧ is min, ∨
 //     max, ¬ is 2 − v); a comparison meeting a null is UNKNOWN, IS NULL is
@@ -45,11 +45,11 @@
 //     that are non-null in both patterns (a group with no such position
 //     drops t outright).
 //
-// With use_hash_kernels = false the fold in eval_3vl.cc answers: the
-// textbook loops over tuples, built on TupleEquals3VL and
-// Predicate::Eval3VL. It is the reference the columnar path is checked
-// against (the differential oracle, eval_3vl_test's sweep, the fuzzer), and
-// it reports no counters.
+// Eval3VLReference is the fold in eval_3vl.cc: the textbook loops over
+// tuples, built on TupleEquals3VL and Predicate::Eval3VL. It is the
+// reference the columnar path is checked against (the differential oracle,
+// eval_3vl_test's sweep, the fuzzer), no served path calls it, and it
+// reports no counters.
 
 #ifndef INCDB_ALGEBRA_EVAL_3VL_H_
 #define INCDB_ALGEBRA_EVAL_3VL_H_
@@ -64,13 +64,16 @@ namespace incdb {
 /// component involving a null is UNKNOWN.
 TruthValue TupleEquals3VL(const Tuple& a, const Tuple& b);
 
-/// Evaluates `e` on `db` under SQL's three-valued logic: on the columnar
-/// engine, or by the fold when options.use_hash_kernels is false. Errors on
-/// ill-typed expressions; a product or join past UINT32_MAX rows is
-/// kResourceExhausted on the columnar path.
+/// Evaluates `e` on `db` under SQL's three-valued logic on the columnar
+/// engine. Errors on ill-typed expressions; a product or join past
+/// UINT32_MAX rows is kResourceExhausted.
 Result<Relation> Eval3VL(const RAExprPtr& e, const Database& db,
                          const EvalOptions& options);
 Result<Relation> Eval3VL(const RAExprPtr& e, const Database& db);
+
+/// The fold: Eval3VL's answers tuple by tuple, on one thread, with no row
+/// bound and no counters. Errors on ill-typed expressions.
+Result<Relation> Eval3VLReference(const RAExprPtr& e, const Database& db);
 
 }  // namespace incdb
 

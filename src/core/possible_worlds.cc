@@ -33,7 +33,12 @@ WorldSpace MakeWorldSpace(const Database& d, const WorldEnumOptions& opts) {
   domain.erase(std::unique(domain.begin(), domain.end()), domain.end());
 
   int fresh = opts.fresh_constants;
-  if (fresh < 0) fresh = static_cast<int>(space.nulls.size());
+  if (fresh < 0) {
+    // One per null, and two for a lone null with no constant to take: over
+    // the domain {1} its only world would make the fresh 1 certain.
+    fresh = static_cast<int>(space.nulls.size());
+    if (domain.empty() && fresh == 1) fresh = 2;
+  }
   // Fresh integers strictly above every integer constant in the domain;
   // where those would overflow, the largest integers absent from it.
   int64_t base = 0;

@@ -5,7 +5,8 @@
 // nulls range over the active constants, the query's constants and k fresh
 // constants, where k is the number of nulls: any world is isomorphic, over
 // the constants of D and of the query, to one of the sampled worlds, and
-// generic queries cannot distinguish isomorphic worlds. `WorldDomain`
+// generic queries cannot distinguish isomorphic worlds (with no constant at
+// all, k is at least two, so that no fresh constant is certain). `WorldDomain`
 // builds that finite domain; the query's constants come in as
 // `required_constants` (engine/world_encoding.h WithQueryConstants).
 //
@@ -42,7 +43,8 @@ namespace incdb {
 /// Options controlling world enumeration.
 struct WorldEnumOptions {
   /// Number of fresh constants added beyond the active domain. If negative,
-  /// defaults to the number of distinct nulls in the instance.
+  /// the number of distinct nulls in the instance, and two for one null
+  /// when neither the instance nor `required_constants` has a constant.
   int fresh_constants = -1;
   /// Extra constants that must be in the domain (e.g. constants mentioned by
   /// the query but absent from the instance).

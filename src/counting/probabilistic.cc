@@ -14,6 +14,8 @@
 namespace incdb {
 namespace {
 
+constexpr double kWilsonZ = 1.96;  // a sampled probability's 95% interval
+
 Status CheckCwa(WorldSemantics semantics) {
   if (semantics != WorldSemantics::kClosedWorld) {
     return Status::Unsupported(
@@ -56,8 +58,8 @@ Result<Relation> CertainAnswersWithProbabilityEnum(
   }
 
   // Per-sample evaluations must not re-optimize, and the sampled path runs
-  // them concurrently, so they get no shared stats sink and no nested
-  // parallelism.
+  // them concurrently on the query's threads, so they get no shared stats
+  // sink and no nested parallelism.
   EvalOptions body = options;
   body.optimize = false;
   body.stats = nullptr;
@@ -139,7 +141,7 @@ Result<Relation> CertainAnswersWithProbabilityEnum(
     INCDB_ASSIGN_OR_RETURN(
         const SampleTally tally,
         SampleTupleFrequencies(
-            space.nulls, space.domain, popts.sampling,
+            space.nulls, space.domain, popts.sampling, options.num_threads,
             [&](const Valuation& v,
                 std::vector<Tuple>* world_tuples) -> Result<bool> {
               INCDB_ASSIGN_OR_RETURN(const Relation r,
@@ -151,8 +153,7 @@ Result<Relation> CertainAnswersWithProbabilityEnum(
     for (const auto& [tuple, count] : tally.hits) {
       const double p =
           static_cast<double>(count) / static_cast<double>(tally.effective);
-      const Interval ci =
-          WilsonInterval(count, tally.effective, popts.sampling.z);
+      const Interval ci = WilsonInterval(count, tally.effective, kWilsonZ);
       table[tuple] =
           TupleProbability{tuple, p, ci.low, ci.high, /*exact=*/false};
     }
@@ -241,7 +242,7 @@ Result<Relation> ProbabilitiesOnCodes(
     INCDB_ASSIGN_OR_RETURN(
         const SampleTally tally,
         SampleTupleFrequencies(
-            nulls, domain, popts.sampling,
+            nulls, domain, popts.sampling, options.num_threads,
             [&](const Valuation& v,
                 std::vector<Tuple>* world_tuples) -> Result<bool> {
               std::vector<uint32_t> codes(nulls.size());
@@ -267,7 +268,7 @@ Result<Relation> ProbabilitiesOnCodes(
       const double p = static_cast<double>(it->second) /
                        static_cast<double>(tally.effective);
       const Interval ci =
-          WilsonInterval(it->second, tally.effective, popts.sampling.z);
+          WilsonInterval(it->second, tally.effective, kWilsonZ);
       table[cand] =
           TupleProbability{cand, p, ci.low, ci.high, /*exact=*/false};
     }

@@ -30,7 +30,8 @@
 // Both drivers draw the same (seed, index)-derived valuation stream over
 // the same domain, so their sampled tallies — and the full probability
 // tables — are bit-identical at equal seeds (the strong-representation
-// property, cross-checked by the differential oracle).
+// property, cross-checked by the differential oracle), at every
+// EvalOptions::num_threads, which the sampling pass runs on.
 
 #ifndef INCDB_COUNTING_PROBABILISTIC_H_
 #define INCDB_COUNTING_PROBABILISTIC_H_
@@ -52,8 +53,8 @@ struct ProbabilisticOptions {
   /// default 1.0 makes the exact path reproduce certain answers; lower it
   /// for "certain with probability ≥ p".
   double threshold = 1.0;
-  /// Monte-Carlo knobs for the sampled path (samples, seed, z,
-  /// num_threads).
+  /// Monte-Carlo knobs for the sampled path (samples, seed); the pass runs
+  /// on EvalOptions::num_threads.
   SamplingOptions sampling;
   /// Skip the exact path even where it is affordable (benchmarking and
   /// sampled-vs-exact cross-checks).
@@ -71,7 +72,7 @@ struct TupleProbability {
   /// P(tuple ∈ world), conditioned on the global condition where one
   /// exists. Exact fraction or Monte-Carlo estimate per `exact`.
   double probability = 0.0;
-  /// Wilson interval at SamplingOptions::z; degenerate [p, p] when exact.
+  /// Wilson interval at z = 1.96 (≈ 95%); degenerate [p, p] when exact.
   double ci_low = 0.0;
   double ci_high = 1.0;
   /// True when the probability came from an exact count, false when

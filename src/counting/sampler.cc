@@ -22,7 +22,7 @@ Interval WilsonInterval(uint64_t successes, uint64_t n, double z) {
 
 Result<SampleTally> SampleTupleFrequencies(
     const std::vector<NullId>& nulls, const std::vector<Value>& domain,
-    const SamplingOptions& opts,
+    const SamplingOptions& opts, int num_threads,
     const std::function<Result<bool>(const Valuation& v,
                                      std::vector<Tuple>* world_tuples)>&
         per_sample,
@@ -39,10 +39,10 @@ Result<SampleTally> SampleTupleFrequencies(
   // and merge below. Each sample's valuation depends only on (seed, index),
   // so the merged counts cannot depend on the chunking.
   const size_t grain = 64;
-  const size_t num_chunks = ParallelChunkCount(opts.num_threads, n, grain);
+  const size_t num_chunks = ParallelChunkCount(num_threads, n, grain);
   std::vector<SampleTally> tallies(num_chunks);
   Status status = ParallelFor(
-      opts.num_threads, n, grain,
+      num_threads, n, grain,
       [&](size_t begin, size_t end, size_t chunk) -> Status {
         SampleTally& t = tallies[chunk];
         std::vector<Tuple> world;

@@ -32,7 +32,9 @@
 
 namespace incdb {
 
-/// Knobs for one Monte-Carlo estimation pass.
+/// Knobs for one Monte-Carlo estimation pass. The pass runs on the
+/// query's threads (EvalOptions::num_threads), and the probability drivers
+/// report Wilson intervals at z = 1.96 (≈ 95% coverage).
 struct SamplingOptions {
   /// Valuations drawn. More samples shrink the Wilson interval at the
   /// usual 1/√n rate (bench E2's SamplingSweep measures the curve).
@@ -40,11 +42,6 @@ struct SamplingOptions {
   /// Stream seed. Equal seeds reproduce tallies bit-identically — across
   /// runs, thread counts, and backends.
   uint64_t seed = 1;
-  /// Critical value of the Wilson interval; 1.96 ≈ 95% coverage.
-  double z = 1.96;
-  /// Worker threads for the tally pass (0 = auto, 1 = serial). Answers are
-  /// bit-identical at every setting.
-  int num_threads = 0;
 };
 
 /// A confidence interval on a probability.
@@ -68,7 +65,9 @@ struct SampleTally {
 };
 
 /// Draws `opts.samples` valuations of `nulls` (sorted, the full database
-/// null set) over `domain` and tallies tuple membership. Per sample,
+/// null set) over `domain` and tallies tuple membership on `num_threads`
+/// workers (0 = auto, 1 = the calling thread); the tallies are
+/// bit-identical at every setting. Per sample,
 /// `per_sample(v, world_tuples)` decides admission: it returns false to
 /// reject the sample (conditioning event fails; `world_tuples` is then
 /// ignored) or true after filling `world_tuples` with the tuples present in
@@ -79,7 +78,7 @@ struct SampleTally {
 /// the draw count via CountSamplesDrawn. O(samples · cost(per_sample)).
 Result<SampleTally> SampleTupleFrequencies(
     const std::vector<NullId>& nulls, const std::vector<Value>& domain,
-    const SamplingOptions& opts,
+    const SamplingOptions& opts, int num_threads,
     const std::function<Result<bool>(const Valuation& v,
                                      std::vector<Tuple>* world_tuples)>&
         per_sample,

@@ -436,14 +436,14 @@ Result<CodeCTable> CTableQuery::Eval(const RAExprPtr& plan,
                                      const Database& db,
                                      const EvalOptions& options) {
   INCDB_RETURN_IF_ERROR(plan->InferArity(db.schema()).status());
-  return Rec(RAExpr::ExpandDivision(plan, db.schema()), db, options);
+  return Rec(RAExpr::ExpandDivision(plan, db.schema()), db, options.stats);
 }
 
 Result<CodeCTable> CTableQuery::Eval(const RAExprPtr& plan,
                                      const CDatabase& db,
                                      const EvalOptions& options) {
   INCDB_RETURN_IF_ERROR(plan->InferArity(db.schema()).status());
-  return Rec(RAExpr::ExpandDivision(plan, db.schema()), db, options);
+  return Rec(RAExpr::ExpandDivision(plan, db.schema()), db, options.stats);
 }
 
 CodeCTable CTableQuery::Scan(const Database& db,
@@ -461,8 +461,7 @@ CodeCTable CTableQuery::Scan(const CDatabase& db, const std::string& name) {
 
 template <typename Source>
 Result<CodeCTable> CTableQuery::Rec(const RAExprPtr& e, const Source& db,
-                                    const EvalOptions& options) {
-  EvalStats* stats = options.stats;
+                                    EvalStats* stats) {
   using K = RAExpr::Kind;
   switch (e->kind()) {
     case K::kScan:
@@ -474,10 +473,10 @@ Result<CodeCTable> CTableQuery::Rec(const RAExprPtr& e, const Source& db,
       return t;
     }
     case K::kSelect: {
-      if (options.use_hash_kernels && e->left()->kind() == K::kProduct) {
-        INCDB_ASSIGN_OR_RETURN(CodeCTable l, Rec(e->left()->left(), db, options));
+      if (e->left()->kind() == K::kProduct) {
+        INCDB_ASSIGN_OR_RETURN(CodeCTable l, Rec(e->left()->left(), db, stats));
         INCDB_ASSIGN_OR_RETURN(CodeCTable r,
-                               Rec(e->left()->right(), db, options));
+                               Rec(e->left()->right(), db, stats));
         const JoinSplit split = SplitForEquiJoin(e->predicate(), l.arity);
         if (!split.keys.empty() &&
             ResidualSafeForCTableJoin(split.residual.get())) {
@@ -485,19 +484,19 @@ Result<CodeCTable> CTableQuery::Rec(const RAExprPtr& e, const Source& db,
         }
         return Select(e->predicate(), Product(l, r, stats));
       }
-      INCDB_ASSIGN_OR_RETURN(CodeCTable in, Rec(e->left(), db, options));
+      INCDB_ASSIGN_OR_RETURN(CodeCTable in, Rec(e->left(), db, stats));
       return Select(e->predicate(), in);
     }
     case K::kProject: {
-      INCDB_ASSIGN_OR_RETURN(CodeCTable in, Rec(e->left(), db, options));
+      INCDB_ASSIGN_OR_RETURN(CodeCTable in, Rec(e->left(), db, stats));
       return Project(e->columns(), in);
     }
     case K::kProduct:
     case K::kUnion:
     case K::kDiff:
     case K::kIntersect: {
-      INCDB_ASSIGN_OR_RETURN(CodeCTable l, Rec(e->left(), db, options));
-      INCDB_ASSIGN_OR_RETURN(CodeCTable r, Rec(e->right(), db, options));
+      INCDB_ASSIGN_OR_RETURN(CodeCTable l, Rec(e->left(), db, stats));
+      INCDB_ASSIGN_OR_RETURN(CodeCTable r, Rec(e->right(), db, stats));
       if (e->kind() == K::kProduct) return Product(l, r, stats);
       if (l.arity != r.arity) {
         return Status::InvalidArgument(

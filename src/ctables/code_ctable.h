@@ -171,9 +171,9 @@ class CTableQuery {
   ValueClassSolver& solver() { return solver_; }
 
   /// Evaluates `plan` (division expanded first) on `db`, which must be the
-  /// database the encoding was made for. With options.use_hash_kernels, σ
-  /// over × runs the fused equi-join where the predicate has a key and a
-  /// safe residual. options.stats receives the operator counters.
+  /// database the encoding was made for. σ over × runs the fused equi-join
+  /// where the predicate has a key and a safe residual. options.stats
+  /// receives the operator counters.
   Result<CodeCTable> Eval(const RAExprPtr& plan, const Database& db,
                           const EvalOptions& options);
   /// The same on stored c-tables: a scan imports the table, its conditions
@@ -251,7 +251,7 @@ class CTableQuery {
   // Eval on either source; only Scan differs.
   template <typename Source>
   Result<CodeCTable> Rec(const RAExprPtr& e, const Source& db,
-                         const EvalOptions& options);
+                         EvalStats* stats);
 
   WorldEncoding enc_;
   CondArena arena_;

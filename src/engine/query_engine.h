@@ -136,14 +136,14 @@ struct QueryRequest {
   /// reuses `world_options.max_worlds` as its satisfiability branch budget
   /// and the same world domain, which is what keeps answers bit-identical.
   WorldEnumOptions world_options;
-  /// Stats hook and kernel toggles, threaded through every evaluator. On
-  /// the enumeration backend the response's stats for kCertainEnum,
+  /// Stats hook, thread settings and the optimizer switch, threaded
+  /// through every evaluator; `num_threads` bounds the sampling pass too.
+  /// On the enumeration backend the response's stats for kCertainEnum,
   /// kPossible and exact kCertainWithProbability report delta_applied /
   /// delta_fallbacks.
   EvalOptions eval;
   /// Knobs for kCertainWithProbability: the answer threshold, the sampling
-  /// seed/sample-count/z/threads, the exact-path gate. Other notions ignore
-  /// it.
+  /// seed and sample count, the exact-path gate. Other notions ignore it.
   ProbabilisticOptions probability;
 };
 

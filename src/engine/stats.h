@@ -134,7 +134,7 @@ class EvalStats {
 
   /// Vectorized execution (engine/vectorized.h): column batches a kernel
   /// loop consumed / input rows those batches covered. Zero on the
-  /// nested-loop reference (`use_hash_kernels = false`).
+  /// nested-loop reference (EvalNaiveReference).
   uint64_t batches_processed() const { return batches_processed_; }
   uint64_t rows_vectorized() const { return rows_vectorized_; }
   void CountBatchesProcessed(uint64_t n) { batches_processed_ += n; }
@@ -156,28 +156,22 @@ class EvalStats {
   uint64_t rows_vectorized_ = 0;
 };
 
-/// Options threaded through every evaluator.
+/// Options threaded through every served evaluator; no field selects a
+/// reference (EvalNaiveReference and friends are calls of their own).
 ///
-/// The tuning knobs (`use_hash_kernels`, `num_threads`,
-/// `parallel_row_threshold`) never change answers — only how they are
-/// computed. See docs/TUTORIAL.md §"Tuning" for the one-stop description.
+/// The tuning knobs (`num_threads`, `parallel_row_threshold`, `optimize`)
+/// never change answers — only how they are computed. See
+/// docs/TUTORIAL.md §"Tuning" for the one-stop description.
 struct EvalOptions {
   /// When non-null, per-operator counters are accumulated here. Parallel
   /// evaluators give each worker a private EvalStats and merge them into
   /// this sink before returning, so totals stay correct (wall-time counters
   /// then sum the workers' self times, i.e. report CPU time, not elapsed).
   EvalStats* stats = nullptr;
-  /// When true (the default), naïve RA runs batch-at-a-time over
-  /// dictionary-encoded columns (engine/vectorized.h), the SQL and c-table
-  /// evaluators use their hash-indexed kernels, and SQL decides [NOT] IN by
-  /// binary search. When false, every
-  /// evaluator uses its straightforward nested-loop implementation: the
-  /// reference semantics the kernels are property-tested against.
-  bool use_hash_kernels = true;
   /// Worker threads for the parallel paths (world enumeration, chunked
-  /// columnar filter and probe loops). 0 = auto (hardware_concurrency); 1
-  /// runs everything on the calling thread. Results are bit-identical at
-  /// every setting.
+  /// columnar filter and probe loops, the Monte-Carlo sampling pass). 0 =
+  /// auto (hardware_concurrency); 1 runs everything on the calling thread.
+  /// Results are bit-identical at every setting.
   int num_threads = 0;
   /// Columnar filter and probe loops only parallelize over at least this
   /// many input rows; below it, fan-out costs more than the scan. Tests

@@ -78,8 +78,7 @@ enum class NullLogic { kNaive, kThreeValued };
 /// `logic`. The answer holds a columnar body (tuples are built on demand)
 /// and is bit-identical to the nested-loop reference of that logic;
 /// EvalOptions stats receive the usual per-operator counters plus
-/// batches_processed / rows_vectorized. Called by EvalNaive and Eval3VL
-/// when options.use_hash_kernels.
+/// batches_processed / rows_vectorized. EvalNaive and Eval3VL call it.
 Result<Relation> EvalVectorized(const RAExprPtr& e, const Database& db,
                                 const EvalOptions& options, NullLogic logic);
 

@@ -70,18 +70,15 @@ std::string OptionsIdentity(const QueryRequest& req) {
   char buf[512];
   std::snprintf(
       buf, sizeof buf,
-      "n%d s%d b%d f%d|w%d/%llu|e%d/%d/%zu/%d|p%.17g/%llu/%llu/"
-      "%.17g/%d/%d/%llu",
+      "n%d s%d b%d f%d|w%d/%llu|e%d/%zu/%d|p%.17g/%llu/%llu/%d/%llu",
       static_cast<int>(req.notion), static_cast<int>(req.semantics),
       static_cast<int>(req.backend), req.force ? 1 : 0,
       req.world_options.fresh_constants,
       static_cast<unsigned long long>(req.world_options.max_worlds),
-      req.eval.use_hash_kernels ? 1 : 0, req.eval.num_threads,
-      req.eval.parallel_row_threshold, req.eval.optimize ? 1 : 0,
-      req.probability.threshold,
+      req.eval.num_threads, req.eval.parallel_row_threshold,
+      req.eval.optimize ? 1 : 0, req.probability.threshold,
       static_cast<unsigned long long>(req.probability.sampling.samples),
       static_cast<unsigned long long>(req.probability.sampling.seed),
-      req.probability.sampling.z, req.probability.sampling.num_threads,
       req.probability.force_sampling ? 1 : 0,
       static_cast<unsigned long long>(req.probability.max_exact_worlds));
   std::string out = buf;
@@ -211,13 +208,10 @@ Result<ServiceResponse> IncDbService::Run(const QueryRequest& request) {
         std::min(req.world_options.max_worlds, limits_.max_worlds_per_query);
   }
   if (limits_.max_threads_per_query > 0) {
-    auto clamp = [this](int n) {
-      return n == 0 ? limits_.max_threads_per_query
-                    : std::min(n, limits_.max_threads_per_query);
-    };
-    req.eval.num_threads = clamp(req.eval.num_threads);
-    req.probability.sampling.num_threads =
-        clamp(req.probability.sampling.num_threads);
+    req.eval.num_threads =
+        req.eval.num_threads == 0
+            ? limits_.max_threads_per_query
+            : std::min(req.eval.num_threads, limits_.max_threads_per_query);
   }
 
   // The cache key covers the *clamped* request, so equal effective requests

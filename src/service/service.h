@@ -58,8 +58,8 @@ struct ServiceLimits {
   /// rejected post hoc and not cached. The world budget bounds the work
   /// actually done; this backstops mispriced queries.
   double max_query_seconds = 0.0;
-  /// Ceiling on eval.num_threads and probability.sampling.num_threads;
-  /// "auto" (0) requests are pinned to the ceiling.
+  /// Ceiling on eval.num_threads, which bounds evaluation and sampling
+  /// alike; "auto" (0) requests are pinned to the ceiling.
   int max_threads_per_query = 0;
   /// Prepared-plan/result cache entries kept (LRU).
   size_t plan_cache_capacity = 256;

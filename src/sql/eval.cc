@@ -1347,10 +1347,6 @@ Result<Relation> EvalSql(const SqlQuery& q, const Database& db,
                          SqlEvalMode mode, const EvalOptions& options) {
   Planner planner(db, mode);
   INCDB_ASSIGN_OR_RETURN(Query* root, planner.Plan(q));
-  if (!options.use_hash_kernels) {
-    TupleEvaluator reference(mode, options.stats);
-    return reference.RunQuery(*root);
-  }
   CodeEvaluator ev(mode, options.stats);
   ev.Prepare(planner.queries());
   return ev.Run(*root);
@@ -1370,6 +1366,15 @@ Result<Relation> EvalSql(const std::string& sql, const Database& db,
 Result<Relation> EvalSql(const std::string& sql, const Database& db,
                          SqlEvalMode mode) {
   return EvalSql(sql, db, mode, EvalOptions{});
+}
+
+Result<Relation> EvalSqlReference(const std::string& sql, const Database& db,
+                                  SqlEvalMode mode, EvalStats* stats) {
+  INCDB_ASSIGN_OR_RETURN(SqlQuery q, ParseSql(sql));
+  Planner planner(db, mode);
+  INCDB_ASSIGN_OR_RETURN(Query* root, planner.Plan(q));
+  TupleEvaluator reference(mode, stats);
+  return reference.RunQuery(*root);
 }
 
 }  // namespace incdb

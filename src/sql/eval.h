@@ -20,24 +20,23 @@
 // the query and the schema (unknown table or column, unnamed attributes,
 // IN or UNION widths, bad aggregate blocks) fails the same way on any data.
 //
-// The served path (EvalOptions::use_hash_kernels, the default) runs on
-// dictionary codes. Every relation is read through its Columnar() form; in
-// a DatabaseSnapshot they share one dictionary, elsewhere their
-// dictionaries are merged once per evaluation. Literals resolve to
-// dictionary ranks, so comparisons, [NOT] IN, EXISTS, IS [NOT] NULL and
-// grouping are decided on 32-bit codes (code order is value order; outside
-// naïve mode a null code makes a comparison UNKNOWN). Pushed WHERE
-// conjuncts prune the FROM loop as soon as their columns are bound, and an
-// equality with an earlier operand probes a per-evaluation code index. An
-// uncorrelated subquery is evaluated once; x [NOT] IN (S) is one hash
-// lookup in S's codes. A plain block's answer is a Relation with a
+// EvalSql, the served path, runs on dictionary codes. Every relation is
+// read through its Columnar() form; in a DatabaseSnapshot they share one
+// dictionary, elsewhere their dictionaries are merged once per evaluation.
+// Literals resolve to dictionary ranks, so comparisons, [NOT] IN, EXISTS,
+// IS [NOT] NULL and grouping are decided on 32-bit codes (code order is
+// value order; outside naïve mode a null code makes a comparison UNKNOWN).
+// Pushed WHERE conjuncts prune the FROM loop as soon as their columns are
+// bound, and an equality with an earlier operand probes a per-evaluation
+// code index. An uncorrelated subquery is evaluated once; x [NOT] IN (S) is
+// one hash lookup in S's codes. A plain block's answer is a Relation with a
 // columnar body over a dictionary compacted to the values it uses; an
 // aggregate's answer holds new values and is a tuple body.
 //
-// With use_hash_kernels = false the reference runs: nested loops over
-// Value tuples, the full WHERE at every row, and x [NOT] IN (S) as a fold
-// of the 3VL OR over S. Both paths give the same answers and fail on the
-// same queries with the same status.
+// EvalSqlReference is the reference: nested loops over Value tuples, the
+// full WHERE at every row, and x [NOT] IN (S) as a fold of the 3VL OR over
+// S. Both give the same answers and fail on the same queries with the same
+// status; only the tests and the differential checks call the reference.
 
 #ifndef INCDB_SQL_EVAL_H_
 #define INCDB_SQL_EVAL_H_
@@ -56,12 +55,10 @@ enum class SqlEvalMode {
               ///< together with kSql3VL it covers the possible answers
 };
 
-/// Evaluates a query; output columns follow the SELECT list (or the
-/// concatenation of FROM-table columns for SELECT *). Runs on dictionary
-/// codes, or on the tuple reference with EvalOptions::use_hash_kernels =
-/// false; the answer is identical either way. SUM and AVG whose running
-/// sum leaves int64 are InvalidArgument, and a block that would emit more
-/// than UINT32_MAX rows is ResourceExhausted.
+/// Evaluates a query on dictionary codes; output columns follow the SELECT
+/// list (or the concatenation of FROM-table columns for SELECT *). SUM and
+/// AVG whose running sum leaves int64 are InvalidArgument, and a block that
+/// would emit more than UINT32_MAX rows is ResourceExhausted.
 Result<Relation> EvalSql(const SqlQuery& q, const Database& db,
                          SqlEvalMode mode, const EvalOptions& options);
 Result<Relation> EvalSql(const SqlQuery& q, const Database& db,
@@ -72,6 +69,13 @@ Result<Relation> EvalSql(const std::string& sql, const Database& db,
                          SqlEvalMode mode, const EvalOptions& options);
 Result<Relation> EvalSql(const std::string& sql, const Database& db,
                          SqlEvalMode mode);
+
+/// The tuple reference of EvalSql: the same answers and statuses, computed
+/// by nested loops over Value tuples. `stats`, when non-null, receives the
+/// kSqlBlock counters (no probes).
+Result<Relation> EvalSqlReference(const std::string& sql, const Database& db,
+                                  SqlEvalMode mode,
+                                  EvalStats* stats = nullptr);
 
 }  // namespace incdb
 

@@ -123,16 +123,11 @@ Result<Relation> FoldWorldAnswers(const RAExprPtr& plan, const Database& db,
                                   const WorldEnumOptions& opts,
                                   Combine&& combine, Done&& done) {
   INCDB_ASSIGN_OR_RETURN(const size_t arity, plan->InferArity(db.schema()));
-  // The reference evaluator: nested loops, no optimizer, one thread.
-  EvalOptions nested;
-  nested.use_hash_kernels = false;
-  nested.optimize = false;
-  nested.num_threads = 1;
   std::optional<Relation> acc;
   Status eval = Status::OK();
   const WorldEnumOptions qopts = WithQueryConstants(plan, opts);
   INCDB_RETURN_IF_ERROR(ForEachWorldCwa(db, qopts, [&](const Database& world) {
-    Result<Relation> ans = EvalNaive(plan, world, nested);
+    Result<Relation> ans = EvalNaiveReference(plan, world);
     if (!ans.ok()) {
       eval = ans.status();
       return false;
@@ -231,8 +226,7 @@ OracleReport CheckCase(const RAExprPtr& plan, const Database& db,
 
   // --- OWA: inside eq. (4)'s UCQ fragment the enum and naïve notions must
   // agree. ---
-  if (options.check_owa &&
-      NaiveEvaluationWorks(plan, WorldSemantics::kOpenWorld)) {
+  if (NaiveEvaluationWorks(plan, WorldSemantics::kOpenWorld)) {
     Result<Relation> owa_enum = CertainAnswersEnum(
         plan, db, WorldSemantics::kOpenWorld, world_opts, {});
     Result<Relation> owa_naive = CertainAnswersNaive(
@@ -434,19 +428,20 @@ OracleReport CheckCase(const RAExprPtr& plan, const Database& db,
         }
       }
     };
-    // Runs one driver configuration; kUnsupported / kResourceExhausted are
-    // legitimate refusals (condition language, counting budget), anything
-    // else is a violation because the enumeration reference succeeded.
-    // `sampled` tells whether the run drew a sample.
+    // Runs one driver configuration on `threads` threads; kUnsupported /
+    // kResourceExhausted are legitimate refusals (condition language, counting
+    // budget), anything else is a violation because the enumeration reference
+    // succeeded. `sampled` tells whether the run drew a sample.
     auto run_prob =
         [&](const std::string& what, bool ctable,
-            const ProbabilisticOptions& popts,
+            const ProbabilisticOptions& popts, int threads,
             std::vector<TupleProbability>* tab,
             bool* sampled) -> std::optional<Relation> {
       ++report.configs_run;
       EvalStats stats;
       EvalOptions eval;
       eval.stats = &stats;
+      eval.num_threads = threads;
       Result<Relation> r =
           ctable ? CertainAnswersWithProbabilityCTable(
                        plan, db, WorldSemantics::kClosedWorld, popts,
@@ -489,7 +484,7 @@ OracleReport CheckCase(const RAExprPtr& plan, const Database& db,
     std::vector<TupleProbability> exact_enum;
     std::optional<Relation> exact_enum_rel =
         run_prob("probability/exact-enum", /*ctable=*/false, popts,
-                 &exact_enum, &sampled_run);
+                 /*threads=*/0, &exact_enum, &sampled_run);
     if (exact_enum_rel) {
       check_table("probability/exact-enum", *exact_enum_rel, exact_enum,
                   sampled_run);
@@ -497,7 +492,7 @@ OracleReport CheckCase(const RAExprPtr& plan, const Database& db,
     std::vector<TupleProbability> exact_ct;
     std::optional<Relation> exact_ct_rel =
         run_prob("probability/exact-ctable", /*ctable=*/true, popts,
-                 &exact_ct, &sampled_run);
+                 /*threads=*/0, &exact_ct, &sampled_run);
     if (exact_ct_rel) {
       check_table("probability/exact-ctable", *exact_ct_rel, exact_ct,
                   sampled_run);
@@ -547,19 +542,17 @@ OracleReport CheckCase(const RAExprPtr& plan, const Database& db,
     // must be bit-identical, at every thread count.
     ProbabilisticOptions sampled = popts;
     sampled.force_sampling = true;
-    sampled.sampling.num_threads = 1;
     std::vector<TupleProbability> serial_enum;
     std::optional<Relation> serial_rel = run_prob(
         "probability/sampled-enum-serial", /*ctable=*/false, sampled,
-        &serial_enum, &sampled_run);
+        /*threads=*/1, &serial_enum, &sampled_run);
     if (serial_rel) {
       check_table("probability/sampled-enum-serial", *serial_rel,
                   serial_enum, sampled_run);
-      sampled.sampling.num_threads = options.num_threads;
       std::vector<TupleProbability> parallel_enum;
       std::optional<Relation> parallel_rel = run_prob(
           "probability/sampled-enum-parallel", /*ctable=*/false, sampled,
-          &parallel_enum, &sampled_run);
+          options.num_threads, &parallel_enum, &sampled_run);
       if (parallel_rel && !tables_equal(serial_enum, parallel_enum)) {
         report.violations.push_back(
             "probability: sampled tallies differ across thread counts: "
@@ -569,7 +562,7 @@ OracleReport CheckCase(const RAExprPtr& plan, const Database& db,
       std::vector<TupleProbability> sampled_ct;
       std::optional<Relation> sampled_ct_rel = run_prob(
           "probability/sampled-ctable", /*ctable=*/true, sampled,
-          &sampled_ct, &sampled_run);
+          options.num_threads, &sampled_ct, &sampled_run);
       if (sampled_ct_rel && !tables_equal(serial_enum, sampled_ct)) {
         report.violations.push_back(
             "probability: sampled-ctable != sampled-enum at equal seed: "
@@ -579,17 +572,10 @@ OracleReport CheckCase(const RAExprPtr& plan, const Database& db,
     }
   }
 
-  // The reference evaluators' options: nested loops, no optimizer, one
-  // thread.
-  EvalOptions nested;
-  nested.use_hash_kernels = false;
-  nested.optimize = false;
-  nested.num_threads = 1;
-
   // --- 3VL: the columnar engine's three-valued mode across the matrix
   // against the fold. ---
   const std::optional<Relation> sql3vl = CrossCheck(
-      "3vl", Eval3VL(plan, db, nested),
+      "3vl", Eval3VLReference(plan, db),
       [&](const EvalOptions& eval) {
         return Eval3VL(eval.optimize ? Optimize(plan, db) : plan, db, eval);
       },
@@ -607,8 +593,7 @@ OracleReport CheckCase(const RAExprPtr& plan, const Database& db,
   // --- Strong representation on the served c-table engine: Q(T) on codes,
   // grounded world by world. Under every valuation v, the rows whose
   // condition holds, each slot at v's code, must be Q(v(D)) — for the
-  // optimized plan with the fused join, as served, and for the raw plan
-  // with σ over ×. ---
+  // optimized plan, as served, and for the raw, unoptimized plan. ---
   struct CodeTable {
     std::string label;
     std::unique_ptr<CTableQuery> query;
@@ -618,13 +603,11 @@ OracleReport CheckCase(const RAExprPtr& plan, const Database& db,
   const WorldSpace space = MakeWorldSpace(db, query_opts);
   for (const bool served : {true, false}) {
     const RAExprPtr p = served ? Optimize(plan, db) : plan;
-    EvalOptions eval;
-    eval.use_hash_kernels = served;
     const std::string label =
-        served ? "ctables [served]" : "ctables [σ over ×]";
+        served ? "ctables [served]" : "ctables [raw plan]";
     Result<std::unique_ptr<CTableQuery>> query = CTableQuery::Make(p, space);
     Result<CodeCTable> table =
-        query.ok() ? (*query)->Eval(p, db, eval) : query.status();
+        query.ok() ? (*query)->Eval(p, db, EvalOptions{}) : query.status();
     if (!table.ok()) {
       if (table.status().code() == StatusCode::kUnsupported) {
         report.skipped.push_back(label + ": " + table.status().ToString());
@@ -638,7 +621,7 @@ OracleReport CheckCase(const RAExprPtr& plan, const Database& db,
   if (!code_tables.empty()) {
     std::vector<uint32_t> codes;
     Status st = ForEachValuation(db, query_opts, [&](const Valuation& v) {
-      Result<Relation> expected = EvalNaive(plan, v.Apply(db), nested);
+      Result<Relation> expected = EvalNaiveReference(plan, v.Apply(db));
       if (!expected.ok()) {
         report.violations.push_back("ctables: world evaluation failed: " +
                                     expected.status().ToString());

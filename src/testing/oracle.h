@@ -9,7 +9,7 @@
 //  * PossibleAnswersEnum across the same matrix, against
 //    ReferencePossibleAnswers.
 //  * Eval3VL on the columnar engine's three-valued mode across the same
-//    matrix against the fold (use_hash_kernels = false, no optimizer).
+//    matrix against the fold (Eval3VLReference on the raw plan).
 //  * QueryEngine::Run(kCertainEnum) against the direct driver (facade
 //    faithfulness).
 //  * service path: the same request through a shared IncDbService session
@@ -23,8 +23,8 @@
 //    c-table engine (CTableQuery), then grounded world by world — under
 //    every valuation v over the enumeration domain, the rows whose arena
 //    condition holds at v's codes must be Q(v(D)) (the strong
-//    representation property). Two configurations: the optimized plan with
-//    the fused join, as served, and the raw plan with σ over ×.
+//    representation property). Two configurations: the optimized plan, as
+//    served, and the raw, unoptimized plan.
 //  * c-table backend: CertainAnswersCTable / PossibleAnswersCTable (one
 //    evaluation on codes, then condition-level extraction, no world ever
 //    materialized) against the enumeration reference, and QueryEngine::Run
@@ -32,7 +32,8 @@
 //  * probabilistic notion: exact per-tuple probabilities (both backends)
 //    must report exactly the possible tuples with probability 1 exactly on
 //    the certain tuples; forced-sampling tallies must be bit-identical
-//    across backends and thread counts at a fixed seed, with every certain
+//    across backends and thread counts (EvalOptions::num_threads 1 and
+//    OracleOptions::num_threads) at a fixed seed, with every certain
 //    tuple estimated at exactly 1 (only the sound directions are checked —
 //    a sampled estimate of 1.0 does not imply certainty).
 //
@@ -69,8 +70,6 @@ struct OracleOptions {
   /// enumeration reference (kUnsupported refusals are skipped, e.g. order
   /// comparisons on nulls outside the c-table condition language).
   bool check_ctable_backend = true;
-  /// Run the checks under OWA as well (positive plans only).
-  bool check_owa = true;
   /// Cross-check the probabilistic notion (kCertainWithProbability): exact
   /// probabilities against the certain/possible ground truth, and
   /// forced-sampling tallies for backend/thread-count bit-identity at a
@@ -99,8 +98,8 @@ struct OracleReport {
 
 /// certain(Q, D) under CWA as eq. (1) writes it: the intersection of
 /// Q(v(D)) over every world v(D), walked one world at a time by the serial
-/// ForEachWorldCwa and evaluated by the nested-loop EvalNaive
-/// (`use_hash_kernels = false`, `optimize = false`). The domain is `opts`'s
+/// ForEachWorldCwa and evaluated by the nested-loop EvalNaiveReference on
+/// the unoptimized plan. The domain is `opts`'s
 /// with the plan's constants added (WithQueryConstants), as the drivers
 /// build it. Stops early once the intersection is empty. The reference the
 /// enumeration backend is checked against; exponential in the number of

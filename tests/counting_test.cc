@@ -297,14 +297,13 @@ TEST(SampleTupleFrequencies, ThreadCountBitIdentity) {
     world_tuples->push_back(Tuple{Value::Int(2)});
     return true;
   };
-  SamplingOptions base;
-  base.samples = 20'000;
-  base.seed = 9;
+  SamplingOptions opts;
+  opts.samples = 20'000;
+  opts.seed = 9;
   SampleTally reference;
   for (int threads : {1, 2, 4, 8}) {
-    SamplingOptions opts = base;
-    opts.num_threads = threads;
-    auto tally = SampleTupleFrequencies(nulls, domain, opts, per_sample);
+    auto tally =
+        SampleTupleFrequencies(nulls, domain, opts, threads, per_sample);
     ASSERT_TRUE(tally.ok()) << tally.status().ToString();
     if (threads == 1) {
       reference = *tally;

@@ -65,13 +65,12 @@ std::vector<QueryRequest> CTableRequests(
     sampled.threshold = 0.5;
     sampled.force_sampling = true;
     sampled.sampling.samples = 2'000;
-    sampled.sampling.num_threads = 4;
     QueryRequest req = QueryRequestBuilder(QueryInput::RaText(text))
                            .Notion(AnswerNotion::kCertainWithProbability)
                            .OnBackend(Backend::kCTable)
                            .Probability(sampled)
                            .Build();
-    req.eval.num_threads = 1;
+    req.eval.num_threads = 4;
     out.push_back(std::move(req));
   }
   return out;

@@ -121,14 +121,11 @@ void ExpectExactProbabilitiesMatchReference(
     const WorldEnumOptions& world_opts) {
   std::map<Tuple, uint64_t> hits;
   uint64_t worlds = 0;
-  EvalOptions nested;
-  nested.use_hash_kernels = false;
-  nested.optimize = false;
   // The driver's world space: the plan's constants join the domain.
   const WorldEnumOptions space = WithQueryConstants(q, world_opts);
   ASSERT_TRUE(ForEachWorldCwa(db, space, [&](const Database& world) {
                 ++worlds;
-                Result<Relation> ans = EvalNaive(q, world, nested);
+                Result<Relation> ans = EvalNaiveReference(q, world);
                 EXPECT_TRUE(ans.ok()) << ans.status().ToString();
                 if (!ans.ok()) return false;
                 for (const Tuple& t : ans->tuples()) ++hits[t];
@@ -297,14 +294,12 @@ void ExpectSingleRunEnginesMatchTheReference(
     const RAExprPtr& q, const Database& db,
     const WorldEnumOptions& world_opts) {
   const std::string where = q->ToString() + "\n" + db.ToString();
-  EvalOptions loops;
-  loops.use_hash_kernels = false;
   const auto naive = EvalNaive(q, db);
-  const auto naive_ref = EvalNaive(q, db, loops);
+  const auto naive_ref = EvalNaiveReference(q, db);
   ASSERT_TRUE(naive.ok() && naive_ref.ok()) << where;
   EXPECT_EQ(*naive, *naive_ref) << "naive: " << where;
   const auto tvl = Eval3VL(q, db);
-  const auto tvl_ref = Eval3VL(q, db, loops);
+  const auto tvl_ref = Eval3VLReference(q, db);
   ASSERT_TRUE(tvl.ok() && tvl_ref.ok()) << where;
   EXPECT_EQ(*tvl, *tvl_ref) << "3vl: " << where;
 

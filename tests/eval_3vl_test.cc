@@ -20,20 +20,12 @@
 namespace incdb {
 namespace {
 
-// The fold: the nested-loop reference, one thread.
-Result<Relation> Fold(const RAExprPtr& plan, const Database& db) {
-  EvalOptions fold;
-  fold.use_hash_kernels = false;
-  fold.num_threads = 1;
-  return Eval3VL(plan, db, fold);
-}
-
 // The served path, with and without the optimizer, at 1, 2 and 7 threads
 // with the chunked loops forced onto small inputs, must equal the fold or
 // fail with the same status code.
 void ExpectServedMatchesFold(const RAExprPtr& plan, const Database& db) {
   const std::string label = plan->ToString();
-  const Result<Relation> want = Fold(plan, db);
+  const Result<Relation> want = Eval3VLReference(plan, db);
   for (bool optimize : {false, true}) {
     const RAExprPtr run = optimize ? Optimize(plan, db) : plan;
     for (int threads : {1, 2, 7}) {

@@ -1,7 +1,7 @@
 // Randomized property tests for the hash-indexed evaluation paths:
 //
-//  * EvalNaive on the columnar engine (use_hash_kernels on) and on the
-//    nested-loop reference (off) returns identical relations over a pool of
+//  * EvalNaive on the columnar engine and EvalNaiveReference, the
+//    nested-loop reference, return identical relations over a pool of
 //    expressions that exercises fusion (σ_eq over ×, with and without an
 //    enclosing π), set difference/intersection and division;
 //  * the SQL evaluator's code path (pushdown, equi-probes, [NOT] IN and
@@ -89,13 +89,9 @@ class HashKernelSweep : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(HashKernelSweep, EvalNaiveAgreesWithNestedLoopReference) {
   Database db = SmallRandomDb(GetParam());
-  EvalOptions hash;
-  hash.use_hash_kernels = true;
-  EvalOptions loops;
-  loops.use_hash_kernels = false;
   for (const RAExprPtr& q : KernelQueries()) {
-    auto fast = EvalNaive(q, db, hash);
-    auto slow = EvalNaive(q, db, loops);
+    auto fast = EvalNaive(q, db);
+    auto slow = EvalNaiveReference(q, db);
     ASSERT_TRUE(fast.ok()) << fast.status().ToString();
     ASSERT_TRUE(slow.ok()) << slow.status().ToString();
     EXPECT_EQ(*fast, *slow) << q->ToString() << "\n" << db.ToString();
@@ -178,10 +174,6 @@ TEST_P(HashKernelSweep, SqlCodePathMatchesReference) {
   auto must_fail = [&](const std::string& sql, int instance) {
     return sql == kUnresolved || (sql == kSum && instance == 2);
   };
-  EvalOptions hash;
-  hash.use_hash_kernels = true;
-  EvalOptions loops;
-  loops.use_hash_kernels = false;
   // The second instance mixes strings into the int columns, so ints and
   // strings meet in one IN list; the third holds a SUM that overflows.
   for (int instance = 0; instance < 3; ++instance) {
@@ -209,8 +201,8 @@ TEST_P(HashKernelSweep, SqlCodePathMatchesReference) {
       for (const std::string& sql : queries) {
         for (auto mode : {SqlEvalMode::kSql3VL, SqlEvalMode::kNaive,
                           SqlEvalMode::kSqlMaybe}) {
-          auto fast = EvalSql(sql, *db, mode, hash);
-          auto slow = EvalSql(sql, *db, mode, loops);
+          auto fast = EvalSql(sql, *db, mode);
+          auto slow = EvalSqlReference(sql, *db, mode);
           const std::string where =
               sql + " (mode " + std::to_string(static_cast<int>(mode)) +
               (db == &plain ? ", plain)\n" : ", snapshot)\n") +
@@ -331,17 +323,15 @@ TEST(HashKernelErrors, DivisionArityViolationsAreInvalidArgument) {
   EXPECT_FALSE(too_wide.ok());
   EXPECT_EQ(too_wide.status().code(), StatusCode::kInvalidArgument);
 
-  // Through the evaluator, on both routes.
+  // Through the evaluator and its reference.
   Database db;
   *db.MutableRelation("R", 2) = r2;
   auto q = RAExpr::Divide(RAExpr::Scan("R"), RAExpr::Scan("R"));
-  for (bool hash : {true, false}) {
-    EvalOptions options;
-    options.use_hash_kernels = hash;
-    auto via_eval = EvalNaive(q, db, options);
-    EXPECT_FALSE(via_eval.ok()) << "use_hash_kernels=" << hash;
+  for (bool reference : {false, true}) {
+    auto via_eval = reference ? EvalNaiveReference(q, db) : EvalNaive(q, db);
+    EXPECT_FALSE(via_eval.ok()) << "reference=" << reference;
     EXPECT_EQ(via_eval.status().code(), StatusCode::kInvalidArgument)
-        << "use_hash_kernels=" << hash;
+        << "reference=" << reference;
   }
 }
 

@@ -87,10 +87,7 @@ TEST_P(OptimizerSweep, OptimizedPlansAnswerIdenticallyUnderEveryEvaluator) {
     ASSERT_EQ(tvl_base.ok(), tvl_opt.ok()) << e->ToString();
     if (tvl_base.ok()) EXPECT_EQ(*tvl_opt, *tvl_base) << e->ToString();
     // Both equal the fold on the unoptimized plan.
-    EvalOptions fold;
-    fold.use_hash_kernels = false;
-    fold.num_threads = 1;
-    auto tvl_fold = Eval3VL(e, db, fold);
+    auto tvl_fold = Eval3VLReference(e, db);
     ASSERT_EQ(tvl_fold.ok(), tvl_base.ok()) << e->ToString();
     if (tvl_fold.ok()) EXPECT_EQ(*tvl_base, *tvl_fold) << e->ToString();
 

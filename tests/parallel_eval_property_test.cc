@@ -336,8 +336,6 @@ RAExprPtr EquiJoin(size_t key, const RAExprPtr& l, const RAExprPtr& r) {
 // Relations wide enough that the columnar loops span several chunks, so the
 // chunk-order merge actually runs.
 TEST(ParallelKernelTest, LargeKernelsMatchSerialAcrossThreadCounts) {
-  EvalOptions reference;
-  reference.use_hash_kernels = false;
   {
     constexpr int64_t n = 5000;
     Database db;
@@ -355,7 +353,7 @@ TEST(ParallelKernelTest, LargeKernelsMatchSerialAcrossThreadCounts) {
                        db, HandProject(HandJoin(*l, *r, 1), {0, 3}));
     for (const RAExprPtr& plan : {RAExpr::Diff(scan_l, scan_r),
                                   RAExpr::Intersect(scan_l, scan_r)}) {
-      auto want = EvalNaive(plan, db, reference);
+      auto want = EvalNaiveReference(plan, db);
       ASSERT_TRUE(want.ok()) << want.status().ToString();
       ExpectKernelsMatch(plan, db, *want);
     }
@@ -394,7 +392,7 @@ TEST(ParallelKernelTest, LargeKernelsMatchSerialAcrossThreadCounts) {
          RAExpr::Union(l_ba, RAExpr::ConstRel(da_want))},
     };
     for (const auto& [plan, reference_plan] : set_ops) {
-      auto want = EvalNaive(reference_plan, db, reference);
+      auto want = EvalNaiveReference(reference_plan, db);
       ASSERT_TRUE(want.ok()) << want.status().ToString();
       ExpectKernelsMatch(plan, db, *want);
     }

@@ -27,6 +27,23 @@ TEST(WorldDomainTest, FreshConstantsDefaultToNullCount) {
   EXPECT_EQ(CountWorldsCwa(d, opts), 64u);  // 4^3
 }
 
+TEST(WorldDomainTest, ALoneNullWithoutConstantsGetsTwoFreshConstants) {
+  // With the domain {1} the null's only world would hold 1; a second fresh
+  // constant gives it a world without 1. An explicit count stays as given.
+  Database d;
+  d.AddTuple("R", Tuple{Value::Null(0)});
+  WorldEnumOptions opts;
+  EXPECT_EQ(WorldDomain(d, opts),
+            (std::vector<Value>{Value::Int(1), Value::Int(2)}));
+  opts.fresh_constants = 1;
+  EXPECT_EQ(WorldDomain(d, opts), std::vector<Value>{Value::Int(1)});
+  // A constant of D or of the query is the world that avoids the fresh one.
+  WorldEnumOptions with_constant;
+  with_constant.required_constants = {Value::Int(7)};
+  EXPECT_EQ(WorldDomain(d, with_constant),
+            (std::vector<Value>{Value::Int(7), Value::Int(8)}));
+}
+
 TEST(WorldDomainTest, RequiredConstantsIncluded) {
   Database d;
   d.AddTuple("R", Tuple{Value::Null(0)});

@@ -325,5 +325,43 @@ TEST_F(QueryEngineTest, PrebuiltSqlAstInputWorks) {
   EXPECT_EQ(resp->relation.size(), 0u);
 }
 
+// One null and no constant anywhere: the null ranges over two fresh
+// constants, so no value is certain, each is possible, and each holds in
+// exactly half of the worlds, on both backends.
+TEST(QueryEngineWorldDomainTest, ALoneNullMakesNoFreshConstantCertain) {
+  Database db;
+  db.AddTuple("R", Tuple{Value::Null(0)});
+  QueryEngine engine(db);
+  Relation possible(1);
+  possible.Add(Tuple{Value::Int(1)});
+  possible.Add(Tuple{Value::Int(2)});
+  for (Backend backend : {Backend::kEnumeration, Backend::kCTable}) {
+    const std::string where = BackendName(backend);
+    auto run = [&](AnswerNotion notion) {
+      return engine.Run(QueryRequestBuilder(QueryInput::RaText("R"))
+                            .Notion(notion)
+                            .OnBackend(backend)
+                            .Build());
+    };
+    auto certain = run(AnswerNotion::kCertainEnum);
+    ASSERT_TRUE(certain.ok()) << where << certain.status().ToString();
+    EXPECT_EQ(certain->relation, Relation(1)) << where;
+    auto maybe = run(AnswerNotion::kPossible);
+    ASSERT_TRUE(maybe.ok()) << where << maybe.status().ToString();
+    EXPECT_EQ(maybe->relation, possible) << where;
+    auto prob = run(AnswerNotion::kCertainWithProbability);
+    ASSERT_TRUE(prob.ok()) << where << prob.status().ToString();
+    EXPECT_EQ(prob->relation, Relation(1)) << where;
+    ASSERT_EQ(prob->probabilities.size(), 2u) << where;
+    for (size_t i = 0; i < 2; ++i) {
+      const TupleProbability& p = prob->probabilities[i];
+      EXPECT_EQ(p.tuple, Tuple{Value::Int(static_cast<int64_t>(i + 1))})
+          << where;
+      EXPECT_EQ(p.probability, 0.5) << where;
+      EXPECT_TRUE(p.exact) << where;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace incdb

@@ -83,16 +83,20 @@ std::map<Tuple, double> GroundTruth(const RAExprPtr& plan, const Database& db,
 
 using ProbTable = std::vector<TupleProbability>;
 
+// Runs one driver on `threads` threads (0 = auto).
 Result<Relation> RunDriver(bool ctable, const RAExprPtr& plan,
                            const Database& db,
                            const ProbabilisticOptions& popts,
-                           const WorldEnumOptions& wopts, ProbTable* tab) {
+                           const WorldEnumOptions& wopts, int threads,
+                           ProbTable* tab) {
+  EvalOptions eval;
+  eval.num_threads = threads;
   return ctable ? CertainAnswersWithProbabilityCTable(
-                      plan, db, WorldSemantics::kClosedWorld, popts, wopts, {},
-                      tab)
+                      plan, db, WorldSemantics::kClosedWorld, popts, wopts,
+                      eval, tab)
                 : CertainAnswersWithProbabilityEnum(
-                      plan, db, WorldSemantics::kClosedWorld, popts, wopts, {},
-                      tab);
+                      plan, db, WorldSemantics::kClosedWorld, popts, wopts,
+                      eval, tab);
 }
 
 void ExpectTablesIdentical(const ProbTable& a, const ProbTable& b,
@@ -136,7 +140,8 @@ TEST(SamplingProperty, ConvergesToExactEnumeration) {
     for (bool ctable : {false, true}) {
       ProbTable tab;
       ProbabilisticOptions popts;
-      Result<Relation> r = RunDriver(ctable, gp.plan, db, popts, wopts, &tab);
+      Result<Relation> r =
+          RunDriver(ctable, gp.plan, db, popts, wopts, /*threads=*/0, &tab);
       if (!r.ok()) {
         // The c-table pipeline may refuse plans outside its condition
         // language; that is the enumeration backend's job to cover.
@@ -164,10 +169,9 @@ TEST(SamplingProperty, ConvergesToExactEnumeration) {
     sampled.force_sampling = true;
     sampled.sampling.samples = 4'000;
     sampled.sampling.seed = 1 + iter;
-    sampled.sampling.num_threads = 1;
     ProbTable serial;
     Result<Relation> sr =
-        RunDriver(false, gp.plan, db, sampled, wopts, &serial);
+        RunDriver(false, gp.plan, db, sampled, wopts, /*threads=*/1, &serial);
     ASSERT_TRUE(sr.ok()) << sr.status().ToString();
     for (const TupleProbability& p : serial) {
       const auto it = truth.find(p.tuple);
@@ -185,14 +189,15 @@ TEST(SamplingProperty, ConvergesToExactEnumeration) {
       }
     }
 
-    sampled.sampling.num_threads = 4;
     ProbTable parallel;
     ASSERT_TRUE(
-        RunDriver(false, gp.plan, db, sampled, wopts, &parallel).ok());
+        RunDriver(false, gp.plan, db, sampled, wopts, /*threads=*/4, &parallel)
+            .ok());
     ExpectTablesIdentical(serial, parallel, "serial vs parallel");
 
     ProbTable ctab;
-    Result<Relation> cr = RunDriver(true, gp.plan, db, sampled, wopts, &ctab);
+    Result<Relation> cr =
+        RunDriver(true, gp.plan, db, sampled, wopts, /*threads=*/4, &ctab);
     if (cr.ok()) {
       ExpectTablesIdentical(serial, ctab, "enum vs ctable sampling");
     }

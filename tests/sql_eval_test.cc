@@ -171,12 +171,11 @@ TEST(SqlEvalTest, BadColumnReferencesFailWhateverTheData) {
   };
   for (const Database* db : {&empty, &full}) {
     for (bool code_path : {true, false}) {
-      EvalOptions options;
-      options.use_hash_kernels = code_path;
       for (const auto& [sql, message] : cases) {
         for (auto mode : {SqlEvalMode::kSql3VL, SqlEvalMode::kNaive,
                           SqlEvalMode::kSqlMaybe}) {
-          auto r = EvalSql(sql, *db, mode, options);
+          auto r = code_path ? EvalSql(sql, *db, mode)
+                             : EvalSqlReference(sql, *db, mode);
           ASSERT_FALSE(r.ok()) << sql << " answered " << r->ToString();
           EXPECT_EQ(r.status().code(), StatusCode::kNotFound) << sql;
           EXPECT_EQ(r.status().message(), message) << sql;
@@ -207,12 +206,14 @@ TEST(SqlEvalTest, BlockPastUint32RowsIsResourceExhausted) {
   for (int64_t i = 0; i < 300; ++i) db.AddTuple("R", Tuple{Value::Int(i)});
   const std::string sql = "SELECT * FROM R, R X, R Y, R Z";
   for (bool code_path : {true, false}) {
-    EvalOptions options;
-    options.use_hash_kernels = code_path;
-    auto r = EvalSql(sql, db, SqlEvalMode::kSql3VL, options);
+    auto eval = [&](SqlEvalMode mode) {
+      return code_path ? EvalSql(sql, db, mode)
+                       : EvalSqlReference(sql, db, mode);
+    };
+    auto r = eval(SqlEvalMode::kSql3VL);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
-    auto maybe = EvalSql(sql, db, SqlEvalMode::kSqlMaybe, options);
+    auto maybe = eval(SqlEvalMode::kSqlMaybe);
     ASSERT_TRUE(maybe.ok()) << maybe.status().ToString();
     EXPECT_TRUE(maybe->empty());
   }
@@ -229,8 +230,8 @@ TEST(SqlEvalTest, UnionArityMismatchRejected) {
 // --- x [NOT] IN (S) edge cases --------------------------------------------
 //
 // T(x) and S(y); each case asserts `SELECT x FROM T WHERE x [NOT] IN
-// (SELECT y FROM S)` in all three modes, on the binary-search lookup and on
-// the reference fold (use_hash_kernels off).
+// (SELECT y FROM S)` in all three modes, on the served lookup and on the
+// reference fold (EvalSqlReference).
 
 Database InDb(const std::vector<Value>& t, const std::vector<Value>& s) {
   Schema schema;
@@ -257,14 +258,13 @@ struct InExpectation {
 void ExpectInAnswers(const Database& db,
                      const std::vector<InExpectation>& cases) {
   for (bool lookup : {true, false}) {
-    EvalOptions options;
-    options.use_hash_kernels = lookup;
     for (const InExpectation& c : cases) {
       for (bool negated : {false, true}) {
         const std::string sql =
             std::string("SELECT x FROM T WHERE x ") +
             (negated ? "NOT IN" : "IN") + " (SELECT y FROM S)";
-        auto r = EvalSql(sql, db, c.mode, options);
+        auto r = lookup ? EvalSql(sql, db, c.mode)
+                        : EvalSqlReference(sql, db, c.mode);
         ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
         EXPECT_EQ(*r, Column(negated ? c.not_in : c.in))
             << sql << " (mode " << static_cast<int>(c.mode)
@@ -392,13 +392,26 @@ TEST(SqlBlockStatsTest, PinsTheServedShapes) {
       {"SELECT amount, COUNT(order_id) FROM Pay GROUP BY amount",
        static_cast<int>(SqlEvalMode::kSql3VL), 1, 5, 5, 0},
   };
+  // The reference of the certain shape is EvalSqlCertain's own steps on
+  // the tuple reference: naïve evaluation, then the null-free rows.
+  auto reference = [&](const Shape& shape,
+                       EvalStats* stats) -> Result<Relation> {
+    if (shape.mode >= 0) {
+      return EvalSqlReference(shape.sql, db,
+                              static_cast<SqlEvalMode>(shape.mode), stats);
+    }
+    INCDB_ASSIGN_OR_RETURN(
+        Relation naive,
+        EvalSqlReference(shape.sql, db, SqlEvalMode::kNaive, stats));
+    return naive.CompletePart();
+  };
   for (bool code_path : {true, false}) {
     for (const Shape& shape : shapes) {
       EvalStats stats;
       EvalOptions options;
-      options.use_hash_kernels = code_path;
       options.stats = &stats;
-      auto r = shape.mode < 0
+      auto r = !code_path ? reference(shape, &stats)
+               : shape.mode < 0
                    ? EvalSqlCertain(shape.sql, db, false, options)
                    : EvalSql(shape.sql, db,
                              static_cast<SqlEvalMode>(shape.mode), options);

@@ -136,14 +136,15 @@ TEST(SqlMaybeTest, GroupByPutsEveryNullInOneGroup) {
   by_identity.Add(Tuple{Value::Null(2), Value::Int(1)});
   by_identity.Add(Tuple{Value::Int(7), Value::Int(1)});
   for (bool code_path : {true, false}) {
-    EvalOptions options;
-    options.use_hash_kernels = code_path;
+    auto eval = [&](SqlEvalMode mode) {
+      return code_path ? EvalSql(q, db, mode) : EvalSqlReference(q, db, mode);
+    };
     for (auto mode : {SqlEvalMode::kSql3VL, SqlEvalMode::kSqlMaybe}) {
-      auto r = EvalSql(q, db, mode, options);
+      auto r = eval(mode);
       ASSERT_TRUE(r.ok()) << r.status().ToString();
       EXPECT_EQ(*r, one_group) << "mode " << static_cast<int>(mode);
     }
-    auto naive = EvalSql(q, db, SqlEvalMode::kNaive, options);
+    auto naive = eval(SqlEvalMode::kNaive);
     ASSERT_TRUE(naive.ok()) << naive.status().ToString();
     EXPECT_EQ(*naive, by_identity);
   }

@@ -38,11 +38,7 @@ struct VecCase {
 // reference or fail with the same status code.
 void ExpectMatchesReference(const RAExprPtr& plan, const Database& db) {
   const std::string label = plan->ToString();
-  EvalOptions reference;  // nested-loop oracle
-  reference.use_hash_kernels = false;
-  reference.optimize = false;
-  reference.num_threads = 1;
-  auto want = EvalNaive(plan, db, reference);
+  auto want = EvalNaiveReference(plan, db);
 
   for (bool optimize : {false, true}) {
     for (int threads : {1, 7}) {
@@ -249,14 +245,9 @@ TEST(VectorizedStatsTest, CountsBatchesAndRowsOnTheColumnarEngineOnly) {
   // The counters reach the printed table.
   EXPECT_NE(vec_stats.ToString().find("vectorized"), std::string::npos);
 
-  // With hash kernels off the evaluator is the nested-loop reference and
-  // stays tuple-at-a-time.
+  // The nested-loop reference stays tuple-at-a-time.
   EvalStats ref_stats;
-  EvalOptions ref;
-  ref.stats = &ref_stats;
-  ref.use_hash_kernels = false;
-  ref.num_threads = 1;
-  ASSERT_TRUE(EvalNaive(q, db, ref).ok());
+  ASSERT_TRUE(EvalNaiveReference(q, db, &ref_stats).ok());
   EXPECT_EQ(ref_stats.batches_processed(), 0u);
   EXPECT_EQ(ref_stats.rows_vectorized(), 0u);
 }

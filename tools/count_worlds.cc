@@ -36,7 +36,7 @@ void Usage() {
       "  --threshold=P        answer threshold (default 1.0)\n"
       "  --samples=N          Monte-Carlo samples (default 10000)\n"
       "  --seed=N             sampling seed (default 1)\n"
-      "  --threads=N          sampling threads (0 = auto; default 0)\n"
+      "  --threads=N          evaluation and sampling threads (0 = auto)\n"
       "  --max_exact_worlds=N exact-enumeration gate (default 100000)\n"
       "  --force_sampling     skip the exact paths\n");
 }
@@ -58,6 +58,7 @@ int main(int argc, char** argv) {
   std::string sql_text;
   incdb::Backend backend = incdb::Backend::kCTable;
   incdb::ProbabilisticOptions popts;
+  incdb::EvalOptions eval;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -90,7 +91,7 @@ int main(int argc, char** argv) {
     } else if (const char* v = value("--seed=")) {
       if (!ParseUint(v, &popts.sampling.seed)) return Usage(), 2;
     } else if (const char* v = value("--threads=")) {
-      popts.sampling.num_threads = std::atoi(v);
+      eval.num_threads = std::atoi(v);
     } else if (const char* v = value("--max_exact_worlds=")) {
       if (!ParseUint(v, &popts.max_exact_worlds)) return Usage(), 2;
     } else if (arg == "--force_sampling") {
@@ -144,6 +145,7 @@ int main(int argc, char** argv) {
           .Notion(incdb::AnswerNotion::kCertainWithProbability)
           .OnBackend(backend)
           .Probability(popts)
+          .Eval(eval)
           .Build();
 
   const auto start = std::chrono::steady_clock::now();
